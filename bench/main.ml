@@ -605,23 +605,98 @@ let policy_throughput ~reps files =
       (Agg_cache.Cache.kind_name kind, ops, seconds))
     Agg_cache.Cache.all_kinds
 
-let write_micro_json rows =
+(* The same throughput at sized-workstation weights (capacity 1000): the
+   ten facades, where weighted inserts evict by repeated [evict] calls,
+   then the rent-based baselines — Landlord per file, and Bundle served
+   as predicted groups the way the weighted sweep serves it. The groups
+   are built once, outside the timing: the tracker observes every access
+   whatever the cache holds, so the group of access [i] is fixed by the
+   stream. *)
+let weighted_stream = "sized-workstation seed=7 events=20000 capacity=1000"
+
+let weighted_throughput ~reps =
+  let profile = Agg_workload.Profile.sized_workstation in
+  let files = Agg_workload.Generator.generate_files ~seed:7 ~events:20_000 profile in
+  let capacity = 1_000 in
+  let table = Array.make (1 + Array.fold_left max 0 files) Agg_cache.Policy.unit_weight in
+  Array.iter (fun f -> table.(f) <- Agg_workload.Profile.weight_of profile f) files;
+  let weight_of f = table.(f) in
+  let ops = reps * Array.length files in
+  let time_facade name cache =
+    let seconds =
+      timed (fun () ->
+          for _ = 1 to reps do
+            Array.iter (fun f -> ignore (Agg_cache.Cache.access cache f)) files
+          done)
+    in
+    (name, ops, seconds)
+  in
+  let groups =
+    let c = Agg_core.Config.default in
+    let tracker =
+      Agg_successor.Tracker.create ~capacity:c.Agg_core.Config.successor_capacity
+        ~policy:c.Agg_core.Config.metadata_policy ()
+    in
+    Array.map
+      (fun f ->
+        Agg_successor.Tracker.observe tracker f;
+        Agg_core.Group_builder.build tracker ~group_size:5 f)
+      files
+  in
+  let bundle =
+    let module B = Agg_baselines.Bundle in
+    let b = B.create ~capacity in
+    let seconds =
+      timed (fun () ->
+          for _ = 1 to reps do
+            Array.iteri
+              (fun i f ->
+                if B.mem b f then begin
+                  B.promote b f;
+                  B.charge b f ~cost:(weight_of f).Agg_cache.Policy.cost
+                end
+                else ignore (B.request_bundle b ~weight_of groups.(i)))
+              files
+          done)
+    in
+    ("bundle", ops, seconds)
+  in
+  List.map
+    (fun kind ->
+      time_facade (Agg_cache.Cache.kind_name kind)
+        (Agg_cache.Cache.create ~weight_of kind ~capacity))
+    Agg_cache.Cache.all_kinds
+  @ [
+      time_facade "landlord"
+        (Agg_cache.Cache.of_policy ~weight_of
+           (module Agg_baselines.Landlord)
+           (Agg_baselines.Landlord.create ~capacity));
+      bundle;
+    ]
+
+let write_micro_json ~unit ~weighted =
   let oc = open_out micro_json_path in
+  let rows rows =
+    List.iteri
+      (fun i (name, ops, seconds) ->
+        let ns_per_op = if ops = 0 then 0.0 else seconds *. 1e9 /. float_of_int ops in
+        let mops = if seconds > 0.0 then float_of_int ops /. seconds /. 1e6 else 0.0 in
+        Printf.fprintf oc
+          "    {\"policy\": \"%s\", \"ops\": %d, \"seconds\": %.4f, \"ns_per_op\": %.1f, \
+           \"mops_per_sec\": %.2f}%s\n"
+          (json_escape name) ops seconds ns_per_op mops
+          (if i = List.length rows - 1 then "" else ","))
+      rows
+  in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
       Printf.fprintf oc "{\n  \"stream\": \"server seed=7 events=20000 capacity=500\",\n";
       Printf.fprintf oc "  \"policies\": [\n";
-      List.iteri
-        (fun i (name, ops, seconds) ->
-          let ns_per_op = if ops = 0 then 0.0 else seconds *. 1e9 /. float_of_int ops in
-          let mops = if seconds > 0.0 then float_of_int ops /. seconds /. 1e6 else 0.0 in
-          Printf.fprintf oc
-            "    {\"policy\": \"%s\", \"ops\": %d, \"seconds\": %.4f, \"ns_per_op\": %.1f, \
-             \"mops_per_sec\": %.2f}%s\n"
-            (json_escape name) ops seconds ns_per_op mops
-            (if i = List.length rows - 1 then "" else ","))
-        rows;
+      rows unit;
+      Printf.fprintf oc "  ],\n  \"weighted_stream\": \"%s\",\n" weighted_stream;
+      Printf.fprintf oc "  \"weighted\": [\n";
+      rows weighted;
       Printf.fprintf oc "  ]\n}\n")
 
 let run_micro () =
@@ -658,25 +733,29 @@ let run_micro () =
     Agg_workload.Generator.generate_files ~seed:7 ~events:20_000 Agg_workload.Profile.server
   in
   let reps = if !quick_flag then 2 else 10 in
-  let throughput = policy_throughput ~reps files in
-  let table =
-    Agg_util.Table.create ~title:"per-policy access throughput (server stream, capacity 500)"
-      ~columns:[ "policy"; "ops"; "ns/op"; "Mops/s" ]
+  let print_throughput title rows =
+    let table = Agg_util.Table.create ~title ~columns:[ "policy"; "ops"; "ns/op"; "Mops/s" ] in
+    List.iter
+      (fun (name, ops, seconds) ->
+        Agg_util.Table.add_row table
+          [
+            name;
+            string_of_int ops;
+            Printf.sprintf "%.0f" (seconds *. 1e9 /. float_of_int (max 1 ops));
+            (if seconds > 0.0 then Printf.sprintf "%.2f" (float_of_int ops /. seconds /. 1e6)
+             else "n/a");
+          ])
+      rows;
+    Agg_util.Table.print table
   in
-  List.iter
-    (fun (name, ops, seconds) ->
-      Agg_util.Table.add_row table
-        [
-          name;
-          string_of_int ops;
-          Printf.sprintf "%.0f" (seconds *. 1e9 /. float_of_int (max 1 ops));
-          (if seconds > 0.0 then Printf.sprintf "%.2f" (float_of_int ops /. seconds /. 1e6)
-           else "n/a");
-        ])
-    throughput;
-  Agg_util.Table.print table;
-  write_micro_json throughput;
-  Printf.printf "wrote %d policy rows to %s\n" (List.length throughput) micro_json_path
+  let throughput = policy_throughput ~reps files in
+  print_throughput "per-policy access throughput (server stream, capacity 500)" throughput;
+  let weighted = weighted_throughput ~reps in
+  print_throughput ("per-policy weighted throughput (" ^ weighted_stream ^ ")") weighted;
+  write_micro_json ~unit:throughput ~weighted;
+  Printf.printf "wrote %d policy rows to %s\n"
+    (List.length throughput + List.length weighted)
+    micro_json_path
 
 (* --- BENCH_sweep.json ------------------------------------------------------ *)
 

@@ -52,13 +52,14 @@ if ! grep -rq 'Agg_util\.Prng' lib/scenario; then
   exit 1
 fi
 
-# The weighted baselines (Landlord, GreedyDual-Size, Bundle) are
-# deterministic by contract — their lockstep differential against the
-# lib/oracle models and the unit-weight LRU-equivalence checks assume
-# replay is a pure function of the op sequence. Any entropy source,
-# Agg_util.Prng included, would break that.
+# The rent-family weighted baselines (Landlord, Bundle, and the indexed
+# Heap that orders their victims) are deterministic by contract — their
+# lockstep differential against the lib/oracle models and the
+# unit-weight LRU-equivalence checks assume replay is a pure function of
+# the op sequence. Any entropy source, Agg_util.Prng included, would
+# break that.
 if grep -rnE '(^|[^.A-Za-z_])(Stdlib\.)?Random\.|Prng\.' \
-    lib/baselines/landlord.ml lib/baselines/greedy_dual.ml lib/baselines/bundle.ml 2>/dev/null; then
+    lib/baselines/landlord.ml lib/baselines/bundle.ml lib/util/heap.ml 2>/dev/null; then
   echo "ci.sh: the weighted baselines must stay deterministic (see matches above)" >&2
   exit 1
 fi
@@ -89,18 +90,17 @@ if ! grep -rq 'Agg_util\.Prng' lib/obs; then
   exit 1
 fi
 
-# Arena discipline: the per-access recency paths in lib/cache and
-# lib/successor are flat-array structures (Agg_util.Dlist_arena /
-# Agg_util.Int_table); a Hashtbl creeping back in would reintroduce
-# per-access hashing and allocation. Sanctioned exceptions, none of them
-# on the recency hot path:
-#   lib/cache/lfu.ml, lib/cache/arc.ml      frequency counts / ghost lists
+# Arena discipline: the per-access paths in lib/cache and lib/successor
+# are flat-array structures (Agg_util.Dlist_arena / Agg_util.Int_table);
+# a Hashtbl creeping back in would reintroduce per-access hashing and
+# allocation. Every online policy is covered, LFU and ARC included.
+# Sanctioned exceptions, none of them on the per-access hot path:
 #   lib/cache/belady.ml                     offline oracle policy
 #   lib/successor/successor_list.ml         Frequency-policy count tables
 #   lib/successor/tracker.ml                Frequency-policy fallback lists
 #   lib/successor/{graph,grouping,oracle}.* offline baselines and oracles
 hot_hashtbl=$(grep -rl 'Hashtbl' lib/cache lib/successor 2>/dev/null \
-  | grep -vE 'lib/cache/(arc|belady|lfu)\.ml$' \
+  | grep -vE 'lib/cache/belady\.ml$' \
   | grep -vE 'lib/successor/(tracker|successor_list|graph|grouping|oracle)\.(ml|mli)$' \
   || true)
 if [ -n "$hot_hashtbl" ]; then

@@ -1,20 +1,21 @@
 open Agg_util
 module Policy = Agg_cache.Policy
 
-(* Residents live on one arena-backed recency list (hot end first); the
-   per-node credit and size side arrays are indexed by arena node, which
-   is stable while the node is linked. Victim selection and the rent
-   drain scan the recency order hot-to-cold — O(size), fine for a
-   baseline — and perform float arithmetic in exactly the per-key order
-   the reference model uses, so lockstep credits compare equal. *)
+(* One heap element per resident, its payload the key, keyed by
+   (H = L + cost/size, recency stamp). Hot placements take increasing
+   stamps and cold placements decreasing ones, so stamp order is the
+   recency order (hot end = largest stamp) and the heap minimum is the
+   minimal-H resident nearest the cold end — exactly the victim of a
+   hot-to-cold scan keeping the last minimum. [sizes] is indexed by heap
+   handle, which is stable while the key is resident. *)
 type t = {
   cap : int;
-  arena : Dlist_arena.t;
-  order : Dlist_arena.list_; (* recency, hot end first *)
-  index : Int_table.t; (* key -> node *)
-  mutable credit : float array; (* node -> remaining credit *)
-  mutable sizes : int array; (* node -> size *)
-  mutable count : int;
+  heap : Heap.t;
+  index : Int_table.t; (* key -> heap handle *)
+  mutable sizes : int array; (* handle -> size *)
+  mutable inflation : float; (* L, non-decreasing *)
+  mutable hot : int; (* next hot stamp, counting up from 0 *)
+  mutable cold : int; (* next cold stamp, counting down from -1 *)
   mutable used : int;
 }
 
@@ -22,120 +23,112 @@ let policy_name = "landlord"
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Landlord.create: capacity must be positive";
-  let arena = Dlist_arena.create ~capacity:(capacity + 1) () in
-  let order = Dlist_arena.new_list arena in
+  let heap = Heap.create () in
   {
     cap = capacity;
-    arena;
-    order;
-    index = Int_table.create ~capacity ();
-    credit = Array.make (capacity + 1) 0.0;
-    sizes = Array.make (capacity + 1) 1;
-    count = 0;
+    heap;
+    index = Int_table.create ();
+    sizes = Array.make (Heap.slots heap) 1;
+    inflation = 0.0;
+    hot = 0;
+    cold = -1;
     used = 0;
   }
 
 let capacity t = t.cap
-let size t = t.count
+let size t = Heap.length t.heap
 let used t = t.used
 let mem t key = Int_table.get t.index key >= 0
-let contents t = Dlist_arena.to_list t.arena t.order
 
-(* The arena grows by doubling, so node indices can outrun the side
-   arrays; grow them in step. *)
-let ensure t node =
-  let n = Array.length t.credit in
-  if node >= n then begin
-    let n' = max (node + 1) (2 * n) in
-    let c = Array.make n' 0.0 in
-    Array.blit t.credit 0 c 0 n;
-    t.credit <- c;
-    let s = Array.make n' 1 in
-    Array.blit t.sizes 0 s 0 n;
-    t.sizes <- s
-  end
+let next_stamp t = function
+  | Policy.Hot ->
+      let s = t.hot in
+      t.hot <- s + 1;
+      s
+  | Policy.Cold ->
+      let s = t.cold in
+      t.cold <- s - 1;
+      s
+
+let priority t ~size ~cost = t.inflation +. (float_of_int cost /. float_of_int size)
+
+let reposition t h pos =
+  Heap.update t.heap h ~priority:(Heap.priority t.heap h) ~stamp:(next_stamp t pos)
 
 let promote t key =
-  let node = Int_table.get t.index key in
-  if node >= 0 then Dlist_arena.move_to_front t.arena t.order node
+  let h = Int_table.get t.index key in
+  if h >= 0 then reposition t h Policy.Hot
 
 let charge t key ~cost =
   if cost <= 0 then invalid_arg "Landlord.charge: cost must be positive";
-  let node = Int_table.get t.index key in
-  if node >= 0 then t.credit.(node) <- float_of_int cost
+  let h = Int_table.get t.index key in
+  if h >= 0 then
+    Heap.update t.heap h
+      ~priority:(priority t ~size:t.sizes.(h) ~cost)
+      ~stamp:(Heap.stamp t.heap h)
 
-let evict t =
-  if t.count = 0 then None
-  else begin
-    (* Victim: minimal credit/size rent ratio, ties towards the cold end
-       ([<=] while scanning hot-to-cold keeps the last minimum). *)
-    let victim = ref (-1) in
-    let best = ref infinity in
-    Dlist_arena.iter t.arena t.order (fun k ->
-        let n = Int_table.get t.index k in
-        let r = t.credit.(n) /. float_of_int t.sizes.(n) in
-        if r <= !best then begin
-          victim := k;
-          best := r
-        end);
-    let vn = Int_table.get t.index !victim in
-    let delta = t.credit.(vn) /. float_of_int t.sizes.(vn) in
-    (* Every other resident pays rent proportional to its size. *)
-    Dlist_arena.iter t.arena t.order (fun k ->
-        if k <> !victim then begin
-          let n = Int_table.get t.index k in
-          t.credit.(n) <- t.credit.(n) -. (delta *. float_of_int t.sizes.(n))
-        end);
-    t.used <- t.used - t.sizes.(vn);
-    t.count <- t.count - 1;
-    Dlist_arena.remove t.arena vn;
-    Int_table.remove t.index !victim;
-    Some !victim
-  end
+let drop t h key =
+  t.used <- t.used - t.sizes.(h);
+  Heap.remove t.heap h;
+  Int_table.remove t.index key
+
+(* Evicts the heap minimum, raising L to its H; the caller guarantees a
+   resident. *)
+let evict_top t =
+  let h = Heap.top t.heap in
+  let key = Heap.value t.heap h in
+  t.inflation <- Heap.priority t.heap h;
+  drop t h key;
+  key
+
+let evict t = if Heap.is_empty t.heap then None else Some (evict_top t)
 
 let insert t ~pos ~weight:(w : Policy.weight) key =
   Policy.check_weight ~who:policy_name w;
-  let node = Int_table.get t.index key in
-  if node >= 0 then begin
-    (* reposition only; credit and recorded weight are untouched *)
-    (match pos with
-    | Policy.Hot -> Dlist_arena.move_to_front t.arena t.order node
-    | Policy.Cold -> Dlist_arena.move_to_back t.arena t.order node);
+  let h = Int_table.get t.index key in
+  if h >= 0 then begin
+    (* reposition only; priority and recorded size are untouched *)
+    reposition t h pos;
     []
   end
   else if w.Policy.size > t.cap then []
   else begin
     let victims = ref [] in
-    while t.used + w.Policy.size > t.cap do
-      match evict t with
-      | Some v -> victims := v :: !victims
-      | None -> assert false (* used > 0 implies a resident victim *)
+    (* [cap - used] cannot overflow, whatever the capacity *)
+    while w.Policy.size > t.cap - t.used do
+      victims := evict_top t :: !victims
     done;
-    let node =
-      match pos with
-      | Policy.Hot -> Dlist_arena.push_front t.arena t.order key
-      | Policy.Cold -> Dlist_arena.push_back t.arena t.order key
+    let h =
+      Heap.push t.heap
+        ~priority:(priority t ~size:w.Policy.size ~cost:w.Policy.cost)
+        ~stamp:(next_stamp t pos) key
     in
-    ensure t node;
-    t.credit.(node) <- float_of_int w.Policy.cost;
-    t.sizes.(node) <- w.Policy.size;
-    Int_table.set t.index key node;
-    t.count <- t.count + 1;
+    if h >= Array.length t.sizes then begin
+      let sizes = Array.make (Heap.slots t.heap) 1 in
+      Array.blit t.sizes 0 sizes 0 (Array.length t.sizes);
+      t.sizes <- sizes
+    end;
+    t.sizes.(h) <- w.Policy.size;
+    Int_table.set t.index key h;
     t.used <- t.used + w.Policy.size;
     List.rev !victims
   end
 
 let remove t key =
-  let node = Int_table.get t.index key in
-  if node >= 0 then begin
-    t.used <- t.used - t.sizes.(node);
-    t.count <- t.count - 1;
-    Dlist_arena.remove t.arena node;
-    Int_table.remove t.index key
-  end
+  let h = Int_table.get t.index key in
+  if h >= 0 then drop t h key
+
+(* Hot end first: residents by descending stamp. *)
+let contents t =
+  let handles = ref [] in
+  Heap.iter t.heap (fun h -> handles := h :: !handles);
+  List.sort (fun a b -> Int.compare (Heap.stamp t.heap b) (Heap.stamp t.heap a)) !handles
+  |> List.map (Heap.value t.heap)
 
 let clear t =
-  Dlist_arena.clear_list t.arena t.order;
+  Heap.clear t.heap;
   Int_table.clear t.index;
-  t.count <- 0;
+  t.inflation <- 0.0;
+  t.hot <- 0;
+  t.cold <- -1;
   t.used <- 0

@@ -1,17 +1,26 @@
 open Agg_util
 
 module Core = struct
-  type list_id = T1 | T2 | B1 | B2
+  (* Arena-backed ARC: T1, T2 and the ghost lists B1, B2 are four lists
+     of one Dlist_arena, and one direct-index table maps every resident
+     or ghost key to [(node lsl 2) lor list id]. A key keeps its node
+     while it moves between lists, so an access is a table probe plus
+     O(1) relinks; lengths are counted per list. *)
 
-  type entry = { mutable where : list_id; mutable node : int Dlist.node }
+  module A = Dlist_arena
+
+  (* list ids *)
+  let t1 = 0
+  let t2 = 1
+  let b1 = 2
+  let b2 = 3
 
   type t = {
     capacity : int;
-    t1 : int Dlist.t;
-    t2 : int Dlist.t;
-    b1 : int Dlist.t;
-    b2 : int Dlist.t;
-    index : (int, entry) Hashtbl.t; (* resident and ghost keys *)
+    arena : A.t;
+    lists : A.list_ array; (* by list id *)
+    len : int array; (* by list id *)
+    index : Int_table.t; (* resident and ghost keys -> (node lsl 2) lor list id *)
     mutable p : int; (* adaptation target for |T1| *)
   }
 
@@ -19,159 +28,152 @@ module Core = struct
 
   let create ~capacity =
     if capacity <= 0 then invalid_arg "Arc.create: capacity must be positive";
+    let arena = A.create ~capacity:((2 * capacity) + 5) () in
     {
       capacity;
-      t1 = Dlist.create ();
-      t2 = Dlist.create ();
-      b1 = Dlist.create ();
-      b2 = Dlist.create ();
-      index = Hashtbl.create (4 * capacity);
+      arena;
+      lists = Array.init 4 (fun _ -> A.new_list arena);
+      len = Array.make 4 0;
+      index = Int_table.create ~capacity:(2 * capacity) ();
       p = 0;
     }
 
   let capacity t = t.capacity
-  let size t = Dlist.length t.t1 + Dlist.length t.t2
-
-  let is_resident where = match where with T1 | T2 -> true | B1 | B2 -> false
+  let size t = t.len.(t1) + t.len.(t2)
 
   let mem t key =
-    match Hashtbl.find_opt t.index key with
-    | Some entry -> is_resident entry.where
-    | None -> false
+    let v = Int_table.get t.index key in
+    v >= 0 && v land 3 <= t2
 
-  let dlist_of t = function T1 -> t.t1 | T2 -> t.t2 | B1 -> t.b1 | B2 -> t.b2
-
-  let detach t entry = Dlist.remove (dlist_of t entry.where) entry.node
-
-  let attach_front t entry where key =
-    entry.where <- where;
-    entry.node <- Dlist.push_front (dlist_of t where) key
-
-  let attach_back t entry where key =
-    entry.where <- where;
-    entry.node <- Dlist.push_back (dlist_of t where) key
+  (* Relinks [key], whose table entry is [v], to the front or back of
+     list [l]. *)
+  let relink t key v l ~front =
+    let node = v lsr 2 in
+    if front then A.move_to_front t.arena t.lists.(l) node
+    else A.move_to_back t.arena t.lists.(l) node;
+    t.len.(v land 3) <- t.len.(v land 3) - 1;
+    t.len.(l) <- t.len.(l) + 1;
+    Int_table.set t.index key ((node lsl 2) lor l)
 
   let drop_ghost_lru t ghost =
-    match Dlist.pop_back (dlist_of t ghost) with
-    | Some key -> Hashtbl.remove t.index key
-    | None -> ()
+    let key = A.pop_back t.arena t.lists.(ghost) in
+    if key >= 0 then begin
+      Int_table.remove t.index key;
+      t.len.(ghost) <- t.len.(ghost) - 1
+    end
+
+  (* Moves the LRU key of [source] to the front of [ghost]; -1 when
+     [source] is empty. *)
+  let demote_lru t source ghost =
+    let node = A.last t.arena t.lists.(source) in
+    if node = A.nil then -1
+    else begin
+      let key = A.key t.arena node in
+      relink t key ((node lsl 2) lor source) ghost ~front:true;
+      key
+    end
 
   (* ARC's REPLACE: evict from T1 into ghost B1 when T1 exceeds the target,
      otherwise from T2 into B2. Returns the evicted (resident) key. *)
   let replace t ~hit_in_b2 =
-    let t1_len = Dlist.length t.t1 in
+    let t1_len = t.len.(t1) in
     let from_t1 = t1_len >= 1 && (t1_len > t.p || (hit_in_b2 && t1_len = t.p)) in
-    let source, ghost = if from_t1 then (t.t1, B1) else (t.t2, B2) in
-    match Dlist.pop_back source with
-    | Some victim ->
-        (match Hashtbl.find_opt t.index victim with
-        | Some entry -> attach_front t entry ghost victim
-        | None -> ());
-        Some victim
-    | None -> (
-        (* the chosen list was empty; take the other one *)
-        let source, ghost = if from_t1 then (t.t2, B2) else (t.t1, B1) in
-        match Dlist.pop_back source with
-        | Some victim ->
-            (match Hashtbl.find_opt t.index victim with
-            | Some entry -> attach_front t entry ghost victim
-            | None -> ());
-            Some victim
-        | None -> None)
+    let victim = if from_t1 then demote_lru t t1 b1 else demote_lru t t2 b2 in
+    (* the chosen list was empty; take the other one *)
+    let victim =
+      if victim >= 0 then victim else if from_t1 then demote_lru t t2 b2 else demote_lru t t1 b1
+    in
+    if victim >= 0 then Some victim else None
 
   let promote t key =
-    match Hashtbl.find_opt t.index key with
-    | Some entry when is_resident entry.where ->
-        detach t entry;
-        attach_front t entry T2 key
-    | Some _ | None -> ()
+    let v = Int_table.get t.index key in
+    if v >= 0 && v land 3 <= t2 then relink t key v t2 ~front:true
 
   let insert t ~pos key =
-    match Hashtbl.find_opt t.index key with
-    | Some entry when is_resident entry.where ->
-        (match pos with
-        | Policy.Hot -> promote t key
-        | Policy.Cold ->
-            detach t entry;
-            attach_back t entry T1 key);
-        None
-    | Some entry -> (
-        (* ghost hit *)
-        match pos with
-        | Policy.Hot ->
-            let b1_len = max 1 (Dlist.length t.b1) in
-            let b2_len = max 1 (Dlist.length t.b2) in
-            let hit_in_b2 = entry.where = B2 in
-            if hit_in_b2 then t.p <- max 0 (t.p - max 1 (b1_len / b2_len))
-            else t.p <- min t.capacity (t.p + max 1 (b2_len / b1_len));
-            let victim = if size t >= t.capacity then replace t ~hit_in_b2 else None in
-            detach t entry;
-            attach_front t entry T2 key;
-            victim
-        | Policy.Cold ->
-            let victim = if size t >= t.capacity then replace t ~hit_in_b2:false else None in
-            detach t entry;
-            attach_back t entry T1 key;
-            victim)
-    | None ->
-        (* ARC case IV: a completely new key. *)
-        let l1 = Dlist.length t.t1 + Dlist.length t.b1 in
-        let total =
-          Dlist.length t.t1 + Dlist.length t.t2 + Dlist.length t.b1 + Dlist.length t.b2
-        in
-        let victim =
-          if l1 >= t.capacity then
-            if Dlist.length t.t1 < t.capacity then begin
-              (* the ghost half of L1 is over budget: recycle its LRU slot *)
-              drop_ghost_lru t B1;
-              replace t ~hit_in_b2:false
-            end
-            else begin
-              (* T1 alone fills the cache: discard its LRU outright *)
-              match Dlist.pop_back t.t1 with
-              | Some v ->
-                  Hashtbl.remove t.index v;
-                  Some v
-              | None -> None
-            end
-          else if total >= t.capacity then begin
-            if total >= 2 * t.capacity then drop_ghost_lru t B2;
-            if size t >= t.capacity then replace t ~hit_in_b2:false else None
+    let v = Int_table.get t.index key in
+    if v >= 0 && v land 3 <= t2 then begin
+      (match pos with
+      | Policy.Hot -> relink t key v t2 ~front:true
+      | Policy.Cold -> relink t key v t1 ~front:false);
+      None
+    end
+    else if v >= 0 then begin
+      (* ghost hit *)
+      match pos with
+      | Policy.Hot ->
+          let b1_len = max 1 t.len.(b1) in
+          let b2_len = max 1 t.len.(b2) in
+          let hit_in_b2 = v land 3 = b2 in
+          if hit_in_b2 then t.p <- max 0 (t.p - max 1 (b1_len / b2_len))
+          else t.p <- min t.capacity (t.p + max 1 (b2_len / b1_len));
+          let victim = if size t >= t.capacity then replace t ~hit_in_b2 else None in
+          relink t key v t2 ~front:true;
+          victim
+      | Policy.Cold ->
+          let victim = if size t >= t.capacity then replace t ~hit_in_b2:false else None in
+          relink t key v t1 ~front:false;
+          victim
+    end
+    else begin
+      (* ARC case IV: a completely new key. *)
+      let l1 = t.len.(t1) + t.len.(b1) in
+      let total = l1 + t.len.(t2) + t.len.(b2) in
+      let victim =
+        if l1 >= t.capacity then
+          if t.len.(t1) < t.capacity then begin
+            (* the ghost half of L1 is over budget: recycle its LRU slot *)
+            drop_ghost_lru t b1;
+            replace t ~hit_in_b2:false
           end
-          else None
-        in
-        let node =
-          match pos with
-          | Policy.Hot -> Dlist.push_front t.t1 key
-          | Policy.Cold -> Dlist.push_back t.t1 key
-        in
-        Hashtbl.replace t.index key { where = T1; node };
-        victim
+          else begin
+            (* T1 alone fills the cache: discard its LRU outright *)
+            let v = A.pop_back t.arena t.lists.(t1) in
+            if v < 0 then None
+            else begin
+              Int_table.remove t.index v;
+              t.len.(t1) <- t.len.(t1) - 1;
+              Some v
+            end
+          end
+        else if total >= t.capacity then begin
+          if total >= 2 * t.capacity then drop_ghost_lru t b2;
+          if size t >= t.capacity then replace t ~hit_in_b2:false else None
+        end
+        else None
+      in
+      let node =
+        match pos with
+        | Policy.Hot -> A.push_front t.arena t.lists.(t1) key
+        | Policy.Cold -> A.push_back t.arena t.lists.(t1) key
+      in
+      t.len.(t1) <- t.len.(t1) + 1;
+      Int_table.set t.index key ((node lsl 2) lor t1);
+      victim
+    end
 
   let evict t = replace t ~hit_in_b2:false
 
   let remove t key =
-    match Hashtbl.find_opt t.index key with
-    | Some entry ->
-        detach t entry;
-        Hashtbl.remove t.index key
-    | None -> ()
+    let v = Int_table.get t.index key in
+    if v >= 0 then begin
+      A.remove t.arena (v lsr 2);
+      t.len.(v land 3) <- t.len.(v land 3) - 1;
+      Int_table.remove t.index key
+    end
 
-  let contents t = Dlist.to_list t.t2 @ Dlist.to_list t.t1
+  let contents t = A.to_list t.arena t.lists.(t2) @ A.to_list t.arena t.lists.(t1)
 
   let clear t =
-    List.iter
-      (fun dlist ->
-        let rec drain () = match Dlist.pop_front dlist with Some _ -> drain () | None -> () in
-        drain ())
-      [ t.t1; t.t2; t.b1; t.b2 ];
-    Hashtbl.reset t.index;
+    Array.iter (A.clear_list t.arena) t.lists;
+    Array.fill t.len 0 4 0;
+    Int_table.clear t.index;
     t.p <- 0
 
   let target t = t.p
 
   let in_t2 t key =
-    match Hashtbl.find_opt t.index key with Some entry -> entry.where = T2 | None -> false
+    let v = Int_table.get t.index key in
+    v >= 0 && v land 3 = t2
 end
 
 include Policy.Weighted_of_unit (Core)

@@ -124,22 +124,20 @@ let model_driver model =
     d_clear = (fun () -> Model_cache.clear model);
   }
 
-type weighted_policy = Landlord | Gds | Bundle
+type weighted_policy = Landlord | Bundle
 
-let weighted_policy_name = function Landlord -> "landlord" | Gds -> "gds" | Bundle -> "bundle"
-let all_weighted_policies = [ Landlord; Gds; Bundle ]
+let weighted_policy_name = function Landlord -> "landlord" | Bundle -> "bundle"
+let all_weighted_policies = [ Landlord; Bundle ]
 
 let weighted_driver wp ~capacity =
   match wp with
   | Landlord ->
       driver_of (module Agg_baselines.Landlord) (Agg_baselines.Landlord.create ~capacity)
-  | Gds -> driver_of (module Agg_baselines.Greedy_dual) (Agg_baselines.Greedy_dual.create ~capacity)
   | Bundle -> driver_of (module Agg_baselines.Bundle) (Agg_baselines.Bundle.create ~capacity)
 
 let weighted_model_driver wp ~capacity =
   match wp with
   | Landlord -> driver_of (module Model_cache.Landlord) (Model_cache.Landlord.create ~capacity)
-  | Gds -> driver_of (module Model_cache.Gds) (Model_cache.Gds.create ~capacity)
   | Bundle -> driver_of (module Model_cache.Bundle) (Model_cache.Bundle.create ~capacity)
 
 (* The seeded mutant: LRU whose promote sends a resident key to the *cold*
@@ -283,22 +281,22 @@ let round_gen ~weighted prng ~universe ~capacity ~count =
   if weighted then gen_weighted_ops prng ~universe ~max_size:(capacity + 1) ~max_cost:9 ~count
   else gen_ops prng ~universe ~count
 
-let fuzz_round ~label ~weighted ~run prng =
+let fuzz_round ~label ~weighted ~map ~run prng =
   let capacity = 1 + Prng.int prng 24 in
   let universe = (capacity * 3) + 4 in
   let count = 500 in
-  let ops = round_gen ~weighted prng ~universe ~capacity ~count in
+  let ops = map (round_gen ~weighted prng ~universe ~capacity ~count) in
   let fails candidate = Option.is_some (run ~capacity candidate) in
   match run ~capacity ops with
   | None -> Ok count
   | Some d -> Error (Printf.sprintf "%s: %s" label (shrunk_report ~capacity fails ops d))
 
-let fuzz_driver ~name ~label ~weighted ~run ~seed ~ops =
+let fuzz_driver ?(map = Fun.id) ~name ~label ~weighted ~run ~seed ~ops () =
   let prng = Prng.create ~seed () in
   let generated = ref 0 in
   let failure = ref None in
   while !failure = None && !generated < ops do
-    match fuzz_round ~label ~weighted ~run prng with
+    match fuzz_round ~label ~weighted ~map ~run prng with
     | Ok n -> generated := !generated + n
     | Error detail -> failure := Some detail
   done;
@@ -310,7 +308,7 @@ let fuzz_policy ~seed ~ops kind =
   let label = Cache.kind_name kind in
   fuzz_driver ~name:("ops." ^ label) ~label ~weighted:false
     ~run:(fun ~capacity candidate -> diff_ops kind ~capacity candidate)
-    ~seed ~ops
+    ~seed ~ops ()
 
 (* The same ten policies under mixed weights: the Weighted_of_unit layer
    vs the model's restatement of it. *)
@@ -318,25 +316,52 @@ let fuzz_policy_weighted ~seed ~ops kind =
   let label = Cache.kind_name kind in
   fuzz_driver ~name:("wops." ^ label) ~label ~weighted:true
     ~run:(fun ~capacity candidate -> diff_ops kind ~capacity candidate)
-    ~seed ~ops
+    ~seed ~ops ()
 
 let fuzz_weighted_policy ~seed ~ops wp =
   let label = weighted_policy_name wp in
   fuzz_driver ~name:("wops." ^ label) ~label ~weighted:true
     ~run:(fun ~capacity candidate -> diff_weighted_ops wp ~capacity candidate)
-    ~seed ~ops
+    ~seed ~ops ()
+
+(* Landlord ≡ GreedyDual-Size: the credit drain of [Model_cache.Landlord_drain]
+   against the heap-indexed [Agg_baselines.Landlord]. Sizes are rounded
+   down to powers of two and costs are integers, so every credit,
+   priority and rent step is a dyadic rational held exactly in a float:
+   the two forms must then agree victim for victim. *)
+let dyadic_ops ops =
+  let floor_pow2 n =
+    let rec go p = if 2 * p > n then p else go (2 * p) in
+    go 1
+  in
+  List.map
+    (function
+      | Insert (pos, w, k) -> Insert (pos, { w with Policy.size = floor_pow2 w.Policy.size }, k)
+      | op -> op)
+    ops
+
+let landlord_witness ~seed ~ops =
+  fuzz_driver ~map:dyadic_ops ~name:"witness.landlord-drain" ~label:"landlord-drain"
+    ~weighted:true
+    ~run:(fun ~capacity candidate ->
+      run_pair ~capacity
+        (weighted_driver Landlord ~capacity)
+        (driver_of (module Model_cache.Landlord_drain) (Model_cache.Landlord_drain.create ~capacity))
+        candidate)
+    ~seed ~ops ()
 
 let fuzz_all ~seed ~ops =
   List.map (fuzz_policy ~seed ~ops) Cache.all_kinds
   @ List.map (fuzz_policy_weighted ~seed ~ops) Cache.all_kinds
   @ List.map (fuzz_weighted_policy ~seed ~ops) all_weighted_policies
+  @ [ landlord_witness ~seed ~ops ]
 
 let mutant_check ~seed ~ops =
   let name = "mutant.lru-cold-promote" in
   let c =
     fuzz_driver ~name ~label:"mutant" ~weighted:false
       ~run:(fun ~capacity candidate -> diff_ops_mutant ~capacity candidate)
-      ~seed ~ops
+      ~seed ~ops ()
   in
   (* The mutant must be *caught*: a clean run means the engine is blind. *)
   if c.pass then
@@ -345,7 +370,7 @@ let mutant_check ~seed ~ops =
 
 (* --- unit-weight LRU equivalence ------------------------------------------
 
-   Landlord, GreedyDual-Size and the bundle policy all reduce to LRU at
+   Landlord and the bundle policy both reduce to LRU at
    unit size/cost (credits stay in {0,1}, priorities rise with L, ties
    break towards the least recently used). Checked access-for-access —
    hit answers, victims and the exact recency order — over every

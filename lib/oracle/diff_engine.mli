@@ -45,7 +45,7 @@ val diff_ops : Agg_cache.Cache.kind -> capacity:int -> op list -> divergence opt
     invariant [used <= capacity] holds. [None] means lockstep agreement
     throughout. @raise Invalid_argument when [capacity <= 0]. *)
 
-type weighted_policy = Landlord | Gds | Bundle
+type weighted_policy = Landlord | Bundle
 (** The weighted baselines of [Agg_baselines], paired with their
     list-based reference restatements in {!Model_cache}. *)
 
@@ -83,10 +83,17 @@ val fuzz_weighted_policy : seed:int -> ops:int -> weighted_policy -> check
 (** Mixed-weight fuzz of a weighted baseline against its reference
     model. *)
 
+val landlord_witness : seed:int -> ops:int -> check
+(** The Landlord ≡ GreedyDual-Size witness: mixed-weight fuzz of the
+    heap-indexed [Agg_baselines.Landlord] against the credit-draining
+    {!Model_cache.Landlord_drain}, with sizes rounded down to powers of
+    two and integer costs so every float step is exact. Passes only
+    with zero divergences. *)
+
 val fuzz_all : seed:int -> ops:int -> check list
 (** [fuzz_policy] and [fuzz_policy_weighted] for every kind in
-    {!Agg_cache.Cache.all_kinds}, plus [fuzz_weighted_policy] for every
-    weighted baseline. *)
+    {!Agg_cache.Cache.all_kinds}, [fuzz_weighted_policy] for every
+    weighted baseline, and the {!landlord_witness}. *)
 
 val lru_equivalence_checks : seed:int -> events:int -> check list
 (** Per profile and per weighted baseline: at unit size/cost the policy

@@ -857,16 +857,18 @@ let clear t =
 
 (* --- weighted reference policies -----------------------------------------
 
-   List-based restatements of the Landlord / GreedyDual-Size / bundle
-   baselines in lib/baselines, implementing the same [Policy.S] so the
-   diff engine can pair each optimized policy with its model through the
-   generic driver. Victim selection is canonical: scan the recency order
-   hot end first and keep the entry with the smallest priority, ties
-   resolved towards the cold end ([<=] while scanning). Both sides
-   perform float arithmetic in the same per-key order, so credits and
-   priorities compare exactly. *)
+   List-based restatements of the rent-based baselines in lib/baselines,
+   implementing the same [Policy.S] so the diff engine can pair each
+   optimized policy with its model through the generic driver. Victim
+   selection is canonical: scan the recency order hot end first and keep
+   the entry with the smallest priority, ties resolved towards the cold
+   end ([<=] while scanning). The optimized Landlord and its model round
+   each priority once, in the same expression, so priorities compare
+   exactly. *)
 
-module Landlord = struct
+(* Landlord as Young states it: credits drained by rent on every
+   eviction. Only the Landlord ≡ GreedyDual-Size witness uses it. *)
+module Landlord_drain = struct
   type entry = { lsize : int; mutable lcredit : float }
 
   type t = {
@@ -875,10 +877,11 @@ module Landlord = struct
     mutable lused : int;
   }
 
-  let policy_name = "landlord"
+  let policy_name = "landlord-drain"
 
   let create ~capacity =
-    if capacity <= 0 then invalid_arg "Model_cache.Landlord.create: capacity must be positive";
+    if capacity <= 0 then
+      invalid_arg "Model_cache.Landlord_drain.create: capacity must be positive";
     { lcap = capacity; lents = []; lused = 0 }
 
   let capacity t = t.lcap
@@ -899,7 +902,7 @@ module Landlord = struct
   let promote t key = if mem t key then reposition t ~pos:Policy.Hot key
 
   let charge t key ~cost =
-    if cost <= 0 then invalid_arg "Model_cache.Landlord.charge: cost must be positive";
+    if cost <= 0 then invalid_arg "Model_cache.Landlord_drain.charge: cost must be positive";
     match List.assoc_opt key t.lents with
     | Some e -> e.lcredit <- float_of_int cost
     | None -> ()
@@ -931,7 +934,7 @@ module Landlord = struct
         Some victim
 
   let insert t ~pos ~weight:w key =
-    Policy.check_weight ~who:"model.landlord" w;
+    Policy.check_weight ~who:"model.landlord-drain" w;
     if mem t key then begin
       reposition t ~pos key;
       []
@@ -960,21 +963,12 @@ module Landlord = struct
   let clear t =
     t.lents <- [];
     t.lused <- 0
-
-  let request_bundle t ~weight_of keys =
-    let members = List.fold_left (fun acc k -> if List.mem k acc then acc else k :: acc) [] keys in
-    List.concat_map
-      (fun k ->
-        if mem t k then begin
-          promote t k;
-          charge t k ~cost:(weight_of k).Policy.cost;
-          []
-        end
-        else insert t ~pos:Policy.Hot ~weight:(weight_of k) k)
-      (List.rev members)
 end
 
-module Gds = struct
+(* Landlord in its GreedyDual-Size form: priority [H = L + cost/size]
+   assigned on insertion and on [charge]; the victim is the minimal-[H]
+   resident and the inflation floor [L] rises to the victim's priority. *)
+module Landlord = struct
   type entry = { gsize : int; mutable h : float }
 
   type t = {
@@ -984,10 +978,10 @@ module Gds = struct
     mutable gused : int;
   }
 
-  let policy_name = "gds"
+  let policy_name = "landlord"
 
   let create ~capacity =
-    if capacity <= 0 then invalid_arg "Model_cache.Gds.create: capacity must be positive";
+    if capacity <= 0 then invalid_arg "Model_cache.Landlord.create: capacity must be positive";
     { gcap = capacity; inflation = 0.0; gents = []; gused = 0 }
 
   let capacity t = t.gcap
@@ -1010,13 +1004,11 @@ module Gds = struct
   let priority t ~size ~cost = t.inflation +. (float_of_int cost /. float_of_int size)
 
   let charge t key ~cost =
-    if cost <= 0 then invalid_arg "Model_cache.Gds.charge: cost must be positive";
+    if cost <= 0 then invalid_arg "Model_cache.Landlord.charge: cost must be positive";
     match List.assoc_opt key t.gents with
     | Some e -> e.h <- priority t ~size:e.gsize ~cost
     | None -> ()
 
-  (* Victim: smallest H, ties towards the cold end; L rises to the
-     victim's H (GreedyDual-Size aging). *)
   let evict t =
     match t.gents with
     | [] -> None
@@ -1033,7 +1025,7 @@ module Gds = struct
         Some victim
 
   let insert t ~pos ~weight:w key =
-    Policy.check_weight ~who:"model.gds" w;
+    Policy.check_weight ~who:"model.landlord" w;
     if mem t key then begin
       reposition t ~pos key;
       []
@@ -1063,6 +1055,18 @@ module Gds = struct
     t.gents <- [];
     t.gused <- 0;
     t.inflation <- 0.0
+
+  let request_bundle t ~weight_of keys =
+    let members = List.fold_left (fun acc k -> if List.mem k acc then acc else k :: acc) [] keys in
+    List.concat_map
+      (fun k ->
+        if mem t k then begin
+          promote t k;
+          charge t k ~cost:(weight_of k).Policy.cost;
+          []
+        end
+        else insert t ~pos:Policy.Hot ~weight:(weight_of k) k)
+      (List.rev members)
 end
 
 module Bundle = struct

@@ -13,9 +13,10 @@
     over the unit models: while every resident is unit-size, [insert]
     delegates to the model's native insert path; once non-unit sizes are
     resident, room is made by repeated evictions; oversize keys bypass
-    the cache. The {!Landlord}, {!Gds} and {!Bundle} submodules are
-    list-based restatements of the weighted baselines in
-    [Agg_baselines]. *)
+    the cache. The {!Landlord} and {!Bundle} submodules are list-based
+    restatements of the weighted baselines in [Agg_baselines];
+    {!Landlord_drain} restates Landlord's credit drain for the
+    Landlord ≡ GreedyDual-Size witness. *)
 
 type t
 
@@ -58,12 +59,11 @@ val clear : t -> unit
 (** Mirrors [Policy.S.clear], including what it does {e not} reset (the
     [Random] PRNG stream continues, exactly like the optimized cache). *)
 
-(** Reference Landlord (Young's rent-based file caching): each resident
-    holds credit, initially its retrieval cost; eviction charges every
-    resident rent proportional to its size at the minimal credit/size
-    ratio and removes the resident whose credit reaches zero (ties
-    towards the cold end of the recency order). A demand hit re-credits
-    the key via [charge]. *)
+(** Reference Landlord in its GreedyDual-Size form: each resident holds
+    the priority [H = L + cost/size], assigned on insertion and on
+    [charge]; the victim is the minimal-[H] resident (ties towards the
+    cold end of the recency order) and the inflation floor [L] rises to
+    the victim's priority. *)
 module Landlord : sig
   include Agg_cache.Policy.S
 
@@ -73,12 +73,6 @@ module Landlord : sig
       inserted hot with their weights. Returns all victims in eviction
       order. Duplicate members are served once. *)
 end
-
-(** Reference GreedyDual-Size: priority [H = L + cost/size] assigned on
-    insertion and on [charge]; the victim is the minimal-[H] resident
-    (ties towards the cold end) and the inflation floor [L] rises to the
-    victim's priority. *)
-module Gds : Agg_cache.Policy.S
 
 (** Reference bundle-caching policy — Landlord mechanics with the
     bundle entry point as the primary interface (Qin & Etesami's
@@ -90,3 +84,13 @@ module Bundle : sig
   val request_bundle : t -> weight_of:(int -> Agg_cache.Policy.weight) -> int list -> int list
   (** See {!Landlord.request_bundle}. *)
 end
+
+(** Landlord as Young states it: each resident holds credit, initially
+    its retrieval cost; eviction charges every resident rent
+    proportional to its size at the minimal credit/size ratio and removes
+    the resident whose credit reaches zero (ties towards the cold end). A
+    demand hit re-credits the key via [charge]. The drain rounds once per
+    resident per eviction, so it matches {!Landlord} exactly only where
+    every float step is exact; it serves as the witness of that
+    equivalence ({!Diff_engine.landlord_witness}). *)
+module Landlord_drain : Agg_cache.Policy.S

@@ -94,6 +94,11 @@ let push_back t l k =
   link_after t t.prev.(l) n;
   n
 
+let push_after t anchor k =
+  let n = alloc t k in
+  link_after t anchor n;
+  n
+
 let remove t n =
   unlink t n;
   release t n
@@ -106,8 +111,15 @@ let move_to_back t l n =
   unlink t n;
   link_after t t.prev.(l) n
 
+let move_after t n ~anchor =
+  unlink t n;
+  link_after t anchor n
+
 let first t l = if t.next.(l) = l then nil else t.next.(l)
 let last t l = if t.prev.(l) = l then nil else t.prev.(l)
+
+let next t l n = if t.next.(n) = l then nil else t.next.(n)
+let prev t l n = if t.prev.(n) = l then nil else t.prev.(n)
 
 let pop_front t l =
   let n = t.next.(l) in

@@ -5,8 +5,10 @@
     into those arrays, so list operations are pure array reads and writes
     with no boxed nodes and no per-operation allocation. Several lists
     (each identified by a sentinel slot) can share one arena, which is how
-    segmented policies (SLRU, 2Q, MQ) keep all their queues in one pair of
-    cache-friendly arrays.
+    segmented policies (SLRU, 2Q, MQ, ARC) keep all their queues in one
+    pair of cache-friendly arrays, and how LFU keeps its residents and its
+    frequency buckets side by side. Sentinel slots are never freed, so a
+    caller creates a fixed number of lists, not one per data value.
 
     Node indices are stable while a node is linked: moving a node between
     lists of the same arena ({!move_to_front} / {!move_to_back} accept a
@@ -51,6 +53,10 @@ val push_front : t -> list_ -> int -> node
 
 val push_back : t -> list_ -> int -> node
 
+val push_after : t -> node -> int -> node
+(** [push_after t anchor k] links a fresh node carrying [k] right after
+    [anchor], a node linked in some list of [t], and returns it. *)
+
 val remove : t -> node -> unit
 (** Unlinks [node] from whichever list holds it and returns its slot to
     the free list. The caller must forget the node afterwards. *)
@@ -61,11 +67,24 @@ val move_to_front : t -> list_ -> node -> unit
 
 val move_to_back : t -> list_ -> node -> unit
 
+val move_after : t -> node -> anchor:node -> unit
+(** [move_after t n ~anchor] relinks [n] right after [anchor] (a
+    different node, linked in any list of [t]). The node index is
+    unchanged. *)
+
 val first : t -> list_ -> node
 (** Front node of the list, or {!nil} when empty. *)
 
 val last : t -> list_ -> node
 (** Back node of the list, or {!nil} when empty. *)
+
+val next : t -> list_ -> node -> node
+(** [next t l n] is the node after [n] in [l], or {!nil} when [n] is
+    the last. *)
+
+val prev : t -> list_ -> node -> node
+(** [prev t l n] is the node before [n] in [l], or {!nil} when [n] is
+    the first. *)
 
 val pop_front : t -> list_ -> int
 (** Removes the front node and returns its key, or [-1] when empty. *)

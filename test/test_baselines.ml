@@ -146,7 +146,7 @@ let test_ppm_validation () =
     (fun () -> ignore (Ppm.create ~max_order:0 ()));
   check_int "max_order stored" 3 (Ppm.max_order (Ppm.create ~max_order:3 ()))
 
-(* --- weighted policies: Landlord, GreedyDual-Size, Bundle ----------------- *)
+(* --- weighted policies: Landlord, Bundle ----------------------------------- *)
 
 open Agg_cache.Policy
 
@@ -209,21 +209,58 @@ let test_landlord_unit_is_lru () =
     [ 1; 2; 3; 4; 2; 5; 1; 1; 6; 3; 2 ]
 
 let test_gds_cost_over_recency_and_inflation () =
-  (* H = inflation + cost/size. b is the most recent insert but has the
-     lowest H and is evicted first; its H becomes the inflation floor,
-     which is what lets the later cheap d displace the once-expensive
-     a. *)
-  let t = Greedy_dual.create ~capacity:2 in
-  ignore (Greedy_dual.insert t ~pos:Hot ~weight:(w ~size:1 ~cost:4) 1);
-  ignore (Greedy_dual.insert t ~pos:Hot ~weight:(w ~size:1 ~cost:2) 2);
+  (* Landlord in its GreedyDual-Size form: H = inflation + cost/size. b
+     is the most recent insert but has the lowest H and is evicted
+     first; its H becomes the inflation floor, which is what lets the
+     later cheap d displace the once-expensive a. *)
+  let t = Landlord.create ~capacity:2 in
+  ignore (Landlord.insert t ~pos:Hot ~weight:(w ~size:1 ~cost:4) 1);
+  ignore (Landlord.insert t ~pos:Hot ~weight:(w ~size:1 ~cost:2) 2);
   check_victims "cheapest H evicted despite recency" [ 2 ]
-    (Greedy_dual.insert t ~pos:Hot ~weight:(w ~size:1 ~cost:3) 3);
+    (Landlord.insert t ~pos:Hot ~weight:(w ~size:1 ~cost:3) 3);
   (* inflation is now 2: H(a)=4, H(c)=2+3=5, so d(cost 1, H=4+1=5
      after the next round) evicts a *)
   check_victims "inflation unlocks the expensive file" [ 1 ]
-    (Greedy_dual.insert t ~pos:Hot ~weight:(w ~size:1 ~cost:1) 4);
-  check_bool "c survives" true (Greedy_dual.mem t 3);
-  check_bool "d resident" true (Greedy_dual.mem t 4)
+    (Landlord.insert t ~pos:Hot ~weight:(w ~size:1 ~cost:1) 4);
+  check_bool "c survives" true (Landlord.mem t 3);
+  check_bool "d resident" true (Landlord.mem t 4)
+
+let test_landlord_ties_follow_recency () =
+  (* Four residents at equal H: the victim must be the coldest by the
+     recency order as the heap stamps record it, after a promote and
+     after a cold reposition alike. *)
+  let t = Landlord.create ~capacity:4 in
+  List.iter (fun k -> ignore (Landlord.insert t ~pos:Hot ~weight:(w ~size:1 ~cost:2) k)) [ 1; 2; 3; 4 ];
+  Landlord.charge t 1 ~cost:2;
+  check_victims "a re-credit keeps the recency order" [ 4; 3; 2; 1 ] (Landlord.contents t);
+  Landlord.promote t 1;
+  check_victims "promoted key leaves the cold end" [ 1; 4; 3; 2 ] (Landlord.contents t);
+  Alcotest.(check (option int)) "coldest of the tie" (Some 2) (Landlord.evict t);
+  check_victims "cold reposition" [] (Landlord.insert t ~pos:Cold ~weight:(w ~size:1 ~cost:9) 4);
+  check_victims "repositioned key at the cold end" [ 1; 3; 4 ] (Landlord.contents t);
+  Alcotest.(check (option int)) "cold-repositioned key goes first" (Some 4) (Landlord.evict t);
+  Landlord.promote t 3;
+  Alcotest.(check (option int)) "then the unpromoted one" (Some 1) (Landlord.evict t);
+  check_victims "last resident" [ 3 ] (Landlord.contents t)
+
+let test_landlord_huge_capacity () =
+  (* A byte-valued capacity: the policy is sized by its residents, so
+     [max_int] allocates nothing up front, and the room test cannot
+     overflow however close [used] gets to the capacity. *)
+  let t = Landlord.create ~capacity:max_int in
+  let half = max_int / 2 and quarter = max_int / 4 in
+  check_victims "half fits" [] (Landlord.insert t ~pos:Hot ~weight:(w ~size:half ~cost:3) 1);
+  check_victims "quarter fits" [] (Landlord.insert t ~pos:Hot ~weight:(w ~size:quarter ~cost:1) 2);
+  check_victims "small fits" [] (Landlord.insert t ~pos:Hot ~weight:(w ~size:1 ~cost:5) 3);
+  check_int "used" (half + quarter + 1) (Landlord.used t);
+  (* cost/size: 2 is cheapest per unit, and its eviction frees enough *)
+  check_victims "room by rent" [ 2 ] (Landlord.insert t ~pos:Cold ~weight:(w ~size:half ~cost:2) 4);
+  check_int "used after" (half + half + 1) (Landlord.used t);
+  check_victims "a full-capacity file evicts everyone, cheapest H first" [ 1; 4; 3 ]
+    (Landlord.insert t ~pos:Hot ~weight:(w ~size:max_int ~cost:1) 5);
+  check_int "exactly full" max_int (Landlord.used t);
+  Alcotest.(check (option int)) "evict" (Some 5) (Landlord.evict t);
+  check_int "empty" 0 (Landlord.used t)
 
 let test_bundle_request_semantics () =
   let unit_of _ = Agg_cache.Policy.unit_weight in
@@ -289,8 +326,6 @@ let qcheck_tests =
         r >= 0.0 && r <= 1.0);
     Test.make ~name:"landlord conserves capacity" ~count:100 weighted_ops (fun (ops, capacity) ->
         conserves (module Landlord) ~capacity ops);
-    Test.make ~name:"greedy-dual conserves capacity" ~count:100 weighted_ops
-      (fun (ops, capacity) -> conserves (module Greedy_dual) ~capacity ops);
     Test.make ~name:"bundle conserves capacity" ~count:100 weighted_ops (fun (ops, capacity) ->
         conserves (module Bundle) ~capacity ops);
     (let keys = pair (list_of_size (Gen.int_range 10 120) (int_range 0 15)) (int_range 4 20) in
@@ -372,6 +407,9 @@ let () =
           Alcotest.test_case "greedy-dual cost and inflation" `Quick
             test_gds_cost_over_recency_and_inflation;
           Alcotest.test_case "bundle request semantics" `Quick test_bundle_request_semantics;
+          Alcotest.test_case "landlord ties follow recency" `Quick
+            test_landlord_ties_follow_recency;
+          Alcotest.test_case "landlord at capacity max_int" `Quick test_landlord_huge_capacity;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

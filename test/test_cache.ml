@@ -207,6 +207,52 @@ let test_lfu_cold_insert_is_first_victim () =
   check_bool "1 kept" true (Cache.mem cache 1);
   check_bool "2 kept" true (Cache.mem cache 2)
 
+let test_lfu_min_bucket_crosses_gap () =
+  (* counts 0 and 500 with nothing between: after the count-0 victim
+     the minimum bucket must jump straight to 500 *)
+  let lfu = Lfu.create ~capacity:2 in
+  ignore (Lfu.insert lfu ~pos:Policy.Hot ~weight:Policy.unit_weight 1);
+  for _ = 2 to 500 do
+    Lfu.promote lfu 1
+  done;
+  ignore (Lfu.insert lfu ~pos:Policy.Cold ~weight:Policy.unit_weight 2);
+  Alcotest.(check (option int)) "count 500" (Some 500) (Lfu.frequency lfu 1);
+  Alcotest.(check (option int)) "count 0" (Some 0) (Lfu.frequency lfu 2);
+  Alcotest.(check (option int)) "first victim" (Some 2) (Lfu.evict lfu);
+  Alcotest.(check (option int)) "across the gap" (Some 1) (Lfu.evict lfu);
+  Alcotest.(check (option int)) "empty" None (Lfu.evict lfu);
+  ignore (Lfu.insert lfu ~pos:Policy.Hot ~weight:Policy.unit_weight 3);
+  Alcotest.(check (option int)) "fresh bucket after emptying" (Some 1) (Lfu.frequency lfu 3)
+
+let test_lfu_cold_reposition_resets () =
+  let lfu = Lfu.create ~capacity:4 in
+  ignore (Lfu.insert lfu ~pos:Policy.Cold ~weight:Policy.unit_weight 1);
+  ignore (Lfu.insert lfu ~pos:Policy.Cold ~weight:Policy.unit_weight 2);
+  ignore (Lfu.insert lfu ~pos:Policy.Hot ~weight:Policy.unit_weight 3);
+  Lfu.promote lfu 3;
+  Alcotest.(check (list int)) "cold reposition never evicts" []
+    (Lfu.insert lfu ~pos:Policy.Cold ~weight:Policy.unit_weight 3);
+  Alcotest.(check (option int)) "count reset" (Some 0) (Lfu.frequency lfu 3);
+  (* a resident already at count 0 also moves to the back of bucket 0 *)
+  ignore (Lfu.insert lfu ~pos:Policy.Cold ~weight:Policy.unit_weight 1);
+  Alcotest.(check (list int)) "back of bucket 0" [ 1; 3; 2 ] (Lfu.contents lfu);
+  Alcotest.(check (option int)) "oldest tick first" (Some 2) (Lfu.evict lfu);
+  Alcotest.(check (option int)) "then the reset key" (Some 3) (Lfu.evict lfu);
+  Alcotest.(check (option int)) "then the re-reset key" (Some 1) (Lfu.evict lfu)
+
+let test_lfu_contents_order () =
+  let lfu = Lfu.create ~capacity:5 in
+  let hot k = ignore (Lfu.insert lfu ~pos:Policy.Hot ~weight:Policy.unit_weight k) in
+  hot 1;
+  hot 2;
+  hot 3;
+  Lfu.promote lfu 1;
+  ignore (Lfu.insert lfu ~pos:Policy.Cold ~weight:Policy.unit_weight 4);
+  Lfu.promote lfu 2;
+  hot 5;
+  (* (count, tick): 1=(2,4) 2=(2,6) 3=(1,3) 4=(0,5) 5=(1,7) *)
+  Alcotest.(check (list int)) "descending (count, tick)" [ 2; 1; 5; 3; 4 ] (Lfu.contents lfu)
+
 (* --- FIFO / MRU / CLOCK / Random ------------------------------------- *)
 
 let test_fifo_ignores_accesses () =
@@ -239,6 +285,45 @@ let test_clock_second_chance () =
   ignore (Cache.access cache 5);
   check_bool "2 survives via reference bit" true (Cache.mem cache 2);
   check_bool "3 evicted" false (Cache.mem cache 3)
+
+let test_clock_slot_reuse_mixed_sizes () =
+  (* Six slots; the size-2 and size-3 residents leave slots empty, so
+     the hand's victim sweep skips holes and new keys take the first
+     free slot at or after the hand, wrapping. [contents] is slot
+     order. *)
+  let c = Clock.create ~capacity:6 in
+  let put k size = Clock.insert c ~pos:Policy.Hot ~weight:{ Policy.size; cost = 1 } k in
+  List.iter (fun (k, size) -> check_list "fits" [] (put k size)) [ (1, 1); (2, 2); (3, 2); (4, 1) ];
+  check_list "slots 0-3" [ 1; 2; 3; 4 ] (Clock.contents c);
+  (* the sweep clears every bit, skips empty slots 4-5 and wraps *)
+  check_list "second chances spent, then 1 and 2" [ 1; 2 ] (put 5 3);
+  check_list "first free slot after the hand" [ 3; 4; 5 ] (Clock.contents c);
+  check_list "hand moves on to 3" [ 3 ] (put 6 1);
+  check_list "slot 5" [ 4; 5; 6 ] (Clock.contents c);
+  check_list "room without eviction" [] (put 7 1);
+  check_list "free search wrapped to slot 0" [ 7; 4; 5; 6 ] (Clock.contents c);
+  check_list "next victim at the hand" [ 4 ] (put 8 1);
+  check_list "slot 1, not the vacated slot 3" [ 7; 8; 5; 6 ] (Clock.contents c)
+
+let test_clock_free_slot_wraps_words () =
+  (* 130 slots span three bitset words: a search starting in the second
+     word must find a hole in the third before wrapping to the first. *)
+  let c = Clock.create ~capacity:130 in
+  for k = 0 to 129 do
+    ignore (Clock.insert c ~pos:Policy.Hot ~weight:Policy.unit_weight k)
+  done;
+  for k = 0 to 99 do
+    Alcotest.(check (option int)) "sweep order" (Some k) (Clock.evict c)
+  done;
+  let put k = ignore (Clock.insert c ~pos:Policy.Hot ~weight:Policy.unit_weight k) in
+  put 1000;
+  check_int "wrapped to slot 0" 1000 (List.hd (Clock.contents c));
+  Clock.remove c 125;
+  put 1001;
+  put 1002;
+  let contents = Clock.contents c in
+  check_list "slot order" ([ 1000; 1002 ] @ List.init 25 (fun i -> 100 + i) @ [ 1001 ] @ [ 126; 127; 128; 129 ])
+    contents
 
 let test_random_deterministic_with_seed () =
   let run () =
@@ -525,70 +610,53 @@ let test_multilevel_hit_rate () =
 
 (* --- arena ports vs the pre-arena pointer implementation ---------------- *)
 
-(* The boxed-node implementation the pure-recency policies had before the
-   arena port, re-derived in test scope: an [Agg_util.Dlist] of pointer
-   nodes plus a [Hashtbl] index. The three flavours differ only in
-   whether accesses promote ([`Fifo] ignores them, including a [Hot]
-   re-insert) and which end evicts ([`Mru] the front). The arena-backed
-   ports must match it operation for operation, including the exact
-   [contents] order — a stronger pin than the order-free
-   [Oracle.Model_cache] agreement. *)
+(* The boxed implementation the pure-recency policies had before the
+   arena port, re-derived in test scope over a plain OCaml list of keys,
+   front = hot end. The three flavours differ only in whether accesses
+   promote ([`Fifo] ignores them, including a [Hot] re-insert) and which
+   end evicts ([`Mru] the front). The arena-backed ports must match it
+   operation for operation, including the exact [contents] order — a
+   stronger pin than the order-free [Oracle.Model_cache] agreement. *)
 module Pointer = struct
-  module Dlist = Agg_util.Dlist
+  type t = { flavour : [ `Lru | `Fifo | `Mru ]; capacity : int; mutable order : int list }
 
-  type t = {
-    flavour : [ `Lru | `Fifo | `Mru ];
-    capacity : int;
-    order : int Dlist.t;
-    index : (int, int Dlist.node) Hashtbl.t;
-  }
-
-  let create flavour ~capacity =
-    { flavour; capacity; order = Dlist.create (); index = Hashtbl.create (2 * capacity) }
-
-  let size t = Dlist.length t.order
-  let mem t key = Hashtbl.mem t.index key
+  let create flavour ~capacity = { flavour; capacity; order = [] }
+  let size t = List.length t.order
+  let mem t key = List.mem key t.order
+  let without t key = List.filter (( <> ) key) t.order
+  let to_front t key = t.order <- key :: without t key
+  let to_back t key = t.order <- without t key @ [ key ]
 
   let promote t key =
-    match (t.flavour, Hashtbl.find_opt t.index key) with
-    | `Fifo, _ | _, None -> ()
-    | (`Lru | `Mru), Some node -> Dlist.move_to_front t.order node
+    match t.flavour with `Fifo -> () | `Lru | `Mru -> if mem t key then to_front t key
 
   let evict t =
-    let victim =
-      match t.flavour with
-      | `Mru -> Dlist.pop_front t.order
-      | `Lru | `Fifo -> Dlist.pop_back t.order
-    in
-    Option.iter (Hashtbl.remove t.index) victim;
-    victim
+    match (t.flavour, t.order) with
+    | _, [] -> None
+    | `Mru, key :: rest ->
+        t.order <- rest;
+        Some key
+    | (`Lru | `Fifo), order ->
+        let key = List.nth order (List.length order - 1) in
+        t.order <- without t key;
+        Some key
 
   let insert t ~pos key =
-    match Hashtbl.find_opt t.index key with
-    | Some node ->
-        (match (pos, t.flavour) with
-        | Policy.Hot, `Fifo -> ()
-        | Policy.Hot, (`Lru | `Mru) -> Dlist.move_to_front t.order node
-        | Policy.Cold, _ -> Dlist.move_to_back t.order node);
-        None
-    | None ->
-        let victim = if size t >= t.capacity then evict t else None in
-        let node =
-          match pos with
-          | Policy.Hot -> Dlist.push_front t.order key
-          | Policy.Cold -> Dlist.push_back t.order key
-        in
-        Hashtbl.replace t.index key node;
-        victim
+    if mem t key then begin
+      (match (pos, t.flavour) with
+      | Policy.Hot, `Fifo -> ()
+      | Policy.Hot, (`Lru | `Mru) -> to_front t key
+      | Policy.Cold, _ -> to_back t key);
+      None
+    end
+    else begin
+      let victim = if size t >= t.capacity then evict t else None in
+      (match pos with Policy.Hot -> to_front t key | Policy.Cold -> to_back t key);
+      victim
+    end
 
-  let remove t key =
-    match Hashtbl.find_opt t.index key with
-    | Some node ->
-        Dlist.remove t.order node;
-        Hashtbl.remove t.index key
-    | None -> ()
-
-  let contents t = Dlist.to_list t.order
+  let remove t key = t.order <- without t key
+  let contents t = t.order
 end
 
 let pointer_agreement name flavour (module P : Policy.S) =
@@ -812,12 +880,21 @@ let () =
           Alcotest.test_case "frequency counter" `Quick test_lfu_frequency_counter;
           Alcotest.test_case "cold insert is first victim" `Quick
             test_lfu_cold_insert_is_first_victim;
+          Alcotest.test_case "min bucket crosses a gap" `Quick test_lfu_min_bucket_crosses_gap;
+          Alcotest.test_case "cold reposition resets to bucket 0" `Quick
+            test_lfu_cold_reposition_resets;
+          Alcotest.test_case "contents in descending (count, tick)" `Quick
+            test_lfu_contents_order;
         ] );
       ( "other policies",
         [
           Alcotest.test_case "fifo ignores accesses" `Quick test_fifo_ignores_accesses;
           Alcotest.test_case "mru evicts most recent" `Quick test_mru_evicts_most_recent;
           Alcotest.test_case "clock second chance" `Quick test_clock_second_chance;
+          Alcotest.test_case "clock slot reuse under mixed sizes" `Quick
+            test_clock_slot_reuse_mixed_sizes;
+          Alcotest.test_case "clock free-slot search wraps words" `Quick
+            test_clock_free_slot_wraps_words;
           Alcotest.test_case "random deterministic" `Quick test_random_deterministic_with_seed;
         ] );
       ( "second-level policies",

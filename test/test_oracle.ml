@@ -234,8 +234,13 @@ let test_weighted_fuzz_baselines () =
   check_all_pass
     (List.map (Diff_engine.fuzz_weighted_policy ~seed:29 ~ops:800) Diff_engine.all_weighted_policies)
 
+let test_landlord_witness () =
+  (* Landlord's credit drain and the heap-indexed GreedyDual-Size form
+     agree victim for victim wherever every float step is exact *)
+  check_all_pass [ Diff_engine.landlord_witness ~seed:37 ~ops:5_000 ]
+
 let test_lru_equivalence () =
-  (* GDS/Landlord/Bundle at unit weights must be LRU access for access *)
+  (* Landlord/Bundle at unit weights must be LRU access for access *)
   check_all_pass (Diff_engine.lru_equivalence_checks ~seed:31 ~events:1_500)
 
 let qcheck_tests =
@@ -271,6 +276,7 @@ let () =
           Alcotest.test_case "mixed-weight fuzz, weighted baselines" `Quick
             test_weighted_fuzz_baselines;
           Alcotest.test_case "unit weights are lru" `Quick test_lru_equivalence;
+          Alcotest.test_case "landlord drain matches its gds form" `Quick test_landlord_witness;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

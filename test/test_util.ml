@@ -262,65 +262,81 @@ let test_stats_helpers () =
   check_float "percent change" 50.0 (Stats.percent_change ~baseline:2.0 ~value:3.0);
   check_float "log2" 3.0 (Stats.log2 8.0)
 
-(* --- Dlist ---------------------------------------------------------- *)
+(* --- Dlist: one arena list, positional operations ---------------------- *)
 
 let test_dlist_order () =
-  let l = Dlist.create () in
-  ignore (Dlist.push_front l 2);
-  ignore (Dlist.push_front l 1);
-  ignore (Dlist.push_back l 3);
-  Alcotest.(check (list int)) "front-to-back" [ 1; 2; 3 ] (Dlist.to_list l);
-  check_int "length" 3 (Dlist.length l)
+  let t = Dlist_arena.create () in
+  let l = Dlist_arena.new_list t in
+  let two = Dlist_arena.push_front t l 2 in
+  ignore (Dlist_arena.push_front t l 1);
+  ignore (Dlist_arena.push_back t l 4);
+  ignore (Dlist_arena.push_after t two 3);
+  Alcotest.(check (list int)) "front-to-back" [ 1; 2; 3; 4 ] (Dlist_arena.to_list t l);
+  check_int "length" 4 (Dlist_arena.length t l)
 
 let test_dlist_moves () =
-  let l = Dlist.create () in
-  let a = Dlist.push_back l 'a' in
-  let _b = Dlist.push_back l 'b' in
-  let c = Dlist.push_back l 'c' in
-  Dlist.move_to_front l c;
-  Dlist.move_to_back l a;
-  Alcotest.(check (list char)) "after moves" [ 'c'; 'b'; 'a' ] (Dlist.to_list l)
+  let t = Dlist_arena.create () in
+  let l = Dlist_arena.new_list t in
+  let a = Dlist_arena.push_back t l (Char.code 'a') in
+  let b = Dlist_arena.push_back t l (Char.code 'b') in
+  let c = Dlist_arena.push_back t l (Char.code 'c') in
+  let keys () = List.map Char.chr (Dlist_arena.to_list t l) in
+  Dlist_arena.move_to_front t l c;
+  Dlist_arena.move_to_back t l a;
+  Alcotest.(check (list char)) "after end moves" [ 'c'; 'b'; 'a' ] (keys ());
+  Dlist_arena.move_after t c ~anchor:a;
+  Alcotest.(check (list char)) "after move_after" [ 'b'; 'a'; 'c' ] (keys ());
+  Dlist_arena.move_after t a ~anchor:b;
+  Alcotest.(check (list char)) "move_after its own predecessor" [ 'b'; 'a'; 'c' ] (keys ())
 
 let test_dlist_remove () =
-  let l = Dlist.create () in
-  let a = Dlist.push_back l 1 in
-  let b = Dlist.push_back l 2 in
-  Dlist.remove l b;
-  Dlist.remove l b;
-  (* second removal is a no-op *)
-  check_int "length" 1 (Dlist.length l);
-  Dlist.remove l a;
-  check_bool "empty" true (Dlist.is_empty l)
+  let t = Dlist_arena.create () in
+  let l = Dlist_arena.new_list t in
+  let a = Dlist_arena.push_back t l 1 in
+  let b = Dlist_arena.push_back t l 2 in
+  let c = Dlist_arena.push_back t l 3 in
+  Dlist_arena.remove t b;
+  Alcotest.(check (list int)) "middle unlinked" [ 1; 3 ] (Dlist_arena.to_list t l);
+  check_int "neighbours rejoined" c (Dlist_arena.next t l a);
+  Dlist_arena.remove t a;
+  Dlist_arena.remove t c;
+  check_bool "empty" true (Dlist_arena.is_empty t l);
+  check_int "slots returned" (Dlist_arena.slots t) (Dlist_arena.live t + Dlist_arena.free t)
 
 let test_dlist_pops () =
-  let l = Dlist.create () in
-  Alcotest.(check (option int)) "pop empty" None (Dlist.pop_front l);
-  ignore (Dlist.push_back l 1);
-  ignore (Dlist.push_back l 2);
-  Alcotest.(check (option int)) "peek front" (Some 1) (Dlist.peek_front l);
-  Alcotest.(check (option int)) "peek back" (Some 2) (Dlist.peek_back l);
-  Alcotest.(check (option int)) "pop front" (Some 1) (Dlist.pop_front l);
-  Alcotest.(check (option int)) "pop back" (Some 2) (Dlist.pop_back l);
-  check_bool "now empty" true (Dlist.is_empty l)
+  let t = Dlist_arena.create () in
+  let l = Dlist_arena.new_list t in
+  check_int "first of empty" Dlist_arena.nil (Dlist_arena.first t l);
+  check_int "last of empty" Dlist_arena.nil (Dlist_arena.last t l);
+  let n1 = Dlist_arena.push_back t l 1 in
+  let n2 = Dlist_arena.push_back t l 2 in
+  check_int "first" n1 (Dlist_arena.first t l);
+  check_int "last" n2 (Dlist_arena.last t l);
+  check_int "next" n2 (Dlist_arena.next t l n1);
+  check_int "next of last" Dlist_arena.nil (Dlist_arena.next t l n2);
+  check_int "prev" n1 (Dlist_arena.prev t l n2);
+  check_int "prev of first" Dlist_arena.nil (Dlist_arena.prev t l n1);
+  check_int "pop front" 1 (Dlist_arena.pop_front t l);
+  check_int "pop back" 2 (Dlist_arena.pop_back t l);
+  check_int "pop back of empty" (-1) (Dlist_arena.pop_back t l)
 
 let test_dlist_clear () =
-  let l = Dlist.create () in
-  let nodes = List.map (Dlist.push_back l) [ 1; 2; 3; 4 ] in
-  Dlist.clear l;
-  check_bool "empty" true (Dlist.is_empty l);
-  check_int "length" 0 (Dlist.length l);
-  (* cleared nodes are detached: removing them again is a safe no-op *)
-  List.iter (Dlist.remove l) nodes;
-  check_int "still empty" 0 (Dlist.length l);
-  ignore (Dlist.push_back l 9);
-  Alcotest.(check (list int)) "reusable after clear" [ 9 ] (Dlist.to_list l)
+  let t = Dlist_arena.create () in
+  let l = Dlist_arena.new_list t in
+  List.iter (fun k -> ignore (Dlist_arena.push_back t l k)) [ 1; 2; 3; 4 ];
+  Dlist_arena.clear_list t l;
+  check_bool "empty" true (Dlist_arena.is_empty t l);
+  check_int "length" 0 (Dlist_arena.length t l);
+  ignore (Dlist_arena.push_back t l 9);
+  Alcotest.(check (list int)) "reusable after clear" [ 9 ] (Dlist_arena.to_list t l)
 
 let test_dlist_fold_iter () =
-  let l = Dlist.create () in
-  List.iter (fun v -> ignore (Dlist.push_back l v)) [ 1; 2; 3; 4 ];
-  check_int "fold sum" 10 (Dlist.fold ( + ) 0 l);
+  let t = Dlist_arena.create () in
+  let l = Dlist_arena.new_list t in
+  List.iter (fun k -> ignore (Dlist_arena.push_back t l k)) [ 1; 2; 3; 4 ];
+  check_int "fold sum" 10 (Dlist_arena.fold t l ~init:0 ~f:( + ));
   let seen = ref [] in
-  Dlist.iter (fun v -> seen := v :: !seen) l;
+  Dlist_arena.iter t l (fun k -> seen := k :: !seen);
   Alcotest.(check (list int)) "iter order" [ 4; 3; 2; 1 ] !seen
 
 (* --- Dlist_arena ----------------------------------------------------- *)
@@ -464,23 +480,58 @@ let test_pool_default_jobs () =
 
 (* --- Heap ------------------------------------------------------------ *)
 
+(* Removes every element, returning (priority, stamp, payload) in pop
+   order. *)
+let drain_heap h =
+  let rec go acc =
+    let top = Heap.top h in
+    if top = Heap.nil then List.rev acc
+    else begin
+      let e = (Heap.priority h top, Heap.stamp h top, Heap.value h top) in
+      Heap.remove h top;
+      go (e :: acc)
+    end
+  in
+  go []
+
 let test_heap_sorts () =
-  let h = Heap.create ~compare:Int.compare () in
-  List.iter (fun p -> Heap.push h p p) [ 5; 1; 4; 1; 3; 9; 2 ];
-  let rec drain acc = match Heap.pop h with Some (p, _) -> drain (p :: acc) | None -> List.rev acc in
-  Alcotest.(check (list int)) "sorted" [ 1; 1; 2; 3; 4; 5; 9 ] (drain [])
+  let h = Heap.create ~capacity:2 () in
+  List.iteri
+    (fun i p -> ignore (Heap.push h ~priority:(float_of_int p) ~stamp:i p))
+    [ 5; 1; 4; 1; 3; 9; 2 ];
+  Alcotest.(check (list int)) "sorted" [ 1; 1; 2; 3; 4; 5; 9 ]
+    (List.map (fun (_, _, v) -> v) (drain_heap h));
+  check_bool "grew past its initial slots" true (Heap.slots h >= 7)
 
 let test_heap_peek_clear () =
-  let h = Heap.create ~compare:Int.compare () in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Heap.push h 3 "c";
-  Heap.push h 1 "a";
-  (match Heap.peek h with
-  | Some (1, "a") -> ()
-  | _ -> Alcotest.fail "peek should be smallest");
+  let h = Heap.create () in
+  check_bool "empty" true (Heap.is_empty h);
+  check_int "top of empty" Heap.nil (Heap.top h);
+  ignore (Heap.push h ~priority:3.0 ~stamp:0 30);
+  let a = Heap.push h ~priority:1.0 ~stamp:1 10 in
+  check_int "top is smallest" a (Heap.top h);
+  check_int "payload" 10 (Heap.value h (Heap.top h));
   check_int "length" 2 (Heap.length h);
   Heap.clear h;
-  check_bool "cleared" true (Heap.is_empty h)
+  check_bool "cleared" true (Heap.is_empty h);
+  check_int "top after clear" Heap.nil (Heap.top h)
+
+let test_heap_ties_and_updates () =
+  let h = Heap.create () in
+  let a = Heap.push h ~priority:1.0 ~stamp:5 1 in
+  let b = Heap.push h ~priority:1.0 ~stamp:2 2 in
+  let c = Heap.push h ~priority:0.5 ~stamp:9 3 in
+  check_int "lowest priority first" c (Heap.top h);
+  Heap.update h c ~priority:2.0 ~stamp:9;
+  check_int "equal priorities: smaller stamp wins" b (Heap.top h);
+  Heap.update h b ~priority:1.0 ~stamp:7;
+  check_int "re-stamped past a" a (Heap.top h);
+  Heap.remove h a;
+  check_int "after remove" b (Heap.top h);
+  let d = Heap.push h ~priority:0.0 ~stamp:0 4 in
+  check_int "freed handle reused" a d;
+  Alcotest.(check (list int)) "drain order" [ 4; 2; 3 ]
+    (List.map (fun (_, _, v) -> v) (drain_heap h))
 
 (* --- Vec -------------------------------------------------------------- *)
 
@@ -590,12 +641,11 @@ let qcheck_tests =
     Test.make ~name:"Heap drain equals the sorted priority list" ~count:200
       (list (pair small_int small_int))
       (fun l ->
-        let h = Heap.create ~compare:Int.compare () in
-        List.iter (fun (p, v) -> Heap.push h p v) l;
-        let rec drain acc =
-          match Heap.pop h with Some (p, _) -> drain (p :: acc) | None -> List.rev acc
-        in
-        drain [] = List.sort compare (List.map fst l));
+        (* stamps are the push order, so the drain is a stable sort *)
+        let h = Heap.create ~capacity:1 () in
+        List.iteri (fun i (p, v) -> ignore (Heap.push h ~priority:(float_of_int p) ~stamp:i v)) l;
+        List.map (fun (_, _, v) -> v) (drain_heap h)
+        = List.map snd (List.stable_sort (fun (a, _) (b, _) -> compare a b) l));
     Test.make ~name:"Vec push/pop round-trips against a list model" ~count:200
       (* [Some v] = push v, [None] = pop; the reference is a plain list
          used as a stack, compared op-for-op and on the final contents *)
@@ -640,13 +690,25 @@ let qcheck_tests =
         v >= 0 && v < bound);
     Test.make ~name:"Vec of_list/to_list roundtrip" ~count:200 (list int) (fun l ->
         Vec.to_list (Vec.of_list l) = l);
-    Test.make ~name:"Heap pop yields sorted order" ~count:200 (list small_int) (fun l ->
-        let h = Heap.create ~compare:Int.compare () in
-        List.iter (fun p -> Heap.push h p ()) l;
-        let rec drain acc =
-          match Heap.pop h with Some (p, ()) -> drain (p :: acc) | None -> List.rev acc
-        in
-        drain [] = List.sort compare l);
+    Test.make ~name:"Heap pop yields sorted order" ~count:200
+      (* each op pushes (priority, stamp), or re-keys / removes the
+         element pushed [k] ops ago when still present; the drain must
+         then come out sorted by (priority, stamp) *)
+      (list (triple (int_range 0 2) small_int small_int))
+      (fun ops ->
+        let h = Heap.create ~capacity:1 () in
+        let live = ref [] in
+        List.iteri
+          (fun i (op, p, k) ->
+            match (op, List.nth_opt !live (k mod max 1 (List.length !live))) with
+            | 1, Some handle -> Heap.update h handle ~priority:(float_of_int p) ~stamp:i
+            | 2, Some handle ->
+                Heap.remove h handle;
+                live := List.filter (( <> ) handle) !live
+            | _ -> live := Heap.push h ~priority:(float_of_int p) ~stamp:i i :: !live)
+          ops;
+        let keys = List.map (fun (p, s, _) -> (p, s)) (drain_heap h) in
+        List.length keys = List.length !live && keys = List.sort compare keys);
     Test.make ~name:"Pool.map agrees with List.map for any jobs" ~count:100
       (pair (int_range 1 8) (list small_int))
       (fun (jobs, xs) ->
@@ -657,9 +719,10 @@ let qcheck_tests =
         Pool.map_reduce ~jobs ~map:string_of_int ~reduce:( ^ ) ~init:"" xs
         = List.fold_left ( ^ ) "" (List.map string_of_int xs));
     Test.make ~name:"Dlist push_back preserves order" ~count:200 (list int) (fun l ->
-        let d = Dlist.create () in
-        List.iter (fun v -> ignore (Dlist.push_back d v)) l;
-        Dlist.to_list d = l);
+        let t = Dlist_arena.create ~capacity:1 () in
+        let d = Dlist_arena.new_list t in
+        List.iter (fun v -> ignore (Dlist_arena.push_back t d v)) l;
+        Dlist_arena.to_list t d = l);
     Test.make ~name:"Zipf sample within range" ~count:300
       (pair (int_range 1 50) (int_range 0 30))
       (fun (n, seed) ->
@@ -810,6 +873,8 @@ let () =
         [
           Alcotest.test_case "sorts" `Quick test_heap_sorts;
           Alcotest.test_case "peek and clear" `Quick test_heap_peek_clear;
+          Alcotest.test_case "stamp ties, updates and handle reuse" `Quick
+            test_heap_ties_and_updates;
         ] );
       ( "vec",
         [
