@@ -217,18 +217,18 @@ let run_fleet ~settings =
     ]
   in
   Agg_sim.Experiment.grid ~settings ~rows:[ 1; 2; 4; 8; 16 ] ~cols:schemes
-    (fun clients (name, client_scheme, server_scheme) ->
+    (fun clients (name, client_scheme, node_scheme) ->
       let config =
-        { Agg_system.Fleet.default_config with clients; client_scheme; server_scheme }
+        { Agg_cluster.Cluster.default_config with clients; client_scheme; node_scheme }
       in
-      let r = Agg_system.Fleet.run config trace in
+      let r = Agg_cluster.Cluster.run config trace in
       [
         string_of_int clients;
         name;
-        Printf.sprintf "%.1f" (100.0 *. Agg_system.Fleet.client_hit_rate r);
-        Printf.sprintf "%.1f" (100.0 *. Agg_system.Fleet.server_hit_rate r);
-        string_of_int r.Agg_system.Fleet.store_fetches;
-        string_of_int r.Agg_system.Fleet.invalidations;
+        Printf.sprintf "%.1f" (100.0 *. Agg_cluster.Cluster.client_hit_rate r);
+        Printf.sprintf "%.1f" (100.0 *. Agg_cluster.Cluster.server_hit_rate r);
+        string_of_int r.Agg_cluster.Cluster.store_fetches;
+        string_of_int r.Agg_cluster.Cluster.invalidations;
       ])
   |> List.iter (fun (_, rows) ->
          List.iter (fun (_, row) -> Agg_util.Table.add_row table row) rows);
@@ -257,8 +257,6 @@ let run_cluster ~settings =
   let runner = Agg_sim.Experiment.Runner.create ~settings () in
   let points = Agg_sim.Cluster.sweep runner in
   Agg_sim.Experiment.print_figure (Agg_sim.Cluster.run runner);
-  let fleet_match = Agg_sim.Cluster.fleet_equivalent runner in
-  Printf.printf "degenerate N=1,k=1 cluster matches Fleet byte-for-byte: %b\n" fleet_match;
   (match Agg_sim.Cluster.degraded_reduction points with
   | Some (k_min, k_max) ->
       Printf.printf "degraded fetches at max node loss (g5, replicated metadata): k_min=%d k_max=%d\n"
@@ -267,7 +265,7 @@ let run_cluster ~settings =
   let oc = open_out cluster_json_path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Agg_sim.Cluster.json_of_points ~fleet_match points));
+    (fun () -> output_string oc (Agg_sim.Cluster.json_of_points points));
   Printf.printf "wrote %d sweep points to %s\n" (List.length points) cluster_json_path
 
 let scenarios_json_path = "BENCH_scenarios.json"

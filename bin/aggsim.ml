@@ -371,12 +371,12 @@ let fleet_cmd =
         ~events:settings.Agg_sim.Experiment.events profile
     in
     List.iter
-      (fun (name, client_scheme, server_scheme) ->
+      (fun (name, client_scheme, node_scheme) ->
         let config =
-          { Agg_system.Fleet.default_config with clients; client_scheme; server_scheme }
+          { Agg_cluster.Cluster.default_config with clients; client_scheme; node_scheme }
         in
-        Format.printf "%-12s %a@." name Agg_system.Fleet.pp_result
-          (Agg_system.Fleet.run config trace))
+        Format.printf "%-12s %a@." name Agg_cluster.Cluster.pp_result
+          (Agg_cluster.Cluster.run config trace))
       [
         ("plain", Agg_system.Scheme.plain_lru, Agg_system.Scheme.plain_lru);
         ( "aggregating",

@@ -38,8 +38,9 @@ if ! grep -rq 'Agg_util\.Prng' lib/faults; then
 fi
 
 # The cluster layer's ring placement, per-node fault seeds and churn all
-# hang off Agg_util.Prng.derive: any other entropy source would break the
-# N=1/k=1 Fleet byte-identity guarantee and jobs-independent sweeps.
+# hang off Agg_util.Prng.derive: any other entropy source would make a run
+# stop being a pure function of (config, trace), breaking the one-node
+# cluster's recorded counters and jobs-independent sweeps.
 if ! grep -rq 'Agg_util\.Prng' lib/cluster; then
   echo "ci.sh: lib/cluster no longer draws its randomness from Agg_util.Prng" >&2
   exit 1
@@ -131,7 +132,8 @@ dune build @obs
 dune build @faults
 
 # Cluster gate: smoke-run `aggsim cluster` (replicated ring under node
-# kills and the node-loss sweep) at quick size.
+# kills and the node-loss sweep) and `aggsim fleet` (the one-node ring)
+# at quick size.
 dune build @cluster
 
 # Scenario gate: validate the declarative corpus, run it fast-sized with

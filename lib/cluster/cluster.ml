@@ -101,7 +101,7 @@ type client_state = {
 type state = {
   config : config;
   metadata_config : Agg_core.Config.t;
-  base_plan : Plan.t;  (** client crashes and node 0 — Fleet's plan verbatim *)
+  base_plan : Plan.t;  (** client crashes and node 0 — the plan config verbatim *)
   client_states : client_state array;
   mutable ring : Ring.t;
   mutable node_states : node_state list;  (** sorted by [node_id] *)
@@ -146,9 +146,10 @@ let validate config =
         invalid_arg (Printf.sprintf "Cluster.run: churn time must be non-negative (got %d)" time))
     config.churn
 
-(* Node 0 reuses the plan config's own seed so the N = 1 cluster replays
-   Fleet's fault decisions exactly; every other node faults on a seed
-   derived from it, so outage windows fall independently per node. *)
+(* Node 0 uses the plan config's seed verbatim (the one-node cluster's
+   fault counters are pinned against recorded values); every other node
+   faults on a seed derived from it, so outage windows fall independently
+   per node. *)
 let node_plan (config : config) node =
   if node = 0 then Plan.make config.faults
   else
@@ -300,10 +301,11 @@ let invalidate_others st ~writer file =
       end)
     st.client_states
 
-(* Fleet's resilience loop with one extension: attempt [a] targets group
+(* The resilience loop: timed-out attempts are retried up to the
+   policy's budget, then the fetch degrades. Attempt [a] targets group
    member [a mod k], so exhausting one node's retry fails over to the next
-   replica instead of re-asking the dead one. At k = 1 the counter
-   sequence is exactly [Fleet.fetch_survives]. *)
+   replica instead of re-asking the dead one; at k = 1 every attempt goes
+   to the primary. *)
 let rec attempt_route st ~group_nodes ~time ~attempt ~waited ~file =
   let r = st.config.resilience in
   let len = List.length group_nodes in
@@ -384,7 +386,9 @@ let serve st ~client ~time ~tracing file =
   match outcome with
   | `Degraded waited ->
       (* Retry budget dry across the whole group: degraded single-file
-         fallback through the primary, exactly Fleet's degraded path. *)
+         fallback through the primary. The demanded file is still served
+         (counted against the primary's cache as usual), but no group is
+         built, no members travel, and nothing speculative is staged. *)
       st.counters.Counters.degraded_fetches <- st.counters.Counters.degraded_fetches + 1;
       if Sink.enabled (Agg_obs.Scope.sink st.config.scope) then
         Sink.emit (Agg_obs.Scope.sink st.config.scope) (Agg_obs.Event.Fetch_degraded { file; dropped = 0 });
@@ -474,8 +478,9 @@ let serve st ~client ~time ~tracing file =
       let served_ms =
         if Plan.enabled st.base_plan then begin
           let multiplier = Plan.latency_multiplier ns.plan ~time ~attempt in
-          (* kept out of [st.counters] so the fault block stays
-             Fleet-comparable at N = 1 under any plan *)
+          (* counted in the result's own [slowed_fetches], not in
+             [st.counters], so the [faults.*] blocks of scenario cells
+             and ledgers stay byte-identical *)
           if multiplier > 1.0 then st.slowed_fetches <- st.slowed_fetches + 1;
           base *. multiplier
         end
@@ -540,13 +545,6 @@ let access st (e : Agg_trace.Event.t) =
   if st.config.write_invalidation && Agg_trace.Event.is_write e then
     invalidate_others st ~writer:client file
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else
-    let idx = int_of_float (Float.of_int (n - 1) *. p) in
-    sorted.(idx)
-
 let per_node_requests st =
   let all = List.rev_append st.retired (List.map (fun ns -> (ns.node_id, ns.requests)) st.node_states) in
   let sorted = List.sort compare all in
@@ -563,7 +561,6 @@ let run config trace =
   let accesses = Array.fold_left (fun acc cs -> acc + cs.accesses) 0 st.client_states in
   let client_hits = Array.fold_left (fun acc cs -> acc + cs.hits) 0 st.client_states in
   let latencies = Agg_util.Vec.to_array st.latencies in
-  let total = Array.fold_left ( +. ) 0.0 latencies in
   let sorted = Array.copy latencies in
   Array.sort compare sorted;
   {
@@ -582,23 +579,10 @@ let run config trace =
     slowed_fetches = st.slowed_fetches;
     rebalances = st.rebalances;
     moved_files = st.moved_files;
-    mean_latency =
-      (if Array.length latencies = 0 then 0.0 else total /. float_of_int (Array.length latencies));
-    p95_latency = percentile sorted 0.95;
+    mean_latency = Agg_util.Stats.mean latencies;
+    p95_latency = Agg_util.Stats.percentile sorted 0.95;
     per_node_requests = per_node_requests st;
     faults = st.counters;
-  }
-
-let fleet_view (r : result) : Agg_system.Fleet.result =
-  {
-    Agg_system.Fleet.accesses = r.accesses;
-    client_hits = r.client_hits;
-    server_requests = r.server_requests;
-    server_hits = r.server_hits;
-    store_fetches = r.store_fetches;
-    invalidations = r.invalidations;
-    per_client_hit_rate = r.per_client_hit_rate;
-    faults = Counters.copy r.faults;
   }
 
 let client_hit_rate (r : result) = Agg_util.Stats.ratio r.client_hits r.accesses

@@ -1,29 +1,39 @@
-(** A sharded multi-node server cluster in front of the client fleet.
+(** Many client machines in front of a sharded server cluster. The
+    paper's Fig. 2 fleet — many clients sharing one file server — is the
+    one-node ring of {!default_config}.
 
-    This generalises {!Agg_system.Fleet} from one server to a {!Ring} of
-    N role-symmetric nodes: every file id is owned by a replication group
-    of [replicas] nodes, any of which can serve it (the apothik Phase-3
-    design — no master/replica asymmetry, so failover is just "ask the
-    next group member"). The client-side behaviour, cache semantics and
-    fault/resilience accounting are exactly Fleet's; what the cluster
-    adds is routing, replica failover, node churn with deterministic
-    rebalancing, and a choice of where the successor metadata lives.
+    Each cache level is configured by a shared {!Agg_system.Scheme.t}:
+    [Plain] for demand caching, [Aggregating] for group retrieval with
+    the successor metadata held where {!metadata_placement} says. Trace
+    client ids are taken modulo [clients]; with [write_invalidation] a
+    write breaks every other client's cached copy.
 
-    {b Degenerate-case guarantee}: with [nodes = 1], [replicas = 1],
-    [metadata = Owner_node] and no churn, a run is {e byte-identical} to
-    {!Agg_system.Fleet.run} on the same trace and fault plan — same
-    counters, same per-client hit rates, same fault accounting
-    ({!fleet_view} extracts the comparable record). Node 0 always reuses
-    the fault plan's own seed; nodes [> 0] fault independently on seeds
-    drawn through {!Agg_util.Prng.derive}.
+    The servers form a {!Ring} of N role-symmetric nodes: every file id
+    is owned by a replication group of [replicas] nodes, any of which can
+    serve it (the apothik Phase-3 design — no master/replica asymmetry,
+    so failover is just "ask the next group member"). The cluster adds
+    routing, replica failover, node churn with deterministic rebalancing,
+    and a choice of where the successor metadata lives.
+
+    {b Resilience}: under an enabled fault plan, a fetch blocked by
+    message loss or an outage is retried up to [resilience.max_retries]
+    times, each retry aimed at the next group member, then degrades to a
+    single-file demand fetch through the primary (speculative members
+    dropped). A client crash wipes that client's cache. Node 0 faults on
+    the plan's own seed; nodes [> 0] on seeds drawn through
+    {!Agg_util.Prng.derive}.
+
+    {b The one-node cluster} ([nodes = 1], [replicas = 1], [Owner_node],
+    no churn) is pinned in [test_cluster.ml] against the two-level
+    reference model and against recorded counters.
 
     {b Metadata placement} ({!metadata_placement}) is a config axis:
 
     - [Owner_node] — each node tracks successors of the files it
-      primarily owns. Matches Fleet at N = 1; at larger N each node only
-      links requests {e it} sees, and a failover target usually has no
-      metadata for the file, so groups degenerate — the cost of sharding
-      the metadata with the data.
+      primarily owns. At N = 1 that is the single server's metadata; at
+      larger N each node only links requests {e it} sees, and a failover
+      target usually has no metadata for the file, so groups degenerate
+      — the cost of sharding the metadata with the data.
     - [Replicated_with_group] — an observation is replicated to every
       group member, so any serving replica can build full groups at the
       price of k-way metadata write amplification.
@@ -55,13 +65,16 @@ type config = {
   replicas : int;  (** replication-group size k (clamped to live nodes) *)
   ring_seed : int;  (** placement seed for the consistent-hash ring *)
   metadata : metadata_placement;
-  clients : int;
+  clients : int;  (** fleet size; trace client ids are taken modulo this *)
   client_capacity : int;
   client_scheme : Agg_system.Scheme.t;
   node_capacity : int;  (** per-node server cache capacity *)
   node_scheme : Agg_system.Scheme.t;
   per_client_metadata : bool;
+      (** keep a separate successor context per client in each tracker
+          (§2.2's "identity of the driving client" model choice) *)
   write_invalidation : bool;
+      (** writes invalidate the file in every {e other} client cache *)
   cost : Agg_system.Cost_model.t;  (** latency model of the fetch path *)
   faults : Agg_faults.Plan.config;
       (** node 0 uses this seed verbatim; node [i > 0] uses a seed
@@ -84,10 +97,11 @@ type config = {
 }
 
 val default_config : config
-(** Fleet's defaults (4 clients x 150 aggregating, 300-file aggregating
-    server, per-client metadata, write invalidation, LAN costs, no
-    faults) on a single-node, single-replica, [Owner_node] ring, with no
-    scope (telemetry off). *)
+(** The paper's fleet: 4 clients of 150 files (aggregating, g = 5) in
+    front of one 300-file aggregating server — a single-node,
+    single-replica, [Owner_node] ring with no churn — with per-client
+    metadata, write invalidation, LAN costs, no faults and no scope
+    (telemetry off). *)
 
 type result = {
   accesses : int;
@@ -95,8 +109,8 @@ type result = {
   server_requests : int;
   server_hits : int;  (** summed over all node caches *)
   store_fetches : int;
-  invalidations : int;
-  per_client_hit_rate : (int * float) list;
+  invalidations : int;  (** cached copies broken by writes elsewhere *)
+  per_client_hit_rate : (int * float) list;  (** client id, hit rate *)
   routed_fetches : int;  (** requests served by a live node *)
   failovers : int;
       (** retries re-aimed at a different group member than the attempt
@@ -106,7 +120,8 @@ type result = {
           is not in their replication group (never staged there) *)
   slowed_fetches : int;
       (** served fetches that rode a degraded link (kept out of
-          [faults] so the counter block stays Fleet-comparable) *)
+          [faults], whose [slowed_fetches] stays 0, so the scenario and
+          ledger [faults.*] blocks stay byte-identical) *)
   rebalances : int;  (** churn ops applied *)
   moved_files : int;  (** cached files whose placement a rebalance changed *)
   mean_latency : float;  (** ms per access, client hits included *)
@@ -118,17 +133,13 @@ type result = {
 }
 
 val run : config -> Agg_trace.Trace.t -> result
-(** Replays the trace through the fleet-and-cluster pair. Deterministic.
+(** Replays the trace through the clients and the cluster. Deterministic:
+    the fault plan is a pure function of its seed and the access index,
+    so results are identical run-to-run and for any [--jobs] value.
     @raise Invalid_argument on an invalid config (non-positive counts or
     capacities, bad scheme/plan/resilience, negative churn time) or an
     inapplicable churn op (joining a present node, leaving an absent or
     the last node). *)
-
-val fleet_view : result -> Agg_system.Fleet.result
-(** The Fleet-comparable projection of a cluster result (fault counters
-    copied). With [nodes = 1], [replicas = 1], [Owner_node] and no
-    churn, [fleet_view (run config trace)] equals
-    [Agg_system.Fleet.run _ trace] field for field. *)
 
 val client_hit_rate : result -> float
 val server_hit_rate : result -> float

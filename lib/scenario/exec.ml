@@ -5,7 +5,6 @@ module Profile = Agg_workload.Profile
 module Generator = Agg_workload.Generator
 module Scheme = Agg_system.Scheme
 module Path = Agg_system.Path
-module Fleet = Agg_system.Fleet
 module Cluster = Agg_cluster.Cluster
 module Counters = Agg_faults.Counters
 module Resilience = Agg_faults.Resilience
@@ -80,6 +79,34 @@ let fault_metrics (c : Counters.t) =
 
 let i = float_of_int
 
+(* The one cluster call site. A fleet is the one-node cluster; its cells
+   report the load counters only, without the ring's routing, churn and
+   latency figures. *)
+let cluster_metrics ~fleet config trace =
+  let r = Cluster.run config trace in
+  let unless_fleet metrics = if fleet then [] else metrics in
+  [
+    ("accesses", i r.Cluster.accesses);
+    ("client_hits", i r.Cluster.client_hits);
+    ("server_requests", i r.Cluster.server_requests);
+    ("server_hits", i r.Cluster.server_hits);
+    ("store_fetches", i r.Cluster.store_fetches);
+    ("invalidations", i r.Cluster.invalidations);
+  ]
+  @ unless_fleet
+      [
+        ("routed_fetches", i r.Cluster.routed_fetches);
+        ("failovers", i r.Cluster.failovers);
+        ("cross_shard_members", i r.Cluster.cross_shard_members);
+        ("slowed_fetches", i r.Cluster.slowed_fetches);
+        ("rebalances", i r.Cluster.rebalances);
+        ("moved_files", i r.Cluster.moved_files);
+      ]
+  @ [ ("hit_rate", hit_rate_pct ~accesses:r.Cluster.accesses ~hits:r.Cluster.client_hits) ]
+  @ unless_fleet
+      [ ("mean_latency", r.Cluster.mean_latency); ("p95_latency", r.Cluster.p95_latency) ]
+  @ fault_metrics r.Cluster.faults
+
 let run_cell (t : Scenario.t) trace policy =
   let scheme = scheme_of_policy policy in
   (* a per-cell series only when slo rules ask for one: without slos the
@@ -93,6 +120,15 @@ let run_cell (t : Scenario.t) trace policy =
     match series with
     | None -> None
     | Some series -> Some (Agg_obs.Scope.create ~series ())
+  in
+  let cluster_base =
+    {
+      Cluster.default_config with
+      Cluster.client_scheme = scheme;
+      node_scheme = scheme;
+      faults = t.Scenario.faults;
+      scope;
+    }
   in
   let metrics =
     match t.Scenario.topology with
@@ -123,68 +159,25 @@ let run_cell (t : Scenario.t) trace policy =
         ]
         @ fault_metrics r.Path.faults
     | Scenario.Fleet { clients; client_capacity; server_capacity } ->
-        let config =
-          {
-            Fleet.default_config with
-            Fleet.clients;
-            client_capacity;
-            client_scheme = scheme;
-            server_capacity;
-            server_scheme = scheme;
-            faults = t.Scenario.faults;
-            scope;
-          }
-        in
-        let r = Fleet.run config trace in
-        [
-          ("accesses", i r.Fleet.accesses);
-          ("client_hits", i r.Fleet.client_hits);
-          ("server_requests", i r.Fleet.server_requests);
-          ("server_hits", i r.Fleet.server_hits);
-          ("store_fetches", i r.Fleet.store_fetches);
-          ("invalidations", i r.Fleet.invalidations);
-          ("hit_rate", hit_rate_pct ~accesses:r.Fleet.accesses ~hits:r.Fleet.client_hits);
-        ]
-        @ fault_metrics r.Fleet.faults
+        cluster_metrics ~fleet:true
+          { cluster_base with Cluster.clients; client_capacity; node_capacity = server_capacity }
+          trace
     | Scenario.Cluster
         { nodes; replicas; placement; ring_seed; clients; client_capacity; node_capacity; churn }
       ->
-        let config =
+        cluster_metrics ~fleet:false
           {
-            Cluster.default_config with
+            cluster_base with
             Cluster.nodes;
             replicas;
             ring_seed;
             metadata = placement;
             clients;
             client_capacity;
-            client_scheme = scheme;
             node_capacity;
-            node_scheme = scheme;
-            faults = t.Scenario.faults;
             churn;
-            scope;
           }
-        in
-        let r = Cluster.run config trace in
-        [
-          ("accesses", i r.Cluster.accesses);
-          ("client_hits", i r.Cluster.client_hits);
-          ("server_requests", i r.Cluster.server_requests);
-          ("server_hits", i r.Cluster.server_hits);
-          ("store_fetches", i r.Cluster.store_fetches);
-          ("invalidations", i r.Cluster.invalidations);
-          ("routed_fetches", i r.Cluster.routed_fetches);
-          ("failovers", i r.Cluster.failovers);
-          ("cross_shard_members", i r.Cluster.cross_shard_members);
-          ("slowed_fetches", i r.Cluster.slowed_fetches);
-          ("rebalances", i r.Cluster.rebalances);
-          ("moved_files", i r.Cluster.moved_files);
-          ("hit_rate", hit_rate_pct ~accesses:r.Cluster.accesses ~hits:r.Cluster.client_hits);
-          ("mean_latency", r.Cluster.mean_latency);
-          ("p95_latency", r.Cluster.p95_latency);
-        ]
-        @ fault_metrics r.Cluster.faults
+          trace
   in
   { policy; metrics; series }
 

@@ -24,7 +24,8 @@ type topology =
   | Path of { client_capacity : int; server_capacity : int }
       (** the single Fig. 2 client/server path ({!Agg_system.Path}) *)
   | Fleet of { clients : int; client_capacity : int; server_capacity : int }
-      (** many clients, one server ({!Agg_system.Fleet}) *)
+      (** many clients, one server: the one-node {!Agg_cluster.Cluster},
+          whose cells report its load counters and fault block only *)
   | Cluster of {
       nodes : int;
       replicas : int;
@@ -139,8 +140,8 @@ val validate : t -> unit
     negative churn time, or an invalid slo: duplicated, mixed window
     sizes, a non-positive window, a negative [after], a rate bound
     outside [0, 100], a negative latency bound, a policy absent from the
-    matrix, or [p99_latency] on a fleet topology (which has no latency
-    model). *)
+    matrix, or [p99_latency] on a fleet topology (whose cells report no
+    latency). *)
 
 val events_hint : t -> int option
 (** The declared event count for profile workloads ([None] for traces) —

@@ -1,5 +1,4 @@
 module Scheme = Agg_system.Scheme
-module Fleet = Agg_system.Fleet
 module Cluster_sim = Agg_cluster.Cluster
 module Plan = Agg_faults.Plan
 module Counters = Agg_faults.Counters
@@ -105,17 +104,6 @@ let degraded_reduction points =
       | k_min :: _, k_max :: _ when k_min <> k_max -> Some (sum k_min, sum k_max)
       | _ -> None)
 
-let fleet_equivalent ?(profile = Agg_workload.Profile.server) (runner : Experiment.Runner.t) =
-  let settings = runner.Experiment.Runner.settings in
-  let trace = Trace_store.get ~settings profile in
-  (* a hostile plan covering every fault class Fleet models *)
-  let faults = { Plan.default with Plan.crash_rate = 0.002 } in
-  let fleet_r = Fleet.run { Fleet.default_config with Fleet.faults } trace in
-  let cluster_r =
-    Cluster_sim.run { Cluster_sim.default_config with Cluster_sim.faults } trace
-  in
-  Cluster_sim.fleet_view cluster_r = fleet_r
-
 let run ?(node_counts = default_node_counts) ?node_loss_rates ?schemes ?replica_counts ?placements
     ?(profile = Agg_workload.Profile.server) runner =
   let points =
@@ -169,7 +157,7 @@ let run ?(node_counts = default_node_counts) ?node_loss_rates ?schemes ?replica_
       ];
   }
 
-let json_of_points ~fleet_match points =
+let json_of_points points =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "{\n  \"sweep\": \"cluster\",\n  \"points\": [\n";
   List.iteri
@@ -187,8 +175,6 @@ let json_of_points ~fleet_match points =
   let all_served =
     List.for_all (fun p -> p.routed + p.degraded = p.served) points
   in
-  Buffer.add_string buf
-    (Printf.sprintf "  \"matches_fleet_at_n1_k1\": %b,\n" fleet_match);
   Buffer.add_string buf (Printf.sprintf "  \"every_request_served\": %b,\n" all_served);
   (match degraded_reduction points with
   | Some (k1, kmax) ->

@@ -64,12 +64,6 @@ val degraded_reduction : point list -> (int * int) option
     the smallest and largest replica count present. [kmax < k1] is the
     "replication keeps serving" verdict. *)
 
-val fleet_equivalent : ?profile:Agg_workload.Profile.t -> Experiment.Runner.t -> bool
-(** Runs the degenerate cluster (N = 1, k = 1, [Owner_node], no churn)
-    and {!Agg_system.Fleet} with the same schemes, hostile fault plan
-    and trace, and compares {!Agg_cluster.Cluster.fleet_view} field for
-    field — the byte-identity guarantee, checked end to end. *)
-
 val run :
   ?node_counts:int list ->
   ?node_loss_rates:float list ->
@@ -83,7 +77,6 @@ val run :
     with one series per (scheme, k) under [Replicated_with_group] at the
     first node count. *)
 
-val json_of_points : fleet_match:bool -> point list -> string
-(** The [BENCH_cluster.json] document: every point, the
-    [fleet_match] degenerate-case verdict, the served = routed +
-    degraded identity, and the {!degraded_reduction} headline. *)
+val json_of_points : point list -> string
+(** The [BENCH_cluster.json] document: every point, the served = routed
+    + degraded identity, and the {!degraded_reduction} headline. *)

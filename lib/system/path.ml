@@ -296,18 +296,10 @@ let access st file =
   | None -> ());
   Agg_util.Vec.push st.latencies latency
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else
-    let idx = int_of_float (Float.of_int (n - 1) *. p) in
-    sorted.(idx)
-
 let run config trace =
   let st = make_state config in
   Agg_trace.Trace.iter (fun (e : Agg_trace.Event.t) -> access st e.Agg_trace.Event.file) trace;
   let latencies = Agg_util.Vec.to_array st.latencies in
-  let total = Array.fold_left ( +. ) 0.0 latencies in
   let sorted = Array.copy latencies in
   Array.sort compare sorted;
   {
@@ -317,9 +309,9 @@ let run config trace =
     disk_reads = st.disk_reads;
     files_transferred = st.files_transferred;
     round_trips = st.round_trips;
-    mean_latency = (if Array.length latencies = 0 then 0.0 else total /. float_of_int (Array.length latencies));
-    p95_latency = percentile sorted 0.95;
-    p99_latency = percentile sorted 0.99;
+    mean_latency = Agg_util.Stats.mean latencies;
+    p95_latency = Agg_util.Stats.percentile sorted 0.95;
+    p99_latency = Agg_util.Stats.percentile sorted 0.99;
     faults = st.counters;
   }
 

@@ -1,10 +1,9 @@
 (** The one way a cache level is configured across the system layer.
 
-    Both system simulators ({!Fleet}, {!Path}) and the resilience sweep
-    place either a plain demand cache or an aggregating (group-fetching)
-    cache at each level; before this module each simulator carried its own
-    variant for the same choice ([Fleet.client_scheme]/[server_scheme],
-    [Path.deployment]). A single shared type keeps the configurations
+    Both system simulators ({!Path} and [Agg_cluster.Cluster], whose
+    one-node ring is the paper's fleet) and the resilience sweep place
+    either a plain demand cache or an aggregating (group-fetching) cache
+    at each level. A single shared type keeps the configurations
     identical everywhere and lets sweeps treat "scheme" as an axis. *)
 
 type t =

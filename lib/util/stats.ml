@@ -74,6 +74,10 @@ let mean a =
   let n = Array.length a in
   if n = 0 then 0.0 else Array.fold_left ( +. ) 0.0 a /. float_of_int n
 
+let percentile sorted p =
+  let n = Array.length sorted in
+  if n = 0 then 0.0 else sorted.(int_of_float (float_of_int (n - 1) *. p))
+
 let ratio num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
 
 let percent_change ~baseline ~value =

@@ -41,6 +41,11 @@ end
 val mean : float array -> float
 (** Arithmetic mean; [0.] for the empty array. *)
 
+val percentile : float array -> float -> float
+(** [percentile sorted p] is the [p]-quantile ([0 <= p <= 1]) of the
+    ascending array [sorted] by rank, without interpolation: the element
+    at index [floor ((n - 1) * p)]. [0.] for the empty array. *)
+
 val ratio : int -> int -> float
 (** [ratio num den] is [num / den] as a float, and [0.] when [den = 0]. *)
 

@@ -1,11 +1,14 @@
 (* Tests for the sharded cluster: consistent-hash ring invariants
    (deterministic ownership, distinct replication groups, minimal-movement
-   rebalancing), the Fleet-degeneracy byte-identity guarantee, replica
-   failover under node kills, churn rebalancing, event-stream
-   reconciliation, and sweep independence from the jobs count. *)
+   rebalancing), the one-node cluster (the paper's fleet) in lockstep with
+   the two-level reference model and against recorded counters, fleet
+   accounting and coherence, replica failover under node kills, churn
+   rebalancing, event-stream reconciliation, and sweep independence from
+   the jobs count. *)
 
 open Agg_cluster
-module Fleet = Agg_system.Fleet
+module Scheme = Agg_system.Scheme
+module Model_system = Agg_oracle.Model_system
 module Plan = Agg_faults.Plan
 module Counters = Agg_faults.Counters
 module Sink = Agg_obs.Sink
@@ -18,7 +21,7 @@ let check_string = Alcotest.(check string)
 let users_trace =
   lazy (Agg_workload.Generator.generate ~seed:5 ~events:4000 Agg_workload.Profile.users)
 
-(* a plan covering every fault class Fleet models *)
+(* a plan covering every fault class the one-node cluster models *)
 let hostile = { Plan.default with Plan.crash_rate = 0.002 }
 
 (* independent per-node outage windows, as the cluster sweep builds them *)
@@ -107,38 +110,190 @@ let ring_qcheck =
           sample_files);
   ]
 
-(* --- Fleet degeneracy -------------------------------------------------- *)
+(* --- the one-node cluster: reference model and recorded counters -------- *)
 
-let test_degenerate_matches_fleet_healthy () =
-  let trace = Lazy.force users_trace in
-  let fr = Fleet.run Fleet.default_config trace in
-  let cr = Cluster.run Cluster.default_config trace in
-  check_bool "fleet_view equals Fleet (no faults)" true (Cluster.fleet_view cr = fr);
-  check_string "rendered output is byte-identical"
-    (Format.asprintf "%a" Fleet.pp_result fr)
-    (Format.asprintf "%a" Fleet.pp_result (Cluster.fleet_view cr))
-
-let test_degenerate_matches_fleet_hostile () =
-  let trace = Lazy.force users_trace in
-  let fr = Fleet.run { Fleet.default_config with Fleet.faults = hostile } trace in
-  let cr = Cluster.run { Cluster.default_config with Cluster.faults = hostile } trace in
-  check_bool "faults actually fired" true (Counters.total_faults fr.Fleet.faults > 0);
-  check_bool "fleet_view equals Fleet (hostile plan)" true (Cluster.fleet_view cr = fr)
-
-let test_degenerate_matches_fleet_plain_lru () =
-  let trace = Lazy.force users_trace in
-  let scheme = Agg_system.Scheme.plain_lru in
-  let fr =
-    Fleet.run
-      { Fleet.default_config with Fleet.client_scheme = scheme; server_scheme = scheme; faults = hostile }
-      trace
+(* One plain-LRU client in front of one aggregating g = 5 node, with
+   global metadata and no coherence traffic, is exactly the two-level
+   system of Fig. 4. The reference model steps access by access; at every
+   100th access the cluster replays the prefix and the load counters must
+   agree. *)
+let test_one_node_matches_reference_model () =
+  let trace = Agg_trace.Trace.sub (Lazy.force users_trace) ~pos:0 ~len:2000 in
+  let config =
+    {
+      Cluster.default_config with
+      Cluster.clients = 1;
+      client_scheme = Scheme.plain_lru;
+      per_client_metadata = false;
+      write_invalidation = false;
+    }
   in
-  let cr =
-    Cluster.run
-      { Cluster.default_config with Cluster.client_scheme = scheme; node_scheme = scheme; faults = hostile }
-      trace
+  let model =
+    Model_system.Server.create ~filter_kind:Agg_cache.Cache.Lru
+      ~filter_capacity:config.Cluster.client_capacity
+      ~server_capacity:config.Cluster.node_capacity
+      ~scheme:(Agg_core.Server_cache.Aggregating Agg_core.Config.default) ()
   in
-  check_bool "plain schemes degenerate too" true (Cluster.fleet_view cr = fr)
+  let files = Agg_trace.Trace.files trace in
+  Array.iteri
+    (fun idx file ->
+      ignore (Model_system.Server.access model file);
+      let len = idx + 1 in
+      if len mod 100 = 0 then begin
+        let r = Cluster.run config (Agg_trace.Trace.sub trace ~pos:0 ~len) in
+        let m = Model_system.Server.metrics model in
+        let at what = Printf.sprintf "%s after %d accesses" what len in
+        check_int (at "client hits")
+          (m.Agg_core.Metrics.client_accesses - m.Agg_core.Metrics.server_requests)
+          r.Cluster.client_hits;
+        check_int (at "server requests") m.Agg_core.Metrics.server_requests
+          r.Cluster.server_requests;
+        check_int (at "server hits") m.Agg_core.Metrics.server_hits r.Cluster.server_hits;
+        check_int (at "store fetches") m.Agg_core.Metrics.store_fetches r.Cluster.store_fetches
+      end)
+    files
+
+(* The counters the former standalone fleet simulator reported on
+   [users_trace], pinned as literals the one-node cluster must reproduce:
+   accesses, client hits, server requests, server hits, store fetches,
+   invalidations; the fault block (lost, outage, timeouts, retries,
+   degraded, slowed, crashes); and each client's (hits, accesses). *)
+let check_recorded config ~counters ~faults ~per_client =
+  let r = Cluster.run config (Lazy.force users_trace) in
+  Alcotest.(check (list int)) "counters" counters
+    [
+      r.Cluster.accesses;
+      r.Cluster.client_hits;
+      r.Cluster.server_requests;
+      r.Cluster.server_hits;
+      r.Cluster.store_fetches;
+      r.Cluster.invalidations;
+    ];
+  let f = r.Cluster.faults in
+  Alcotest.(check (list int)) "faults" faults
+    [
+      f.Counters.lost_messages;
+      f.Counters.outage_denials;
+      f.Counters.timeouts;
+      f.Counters.retries;
+      f.Counters.degraded_fetches;
+      f.Counters.slowed_fetches;
+      f.Counters.crashes;
+    ];
+  Alcotest.(check (list (pair int (float 0.0))))
+    "per-client hit rates"
+    (List.mapi (fun i (hits, accesses) -> (i, Agg_util.Stats.ratio hits accesses)) per_client)
+    r.Cluster.per_client_hit_rate
+
+let test_recorded_healthy () =
+  check_recorded Cluster.default_config
+    ~counters:[ 4000; 2924; 1076; 119; 1048; 131 ]
+    ~faults:[ 0; 0; 0; 0; 0; 0; 0 ]
+    ~per_client:[ (731, 1023); (885, 1210); (580, 882); (728, 885) ]
+
+let test_recorded_hostile () =
+  check_recorded
+    { Cluster.default_config with Cluster.faults = hostile }
+    ~counters:[ 4000; 2878; 1122; 155; 1076; 134 ]
+    ~faults:[ 128; 0; 128; 126; 2; 0; 6 ]
+    ~per_client:[ (709, 1023); (865, 1210); (581, 882); (723, 885) ]
+
+let test_recorded_plain_lru () =
+  check_recorded
+    {
+      Cluster.default_config with
+      Cluster.client_scheme = Scheme.plain_lru;
+      node_scheme = Scheme.plain_lru;
+      faults = hostile;
+    }
+    ~counters:[ 4000; 2810; 1190; 196; 994; 95 ]
+    ~faults:[ 135; 0; 135; 133; 2; 0; 6 ]
+    ~per_client:[ (684, 1023); (833, 1210); (579, 882); (714, 885) ]
+
+let test_recorded_small_global () =
+  check_recorded
+    {
+      Cluster.default_config with
+      Cluster.clients = 3;
+      client_capacity = 8;
+      node_capacity = 16;
+      per_client_metadata = false;
+      write_invalidation = false;
+      faults = { Plan.default with Plan.crash_rate = 0.01 };
+    }
+    ~counters:[ 4000; 2274; 1726; 154; 3631; 0 ]
+    ~faults:[ 202; 0; 202; 199; 3; 0; 41 ]
+    ~per_client:[ (721, 1293); (613, 1201); (940, 1506) ]
+
+(* --- fleet: many clients sharing the one node --------------------------- *)
+
+let fleet_config ?(clients = 2) ?(write_invalidation = true) () =
+  {
+    Cluster.default_config with
+    Cluster.clients;
+    client_capacity = 8;
+    node_capacity = 16;
+    write_invalidation;
+  }
+
+let test_fleet_accounting () =
+  let trace = Agg_workload.Generator.generate ~seed:5 ~events:6000 Agg_workload.Profile.users in
+  let r = Cluster.run (fleet_config ~clients:4 ()) trace in
+  check_int "accesses" 6000 r.Cluster.accesses;
+  check_int "requests = misses" (r.Cluster.accesses - r.Cluster.client_hits)
+    r.Cluster.server_requests;
+  check_bool "server hits <= requests" true (r.Cluster.server_hits <= r.Cluster.server_requests);
+  check_int "four per-client rows" 4 (List.length r.Cluster.per_client_hit_rate)
+
+let test_fleet_write_invalidation () =
+  (* two clients ping-pong on one file: writes by client 1 must break
+     client 0's cached copy, forcing it back to the server *)
+  let trace = Agg_trace.Trace.create () in
+  for _ = 1 to 20 do
+    Agg_trace.Trace.add_access trace ~client:0 ~op:Agg_trace.Event.Open 7;
+    Agg_trace.Trace.add_access trace ~client:1 ~op:Agg_trace.Event.Write 7
+  done;
+  let with_inv = Cluster.run (fleet_config ()) trace in
+  let without_inv = Cluster.run (fleet_config ~write_invalidation:false ()) trace in
+  check_bool "invalidations recorded" true (with_inv.Cluster.invalidations > 0);
+  check_int "no invalidations when disabled" 0 without_inv.Cluster.invalidations;
+  check_bool "coherence costs client hits" true
+    (with_inv.Cluster.client_hits < without_inv.Cluster.client_hits)
+
+let test_fleet_single_client_matches_many_ids () =
+  (* clients = 1 folds every stream into one cache; ids beyond the fleet
+     size wrap around instead of crashing *)
+  let trace = Agg_workload.Generator.generate ~seed:5 ~events:3000 Agg_workload.Profile.users in
+  let r = Cluster.run (fleet_config ~clients:1 ()) trace in
+  check_int "all accesses in one client" 3000 r.Cluster.accesses;
+  check_int "one row" 1 (List.length r.Cluster.per_client_hit_rate)
+
+let test_fleet_aggregation_reduces_requests () =
+  let trace = Agg_workload.Generator.generate ~seed:7 ~events:10_000 Agg_workload.Profile.server in
+  let base =
+    {
+      Cluster.default_config with
+      Cluster.clients = 1;
+      client_capacity = 200;
+      node_capacity = 300;
+    }
+  in
+  let plain = Cluster.run { base with Cluster.client_scheme = Scheme.plain_lru } trace in
+  let agg = Cluster.run base trace in
+  check_bool "fewer server requests with grouping" true
+    (agg.Cluster.server_requests < plain.Cluster.server_requests)
+
+let test_fleet_invalid_clients () =
+  Alcotest.check_raises "0 clients"
+    (Invalid_argument "Cluster.run: clients must be positive (got 0)") (fun () ->
+      ignore
+        (Cluster.run { Cluster.default_config with Cluster.clients = 0 } (Agg_trace.Trace.create ())));
+  Alcotest.check_raises "negative capacity"
+    (Invalid_argument "Cluster.run: client_capacity must be positive (got -3)") (fun () ->
+      ignore
+        (Cluster.run
+           { Cluster.default_config with Cluster.client_capacity = -3 }
+           (Agg_trace.Trace.create ())))
 
 (* --- failover and degradation ------------------------------------------ *)
 
@@ -214,7 +369,7 @@ let test_churn_rebalances () =
   check_int "rebalance events emitted" 2 (Obs_digest.ring_rebalances (Obs_digest.of_events (Sink.events sink)));
   (* the sink must not influence the simulation *)
   let r2 = Cluster.run { config with Cluster.scope = None } trace in
-  check_bool "noop-sink rerun identical" true (Cluster.fleet_view r2 = Cluster.fleet_view r)
+  check_bool "noop-sink rerun identical" true (r2 = r)
 
 let test_churn_validation () =
   let trace = Lazy.force users_trace in
@@ -261,7 +416,7 @@ let test_reconcile_event_stream () =
   | Ok () -> Alcotest.fail "tampered stream reconciled"
   | Error _ -> ()
 
-(* --- sweep: jobs-independence and the end-to-end degeneracy check ------- *)
+(* --- sweep: jobs-independence -------------------------------------------- *)
 
 let tiny = { Agg_sim.Experiment.events = 3000; seed = 7; warmup = 0; jobs = 1 }
 
@@ -274,13 +429,8 @@ let test_sweep_jobs_identity () =
   let a = sweep 1 in
   let b = sweep 4 in
   check_bool "points identical for jobs=1 and jobs=4" true (a = b);
-  check_string "json byte-identical for jobs=1 and jobs=4"
-    (Agg_sim.Cluster.json_of_points ~fleet_match:true a)
-    (Agg_sim.Cluster.json_of_points ~fleet_match:true b)
-
-let test_sweep_fleet_equivalent () =
-  check_bool "degenerate cluster matches Fleet end to end" true
-    (Agg_sim.Cluster.fleet_equivalent (Agg_sim.Experiment.Runner.create ~settings:tiny ()))
+  check_string "json byte-identical for jobs=1 and jobs=4" (Agg_sim.Cluster.json_of_points a)
+    (Agg_sim.Cluster.json_of_points b)
 
 (* --- telemetry ----------------------------------------------------------- *)
 
@@ -364,9 +514,21 @@ let () =
         ] );
       ( "fleet degeneracy",
         [
-          Alcotest.test_case "healthy" `Quick test_degenerate_matches_fleet_healthy;
-          Alcotest.test_case "hostile plan" `Quick test_degenerate_matches_fleet_hostile;
-          Alcotest.test_case "plain lru" `Quick test_degenerate_matches_fleet_plain_lru;
+          Alcotest.test_case "reference model lockstep" `Quick
+            test_one_node_matches_reference_model;
+          Alcotest.test_case "healthy" `Quick test_recorded_healthy;
+          Alcotest.test_case "hostile plan" `Quick test_recorded_hostile;
+          Alcotest.test_case "plain lru" `Quick test_recorded_plain_lru;
+          Alcotest.test_case "small clients, global metadata" `Quick test_recorded_small_global;
+        ] );
+      ( "fleet",
+        [
+          Alcotest.test_case "accounting" `Quick test_fleet_accounting;
+          Alcotest.test_case "write invalidation" `Quick test_fleet_write_invalidation;
+          Alcotest.test_case "single client" `Quick test_fleet_single_client_matches_many_ids;
+          Alcotest.test_case "aggregation reduces requests" `Quick
+            test_fleet_aggregation_reduces_requests;
+          Alcotest.test_case "invalid clients" `Quick test_fleet_invalid_clients;
         ] );
       ( "failover",
         [
@@ -386,10 +548,6 @@ let () =
           Alcotest.test_case "telemetry off is byte-identical" `Quick
             test_cluster_telemetry_off_identity;
         ] );
-      ( "sweep",
-        [
-          Alcotest.test_case "jobs identity" `Quick test_sweep_jobs_identity;
-          Alcotest.test_case "fleet equivalent" `Quick test_sweep_fleet_equivalent;
-        ] );
+      ("sweep", [ Alcotest.test_case "jobs identity" `Quick test_sweep_jobs_identity ]);
       ("properties", List.map QCheck_alcotest.to_alcotest ring_qcheck);
     ]

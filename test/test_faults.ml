@@ -2,11 +2,12 @@
    resilience-policy arithmetic, the crafted timeout -> degraded-fetch
    path with exact pinned metrics, and the headline byte-identity
    property — a plan that can inject nothing leaves both system
-   simulators' results exactly equal to the fault-free run. *)
+   simulators' results (the path and the fleet, which is the one-node
+   cluster) exactly equal to the fault-free run. *)
 
 open Agg_faults
 module Path = Agg_system.Path
-module Fleet = Agg_system.Fleet
+module Cluster = Agg_cluster.Cluster
 module Scheme = Agg_system.Scheme
 module Cost_model = Agg_system.Cost_model
 
@@ -211,19 +212,19 @@ let test_fleet_crashes_and_degradation () =
   let trace = Agg_workload.Generator.generate ~seed:5 ~events:4000 Agg_workload.Profile.users in
   let config =
     {
-      Fleet.default_config with
-      Fleet.clients = 4;
+      Cluster.default_config with
+      Cluster.clients = 4;
       client_capacity = 8;
-      server_capacity = 16;
+      node_capacity = 16;
       faults = { Plan.default with Plan.crash_rate = 0.01 };
     }
   in
-  let r = Fleet.run config trace in
-  check_bool "crashes fired" true (r.Fleet.faults.Counters.crashes > 0);
-  check_bool "losses fired" true (r.Fleet.faults.Counters.lost_messages > 0);
-  check_bool "some fetches degraded" true (r.Fleet.faults.Counters.degraded_fetches > 0);
-  let healthy = Fleet.run { config with Fleet.faults = Plan.none } trace in
-  check_bool "faults cost client hits" true (r.Fleet.client_hits < healthy.Fleet.client_hits)
+  let r = Cluster.run config trace in
+  check_bool "crashes fired" true (r.Cluster.faults.Counters.crashes > 0);
+  check_bool "losses fired" true (r.Cluster.faults.Counters.lost_messages > 0);
+  check_bool "some fetches degraded" true (r.Cluster.faults.Counters.degraded_fetches > 0);
+  let healthy = Cluster.run { config with Cluster.faults = Plan.none } trace in
+  check_bool "faults cost client hits" true (r.Cluster.client_hits < healthy.Cluster.client_hits)
 
 (* --- properties -------------------------------------------------------- *)
 
@@ -233,11 +234,7 @@ let path_fingerprint (r : Path.result) =
     (r.Path.mean_latency, r.Path.p95_latency, r.Path.p99_latency),
     Format.asprintf "%a" Path.pp_result r )
 
-let fleet_fingerprint (r : Fleet.result) =
-  ( (r.Fleet.accesses, r.Fleet.client_hits, r.Fleet.server_requests, r.Fleet.server_hits),
-    (r.Fleet.store_fetches, r.Fleet.invalidations),
-    r.Fleet.per_client_hit_rate,
-    Format.asprintf "%a" Fleet.pp_result r )
+let fleet_fingerprint (r : Cluster.result) = (r, Format.asprintf "%a" Cluster.pp_result r)
 
 let qcheck_tests =
   let open QCheck in
@@ -265,15 +262,15 @@ let qcheck_tests =
         let trace = Agg_trace.Trace.of_files files in
         let config faults =
           {
-            Fleet.default_config with
-            Fleet.clients = 3;
+            Cluster.default_config with
+            Cluster.clients = 3;
             client_capacity = 4;
-            server_capacity = 8;
+            node_capacity = 8;
             faults;
           }
         in
-        fleet_fingerprint (Fleet.run (config { Plan.none with Plan.seed }) trace)
-        = fleet_fingerprint (Fleet.run (config Plan.none) trace));
+        fleet_fingerprint (Cluster.run (config { Plan.none with Plan.seed }) trace)
+        = fleet_fingerprint (Cluster.run (config Plan.none) trace));
     Test.make ~name:"faulty runs are deterministic run-to-run" ~count:30 files_gen (fun files ->
         let trace = Agg_trace.Trace.of_files files in
         let config =

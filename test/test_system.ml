@@ -84,90 +84,6 @@ let test_empty_trace () =
   check_int "no accesses" 0 r.Path.accesses;
   check_float "zero latency" 0.0 r.Path.mean_latency
 
-(* --- Fleet ------------------------------------------------------------ *)
-
-let fleet_config ?(clients = 2) ?(write_invalidation = true) () =
-  {
-    Fleet.default_config with
-    Fleet.clients;
-    client_capacity = 8;
-    server_capacity = 16;
-    write_invalidation;
-  }
-
-let test_fleet_accounting () =
-  let trace = Agg_workload.Generator.generate ~seed:5 ~events:6000 Agg_workload.Profile.users in
-  let r = Fleet.run (fleet_config ~clients:4 ()) trace in
-  check_int "accesses" 6000 r.Fleet.accesses;
-  check_int "requests = misses" (r.Fleet.accesses - r.Fleet.client_hits) r.Fleet.server_requests;
-  check_bool "server hits <= requests" true (r.Fleet.server_hits <= r.Fleet.server_requests);
-  check_int "four per-client rows" 4 (List.length r.Fleet.per_client_hit_rate)
-
-let test_fleet_write_invalidation () =
-  (* two clients ping-pong on one file: writes by client 1 must break
-     client 0's cached copy, forcing it back to the server *)
-  let trace = Agg_trace.Trace.create () in
-  for _ = 1 to 20 do
-    Agg_trace.Trace.add_access trace ~client:0 ~op:Agg_trace.Event.Open 7;
-    Agg_trace.Trace.add_access trace ~client:1 ~op:Agg_trace.Event.Write 7
-  done;
-  let with_inv = Fleet.run (fleet_config ()) trace in
-  let without_inv = Fleet.run (fleet_config ~write_invalidation:false ()) trace in
-  check_bool "invalidations recorded" true (with_inv.Fleet.invalidations > 0);
-  check_int "no invalidations when disabled" 0 without_inv.Fleet.invalidations;
-  check_bool "coherence costs client hits" true
-    (with_inv.Fleet.client_hits < without_inv.Fleet.client_hits)
-
-let test_fleet_single_client_matches_many_ids () =
-  (* clients = 1 folds every stream into one cache; ids beyond the fleet
-     size wrap around instead of crashing *)
-  let trace = Agg_workload.Generator.generate ~seed:5 ~events:3000 Agg_workload.Profile.users in
-  let r = Fleet.run (fleet_config ~clients:1 ()) trace in
-  check_int "all accesses in one client" 3000 r.Fleet.accesses;
-  check_int "one row" 1 (List.length r.Fleet.per_client_hit_rate)
-
-let test_fleet_aggregation_reduces_requests () =
-  let trace = Agg_workload.Generator.generate ~seed:7 ~events:10_000 Agg_workload.Profile.server in
-  let base =
-    {
-      Fleet.default_config with
-      Fleet.clients = 1;
-      client_capacity = 200;
-      server_capacity = 300;
-    }
-  in
-  let plain = Fleet.run { base with Fleet.client_scheme = Scheme.plain_lru } trace in
-  let agg = Fleet.run base trace in
-  check_bool "fewer server requests with grouping" true
-    (agg.Fleet.server_requests < plain.Fleet.server_requests)
-
-let test_fleet_invalid_clients () =
-  Alcotest.check_raises "0 clients"
-    (Invalid_argument "Fleet.run: clients must be positive (got 0)") (fun () ->
-      ignore (Fleet.run { Fleet.default_config with Fleet.clients = 0 } (Agg_trace.Trace.create ())));
-  Alcotest.check_raises "negative capacity"
-    (Invalid_argument "Fleet.run: client_capacity must be positive (got -3)") (fun () ->
-      ignore
-        (Fleet.run
-           { Fleet.default_config with Fleet.client_capacity = -3 }
-           (Agg_trace.Trace.create ())))
-
-let test_fleet_remap_clients () =
-  let trace = Agg_trace.Trace.create () in
-  Agg_trace.Trace.add_access trace ~client:0 1;
-  Agg_trace.Trace.add_access trace ~client:5 2;
-  Agg_trace.Trace.add_access trace ~client:7 3;
-  let remapped = Fleet.remap_clients ~clients:3 trace in
-  let ids =
-    List.map (fun (e : Agg_trace.Event.t) -> e.Agg_trace.Event.client)
-      (Agg_trace.Trace.to_events remapped)
-  in
-  Alcotest.(check (list int)) "ids folded mod 3" [ 0; 2; 1 ] ids;
-  check_int "length preserved" 3 (Agg_trace.Trace.length remapped);
-  Alcotest.check_raises "0 clients rejected"
-    (Invalid_argument "Fleet.remap_clients: clients must be positive (got 0)") (fun () ->
-      ignore (Fleet.remap_clients ~clients:0 trace))
-
 (* --- telemetry: series + trace context -------------------------------- *)
 
 let hostile_faults =
@@ -245,33 +161,6 @@ let test_path_telemetry_off_identity () =
   check_bool "instrumented run byte-identical to plain run" true
     (run ~telemetry:false = run ~telemetry:true)
 
-let test_fleet_series_reconciles () =
-  let trace = Agg_workload.Generator.generate ~seed:5 ~events:6_000 Agg_workload.Profile.users in
-  let series = Agg_obs.Series.create ~window:1_000 in
-  let config =
-    { (fleet_config ~clients:3 ()) with Fleet.faults = hostile_faults;
-      scope =
-        Some
-          (Agg_obs.Scope.create ~series
-             ~trace_ctx:(Agg_obs.Trace_ctx.create ~seed:5 ())
-             ()) }
-  in
-  let r = Fleet.run config trace in
-  check_int "series accesses = run accesses" r.Fleet.accesses
-    (Agg_obs.Series.total_accesses series);
-  check_int "series hits = client hits" r.Fleet.client_hits (Agg_obs.Series.total_hits series);
-  (* the fleet has no latency model: no samples may appear *)
-  check_int "no latency samples on a fleet" 0
-    (Agg_obs.Histogram.count (Agg_obs.Series.total_latency series));
-  (* per-"node" loads are per-client access counts: they sum to the run *)
-  let load_sum = ref 0 in
-  for w = 0 to Agg_obs.Series.windows series - 1 do
-    List.iter (fun (_, c) -> load_sum := !load_sum + c) (Agg_obs.Series.node_loads series w)
-  done;
-  check_int "per-client loads sum to the accesses" r.Fleet.accesses !load_sum;
-  let plain = Fleet.run { (fleet_config ~clients:3 ()) with Fleet.faults = hostile_faults } trace in
-  check_bool "instrumented fleet run identical to plain" true (plain = r)
-
 let qcheck_tests =
   let open QCheck in
   let files_gen = list_of_size (Gen.int_range 10 300) (int_range 0 30) in
@@ -303,22 +192,11 @@ let () =
           Alcotest.test_case "deployment names" `Quick test_deployment_names;
           Alcotest.test_case "empty trace" `Quick test_empty_trace;
         ] );
-      ( "fleet",
-        [
-          Alcotest.test_case "accounting" `Quick test_fleet_accounting;
-          Alcotest.test_case "write invalidation" `Quick test_fleet_write_invalidation;
-          Alcotest.test_case "single client" `Quick test_fleet_single_client_matches_many_ids;
-          Alcotest.test_case "aggregation reduces requests" `Quick
-            test_fleet_aggregation_reduces_requests;
-          Alcotest.test_case "invalid clients" `Quick test_fleet_invalid_clients;
-          Alcotest.test_case "remap clients" `Quick test_fleet_remap_clients;
-        ] );
       ( "telemetry",
         [
           Alcotest.test_case "path series reconciles" `Quick test_path_series_reconciles;
           Alcotest.test_case "telemetry off is byte-identical" `Quick
             test_path_telemetry_off_identity;
-          Alcotest.test_case "fleet series reconciles" `Quick test_fleet_series_reconciles;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

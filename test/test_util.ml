@@ -260,7 +260,14 @@ let test_stats_helpers () =
   check_float "ratio" 0.5 (Stats.ratio 1 2);
   check_float "ratio div0" 0.0 (Stats.ratio 1 0);
   check_float "percent change" 50.0 (Stats.percent_change ~baseline:2.0 ~value:3.0);
-  check_float "log2" 3.0 (Stats.log2 8.0)
+  check_float "log2" 3.0 (Stats.log2 8.0);
+  let sorted = Array.init 20 (fun i -> float_of_int (i + 1)) in
+  (* index floor (19 * p): 18 for p95, 9 for the median, no interpolation *)
+  check_float "p95 by rank" 19.0 (Stats.percentile sorted 0.95);
+  check_float "median by rank" 10.0 (Stats.percentile sorted 0.5);
+  check_float "p0 is the minimum" 1.0 (Stats.percentile sorted 0.0);
+  check_float "p100 is the maximum" 20.0 (Stats.percentile sorted 1.0);
+  check_float "percentile empty" 0.0 (Stats.percentile [||] 0.99)
 
 (* --- Dlist: one arena list, positional operations ---------------------- *)
 
