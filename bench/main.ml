@@ -672,17 +672,58 @@ let weighted_throughput ~reps =
       bundle;
     ]
 
-let write_micro_json ~unit ~weighted =
+(* Per-call cost of the layers under the cluster's miss path, on the same
+   server stream: ring routing (the group list and the membership walk)
+   on a five-node ring at k = 3, one fault-plan decision under the
+   default plan, a tracker observe, a g = 5 group build over a tracker
+   that has seen the whole stream, and the cold-end admission of each
+   access's prebuilt g = 5 group into a 500-file LRU. *)
+let layer_throughput ~reps files =
+  let module Ring = Agg_cluster.Ring in
+  let module Tracker = Agg_successor.Tracker in
+  let ops = reps * Array.length files in
+  let time name f =
+    let seconds =
+      timed (fun () ->
+          for _ = 1 to reps do
+            Array.iteri f files
+          done)
+    in
+    (name, ops, seconds)
+  in
+  let ring = Ring.create ~seed:17 ~nodes:5 () in
+  let plan = Agg_faults.Plan.make Agg_faults.Plan.default in
+  let observed = Tracker.create () in
+  Array.iter (Tracker.observe observed) files;
+  let groups =
+    Array.map (fun f -> List.tl (Agg_core.Group_builder.build observed ~group_size:5 f)) files
+  in
+  let fresh = Tracker.create () in
+  let cache = Agg_cache.Cache.create Agg_cache.Cache.Lru ~capacity:500 in
+  [
+    time "ring-group" (fun _ f -> ignore (Ring.group ring ~replicas:3 f));
+    time "ring-membership" (fun i f ->
+        ignore (Ring.in_group ring ~replicas:3 ~node:(i mod 5) f));
+    time "fault-plan-decision" (fun i _ ->
+        ignore (Agg_faults.Plan.message_lost plan ~time:i ~attempt:0));
+    time "tracker-observe" (fun _ f -> Tracker.observe fresh f);
+    time "group-build-g5" (fun _ f ->
+        ignore (Agg_core.Group_builder.build observed ~group_size:5 f));
+    time "insert-cold-group" (fun i _ ->
+        ignore (Agg_cache.Cache.insert_cold_group cache groups.(i)));
+  ]
+
+let write_micro_json ~unit ~weighted ~layers =
   let oc = open_out micro_json_path in
-  let rows rows =
+  let rows ?(key = "policy") rows =
     List.iteri
       (fun i (name, ops, seconds) ->
         let ns_per_op = if ops = 0 then 0.0 else seconds *. 1e9 /. float_of_int ops in
         let mops = if seconds > 0.0 then float_of_int ops /. seconds /. 1e6 else 0.0 in
         Printf.fprintf oc
-          "    {\"policy\": \"%s\", \"ops\": %d, \"seconds\": %.4f, \"ns_per_op\": %.1f, \
+          "    {\"%s\": \"%s\", \"ops\": %d, \"seconds\": %.4f, \"ns_per_op\": %.1f, \
            \"mops_per_sec\": %.2f}%s\n"
-          (json_escape name) ops seconds ns_per_op mops
+          key (json_escape name) ops seconds ns_per_op mops
           (if i = List.length rows - 1 then "" else ","))
       rows
   in
@@ -695,6 +736,8 @@ let write_micro_json ~unit ~weighted =
       Printf.fprintf oc "  ],\n  \"weighted_stream\": \"%s\",\n" weighted_stream;
       Printf.fprintf oc "  \"weighted\": [\n";
       rows weighted;
+      Printf.fprintf oc "  ],\n  \"layers\": [\n";
+      rows ~key:"layer" layers;
       Printf.fprintf oc "  ]\n}\n")
 
 let run_micro () =
@@ -731,8 +774,8 @@ let run_micro () =
     Agg_workload.Generator.generate_files ~seed:7 ~events:20_000 Agg_workload.Profile.server
   in
   let reps = if !quick_flag then 2 else 10 in
-  let print_throughput title rows =
-    let table = Agg_util.Table.create ~title ~columns:[ "policy"; "ops"; "ns/op"; "Mops/s" ] in
+  let print_throughput ?(key = "policy") title rows =
+    let table = Agg_util.Table.create ~title ~columns:[ key; "ops"; "ns/op"; "Mops/s" ] in
     List.iter
       (fun (name, ops, seconds) ->
         Agg_util.Table.add_row table
@@ -750,10 +793,12 @@ let run_micro () =
   print_throughput "per-policy access throughput (server stream, capacity 500)" throughput;
   let weighted = weighted_throughput ~reps in
   print_throughput ("per-policy weighted throughput (" ^ weighted_stream ^ ")") weighted;
-  write_micro_json ~unit:throughput ~weighted;
-  Printf.printf "wrote %d policy rows to %s\n"
+  let layers = layer_throughput ~reps files in
+  print_throughput ~key:"layer" "per-layer call cost (server stream, cluster miss path)" layers;
+  write_micro_json ~unit:throughput ~weighted ~layers;
+  Printf.printf "wrote %d policy rows and %d layer rows to %s\n"
     (List.length throughput + List.length weighted)
-    micro_json_path
+    (List.length layers) micro_json_path
 
 (* --- BENCH_sweep.json ------------------------------------------------------ *)
 

@@ -1,14 +1,15 @@
 #!/bin/sh
 # CI entry point: full build, full test suite, the lockstep differential
-# gate against the lib/oracle reference models, and a quick smoke run of
-# the paper-vs-measured checks from the reproduction harness.
+# gate against the lib/oracle reference models, a one-second checked run
+# of each steady-benchmark workload, and a quick smoke run of the
+# paper-vs-measured checks from the reproduction harness.
 #
 # The check thresholds are calibrated for full-size runs (60k events), so
 # the --quick pass only asserts the harness runs end to end; the full-size
 # verdicts are covered by the `report checks` alcotest case in `dune runtest`.
 #
 # Usage:
-#   ./ci.sh          # build + all tests + differential + quick checks
+#   ./ci.sh          # build + all tests + differential + perfbench + quick checks
 #   ./ci.sh --fast   # build + quick tests only (skips `Slow alcotest cases)
 #
 # Environment:
@@ -154,6 +155,21 @@ dune build @weighted
 # Micro gate: Bechamel micro-benchmarks and the per-policy throughput
 # pass at reduced quota; exercises every online policy facade.
 dune build @micro
+
+# Steady-benchmark gate: one short end-to-end run per workload. While it
+# measures, perfbench checks every input against the lib/oracle reference
+# models and the accounting identities, and every replay against the
+# first; its result line must report "correct": true and "failed": 0.
+for workload in paper-g5 policies cluster-faults; do
+  result=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+  case "$result" in
+    *'"correct": true,'*'"failed": 0,'*) ;;
+    *)
+      echo "ci.sh: perfbench $workload failed its checks: $result" >&2
+      exit 1
+      ;;
+  esac
+done
 
 # Optional larger fuzz budget for nightly-style runs.
 if [ -n "${DIFFERENTIAL_OPS:-}" ]; then

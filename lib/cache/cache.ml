@@ -185,35 +185,29 @@ let insert_cold t key =
 
 let insert_cold_group t keys =
   let (Packed ((module P), state)) = t.packed in
-  (* Distinct, non-resident members only, admitted while their cumulative
-     size fits in [capacity - 1], so the block cannot fill the whole cache
-     and displace the demanded file at the hot end. At unit weights this
-     is the historical "at most capacity - 1 members" cap. Groups are a
-     handful of keys (g ≤ 10 in every experiment), so a linear membership
-     scan beats allocating a scratch table per call. *)
-  let fresh =
-    List.filter
-      (fun k -> not (P.mem state k))
-      (List.fold_left
-         (fun acc k -> if List.mem k acc then acc else k :: acc)
-         [] keys
-      |> List.rev)
-  in
+  (* One pass admits the distinct, non-resident members while their
+     cumulative size fits in [capacity - 1], so the block cannot fill the
+     whole cache and displace the demanded file at the hot end. At unit
+     weights this is the historical "at most capacity - 1 members" cap. A
+     repeat of a skipped member stays out: the budget only shrinks.
+     Groups are a handful of keys (g <= 10 in every experiment), so a
+     linear scan of the admitted members beats a scratch table. *)
+  let budget = ref (P.capacity state - 1) in
   let admitted =
-    let budget = ref (P.capacity state - 1) in
-    List.filter
-      (fun k ->
-        let s = (weight_for t k).Policy.size in
-        if s <= !budget then begin
-          budget := !budget - s;
-          true
-        end
-        else false)
-      fresh
+    List.rev
+      (List.fold_left
+         (fun acc k ->
+           if List.mem k acc || P.mem state k then acc
+           else
+             let s = (weight_for t k).Policy.size in
+             if s <= !budget then begin
+               budget := !budget - s;
+               k :: acc
+             end
+             else acc)
+         [] keys)
   in
-  let total =
-    List.fold_left (fun acc k -> acc + (weight_for t k).Policy.size) 0 admitted
-  in
+  let total = P.capacity state - 1 - !budget in
   (* Room for the whole block is made first, so members never evict one
      another — the semantics of a group arriving in one retrieval. *)
   let evicted = ref 0 in

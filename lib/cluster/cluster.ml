@@ -108,7 +108,7 @@ type state = {
   mutable pending_churn : (int * churn_op) list;  (** sorted by time *)
   mutable retired : (int * int) list;  (** departed nodes' request counts *)
   counters : Counters.t;
-  latencies : float Agg_util.Vec.t;
+  latencies : float array;  (** one slot per trace access, filled in order *)
   mutable server_requests : int;
   mutable server_hits : int;
   mutable store_fetches : int;
@@ -173,7 +173,7 @@ let make_client_tracker metadata_config =
   Tracker.create ~capacity:metadata_config.Agg_core.Config.successor_capacity
     ~policy:metadata_config.Agg_core.Config.metadata_policy ()
 
-let make_state config =
+let make_state config ~accesses =
   validate config;
   let metadata_config =
     match (Scheme.group_config config.client_scheme, Scheme.group_config config.node_scheme) with
@@ -199,7 +199,7 @@ let make_state config =
     pending_churn = List.stable_sort (fun (a, _) (b, _) -> compare a b) config.churn;
     retired = [];
     counters = Counters.create ();
-    latencies = Agg_util.Vec.create ();
+    latencies = Array.make accesses 0.0;
     server_requests = 0;
     server_hits = 0;
     store_fetches = 0;
@@ -213,10 +213,11 @@ let make_state config =
     now = 0;
   }
 
-let node_state st id =
-  match List.find_opt (fun ns -> ns.node_id = id) st.node_states with
-  | Some ns -> ns
-  | None -> invalid_arg (Printf.sprintf "Cluster: node %d has no state" id)
+let rec find_node id = function
+  | ns :: rest -> if ns.node_id = id then ns else find_node id rest
+  | [] -> invalid_arg (Printf.sprintf "Cluster: node %d has no state" id)
+
+let node_state st id = find_node id st.node_states
 
 let live_replicas st = min st.config.replicas (Ring.node_count st.ring)
 
@@ -240,9 +241,9 @@ let apply_op st op =
         (fun ns ->
           List.iter
             (fun f ->
-              if not (List.mem ns.node_id (Ring.group ring ~replicas:k f)) then begin
+              if not (Ring.in_group ring ~replicas:k ~node:ns.node_id f) then begin
                 Cache.remove ns.cache f;
-                if List.mem node (Ring.group ring ~replicas:k f) && not (Cache.mem fresh.cache f)
+                if Ring.in_group ring ~replicas:k ~node f && not (Cache.mem fresh.cache f)
                 then Cache.insert_cold fresh.cache f;
                 incr moved
               end)
@@ -256,7 +257,6 @@ let apply_op st op =
         Sink.emit (Agg_obs.Scope.sink st.config.scope) (Agg_obs.Event.Ring_rebalance { node; joined = true; moved = !moved })
   | Leave node ->
       let ring = Ring.remove st.ring node in
-      let k = min st.config.replicas (Ring.node_count ring) in
       let departing = node_state st node in
       st.node_states <- List.filter (fun ns -> ns.node_id <> node) st.node_states;
       let moved = ref 0 in
@@ -265,14 +265,11 @@ let apply_op st op =
          placement pays for that, Replicated_with_group does not). *)
       List.iter
         (fun f ->
-          match Ring.group ring ~replicas:k f with
-          | target :: _ ->
-              let ts = node_state st target in
-              if not (Cache.mem ts.cache f) then begin
-                Cache.insert_cold ts.cache f;
-                incr moved
-              end
-          | [] -> ())
+          let ts = node_state st (Ring.owner ring f) in
+          if not (Cache.mem ts.cache f) then begin
+            Cache.insert_cold ts.cache f;
+            incr moved
+          end)
         (Cache.contents departing.cache);
       st.ring <- ring;
       st.retired <- (node, departing.requests) :: st.retired;
@@ -460,7 +457,7 @@ let serve st ~client ~time ~tracing file =
       let members = match group with _ :: rest -> rest | [] -> [] in
       List.iter
         (fun m ->
-          if List.mem node (Ring.group st.ring ~replicas:k m) then begin
+          if Ring.in_group st.ring ~replicas:k ~node m then begin
             if not (Cache.mem ns.cache m) then begin
               st.store_fetches <- st.store_fetches + 1;
               Cache.insert_cold ns.cache m
@@ -541,7 +538,7 @@ let access st (e : Agg_trace.Event.t) =
       Agg_obs.Series.observe_latency s ~index:time
         ~us:(int_of_float ((latency *. 1000.0) +. 0.5))
   | None -> ());
-  Agg_util.Vec.push st.latencies latency;
+  st.latencies.(time) <- latency;
   if st.config.write_invalidation && Agg_trace.Event.is_write e then
     invalidate_others st ~writer:client file
 
@@ -556,13 +553,13 @@ let per_node_requests st =
   |> List.rev
 
 let run config trace =
-  let st = make_state config in
+  let st = make_state config ~accesses:(Agg_trace.Trace.length trace) in
   Agg_trace.Trace.iter (access st) trace;
   let accesses = Array.fold_left (fun acc cs -> acc + cs.accesses) 0 st.client_states in
   let client_hits = Array.fold_left (fun acc cs -> acc + cs.hits) 0 st.client_states in
-  let latencies = Agg_util.Vec.to_array st.latencies in
-  let sorted = Array.copy latencies in
-  Array.sort compare sorted;
+  (* the mean reads the latencies in access order; the p95 selection
+     then reorders them *)
+  let mean_latency = Agg_util.Stats.mean st.latencies in
   {
     accesses;
     client_hits;
@@ -579,8 +576,8 @@ let run config trace =
     slowed_fetches = st.slowed_fetches;
     rebalances = st.rebalances;
     moved_files = st.moved_files;
-    mean_latency = Agg_util.Stats.mean latencies;
-    p95_latency = Agg_util.Stats.percentile sorted 0.95;
+    mean_latency;
+    p95_latency = Agg_util.Stats.percentile_in_place st.latencies 0.95;
     per_node_requests = per_node_requests st;
     faults = st.counters;
   }

@@ -4,6 +4,7 @@ type t = {
   seed : int;
   points_per_node : int;
   members : int list;
+  count : int;  (* [List.length members] *)
   points : int array;
   owners : int array;
   (* Parent stream for per-file hashes; [Prng.derive] never advances it,
@@ -27,10 +28,12 @@ let build ~seed ~points_per_node members =
   in
   let arr = Array.of_list pairs in
   Array.sort compare arr;
+  let members = List.sort_uniq compare members in
   {
     seed;
     points_per_node;
-    members = List.sort_uniq compare members;
+    members;
+    count = List.length members;
     points = Array.map fst arr;
     owners = Array.map snd arr;
     file_stream = Prng.derive base (-1);
@@ -44,7 +47,7 @@ let create ?(points_per_node = 64) ~seed ~nodes () =
 let seed t = t.seed
 let points_per_node t = t.points_per_node
 let members t = t.members
-let node_count t = List.length t.members
+let node_count t = t.count
 let contains t node = List.mem node t.members
 
 let add t node =
@@ -59,7 +62,9 @@ let remove t node =
   build ~seed:t.seed ~points_per_node:t.points_per_node
     (List.filter (fun m -> m <> node) t.members)
 
-let file_position t file = mask62 (Prng.bits64 (Prng.derive t.file_stream file))
+(* [mask62 (Prng.bits64 (Prng.derive t.file_stream file))], without
+   building the derived generator. *)
+let file_position t file = Prng.derive_draw t.file_stream file
 
 (* Index of the first point at or after [position], wrapping to 0. *)
 let successor_index t position =
@@ -73,19 +78,41 @@ let successor_index t position =
 
 let owner t file = t.owners.(successor_index t (file_position t file))
 
+(* The clockwise walk from ring point [start]. A node is new at step
+   [offset] unless an earlier step of the same walk met it: groups are a
+   few nodes long, so rescanning those steps is cheaper than carrying a
+   set, and the walk builds nothing. *)
+let owner_at t ~start offset = t.owners.((start + offset) mod Array.length t.points)
+
+let rec met_before t ~start ~offset node i =
+  i < offset && (owner_at t ~start i = node || met_before t ~start ~offset node (i + 1))
+
+(* The first [want] distinct owners from [offset] on, primary first. *)
+let rec collect t ~start ~want offset =
+  if want = 0 then []
+  else
+    let node = owner_at t ~start offset in
+    if met_before t ~start ~offset node 0 then collect t ~start ~want (offset + 1)
+    else node :: collect t ~start ~want:(want - 1) (offset + 1)
+
 let group t ~replicas file =
   if replicas <= 0 then invalid_arg "Ring.group: replicas must be positive";
-  let n = Array.length t.points in
-  let want = min replicas (node_count t) in
-  let start = successor_index t (file_position t file) in
-  let rec walk offset acc found =
-    if found = want then List.rev acc
-    else
-      let node = t.owners.((start + offset) mod n) in
-      if List.mem node acc then walk (offset + 1) acc found
-      else walk (offset + 1) (node :: acc) (found + 1)
-  in
-  walk 0 [] 0
+  collect t
+    ~start:(successor_index t (file_position t file))
+    ~want:(min replicas t.count) 0
+
+(* Is [node] among the first [want] distinct owners from [offset] on? *)
+let rec reaches t ~start ~want ~node offset =
+  let o = owner_at t ~start offset in
+  o = node
+  || (if met_before t ~start ~offset o 0 then reaches t ~start ~want ~node (offset + 1)
+      else want > 1 && reaches t ~start ~want:(want - 1) ~node (offset + 1))
+
+let in_group t ~replicas ~node file =
+  if replicas <= 0 then invalid_arg "Ring.in_group: replicas must be positive";
+  reaches t
+    ~start:(successor_index t (file_position t file))
+    ~want:(min replicas t.count) ~node 0
 
 let pp ppf t =
   Format.fprintf ppf "ring[seed=%d nodes=%a points=%d]" t.seed

@@ -58,4 +58,10 @@ val group : t -> replicas:int -> int -> int list
     [group t ~replicas:1 file = [owner t file]].
     @raise Invalid_argument when [replicas] is not positive. *)
 
+val in_group : t -> replicas:int -> node:int -> int -> bool
+(** [in_group t ~replicas ~node file] is
+    [List.mem node (group t ~replicas file)], answered by walking the ring
+    without building the group: it allocates nothing.
+    @raise Invalid_argument when [replicas] is not positive. *)
+
 val pp : Format.formatter -> t -> unit

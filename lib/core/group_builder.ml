@@ -1,69 +1,55 @@
 module Tracker = Agg_successor.Tracker
 
-let take n list =
-  let rec loop n acc = function
-    | [] -> List.rev acc
-    | _ when n = 0 -> List.rev acc
-    | x :: rest -> loop (n - 1) (x :: acc) rest
-  in
-  loop n [] list
+(* The group under construction lives in [group.(0 .. len - 1)]: the
+   requested file, then its members in the order they were chosen. Every
+   step asks the tracker for the first successor of some file that is not
+   yet in the group, which scans the successor slots in place — no
+   successor list is materialised. *)
 
 (* Small groups: the requested file plus its most likely immediate
    successors (paper: "simply a matter of retrieving the requested file
    and one or two of its immediate successors"). *)
-let immediate tracker ~want file =
-  let distinct = List.filter (fun s -> s <> file) (Tracker.successors tracker file) in
-  take want distinct
+let rec immediate tracker group len =
+  if len = Array.length group then len
+  else
+    match Tracker.first_successor_outside tracker group.(0) group ~len with
+    | -1 -> len
+    | next ->
+        group.(len) <- next;
+        immediate tracker group (len + 1)
 
 (* Large groups: follow the chain of most-likely immediate successors as
    far as possible. When the chain stalls (no metadata, or only files
    already in the group), fall back to the next-ranked successor of the
-   most recently added member that still has one. *)
-let transitive tracker ~want file =
-  (* groups are single digits, so a linear scan of the accumulated members
-     replaces a scratch table; [members] is newest-first and [file] is
-     checked separately *)
-  let members = ref [] in
-  let count = ref 0 in
-  let add f =
-    members := f :: !members;
-    incr count
-  in
-  let seen s = s = file || List.mem s !members in
-  let first_unseen candidates = List.find_opt (fun s -> not (seen s)) candidates in
-  let rec extend current =
-    if !count < want then
-      match first_unseen (Tracker.successors tracker current) with
-      | Some next ->
-          add next;
-          extend next
-      | None -> fallback (file :: List.rev !members)
-  (* [chain] lists group members oldest-first; resume from the deepest
-     member that still offers an unexplored successor. *)
-  and fallback chain =
-    if !count < want then
-      let candidates =
-        List.rev chain
-        |> List.filter_map (fun m -> first_unseen (Tracker.successors tracker m))
-      in
-      match candidates with
-      | next :: _ ->
-          add next;
-          extend next
-      | [] -> ()
-  in
-  extend file;
-  List.rev !members
+   deepest member that still has one. *)
+let rec extend tracker group len current =
+  if len = Array.length group then len
+  else
+    match Tracker.first_successor_outside tracker current group ~len with
+    | -1 -> fallback tracker group len (len - 1)
+    | next ->
+        group.(len) <- next;
+        extend tracker group (len + 1) next
+
+and fallback tracker group len deepest =
+  if deepest < 0 then len
+  else
+    match Tracker.first_successor_outside tracker group.(deepest) group ~len with
+    | -1 -> fallback tracker group len (deepest - 1)
+    | next ->
+        group.(len) <- next;
+        extend tracker group (len + 1) next
+
+let rec to_list group i acc = if i < 0 then acc else to_list group (i - 1) (group.(i) :: acc)
 
 let build ?(obs = Agg_obs.Sink.noop) tracker ~group_size file =
   if group_size <= 0 then invalid_arg "Group_builder.build: group_size must be positive";
-  let want = group_size - 1 in
-  let members =
-    if want = 0 then []
-    else if group_size <= 3 then immediate tracker ~want file
-    else transitive tracker ~want file
+  let group = Array.make group_size file in
+  let len =
+    if group_size = 1 then 1
+    else if group_size <= 3 then immediate tracker group 1
+    else extend tracker group 1 file
   in
   if Agg_obs.Sink.enabled obs then
-    Agg_obs.Sink.emit obs
-      (Agg_obs.Event.Group_built { anchor = file; size = 1 + List.length members });
-  file :: members
+    Agg_obs.Sink.emit obs (Agg_obs.Event.Group_built { anchor = file; size = len });
+  to_list group (len - 1) []

@@ -81,17 +81,18 @@ let tag_slow = 3
 let tag_crash = 4
 
 (* Counter-based derivation: fold the query coordinates into one 63-bit
-   value and let [Prng.create]'s SplitMix64 expansion do the mixing. The
-   resulting generator is used for a single draw, so every decision is a
-   pure function of (seed, tag, a, b) — independent of query order and of
-   how sweep cells are scheduled across domains. *)
-let decision_prng t ~tag ~a ~b =
-  let mix acc v = (acc * 0x100000001b3) lxor (v land max_int) in
-  let key = mix (mix (mix (mix 0x2545F4914F6CDD1D t.config.seed) tag) a) b in
-  Agg_util.Prng.create ~seed:(key land max_int) ()
+   value and let [Prng.create]'s SplitMix64 expansion do the mixing. Each
+   decision is the first draw of that generator, so it is a pure function
+   of (seed, tag, a, b) — independent of query order and of how sweep
+   cells are scheduled across domains — and [Prng.first_draw] computes it
+   without building the generator. *)
+let mix acc v = (acc * 0x100000001b3) lxor (v land max_int)
 
 let bernoulli t ~tag ~a ~b ~p =
-  p > 0.0 && Agg_util.Prng.bernoulli (decision_prng t ~tag ~a ~b) ~p
+  p > 0.0
+  &&
+  let key = mix (mix (mix (mix 0x2545F4914F6CDD1D t.config.seed) tag) a) b in
+  Agg_util.Prng.draw_bernoulli (Agg_util.Prng.first_draw ~seed:(key land max_int)) ~p
 
 let message_lost t ~time ~attempt =
   t.enabled && bernoulli t ~tag:tag_loss ~a:time ~b:attempt ~p:t.config.loss_rate

@@ -16,9 +16,11 @@
     coordinates (access time, retry attempt, client id): plans keep no
     mutable state, so decisions do not depend on query order, on how many
     sweep cells share a domain, or on the [--jobs] value. Internally each
-    query derives a one-shot {!Agg_util.Prng} generator from the mixed
-    coordinates — all randomness flows through [Agg_util.Prng], as
-    everywhere else in this repository.
+    query is the first draw of an {!Agg_util.Prng} generator seeded from
+    the mixed coordinates, computed by {!Agg_util.Prng.first_draw} without
+    building the generator, so a query allocates nothing — all randomness
+    flows through [Agg_util.Prng], as everywhere else in this
+    repository.
 
     Time is measured in {e accesses}, the simulator's only clock. *)
 

@@ -38,7 +38,7 @@ let rec emit t event =
   | Sampled s ->
       let index = s.offered in
       s.offered <- index + 1;
-      if Agg_util.Prng.float (Agg_util.Prng.derive s.base index) 1.0 < s.rate then
+      if Agg_util.Prng.draw_bernoulli (Agg_util.Prng.derive_draw s.base index) ~p:s.rate then
         emit s.inner event
 
 let rec events = function

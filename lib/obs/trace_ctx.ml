@@ -45,7 +45,7 @@ let stream t request = Prng.derive t.base request
 
 let sampled t ~request =
   check_request request;
-  Prng.float (stream t request) 1.0 < t.sample
+  Prng.draw_bernoulli (Prng.derive_draw t.base request) ~p:t.sample
 
 let trace_id t ~request =
   check_request request;

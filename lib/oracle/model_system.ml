@@ -48,11 +48,11 @@ let take n list =
   in
   loop n [] list
 
-let build_group tracker ~group_size file =
+let build_group ~successors ~group_size file =
   if group_size <= 0 then invalid_arg "Model_system.build_group: group_size must be positive";
   let want = group_size - 1 in
   let immediate () =
-    take want (List.filter (fun s -> s <> file) (Tracker.successors tracker file))
+    take want (List.filter (fun s -> s <> file) (successors file))
   in
   let transitive () =
     let seen = ref [ file ] in
@@ -68,7 +68,7 @@ let build_group tracker ~group_size file =
     in
     let rec extend current =
       if !count < want then
-        match first_unseen (Tracker.successors tracker current) with
+        match first_unseen (successors current) with
         | Some next ->
             add next;
             extend next
@@ -76,7 +76,7 @@ let build_group tracker ~group_size file =
     and fallback chain =
       if !count < want then
         let candidates =
-          List.rev chain |> List.filter_map (fun m -> first_unseen (Tracker.successors tracker m))
+          List.rev chain |> List.filter_map (fun m -> first_unseen (successors m))
         in
         match candidates with
         | next :: _ ->
@@ -185,7 +185,10 @@ module Client = struct
         forget_speculative t file
       end;
       t.demand_fetches <- t.demand_fetches + 1;
-      (match build_group t.tracker ~group_size:t.config.group_size file with
+      (match
+         build_group ~successors:(Tracker.successors t.tracker)
+           ~group_size:t.config.group_size file
+       with
       | _requested :: members -> insert_members t members
       | [] -> assert false);
       false
@@ -302,7 +305,10 @@ module Server = struct
       t.store_fetches <- t.store_fetches + 1;
       (match (t.scheme, t.tracker) with
       | Server_cache.Aggregating config, Some tracker -> (
-          match build_group tracker ~group_size:config.group_size file with
+          match
+            build_group ~successors:(Tracker.successors tracker) ~group_size:config.group_size
+              file
+          with
           | _requested :: members -> insert_members t config members
           | [] -> assert false)
       | Server_cache.Plain _, _ -> ()

@@ -7,6 +7,14 @@
     produce the same hit/miss outcomes, resident sets, and metrics
     (demand fetches included) as the optimized implementations. *)
 
+val build_group : successors:(int -> int list) -> group_size:int -> int -> int list
+(** [build_group ~successors ~group_size file] is the retrieval group
+    {!Agg_core.Group_builder.build} must return, restated over plain
+    lists: [successors f] is [f]'s ranked successor list. Immediate
+    successors for groups of up to three, transitive most-likely chaining
+    with fallback beyond.
+    @raise Invalid_argument when [group_size <= 0]. *)
+
 (** Reference aggregating client (Fig. 3). *)
 module Client : sig
   type t

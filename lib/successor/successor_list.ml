@@ -56,13 +56,17 @@ let mem t succ =
    back to back in one array: move [succ] to the front of the region
    [slots.(off) .. slots.(off + len - 1)], evicting the last entry when a
    full region sees a newcomer. Returns the new live length. *)
-let observe_slots slots ~off ~len ~capacity succ =
-  let rec scan i = if i >= len then -1 else if slots.(off + i) = succ then i else scan (i + 1) in
-  let at = scan 0 in
-  let shift_end = if at >= 0 then at else min len (capacity - 1) in
-  Array.blit slots off slots (off + 1) shift_end;
+let observe_slots (slots : int array) ~off ~len ~capacity (succ : int) =
+  let at = ref 0 in
+  while !at < len && slots.(off + !at) <> succ do
+    incr at
+  done;
+  let resident = !at < len in
+  for i = off + (if resident then !at else min len (capacity - 1)) downto off + 1 do
+    slots.(i) <- slots.(i - 1)
+  done;
   slots.(off) <- succ;
-  if at >= 0 then len else min (len + 1) capacity
+  if resident then len else min (len + 1) capacity
 
 let observe_recency t succ = t.len <- observe_slots t.succs ~off:0 ~len:t.len ~capacity:t.capacity succ
 

@@ -5,8 +5,9 @@ open Agg_util
    region [f * capacity .. f * capacity + lens.(f) - 1], most recent
    first. File ids are dense small ints (the workload generator allocates
    them sequentially), so direct indexing replaces hashing and an observe
-   is a bounds check plus a few-word shift. The arrays grow by doubling as
-   the namespace grows.
+   is a bounds check plus a few-word shift. The arrays are allocated by
+   the first observe (a tracker that is never fed costs nothing) and grow
+   by doubling as the namespace grows.
 
    The idealised Frequency policy needs unbounded per-successor counters
    (see {!Successor_list}), so it keeps the boxed per-file lists. *)
@@ -29,17 +30,16 @@ let initial_files_cap = 4096
 
 let create ?(capacity = 8) ?(policy = Successor_list.Recency) ?(per_client = false) () =
   if capacity <= 0 then invalid_arg "Tracker.create: capacity must be positive";
-  let recency = policy = Successor_list.Recency in
   {
     capacity;
     policy;
     per_client;
-    slots = (if recency then Array.make (initial_files_cap * capacity) 0 else [||]);
-    lens = (if recency then Array.make initial_files_cap 0 else [||]);
-    files_cap = (if recency then initial_files_cap else 0);
+    slots = [||];
+    lens = [||];
+    files_cap = 0;
     tracked = 0;
     contexts = Int_table.create ~capacity:16 ();
-    freq_lists = Hashtbl.create 4096;
+    freq_lists = Hashtbl.create (if policy = Successor_list.Frequency then 4096 else 1);
   }
 
 let capacity t = t.capacity
@@ -47,7 +47,7 @@ let policy t = t.policy
 
 let ensure_file t file =
   if file >= t.files_cap then begin
-    let cap = ref (max t.files_cap 1) in
+    let cap = ref (max t.files_cap initial_files_cap) in
     while file >= !cap do
       cap := 2 * !cap
     done;
@@ -103,6 +103,30 @@ let successors t file =
       match Hashtbl.find_opt t.freq_lists file with
       | Some l -> Successor_list.ranked l
       | None -> [])
+
+(* Is [x] absent from [set.(i) .. set.(len - 1)]? *)
+let rec outside (set : int array) len (x : int) i =
+  i >= len || (set.(i) <> x && outside set len x (i + 1))
+
+let rec first_slot_outside (slots : int array) set len i stop =
+  if i >= stop then -1
+  else if outside set len slots.(i) 0 then slots.(i)
+  else first_slot_outside slots set len (i + 1) stop
+
+let first_successor_outside t file set ~len =
+  match t.policy with
+  | Successor_list.Recency ->
+      if file < 0 || file >= t.files_cap then -1
+      else
+        let off = file * t.capacity in
+        first_slot_outside t.slots set len off (off + t.lens.(file))
+  | Successor_list.Frequency -> (
+      match Hashtbl.find_opt t.freq_lists file with
+      | Some l -> (
+          match List.find_opt (fun s -> outside set len s 0) (Successor_list.ranked l) with
+          | Some s -> s
+          | None -> -1)
+      | None -> -1)
 
 let top_successor t file =
   match t.policy with

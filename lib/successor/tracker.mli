@@ -29,6 +29,12 @@ val observe_trace : t -> Agg_trace.Trace.t -> unit
 val successors : t -> Agg_trace.File_id.t -> Agg_trace.File_id.t list
 (** Ranked most-likely first; empty for unknown files. *)
 
+val first_successor_outside : t -> Agg_trace.File_id.t -> int array -> len:int -> int
+(** [first_successor_outside t file set ~len] is the first of
+    [successors t file] that is not among [set.(0) .. set.(len - 1)], or
+    [-1] when there is none. Under [Recency] it scans the stored list in
+    place and allocates nothing. *)
+
 val top_successor : t -> Agg_trace.File_id.t -> Agg_trace.File_id.t option
 
 val transitive_successors : t -> Agg_trace.File_id.t -> length:int -> Agg_trace.File_id.t list

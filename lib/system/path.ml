@@ -67,7 +67,7 @@ type state = {
   client : Cache.t;
   server : Cache.t;
   tracker : Tracker.t;
-  latencies : float Agg_util.Vec.t;
+  latencies : float array;  (** one slot per trace access, filled in order *)
   counters : Counters.t;
   mutable client_hits : int;
   mutable server_hits : int;
@@ -91,7 +91,7 @@ let validate config =
   Plan.validate config.faults;
   Resilience.validate config.resilience
 
-let make_state config =
+let make_state config ~accesses =
   validate config;
   let metadata =
     match Scheme.group_config config.client with
@@ -109,7 +109,7 @@ let make_state config =
     tracker =
       Tracker.create ~capacity:metadata.Agg_core.Config.successor_capacity
         ~policy:metadata.Agg_core.Config.metadata_policy ();
-    latencies = Agg_util.Vec.create ();
+    latencies = Array.make accesses 0.0;
     counters = Counters.create ();
     client_hits = 0;
     server_hits = 0;
@@ -294,14 +294,15 @@ let access st file =
       Agg_obs.Series.observe_latency s ~index:time
         ~us:(int_of_float ((latency *. 1000.0) +. 0.5))
   | None -> ());
-  Agg_util.Vec.push st.latencies latency
+  st.latencies.(time) <- latency
 
 let run config trace =
-  let st = make_state config in
+  let st = make_state config ~accesses:(Agg_trace.Trace.length trace) in
   Agg_trace.Trace.iter (fun (e : Agg_trace.Event.t) -> access st e.Agg_trace.Event.file) trace;
-  let latencies = Agg_util.Vec.to_array st.latencies in
-  let sorted = Array.copy latencies in
-  Array.sort compare sorted;
+  let latencies = st.latencies in
+  (* the mean reads the latencies in access order; the percentile
+     selections then reorder them *)
+  let mean_latency = Agg_util.Stats.mean latencies in
   {
     accesses = Array.length latencies;
     client_hits = st.client_hits;
@@ -309,9 +310,9 @@ let run config trace =
     disk_reads = st.disk_reads;
     files_transferred = st.files_transferred;
     round_trips = st.round_trips;
-    mean_latency = Agg_util.Stats.mean latencies;
-    p95_latency = Agg_util.Stats.percentile sorted 0.95;
-    p99_latency = Agg_util.Stats.percentile sorted 0.99;
+    mean_latency;
+    p95_latency = Agg_util.Stats.percentile_in_place latencies 0.95;
+    p99_latency = Agg_util.Stats.percentile_in_place latencies 0.99;
     faults = st.counters;
   }
 

@@ -22,7 +22,7 @@ let create ?(seed = default_seed) () =
 
 let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 let bits64 t =
   let open Int64 in
@@ -44,16 +44,19 @@ let split t =
   let s3 = splitmix64 state in
   { s0; s1; s2; s3 }
 
-let derive t index =
-  (* Fold the parent's full 256-bit state with the (injectively scaled)
-     stream index into one SplitMix64 seed; the parent is not advanced, so
-     [derive t i] is a pure function of [t]'s current state and [i]. *)
+(* Fold the parent's full 256-bit state with the (injectively scaled)
+   stream index into one SplitMix64 seed; the parent is not advanced, so
+   [derive t i] is a pure function of [t]'s current state and [i]. *)
+let[@inline] derive_seed t index =
   let key =
     Int64.logxor
       (Int64.logxor t.s0 (rotl t.s1 13))
       (Int64.logxor (rotl t.s2 27) (rotl t.s3 41))
   in
-  let state = ref (Int64.logxor key (Int64.mul (Int64.of_int index) 0x9E3779B97F4A7C15L)) in
+  Int64.logxor key (Int64.mul (Int64.of_int index) 0x9E3779B97F4A7C15L)
+
+let derive t index =
+  let state = ref (derive_seed t index) in
   let s0 = splitmix64 state in
   let s1 = splitmix64 state in
   let s2 = splitmix64 state in
@@ -63,6 +66,30 @@ let derive t index =
 (* A non-negative 62-bit integer: plenty for array indices, and it avoids
    having to reason about [min_int] when taking remainders. *)
 let bits62 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
+
+(* The one-draw primitive. xoshiro256**'s first output is
+   [rotl (s1 * 5) 7 * 9]: it reads only [s1], the second SplitMix64 word
+   of the seeding expansion, and that word is one mix round of
+   [seed + 2 * golden]. So the first draw of a freshly seeded generator
+   needs no state record — every step stays in unboxed [Int64] locals,
+   and the result is returned as an immediate 62-bit int. *)
+let[@inline] first_of_seed seed =
+  let open Int64 in
+  (* 2 * 0x9E3779B97F4A7C15, modulo 2^64: the SplitMix64 state after the
+     second increment *)
+  let z = add seed 0x3C6EF372FE94F82AL in
+  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+  let s1 = logxor z (shift_right_logical z 31) in
+  to_int (shift_right_logical (mul (rotl (mul s1 5L) 7) 9L) 2)
+
+let first_draw ~seed = first_of_seed (Int64.of_int seed)
+let derive_draw t index = first_of_seed (derive_seed t index)
+
+(* 53 random bits mapped to [0, 1), the standard double-precision trick:
+   the top 53 of the 64 bits over 2^53. *)
+let draw_float draw = Stdlib.float_of_int (draw lsr 9) /. 9007199254740992.0
+let draw_bernoulli draw ~p = draw_float draw < p
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
@@ -79,11 +106,7 @@ let int_in_range t ~lo ~hi =
   if hi < lo then invalid_arg "Prng.int_in_range: hi < lo";
   lo + int t (hi - lo + 1)
 
-let float t bound =
-  (* 53 random bits mapped to [0, 1), the standard double-precision trick. *)
-  let mantissa = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
-  let unit = Stdlib.float_of_int mantissa /. 9007199254740992.0 in
-  unit *. bound
+let float t bound = draw_float (bits62 t) *. bound
 
 let bool t = Int64.compare (Int64.logand (bits64 t) 1L) 0L <> 0
 

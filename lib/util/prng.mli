@@ -31,6 +31,34 @@ val derive : t -> int -> t
 val bits64 : t -> int64
 (** [bits64 t] is the next raw 64-bit output. *)
 
+(** {2 One-draw streams}
+
+    Counter-based randomness (a fault decision, a ring position, a
+    sampling verdict) derives a fresh stream per query and reads one
+    value from it. These functions compute that first value directly,
+    without building the generator: xoshiro256**'s first output depends
+    only on the second SplitMix64 word of the seeding expansion, so one
+    mix round gives it exactly. They allocate nothing. A {e draw} is the
+    first 64-bit output shifted right by two, a non-negative 62-bit
+    int. *)
+
+val first_draw : seed:int -> int
+(** [first_draw ~seed] is the first draw of [create ~seed ()]:
+    [Int64.to_int (Int64.shift_right_logical (bits64 (create ~seed ())) 2)]. *)
+
+val derive_draw : t -> int -> int
+(** [derive_draw t index] is the first draw of [derive t index], in the
+    same form; [t] is not advanced. *)
+
+val draw_float : int -> float
+(** [draw_float d] is the value in [\[0, 1)] that [float g 1.0] returns
+    when [d] is [g]'s next draw. *)
+
+val draw_bernoulli : int -> p:float -> bool
+(** [draw_bernoulli d ~p] is [draw_float d < p]: the verdict
+    [bernoulli g ~p] gives when [d] is [g]'s next draw, for every [p]
+    (NaN included). *)
+
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive.
     Uses rejection sampling, so the result is unbiased. *)

@@ -74,9 +74,61 @@ let mean a =
   let n = Array.length a in
   if n = 0 then 0.0 else Array.fold_left ( +. ) 0.0 a /. float_of_int n
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0 else sorted.(int_of_float (float_of_int (n - 1) *. p))
+let swap (a : float array) i j =
+  let x = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- x
+
+let rec bit_length n = if n = 0 then 0 else 1 + bit_length (n lsr 1)
+
+(* Quickselect: median-of-three pivot, Hoare partition (runs of equal
+   keys split evenly, so heavy duplicates stay linear). Each round keeps
+   only the side holding rank [k]. Adversarial inputs can defeat the
+   pivot rule, so after [2 * log2 n] rounds the remaining window is
+   sorted instead: O(n) expected, O(n log n) worst case. *)
+let select (a : float array) k =
+  let lo = ref 0 and hi = ref (Array.length a - 1) in
+  let rounds = ref (2 * bit_length (Array.length a)) in
+  while !lo < !hi do
+    if !rounds = 0 then begin
+      let window = Array.sub a !lo (!hi - !lo + 1) in
+      Array.sort Float.compare window;
+      Array.blit window 0 a !lo (Array.length window);
+      lo := k;
+      hi := k
+    end
+    else begin
+      decr rounds;
+      let mid = !lo + ((!hi - !lo) / 2) in
+      if a.(mid) < a.(!lo) then swap a mid !lo;
+      if a.(!hi) < a.(!lo) then swap a !hi !lo;
+      if a.(!hi) < a.(mid) then swap a !hi mid;
+      let pivot = a.(mid) in
+      let i = ref !lo and j = ref !hi in
+      while !i <= !j do
+        while a.(!i) < pivot do incr i done;
+        while pivot < a.(!j) do decr j done;
+        if !i <= !j then begin
+          swap a !i !j;
+          incr i;
+          decr j
+        end
+      done;
+      (* [lo..j] <= pivot <= [i..hi], and every slot between holds the pivot *)
+      if k <= !j then hi := !j
+      else if k >= !i then lo := !i
+      else begin
+        lo := k;
+        hi := k
+      end
+    end
+  done;
+  a.(k)
+
+let percentile_in_place a p =
+  if not (p >= 0.0 && p <= 1.0) then invalid_arg "Stats.percentile_in_place: p outside [0, 1]";
+  let n = Array.length a in
+  if n = 0 then 0.0 else select a (int_of_float (float_of_int (n - 1) *. p))
 
 let ratio num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
 

@@ -41,10 +41,13 @@ end
 val mean : float array -> float
 (** Arithmetic mean; [0.] for the empty array. *)
 
-val percentile : float array -> float -> float
-(** [percentile sorted p] is the [p]-quantile ([0 <= p <= 1]) of the
-    ascending array [sorted] by rank, without interpolation: the element
-    at index [floor ((n - 1) * p)]. [0.] for the empty array. *)
+val percentile_in_place : float array -> float -> float
+(** [percentile_in_place a p] is the [p]-quantile ([0 <= p <= 1]) of [a]
+    by rank, without interpolation: the element a sort would put at index
+    [floor ((n - 1) * p)]. [0.] for the empty array. Found by in-place
+    selection, which reorders [a]: O(n) expected, O(n log n) worst case.
+    [a] must not contain NaN.
+    @raise Invalid_argument when [p] is outside [\[0, 1\]] (or NaN). *)
 
 val ratio : int -> int -> float
 (** [ratio num den] is [num / den] as a float, and [0.] when [den = 0]. *)

@@ -3,7 +3,10 @@
 
 type 'a t
 
-val create : ?capacity:int -> unit -> 'a t
+val create : unit -> 'a t
+(** An empty vector; the first {!push} allocates its storage, which then
+    grows by doubling. *)
+
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 

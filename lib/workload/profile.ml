@@ -234,8 +234,10 @@ let weight_of p file =
   | Pareto_weights { wseed; alpha; max_size; cost_base; cost_per_size } ->
       (* a pure function of (wseed, file): deriving a child stream per id
          means the table does not depend on trace order or length *)
-      let g = Agg_util.Prng.derive (Agg_util.Prng.create ~seed:wseed ()) file in
-      let u = Agg_util.Prng.float g 1.0 in
+      let u =
+        Agg_util.Prng.draw_float
+          (Agg_util.Prng.derive_draw (Agg_util.Prng.create ~seed:wseed ()) file)
+      in
       let raw = (1.0 -. u) ** (-1.0 /. alpha) in
       let size = max 1 (min max_size (int_of_float raw)) in
       let cost = max 1 (cost_base + (cost_per_size * size)) in

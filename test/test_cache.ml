@@ -750,6 +750,47 @@ let test_weighted_unit_stats_mirror () =
   check_int "bytes hit = hits" s.Cache.hits w.Cache.bytes_hit;
   check_int "cost = misses" s.Cache.misses w.Cache.cost_fetched
 
+(* Weighted group admission, capacity 10, so the block budget is 9:
+   file 1 (size 4, cost 10), 2 (size 6, cost 20), 3 (size 5, cost 7),
+   4 (size 1, cost 2), 5 (size 10, cost 3). *)
+let group_weight k =
+  match k with
+  | 1 -> { Policy.size = 4; cost = 10 }
+  | 2 -> { Policy.size = 6; cost = 20 }
+  | 3 -> { Policy.size = 5; cost = 7 }
+  | 4 -> { Policy.size = 1; cost = 2 }
+  | 5 -> { Policy.size = 10; cost = 3 }
+  | _ -> Policy.unit_weight
+
+let test_weighted_group_skips_over_budget () =
+  (* 5 exceeds the whole budget and is skipped; the smaller 1 behind it
+     is admitted; 2 no longer fits beside 1, but 3 fills the rest *)
+  let cache = Cache.create ~weight_of:group_weight Cache.Lru ~capacity:10 in
+  check_list "admitted" [ 1; 3 ] (Cache.insert_cold_group cache [ 5; 1; 2; 3 ]);
+  check_int "used" 9 (Cache.used cache);
+  check_int "cost of admitted members only" 17
+    (Cache.weighted_stats cache).Cache.cost_prefetched;
+  check_int "speculative insertions" 2 (Cache.stats cache).Cache.speculative_insertions
+
+let test_weighted_group_skipped_duplicate_stays_out () =
+  (* after 1 and 3 the budget is spent: the repeat of skipped 2 stays
+     out, and so does the unit-sized 4 *)
+  let cache = Cache.create ~weight_of:group_weight Cache.Lru ~capacity:10 in
+  check_list "admitted" [ 1; 3 ] (Cache.insert_cold_group cache [ 1; 2; 3; 2; 4; 1 ]);
+  check_bool "skipped member absent" false (Cache.mem cache 2);
+  check_int "cost of admitted members only" 17
+    (Cache.weighted_stats cache).Cache.cost_prefetched
+
+let test_weighted_group_residents_cost_nothing () =
+  (* a resident member is neither re-admitted nor charged again, and does
+     not count against the block budget *)
+  let cache = Cache.create ~weight_of:group_weight Cache.Lru ~capacity:10 in
+  ignore (Cache.access cache 4);
+  check_list "admitted" [ 2 ] (Cache.insert_cold_group cache [ 4; 2; 3; 1 ]);
+  check_int "prefetch cost" 20 (Cache.weighted_stats cache).Cache.cost_prefetched;
+  check_bool "resident member kept" true (Cache.mem cache 4);
+  check_int "used" 7 (Cache.used cache)
+
 (* --- qcheck properties -------------------------------------------------- *)
 
 let qcheck_tests =
@@ -942,6 +983,12 @@ let () =
           Alcotest.test_case "hit accounting" `Quick test_weighted_hit_accounting;
           Alcotest.test_case "oversize bypass" `Quick test_weighted_oversize_bypass;
           Alcotest.test_case "unit mirrors unweighted" `Quick test_weighted_unit_stats_mirror;
+          Alcotest.test_case "group skips an over-budget member" `Quick
+            test_weighted_group_skips_over_budget;
+          Alcotest.test_case "group keeps a skipped duplicate out" `Quick
+            test_weighted_group_skipped_duplicate_stays_out;
+          Alcotest.test_case "group resident members cost nothing" `Quick
+            test_weighted_group_residents_cost_nothing;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

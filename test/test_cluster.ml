@@ -54,7 +54,9 @@ let test_ring_validation () =
   check_bool "remove absent rejected" true (raises (fun () -> Ring.remove r 7));
   check_bool "remove last rejected" true
     (raises (fun () -> Ring.remove (Ring.remove r 0) 1));
-  check_bool "replicas=0 rejected" true (raises (fun () -> Ring.group r ~replicas:0 3))
+  check_bool "replicas=0 rejected" true (raises (fun () -> Ring.group r ~replicas:0 3));
+  check_bool "in_group replicas=0 rejected" true
+    (raises (fun () -> Ring.in_group r ~replicas:0 ~node:0 3))
 
 let test_ring_group_clamps () =
   let r = Ring.create ~seed:9 ~nodes:3 () in
@@ -65,9 +67,51 @@ let test_ring_group_clamps () =
         (List.sort compare g))
     sample_files
 
+(* The ring restated from its definition as plain lists: every member
+   contributes [points_per_node] points at [bits64 (derive (derive base
+   node) i) >>> 2], a file sits at [bits64 (derive (derive base (-1))
+   file) >>> 2], and its group is the first [k] distinct owners met
+   walking clockwise (ascending position, wrapping) from the file. *)
+let naive_group ring =
+  let module Prng = Agg_util.Prng in
+  let base = Prng.create ~seed:(Ring.seed ring) () in
+  let position g = Int64.to_int (Int64.shift_right_logical (Prng.bits64 g) 2) in
+  let points =
+    List.concat_map
+      (fun node ->
+        List.init (Ring.points_per_node ring) (fun i ->
+            (position (Prng.derive (Prng.derive base node) i), node)))
+      (Ring.members ring)
+    |> List.sort compare
+  in
+  let files = Prng.derive base (-1) in
+  fun ~replicas file ->
+    let at = position (Prng.derive files file) in
+    let after, before = List.partition (fun (p, _) -> p >= at) points in
+    let want = min replicas (List.length (Ring.members ring)) in
+    let rec walk acc = function
+      | _ when List.length acc = want -> List.rev acc
+      | [] -> List.rev acc
+      | (_, node) :: rest -> walk (if List.mem node acc then acc else node :: acc) rest
+    in
+    walk [] (after @ before)
+
+(* A ring of 1-64 points per node (a function of the seed) after churn
+   ops (join?, node): a join of a member or a leave of a non-member (or of
+   the last member) is skipped. *)
+let churned_ring ~seed ~nodes ops =
+  List.fold_left
+    (fun r (join, node) ->
+      if join then if Ring.contains r node then r else Ring.add r node
+      else if Ring.contains r node && Ring.node_count r > 1 then Ring.remove r node
+      else r)
+    (Ring.create ~points_per_node:(1 + (seed mod 64)) ~seed ~nodes ())
+    ops
+
 let ring_qcheck =
   let open QCheck in
   let seed_gen = int_range 0 100_000 in
+  let churn = list_of_size Gen.(int_range 0 8) (pair bool (int_range 0 9)) in
   [
     Test.make ~name:"Ring: ownership is a pure function of seed and membership" ~count:100
       (triple seed_gen (int_range 1 12) (int_range 0 100_000))
@@ -95,6 +139,25 @@ let ring_qcheck =
             let before = Ring.group r ~replicas:k f in
             let after = Ring.group r' ~replicas:k f in
             List.for_all (fun n -> List.mem n before || n = nodes) after)
+          sample_files);
+    Test.make ~name:"Ring: group equals the naive clockwise walk, across joins and leaves"
+      ~count:100
+      (quad seed_gen (int_range 1 6) churn (int_range 1 7))
+      (fun (seed, nodes, ops, k) ->
+        let r = churned_ring ~seed ~nodes ops in
+        let naive = naive_group r in
+        List.for_all (fun f -> Ring.group r ~replicas:k f = naive ~replicas:k f) sample_files);
+    Test.make ~name:"Ring: in_group is membership of the group, across joins and leaves"
+      ~count:100
+      (quad seed_gen (int_range 1 6) churn (int_range 1 7))
+      (fun (seed, nodes, ops, k) ->
+        let r = churned_ring ~seed ~nodes ops in
+        List.for_all
+          (fun f ->
+            let g = Ring.group r ~replicas:k f in
+            List.for_all
+              (fun node -> Ring.in_group r ~replicas:k ~node f = List.mem node g)
+              (List.init 11 Fun.id))
           sample_files);
     Test.make ~name:"Ring: a leave never evicts surviving group members" ~count:100
       (quad seed_gen (int_range 2 10) (int_range 1 4) (int_range 0 9))

@@ -183,6 +183,35 @@ let oracle_property =
              && Model_successor.Oracle.mem model ~file ~successor)
         pairs)
 
+(* --- qcheck: group construction vs the reference builder -------------- *)
+
+(* Group_builder reads the tracker's slots in place; the reference
+   rebuilds every group from the ranked successor lists. After each
+   observation both build the group of every file in the universe (and of
+   one file never seen), for every group size 1-10. *)
+let group_builder_property policy pname =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "group builder agrees with the reference builder (%s metadata)" pname)
+    ~count:100
+    QCheck.(
+      triple (int_range 1 8) (int_range 2 24)
+        (list_of_size (QCheck.Gen.int_bound 120) (QCheck.map abs int)))
+    (fun (capacity, universe, stream) ->
+      let tracker = Agg_successor.Tracker.create ~capacity ~policy () in
+      let successors = Agg_successor.Tracker.successors tracker in
+      List.for_all
+        (fun raw ->
+          Agg_successor.Tracker.observe tracker (raw mod universe);
+          List.for_all
+            (fun group_size ->
+              List.for_all
+                (fun file ->
+                  Agg_core.Group_builder.build tracker ~group_size file
+                  = Model_system.build_group ~successors ~group_size file)
+                (List.init (universe + 1) Fun.id))
+            (List.init 10 (fun i -> i + 1)))
+        stream)
+
 (* --- qcheck: the aggregating client vs its model ---------------------- *)
 
 let client_property =
@@ -249,6 +278,8 @@ let qcheck_tests =
       successor_property Successor_list.Recency "recency";
       successor_property Successor_list.Frequency "frequency";
       oracle_property;
+      group_builder_property Successor_list.Recency "recency";
+      group_builder_property Successor_list.Frequency "frequency";
       client_property;
     ]
 

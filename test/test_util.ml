@@ -263,11 +263,43 @@ let test_stats_helpers () =
   check_float "log2" 3.0 (Stats.log2 8.0);
   let sorted = Array.init 20 (fun i -> float_of_int (i + 1)) in
   (* index floor (19 * p): 18 for p95, 9 for the median, no interpolation *)
-  check_float "p95 by rank" 19.0 (Stats.percentile sorted 0.95);
-  check_float "median by rank" 10.0 (Stats.percentile sorted 0.5);
-  check_float "p0 is the minimum" 1.0 (Stats.percentile sorted 0.0);
-  check_float "p100 is the maximum" 20.0 (Stats.percentile sorted 1.0);
-  check_float "percentile empty" 0.0 (Stats.percentile [||] 0.99)
+  check_float "p95 by rank" 19.0 (Stats.percentile_in_place sorted 0.95);
+  check_float "median by rank" 10.0 (Stats.percentile_in_place sorted 0.5);
+  check_float "p0 is the minimum" 1.0 (Stats.percentile_in_place sorted 0.0);
+  check_float "p100 is the maximum" 20.0 (Stats.percentile_in_place sorted 1.0);
+  check_float "percentile empty" 0.0 (Stats.percentile_in_place [||] 0.99)
+
+(* Structured inputs that defeat naive pivot rules: sorted, reversed,
+   constant, organ pipe, sawtooth and two-valued arrays, at every rank
+   the latency summaries read. *)
+let test_percentile_patterns () =
+  let n = 20_001 in
+  let patterns =
+    [
+      ("ascending", fun i -> float_of_int i);
+      ("descending", fun i -> float_of_int (n - i));
+      ("constant", fun _ -> 7.0);
+      ("organ pipe", fun i -> float_of_int (min i (n - i)));
+      ("sawtooth", fun i -> float_of_int (i mod 17));
+      ("two values", fun i -> if i mod 3 = 0 then 1.0 else 2.0);
+    ]
+  in
+  List.iter
+    (fun (name, f) ->
+      List.iter
+        (fun p ->
+          let a = Array.init n f in
+          let sorted = Array.copy a in
+          Array.sort compare sorted;
+          check_float
+            (Printf.sprintf "%s p=%g" name p)
+            sorted.(int_of_float (float_of_int (n - 1) *. p))
+            (Stats.percentile_in_place a p))
+        [ 0.0; 0.5; 0.95; 0.99; 1.0 ])
+    patterns;
+  Alcotest.check_raises "p above 1"
+    (Invalid_argument "Stats.percentile_in_place: p outside [0, 1]") (fun () ->
+      ignore (Stats.percentile_in_place [| 1.0; 2.0 |] 1.5))
 
 (* --- Dlist: one arena list, positional operations ---------------------- *)
 
@@ -627,6 +659,38 @@ let qcheck_tests =
             match Pool.map ~jobs f xs with
             | _ -> false
             | exception Boom i -> i = first));
+    (let extreme = oneof [ int; small_signed_int; oneofl [ 0; -1; 1; max_int; min_int ] ] in
+     let rate = oneof [ float_range (-0.5) 1.5; oneofl [ 0.0; 1.0; Float.nan ] ] in
+     Test.make ~name:"Prng one-draw primitive is the first draw of create and derive" ~count:1000
+       (quad extreme extreme extreme rate)
+       (fun (seed, parent_seed, index, p) ->
+         let parent = Prng.create ~seed:parent_seed () in
+         let top62 g = Int64.shift_right_logical (Prng.bits64 g) 2 in
+         let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+         Int64.equal (Int64.of_int (Prng.first_draw ~seed)) (top62 (Prng.create ~seed ()))
+         && Prng.draw_bernoulli (Prng.first_draw ~seed) ~p
+            = Prng.bernoulli (Prng.create ~seed ()) ~p
+         && Int64.equal
+              (Int64.of_int (Prng.derive_draw parent index))
+              (top62 (Prng.derive parent index))
+         && same_float
+              (Prng.draw_float (Prng.derive_draw parent index))
+              (Prng.float (Prng.derive parent index) 1.0)
+         && Prng.draw_bernoulli (Prng.derive_draw parent index) ~p
+            = (Prng.float (Prng.derive parent index) 1.0 < p)));
+    Test.make ~name:"Stats.percentile_in_place equals sort-then-rank" ~count:500
+      (pair
+         (array_of_size Gen.(int_range 1 400)
+            (oneof [ map float_of_int (int_range 0 4); float_range (-1e3) 1e3 ]))
+         (oneof [ float_range 0.0 1.0; oneofl [ 0.0; 0.5; 0.95; 0.99; 1.0 ] ]))
+      (fun (a, p) ->
+        let sorted = Array.copy a in
+        Array.sort compare sorted;
+        let expected = sorted.(int_of_float (float_of_int (Array.length a - 1) *. p)) in
+        let b = Array.copy a in
+        let got = Stats.percentile_in_place b p in
+        Array.sort compare b;
+        got = expected && b = sorted);
     Test.make ~name:"Prng.derive streams are reproducible and index-distinct" ~count:200
       (triple (int_range 0 1_000_000) (int_range 0 1000) (int_range 0 1000))
       (fun (seed, i, j) ->
@@ -847,6 +911,7 @@ let () =
           Alcotest.test_case "histogram clamps" `Quick test_histogram_clamps;
           Alcotest.test_case "histogram invalid" `Quick test_histogram_invalid;
           Alcotest.test_case "helpers" `Quick test_stats_helpers;
+          Alcotest.test_case "percentile patterns" `Quick test_percentile_patterns;
         ] );
       ( "dlist",
         [
