@@ -677,7 +677,12 @@ let weighted_throughput ~reps =
    on a five-node ring at k = 3, one fault-plan decision under the
    default plan, a tracker observe, a g = 5 group build over a tracker
    that has seen the whole stream, and the cold-end admission of each
-   access's prebuilt g = 5 group into a 500-file LRU. *)
+   access's prebuilt g = 5 group into a 500-file LRU. The
+   [tracker-observe] row feeds one tracker every repetition, so after the
+   first pass it times a grown tracker; [tracker-observe-fresh] feeds
+   each 6k-event paper-profile stream to a new tracker, as every replay
+   of a run does, so it also pays for interning ids and growing the
+   successor regions. *)
 let layer_throughput ~reps files =
   let module Ring = Agg_cluster.Ring in
   let module Tracker = Agg_successor.Tracker in
@@ -698,7 +703,26 @@ let layer_throughput ~reps files =
   let groups =
     Array.map (fun f -> List.tl (Agg_core.Group_builder.build observed ~group_size:5 f)) files
   in
-  let fresh = Tracker.create () in
+  let grown = Tracker.create () in
+  let paper_streams =
+    List.map
+      (fun profile -> Agg_workload.Generator.generate_files ~seed:7 ~events:6_000 profile)
+      Agg_workload.Profile.all
+  in
+  let observe_fresh =
+    let seconds =
+      timed (fun () ->
+          for _ = 1 to reps do
+            List.iter
+              (fun stream ->
+                let tracker = Tracker.create () in
+                Array.iter (Tracker.observe tracker) stream)
+              paper_streams
+          done)
+    in
+    let events = List.fold_left (fun acc s -> acc + Array.length s) 0 paper_streams in
+    ("tracker-observe-fresh", reps * events, seconds)
+  in
   let cache = Agg_cache.Cache.create Agg_cache.Cache.Lru ~capacity:500 in
   [
     time "ring-group" (fun _ f -> ignore (Ring.group ring ~replicas:3 f));
@@ -706,7 +730,8 @@ let layer_throughput ~reps files =
         ignore (Ring.in_group ring ~replicas:3 ~node:(i mod 5) f));
     time "fault-plan-decision" (fun i _ ->
         ignore (Agg_faults.Plan.message_lost plan ~time:i ~attempt:0));
-    time "tracker-observe" (fun _ f -> Tracker.observe fresh f);
+    time "tracker-observe" (fun _ f -> Tracker.observe grown f);
+    observe_fresh;
     time "group-build-g5" (fun _ f ->
         ignore (Agg_core.Group_builder.build observed ~group_size:5 f));
     time "insert-cold-group" (fun i _ ->

@@ -111,6 +111,26 @@ if [ -n "$hot_hashtbl" ]; then
   exit 1
 fi
 
+# Int-specialised comparisons on the per-access paths: a bare [min],
+# [max], [compare], [List.mem] or [List.assoc] is polymorphic, and compiles
+# to a C call that walks both values ([caml_lessequal] -> [compare_val])
+# even on ints. Use [Int.min], [Int.max], [Int.compare], typed comparators
+# for sorts and an int-typed membership test instead. lib/cache/belady.ml
+# is the offline oracle policy and exempt.
+poly_files="$(ls lib/cache/*.ml | grep -v 'lib/cache/belady\.ml$')
+lib/successor/tracker.ml lib/successor/successor_list.ml
+lib/core/group_builder.ml lib/core/client_cache.ml lib/core/server_cache.ml
+lib/cluster/ring.ml lib/cluster/cluster.ml
+lib/faults/plan.ml
+lib/util/int_table.ml lib/util/dlist_arena.ml lib/util/heap.ml lib/util/prng.ml
+lib/baselines/landlord.ml lib/baselines/bundle.ml"
+# shellcheck disable=SC2086
+if grep -nE "(^|[^.A-Za-z0-9_'])(min|max|compare)([^A-Za-z0-9_']|\$)|List\.(mem|assoc|mem_assoc|assoc_opt)\b" \
+    $poly_files; then
+  echo "ci.sh: polymorphic comparison on a per-access path (see matches above)" >&2
+  exit 1
+fi
+
 if [ "${1:-}" = "--fast" ]; then
   dune build @all
   dune build @runtest-fast
@@ -176,4 +196,11 @@ if [ -n "${DIFFERENTIAL_OPS:-}" ]; then
   dune exec bin/aggsim.exe -- differential --ops "$DIFFERENTIAL_OPS" --quick
 fi
 
-dune exec bench/main.exe -- checks --quick
+# The quick checks pass rewrites BENCH_sweep.json in its working
+# directory; run it from a scratch one so the committed ledger stays as
+# it is (the checks section reads no files).
+dune build ./bench/main.exe
+root=$(pwd)
+scratch=$(mktemp -d)
+trap 'rm -rf "$scratch"' EXIT
+(cd "$scratch" && "$root/_build/default/bench/main.exe" checks --quick)

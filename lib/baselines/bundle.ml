@@ -23,10 +23,12 @@ let insert t ~pos ~weight:(w : Policy.weight) key =
   Policy.check_weight ~who:policy_name w;
   Landlord.insert t ~pos ~weight:w key
 
+let rec mem_int (x : int) = function [] -> false | y :: rest -> y = x || mem_int x rest
+
 let request_bundle t ~weight_of keys =
   (* first occurrence of each member wins, in request order *)
   let members =
-    List.rev (List.fold_left (fun acc k -> if List.mem k acc then acc else k :: acc) [] keys)
+    List.rev (List.fold_left (fun acc k -> if mem_int k acc then acc else k :: acc) [] keys)
   in
   List.concat_map
     (fun k ->

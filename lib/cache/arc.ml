@@ -101,11 +101,11 @@ module Core = struct
       (* ghost hit *)
       match pos with
       | Policy.Hot ->
-          let b1_len = max 1 t.len.(b1) in
-          let b2_len = max 1 t.len.(b2) in
+          let b1_len = Int.max 1 t.len.(b1) in
+          let b2_len = Int.max 1 t.len.(b2) in
           let hit_in_b2 = v land 3 = b2 in
-          if hit_in_b2 then t.p <- max 0 (t.p - max 1 (b1_len / b2_len))
-          else t.p <- min t.capacity (t.p + max 1 (b2_len / b1_len));
+          if hit_in_b2 then t.p <- Int.max 0 (t.p - Int.max 1 (b1_len / b2_len))
+          else t.p <- Int.min t.capacity (t.p + Int.max 1 (b2_len / b1_len));
           let victim = if size t >= t.capacity then replace t ~hit_in_b2 else None in
           relink t key v t2 ~front:true;
           victim

@@ -183,6 +183,8 @@ let insert_cold t key =
     t.evictions <- t.evictions + List.length evicted
   end
 
+let rec mem_int (x : int) = function [] -> false | y :: rest -> y = x || mem_int x rest
+
 let insert_cold_group t keys =
   let (Packed ((module P), state)) = t.packed in
   (* One pass admits the distinct, non-resident members while their
@@ -197,7 +199,7 @@ let insert_cold_group t keys =
     List.rev
       (List.fold_left
          (fun acc k ->
-           if List.mem k acc || P.mem state k then acc
+           if mem_int k acc || P.mem state k then acc
            else
              let s = (weight_for t k).Policy.size in
              if s <= !budget then begin

@@ -60,7 +60,7 @@ module Core = struct
      every slot it can hand out. *)
   let ensure_node t node =
     if node >= Array.length t.count then begin
-      let grow a = Array.append a (Array.make (max (Array.length a) (node + 1)) 0) in
+      let grow a = Array.append a (Array.make (Int.max (Array.length a) (node + 1)) 0) in
       t.count <- grow t.count;
       t.queue <- grow t.queue;
       t.expire <- grow t.expire
@@ -76,7 +76,7 @@ module Core = struct
         c := !c lsr 1;
         incr q
       done;
-      min !q (Array.length t.queues - 1)
+      Int.min !q (Array.length t.queues - 1)
     end
 
   (* MQ's Adjust(): demote expired LRU-end blocks one queue at a time. *)

@@ -25,7 +25,7 @@ module Core = struct
     let arena = Dlist_arena.create ~capacity:(capacity + 4) () in
     {
       capacity;
-      protected_capacity = max 1 (2 * capacity / 3);
+      protected_capacity = Int.max 1 (2 * capacity / 3);
       arena;
       probationary = Dlist_arena.new_list arena;
       protected_ = Dlist_arena.new_list arena;

@@ -31,10 +31,10 @@ module Core = struct
   let create ~capacity =
     if capacity <= 0 then invalid_arg "Twoq.create: capacity must be positive";
     let arena = Dlist_arena.create ~capacity:(capacity + 4) () in
-    let ghost_capacity = max 1 (capacity / 2) in
+    let ghost_capacity = Int.max 1 (capacity / 2) in
     {
       capacity;
-      a1in_capacity = max 1 (capacity / 4);
+      a1in_capacity = Int.max 1 (capacity / 4);
       ghost_capacity;
       arena;
       a1in = Dlist_arena.new_list arena;

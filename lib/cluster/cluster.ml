@@ -196,7 +196,7 @@ let make_state config ~accesses =
           });
     ring = Ring.create ~seed:config.ring_seed ~nodes:config.nodes ();
     node_states = List.init config.nodes (make_node config metadata_config);
-    pending_churn = List.stable_sort (fun (a, _) (b, _) -> compare a b) config.churn;
+    pending_churn = List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) config.churn;
     retired = [];
     counters = Counters.create ();
     latencies = Array.make accesses 0.0;
@@ -219,18 +219,18 @@ let rec find_node id = function
 
 let node_state st id = find_node id st.node_states
 
-let live_replicas st = min st.config.replicas (Ring.node_count st.ring)
+let live_replicas st = Int.min st.config.replicas (Ring.node_count st.ring)
 
 (* --- churn ------------------------------------------------------------- *)
 
 let insert_node_sorted node_states fresh =
-  List.stable_sort (fun a b -> compare a.node_id b.node_id) (fresh :: node_states)
+  List.stable_sort (fun a b -> Int.compare a.node_id b.node_id) (fresh :: node_states)
 
 let apply_op st op =
   match op with
   | Join node ->
       let ring = Ring.add st.ring node in
-      let k = min st.config.replicas (Ring.node_count ring) in
+      let k = Int.min st.config.replicas (Ring.node_count ring) in
       let fresh = make_node st.config st.metadata_config node in
       let moved = ref 0 in
       (* Every existing node drops the cached files the new ring takes out
@@ -442,8 +442,16 @@ let serve st ~client ~time ~tracing file =
            under [Client_side] its tracker is empty and this is a no-op *)
         match Scheme.group_config st.config.node_scheme with
         | Some c ->
+            let group_size = c.Agg_core.Config.group_size in
+            (* the client's group came off this same tracker when the
+               node holds the metadata; at equal sizes it is the same
+               build *)
             let staged =
-              Agg_core.Group_builder.build ns.tracker ~group_size:c.Agg_core.Config.group_size file
+              match (st.config.metadata, Scheme.group_config st.config.client_scheme) with
+              | (Owner_node | Replicated_with_group), Some cc
+                when cc.Agg_core.Config.group_size = group_size ->
+                  group
+              | _ -> Agg_core.Group_builder.build ns.tracker ~group_size file
             in
             let members = match staged with _ :: rest -> rest | [] -> [] in
             List.iter
@@ -544,7 +552,11 @@ let access st (e : Agg_trace.Event.t) =
 
 let per_node_requests st =
   let all = List.rev_append st.retired (List.map (fun ns -> (ns.node_id, ns.requests)) st.node_states) in
-  let sorted = List.sort compare all in
+  let sorted =
+    List.sort
+      (fun (id, n) (id', n') -> match Int.compare id id' with 0 -> Int.compare n n' | c -> c)
+      all
+  in
   (* a node that left and re-joined appears twice: sum per id *)
   List.fold_left
     (fun acc (id, n) ->

@@ -104,7 +104,7 @@ let server_down t ~time =
   let c = t.config in
   let epoch = time / c.outage_period in
   let offset = time mod c.outage_period in
-  offset < min c.outage_length c.outage_period
+  offset < Int.min c.outage_length c.outage_period
   && bernoulli t ~tag:tag_outage ~a:epoch ~b:0 ~p:c.outage_rate
 
 let latency_multiplier t ~time ~attempt =

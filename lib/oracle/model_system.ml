@@ -4,18 +4,21 @@ module Server_cache = Agg_core.Server_cache
 
 (* --- reference successor tracker ---------------------------------------
 
-   The global-context tracker of Agg_successor.Tracker, restated: one
-   Model_successor list per file, one "previous file" context. *)
+   Agg_successor.Tracker restated: one Model_successor list per file, and
+   one "previous file" context per client (a single one, client 0, unless
+   [per_client]). *)
 
 module Tracker = struct
   type t = {
     capacity : int;
     policy : Agg_successor.Successor_list.policy;
+    per_client : bool;
     mutable lists : (int * Model_successor.t) list;
-    mutable prev : int option;
+    mutable contexts : (int * int) list;
   }
 
-  let create ~capacity ~policy = { capacity; policy; lists = []; prev = None }
+  let create ?(per_client = false) ~capacity ~policy () =
+    { capacity; policy; per_client; lists = []; contexts = [] }
 
   let list_for t file =
     match List.assoc_opt file t.lists with
@@ -25,14 +28,20 @@ module Tracker = struct
         t.lists <- (file, l) :: t.lists;
         l
 
-  let observe t file =
-    (match t.prev with
+  let observe t ?(client = 0) file =
+    let key = if t.per_client then client else 0 in
+    (match List.assoc_opt key t.contexts with
     | Some prev -> Model_successor.observe (list_for t prev) file
     | None -> ());
-    t.prev <- Some file
+    t.contexts <- (key, file) :: List.remove_assoc key t.contexts
 
   let successors t file =
     match List.assoc_opt file t.lists with Some l -> Model_successor.ranked l | None -> []
+
+  let tracked_files t =
+    List.length (List.filter (fun (_, l) -> Model_successor.size l > 0) t.lists)
+
+  let reset_context t = t.contexts <- []
 end
 
 (* --- reference group builder --------------------------------------------
@@ -136,7 +145,7 @@ module Client = struct
       config;
       cache = Model_cache.create config.cache_kind ~capacity;
       tracker =
-        Tracker.create ~capacity:config.successor_capacity ~policy:config.metadata_policy;
+        Tracker.create ~capacity:config.successor_capacity ~policy:config.metadata_policy ();
       speculative = [];
       accesses = 0;
       hits = 0;
@@ -242,7 +251,7 @@ module Server = struct
           Config.validate config;
           ( config.cache_kind,
             Some
-              (Tracker.create ~capacity:config.successor_capacity ~policy:config.metadata_policy)
+              (Tracker.create ~capacity:config.successor_capacity ~policy:config.metadata_policy ())
           )
     in
     {

@@ -15,6 +15,32 @@ val build_group : successors:(int -> int list) -> group_size:int -> int -> int l
     with fallback beyond.
     @raise Invalid_argument when [group_size <= 0]. *)
 
+(** Reference successor tracker ({!Agg_successor.Tracker}): one
+    {!Model_successor} list per file in an association list, and one
+    "previous file" context per client id when [per_client] is set (a
+    single shared context otherwise). *)
+module Tracker : sig
+  type t
+
+  val create :
+    ?per_client:bool -> capacity:int -> policy:Agg_successor.Successor_list.policy -> unit -> t
+  (** @raise Invalid_argument on the first observation that creates a
+      list when [capacity <= 0]. *)
+
+  val observe : t -> ?client:int -> int -> unit
+  (** Record the next file of [client]'s stream (default client 0). *)
+
+  val successors : t -> int -> int list
+  (** Ranked most-likely first; empty for files that never preceded
+      another. *)
+
+  val tracked_files : t -> int
+  (** Files with a non-empty successor list. *)
+
+  val reset_context : t -> unit
+  (** Forget every previous-file context, keeping the lists. *)
+end
+
 (** Reference aggregating client (Fig. 3). *)
 module Client : sig
   type t

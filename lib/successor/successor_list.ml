@@ -62,11 +62,11 @@ let observe_slots (slots : int array) ~off ~len ~capacity (succ : int) =
     incr at
   done;
   let resident = !at < len in
-  for i = off + (if resident then !at else min len (capacity - 1)) downto off + 1 do
+  for i = off + (if resident then !at else Int.min len (capacity - 1)) downto off + 1 do
     slots.(i) <- slots.(i - 1)
   done;
   slots.(off) <- succ;
-  if resident then len else min (len + 1) capacity
+  if resident then len else Int.min (len + 1) capacity
 
 let observe_recency t succ = t.len <- observe_slots t.succs ~off:0 ~len:t.len ~capacity:t.capacity succ
 
@@ -121,7 +121,7 @@ let ranked t =
         Hashtbl.fold (fun key () acc -> (key, Hashtbl.find t.counts key) :: acc) t.members []
       in
       let cmp (_, a) (_, b) =
-        match compare b.count a.count with 0 -> compare b.tick a.tick | c -> c
+        match Int.compare b.count a.count with 0 -> Int.compare b.tick a.tick | c -> c
       in
       List.map fst (List.sort cmp all)
 

@@ -1,13 +1,17 @@
 open Agg_util
 
 (* The Recency tracker — the configuration every experiment runs — stores
-   all successor lists in one flat int array: file [f]'s list occupies the
-   region [f * capacity .. f * capacity + lens.(f) - 1], most recent
-   first. File ids are dense small ints (the workload generator allocates
-   them sequentially), so direct indexing replaces hashing and an observe
-   is a bounds check plus a few-word shift. The arrays are allocated by
-   the first observe (a tracker that is never fed costs nothing) and grow
-   by doubling as the namespace grows.
+   all successor lists in one flat int array of [capacity]-sized regions,
+   most recent first. A file gets a region only when it first precedes
+   another file: [rows] interns its id to a dense row number, and row
+   [r]'s list occupies [slots.(r * capacity) .. slots.(r * capacity +
+   lens.(r) - 1)]. The intern table costs one word per id up to the
+   largest id seen, and the regions [capacity + 1] words per tracked file,
+   so a run pays for the files it keeps successors for, not for the width
+   of the id space. An observe is two array probes plus a few-word shift.
+   The region arrays are allocated by the first observe (a tracker that is
+   never fed costs two 16-entry tables) and grow by doubling from a first
+   block of [row_block] rows.
 
    The idealised Frequency policy needs unbounded per-successor counters
    (see {!Successor_list}), so it keeps the boxed per-file lists. *)
@@ -16,17 +20,17 @@ type t = {
   capacity : int;
   policy : Successor_list.policy;
   per_client : bool;
-  (* Recency representation *)
-  mutable slots : int array; (* files_cap * capacity *)
-  mutable lens : int array; (* files_cap *)
-  mutable files_cap : int;
-  mutable tracked : int; (* files with a non-empty list *)
+  (* Recency representation; every row holds a non-empty list, so the
+     row count is the tracked-file count *)
+  rows : Int_table.t; (* file id -> row *)
+  mutable slots : int array; (* row capacity * capacity *)
+  mutable lens : int array; (* row capacity *)
   contexts : Int_table.t; (* client id (0 when global) -> previous file *)
   (* Frequency representation *)
   freq_lists : (int, Successor_list.t) Hashtbl.t;
 }
 
-let initial_files_cap = 4096
+let row_block = 256
 
 let create ?(capacity = 8) ?(policy = Successor_list.Recency) ?(per_client = false) () =
   if capacity <= 0 then invalid_arg "Tracker.create: capacity must be positive";
@@ -34,10 +38,9 @@ let create ?(capacity = 8) ?(policy = Successor_list.Recency) ?(per_client = fal
     capacity;
     policy;
     per_client;
+    rows = Int_table.create ~capacity:16 ();
     slots = [||];
     lens = [||];
-    files_cap = 0;
-    tracked = 0;
     contexts = Int_table.create ~capacity:16 ();
     freq_lists = Hashtbl.create (if policy = Successor_list.Frequency then 4096 else 1);
   }
@@ -45,20 +48,21 @@ let create ?(capacity = 8) ?(policy = Successor_list.Recency) ?(per_client = fal
 let capacity t = t.capacity
 let policy t = t.policy
 
-let ensure_file t file =
-  if file >= t.files_cap then begin
-    let cap = ref (max t.files_cap initial_files_cap) in
-    while file >= !cap do
-      cap := 2 * !cap
-    done;
-    let slots = Array.make (!cap * t.capacity) 0 in
-    Array.blit t.slots 0 slots 0 (t.files_cap * t.capacity);
-    let lens = Array.make !cap 0 in
-    Array.blit t.lens 0 lens 0 t.files_cap;
+(* The next free row, bound to [file]; its region starts empty. *)
+let add_row t file =
+  let row = Int_table.length t.rows in
+  let rows_cap = Array.length t.lens in
+  if row = rows_cap then begin
+    let cap = Int.max row_block (2 * rows_cap) in
+    let slots = Array.make (cap * t.capacity) 0 in
+    Array.blit t.slots 0 slots 0 (rows_cap * t.capacity);
+    let lens = Array.make cap 0 in
+    Array.blit t.lens 0 lens 0 rows_cap;
     t.slots <- slots;
-    t.lens <- lens;
-    t.files_cap <- !cap
-  end
+    t.lens <- lens
+  end;
+  Int_table.set t.rows file row;
+  row
 
 let freq_list_for t file =
   match Hashtbl.find_opt t.freq_lists file with
@@ -71,14 +75,11 @@ let freq_list_for t file =
 let observe_successor t prev file =
   match t.policy with
   | Successor_list.Recency ->
-      ensure_file t prev;
-      let len = t.lens.(prev) in
-      let len' =
-        Successor_list.observe_slots t.slots ~off:(prev * t.capacity) ~len ~capacity:t.capacity
-          file
-      in
-      if len = 0 && len' > 0 then t.tracked <- t.tracked + 1;
-      t.lens.(prev) <- len'
+      let row = Int_table.get t.rows prev in
+      let row = if row >= 0 then row else add_row t prev in
+      t.lens.(row) <-
+        Successor_list.observe_slots t.slots ~off:(row * t.capacity) ~len:t.lens.(row)
+          ~capacity:t.capacity file
   | Successor_list.Frequency -> Successor_list.observe (freq_list_for t prev) file
 
 let observe t ?(client = 0) file =
@@ -93,11 +94,12 @@ let observe_trace t trace = Agg_trace.Trace.iter (observe_event t) trace
 let successors t file =
   match t.policy with
   | Successor_list.Recency ->
-      if file < 0 || file >= t.files_cap then []
+      let row = Int_table.get t.rows file in
+      if row < 0 then []
       else begin
-        let off = file * t.capacity in
+        let off = row * t.capacity in
         let rec build i acc = if i < off then acc else build (i - 1) (t.slots.(i) :: acc) in
-        build (off + t.lens.(file) - 1) []
+        build (off + t.lens.(row) - 1) []
       end
   | Successor_list.Frequency -> (
       match Hashtbl.find_opt t.freq_lists file with
@@ -116,10 +118,11 @@ let rec first_slot_outside (slots : int array) set len i stop =
 let first_successor_outside t file set ~len =
   match t.policy with
   | Successor_list.Recency ->
-      if file < 0 || file >= t.files_cap then -1
+      let row = Int_table.get t.rows file in
+      if row < 0 then -1
       else
-        let off = file * t.capacity in
-        first_slot_outside t.slots set len off (off + t.lens.(file))
+        let off = row * t.capacity in
+        first_slot_outside t.slots set len off (off + t.lens.(row))
   | Successor_list.Frequency -> (
       match Hashtbl.find_opt t.freq_lists file with
       | Some l -> (
@@ -131,13 +134,14 @@ let first_successor_outside t file set ~len =
 let top_successor t file =
   match t.policy with
   | Successor_list.Recency ->
-      if file >= 0 && file < t.files_cap && t.lens.(file) > 0 then
-        Some t.slots.(file * t.capacity)
-      else None
+      let row = Int_table.get t.rows file in
+      if row < 0 then None else Some t.slots.(row * t.capacity)
   | Successor_list.Frequency -> (
       match Hashtbl.find_opt t.freq_lists file with
       | Some l -> Successor_list.top l
       | None -> None)
+
+let rec mem_int (x : int) = function [] -> false | y :: rest -> y = x || mem_int x rest
 
 let transitive_successors t file ~length =
   if length < 0 then invalid_arg "Tracker.transitive_successors: negative length";
@@ -148,7 +152,7 @@ let transitive_successors t file ~length =
     if remaining = 0 then List.rev acc
     else
       match top_successor t current with
-      | Some next when next <> file && not (List.mem next acc) ->
+      | Some next when next <> file && not (mem_int next acc) ->
           follow next (next :: acc) (remaining - 1)
       | Some _ | None -> List.rev acc
   in
@@ -156,7 +160,7 @@ let transitive_successors t file ~length =
 
 let tracked_files t =
   match t.policy with
-  | Successor_list.Recency -> t.tracked
+  | Successor_list.Recency -> Int_table.length t.rows
   | Successor_list.Frequency ->
       Hashtbl.fold
         (fun _ l acc -> if Successor_list.size l > 0 then acc + 1 else acc)

@@ -10,7 +10,7 @@ let get t k = if k < 0 || k >= Array.length t.data then absent else t.data.(k)
 let mem t k = get t k >= 0
 
 let grow t k =
-  let cap = max (2 * Array.length t.data) (k + 1) in
+  let cap = Int.max (2 * Array.length t.data) (k + 1) in
   let data = Array.make cap absent in
   Array.blit t.data 0 data 0 (Array.length t.data);
   t.data <- data

@@ -1,9 +1,13 @@
-(* Allocation pins for the per-access paths. Each pin counts minor-heap
-   words with [Gc.minor_words] around 10k calls. The suite is built with
-   the dev profile of `dune runtest`, where dune compiles with [-opaque]
-   and no function is inlined across modules, so a pin holds without the
-   optimiser's help: a float or [Int64] returned across a module boundary
-   would be boxed and show up here. *)
+(* Allocation pins for the per-access paths. Each per-call pin counts
+   minor-heap words with [Gc.minor_words] around 10k calls. The suite is
+   built with the dev profile of `dune runtest`, where dune compiles with
+   [-opaque] and no function is inlined across modules, so a pin holds
+   without the optimiser's help: a float or [Int64] returned across a
+   module boundary would be boxed and show up here. The per-access pins
+   replay whole runs and also count major-heap words: the footprint of
+   the state a run builds (successor metadata above all), which a tracker
+   sized by the id space rather than by the files it tracks would
+   inflate. *)
 
 module Prng = Agg_util.Prng
 module Plan = Agg_faults.Plan
@@ -74,6 +78,7 @@ let per_call_pins =
     allocation_free "Prng.derive_draw" (fun i -> ignore (Prng.derive_draw parent i));
     allocation_free "Prng.draw_bernoulli" (fun i ->
         ignore (Prng.draw_bernoulli (Prng.first_draw ~seed:i) ~p:0.5));
+    allocation_free "Ring.owner" (fun i -> ignore (Ring.owner ring i));
     allocation_free "Ring.in_group" (fun i ->
         ignore (Ring.in_group ring ~replicas:3 ~node:(i mod 5) i));
     allocation_free "Tracker.observe on a grown tracker" (fun i ->
@@ -83,12 +88,25 @@ let per_call_pins =
     allocation_free "Sink.emit Sink.noop" (fun _ -> Sink.emit Sink.noop event);
   ]
 
+(* Minor and major-heap words per access of [run ()], which replays
+   [accesses] accesses. Major-heap words are those promoted out of the
+   minor heap plus blocks allocated there directly (arrays too large for
+   the minor heap, such as a tracker's successor regions). *)
+let words_per_access ~accesses run =
+  let _, _, major = Gc.counters () in
+  let minor = Gc.minor_words () in
+  let r = run () in
+  let minor' = Gc.minor_words () in
+  let _, _, major' = Gc.counters () in
+  let per x = x /. float_of_int accesses in
+  (r, per (minor' -. minor), per (major' -. major))
+
 (* The cluster-faults shape: five nodes, three replicas, replicated
    metadata, g = 5 at both levels, loss, per-node outages, slow links,
    client crashes, and one node leaving and rejoining. What it still
    allocates per access are the lists the group, ring and policy APIs
    return. *)
-let test_cluster_words_per_access () =
+let cluster_faults_words () =
   let events = 20_000 in
   let seed = 101 in
   let trace = Agg_workload.Generator.generate ~seed ~events Agg_workload.Profile.server in
@@ -114,12 +132,44 @@ let test_cluster_words_per_access () =
       churn = [ (events / 3, Cluster.Leave 4); (2 * events / 3, Cluster.Join 4) ];
     }
   in
-  let before = Gc.minor_words () in
-  let r = Cluster.run config trace in
-  let words = (Gc.minor_words () -. before) /. float_of_int events in
+  let r, minor, major = words_per_access ~accesses:events (fun () -> Cluster.run config trace) in
   Alcotest.(check int) "every access replayed" events r.Cluster.accesses;
+  (minor, major)
+
+let cluster_faults_run = lazy (cluster_faults_words ())
+
+let test_cluster_words_per_access () =
+  let words, _ = Lazy.force cluster_faults_run in
   if words > 200.0 then
     Alcotest.failf "Cluster.run allocates %.1f words per access (pin: at most 200)" words
+
+let test_cluster_major_words_per_access () =
+  let _, words = Lazy.force cluster_faults_run in
+  if words > 45.0 then
+    Alcotest.failf "Cluster.run allocates %.1f major-heap words per access (pin: at most 45)"
+      words
+
+(* The paper's two aggregating configurations on the write profile, the
+   one with the widest id space per event: a g = 5 client of 300 files,
+   then an LRU filter of 100 in front of a g = 5 server of 300. *)
+let test_client_server_major_words_per_access () =
+  let events = 6_000 in
+  let files = Agg_workload.Generator.generate_files ~seed:7 ~events Agg_workload.Profile.write in
+  let _, _, words =
+    words_per_access ~accesses:(2 * events) (fun () ->
+        let client = Agg_core.Client_cache.create ~capacity:300 () in
+        ignore (Agg_core.Client_cache.run_files client files);
+        let path =
+          Agg_core.Server_cache.create ~filter_kind:Cache.Lru ~filter_capacity:100
+            ~server_capacity:300
+            ~scheme:(Agg_core.Server_cache.Aggregating Agg_core.Config.default) ()
+        in
+        ignore (Agg_core.Server_cache.run_files path files))
+  in
+  if words > 70.0 then
+    Alcotest.failf
+      "Client_cache and Server_cache allocate %.1f major-heap words per access (pin: at most 70)"
+      words
 
 let () =
   Alcotest.run "alloc"
@@ -129,5 +179,9 @@ let () =
         [
           Alcotest.test_case "Cluster.run, cluster-faults shape" `Quick
             test_cluster_words_per_access;
+          Alcotest.test_case "Cluster.run major heap, cluster-faults shape" `Quick
+            test_cluster_major_words_per_access;
+          Alcotest.test_case "Client_cache and Server_cache major heap, write profile" `Quick
+            test_client_server_major_words_per_access;
         ] );
     ]

@@ -96,16 +96,18 @@ let naive_group ring =
     in
     walk [] (after @ before)
 
-(* A ring of 1-64 points per node (a function of the seed) after churn
+(* A ring of 1-1024 points per node (a function of the seed) after churn
    ops (join?, node): a join of a member or a leave of a non-member (or of
-   the last member) is skipped. *)
+   the last member) is skipped. The range spans guide buckets that hold
+   several points, empty buckets, and files that wrap past the last
+   point. *)
 let churned_ring ~seed ~nodes ops =
   List.fold_left
     (fun r (join, node) ->
       if join then if Ring.contains r node then r else Ring.add r node
       else if Ring.contains r node && Ring.node_count r > 1 then Ring.remove r node
       else r)
-    (Ring.create ~points_per_node:(1 + (seed mod 64)) ~seed ~nodes ())
+    (Ring.create ~points_per_node:(1 + (seed mod 1024)) ~seed ~nodes ())
     ops
 
 let ring_qcheck =
@@ -146,7 +148,11 @@ let ring_qcheck =
       (fun (seed, nodes, ops, k) ->
         let r = churned_ring ~seed ~nodes ops in
         let naive = naive_group r in
-        List.for_all (fun f -> Ring.group r ~replicas:k f = naive ~replicas:k f) sample_files);
+        List.for_all
+          (fun f ->
+            Ring.group r ~replicas:k f = naive ~replicas:k f
+            && Ring.owner r f = List.hd (naive ~replicas:1 f))
+          sample_files);
     Test.make ~name:"Ring: in_group is membership of the group, across joins and leaves"
       ~count:100
       (quad seed_gen (int_range 1 6) churn (int_range 1 7))

@@ -183,6 +183,91 @@ let oracle_property =
              && Model_successor.Oracle.mem model ~file ~successor)
         pairs)
 
+(* --- qcheck: the interned tracker vs its model ------------------------- *)
+
+(* The Recency tracker interns each predecessor to a dense row the first
+   time it precedes another file. The stream draws 320-479 distinct ids
+   sparsely from [0, 2^17) and visits each once in shuffled order, so rows
+   are assigned out of id order and their count passes the first block of
+   256; 600 skewed draws from the same pool then reorder and evict list
+   entries. Events come from three clients. After every observation the
+   tracker and its model must agree on [successors], [top_successor] and
+   [first_successor_outside] (against a random set) of the client's
+   previous file, the observed file, a random pool file and an id never
+   observed, and on [tracked_files]. The contexts are reset once,
+   midway. *)
+let tracker_property policy ~per_client name =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "tracker agrees with the reference tracker on sparse ids (%s)" name)
+    ~count:10
+    QCheck.(pair (int_range 0 1_000_000) (int_range 1 10))
+    (fun (seed, capacity) ->
+      let module Prng = Agg_util.Prng in
+      let module Tracker = Agg_successor.Tracker in
+      let g = Prng.create ~seed () in
+      let pool =
+        let seen = Hashtbl.create 512 in
+        let size = 320 + Prng.int g 160 in
+        while Hashtbl.length seen < size do
+          Hashtbl.replace seen (Prng.int g (1 lsl 17)) ()
+        done;
+        let ids = Array.of_seq (Hashtbl.to_seq_keys seen) in
+        Array.sort Int.compare ids;
+        Prng.shuffle g ids;
+        ids
+      in
+      let n = Array.length pool in
+      let stream =
+        Array.init (n + 600) (fun i ->
+            let file =
+              if i < n then pool.(i)
+              else if Prng.bool g then pool.(Prng.int g 16)
+              else pool.(Prng.int g n)
+            in
+            (Prng.int g 3, file))
+      in
+      let unseen = (1 lsl 17) + 5 in
+      let real = Tracker.create ~capacity ~policy ~per_client () in
+      let model = Model_system.Tracker.create ~per_client ~capacity ~policy () in
+      let last = Array.make 3 (-1) in
+      let agree file =
+        let expected = Model_system.Tracker.successors model file in
+        let candidates = Array.of_list (unseen :: expected) in
+        let set = Array.init (Prng.int g 4) (fun _ -> Prng.choose g candidates) in
+        let len = Prng.int g (Array.length set + 1) in
+        let in_set s = Array.exists (Int.equal s) (Array.sub set 0 len) in
+        let first_outside =
+          match List.find_opt (fun s -> not (in_set s)) expected with Some s -> s | None -> -1
+        in
+        Tracker.successors real file = expected
+        && Tracker.top_successor real file
+           = (match expected with [] -> None | s :: _ -> Some s)
+        && Tracker.first_successor_outside real file set ~len = first_outside
+      in
+      let ok = ref true in
+      Array.iteri
+        (fun i (client, file) ->
+          if i = n + 300 then begin
+            Tracker.reset_context real;
+            Model_system.Tracker.reset_context model;
+            Array.fill last 0 3 (-1)
+          end;
+          Tracker.observe real ~client file;
+          Model_system.Tracker.observe model ~client file;
+          let context = if per_client then client else 0 in
+          let prev = last.(context) in
+          last.(context) <- file;
+          if !ok then
+            ok :=
+              (prev < 0 || agree prev)
+              && agree file
+              && agree pool.(Prng.int g n)
+              && agree unseen
+              && Tracker.tracked_files real = Model_system.Tracker.tracked_files model)
+        stream;
+      !ok
+      && Tracker.tracked_files real >= 300)
+
 (* --- qcheck: group construction vs the reference builder -------------- *)
 
 (* Group_builder reads the tracker's slots in place; the reference
@@ -278,6 +363,10 @@ let qcheck_tests =
       successor_property Successor_list.Recency "recency";
       successor_property Successor_list.Frequency "frequency";
       oracle_property;
+      tracker_property Successor_list.Recency ~per_client:false "recency, global context";
+      tracker_property Successor_list.Recency ~per_client:true "recency, per-client contexts";
+      tracker_property Successor_list.Frequency ~per_client:false "frequency, global context";
+      tracker_property Successor_list.Frequency ~per_client:true "frequency, per-client contexts";
       group_builder_property Successor_list.Recency "recency";
       group_builder_property Successor_list.Frequency "frequency";
       client_property;
