@@ -13,16 +13,24 @@
      dune exec bench/main.exe -- --obs        # also write BENCH_obs.json
      dune exec bench/main.exe -- --weighted   # weighted-caching sweep
                                               # and write BENCH_weighted.json
-     dune exec bench/main.exe -- --faults     # also run the resilience sweep
+     dune exec bench/main.exe -- --faults     # the resilience sweep
                                               # and write BENCH_faults.json
-     dune exec bench/main.exe -- --cluster    # also run the sharded-cluster
-                                              # sweep and write BENCH_cluster.json
-     dune exec bench/main.exe -- --scenarios  # also run the scenario corpus
+     dune exec bench/main.exe -- --cluster    # the sharded-cluster sweep
+                                              # and write BENCH_cluster.json
+     dune exec bench/main.exe -- --scenarios  # the scenario corpus
                                               # and write BENCH_scenarios.json
+     dune exec bench/main.exe -- --telemetry  # the telemetry analysis
+                                              # and write BENCH_telemetry.json
+     dune exec bench/main.exe fig3 --faults   # a section, then a pass
+
+   A pass flag (--faults, --cluster, --scenarios, --telemetry, --weighted)
+   with no section named runs only that pass; --quick, --jobs, --sweep and
+   --obs alone still mean every section.
 
    Output on stdout is deterministic (fixed seeds) apart from the
-   micro-benchmark timings, and identical for every --jobs value. Every
-   run also records wall-clock per section in BENCH_sweep.json; --sweep
+   micro-benchmark timings, and identical for every --jobs value. A run
+   that executes a section records wall-clock per section in
+   BENCH_sweep.json; --sweep
    additionally measures the speedup of --jobs N over --jobs 1; --obs
    additionally profiles every section and fig3/4/5 sweep cell as spans
    and writes them as Chrome trace_event JSON to BENCH_obs.json (open in
@@ -672,8 +680,13 @@ let weighted_throughput ~reps =
       bundle;
     ]
 
-(* Per-call cost of the layers under the cluster's miss path, on the same
-   server stream: ring routing (the group list and the membership walk)
+(* Per-call cost of workload generation and of the layers under the
+   cluster's miss path. [generate-paper-6k] generates a fresh 6k-event
+   stream of each paper profile, Zipf table builds included, as every
+   steady-benchmark set-up does; its ops are generated events.
+   [zipf-sample-22k] samples the write profile's background table
+   (22000 ranks, s = 0.55). The rest run on the same server stream: ring
+   routing (the group list and the membership walk)
    on a five-node ring at k = 3, one fault-plan decision under the
    default plan, a tracker observe, a g = 5 group build over a tracker
    that has seen the whole stream, and the cold-end admission of each
@@ -704,11 +717,24 @@ let layer_throughput ~reps files =
     Array.map (fun f -> List.tl (Agg_core.Group_builder.build observed ~group_size:5 f)) files
   in
   let grown = Tracker.create () in
-  let paper_streams =
+  let generate_paper () =
     List.map
       (fun profile -> Agg_workload.Generator.generate_files ~seed:7 ~events:6_000 profile)
       Agg_workload.Profile.all
   in
+  let paper_streams = generate_paper () in
+  let paper_events = List.fold_left (fun acc s -> acc + Array.length s) 0 paper_streams in
+  let generate =
+    let seconds =
+      timed (fun () ->
+          for _ = 1 to reps do
+            ignore (generate_paper ())
+          done)
+    in
+    ("generate-paper-6k", reps * paper_events, seconds)
+  in
+  let zipf = Agg_util.Dist.Zipf.create ~n:22_000 ~s:0.55 in
+  let zipf_prng = Agg_util.Prng.create ~seed:7 () in
   let observe_fresh =
     let seconds =
       timed (fun () ->
@@ -720,11 +746,12 @@ let layer_throughput ~reps files =
               paper_streams
           done)
     in
-    let events = List.fold_left (fun acc s -> acc + Array.length s) 0 paper_streams in
-    ("tracker-observe-fresh", reps * events, seconds)
+    ("tracker-observe-fresh", reps * paper_events, seconds)
   in
   let cache = Agg_cache.Cache.create Agg_cache.Cache.Lru ~capacity:500 in
   [
+    generate;
+    time "zipf-sample-22k" (fun _ _ -> ignore (Agg_util.Dist.Zipf.sample zipf zipf_prng));
     time "ring-group" (fun _ f -> ignore (Ring.group ring ~replicas:3 f));
     time "ring-membership" (fun i f ->
         ignore (Ring.in_group ring ~replicas:3 ~node:(i mod 5) f));
@@ -819,7 +846,8 @@ let run_micro () =
   let weighted = weighted_throughput ~reps in
   print_throughput ("per-policy weighted throughput (" ^ weighted_stream ^ ")") weighted;
   let layers = layer_throughput ~reps files in
-  print_throughput ~key:"layer" "per-layer call cost (server stream, cluster miss path)" layers;
+  print_throughput ~key:"layer"
+    "per-layer call cost (generation; server stream, cluster miss path)" layers;
   write_micro_json ~unit:throughput ~weighted ~layers;
   Printf.printf "wrote %d policy rows and %d layer rows to %s\n"
     (List.length throughput + List.length weighted)
@@ -943,7 +971,13 @@ let () =
     | [] -> []
   in
   let wanted = strip args in
-  let wanted = if wanted = [] || List.mem "all" wanted then List.map fst sections else wanted in
+  (* no section named means all of them, unless a pass flag asked for
+     just that pass *)
+  let passes = faults || cluster || scenarios || telemetry || weighted in
+  let wanted =
+    if List.mem "all" wanted || (wanted = [] && not passes) then List.map fst sections
+    else wanted
+  in
   let settings = settings ~quick ~jobs in
   let run_section ~name ~settings body =
     let go () = match body with `Settings f -> f ~settings | `Plain f -> f () in
@@ -988,7 +1022,7 @@ let () =
   if scenarios then run_scenarios ~settings;
   if telemetry then run_telemetry ~settings;
   if weighted then run_weighted ~settings;
-  write_bench_json ~jobs ~quick ~settings timings;
+  if timings <> [] then write_bench_json ~jobs ~quick ~settings timings;
   match !profiler with
   | None -> ()
   | Some recorder ->

@@ -111,18 +111,20 @@ if [ -n "$hot_hashtbl" ]; then
   exit 1
 fi
 
-# Int-specialised comparisons on the per-access paths: a bare [min],
-# [max], [compare], [List.mem] or [List.assoc] is polymorphic, and compiles
-# to a C call that walks both values ([caml_lessequal] -> [compare_val])
-# even on ints. Use [Int.min], [Int.max], [Int.compare], typed comparators
-# for sorts and an int-typed membership test instead. lib/cache/belady.ml
-# is the offline oracle policy and exempt.
+# Int-specialised comparisons on the per-access and per-event paths
+# (workload generation included): a bare [min], [max], [compare],
+# [List.mem] or [List.assoc] is polymorphic, and compiles to a C call
+# that walks both values ([caml_lessequal] -> [compare_val]) even on
+# ints. Use [Int.min], [Int.max], [Int.compare], typed comparators for
+# sorts and an int-typed membership test instead. lib/cache/belady.ml is
+# the offline oracle policy and exempt.
 poly_files="$(ls lib/cache/*.ml | grep -v 'lib/cache/belady\.ml$')
 lib/successor/tracker.ml lib/successor/successor_list.ml
 lib/core/group_builder.ml lib/core/client_cache.ml lib/core/server_cache.ml
 lib/cluster/ring.ml lib/cluster/cluster.ml
 lib/faults/plan.ml
 lib/util/int_table.ml lib/util/dlist_arena.ml lib/util/heap.ml lib/util/prng.ml
+lib/util/dist.ml lib/workload/generator.ml lib/workload/task.ml
 lib/baselines/landlord.ml lib/baselines/bundle.ml"
 # shellcheck disable=SC2086
 if grep -nE "(^|[^.A-Za-z0-9_'])(min|max|compare)([^A-Za-z0-9_']|\$)|List\.(mem|assoc|mem_assoc|assoc_opt)\b" \
@@ -204,3 +206,15 @@ root=$(pwd)
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
 (cd "$scratch" && "$root/_build/default/bench/main.exe" checks --quick)
+
+# A pass flag with no section named runs only that pass: no section runs,
+# so neither the micro ledger nor the sweep ledger may be written.
+passes=$(mktemp -d)
+trap 'rm -rf "$scratch" "$passes"' EXIT
+(cd "$passes" && "$root/_build/default/bench/main.exe" --telemetry --quick > /dev/null)
+for ledger in BENCH_sweep.json BENCH_micro.json; do
+  if [ -e "$passes/$ledger" ]; then
+    echo "ci.sh: bench/main.exe --telemetry --quick ran sections (it wrote $ledger)" >&2
+    exit 1
+  fi
+done

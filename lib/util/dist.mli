@@ -3,8 +3,13 @@
 module Zipf : sig
   (** Zipf-like distribution over ranks [0 .. n-1]: the probability of rank
       [k] is proportional to [1 / (k+1)^s]. File-system popularity skew is
-      classically modelled this way. Sampling is O(log n) via a precomputed
-      cumulative table. *)
+      classically modelled this way. [create] builds the cumulative table
+      and a guide table of [B = 2^ceil(log2 n)] entries, the first rank
+      whose cumulative probability reaches each [j / B]. [sample] draws
+      [u] as [Prng.float prng 1.0] does, starts at the guide entry of
+      [u]'s bucket and scans forward to the first rank whose cumulative
+      probability is [>= u]: expected O(1), allocation-free, and the rank
+      a binary search over the whole table would return. *)
 
   type t
 

@@ -31,6 +31,15 @@ val derive : t -> int -> t
 val bits64 : t -> int64
 (** [bits64 t] is the next raw 64-bit output. *)
 
+val draw : t -> int
+(** [draw t] is the next draw, a non-negative 62-bit int:
+    [Int64.to_int (Int64.shift_right_logical (bits64 t) 2)], without boxing
+    the 64-bit output. The uniform [float t 1.0] is [draw_float (draw t)]
+    for the same state, so a caller that needs the uniform as a float
+    local can convert the draw itself instead of receiving a float from
+    another module (boxed when that module is compiled without
+    cross-module inlining). *)
+
 (** {2 One-draw streams}
 
     Counter-based randomness (a fault decision, a ring position, a

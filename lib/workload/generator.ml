@@ -19,6 +19,8 @@ type state = {
   fresh_file : unit -> int;
   mutable active : int;
   mutable emitted : int;
+  mutable client : int; (* the last step's client *)
+  mutable op : Agg_trace.Event.op; (* the last step's operation *)
 }
 
 (* Noise/background files occupy ids [shared_pool, shared_pool + background_files). *)
@@ -46,7 +48,7 @@ let fresh_task st client =
   c.position <- 0
 
 let build_clients profile prng ~fresh_file =
-  let shared_zipf = Dist.Zipf.create ~n:(max 1 profile.Profile.shared_pool) ~s:1.1 in
+  let shared_zipf = Dist.Zipf.create ~n:(Int.max 1 profile.Profile.shared_pool) ~s:1.1 in
   let all_tasks =
     Array.init profile.tasks (fun id ->
         let length = Prng.int_in_range prng ~lo:profile.task_len_min ~hi:profile.task_len_max in
@@ -137,11 +139,14 @@ let make_state ?(seed = 42) profile =
     {
       profile;
       prng;
-      background = Dist.Zipf.create ~n:(max 1 profile.background_files) ~s:profile.background_zipf_s;
+      background =
+        Dist.Zipf.create ~n:(Int.max 1 profile.background_files) ~s:profile.background_zipf_s;
       clients;
       fresh_file;
       active = 0;
       emitted = 0;
+      client = 0;
+      op = Agg_trace.Event.Open;
     }
   in
   Array.iteri (fun i _ -> st.active <- i; fresh_task st i) st.clients;
@@ -149,23 +154,29 @@ let make_state ?(seed = 42) profile =
   switch_client st;
   st
 
+(* One event: returns its file and leaves its client and operation in
+   [st.client] and [st.op], so a step builds no tuple. *)
 let step st =
   let c = st.clients.(st.active) in
   if c.burst_left <= 0 then switch_client st;
   let client = st.active in
   let file = next_file st in
   st.emitted <- st.emitted + 1;
-  st.clients.(client).burst_left <- st.clients.(client).burst_left - 1;
-  let op = if Prng.bernoulli st.prng ~p:st.profile.p_write then Agg_trace.Event.Write else Agg_trace.Event.Open in
-  (client, op, file)
+  let c = st.clients.(client) in
+  c.burst_left <- c.burst_left - 1;
+  st.client <- client;
+  st.op <-
+    (if Prng.bernoulli st.prng ~p:st.profile.p_write then Agg_trace.Event.Write
+     else Agg_trace.Event.Open);
+  file
 
 let fold ?seed ~events profile ~init ~f =
   if events < 0 then invalid_arg "Generator.fold: events must be non-negative";
   let st = make_state ?seed profile in
   let acc = ref init in
   for _ = 1 to events do
-    let client, op, file = step st in
-    acc := f !acc ~client ~op ~file
+    let file = step st in
+    acc := f !acc ~client:st.client ~op:st.op ~file
   done;
   !acc
 
@@ -173,23 +184,21 @@ let iter ?seed ~events profile ~f =
   if events < 0 then invalid_arg "Generator.iter: events must be non-negative";
   let st = make_state ?seed profile in
   for _ = 1 to events do
-    let client, op, file = step st in
-    f ~client ~op ~file
+    let file = step st in
+    f ~client:st.client ~op:st.op ~file
   done
 
 let generate ?seed ~events profile =
   if events < 0 then invalid_arg "Generator.generate: events must be non-negative";
   let st = make_state ?seed profile in
   let trace = Agg_trace.Trace.create () in
-  for _ = 1 to events do
-    let client, op, file = step st in
-    Agg_trace.Trace.add_access trace ~client ~op file
+  for seq = 0 to events - 1 do
+    let file = step st in
+    Agg_trace.Trace.append trace { Agg_trace.Event.seq; client = st.client; op = st.op; file }
   done;
   trace
 
 let generate_files ?seed ~events profile =
   if events < 0 then invalid_arg "Generator.generate_files: events must be non-negative";
   let st = make_state ?seed profile in
-  Array.init events (fun _ ->
-      let _, _, file = step st in
-      file)
+  Array.init events (fun _ -> step st)

@@ -20,6 +20,6 @@ let build ~prng ~id ~length ~shared_pool ~shared_fraction ~shared_zipf ~fresh_fi
   let loop_width = Array.make length 0 in
   for i = 2 to length - 1 do
     if Agg_util.Prng.bernoulli prng ~p:loop_chance then
-      loop_width.(i) <- 2 + Agg_util.Prng.int prng (min i 6 - 1)
+      loop_width.(i) <- 2 + Agg_util.Prng.int prng (Int.min i 6 - 1)
   done;
   { id; files; loop_width }

@@ -1,15 +1,17 @@
-(* Allocation pins for the per-access paths. Each per-call pin counts
-   minor-heap words with [Gc.minor_words] around 10k calls. The suite is
-   built with the dev profile of `dune runtest`, where dune compiles with
-   [-opaque] and no function is inlined across modules, so a pin holds
-   without the optimiser's help: a float or [Int64] returned across a
-   module boundary would be boxed and show up here. The per-access pins
+(* Allocation pins for the per-access paths and workload generation.
+   Each per-call pin counts minor-heap words with [Gc.minor_words] around
+   10k calls. The suite is built with the dev profile of `dune runtest`,
+   where dune compiles with [-opaque] and no function is inlined across
+   modules, so a pin holds without the optimiser's help: a float or
+   [Int64] returned across a module boundary would be boxed and show up
+   here. The per-access pins
    replay whole runs and also count major-heap words: the footprint of
    the state a run builds (successor metadata above all), which a tracker
    sized by the id space rather than by the files it tracks would
    inflate. *)
 
 module Prng = Agg_util.Prng
+module Dist = Agg_util.Dist
 module Plan = Agg_faults.Plan
 module Ring = Agg_cluster.Ring
 module Cluster = Agg_cluster.Cluster
@@ -50,6 +52,12 @@ let plan =
     }
 
 let parent = Prng.create ~seed:42 ()
+
+(* advanced by the sampling pins; [parent] is only derived from *)
+let stream = Prng.create ~seed:9 ()
+
+(* the write profile's background table *)
+let zipf = Dist.Zipf.create ~n:22_000 ~s:0.55
 let ring = Ring.create ~seed:7 ~nodes:5 ()
 
 (* grown: every file the pin observes already has its slots *)
@@ -78,6 +86,9 @@ let per_call_pins =
     allocation_free "Prng.derive_draw" (fun i -> ignore (Prng.derive_draw parent i));
     allocation_free "Prng.draw_bernoulli" (fun i ->
         ignore (Prng.draw_bernoulli (Prng.first_draw ~seed:i) ~p:0.5));
+    allocation_free "Prng.bernoulli" (fun _ -> ignore (Prng.bernoulli stream ~p:0.5));
+    allocation_free "Prng.int" (fun i -> ignore (Prng.int stream (1 + (i land 1_023))));
+    allocation_free "Dist.Zipf.sample, 22k ranks" (fun _ -> ignore (Dist.Zipf.sample zipf stream));
     allocation_free "Ring.owner" (fun i -> ignore (Ring.owner ring i));
     allocation_free "Ring.in_group" (fun i ->
         ignore (Ring.in_group ring ~replicas:3 ~node:(i mod 5) i));
@@ -171,6 +182,23 @@ let test_client_server_major_words_per_access () =
       "Client_cache and Server_cache allocate %.1f major-heap words per access (pin: at most 70)"
       words
 
+(* Generation, set-up included, over 60k events of each paper profile.
+   The Zipf tables and the output array go straight to the major heap;
+   most of the minor words left are the set-up's task scripts, amortised
+   over the stream. *)
+let test_generate_words_per_event () =
+  let events = 60_000 in
+  List.iter
+    (fun (profile : Agg_workload.Profile.t) ->
+      let _, words, _ =
+        words_per_access ~accesses:events (fun () ->
+            Agg_workload.Generator.generate_files ~seed:7 ~events profile)
+      in
+      if words > 4.0 then
+        Alcotest.failf "Generator.generate_files (%s) allocates %.1f words per event (pin: at most 4)"
+          profile.name words)
+    Agg_workload.Profile.all
+
 let () =
   Alcotest.run "alloc"
     [
@@ -183,5 +211,10 @@ let () =
             test_cluster_major_words_per_access;
           Alcotest.test_case "Client_cache and Server_cache major heap, write profile" `Quick
             test_client_server_major_words_per_access;
+        ] );
+      ( "per event",
+        [
+          Alcotest.test_case "Generator.generate_files, paper profiles" `Quick
+            test_generate_words_per_event;
         ] );
     ]

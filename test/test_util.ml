@@ -49,6 +49,52 @@ let test_prng_derive () =
     (Prng.bits64 (Prng.derive a 3));
   Alcotest.(check int64) "derive leaves the parent untouched" (Prng.bits64 b) (Prng.bits64 a)
 
+(* The first eight outputs of fixed streams. Every generated trace
+   depends on these bits, so a change to the generator state must keep
+   them. *)
+let test_prng_known_answers () =
+  let check name expected g =
+    Alcotest.(check (list int64)) name expected (List.init 8 (fun _ -> Prng.bits64 g))
+  in
+  check "create ~seed:0"
+    [
+      0x99ec5f36cb75f2b4L; 0xbf6e1f784956452aL; 0x1a5f849d4933e6e0L; 0x6aa594f1262d2d2cL;
+      0xbba5ad4a1f842e59L; 0xffef8375d9ebcacaL; 0x6c160deed2f54c98L; 0x8920ad648fc30a3fL;
+    ]
+    (Prng.create ~seed:0 ());
+  check "create ~seed:42"
+    [
+      0x15780b2e0c2ec716L; 0x6104d9866d113a7eL; 0xae17533239e499a1L; 0xecb8ad4703b360a1L;
+      0xfde6dc7fe2ec5e64L; 0xc50da53101795238L; 0xb82154855a65ddb2L; 0xd99a2743ebe60087L;
+    ]
+    (Prng.create ~seed:42 ());
+  check "split of create ~seed:42"
+    [
+      0x8ee445d14631c453L; 0x106fa1a13296fe62L; 0x729a768806244ce5L; 0x91d83a17b20e6585L;
+      0x38c33df442fc70fdL; 0xe33cd1b92e2e42f1L; 0x3162280b9dcfa5efL; 0xb4f9f0541228b854L;
+    ]
+    (Prng.split (Prng.create ~seed:42 ()));
+  check "derive (create ~seed:42) 3"
+    [
+      0x6d024e3593a88f6cL; 0xd094484a1cb36894L; 0x478188cd852e40b7L; 0xfa1e8e5b9a19d849L;
+      0x64a646ac99f8c13fL; 0x6cfa81721c8e69a2L; 0x026314c6e2ffd2b9L; 0x8fa55d73a8c872ffL;
+    ]
+    (Prng.derive (Prng.create ~seed:42 ()) 3)
+
+let test_prng_draw () =
+  let a = Prng.create ~seed:11 () in
+  let b = Prng.copy a in
+  let c = Prng.copy a in
+  for _ = 1 to 1000 do
+    let d = Prng.draw a in
+    Alcotest.(check int64) "top 62 bits of bits64"
+      (Int64.shift_right_logical (Prng.bits64 b) 2)
+      (Int64.of_int d);
+    Alcotest.(check int64) "float g 1.0 = draw_float (draw g)"
+      (Int64.bits_of_float (Prng.float c 1.0))
+      (Int64.bits_of_float (Prng.draw_float d))
+  done
+
 let test_prng_int_bounds () =
   let t = Prng.create ~seed:7 () in
   for _ = 1 to 1000 do
@@ -163,6 +209,64 @@ let test_zipf_invalid () =
       ignore (Dist.Zipf.create ~n:0 ~s:1.0));
   Alcotest.check_raises "s<0" (Invalid_argument "Dist.Zipf.create: s must be non-negative")
     (fun () -> ignore (Dist.Zipf.create ~n:3 ~s:(-1.0)))
+
+(* The Zipf table and sampler the guide table replaced: a closure-built
+   table and a binary search over the whole cdf. The guide-table sampler
+   must return the same rank for the same draw, and [prob] the same bits. *)
+module Reference_zipf = struct
+  let create ~n ~s =
+    let pmf = Array.init n (fun k -> 1.0 /. Float.pow (float_of_int (k + 1)) s) in
+    let total = Array.fold_left ( +. ) 0.0 pmf in
+    let acc = ref 0.0 in
+    let cdf =
+      Array.map
+        (fun w ->
+          let p = w /. total in
+          acc := !acc +. p;
+          !acc)
+        pmf
+    in
+    cdf.(n - 1) <- 1.0;
+    Array.iteri (fun i w -> pmf.(i) <- w /. total) pmf;
+    (cdf, pmf)
+
+  let sample cdf prng =
+    let u = Prng.float prng 1.0 in
+    let rec loop lo hi =
+      if lo >= hi then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if cdf.(mid) >= u then loop lo mid else loop (mid + 1) hi
+    in
+    loop 0 (Array.length cdf - 1)
+end
+
+(* [draws] samples from two copies of one stream, then every [prob]. *)
+let zipf_matches_reference ?(draws = 2_000) ~n ~s ~seed () =
+  let z = Dist.Zipf.create ~n ~s in
+  let cdf, pmf = Reference_zipf.create ~n ~s in
+  let a = Prng.create ~seed () in
+  let b = Prng.copy a in
+  let same = ref (Dist.Zipf.n z = n) in
+  for _ = 1 to draws do
+    if Dist.Zipf.sample z a <> Reference_zipf.sample cdf b then same := false
+  done;
+  for k = 0 to n - 1 do
+    if not (Int64.equal (Int64.bits_of_float (Dist.Zipf.prob z k)) (Int64.bits_of_float pmf.(k)))
+    then same := false
+  done;
+  !same && Int64.equal (Prng.bits64 a) (Prng.bits64 b)
+
+(* s = 0 with n a power of two puts every cdf entry exactly on a guide
+   bucket's lower bound. *)
+let test_zipf_reference_bucket_edges () =
+  for bits = 0 to 15 do
+    let n = 1 lsl bits in
+    check_bool
+      (Printf.sprintf "n = %d, s = 0" n)
+      true
+      (zipf_matches_reference ~draws:20_000 ~n ~s:0.0 ~seed:bits ())
+  done
 
 let test_alias_empirical () =
   let a = Dist.Alias.create [| 1.0; 3.0; 6.0 |] in
@@ -801,6 +905,12 @@ let qcheck_tests =
         let t = Prng.create ~seed () in
         let v = Dist.Zipf.sample z t in
         v >= 0 && v < n);
+    Test.make ~name:"Zipf sample and prob equal the binary-search reference" ~count:100
+      (triple
+         (oneof [ int_range 1 40_000; int_range 1 64; map (fun b -> 1 lsl b) (int_range 0 15) ])
+         (oneof [ float_range 0.0 3.0; oneofl [ 0.0; 0.55; 1.0; 3.0 ] ])
+         (int_range 0 1_000_000))
+      (fun (n, s, seed) -> zipf_matches_reference ~n ~s ~seed ());
     Test.make ~name:"Int_table agrees with a Hashtbl model" ~count:300
       (list (pair (int_range 0 40) (int_range (-1) 20)))
       (fun ops ->
@@ -879,6 +989,8 @@ let () =
           Alcotest.test_case "copy" `Quick test_prng_copy;
           Alcotest.test_case "split" `Quick test_prng_split;
           Alcotest.test_case "derive" `Quick test_prng_derive;
+          Alcotest.test_case "known answers" `Quick test_prng_known_answers;
+          Alcotest.test_case "draw" `Quick test_prng_draw;
           Alcotest.test_case "int bounds" `Quick test_prng_int_bounds;
           Alcotest.test_case "int invalid" `Quick test_prng_int_invalid;
           Alcotest.test_case "int_in_range" `Quick test_prng_int_in_range;
@@ -897,6 +1009,8 @@ let () =
           Alcotest.test_case "zipf single rank" `Quick test_zipf_single_rank;
           Alcotest.test_case "zipf empirical" `Quick test_zipf_empirical_matches_pmf;
           Alcotest.test_case "zipf invalid" `Quick test_zipf_invalid;
+          Alcotest.test_case "zipf reference at bucket edges" `Quick
+            test_zipf_reference_bucket_edges;
           Alcotest.test_case "alias empirical" `Quick test_alias_empirical;
           Alcotest.test_case "alias invalid" `Quick test_alias_invalid;
           Alcotest.test_case "geometric" `Quick test_geometric;

@@ -136,6 +136,31 @@ let test_generator_single_client_profiles () =
   let s = Agg_trace.Trace_stats.compute trace in
   check_int "one client" 1 s.Agg_trace.Trace_stats.clients
 
+(* MD5 of the trace text of [generate ~seed:7 ~events:6000] for every
+   profile. The profiles are calibrated, so a change to [Prng], [Dist] or
+   the generator must leave every generated trace bit-identical. *)
+let generator_known_answers =
+  [
+    ("workstation", "c27e142adcd4df084d4fd3a91cf9db57");
+    ("users", "328e605f6715cfc7f6860491f088d3ab");
+    ("write", "edbace625bf05a250b9c7242835bb0fd");
+    ("server", "9c9b21974ec2e1068b72e900b6c85f0b");
+    ("scientific", "df5efe0c76d7024943dd52e2c54204d3");
+    ("streaming", "9cd5cd283f91cfa246d4f9a5baaa98f5");
+    ("sized-workstation", "c27e142adcd4df084d4fd3a91cf9db57");
+    ("sized-server", "9c9b21974ec2e1068b72e900b6c85f0b");
+  ]
+
+let test_generator_known_answers () =
+  List.iter
+    (fun (p : Profile.t) ->
+      match List.assoc_opt p.name generator_known_answers with
+      | None -> Alcotest.failf "no known answer for profile %s" p.name
+      | Some md5 ->
+          let text = Agg_trace.Codec.to_string (Generator.generate ~seed:7 ~events:6_000 p) in
+          Alcotest.(check string) p.name md5 (Digest.to_hex (Digest.string text)))
+    (Profile.all @ Profile.extras)
+
 (* --- Profiles --------------------------------------------------------------- *)
 
 let test_profile_lookup () =
@@ -234,6 +259,7 @@ let () =
           Alcotest.test_case "client ids in range" `Quick test_generator_client_ids_in_range;
           Alcotest.test_case "write fraction" `Quick test_generator_write_fraction;
           Alcotest.test_case "single client profiles" `Quick test_generator_single_client_profiles;
+          Alcotest.test_case "known answers" `Quick test_generator_known_answers;
         ] );
       ( "profiles",
         [
