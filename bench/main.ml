@@ -179,31 +179,38 @@ let run_latency ~settings =
   section "End-to-end latency (Fig. 2 path: client / network / server / disk)";
   let trace = Agg_sim.Trace_store.get ~settings Agg_workload.Profile.server in
   let costs = [ ("LAN", Agg_system.Cost_model.lan); ("WAN", Agg_system.Cost_model.wan) ] in
-  let deployments = [ `Baseline; `Aggregating_client; `Aggregating_both ] in
-  Agg_sim.Experiment.grid ~settings ~rows:costs ~cols:deployments
-    (fun (_, cost) deployment ->
-      let config =
-        Agg_system.Path.with_deployment deployment
-          { Agg_system.Path.default_config with cost }
+  Agg_sim.Experiment.grid ~settings ~rows:costs ~cols:Agg_system.Scheme.deployments
+    (fun (_, cost) (name, client_scheme, node_scheme) ->
+      let r =
+        Agg_cluster.Cluster.run
+          { Agg_cluster.Cluster.path_config with client_scheme; node_scheme; cost }
+          trace
       in
-      let r = Agg_system.Path.run config trace in
       [
-        Agg_system.Path.deployment_name deployment;
-        Printf.sprintf "%.3f" r.Agg_system.Path.mean_latency;
-        Printf.sprintf "%.3f" r.Agg_system.Path.p95_latency;
-        string_of_int r.Agg_system.Path.round_trips;
-        string_of_int r.Agg_system.Path.files_transferred;
-        string_of_int r.Agg_system.Path.disk_reads;
+        name;
+        Printf.sprintf "%.3f" r.Agg_cluster.Cluster.mean_latency;
+        Printf.sprintf "%.3f" r.Agg_cluster.Cluster.p95_latency;
+        string_of_int r.Agg_cluster.Cluster.server_requests;
+        string_of_int r.Agg_cluster.Cluster.files_transferred;
+        string_of_int r.Agg_cluster.Cluster.store_fetches;
         Printf.sprintf "%.1f"
-          (100.0 *. float_of_int r.Agg_system.Path.client_hits
-          /. float_of_int r.Agg_system.Path.accesses);
+          (100.0 *. float_of_int r.Agg_cluster.Cluster.client_hits
+          /. float_of_int r.Agg_cluster.Cluster.accesses);
       ])
   |> List.iter (fun ((cost_name, _), rows) ->
          let table =
            Agg_util.Table.create
              ~title:(Printf.sprintf "server workload, %s costs" cost_name)
              ~columns:
-               [ "deployment"; "mean ms"; "p95 ms"; "rtts"; "files sent"; "disk reads"; "client hit %" ]
+               [
+                 "deployment";
+                 "mean ms";
+                 "p95 ms";
+                 "rtts";
+                 "files sent";
+                 "store fetches";
+                 "client hit %";
+               ]
          in
          List.iter (fun (_, row) -> Agg_util.Table.add_row table row) rows;
          Agg_util.Table.print table)
@@ -366,14 +373,14 @@ let run_telemetry ~settings =
     let series = Agg_obs.Series.create ~window in
     let config =
       {
-        Agg_system.Path.default_config with
-        Agg_system.Path.client = scheme;
-        server = scheme;
+        Agg_cluster.Cluster.path_config with
+        Agg_cluster.Cluster.client_scheme = scheme;
+        node_scheme = scheme;
         faults;
         scope = Some (Agg_obs.Scope.create ~series ());
       }
     in
-    ignore (Agg_system.Path.run config trace);
+    ignore (Agg_cluster.Cluster.run config trace);
     let n = Agg_obs.Series.windows series in
     let hit w = Agg_obs.Series.hit_rate series w in
     let steady =

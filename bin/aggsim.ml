@@ -344,16 +344,13 @@ let latency_cmd =
       (fun (cost_name, cost) ->
         Printf.printf "-- %s costs --\n" cost_name;
         List.iter
-          (fun deployment ->
+          (fun (name, client_scheme, node_scheme) ->
             let config =
-              Agg_system.Path.with_deployment deployment
-                { Agg_system.Path.default_config with cost }
+              { Agg_cluster.Cluster.path_config with client_scheme; node_scheme; cost }
             in
-            Format.printf "%-11s %a@."
-              (Agg_system.Path.deployment_name deployment)
-              Agg_system.Path.pp_result
-              (Agg_system.Path.run config trace))
-          [ `Baseline; `Aggregating_client; `Aggregating_both ])
+            Format.printf "%-11s %a@." name Agg_cluster.Cluster.pp_result
+              (Agg_cluster.Cluster.run config trace))
+          Agg_system.Scheme.deployments)
       [ ("LAN", Agg_system.Cost_model.lan); ("WAN", Agg_system.Cost_model.wan) ];
     exit_ok
   in
@@ -439,11 +436,11 @@ let faults_cmd =
       Format.printf "plan: %a@.resilience: %a@." Agg_faults.Plan.pp_config faults
         Agg_faults.Resilience.pp Agg_faults.Resilience.default;
       List.iter
-        (fun (name, client) ->
-          let config = { Agg_system.Path.default_config with Agg_system.Path.client; faults } in
-          let r = Agg_system.Path.run config trace in
-          Format.printf "%-4s %a@.     faults: %a@." name Agg_system.Path.pp_result r
-            Agg_faults.Counters.pp r.Agg_system.Path.faults)
+        (fun (name, client_scheme) ->
+          let config = { Agg_cluster.Cluster.path_config with client_scheme; faults } in
+          let r = Agg_cluster.Cluster.run config trace in
+          Format.printf "%-4s %a@.     faults: %a@." name Agg_cluster.Cluster.pp_result r
+            Agg_faults.Counters.pp r.Agg_cluster.Cluster.faults)
         [
           ("lru", Agg_system.Scheme.plain_lru);
           ("g5", Agg_system.Scheme.aggregating ());

@@ -2,7 +2,8 @@
 # CI entry point: full build, full test suite, the lockstep differential
 # gate against the lib/oracle reference models, a one-second checked run
 # of each steady-benchmark workload, and a quick smoke run of the
-# paper-vs-measured checks from the reproduction harness.
+# paper-vs-measured checks from the reproduction harness. The run fails
+# if it leaves the working tree different from how it found it.
 #
 # The check thresholds are calibrated for full-size runs (60k events), so
 # the --quick pass only asserts the harness runs end to end; the full-size
@@ -19,6 +20,12 @@
 set -eu
 
 cd "$(dirname "$0")"
+
+# The run must leave the working tree as it found it: every ledger, golden
+# and generated file it touches lives in _build or a scratch directory.
+# Outside a git checkout both snapshots are empty and the check is moot.
+tree_status() { git status --porcelain 2>/dev/null || true; }
+status_on_entry=$(tree_status)
 
 # All randomness must flow through Agg_util.Prng with explicit seeds;
 # direct Stdlib.Random use would silently break run-to-run reproducibility.
@@ -218,3 +225,12 @@ for ledger in BENCH_sweep.json BENCH_micro.json; do
     exit 1
   fi
 done
+
+status_on_exit=$(tree_status)
+if [ "$status_on_entry" != "$status_on_exit" ]; then
+  echo "ci.sh: the run changed the working tree (git status --porcelain before/after):" >&2
+  printf '%s\n' "$status_on_entry" > "$scratch/status.entry"
+  printf '%s\n' "$status_on_exit" > "$scratch/status.exit"
+  diff "$scratch/status.entry" "$scratch/status.exit" >&2 || true
+  exit 1
+fi

@@ -36,6 +36,7 @@ type config = {
   node_scheme : Scheme.t;
   per_client_metadata : bool;
   write_invalidation : bool;
+  cooperative : bool;
   cost : Cost_model.t;
   faults : Plan.config;
   resilience : Resilience.t;
@@ -56,11 +57,25 @@ let default_config =
     node_scheme = Scheme.Aggregating Agg_core.Config.default;
     per_client_metadata = true;
     write_invalidation = true;
+    cooperative = false;
     cost = Cost_model.lan;
     faults = Plan.none;
     resilience = Resilience.default;
     churn = [];
     scope = None;
+  }
+
+let path_config =
+  {
+    default_config with
+    clients = 1;
+    client_capacity = 300;
+    client_scheme = Scheme.plain_lru;
+    node_capacity = 1000;
+    node_scheme = Scheme.plain_lru;
+    per_client_metadata = false;
+    write_invalidation = false;
+    cooperative = true;
   }
 
 type result = {
@@ -69,16 +84,17 @@ type result = {
   server_requests : int;
   server_hits : int;
   store_fetches : int;
+  files_transferred : int;
   invalidations : int;
   per_client_hit_rate : (int * float) list;
   routed_fetches : int;
   failovers : int;
   cross_shard_members : int;
-  slowed_fetches : int;
   rebalances : int;
   moved_files : int;
   mean_latency : float;
   p95_latency : float;
+  p99_latency : float;
   per_node_requests : (int * int) list;
   faults : Counters.t;
 }
@@ -112,11 +128,11 @@ type state = {
   mutable server_requests : int;
   mutable server_hits : int;
   mutable store_fetches : int;
+  mutable files_transferred : int;
   mutable invalidations : int;
   mutable routed_fetches : int;
   mutable failovers : int;
   mutable cross_shard_members : int;
-  mutable slowed_fetches : int;
   mutable rebalances : int;
   mutable moved_files : int;
   mutable now : int;
@@ -203,11 +219,11 @@ let make_state config ~accesses =
     server_requests = 0;
     server_hits = 0;
     store_fetches = 0;
+    files_transferred = 0;
     invalidations = 0;
     routed_fetches = 0;
     failovers = 0;
     cross_shard_members = 0;
-    slowed_fetches = 0;
     rebalances = 0;
     moved_files = 0;
     now = 0;
@@ -355,18 +371,21 @@ let push_route_phases ctx st ~group_nodes ~failures =
     end
   done
 
+(* §3: an access is piggy-backed to wherever the metadata lives *)
+let observe st ~client ~group_nodes file =
+  match st.config.metadata with
+  | Owner_node -> Tracker.observe (node_state st (List.hd group_nodes)).tracker ~client file
+  | Replicated_with_group ->
+      List.iter (fun n -> Tracker.observe (node_state st n).tracker ~client file) group_nodes
+  | Client_side -> Tracker.observe st.client_states.(client).tracker file
+
 let serve st ~client ~time ~tracing file =
   st.server_requests <- st.server_requests + 1;
   let k = live_replicas st in
   let group_nodes = Ring.group st.ring ~replicas:k file in
   let primary = List.hd group_nodes in
   let cs = st.client_states.(client) in
-  (* §3: the miss is piggy-backed to wherever the metadata lives *)
-  (match st.config.metadata with
-  | Owner_node -> Tracker.observe (node_state st primary).tracker ~client file
-  | Replicated_with_group ->
-      List.iter (fun n -> Tracker.observe (node_state st n).tracker ~client file) group_nodes
-  | Client_side -> Tracker.observe cs.tracker file);
+  if not st.config.cooperative then observe st ~client ~group_nodes file;
   let outcome =
     if not (Plan.enabled st.base_plan) then `Served (primary, 0, 0.0)
     else attempt_route st ~group_nodes ~time ~attempt:0 ~waited:0.0 ~file
@@ -400,6 +419,7 @@ let serve st ~client ~time ~tracing file =
       let served_from_memory = Cache.access ns.cache file in
       if served_from_memory then st.server_hits <- st.server_hits + 1
       else st.store_fetches <- st.store_fetches + 1;
+      st.files_transferred <- st.files_transferred + 1;
       let fallback =
         Cost_model.demand_fetch_latency st.config.cost ~served_from_disk:(not served_from_memory)
       in
@@ -463,6 +483,7 @@ let serve st ~client ~time ~tracing file =
       (* members travel to the client; ones this node does not replicate
          come straight off the store and are never staged here *)
       let members = match group with _ :: rest -> rest | [] -> [] in
+      st.files_transferred <- st.files_transferred + List.length group;
       List.iter
         (fun m ->
           if Ring.in_group st.ring ~replicas:k ~node m then begin
@@ -483,10 +504,8 @@ let serve st ~client ~time ~tracing file =
       let served_ms =
         if Plan.enabled st.base_plan then begin
           let multiplier = Plan.latency_multiplier ns.plan ~time ~attempt in
-          (* counted in the result's own [slowed_fetches], not in
-             [st.counters], so the [faults.*] blocks of scenario cells
-             and ledgers stay byte-identical *)
-          if multiplier > 1.0 then st.slowed_fetches <- st.slowed_fetches + 1;
+          if multiplier > 1.0 then
+            st.counters.Counters.slowed_fetches <- st.counters.Counters.slowed_fetches + 1;
           base *. multiplier
         end
         else base
@@ -520,6 +539,8 @@ let access st (e : Agg_trace.Event.t) =
   end;
   cs.accesses <- cs.accesses + 1;
   let file = e.Agg_trace.Event.file in
+  if st.config.cooperative then
+    observe st ~client ~group_nodes:(Ring.group st.ring ~replicas:(live_replicas st) file) file;
   let tracing =
     match Agg_obs.Scope.trace_ctx st.config.scope with
     | Some ctx when Agg_obs.Trace_ctx.sampled ctx ~request:time -> Some ctx
@@ -569,8 +590,8 @@ let run config trace =
   Agg_trace.Trace.iter (access st) trace;
   let accesses = Array.fold_left (fun acc cs -> acc + cs.accesses) 0 st.client_states in
   let client_hits = Array.fold_left (fun acc cs -> acc + cs.hits) 0 st.client_states in
-  (* the mean reads the latencies in access order; the p95 selection
-     then reorders them *)
+  (* the mean reads the latencies in access order; the percentile
+     selections then reorder them *)
   let mean_latency = Agg_util.Stats.mean st.latencies in
   {
     accesses;
@@ -578,6 +599,7 @@ let run config trace =
     server_requests = st.server_requests;
     server_hits = st.server_hits;
     store_fetches = st.store_fetches;
+    files_transferred = st.files_transferred;
     invalidations = st.invalidations;
     per_client_hit_rate =
       Array.to_list
@@ -585,11 +607,11 @@ let run config trace =
     routed_fetches = st.routed_fetches;
     failovers = st.failovers;
     cross_shard_members = st.cross_shard_members;
-    slowed_fetches = st.slowed_fetches;
     rebalances = st.rebalances;
     moved_files = st.moved_files;
     mean_latency;
     p95_latency = Agg_util.Stats.percentile_in_place st.latencies 0.95;
+    p99_latency = Agg_util.Stats.percentile_in_place st.latencies 0.99;
     per_node_requests = per_node_requests st;
     faults = st.counters;
   }
@@ -625,11 +647,11 @@ let reconcile digest (r : result) =
 let pp_result ppf (r : result) =
   Format.fprintf ppf
     "accesses=%d client_hits=%d (%.1f%%) cluster: %d requests, %d hits (%.1f%%), %d store fetches, \
-     %d invalidations, %d routed, %d failovers, %d cross-shard, %d rebalances (%d moved), \
-     mean=%.3fms p95=%.3fms"
+     %d files sent, %d invalidations, %d routed, %d failovers, %d cross-shard, %d rebalances (%d \
+     moved), mean=%.3fms p95=%.3fms p99=%.3fms"
     r.accesses r.client_hits
     (100.0 *. client_hit_rate r)
     r.server_requests r.server_hits
     (100.0 *. server_hit_rate r)
-    r.store_fetches r.invalidations r.routed_fetches r.failovers r.cross_shard_members r.rebalances
-    r.moved_files r.mean_latency r.p95_latency
+    r.store_fetches r.files_transferred r.invalidations r.routed_fetches r.failovers
+    r.cross_shard_members r.rebalances r.moved_files r.mean_latency r.p95_latency r.p99_latency

@@ -1,6 +1,7 @@
 (** Many client machines in front of a sharded server cluster. The
     paper's Fig. 2 fleet — many clients sharing one file server — is the
-    one-node ring of {!default_config}.
+    one-node ring of {!default_config}, and its single client → network →
+    server → store path is the one-client ring of {!path_config}.
 
     Each cache level is configured by a shared {!Agg_system.Scheme.t}:
     [Plain] for demand caching, [Aggregating] for group retrieval with
@@ -25,7 +26,12 @@
 
     {b The one-node cluster} ([nodes = 1], [replicas = 1], [Owner_node],
     no churn) is pinned in [test_cluster.ml] against the two-level
-    reference model and against recorded counters.
+    reference model, at both values of [cooperative], and against
+    recorded counters.
+
+    {b Staging}: a node stages its own readahead (an aggregating node's
+    group) only on a node miss; the members of a client's group are
+    staged one by one at the serving node, and only those it replicates.
 
     {b Metadata placement} ({!metadata_placement}) is a config axis:
 
@@ -75,6 +81,10 @@ type config = {
           (§2.2's "identity of the driving client" model choice) *)
   write_invalidation : bool;
       (** writes invalidate the file in every {e other} client cache *)
+  cooperative : bool;
+      (** clients piggy-back every access to the metadata (§3), client
+          hits included, before the client cache lookup; otherwise the
+          metadata observes the misses it serves only *)
   cost : Agg_system.Cost_model.t;  (** latency model of the fetch path *)
   faults : Agg_faults.Plan.config;
       (** node 0 uses this seed verbatim; node [i > 0] uses a seed
@@ -100,15 +110,25 @@ val default_config : config
 (** The paper's fleet: 4 clients of 150 files (aggregating, g = 5) in
     front of one 300-file aggregating server — a single-node,
     single-replica, [Owner_node] ring with no churn — with per-client
-    metadata, write invalidation, LAN costs, no faults and no scope
-    (telemetry off). *)
+    metadata, write invalidation, misses-only metadata (not
+    [cooperative]), LAN costs, no faults and no scope (telemetry off). *)
+
+val path_config : config
+(** The Fig. 2 path: {!default_config} with one 300-file client in front
+    of one 1000-file server, plain LRU at both levels, one shared
+    metadata context, no write invalidation, and [cooperative] set, so
+    the server's metadata sees every access. *)
 
 type result = {
   accesses : int;
   client_hits : int;
   server_requests : int;
   server_hits : int;  (** summed over all node caches *)
-  store_fetches : int;
+  store_fetches : int;  (** demanded + speculative reads at the store *)
+  files_transferred : int;
+      (** files sent to clients: the demanded file plus its group's
+          members per routed fetch, the demanded file alone per degraded
+          one *)
   invalidations : int;  (** cached copies broken by writes elsewhere *)
   per_client_hit_rate : (int * float) list;  (** client id, hit rate *)
   routed_fetches : int;  (** requests served by a live node *)
@@ -118,18 +138,19 @@ type result = {
   cross_shard_members : int;
       (** group members fetched from the store because the serving node
           is not in their replication group (never staged there) *)
-  slowed_fetches : int;
-      (** served fetches that rode a degraded link (kept out of
-          [faults], whose [slowed_fetches] stays 0, so the scenario and
-          ledger [faults.*] blocks stay byte-identical) *)
   rebalances : int;  (** churn ops applied *)
   moved_files : int;  (** cached files whose placement a rebalance changed *)
-  mean_latency : float;  (** ms per access, client hits included *)
+  mean_latency : float;
+      (** ms per access, client hits included — waits, backoff and
+          slow-link multipliers too *)
   p95_latency : float;
+  p99_latency : float;
   per_node_requests : (int * int) list;
       (** node id -> fetches served (routed + degraded), departed nodes
           included *)
   faults : Agg_faults.Counters.t;
+      (** what the plan injected and the resilience policy absorbed,
+          fetches served over a slowed link included *)
 }
 
 val run : config -> Agg_trace.Trace.t -> result

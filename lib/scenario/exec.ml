@@ -4,7 +4,6 @@ module Import = Agg_trace.Import
 module Profile = Agg_workload.Profile
 module Generator = Agg_workload.Generator
 module Scheme = Agg_system.Scheme
-module Path = Agg_system.Path
 module Cluster = Agg_cluster.Cluster
 module Counters = Agg_faults.Counters
 module Resilience = Agg_faults.Resilience
@@ -79,32 +78,28 @@ let fault_metrics (c : Counters.t) =
 
 let i = float_of_int
 
-(* The one cluster call site. A fleet is the one-node cluster; its cells
-   report the load counters only, without the ring's routing, churn and
-   latency figures. *)
-let cluster_metrics ~fleet config trace =
+(* Every topology is a cluster: the path is its one-client, one-node
+   ring and a fleet its one-node ring. All cells report the same keys. *)
+let cluster_metrics config trace =
   let r = Cluster.run config trace in
-  let unless_fleet metrics = if fleet then [] else metrics in
   [
     ("accesses", i r.Cluster.accesses);
     ("client_hits", i r.Cluster.client_hits);
     ("server_requests", i r.Cluster.server_requests);
     ("server_hits", i r.Cluster.server_hits);
     ("store_fetches", i r.Cluster.store_fetches);
+    ("files_transferred", i r.Cluster.files_transferred);
     ("invalidations", i r.Cluster.invalidations);
+    ("routed_fetches", i r.Cluster.routed_fetches);
+    ("failovers", i r.Cluster.failovers);
+    ("cross_shard_members", i r.Cluster.cross_shard_members);
+    ("rebalances", i r.Cluster.rebalances);
+    ("moved_files", i r.Cluster.moved_files);
+    ("hit_rate", hit_rate_pct ~accesses:r.Cluster.accesses ~hits:r.Cluster.client_hits);
+    ("mean_latency", r.Cluster.mean_latency);
+    ("p95_latency", r.Cluster.p95_latency);
+    ("p99_latency", r.Cluster.p99_latency);
   ]
-  @ unless_fleet
-      [
-        ("routed_fetches", i r.Cluster.routed_fetches);
-        ("failovers", i r.Cluster.failovers);
-        ("cross_shard_members", i r.Cluster.cross_shard_members);
-        ("slowed_fetches", i r.Cluster.slowed_fetches);
-        ("rebalances", i r.Cluster.rebalances);
-        ("moved_files", i r.Cluster.moved_files);
-      ]
-  @ [ ("hit_rate", hit_rate_pct ~accesses:r.Cluster.accesses ~hits:r.Cluster.client_hits) ]
-  @ unless_fleet
-      [ ("mean_latency", r.Cluster.mean_latency); ("p95_latency", r.Cluster.p95_latency) ]
   @ fault_metrics r.Cluster.faults
 
 let run_cell (t : Scenario.t) trace policy =
@@ -130,56 +125,36 @@ let run_cell (t : Scenario.t) trace policy =
       scope;
     }
   in
-  let metrics =
+  let config =
     match t.Scenario.topology with
     | Scenario.Path { client_capacity; server_capacity } ->
-        let config =
-          {
-            Path.default_config with
-            Path.client_capacity;
-            server_capacity;
-            client = scheme;
-            server = Scheme.plain_lru;
-            faults = t.Scenario.faults;
-            scope;
-          }
-        in
-        let r = Path.run config trace in
-        [
-          ("accesses", i r.Path.accesses);
-          ("client_hits", i r.Path.client_hits);
-          ("server_hits", i r.Path.server_hits);
-          ("disk_reads", i r.Path.disk_reads);
-          ("files_transferred", i r.Path.files_transferred);
-          ("round_trips", i r.Path.round_trips);
-          ("hit_rate", hit_rate_pct ~accesses:r.Path.accesses ~hits:r.Path.client_hits);
-          ("mean_latency", r.Path.mean_latency);
-          ("p95_latency", r.Path.p95_latency);
-          ("p99_latency", r.Path.p99_latency);
-        ]
-        @ fault_metrics r.Path.faults
+        (* the path's server is plain LRU whatever the client's policy *)
+        {
+          Cluster.path_config with
+          Cluster.client_capacity;
+          node_capacity = server_capacity;
+          client_scheme = scheme;
+          faults = t.Scenario.faults;
+          scope;
+        }
     | Scenario.Fleet { clients; client_capacity; server_capacity } ->
-        cluster_metrics ~fleet:true
-          { cluster_base with Cluster.clients; client_capacity; node_capacity = server_capacity }
-          trace
+        { cluster_base with Cluster.clients; client_capacity; node_capacity = server_capacity }
     | Scenario.Cluster
         { nodes; replicas; placement; ring_seed; clients; client_capacity; node_capacity; churn }
       ->
-        cluster_metrics ~fleet:false
-          {
-            cluster_base with
-            Cluster.nodes;
-            replicas;
-            ring_seed;
-            metadata = placement;
-            clients;
-            client_capacity;
-            node_capacity;
-            churn;
-          }
-          trace
+        {
+          cluster_base with
+          Cluster.nodes;
+          replicas;
+          ring_seed;
+          metadata = placement;
+          clients;
+          client_capacity;
+          node_capacity;
+          churn;
+        }
   in
-  { policy; metrics; series }
+  { policy; metrics = cluster_metrics config trace; series }
 
 (* --- rendering ------------------------------------------------------------- *)
 
@@ -232,53 +207,37 @@ let per_cell name cells f =
   | [] -> { check_name = name; pass = true; detail = Printf.sprintf "%d cells" (List.length cells) }
   | (policy, d) :: _ -> { check_name = name; pass = false; detail = Printf.sprintf "cell %s: %s" policy d }
 
-let check_conservation (t : Scenario.t) cells =
+let check_conservation cells =
   per_cell "conservation" cells (fun cell ->
       let nonneg =
         List.find_opt (fun (_, v) -> v < 0.0 || Float.is_nan v) cell.metrics
       in
       match nonneg with
       | Some (k, v) -> Error (Printf.sprintf "%s=%s is negative" k (value_str v))
-      | None -> (
-          match t.Scenario.topology with
-          | Scenario.Path _ ->
-              let misses = get cell "accesses" -. get cell "client_hits" in
-              if get cell "client_hits" > get cell "accesses" then
-                Error "client_hits exceed accesses"
-              else if get cell "server_hits" > misses then
-                Error
-                  (Printf.sprintf "server_hits=%s exceed misses=%s"
-                     (value_str (get cell "server_hits"))
-                     (value_str misses))
-              else Ok ()
-          | Scenario.Fleet _ | Scenario.Cluster _ ->
-              let accesses = get cell "accesses" in
-              let sum = get cell "client_hits" +. get cell "server_requests" in
-              if sum <> accesses then
-                Error
-                  (Printf.sprintf "client_hits + server_requests = %s <> accesses = %s"
-                     (value_str sum) (value_str accesses))
-              else if get cell "server_hits" > get cell "server_requests" then
-                Error "server_hits exceed server_requests"
-              else Ok ()))
+      | None ->
+          let accesses = get cell "accesses" in
+          let sum = get cell "client_hits" +. get cell "server_requests" in
+          if sum <> accesses then
+            Error
+              (Printf.sprintf "client_hits + server_requests = %s <> accesses = %s"
+                 (value_str sum) (value_str accesses))
+          else if get cell "server_hits" > get cell "server_requests" then
+            Error "server_hits exceed server_requests"
+          else Ok ())
 
-let check_every_request_served (t : Scenario.t) cells =
+let check_every_request_served cells =
   per_cell "every_request_served" cells (fun cell ->
       let eq what lhs rhs =
         if lhs = rhs then Ok ()
         else Error (Printf.sprintf "%s: %s <> %s" what (value_str lhs) (value_str rhs))
       in
-      match t.Scenario.topology with
-      | Scenario.Path _ ->
-          eq "round_trips vs misses" (get cell "round_trips")
-            (get cell "accesses" -. get cell "client_hits")
-      | Scenario.Fleet _ ->
-          eq "server_requests vs misses" (get cell "server_requests")
-            (get cell "accesses" -. get cell "client_hits")
-      | Scenario.Cluster _ ->
+      Result.bind
+        (eq "server_requests vs misses" (get cell "server_requests")
+           (get cell "accesses" -. get cell "client_hits"))
+        (fun () ->
           eq "routed + degraded vs server_requests"
             (get cell "routed_fetches" +. get cell "faults.degraded_fetches")
-            (get cell "server_requests"))
+            (get cell "server_requests")))
 
 let total_client_capacity (t : Scenario.t) =
   match t.Scenario.topology with
@@ -437,11 +396,11 @@ let run ?(jobs = 1) ?events_cap ?scope (t : Scenario.t) =
           let cells = Pool.map ~jobs run_one t.Scenario.policies in
           let run_cells jobs = Pool.map ~jobs (run_cell t trace) t.Scenario.policies in
           let invariant_check = function
-            | Scenario.Conservation -> check_conservation t cells
+            | Scenario.Conservation -> check_conservation cells
             | Scenario.Belady_bound -> check_belady t trace cells
             | Scenario.G1_equals_lru -> check_g1_lru t trace
             | Scenario.Jobs_invariance -> check_jobs_invariance run_cells
-            | Scenario.Every_request_served -> check_every_request_served t cells
+            | Scenario.Every_request_served -> check_every_request_served cells
           in
           let checks =
             List.map invariant_check t.Scenario.invariants

@@ -10,8 +10,8 @@
 type cell = {
   policy : Scenario.policy;
   metrics : (string * float) list;
-      (** canonical metric names in a fixed per-topology order; integer
-          counters are stored as exact floats *)
+      (** canonical metric names in one fixed order, the same for every
+          topology; integer counters are stored as exact floats *)
   series : Agg_obs.Series.t option;
       (** the cell's windowed telemetry, recorded only when the scenario
           declares slo rules (the window is the rules' shared window);

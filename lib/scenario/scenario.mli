@@ -22,10 +22,11 @@ type workload =
 
 type topology =
   | Path of { client_capacity : int; server_capacity : int }
-      (** the single Fig. 2 client/server path ({!Agg_system.Path}) *)
+      (** the single Fig. 2 client/server path: the one-client, one-node
+          cluster of {!Agg_cluster.Cluster.path_config}, whose server is
+          plain LRU whatever the client's policy *)
   | Fleet of { clients : int; client_capacity : int; server_capacity : int }
-      (** many clients, one server: the one-node {!Agg_cluster.Cluster},
-          whose cells report its load counters and fault block only *)
+      (** many clients, one server: the one-node {!Agg_cluster.Cluster} *)
   | Cluster of {
       nodes : int;
       replicas : int;
@@ -60,8 +61,9 @@ type invariant =
   | Jobs_invariance
       (** the rendered cells are byte-identical at jobs=1 and jobs=2 *)
   | Every_request_served
-      (** every demand miss is eventually served (cluster: routed +
-          degraded = server requests; path: completed fetches = misses) *)
+      (** every demand miss is eventually served: server requests =
+          accesses − client hits, and routed + degraded = server
+          requests *)
 
 val invariant_name : invariant -> string
 val invariant_of_string : string -> invariant option

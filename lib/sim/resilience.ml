@@ -1,5 +1,5 @@
 module Scheme = Agg_system.Scheme
-module Path = Agg_system.Path
+module Cluster = Agg_cluster.Cluster
 module Plan = Agg_faults.Plan
 module Counters = Agg_faults.Counters
 
@@ -27,16 +27,16 @@ let sweep ?(loss_rates = default_loss_rates) ?(schemes = default_schemes)
   Experiment.grid ?profiler:(Experiment.Runner.profiler runner) ~span_label ~settings
     ~rows:schemes ~cols:loss_rates (fun scheme loss_rate ->
       let faults = { Plan.none with Plan.loss_rate } in
-      let config = { Path.default_config with Path.client = scheme; faults } in
-      let r = Path.run config trace in
+      let config = { Cluster.path_config with Cluster.client_scheme = scheme; faults } in
+      let r = Cluster.run config trace in
       {
         scheme = Scheme.name scheme;
         loss_rate;
-        hit_rate = 100.0 *. Path.client_hit_rate r;
-        mean_latency = r.Path.mean_latency;
-        timeouts = r.Path.faults.Counters.timeouts;
-        retries = r.Path.faults.Counters.retries;
-        degraded_fetches = r.Path.faults.Counters.degraded_fetches;
+        hit_rate = 100.0 *. Cluster.client_hit_rate r;
+        mean_latency = r.Cluster.mean_latency;
+        timeouts = r.Cluster.faults.Counters.timeouts;
+        retries = r.Cluster.faults.Counters.retries;
+        degraded_fetches = r.Cluster.faults.Counters.degraded_fetches;
       })
   |> List.concat_map snd |> List.map snd
 

@@ -1,6 +1,7 @@
 (** The resilience sweep: client hit rate and mean demand latency as the
     message-loss rate grows, for a plain LRU client versus an aggregating
-    client (g = 5), over the full {!Agg_system.Path} simulator.
+    client (g = 5), over the Fig. 2 path ({!Agg_cluster.Cluster.path_config}:
+    one client, one plain LRU server).
 
     The paper's claim extends naturally to hostile networks: the
     aggregating client makes {e fewer} round trips per access, so each

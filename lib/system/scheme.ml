@@ -9,6 +9,13 @@ let aggregating ?group_size () =
   | None -> Aggregating Agg_core.Config.default
   | Some g -> Aggregating (Agg_core.Config.with_group_size g Agg_core.Config.default)
 
+let deployments =
+  [
+    ("baseline", plain_lru, plain_lru);
+    ("agg-client", aggregating (), plain_lru);
+    ("agg-both", aggregating (), aggregating ~group_size:10 ());
+  ]
+
 let name = function
   | Plain kind -> Agg_cache.Cache.kind_name kind
   | Aggregating c -> Printf.sprintf "g%d" c.Agg_core.Config.group_size

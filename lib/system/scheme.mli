@@ -1,7 +1,7 @@
 (** The one way a cache level is configured across the system layer.
 
-    Both system simulators ({!Path} and [Agg_cluster.Cluster], whose
-    one-node ring is the paper's fleet) and the resilience sweep place
+    The system simulator ([Agg_cluster.Cluster], whose one-node ring is
+    the paper's Fig. 2 path and fleet) and the sweeps built on it place
     either a plain demand cache or an aggregating (group-fetching) cache
     at each level. A single shared type keeps the configurations
     identical everywhere and lets sweeps treat "scheme" as an axis. *)
@@ -20,6 +20,13 @@ val aggregating : ?group_size:int -> unit -> t
 (** [Aggregating] at the paper's default operating point, optionally with
     a different group size.
     @raise Invalid_argument when [group_size] is not positive. *)
+
+val deployments : (string * t * t) list
+(** The paper's three named client/server configurations, as
+    [(name, client, server)]: ["baseline"] is plain LRU at both levels,
+    ["agg-client"] an aggregating g = 5 client over a plain server, and
+    ["agg-both"] the same client over a g = 10 server that stages its own
+    deeper groups as readahead. *)
 
 val name : t -> string
 (** A label for tables and series: the cache kind's name for [Plain]

@@ -581,33 +581,6 @@ let test_belady_invalid () =
   Alcotest.check_raises "cap 0" (Invalid_argument "Belady.simulate: capacity must be positive")
     (fun () -> ignore (Belady.simulate ~capacity:0 [| 1 |]))
 
-(* --- Multilevel -------------------------------------------------------- *)
-
-let test_multilevel_outcomes () =
-  let ml =
-    Multilevel.create
-      ~client:(Cache.create Cache.Lru ~capacity:1)
-      ~server:(Cache.create Cache.Lru ~capacity:2)
-  in
-  check_bool "first access misses everywhere" true (Multilevel.access ml 1 = Multilevel.Server_miss);
-  check_bool "client hit" true (Multilevel.access ml 1 = Multilevel.Client_hit);
-  check_bool "2 misses" true (Multilevel.access ml 2 = Multilevel.Server_miss);
-  (* 1 was evicted from the 1-entry client but the server still holds it *)
-  check_bool "server hit" true (Multilevel.access ml 1 = Multilevel.Server_hit)
-
-let test_multilevel_hit_rate () =
-  let ml =
-    Multilevel.create
-      ~client:(Cache.create Cache.Lru ~capacity:1)
-      ~server:(Cache.create Cache.Lru ~capacity:4)
-  in
-  List.iter (fun k -> ignore (Multilevel.access ml k)) [ 1; 2; 1; 2; 1; 2 ];
-  (* client absorbs nothing (alternating), server hits after warm-up *)
-  check_bool "server rate in (0,1)" true
-    (Multilevel.server_hit_rate ml > 0.0 && Multilevel.server_hit_rate ml < 1.0);
-  Multilevel.reset_stats ml;
-  check_int "reset" 0 (Cache.stats (Multilevel.server ml)).Cache.accesses
-
 (* --- arena ports vs the pre-arena pointer implementation ---------------- *)
 
 (* The boxed implementation the pure-recency policies had before the
@@ -971,11 +944,6 @@ let () =
           Alcotest.test_case "capacity one" `Quick test_belady_capacity_one;
           Alcotest.test_case "beats lru" `Quick test_belady_beats_lru;
           Alcotest.test_case "invalid" `Quick test_belady_invalid;
-        ] );
-      ( "multilevel",
-        [
-          Alcotest.test_case "outcomes" `Quick test_multilevel_outcomes;
-          Alcotest.test_case "hit rate" `Quick test_multilevel_hit_rate;
         ] );
       ( "weighted",
         [

@@ -183,44 +183,54 @@ let ring_qcheck =
 
 (* One plain-LRU client in front of one aggregating g = 5 node, with
    global metadata and no coherence traffic, is exactly the two-level
-   system of Fig. 4. The reference model steps access by access; at every
-   100th access the cluster replays the prefix and the load counters must
-   agree. *)
+   system of Fig. 4, at either value of [cooperative]: misses-only
+   metadata, or every access piggy-backed (§3). The reference model steps
+   access by access; at every 100th access of each paper profile the
+   cluster replays the prefix and the load counters must agree. *)
 let test_one_node_matches_reference_model () =
-  let trace = Agg_trace.Trace.sub (Lazy.force users_trace) ~pos:0 ~len:2000 in
-  let config =
-    {
-      Cluster.default_config with
-      Cluster.clients = 1;
-      client_scheme = Scheme.plain_lru;
-      per_client_metadata = false;
-      write_invalidation = false;
-    }
-  in
-  let model =
-    Model_system.Server.create ~filter_kind:Agg_cache.Cache.Lru
-      ~filter_capacity:config.Cluster.client_capacity
-      ~server_capacity:config.Cluster.node_capacity
-      ~scheme:(Agg_core.Server_cache.Aggregating Agg_core.Config.default) ()
-  in
-  let files = Agg_trace.Trace.files trace in
-  Array.iteri
-    (fun idx file ->
-      ignore (Model_system.Server.access model file);
-      let len = idx + 1 in
-      if len mod 100 = 0 then begin
-        let r = Cluster.run config (Agg_trace.Trace.sub trace ~pos:0 ~len) in
-        let m = Model_system.Server.metrics model in
-        let at what = Printf.sprintf "%s after %d accesses" what len in
-        check_int (at "client hits")
-          (m.Agg_core.Metrics.client_accesses - m.Agg_core.Metrics.server_requests)
-          r.Cluster.client_hits;
-        check_int (at "server requests") m.Agg_core.Metrics.server_requests
-          r.Cluster.server_requests;
-        check_int (at "server hits") m.Agg_core.Metrics.server_hits r.Cluster.server_hits;
-        check_int (at "store fetches") m.Agg_core.Metrics.store_fetches r.Cluster.store_fetches
-      end)
-    files
+  List.iter
+    (fun (profile, cooperative) ->
+      let trace = Agg_workload.Generator.generate ~seed:5 ~events:2000 profile in
+      let config =
+        {
+          Cluster.default_config with
+          Cluster.clients = 1;
+          client_scheme = Scheme.plain_lru;
+          per_client_metadata = false;
+          write_invalidation = false;
+          cooperative;
+        }
+      in
+      let model =
+        Model_system.Server.create ~cooperative ~filter_kind:Agg_cache.Cache.Lru
+          ~filter_capacity:config.Cluster.client_capacity
+          ~server_capacity:config.Cluster.node_capacity
+          ~scheme:(Agg_core.Server_cache.Aggregating Agg_core.Config.default) ()
+      in
+      Array.iteri
+        (fun idx file ->
+          ignore (Model_system.Server.access model file);
+          let len = idx + 1 in
+          if len mod 100 = 0 then begin
+            let r = Cluster.run config (Agg_trace.Trace.sub trace ~pos:0 ~len) in
+            let m = Model_system.Server.metrics model in
+            let at what =
+              Printf.sprintf "%s/cooperative=%b: %s after %d accesses"
+                profile.Agg_workload.Profile.name cooperative what len
+            in
+            check_int (at "client hits")
+              (m.Agg_core.Metrics.client_accesses - m.Agg_core.Metrics.server_requests)
+              r.Cluster.client_hits;
+            check_int (at "server requests") m.Agg_core.Metrics.server_requests
+              r.Cluster.server_requests;
+            check_int (at "server hits") m.Agg_core.Metrics.server_hits r.Cluster.server_hits;
+            check_int (at "store fetches") m.Agg_core.Metrics.store_fetches
+              r.Cluster.store_fetches
+          end)
+        (Agg_trace.Trace.files trace))
+    (List.concat_map
+       (fun profile -> [ (profile, false); (profile, true) ])
+       Agg_workload.Profile.all)
 
 (* The counters the former standalone fleet simulator reported on
    [users_trace], pinned as literals the one-node cluster must reproduce:
@@ -264,7 +274,7 @@ let test_recorded_hostile () =
   check_recorded
     { Cluster.default_config with Cluster.faults = hostile }
     ~counters:[ 4000; 2878; 1122; 155; 1076; 134 ]
-    ~faults:[ 128; 0; 128; 126; 2; 0; 6 ]
+    ~faults:[ 128; 0; 128; 126; 2; 63; 6 ]
     ~per_client:[ (709, 1023); (865, 1210); (581, 882); (723, 885) ]
 
 let test_recorded_plain_lru () =
@@ -276,7 +286,7 @@ let test_recorded_plain_lru () =
       faults = hostile;
     }
     ~counters:[ 4000; 2810; 1190; 196; 994; 95 ]
-    ~faults:[ 135; 0; 135; 133; 2; 0; 6 ]
+    ~faults:[ 135; 0; 135; 133; 2; 67; 6 ]
     ~per_client:[ (684, 1023); (833, 1210); (579, 882); (714, 885) ]
 
 let test_recorded_small_global () =
@@ -291,7 +301,7 @@ let test_recorded_small_global () =
       faults = { Plan.default with Plan.crash_rate = 0.01 };
     }
     ~counters:[ 4000; 2274; 1726; 154; 3631; 0 ]
-    ~faults:[ 202; 0; 202; 199; 3; 0; 41 ]
+    ~faults:[ 202; 0; 202; 199; 3; 88; 41 ]
     ~per_client:[ (721, 1293); (613, 1201); (940, 1506) ]
 
 (* --- fleet: many clients sharing the one node --------------------------- *)

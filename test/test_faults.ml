@@ -1,12 +1,11 @@
 (* Tests for the fault-injection layer: plan determinism and validation,
    resilience-policy arithmetic, the crafted timeout -> degraded-fetch
    path with exact pinned metrics, and the headline byte-identity
-   property — a plan that can inject nothing leaves both system
-   simulators' results (the path and the fleet, which is the one-node
-   cluster) exactly equal to the fault-free run. *)
+   property — a plan that can inject nothing leaves the cluster's results
+   (on the Fig. 2 path and on the fleet, both one-node rings) exactly
+   equal to the fault-free run. *)
 
 open Agg_faults
-module Path = Agg_system.Path
 module Cluster = Agg_cluster.Cluster
 module Scheme = Agg_system.Scheme
 module Cost_model = Agg_system.Cost_model
@@ -129,26 +128,26 @@ let test_counters () =
 let test_crafted_degraded_path () =
   let trace = Agg_trace.Trace.of_files [ 1; 2; 3; 1; 2 ] in
   let config =
-    Path.with_deployment ~group_size:3 `Aggregating_client
-      {
-        Path.default_config with
-        Path.client_capacity = 4;
-        server_capacity = 8;
-        faults = { Plan.none with Plan.loss_rate = 1.0 };
-      }
+    {
+      Cluster.path_config with
+      Cluster.client_capacity = 4;
+      node_capacity = 8;
+      client_scheme = Scheme.aggregating ~group_size:3 ();
+      faults = { Plan.none with Plan.loss_rate = 1.0 };
+    }
   in
-  let r = Path.run config trace in
-  check_int "accesses" 5 r.Path.accesses;
-  check_int "client hits unchanged" 2 r.Path.client_hits;
-  check_int "every miss degrades" 3 r.Path.faults.Counters.degraded_fetches;
-  check_int "3 attempts per miss" 9 r.Path.faults.Counters.timeouts;
-  check_int "all losses, no outages" 9 r.Path.faults.Counters.lost_messages;
-  check_int "2 retries per miss" 6 r.Path.faults.Counters.retries;
+  let r = Cluster.run config trace in
+  check_int "accesses" 5 r.Cluster.accesses;
+  check_int "client hits unchanged" 2 r.Cluster.client_hits;
+  check_int "every miss degrades" 3 r.Cluster.faults.Counters.degraded_fetches;
+  check_int "3 attempts per miss" 9 r.Cluster.faults.Counters.timeouts;
+  check_int "all losses, no outages" 9 r.Cluster.faults.Counters.lost_messages;
+  check_int "2 retries per miss" 6 r.Cluster.faults.Counters.retries;
   (* the demanded file is still served: one rtt and one file per miss,
      exactly the baseline's demand path *)
-  check_int "rtts" 3 r.Path.round_trips;
-  check_int "one file per degraded fetch" 3 r.Path.files_transferred;
-  check_int "disk reads" 3 r.Path.disk_reads;
+  check_int "rtts" 3 r.Cluster.server_requests;
+  check_int "one file per degraded fetch" 3 r.Cluster.files_transferred;
+  check_int "disk reads" 3 r.Cluster.store_fetches;
   (* latency: each miss waits out (timeout+backoff1) + (timeout+backoff2)
      + timeout = 330ms, then pays the ordinary disk fetch *)
   let wait =
@@ -162,49 +161,49 @@ let test_crafted_degraded_path () =
   let hit = Cost_model.lan.Cost_model.client_memory in
   check_float "mean latency pinned"
     (((3.0 *. (wait +. fetch)) +. (2.0 *. hit)) /. 5.0)
-    r.Path.mean_latency
+    r.Cluster.mean_latency
 
 let test_crashes_wipe_cache () =
   let trace = Agg_trace.Trace.of_files [ 1; 1; 1; 1; 1 ] in
   let config =
-    { Path.default_config with Path.faults = { Plan.none with Plan.crash_rate = 1.0 } }
+    { Cluster.path_config with Cluster.faults = { Plan.none with Plan.crash_rate = 1.0 } }
   in
-  let r = Path.run config trace in
-  check_int "crash before every access" 5 r.Path.faults.Counters.crashes;
-  check_int "no hits survive the wipes" 0 r.Path.client_hits;
+  let r = Cluster.run config trace in
+  check_int "crash before every access" 5 r.Cluster.faults.Counters.crashes;
+  check_int "no hits survive the wipes" 0 r.Cluster.client_hits;
   (* without crashes the same trace hits 4 of 5 *)
-  let healthy = Path.run { config with Path.faults = Plan.none } trace in
-  check_int "healthy hits" 4 healthy.Path.client_hits
+  let healthy = Cluster.run { config with Cluster.faults = Plan.none } trace in
+  check_int "healthy hits" 4 healthy.Cluster.client_hits
 
 let test_outage_counted_separately () =
   let trace = Agg_trace.Trace.of_files [ 1; 2; 3 ] in
   let config =
     {
-      Path.default_config with
-      Path.faults =
+      Cluster.path_config with
+      Cluster.faults =
         { Plan.none with Plan.outage_period = 100; outage_rate = 1.0; outage_length = 100 };
     }
   in
-  let r = Path.run config trace in
-  check_int "every timeout is an outage denial" r.Path.faults.Counters.timeouts
-    r.Path.faults.Counters.outage_denials;
-  check_int "no message losses" 0 r.Path.faults.Counters.lost_messages;
-  check_int "all misses degrade" 3 r.Path.faults.Counters.degraded_fetches
+  let r = Cluster.run config trace in
+  check_int "every timeout is an outage denial" r.Cluster.faults.Counters.timeouts
+    r.Cluster.faults.Counters.outage_denials;
+  check_int "no message losses" 0 r.Cluster.faults.Counters.lost_messages;
+  check_int "all misses degrade" 3 r.Cluster.faults.Counters.degraded_fetches
 
 let test_slow_links_counted () =
   let trace = Agg_trace.Trace.of_files [ 1; 2; 3; 1; 2 ] in
   let config =
     {
-      Path.default_config with
-      Path.faults = { Plan.none with Plan.slow_rate = 1.0; slow_multiplier = 4.0 };
+      Cluster.path_config with
+      Cluster.faults = { Plan.none with Plan.slow_rate = 1.0; slow_multiplier = 4.0 };
     }
   in
-  let r = Path.run config trace in
-  check_int "every completed fetch is slowed" r.Path.round_trips
-    r.Path.faults.Counters.slowed_fetches;
-  let healthy = Path.run { config with Path.faults = Plan.none } trace in
+  let r = Cluster.run config trace in
+  check_int "every completed fetch is slowed" r.Cluster.server_requests
+    r.Cluster.faults.Counters.slowed_fetches;
+  let healthy = Cluster.run { config with Cluster.faults = Plan.none } trace in
   (* only remote latencies are multiplied; hits are untouched *)
-  check_bool "latency grows" true (r.Path.mean_latency > healthy.Path.mean_latency)
+  check_bool "latency grows" true (r.Cluster.mean_latency > healthy.Cluster.mean_latency)
 
 (* --- fleet under faults ----------------------------------------------- *)
 
@@ -228,13 +227,7 @@ let test_fleet_crashes_and_degradation () =
 
 (* --- properties -------------------------------------------------------- *)
 
-let path_fingerprint (r : Path.result) =
-  ( (r.Path.accesses, r.Path.client_hits, r.Path.server_hits, r.Path.disk_reads),
-    (r.Path.files_transferred, r.Path.round_trips),
-    (r.Path.mean_latency, r.Path.p95_latency, r.Path.p99_latency),
-    Format.asprintf "%a" Path.pp_result r )
-
-let fleet_fingerprint (r : Cluster.result) = (r, Format.asprintf "%a" Cluster.pp_result r)
+let fingerprint (r : Cluster.result) = (r, Format.asprintf "%a" Cluster.pp_result r)
 
 let qcheck_tests =
   let open QCheck in
@@ -247,15 +240,25 @@ let qcheck_tests =
         (* a plan with every rate at zero (loss 0.0, no outage windows) must
            take the literal fault-free code path, whatever its seed *)
         let zero = { Plan.none with Plan.seed } in
-        let config g faults =
-          Path.with_deployment ~group_size:3 g
-            { Path.default_config with Path.client_capacity = 4; server_capacity = 8; faults }
+        let config (client_scheme, node_scheme) faults =
+          {
+            Cluster.path_config with
+            Cluster.client_capacity = 4;
+            node_capacity = 8;
+            client_scheme;
+            node_scheme;
+            faults;
+          }
         in
         List.for_all
-          (fun g ->
-            path_fingerprint (Path.run (config g zero) trace)
-            = path_fingerprint (Path.run (config g Plan.none) trace))
-          [ `Baseline; `Aggregating_client; `Aggregating_both ]);
+          (fun schemes ->
+            fingerprint (Cluster.run (config schemes zero) trace)
+            = fingerprint (Cluster.run (config schemes Plan.none) trace))
+          [
+            (Scheme.plain_lru, Scheme.plain_lru);
+            (Scheme.aggregating ~group_size:3 (), Scheme.plain_lru);
+            (Scheme.aggregating ~group_size:3 (), Scheme.aggregating ~group_size:6 ());
+          ]);
     Test.make ~name:"fleet: zero-rate plan replays byte-identically" ~count:40
       (pair files_gen (int_range 0 1000))
       (fun (files, seed) ->
@@ -269,41 +272,40 @@ let qcheck_tests =
             faults;
           }
         in
-        fleet_fingerprint (Cluster.run (config { Plan.none with Plan.seed }) trace)
-        = fleet_fingerprint (Cluster.run (config Plan.none) trace));
+        fingerprint (Cluster.run (config { Plan.none with Plan.seed }) trace)
+        = fingerprint (Cluster.run (config Plan.none) trace));
     Test.make ~name:"faulty runs are deterministic run-to-run" ~count:30 files_gen (fun files ->
         let trace = Agg_trace.Trace.of_files files in
         let config =
           {
-            Path.default_config with
-            Path.client = Scheme.aggregating ~group_size:3 ();
+            Cluster.path_config with
+            Cluster.client_scheme = Scheme.aggregating ~group_size:3 ();
             client_capacity = 4;
-            server_capacity = 8;
+            node_capacity = 8;
             faults = { Plan.default with Plan.crash_rate = 0.01 };
           }
         in
-        let a = Path.run config trace and b = Path.run config trace in
-        path_fingerprint a = path_fingerprint b
-        && Counters.equal a.Path.faults b.Path.faults);
+        let a = Cluster.run config trace and b = Cluster.run config trace in
+        fingerprint a = fingerprint b && Counters.equal a.Cluster.faults b.Cluster.faults);
     Test.make ~name:"degraded + served = round trips + hits identity" ~count:40
       (pair files_gen (float_bound_inclusive 1.0))
       (fun (files, loss_rate) ->
         let trace = Agg_trace.Trace.of_files files in
         let config =
           {
-            Path.default_config with
-            Path.client = Scheme.aggregating ~group_size:3 ();
+            Cluster.path_config with
+            Cluster.client_scheme = Scheme.aggregating ~group_size:3 ();
             client_capacity = 4;
-            server_capacity = 8;
+            node_capacity = 8;
             faults = { Plan.none with Plan.loss_rate };
           }
         in
-        let r = Path.run config trace in
+        let r = Cluster.run config trace in
         (* every access is a hit or a completed fetch (degraded fetches
            still complete), and the retry budget bounds the timeouts *)
-        r.Path.client_hits + r.Path.round_trips = r.Path.accesses
-        && r.Path.faults.Counters.timeouts
-           <= (Resilience.default.Resilience.max_retries + 1) * r.Path.round_trips);
+        r.Cluster.client_hits + r.Cluster.server_requests = r.Cluster.accesses
+        && r.Cluster.faults.Counters.timeouts
+           <= (Resilience.default.Resilience.max_retries + 1) * r.Cluster.server_requests);
     Test.make ~name:"backoff is monotone in attempt" ~count:100
       (pair (int_range 1 20) (int_range 1 19))
       (fun (a, b) ->
