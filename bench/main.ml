@@ -693,11 +693,14 @@ let weighted_throughput ~reps =
    steady-benchmark set-up does; its ops are generated events.
    [zipf-sample-22k] samples the write profile's background table
    (22000 ranks, s = 0.55). The rest run on the same server stream: ring
-   routing (the group list and the membership walk)
+   routing (the group walk and the membership walk)
    on a five-node ring at k = 3, one fault-plan decision under the
    default plan, a tracker observe, a g = 5 group build over a tracker
    that has seen the whole stream, and the cold-end admission of each
-   access's prebuilt g = 5 group into a 500-file LRU. The
+   access's prebuilt g = 5 group into a 500-file LRU. Routing, building
+   and admission call the buffer forms the simulator's miss path calls
+   ([Ring.group_into], [Group_builder.build_into],
+   [Cache.insert_cold_into]), each writing into one reused array. The
    [tracker-observe] row feeds one tracker every repetition, so after the
    first pass it times a grown tracker; [tracker-observe-fresh] feeds
    each 6k-event paper-profile stream to a new tracker, as every replay
@@ -721,8 +724,9 @@ let layer_throughput ~reps files =
   let observed = Tracker.create () in
   Array.iter (Tracker.observe observed) files;
   let groups =
-    Array.map (fun f -> List.tl (Agg_core.Group_builder.build observed ~group_size:5 f)) files
+    Array.map (fun f -> Array.of_list (Agg_core.Group_builder.build observed ~group_size:5 f)) files
   in
+  let route = Array.make 3 0 and group = Array.make 5 0 and admitted = Array.make 5 0 in
   let grown = Tracker.create () in
   let generate_paper () =
     List.map
@@ -759,7 +763,7 @@ let layer_throughput ~reps files =
   [
     generate;
     time "zipf-sample-22k" (fun _ _ -> ignore (Agg_util.Dist.Zipf.sample zipf zipf_prng));
-    time "ring-group" (fun _ f -> ignore (Ring.group ring ~replicas:3 f));
+    time "ring-group" (fun _ f -> ignore (Ring.group_into ring ~replicas:3 f route));
     time "ring-membership" (fun i f ->
         ignore (Ring.in_group ring ~replicas:3 ~node:(i mod 5) f));
     time "fault-plan-decision" (fun i _ ->
@@ -767,9 +771,11 @@ let layer_throughput ~reps files =
     time "tracker-observe" (fun _ f -> Tracker.observe grown f);
     observe_fresh;
     time "group-build-g5" (fun _ f ->
-        ignore (Agg_core.Group_builder.build observed ~group_size:5 f));
+        ignore (Agg_core.Group_builder.build_into observed ~group_size:5 f group));
     time "insert-cold-group" (fun i _ ->
-        ignore (Agg_cache.Cache.insert_cold_group cache groups.(i)));
+        let g = groups.(i) in
+        ignore
+          (Agg_cache.Cache.insert_cold_into cache g ~pos:1 ~len:(Array.length g - 1) admitted));
   ]
 
 let write_micro_json ~unit ~weighted ~layers =

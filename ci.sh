@@ -1,9 +1,10 @@
 #!/bin/sh
 # CI entry point: full build, full test suite, the lockstep differential
 # gate against the lib/oracle reference models, a one-second checked run
-# of each steady-benchmark workload, and a quick smoke run of the
-# paper-vs-measured checks from the reproduction harness. The run fails
-# if it leaves the working tree different from how it found it.
+# of each steady-benchmark workload, a quick smoke run of the
+# paper-vs-measured checks from the reproduction harness, and the entropy
+# commands on a sparse-id trace under a memory cap. The run fails if it
+# leaves the working tree different from how it found it.
 #
 # The check thresholds are calibrated for full-size runs (60k events), so
 # the --quick pass only asserts the harness runs end to end; the full-size
@@ -222,6 +223,20 @@ trap 'rm -rf "$scratch" "$passes"' EXIT
 for ledger in BENCH_sweep.json BENCH_micro.json; do
   if [ -e "$passes/$ledger" ]; then
     echo "ci.sh: bench/main.exe --telemetry --quick ran sections (it wrote $ledger)" >&2
+    exit 1
+  fi
+done
+
+# Sparse file ids: a valid five-line trace whose ids are 10^12 must not
+# make the entropy commands size a table by the largest id (they died
+# with an uncaught Out_of_memory). The address-space cap turns such a
+# table into a failure here rather than a machine that swaps.
+dune build ./bin/aggsim.exe
+printf '#aggtrace v1\n0 r 0 1000000000000\n1 r 0 1000000000001\n2 r 0 1000000000000\n3 r 0 1000000000001\n4 r 0 1000000000000\n' \
+  > "$scratch/sparse.trc"
+for cmd in stats entropy predictability; do
+  if ! (ulimit -v 2000000 && "$root/_build/default/bin/aggsim.exe" "$cmd" -i "$scratch/sparse.trc" > /dev/null); then
+    echo "ci.sh: aggsim $cmd failed on a trace with sparse file ids" >&2
     exit 1
   fi
 done

@@ -81,7 +81,7 @@ let evict_top t =
   drop t h key;
   key
 
-let evict t = if Heap.is_empty t.heap then None else Some (evict_top t)
+let evict t = if Heap.is_empty t.heap then -1 else evict_top t
 
 let insert t ~pos ~weight:(w : Policy.weight) key =
   Policy.check_weight ~who:policy_name w;

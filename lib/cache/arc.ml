@@ -83,7 +83,7 @@ module Core = struct
     let victim =
       if victim >= 0 then victim else if from_t1 then demote_lru t t2 b2 else demote_lru t t1 b1
     in
-    if victim >= 0 then Some victim else None
+    victim
 
   let promote t key =
     let v = Int_table.get t.index key in
@@ -95,7 +95,7 @@ module Core = struct
       (match pos with
       | Policy.Hot -> relink t key v t2 ~front:true
       | Policy.Cold -> relink t key v t1 ~front:false);
-      None
+      -1
     end
     else if v >= 0 then begin
       (* ghost hit *)
@@ -106,11 +106,11 @@ module Core = struct
           let hit_in_b2 = v land 3 = b2 in
           if hit_in_b2 then t.p <- Int.max 0 (t.p - Int.max 1 (b1_len / b2_len))
           else t.p <- Int.min t.capacity (t.p + Int.max 1 (b2_len / b1_len));
-          let victim = if size t >= t.capacity then replace t ~hit_in_b2 else None in
+          let victim = if size t >= t.capacity then replace t ~hit_in_b2 else -1 in
           relink t key v t2 ~front:true;
           victim
       | Policy.Cold ->
-          let victim = if size t >= t.capacity then replace t ~hit_in_b2:false else None in
+          let victim = if size t >= t.capacity then replace t ~hit_in_b2:false else -1 in
           relink t key v t1 ~front:false;
           victim
     end
@@ -128,18 +128,17 @@ module Core = struct
           else begin
             (* T1 alone fills the cache: discard its LRU outright *)
             let v = A.pop_back t.arena t.lists.(t1) in
-            if v < 0 then None
-            else begin
+            if v >= 0 then begin
               Int_table.remove t.index v;
-              t.len.(t1) <- t.len.(t1) - 1;
-              Some v
-            end
+              t.len.(t1) <- t.len.(t1) - 1
+            end;
+            v
           end
         else if total >= t.capacity then begin
           if total >= 2 * t.capacity then drop_ghost_lru t b2;
-          if size t >= t.capacity then replace t ~hit_in_b2:false else None
+          if size t >= t.capacity then replace t ~hit_in_b2:false else -1
         end
-        else None
+        else -1
       in
       let node =
         match pos with

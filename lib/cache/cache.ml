@@ -117,10 +117,7 @@ let clear_on_evict t = t.on_evict <- None
 let notify_evicted t victims =
   match t.on_evict with Some f -> List.iter f victims | None -> ()
 
-let notify_evict1 t victim =
-  match (t.on_evict, victim) with
-  | Some f, Some key -> f key
-  | None, _ | _, None -> ()
+let notify_evict1 t victim = match t.on_evict with Some f -> f victim | None -> ()
 
 let kind t = t.kind
 let name t = t.name
@@ -183,9 +180,14 @@ let insert_cold t key =
     t.evictions <- t.evictions + List.length evicted
   end
 
-let rec mem_int (x : int) = function [] -> false | y :: rest -> y = x || mem_int x rest
+(* Is [x] among [a.(i) .. a.(n - 1)]? *)
+let rec mem_prefix (a : int array) n (x : int) i = i < n && (a.(i) = x || mem_prefix a n x (i + 1))
 
-let insert_cold_group t keys =
+let insert_cold_into t keys ~pos ~len admitted =
+  if pos < 0 || len < 0 || pos > Array.length keys - len then
+    invalid_arg "Cache.insert_cold_into: slice out of bounds";
+  if len > Array.length admitted then
+    invalid_arg "Cache.insert_cold_into: admitted buffer shorter than the slice";
   let (Packed ((module P), state)) = t.packed in
   (* One pass admits the distinct, non-resident members while their
      cumulative size fits in [capacity - 1], so the block cannot fill the
@@ -195,44 +197,48 @@ let insert_cold_group t keys =
      Groups are a handful of keys (g <= 10 in every experiment), so a
      linear scan of the admitted members beats a scratch table. *)
   let budget = ref (P.capacity state - 1) in
-  let admitted =
-    List.rev
-      (List.fold_left
-         (fun acc k ->
-           if mem_int k acc || P.mem state k then acc
-           else
-             let s = (weight_for t k).Policy.size in
-             if s <= !budget then begin
-               budget := !budget - s;
-               k :: acc
-             end
-             else acc)
-         [] keys)
-  in
+  let n = ref 0 in
+  for i = pos to pos + len - 1 do
+    let k = keys.(i) in
+    if not (mem_prefix admitted !n k 0 || P.mem state k) then begin
+      let s = (weight_for t k).Policy.size in
+      if s <= !budget then begin
+        budget := !budget - s;
+        admitted.(!n) <- k;
+        incr n
+      end
+    end
+  done;
+  let n = !n in
   let total = P.capacity state - 1 - !budget in
   (* Room for the whole block is made first, so members never evict one
      another — the semantics of a group arriving in one retrieval. *)
   let evicted = ref 0 in
-  (try
-     while P.used state + total > P.capacity state do
-       match P.evict state with
-       | Some _ as victim ->
-           incr evicted;
-           notify_evict1 t victim
-       | None -> raise Exit
-     done
-   with Exit -> ());
-  List.iter
-    (fun k ->
-      let w = weight_for t k in
-      t.cost_prefetched <- t.cost_prefetched + w.Policy.cost;
-      notify_evicted t (P.insert state ~pos:Policy.Cold ~weight:w k))
-    admitted;
-  let n = List.length admitted in
+  let room = ref true in
+  while !room && P.used state + total > P.capacity state do
+    let victim = P.evict state in
+    if victim < 0 then room := false
+    else begin
+      incr evicted;
+      notify_evict1 t victim
+    end
+  done;
+  for i = 0 to n - 1 do
+    let k = admitted.(i) in
+    let w = weight_for t k in
+    t.cost_prefetched <- t.cost_prefetched + w.Policy.cost;
+    notify_evicted t (P.insert state ~pos:Policy.Cold ~weight:w k)
+  done;
   t.insertions <- t.insertions + n;
   t.speculative_insertions <- t.speculative_insertions + n;
   t.evictions <- t.evictions + !evicted;
-  admitted
+  n
+
+let insert_cold_group t keys =
+  let keys = Array.of_list keys in
+  let admitted = Array.make (Array.length keys) 0 in
+  let n = insert_cold_into t keys ~pos:0 ~len:(Array.length keys) admitted in
+  Array.to_list (Array.sub admitted 0 n)
 
 let insert_hot t key =
   let resident = mem t key in

@@ -86,7 +86,20 @@ val insert_cold_group : t -> int list -> int list
     arriving in one retrieval (paper §3). Members are admitted while their
     cumulative size fits in [capacity - 1] (at unit weights: at most
     [capacity - 1] members), so a just-demanded file is never displaced by
-    its own group. Returns the members actually inserted. *)
+    its own group. Returns the members actually inserted. A wrapper over
+    {!insert_cold_into}. *)
+
+val insert_cold_into : t -> int array -> pos:int -> len:int -> int array -> int
+(** [insert_cold_into t keys ~pos ~len admitted] is {!insert_cold_group}
+    over the slice [keys.(pos) .. keys.(pos + len - 1)], with a buffer the
+    caller owns: the members actually inserted are written, in order, to
+    [admitted.(0) .. admitted.(n - 1)] and [n] is returned. Nothing else
+    of [admitted] is read or written, so it may hold anything beforehand.
+    At unit weights, with no eviction observer, it allocates nothing
+    unless a member's insertion still evicts after room was made (ARC can
+    shed a resident under directory pressure).
+    @raise Invalid_argument when the slice is out of bounds for [keys] or
+    [admitted] is shorter than [len]. *)
 
 val insert_hot : t -> int -> unit
 (** Inserts or promotes [key] at the hot end without counting an access. *)

@@ -115,37 +115,37 @@ module Core = struct
     end
 
   let evict t =
-    if t.size = 0 then None
+    if t.size = 0 then -1
     else begin
       let i = find_victim t in
       let victim = t.keys.(i) in
       vacate t i;
       Int_table.remove t.index victim;
       t.size <- t.size - 1;
-      Some victim
+      victim
     end
 
   let insert t ~pos key =
     let existing = Int_table.get t.index key in
     if existing >= 0 then begin
       t.referenced.(existing) <- (match pos with Policy.Hot -> true | Policy.Cold -> false);
-      None
+      -1
     end
     else begin
-      let slot_idx, victim =
-        if t.size < t.capacity then begin
+      let full = t.size >= t.capacity in
+      let slot_idx =
+        if full then find_victim t
+        else begin
           let i = search t ~free:true in
           assert (i >= 0) (* size < capacity implies a free slot *);
-          (i, None)
-        end
-        else begin
-          let i = find_victim t in
-          let old = t.keys.(i) in
-          Int_table.remove t.index old;
-          t.size <- t.size - 1;
-          (i, Some old)
+          i
         end
       in
+      let victim = if full then t.keys.(slot_idx) else -1 in
+      if full then begin
+        Int_table.remove t.index victim;
+        t.size <- t.size - 1
+      end;
       t.keys.(slot_idx) <- key;
       occupy t slot_idx;
       t.referenced.(slot_idx) <- (match pos with Policy.Hot -> true | Policy.Cold -> false);

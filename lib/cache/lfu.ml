@@ -131,11 +131,11 @@ module Core = struct
 
   let evict t =
     let x = A.first t.arena t.items in
-    if x = A.nil then None
+    if x = A.nil then -1
     else begin
       let key = A.key t.arena x in
       drop t x;
-      Some key
+      key
     end
 
   (* A new key enters at count [c] (0 cold, 1 hot); bucket 1 follows
@@ -160,10 +160,10 @@ module Core = struct
       (* Repositioning a resident key: [Cold] demotes it to frequency
          zero, [Hot] counts as an access. *)
       (match pos with Policy.Hot -> bump t x | Policy.Cold -> reset t x);
-      None
+      -1
     end
     else begin
-      let victim = if t.size >= t.capacity then evict t else None in
+      let victim = if t.size >= t.capacity then evict t else -1 in
       add t key (match pos with Policy.Hot -> 1 | Policy.Cold -> 0);
       victim
     end

@@ -35,12 +35,11 @@ module Core = struct
 
   let evict t =
     let victim = Dlist_arena.pop_back t.arena t.order in
-    if victim < 0 then None
-    else begin
+    if victim >= 0 then begin
       Int_table.remove t.index victim;
-      t.size <- t.size - 1;
-      Some victim
-    end
+      t.size <- t.size - 1
+    end;
+    victim
 
   let insert t ~pos key =
     let node = Int_table.get t.index key in
@@ -48,10 +47,10 @@ module Core = struct
       (match pos with
       | Policy.Hot -> Dlist_arena.move_to_front t.arena t.order node
       | Policy.Cold -> Dlist_arena.move_to_back t.arena t.order node);
-      None
+      -1
     end
     else begin
-      let victim = if t.size >= t.capacity then evict t else None in
+      let victim = if t.size >= t.capacity then evict t else -1 in
       let node =
         match pos with
         | Policy.Hot -> Dlist_arena.push_front t.arena t.order key

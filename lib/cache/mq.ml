@@ -123,25 +123,23 @@ module Core = struct
       Dlist_arena.move_to_front t.arena t.queues.(t.queue.(node)) node
     end
 
-  (* victim: LRU end of the lowest non-empty queue *)
-  let evict t =
-    let m = Array.length t.queues in
-    let rec scan q =
-      if q >= m then None
+  (* victim: LRU end of the lowest non-empty queue from [q] up *)
+  let rec evict_from t q =
+    if q >= Array.length t.queues then -1
+    else begin
+      let node = Dlist_arena.last t.arena t.queues.(q) in
+      if node < 0 then evict_from t (q + 1)
       else begin
-        let node = Dlist_arena.last t.arena t.queues.(q) in
-        if node < 0 then scan (q + 1)
-        else begin
-          let victim = Dlist_arena.key t.arena node in
-          ghost_remember t victim t.count.(node);
-          Dlist_arena.remove t.arena node;
-          Int_table.remove t.index victim;
-          t.size <- t.size - 1;
-          Some victim
-        end
+        let victim = Dlist_arena.key t.arena node in
+        ghost_remember t victim t.count.(node);
+        Dlist_arena.remove t.arena node;
+        Int_table.remove t.index victim;
+        t.size <- t.size - 1;
+        victim
       end
-    in
-    scan 0
+    end
+
+  let evict t = evict_from t 0
 
   let insert t ~pos key =
     let node = Int_table.get t.index key in
@@ -153,11 +151,11 @@ module Core = struct
           t.queue.(node) <- 0;
           t.count.(node) <- 0;
           Dlist_arena.move_to_back t.arena t.queues.(0) node);
-      None
+      -1
     end
     else begin
       tick t;
-      let victim = if t.size >= t.capacity then evict t else None in
+      let victim = if t.size >= t.capacity then evict t else -1 in
       let count = match pos with Policy.Hot -> ghost_count t key + 1 | Policy.Cold -> 0 in
       let queue = queue_for t count in
       let dst = t.queues.(queue) in

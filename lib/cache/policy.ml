@@ -25,7 +25,7 @@ module type S = sig
   val promote : t -> int -> unit
   val insert : t -> pos:insert_position -> weight:weight -> int -> int list
   val charge : t -> int -> cost:int -> unit
-  val evict : t -> int option
+  val evict : t -> int
   val remove : t -> int -> unit
   val contents : t -> int list
   val clear : t -> unit
@@ -40,8 +40,8 @@ module type UNIT = sig
   val size : t -> int
   val mem : t -> int -> bool
   val promote : t -> int -> unit
-  val insert : t -> pos:insert_position -> int -> int option
-  val evict : t -> int option
+  val insert : t -> pos:insert_position -> int -> int
+  val evict : t -> int
   val remove : t -> int -> unit
   val contents : t -> int list
   val clear : t -> unit
@@ -85,11 +85,9 @@ module Weighted_of_unit (Core : UNIT) = struct
     end
 
   let evict t =
-    match Core.evict t.core with
-    | Some victim as r ->
-        note_drop t victim;
-        r
-    | None -> None
+    let victim = Core.evict t.core in
+    if victim >= 0 then note_drop t victim;
+    victim
 
   let remove t key =
     if Core.mem t.core key then note_drop t key;
@@ -109,30 +107,30 @@ module Weighted_of_unit (Core : UNIT) = struct
     else if t.nonunit = 0 && w.size = 1 then begin
       (* all-unit fast path: the core's native insert picks the single
          victim exactly as the unweighted policy did *)
-      match Core.insert t.core ~pos key with
-      | Some victim -> [ victim ] (* unit out, unit in: [used] unchanged *)
-      | None ->
-          t.used <- t.used + 1;
-          []
+      let victim = Core.insert t.core ~pos key in
+      if victim >= 0 then [ victim ] (* unit out, unit in: [used] unchanged *)
+      else begin
+        t.used <- t.used + 1;
+        []
+      end
     end
     else begin
       let victims = ref [] in
       while t.used + w.size > Core.capacity t.core do
-        match Core.evict t.core with
-        | Some v ->
-            note_drop t v;
-            victims := v :: !victims
-        | None -> assert false (* used > 0 implies a resident victim *)
+        let v = Core.evict t.core in
+        assert (v >= 0) (* used > 0 implies a resident victim *);
+        note_drop t v;
+        victims := v :: !victims
       done;
       (* sizes are >= 1, so count <= used <= capacity - w.size < capacity and
          the core sees room by resident count — but ghost-bearing cores (ARC)
          may still shed a resident under directory pressure, so any victim it
          returns is a real eviction and must be accounted *)
-      (match Core.insert t.core ~pos key with
-      | Some v ->
-          note_drop t v;
-          victims := v :: !victims
-      | None -> ());
+      let v = Core.insert t.core ~pos key in
+      if v >= 0 then begin
+        note_drop t v;
+        victims := v :: !victims
+      end;
       t.used <- t.used + w.size;
       if w.size <> 1 then begin
         Agg_util.Int_table.set t.sizes key w.size;

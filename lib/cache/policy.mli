@@ -1,7 +1,9 @@
 (** The replacement-policy interface shared by every cache simulated in
     this repository, in its size/cost-aware (weighted) form.
 
-    Keys are plain integers (file identifiers). A policy owns only the
+    Keys are non-negative integers (file identifiers; [Int_table], which
+    indexes every policy, rejects negative keys), so [-1] can stand for
+    "no key" in an unboxed result. A policy owns only the
     {e ordering and accounting} logic; hit/miss statistics live in
     {!Cache}. The interface is deliberately finer-grained than [access]:
     the aggregating cache inserts speculative group members at the cold
@@ -79,10 +81,12 @@ module type S = sig
       credit to [cost]. A no-op for the classical unit policies and when
       [key] is absent. *)
 
-  val evict : t -> int option
+  val evict : t -> int
   (** [evict t] forces out the policy's current victim and returns it;
-      [None] when empty. Used to make room for a group before appending
-      its members, so members do not evict one another. *)
+      [-1] when empty (keys are non-negative, so the sentinel is never a
+      key and the call allocates nothing). Used to make room for a group
+      before appending its members, so members do not evict one
+      another. *)
 
   val remove : t -> int -> unit
   (** Drops [key] if resident. *)
@@ -105,11 +109,14 @@ module type UNIT = sig
   val mem : t -> int -> bool
   val promote : t -> int -> unit
 
-  val insert : t -> pos:insert_position -> int -> int option
+  val insert : t -> pos:insert_position -> int -> int
   (** Evicts at most one (unit-size) victim, chosen by the policy's own
-      full-cache insert path. *)
+      full-cache insert path, and returns it; [-1] when nothing was
+      evicted. *)
 
-  val evict : t -> int option
+  val evict : t -> int
+  (** As {!S.evict}: the victim, or [-1] when empty. *)
+
   val remove : t -> int -> unit
   val contents : t -> int list
   val clear : t -> unit

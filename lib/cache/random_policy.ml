@@ -37,15 +37,13 @@ module Core = struct
     Int_table.remove t.index victim;
     victim
 
-  let evict t = if size t = 0 then None else Some (remove_at t (Prng.int t.prng (size t)))
+  let evict t = if size t = 0 then -1 else remove_at t (Prng.int t.prng (size t))
 
   let insert t ~pos key =
     ignore pos;
-    if Int_table.mem t.index key then None
+    if Int_table.mem t.index key then -1
     else begin
-      let victim =
-        if size t >= t.capacity then Some (remove_at t (Prng.int t.prng (size t))) else None
-      in
+      let victim = if size t >= t.capacity then remove_at t (Prng.int t.prng (size t)) else -1 in
       Int_table.set t.index key (Vec.length t.keys);
       Vec.push t.keys key;
       victim

@@ -66,16 +66,15 @@ module Core = struct
     let victim = Dlist_arena.pop_back t.arena t.probationary in
     if victim >= 0 then begin
       Int_table.remove t.index victim;
-      Some victim
+      victim
     end
     else begin
       let victim = Dlist_arena.pop_back t.arena t.protected_ in
       if victim >= 0 then begin
         Int_table.remove t.index victim;
-        t.protected_len <- t.protected_len - 1;
-        Some victim
-      end
-      else None
+        t.protected_len <- t.protected_len - 1
+      end;
+      victim
     end
 
   let insert t ~pos key =
@@ -91,10 +90,10 @@ module Core = struct
             t.protected_len <- t.protected_len - 1;
             set_segment t key node probationary_bit
           end);
-      None
+      -1
     end
     else begin
-      let victim = if size t >= t.capacity then evict t else None in
+      let victim = if size t >= t.capacity then evict t else -1 in
       let node =
         match pos with
         | Policy.Hot -> Dlist_arena.push_front t.arena t.probationary key

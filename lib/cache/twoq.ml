@@ -75,28 +75,26 @@ module Core = struct
       Dlist_arena.move_to_front t.arena t.am (packed lsr 1)
   (* 2Q: a hit in A1in does not reorder the FIFO *)
 
+  let evict_a1in t =
+    let victim = Dlist_arena.pop_back t.arena t.a1in in
+    if victim >= 0 then begin
+      Int_table.remove t.index victim;
+      t.a1in_len <- t.a1in_len - 1;
+      ghost_remember t victim
+    end;
+    victim
+
+  let evict_am t =
+    let victim = Dlist_arena.pop_back t.arena t.am in
+    if victim >= 0 then Int_table.remove t.index victim;
+    victim
+
   (* reclaim space per the 2Q paper: overfull A1in first, else Am *)
   let evict t =
-    let from_a1in () =
-      let victim = Dlist_arena.pop_back t.arena t.a1in in
-      if victim < 0 then None
-      else begin
-        Int_table.remove t.index victim;
-        t.a1in_len <- t.a1in_len - 1;
-        ghost_remember t victim;
-        Some victim
-      end
-    in
-    let from_am () =
-      let victim = Dlist_arena.pop_back t.arena t.am in
-      if victim < 0 then None
-      else begin
-        Int_table.remove t.index victim;
-        Some victim
-      end
-    in
-    if t.a1in_len > t.a1in_capacity then from_a1in ()
-    else match from_am () with Some v -> Some v | None -> from_a1in ()
+    if t.a1in_len > t.a1in_capacity then evict_a1in t
+    else
+      let victim = evict_am t in
+      if victim >= 0 then victim else evict_a1in t
 
   let insert t ~pos key =
     let packed = Int_table.get t.index key in
@@ -107,10 +105,10 @@ module Core = struct
           let node = packed lsr 1 in
           if packed land 1 = a1in_bit then Dlist_arena.move_to_back t.arena t.a1in node
           else Dlist_arena.move_to_back t.arena t.am node);
-      None
+      -1
     end
     else begin
-      let victim = if size t >= t.capacity then evict t else None in
+      let victim = if size t >= t.capacity then evict t else -1 in
       if Int_table.mem t.ghost key && pos = Policy.Hot then begin
         (* it came back while remembered: it has a working set, admit it
            straight into the main queue *)

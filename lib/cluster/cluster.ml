@@ -114,13 +114,21 @@ type client_state = {
   mutable hits : int;
 }
 
+(* The miss path writes into per-run buffers instead of building lists:
+   [route] holds the file's replication group (primary first), [group]
+   the client's retrieval group, [staged] a node's own readahead group
+   and [admitted] the members a cache just took. *)
 type state = {
   config : config;
   metadata_config : Agg_core.Config.t;
+  client_group_size : int;  (** files per routed fetch: 1 for a plain client *)
+  node_group_size : int;  (** readahead a node stages on a miss: 0 for a plain node *)
   base_plan : Plan.t;  (** client crashes and node 0 — the plan config verbatim *)
   client_states : client_state array;
   mutable ring : Ring.t;
-  mutable node_states : node_state list;  (** sorted by [node_id] *)
+  mutable node_states : node_state array;
+      (** sorted by [node_id], rebuilt at churn; searched, never indexed
+          by id, so node ids may be as sparse as a join makes them *)
   mutable pending_churn : (int * churn_op) list;  (** sorted by time *)
   mutable retired : (int * int) list;  (** departed nodes' request counts *)
   counters : Counters.t;
@@ -136,6 +144,10 @@ type state = {
   mutable rebalances : int;
   mutable moved_files : int;
   mutable now : int;
+  route : int array;
+  group : int array;
+  staged : int array;
+  admitted : int array;
 }
 
 let validate config =
@@ -196,9 +208,17 @@ let make_state config ~accesses =
     | Some c, _ | _, Some c -> c
     | None, None -> Agg_core.Config.default
   in
+  let client_group_size = Scheme.group_size config.client_scheme in
+  let node_group_size =
+    match Scheme.group_config config.node_scheme with
+    | Some c -> c.Agg_core.Config.group_size
+    | None -> 0
+  in
   {
     config;
     metadata_config;
+    client_group_size;
+    node_group_size;
     base_plan = Plan.make config.faults;
     client_states =
       Array.init config.clients (fun _ ->
@@ -211,7 +231,7 @@ let make_state config ~accesses =
             hits = 0;
           });
     ring = Ring.create ~seed:config.ring_seed ~nodes:config.nodes ();
-    node_states = List.init config.nodes (make_node config metadata_config);
+    node_states = Array.init config.nodes (make_node config metadata_config);
     pending_churn = List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) config.churn;
     retired = [];
     counters = Counters.create ();
@@ -227,20 +247,32 @@ let make_state config ~accesses =
     rebalances = 0;
     moved_files = 0;
     now = 0;
+    route = Array.make config.replicas 0;
+    group = Array.make client_group_size 0;
+    staged = Array.make (Int.max 1 node_group_size) 0;
+    admitted = Array.make (Int.max client_group_size node_group_size) 0;
   }
 
-let rec find_node id = function
-  | ns :: rest -> if ns.node_id = id then ns else find_node id rest
-  | [] -> invalid_arg (Printf.sprintf "Cluster: node %d has no state" id)
+(* Binary search of [nodes.(lo) .. nodes.(hi - 1)], sorted by [node_id]. *)
+let rec find_node (nodes : node_state array) id lo hi =
+  if lo >= hi then invalid_arg (Printf.sprintf "Cluster: node %d has no state" id)
+  else
+    let mid = (lo + hi) lsr 1 in
+    let m = nodes.(mid).node_id in
+    if m = id then nodes.(mid)
+    else if m < id then find_node nodes id (mid + 1) hi
+    else find_node nodes id lo mid
 
-let node_state st id = find_node id st.node_states
+let node_state st id = find_node st.node_states id 0 (Array.length st.node_states)
 
 let live_replicas st = Int.min st.config.replicas (Ring.node_count st.ring)
 
 (* --- churn ------------------------------------------------------------- *)
 
 let insert_node_sorted node_states fresh =
-  List.stable_sort (fun a b -> Int.compare a.node_id b.node_id) (fresh :: node_states)
+  let nodes = Array.append node_states [| fresh |] in
+  Array.stable_sort (fun a b -> Int.compare a.node_id b.node_id) nodes;
+  nodes
 
 let apply_op st op =
   match op with
@@ -253,7 +285,7 @@ let apply_op st op =
          of its group; those now owned by the joiner are handed over cold.
          Consistent hashing keeps this minimal: only groups that gained
          [node] change at all. *)
-      List.iter
+      Array.iter
         (fun ns ->
           List.iter
             (fun f ->
@@ -274,7 +306,8 @@ let apply_op st op =
   | Leave node ->
       let ring = Ring.remove st.ring node in
       let departing = node_state st node in
-      st.node_states <- List.filter (fun ns -> ns.node_id <> node) st.node_states;
+      st.node_states <-
+        Array.of_list (List.filter (fun ns -> ns.node_id <> node) (Array.to_list st.node_states));
       let moved = ref 0 in
       (* The departing node hands each cached file to the file's new
          primary; its successor metadata leaves with it (the Owner_node
@@ -314,48 +347,46 @@ let invalidate_others st ~writer file =
       end)
     st.client_states
 
-(* The resilience loop: timed-out attempts are retried up to the
-   policy's budget, then the fetch degrades. Attempt [a] targets group
-   member [a mod k], so exhausting one node's retry fails over to the next
-   replica instead of re-asking the dead one; at k = 1 every attempt goes
-   to the primary. *)
-let rec attempt_route st ~group_nodes ~time ~attempt ~waited ~file =
+(* The resilience loop over the [k] replicas in [st.route]: timed-out
+   attempts are retried up to the policy's budget, then the fetch
+   degrades. Attempt [a] targets group member [a mod k], so exhausting
+   one node's retry fails over to the next replica instead of re-asking
+   the dead one; at k = 1 every attempt goes to the primary. Returns the
+   attempt that got through, or -1 when the budget ran dry. *)
+let rec attempt_route st ~k ~time ~attempt ~file =
   let r = st.config.resilience in
-  let len = List.length group_nodes in
-  let target = List.nth group_nodes (attempt mod len) in
+  let target = st.route.(attempt mod k) in
   let plan = (node_state st target).plan in
   let down = Plan.server_down plan ~time in
-  if not (down || Plan.message_lost plan ~time ~attempt) then `Served (target, attempt, waited)
+  if not (down || Plan.message_lost plan ~time ~attempt) then attempt
   else begin
     if down then st.counters.Counters.outage_denials <- st.counters.Counters.outage_denials + 1
     else st.counters.Counters.lost_messages <- st.counters.Counters.lost_messages + 1;
     st.counters.Counters.timeouts <- st.counters.Counters.timeouts + 1;
     if Sink.enabled (Agg_obs.Scope.sink st.config.scope) then
       Sink.emit (Agg_obs.Scope.sink st.config.scope) (Agg_obs.Event.Fetch_timeout { file; attempt });
-    let waited = waited +. Resilience.failure_cost_ms r ~attempt in
     if attempt < r.Resilience.max_retries then begin
       st.counters.Counters.retries <- st.counters.Counters.retries + 1;
-      let next = List.nth group_nodes ((attempt + 1) mod len) in
+      let next = st.route.((attempt + 1) mod k) in
       if next <> target then begin
         st.failovers <- st.failovers + 1;
         if Sink.enabled (Agg_obs.Scope.sink st.config.scope) then
           Sink.emit (Agg_obs.Scope.sink st.config.scope)
             (Agg_obs.Event.Replica_failover { file; failed = target; target = next })
       end;
-      attempt_route st ~group_nodes ~time ~attempt:(attempt + 1) ~waited ~file
+      attempt_route st ~k ~time ~attempt:(attempt + 1) ~file
     end
-    else `Degraded waited
+    else -1
   end
 
 (* Reconstruct the routing phases of a finished [attempt_route] loop for
    the trace context: per failed attempt, its timeout budget, the backoff
    before the retry, and a zero-width ["route"] marker when the retry
    fails over to another replica. *)
-let push_route_phases ctx st ~group_nodes ~failures =
+let push_route_phases ctx st ~k ~failures =
   let r = st.config.resilience in
-  let len = List.length group_nodes in
   for a = 0 to failures - 1 do
-    let target = List.nth group_nodes (a mod len) in
+    let target = st.route.(a mod k) in
     Agg_obs.Trace_ctx.push ctx ~cat:"timeout"
       (Printf.sprintf "attempt%d n%d" a target)
       ~dur_ms:r.Resilience.timeout_ms;
@@ -363,7 +394,7 @@ let push_route_phases ctx st ~group_nodes ~failures =
       Agg_obs.Trace_ctx.push ctx ~cat:"backoff"
         (Printf.sprintf "backoff%d" (a + 1))
         ~dur_ms:(Resilience.backoff_ms r ~attempt:(a + 1));
-      let next = List.nth group_nodes ((a + 1) mod len) in
+      let next = st.route.((a + 1) mod k) in
       if next <> target then
         Agg_obs.Trace_ctx.push ctx ~cat:"route"
           (Printf.sprintf "failover n%d->n%d" target next)
@@ -371,152 +402,156 @@ let push_route_phases ctx st ~group_nodes ~failures =
     end
   done
 
-(* §3: an access is piggy-backed to wherever the metadata lives *)
-let observe st ~client ~group_nodes file =
+(* §3: an access is piggy-backed to wherever the metadata lives; the
+   file's [k] replicas are in [st.route] *)
+let observe st ~client ~k file =
   match st.config.metadata with
-  | Owner_node -> Tracker.observe (node_state st (List.hd group_nodes)).tracker ~client file
+  | Owner_node -> Tracker.observe_client (node_state st st.route.(0)).tracker ~client file
   | Replicated_with_group ->
-      List.iter (fun n -> Tracker.observe (node_state st n).tracker ~client file) group_nodes
-  | Client_side -> Tracker.observe st.client_states.(client).tracker file
+      for i = 0 to k - 1 do
+        Tracker.observe_client (node_state st st.route.(i)).tracker ~client file
+      done
+  | Client_side -> Tracker.observe_client st.client_states.(client).tracker ~client:0 file
 
+(* Serves a client miss and records its latency in [st.latencies.(time)]
+   (a float returned from here would be boxed). *)
 let serve st ~client ~time ~tracing file =
   st.server_requests <- st.server_requests + 1;
   let k = live_replicas st in
-  let group_nodes = Ring.group st.ring ~replicas:k file in
-  let primary = List.hd group_nodes in
+  ignore (Ring.group_into st.ring ~replicas:k file st.route);
+  let primary = st.route.(0) in
   let cs = st.client_states.(client) in
-  if not st.config.cooperative then observe st ~client ~group_nodes file;
-  let outcome =
-    if not (Plan.enabled st.base_plan) then `Served (primary, 0, 0.0)
-    else attempt_route st ~group_nodes ~time ~attempt:0 ~waited:0.0 ~file
+  if not st.config.cooperative then observe st ~client ~k file;
+  let attempt =
+    if not (Plan.enabled st.base_plan) then 0 else attempt_route st ~k ~time ~attempt:0 ~file
   in
+  let r = st.config.resilience in
+  let failures = if attempt >= 0 then attempt else r.Resilience.max_retries + 1 in
   (match tracing with
-  | Some ctx ->
-      let failures =
-        match outcome with
-        | `Served (_, a, _) -> a
-        | `Degraded _ -> st.config.resilience.Resilience.max_retries + 1
-      in
-      push_route_phases ctx st ~group_nodes ~failures
+  | Some ctx -> push_route_phases ctx st ~k ~failures
   | None -> ());
-  match outcome with
-  | `Degraded waited ->
-      (* Retry budget dry across the whole group: degraded single-file
-         fallback through the primary. The demanded file is still served
-         (counted against the primary's cache as usual), but no group is
-         built, no members travel, and nothing speculative is staged. *)
-      st.counters.Counters.degraded_fetches <- st.counters.Counters.degraded_fetches + 1;
-      if Sink.enabled (Agg_obs.Scope.sink st.config.scope) then
-        Sink.emit (Agg_obs.Scope.sink st.config.scope) (Agg_obs.Event.Fetch_degraded { file; dropped = 0 });
-      let ns = node_state st primary in
-      ns.requests <- ns.requests + 1;
-      (match Agg_obs.Scope.series st.config.scope with
-      | Some s ->
-          Agg_obs.Series.observe_degraded s ~index:time;
-          (* the fallback is served by the primary: mirror [ns.requests] *)
-          Agg_obs.Series.observe_node s ~index:time ~node:primary
-      | None -> ());
-      let served_from_memory = Cache.access ns.cache file in
-      if served_from_memory then st.server_hits <- st.server_hits + 1
-      else st.store_fetches <- st.store_fetches + 1;
-      st.files_transferred <- st.files_transferred + 1;
-      let fallback =
-        Cost_model.demand_fetch_latency st.config.cost ~served_from_disk:(not served_from_memory)
-      in
-      (match tracing with
-      | Some ctx ->
-          Agg_obs.Trace_ctx.push ctx ~cat:"degraded"
-            (Printf.sprintf "degraded f%d@n%d" file primary)
-            ~dur_ms:fallback
-      | None -> ());
-      waited +. fallback
-  | `Served (node, attempt, waited) ->
-      let ns = node_state st node in
-      st.routed_fetches <- st.routed_fetches + 1;
-      ns.requests <- ns.requests + 1;
-      if Sink.enabled (Agg_obs.Scope.sink st.config.scope) then
-        Sink.emit (Agg_obs.Scope.sink st.config.scope) (Agg_obs.Event.Node_routed { file; node });
-      (match Agg_obs.Scope.series st.config.scope with
-      | Some s -> Agg_obs.Series.observe_node s ~index:time ~node
-      | None -> ());
-      (* The group proposal comes from whatever metadata the serving party
-         holds. A failover target under [Owner_node] has never observed
-         this file, so its proposal naturally collapses to the anchor. *)
-      let source_tracker =
-        match st.config.metadata with
-        | Owner_node | Replicated_with_group -> ns.tracker
-        | Client_side -> cs.tracker
-      in
-      let group =
-        match Scheme.group_config st.config.client_scheme with
-        | Some c ->
-            Agg_core.Group_builder.build source_tracker ~group_size:c.Agg_core.Config.group_size
-              file
-        | None -> [ file ]
-      in
-      let served_from_memory = Cache.access ns.cache file in
-      if served_from_memory then st.server_hits <- st.server_hits + 1
-      else begin
-        st.store_fetches <- st.store_fetches + 1;
-        (* an aggregating node stages its own readahead off its metadata;
-           under [Client_side] its tracker is empty and this is a no-op *)
-        match Scheme.group_config st.config.node_scheme with
-        | Some c ->
-            let group_size = c.Agg_core.Config.group_size in
-            (* the client's group came off this same tracker when the
-               node holds the metadata; at equal sizes it is the same
-               build *)
-            let staged =
-              match (st.config.metadata, Scheme.group_config st.config.client_scheme) with
-              | (Owner_node | Replicated_with_group), Some cc
-                when cc.Agg_core.Config.group_size = group_size ->
-                  group
-              | _ -> Agg_core.Group_builder.build ns.tracker ~group_size file
-            in
-            let members = match staged with _ :: rest -> rest | [] -> [] in
-            List.iter
-              (fun m -> if not (Cache.mem ns.cache m) then st.store_fetches <- st.store_fetches + 1)
-              members;
-            ignore (Cache.insert_cold_group ns.cache members)
-        | None -> ()
-      end;
-      (* members travel to the client; ones this node does not replicate
-         come straight off the store and are never staged here *)
-      let members = match group with _ :: rest -> rest | [] -> [] in
-      st.files_transferred <- st.files_transferred + List.length group;
-      List.iter
-        (fun m ->
-          if Ring.in_group st.ring ~replicas:k ~node m then begin
-            if not (Cache.mem ns.cache m) then begin
-              st.store_fetches <- st.store_fetches + 1;
-              Cache.insert_cold ns.cache m
-            end
-          end
-          else begin
-            st.cross_shard_members <- st.cross_shard_members + 1;
-            st.store_fetches <- st.store_fetches + 1
-          end)
-        members;
-      ignore (Cache.insert_cold_group cs.cache members);
-      let base =
-        Cost_model.demand_fetch_latency st.config.cost ~served_from_disk:(not served_from_memory)
-      in
-      let served_ms =
-        if Plan.enabled st.base_plan then begin
-          let multiplier = Plan.latency_multiplier ns.plan ~time ~attempt in
-          if multiplier > 1.0 then
-            st.counters.Counters.slowed_fetches <- st.counters.Counters.slowed_fetches + 1;
-          base *. multiplier
+  (* what the failed attempts cost, summed in the order the loop met them *)
+  let waited = ref 0.0 in
+  for a = 0 to failures - 1 do
+    waited := !waited +. Resilience.failure_cost_ms r ~attempt:a
+  done;
+  if attempt < 0 then begin
+    (* Retry budget dry across the whole group: degraded single-file
+       fallback through the primary. The demanded file is still served
+       (counted against the primary's cache as usual), but no group is
+       built, no members travel, and nothing speculative is staged. *)
+    st.counters.Counters.degraded_fetches <- st.counters.Counters.degraded_fetches + 1;
+    if Sink.enabled (Agg_obs.Scope.sink st.config.scope) then
+      Sink.emit (Agg_obs.Scope.sink st.config.scope) (Agg_obs.Event.Fetch_degraded { file; dropped = 0 });
+    let ns = node_state st primary in
+    ns.requests <- ns.requests + 1;
+    (match Agg_obs.Scope.series st.config.scope with
+    | Some s ->
+        Agg_obs.Series.observe_degraded s ~index:time;
+        (* the fallback is served by the primary: mirror [ns.requests] *)
+        Agg_obs.Series.observe_node s ~index:time ~node:primary
+    | None -> ());
+    let served_from_memory = Cache.access ns.cache file in
+    if served_from_memory then st.server_hits <- st.server_hits + 1
+    else st.store_fetches <- st.store_fetches + 1;
+    st.files_transferred <- st.files_transferred + 1;
+    let fallback =
+      Cost_model.demand_fetch_latency st.config.cost ~served_from_disk:(not served_from_memory)
+    in
+    (match tracing with
+    | Some ctx ->
+        Agg_obs.Trace_ctx.push ctx ~cat:"degraded"
+          (Printf.sprintf "degraded f%d@n%d" file primary)
+          ~dur_ms:fallback
+    | None -> ());
+    st.latencies.(time) <- !waited +. fallback
+  end
+  else begin
+    let node = st.route.(attempt mod k) in
+    let ns = node_state st node in
+    st.routed_fetches <- st.routed_fetches + 1;
+    ns.requests <- ns.requests + 1;
+    if Sink.enabled (Agg_obs.Scope.sink st.config.scope) then
+      Sink.emit (Agg_obs.Scope.sink st.config.scope) (Agg_obs.Event.Node_routed { file; node });
+    (match Agg_obs.Scope.series st.config.scope with
+    | Some s -> Agg_obs.Series.observe_node s ~index:time ~node
+    | None -> ());
+    (* The group proposal comes from whatever metadata the serving party
+       holds. A failover target under [Owner_node] has never observed
+       this file, so its proposal naturally collapses to the anchor. *)
+    let source_tracker =
+      match st.config.metadata with
+      | Owner_node | Replicated_with_group -> ns.tracker
+      | Client_side -> cs.tracker
+    in
+    let group = st.group in
+    let group_len =
+      Agg_core.Group_builder.build_into source_tracker ~group_size:st.client_group_size file group
+    in
+    let served_from_memory = Cache.access ns.cache file in
+    if served_from_memory then st.server_hits <- st.server_hits + 1
+    else begin
+      st.store_fetches <- st.store_fetches + 1;
+      (* an aggregating node stages its own readahead off its metadata;
+         under [Client_side] its tracker is empty and this is a no-op *)
+      let g = st.node_group_size in
+      if g > 0 then begin
+        (* the client's group came off this same tracker when the node
+           holds the metadata; at equal sizes it is the same build *)
+        let reuse =
+          (match st.config.metadata with
+          | Owner_node | Replicated_with_group -> true
+          | Client_side -> false)
+          && st.client_group_size = g
+        in
+        let staged = if reuse then group else st.staged in
+        let staged_len =
+          if reuse then group_len
+          else Agg_core.Group_builder.build_into ns.tracker ~group_size:g file staged
+        in
+        for i = 1 to staged_len - 1 do
+          if not (Cache.mem ns.cache staged.(i)) then st.store_fetches <- st.store_fetches + 1
+        done;
+        ignore (Cache.insert_cold_into ns.cache staged ~pos:1 ~len:(staged_len - 1) st.admitted)
+      end
+    end;
+    (* members travel to the client; ones this node does not replicate
+       come straight off the store and are never staged here *)
+    st.files_transferred <- st.files_transferred + group_len;
+    for i = 1 to group_len - 1 do
+      let m = group.(i) in
+      if Ring.in_group st.ring ~replicas:k ~node m then begin
+        if not (Cache.mem ns.cache m) then begin
+          st.store_fetches <- st.store_fetches + 1;
+          Cache.insert_cold ns.cache m
         end
-        else base
-      in
-      (match tracing with
-      | Some ctx ->
-          Agg_obs.Trace_ctx.push ctx ~cat:"fetch"
-            (Printf.sprintf "fetch f%d@n%d" file node)
-            ~dur_ms:served_ms
-      | None -> ());
-      waited +. served_ms
+      end
+      else begin
+        st.cross_shard_members <- st.cross_shard_members + 1;
+        st.store_fetches <- st.store_fetches + 1
+      end
+    done;
+    ignore (Cache.insert_cold_into cs.cache group ~pos:1 ~len:(group_len - 1) st.admitted);
+    let base =
+      Cost_model.demand_fetch_latency st.config.cost ~served_from_disk:(not served_from_memory)
+    in
+    let served_ms =
+      if Plan.enabled st.base_plan then begin
+        let multiplier = Plan.latency_multiplier ns.plan ~time ~attempt in
+        if multiplier > 1.0 then
+          st.counters.Counters.slowed_fetches <- st.counters.Counters.slowed_fetches + 1;
+        base *. multiplier
+      end
+      else base
+    in
+    (match tracing with
+    | Some ctx ->
+        Agg_obs.Trace_ctx.push ctx ~cat:"fetch"
+          (Printf.sprintf "fetch f%d@n%d" file node)
+          ~dur_ms:served_ms
+    | None -> ());
+    st.latencies.(time) <- !waited +. served_ms
+  end
 
 let access st (e : Agg_trace.Event.t) =
   let time = st.now in
@@ -539,25 +574,27 @@ let access st (e : Agg_trace.Event.t) =
   end;
   cs.accesses <- cs.accesses + 1;
   let file = e.Agg_trace.Event.file in
-  if st.config.cooperative then
-    observe st ~client ~group_nodes:(Ring.group st.ring ~replicas:(live_replicas st) file) file;
+  if st.config.cooperative then begin
+    let k = live_replicas st in
+    ignore (Ring.group_into st.ring ~replicas:k file st.route);
+    observe st ~client ~k file
+  end;
   let tracing =
     match Agg_obs.Scope.trace_ctx st.config.scope with
     | Some ctx when Agg_obs.Trace_ctx.sampled ctx ~request:time -> Some ctx
     | _ -> None
   in
   let hit = Cache.access cs.cache file in
-  let latency =
-    if hit then begin
-      cs.hits <- cs.hits + 1;
-      let served = st.config.cost.Cost_model.client_memory in
-      (match tracing with
-      | Some ctx -> Agg_obs.Trace_ctx.push ctx ~cat:"hit" "client hit" ~dur_ms:served
-      | None -> ());
-      served
-    end
-    else serve st ~client ~time ~tracing file
-  in
+  if hit then begin
+    cs.hits <- cs.hits + 1;
+    let served = st.config.cost.Cost_model.client_memory in
+    (match tracing with
+    | Some ctx -> Agg_obs.Trace_ctx.push ctx ~cat:"hit" "client hit" ~dur_ms:served
+    | None -> ());
+    st.latencies.(time) <- served
+  end
+  else serve st ~client ~time ~tracing file;
+  let latency = st.latencies.(time) in
   (match Agg_obs.Scope.trace_ctx st.config.scope with
   | Some ctx -> Agg_obs.Trace_ctx.commit ctx ~request:time ~file ~latency_ms:latency
   | None -> ());
@@ -567,12 +604,14 @@ let access st (e : Agg_trace.Event.t) =
       Agg_obs.Series.observe_latency s ~index:time
         ~us:(int_of_float ((latency *. 1000.0) +. 0.5))
   | None -> ());
-  st.latencies.(time) <- latency;
   if st.config.write_invalidation && Agg_trace.Event.is_write e then
     invalidate_others st ~writer:client file
 
 let per_node_requests st =
-  let all = List.rev_append st.retired (List.map (fun ns -> (ns.node_id, ns.requests)) st.node_states) in
+  let all =
+    List.rev_append st.retired
+      (Array.to_list (Array.map (fun ns -> (ns.node_id, ns.requests)) st.node_states))
+  in
   let sorted =
     List.sort
       (fun (id, n) (id', n') -> match Int.compare id id' with 0 -> Int.compare n n' | c -> c)

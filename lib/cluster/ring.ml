@@ -113,10 +113,10 @@ let owner t file = t.owners.(successor_index t (file_position t file))
 
 (* The clockwise walk from ring point [start]. A node is new at step
    [offset] unless an earlier step of the same walk met it: groups are a
-   few nodes long, so rescanning those steps is cheaper than carrying a
-   set, and the walk builds nothing. A walk meets every member within
-   one revolution, so [start + offset] stays below twice the point count
-   and one subtraction wraps it. *)
+   few nodes long, so rescanning those steps (or the distinct nodes they
+   met) is cheaper than carrying a set, and the walk builds nothing. A
+   walk meets every member within one revolution, so [start + offset]
+   stays below twice the point count and one subtraction wraps it. *)
 let owner_at t ~start offset =
   let i = start + offset in
   let n = Array.length t.owners in
@@ -125,19 +125,34 @@ let owner_at t ~start offset =
 let rec met_before t ~start ~offset node i =
   i < offset && (owner_at t ~start i = node || met_before t ~start ~offset node (i + 1))
 
-(* The first [want] distinct owners from [offset] on, primary first. *)
-let rec collect t ~start ~want offset =
-  if want = 0 then []
+(* Is [node] among [buf.(i) .. buf.(n - 1)]? *)
+let rec mem_prefix (buf : int array) n (node : int) i =
+  i < n && (buf.(i) = node || mem_prefix buf n node (i + 1))
+
+(* Appends owners from step [offset] on to the [n] distinct ones already
+   in [buf] until it holds [want]. Every step before [offset] met a node
+   now in [buf], so a node is new exactly when [buf] lacks it. *)
+let rec collect_into t ~start ~want buf n offset =
+  if n = want then n
   else
     let node = owner_at t ~start offset in
-    if met_before t ~start ~offset node 0 then collect t ~start ~want (offset + 1)
-    else node :: collect t ~start ~want:(want - 1) (offset + 1)
+    if mem_prefix buf n node 0 then collect_into t ~start ~want buf n (offset + 1)
+    else begin
+      buf.(n) <- node;
+      collect_into t ~start ~want buf (n + 1) (offset + 1)
+    end
+
+let group_into t ~replicas file buf =
+  if replicas <= 0 then invalid_arg "Ring.group_into: replicas must be positive";
+  let want = Int.min replicas t.count in
+  if Array.length buf < want then invalid_arg "Ring.group_into: buffer shorter than the group";
+  collect_into t ~start:(successor_index t (file_position t file)) ~want buf 0 0
 
 let group t ~replicas file =
   if replicas <= 0 then invalid_arg "Ring.group: replicas must be positive";
-  collect t
-    ~start:(successor_index t (file_position t file))
-    ~want:(Int.min replicas t.count) 0
+  let buf = Array.make (Int.min replicas t.count) 0 in
+  ignore (group_into t ~replicas file buf);
+  Array.to_list buf
 
 (* Is [node] among the first [want] distinct owners from [offset] on? *)
 let rec reaches t ~start ~want ~node offset =

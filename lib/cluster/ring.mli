@@ -55,8 +55,17 @@ val group : t -> replicas:int -> int -> int list
     [replicas] distinct nodes walking clockwise from [file]'s position,
     primary first. When [replicas] exceeds the member count the group is
     every member (clamped, so a shrinking cluster keeps serving).
-    [group t ~replicas:1 file = [owner t file]].
+    [group t ~replicas:1 file = [owner t file]]. A wrapper over
+    {!group_into}.
     @raise Invalid_argument when [replicas] is not positive. *)
+
+val group_into : t -> replicas:int -> int -> int array -> int
+(** [group_into t ~replicas file buf] writes [group t ~replicas file] to
+    [buf.(0) .. buf.(n - 1)], primary first, and returns [n] (which is
+    [min replicas (node_count t)]). Only that prefix is read or written,
+    so [buf] may hold anything beforehand. Allocates nothing.
+    @raise Invalid_argument when [replicas] is not positive or [buf] is
+    shorter than the group. *)
 
 val in_group : t -> replicas:int -> node:int -> int -> bool
 (** [in_group t ~replicas ~node file] is

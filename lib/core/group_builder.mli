@@ -16,5 +16,22 @@ val build :
     [file] first, then up to [group_size - 1] distinct predicted files
     (never [file] itself, no duplicates). When [obs] is an enabled sink, a
     [Group_built] event is emitted per call (the default no-op sink costs
-    one branch).
+    one branch). A wrapper over {!build_into}.
     @raise Invalid_argument when [group_size <= 0]. *)
+
+val build_into :
+  ?obs:Agg_obs.Sink.t ->
+  Agg_successor.Tracker.t ->
+  group_size:int ->
+  Agg_trace.File_id.t ->
+  int array ->
+  int
+(** [build_into tracker ~group_size file buf] writes
+    [build tracker ~group_size file] to [buf.(0) .. buf.(len - 1)] and
+    returns [len] (at least 1: [buf.(0)] is [file]). Only that prefix is
+    read or written, so [buf] may hold anything beforehand and may be
+    longer than [group_size]. Under the [Recency] metadata policy, with
+    no enabled [obs], it allocates nothing (a caller that passes [~obs]
+    boxes the option).
+    @raise Invalid_argument when [group_size <= 0] or [buf] is shorter
+    than [group_size]. *)

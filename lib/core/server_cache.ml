@@ -13,6 +13,10 @@ type t = {
   client : Cache.t;
   server : Cache.t;
   tracker : Tracker.t option; (* present only for the aggregating scheme *)
+  (* a server miss builds its group into [group] and the server cache
+     writes the members it takes to [admitted] *)
+  group : int array;
+  admitted : int array;
   speculative : Int_table.t;
   inserted_at : Int_table.t; (* instrumentation only: request count at insertion *)
   mutable last_observed : int; (* instrumentation only: predecessor file, -1 at start *)
@@ -37,14 +41,15 @@ let on_evict t victim =
 
 let create ?(cooperative = false) ?(obs = Sink.noop) ~filter_kind ~filter_capacity
     ~server_capacity ~scheme () =
-  let server_kind, tracker =
+  let server_kind, tracker, group_size =
     match scheme with
-    | Plain kind -> (kind, None)
+    | Plain kind -> (kind, None, 1)
     | Aggregating config ->
         Config.validate config;
         ( config.cache_kind,
-          Some (Tracker.create ~capacity:config.successor_capacity ~policy:config.metadata_policy ())
-        )
+          Some
+            (Tracker.create ~capacity:config.successor_capacity ~policy:config.metadata_policy ()),
+          config.group_size )
   in
   let t =
     {
@@ -54,6 +59,8 @@ let create ?(cooperative = false) ?(obs = Sink.noop) ~filter_kind ~filter_capaci
       client = Cache.create filter_kind ~capacity:filter_capacity;
       server = Cache.create server_kind ~capacity:server_capacity;
       tracker;
+      group = Array.make group_size 0;
+      admitted = Array.make group_size 0;
       speculative = Int_table.create ~capacity:64 ();
       inserted_at = Int_table.create ~capacity:64 ();
       last_observed = -1;
@@ -87,19 +94,22 @@ let mark_speculative t file =
     Sink.emit t.obs (Event.Prefetch_issued { file })
   end
 
-let insert_members t config members =
+(* The members are [t.group.(1) .. t.group.(len - 1)]. *)
+let insert_members t config len =
   match config.Config.member_position with
   | Config.Tail ->
-      let admitted = Cache.insert_cold_group t.server members in
-      List.iter (mark_speculative t) admitted
+      let n = Cache.insert_cold_into t.server t.group ~pos:1 ~len:(len - 1) t.admitted in
+      for i = 0 to n - 1 do
+        mark_speculative t t.admitted.(i)
+      done
   | Config.Head ->
-      List.iter
-        (fun file ->
-          if not (Cache.mem t.server file) then begin
-            Cache.insert_hot t.server file;
-            mark_speculative t file
-          end)
-        members
+      for i = 1 to len - 1 do
+        let file = t.group.(i) in
+        if not (Cache.mem t.server file) then begin
+          Cache.insert_hot t.server file;
+          mark_speculative t file
+        end
+      done
 
 let serve t file =
   t.server_requests <- t.server_requests + 1;
@@ -138,10 +148,10 @@ let serve t file =
     t.store_fetches <- t.store_fetches + 1;
     if Sink.enabled t.obs then Int_table.set t.inserted_at file t.server_requests;
     (match (t.scheme, t.tracker) with
-    | Aggregating config, Some tracker -> (
-        match Group_builder.build ~obs:t.obs tracker ~group_size:config.group_size file with
-        | _requested :: members -> insert_members t config members
-        | [] -> assert false)
+    | Aggregating config, Some tracker ->
+        insert_members t config
+          (Group_builder.build_into ~obs:t.obs tracker ~group_size:config.group_size file
+             t.group)
     | Plain _, _ -> ()
     | Aggregating _, None -> assert false);
     Server_miss

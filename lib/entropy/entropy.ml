@@ -34,15 +34,41 @@ let conditional_entropy table =
 
 let occurrences table = Hashtbl.fold (fun _ c acc -> acc + c) table 0
 
+(* [files] with each id replaced by its rank among the distinct ids, so
+   the largest label is below the stream length. Ranks keep the ids'
+   order, so every window comparison and the increasing-id order of the
+   per-file sum below come out the same. *)
+let dense_labels files =
+  let sorted = Array.copy files in
+  Array.sort Int.compare sorted;
+  let distinct = ref 0 in
+  Array.iteri
+    (fun i f ->
+      if i = 0 || f <> sorted.(!distinct - 1) then begin
+        sorted.(!distinct) <- f;
+        incr distinct
+      end)
+    sorted;
+  let rec rank f lo hi =
+    let mid = (lo + hi) lsr 1 in
+    if sorted.(mid) = f then mid
+    else if sorted.(mid) < f then rank f (mid + 1) hi
+    else rank f lo mid
+  in
+  Array.map (fun f -> rank f 0 !distinct) files
+
 (* The sweep-facing entry point avoids the symbol tables entirely: window
    positions are bucketed by file id into one CSR layout (counts / prefix
    starts / positions), and each file's symbol distribution is recovered
    by sorting its positions with an in-place window comparison. No symbol
    arrays are materialised and nothing is hashed, which is what makes the
-   20-length Fig. 7 sweep cheap. *)
+   20-length Fig. 7 sweep cheap. The layout is sized by the largest id, so
+   a stream whose ids reach its length (a sparse id space) is relabelled
+   densely first. *)
 let of_files ?(length = 1) files =
   if length <= 0 then invalid_arg "Entropy.of_files: length must be positive";
   let n = Array.length files in
+  let files = if Array.exists (fun f -> f >= n) files then dense_labels files else files in
   (* positions 0 .. windows - 1 have a complete successor window *)
   let windows = n - length in
   if windows <= 0 then 0.0

@@ -72,7 +72,7 @@ type driver = {
   d_insert : Policy.insert_position -> Policy.weight -> int -> int list;
   d_promote : int -> unit;
   d_charge : int -> int -> unit;
-  d_evict : unit -> int option;
+  d_evict : unit -> int;
   d_mem : int -> bool;
   d_size : unit -> int;
   d_used : unit -> int;
@@ -152,6 +152,7 @@ let mutant_lru_driver ~capacity =
   }
 
 let str_opt = function None -> "None" | Some k -> Printf.sprintf "Some %d" k
+let str_victim = function -1 -> "none" | k -> string_of_int k
 let str_list l = Printf.sprintf "[%s]" (String.concat " " (List.map string_of_int l))
 
 let run_pair ~capacity subject reference ops =
@@ -203,7 +204,7 @@ let run_pair ~capacity subject reference ops =
         check_state step op
     | Evict ->
         let vs = subject.d_evict () and vm = reference.d_evict () in
-        if vs <> vm then mismatch "victim" (str_opt vs) (str_opt vm) else check_state step op
+        if vs <> vm then mismatch "victim" (str_victim vs) (str_victim vm) else check_state step op
     | Mem k ->
         let rs = subject.d_mem k and rm = reference.d_mem k in
         if rs <> rm then mismatch "answer" (string_of_bool rs) (string_of_bool rm)

@@ -801,10 +801,10 @@ let charge _ _ ~cost:_ = ()
 
 let evict t =
   match unit_evict t with
-  | Some victim as r ->
+  | Some victim ->
       note_drop t victim;
-      r
-  | None -> None
+      victim
+  | None -> -1
 
 let insert t ~pos ~weight:w key =
   Policy.check_weight ~who:("model." ^ Cache.kind_name t.kind) w;
@@ -913,7 +913,7 @@ module Landlord_drain = struct
      exactly zero credit. *)
   let evict t =
     match t.lents with
-    | [] -> None
+    | [] -> -1
     | (k0, e0) :: rest ->
         let ratio e = e.lcredit /. float_of_int e.lsize in
         let victim, _ =
@@ -931,7 +931,7 @@ module Landlord_drain = struct
         let e = List.assoc victim t.lents in
         t.lents <- List.remove_assoc victim t.lents;
         t.lused <- t.lused - e.lsize;
-        Some victim
+        victim
 
   let insert t ~pos ~weight:w key =
     Policy.check_weight ~who:"model.landlord-drain" w;
@@ -943,7 +943,9 @@ module Landlord_drain = struct
     else begin
       let victims = ref [] in
       while t.lused + w.Policy.size > t.lcap do
-        match evict t with Some v -> victims := v :: !victims | None -> assert false
+        let v = evict t in
+        assert (v >= 0);
+        victims := v :: !victims
       done;
       let e = { lsize = w.Policy.size; lcredit = float_of_int w.Policy.cost } in
       (match pos with
@@ -1011,7 +1013,7 @@ module Landlord = struct
 
   let evict t =
     match t.gents with
-    | [] -> None
+    | [] -> -1
     | (k0, e0) :: rest ->
         let victim, victim_h =
           List.fold_left
@@ -1022,7 +1024,7 @@ module Landlord = struct
         t.gents <- List.remove_assoc victim t.gents;
         t.gused <- t.gused - e.gsize;
         t.inflation <- victim_h;
-        Some victim
+        victim
 
   let insert t ~pos ~weight:w key =
     Policy.check_weight ~who:"model.landlord" w;
@@ -1034,7 +1036,9 @@ module Landlord = struct
     else begin
       let victims = ref [] in
       while t.gused + w.Policy.size > t.gcap do
-        match evict t with Some v -> victims := v :: !victims | None -> assert false
+        let v = evict t in
+        assert (v >= 0);
+        victims := v :: !victims
       done;
       let e = { gsize = w.Policy.size; h = priority t ~size:w.Policy.size ~cost:w.Policy.cost } in
       (match pos with

@@ -48,8 +48,9 @@ val insert :
 val charge : t -> int -> cost:int -> unit
 (** Mirrors [Policy.S.charge] — a no-op for all ten unit-weight kinds. *)
 
-val evict : t -> int option
-(** Forces out the model's current victim; [None] when empty. *)
+val evict : t -> int
+(** Forces out the model's current victim; [-1] when empty — mirrors
+    [Policy.S.evict]. *)
 
 val remove : t -> int -> unit
 val contents : t -> int list

@@ -82,13 +82,15 @@ let observe_successor t prev file =
           ~capacity:t.capacity file
   | Successor_list.Frequency -> Successor_list.observe (freq_list_for t prev) file
 
-let observe t ?(client = 0) file =
+let observe_client t ~client file =
   let context_key = if t.per_client then client else 0 in
   let prev = Int_table.get t.contexts context_key in
   if prev >= 0 then observe_successor t prev file;
   Int_table.set t.contexts context_key file
 
-let observe_event t (e : Agg_trace.Event.t) = observe t ~client:e.client e.file
+let observe t ?(client = 0) file = observe_client t ~client file
+
+let observe_event t (e : Agg_trace.Event.t) = observe_client t ~client:e.client e.file
 let observe_trace t trace = Agg_trace.Trace.iter (observe_event t) trace
 
 let successors t file =

@@ -23,6 +23,11 @@ val observe : t -> ?client:int -> Agg_trace.File_id.t -> unit
     of the previously observed file (for this client's context when
     [per_client] is set) and makes this file the new context. *)
 
+val observe_client : t -> client:int -> Agg_trace.File_id.t -> unit
+(** [observe_client t ~client file] is [observe t ~client file] for
+    callers that always know the client: an optional argument is boxed
+    at every call that passes it, this one is not. *)
+
 val observe_event : t -> Agg_trace.Event.t -> unit
 val observe_trace : t -> Agg_trace.Trace.t -> unit
 

@@ -69,9 +69,20 @@ let tracker =
   t
 
 (* holds the pin's whole key range: misses insert, nothing is evicted
-   (an evicting miss returns its victims as a list, per [Policy.S]) *)
+   (an evicting miss still returns its victim in a list, since
+   [Policy.S.insert] returns every victim; [evict] and the unit cores
+   return an immediate key) *)
 let lru = Cache.create Cache.Lru ~capacity:2_048
 let event = Agg_obs.Event.Demand_miss { file = 1 }
+
+(* caller-owned buffers of the miss path *)
+let route = Array.make 3 0
+let group = Array.make 5 0
+let admitted = Array.make 5 0
+
+(* room for every member the admission pin offers: each call admits four
+   new keys and evicts nothing *)
+let roomy = Cache.create Cache.Lru ~capacity:50_000
 
 let per_call_pins =
   [
@@ -92,6 +103,14 @@ let per_call_pins =
     allocation_free "Ring.owner" (fun i -> ignore (Ring.owner ring i));
     allocation_free "Ring.in_group" (fun i ->
         ignore (Ring.in_group ring ~replicas:3 ~node:(i mod 5) i));
+    allocation_free "Ring.group_into" (fun i -> ignore (Ring.group_into ring ~replicas:3 i route));
+    allocation_free "Group_builder.build_into on a grown tracker" (fun i ->
+        ignore (Agg_core.Group_builder.build_into tracker ~group_size:5 (i * 7 mod 1_000) group));
+    allocation_free "non-evicting Cache.insert_cold_into" (fun i ->
+        for j = 0 to 3 do
+          group.(j + 1) <- (4 * i) + j
+        done;
+        ignore (Cache.insert_cold_into roomy group ~pos:1 ~len:4 admitted));
     allocation_free "Tracker.observe on a grown tracker" (fun i ->
         Tracker.observe tracker (i * 7 mod 1_000));
     allocation_free "unit-weight LRU Cache.access" (fun i ->
@@ -114,9 +133,10 @@ let words_per_access ~accesses run =
 
 (* The cluster-faults shape: five nodes, three replicas, replicated
    metadata, g = 5 at both levels, loss, per-node outages, slow links,
-   client crashes, and one node leaving and rejoining. What it still
-   allocates per access are the lists the group, ring and policy APIs
-   return. *)
+   client crashes, and one node leaving and rejoining. Routes, groups and
+   admissions go through caller-owned buffers; what it still allocates
+   per access is mostly the victim list of an evicting
+   [Policy.S.insert] and the state rebuilt at churn. *)
 let cluster_faults_words () =
   let events = 20_000 in
   let seed = 101 in
@@ -151,8 +171,8 @@ let cluster_faults_run = lazy (cluster_faults_words ())
 
 let test_cluster_words_per_access () =
   let words, _ = Lazy.force cluster_faults_run in
-  if words > 200.0 then
-    Alcotest.failf "Cluster.run allocates %.1f words per access (pin: at most 200)" words
+  if words > 16.0 then
+    Alcotest.failf "Cluster.run allocates %.1f words per access (pin: at most 16)" words
 
 let test_cluster_major_words_per_access () =
   let _, words = Lazy.force cluster_faults_run in
@@ -181,6 +201,37 @@ let test_client_server_major_words_per_access () =
     Alcotest.failf
       "Client_cache and Server_cache allocate %.1f major-heap words per access (pin: at most 70)"
       words
+
+(* The paper-g5 shape: over a 6k-event stream of each paper profile, a
+   g = 5 client of 300 files, then an LRU filter of 100 in front of a
+   g = 5 server of 300, each built afresh. The group and admitted
+   buffers are per cache; what is left is the set-up, the option that
+   boxes each group build's [~obs], and the victim list of an evicting
+   insert. *)
+let test_client_server_words_per_access () =
+  let events = 6_000 in
+  let streams =
+    List.map
+      (fun profile -> Agg_workload.Generator.generate_files ~seed:7 ~events profile)
+      Agg_workload.Profile.all
+  in
+  let _, words, _ =
+    words_per_access ~accesses:(2 * events * List.length streams) (fun () ->
+        List.iter
+          (fun files ->
+            let client = Agg_core.Client_cache.create ~capacity:300 () in
+            ignore (Agg_core.Client_cache.run_files client files);
+            let path =
+              Agg_core.Server_cache.create ~filter_kind:Cache.Lru ~filter_capacity:100
+                ~server_capacity:300
+                ~scheme:(Agg_core.Server_cache.Aggregating Agg_core.Config.default) ()
+            in
+            ignore (Agg_core.Server_cache.run_files path files))
+          streams)
+  in
+  if words > 6.0 then
+    Alcotest.failf
+      "Client_cache and Server_cache allocate %.1f words per access (pin: at most 6)" words
 
 (* Generation, set-up included, over 60k events of each paper profile.
    The Zipf tables and the output array go straight to the major heap;
@@ -211,6 +262,8 @@ let () =
             test_cluster_major_words_per_access;
           Alcotest.test_case "Client_cache and Server_cache major heap, write profile" `Quick
             test_client_server_major_words_per_access;
+          Alcotest.test_case "Client_cache and Server_cache, paper-g5 shape" `Quick
+            test_client_server_words_per_access;
         ] );
       ( "per event",
         [

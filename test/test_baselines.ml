@@ -235,12 +235,12 @@ let test_landlord_ties_follow_recency () =
   check_victims "a re-credit keeps the recency order" [ 4; 3; 2; 1 ] (Landlord.contents t);
   Landlord.promote t 1;
   check_victims "promoted key leaves the cold end" [ 1; 4; 3; 2 ] (Landlord.contents t);
-  Alcotest.(check (option int)) "coldest of the tie" (Some 2) (Landlord.evict t);
+  Alcotest.(check int) "coldest of the tie" 2 (Landlord.evict t);
   check_victims "cold reposition" [] (Landlord.insert t ~pos:Cold ~weight:(w ~size:1 ~cost:9) 4);
   check_victims "repositioned key at the cold end" [ 1; 3; 4 ] (Landlord.contents t);
-  Alcotest.(check (option int)) "cold-repositioned key goes first" (Some 4) (Landlord.evict t);
+  Alcotest.(check int) "cold-repositioned key goes first" 4 (Landlord.evict t);
   Landlord.promote t 3;
-  Alcotest.(check (option int)) "then the unpromoted one" (Some 1) (Landlord.evict t);
+  Alcotest.(check int) "then the unpromoted one" 1 (Landlord.evict t);
   check_victims "last resident" [ 3 ] (Landlord.contents t)
 
 let test_landlord_huge_capacity () =
@@ -259,7 +259,7 @@ let test_landlord_huge_capacity () =
   check_victims "a full-capacity file evicts everyone, cheapest H first" [ 1; 4; 3 ]
     (Landlord.insert t ~pos:Hot ~weight:(w ~size:max_int ~cost:1) 5);
   check_int "exactly full" max_int (Landlord.used t);
-  Alcotest.(check (option int)) "evict" (Some 5) (Landlord.evict t);
+  Alcotest.(check int) "evict" 5 (Landlord.evict t);
   check_int "empty" 0 (Landlord.used t)
 
 let test_bundle_request_semantics () =

@@ -130,7 +130,7 @@ let test_cold_reposition_demotes () =
       ignore (P.insert t ~pos:Policy.Hot ~weight:Policy.unit_weight 2);
       ignore (P.insert t ~pos:Policy.Hot ~weight:Policy.unit_weight 3);
       ignore (P.insert t ~pos:Policy.Cold ~weight:Policy.unit_weight 2);
-      Alcotest.(check (option int)) (name ^ " next victim") (Some expected) (P.evict t))
+      Alcotest.(check int) (name ^ " next victim") expected (P.evict t))
     [
       ("lru", (module Lru : Policy.S), 2);
       ("lfu", (module Lfu : Policy.S), 2);
@@ -218,9 +218,9 @@ let test_lfu_min_bucket_crosses_gap () =
   ignore (Lfu.insert lfu ~pos:Policy.Cold ~weight:Policy.unit_weight 2);
   Alcotest.(check (option int)) "count 500" (Some 500) (Lfu.frequency lfu 1);
   Alcotest.(check (option int)) "count 0" (Some 0) (Lfu.frequency lfu 2);
-  Alcotest.(check (option int)) "first victim" (Some 2) (Lfu.evict lfu);
-  Alcotest.(check (option int)) "across the gap" (Some 1) (Lfu.evict lfu);
-  Alcotest.(check (option int)) "empty" None (Lfu.evict lfu);
+  Alcotest.(check int) "first victim" 2 (Lfu.evict lfu);
+  Alcotest.(check int) "across the gap" 1 (Lfu.evict lfu);
+  Alcotest.(check int) "empty" (-1) (Lfu.evict lfu);
   ignore (Lfu.insert lfu ~pos:Policy.Hot ~weight:Policy.unit_weight 3);
   Alcotest.(check (option int)) "fresh bucket after emptying" (Some 1) (Lfu.frequency lfu 3)
 
@@ -236,9 +236,9 @@ let test_lfu_cold_reposition_resets () =
   (* a resident already at count 0 also moves to the back of bucket 0 *)
   ignore (Lfu.insert lfu ~pos:Policy.Cold ~weight:Policy.unit_weight 1);
   Alcotest.(check (list int)) "back of bucket 0" [ 1; 3; 2 ] (Lfu.contents lfu);
-  Alcotest.(check (option int)) "oldest tick first" (Some 2) (Lfu.evict lfu);
-  Alcotest.(check (option int)) "then the reset key" (Some 3) (Lfu.evict lfu);
-  Alcotest.(check (option int)) "then the re-reset key" (Some 1) (Lfu.evict lfu)
+  Alcotest.(check int) "oldest tick first" 2 (Lfu.evict lfu);
+  Alcotest.(check int) "then the reset key" 3 (Lfu.evict lfu);
+  Alcotest.(check int) "then the re-reset key" 1 (Lfu.evict lfu)
 
 let test_lfu_contents_order () =
   let lfu = Lfu.create ~capacity:5 in
@@ -313,7 +313,7 @@ let test_clock_free_slot_wraps_words () =
     ignore (Clock.insert c ~pos:Policy.Hot ~weight:Policy.unit_weight k)
   done;
   for k = 0 to 99 do
-    Alcotest.(check (option int)) "sweep order" (Some k) (Clock.evict c)
+    Alcotest.(check int) "sweep order" k (Clock.evict c)
   done;
   let put k = ignore (Clock.insert c ~pos:Policy.Hot ~weight:Policy.unit_weight k) in
   put 1000;
@@ -654,7 +654,7 @@ let pointer_agreement name flavour (module P : Policy.S) =
             | 2 ->
                 P.insert real ~pos:Policy.Cold ~weight:Policy.unit_weight key
                 = Option.to_list (Pointer.insert model ~pos:Policy.Cold key)
-            | 3 -> P.evict real = Pointer.evict model
+            | 3 -> P.evict real = Option.value ~default:(-1) (Pointer.evict model)
             | _ ->
                 P.remove real key;
                 Pointer.remove model key;
@@ -763,6 +763,45 @@ let test_weighted_group_residents_cost_nothing () =
   check_int "prefetch cost" 20 (Cache.weighted_stats cache).Cache.cost_prefetched;
   check_bool "resident member kept" true (Cache.mem cache 4);
   check_int "used" 7 (Cache.used cache)
+
+(* The three crafted admission cases again, through [insert_cold_into]:
+   the members sit at [pos = 2] of a longer key array, and the admitted
+   buffer is dirty from an earlier, longer admission into another cache
+   (it holds 1 .. 8, so a dedup scan that read past the members admitted
+   so far would wrongly skip them). *)
+let test_weighted_group_into_dirty_buffers () =
+  let admitted = Array.make 8 0 in
+  let warm = Cache.create Cache.Lru ~capacity:100 in
+  check_int "warm-up admits eight" 8
+    (Cache.insert_cold_into warm [| 1; 2; 3; 4; 5; 6; 7; 8 |] ~pos:0 ~len:8 admitted);
+  let into cache members =
+    let keys = Array.of_list ([ 42; 43 ] @ members @ [ 44 ]) in
+    let before = Array.copy admitted in
+    let n = Cache.insert_cold_into cache keys ~pos:2 ~len:(List.length members) admitted in
+    check_bool "past the admitted prefix untouched" true
+      (Array.sub admitted n (8 - n) = Array.sub before n (8 - n));
+    Array.to_list (Array.sub admitted 0 n)
+  in
+  let cache = Cache.create ~weight_of:group_weight Cache.Lru ~capacity:10 in
+  check_list "over budget: admitted" [ 1; 3 ] (into cache [ 5; 1; 2; 3 ]);
+  check_int "over budget: used" 9 (Cache.used cache);
+  check_int "over budget: cost" 17 (Cache.weighted_stats cache).Cache.cost_prefetched;
+  check_bool "slice bounds: key before the slice not admitted" false (Cache.mem cache 43);
+  check_bool "slice bounds: key after the slice not admitted" false (Cache.mem cache 44);
+  let cache = Cache.create ~weight_of:group_weight Cache.Lru ~capacity:10 in
+  check_list "duplicates: admitted" [ 1; 3 ] (into cache [ 1; 2; 3; 2; 4; 1 ]);
+  check_bool "duplicates: skipped member absent" false (Cache.mem cache 2);
+  check_int "duplicates: cost" 17 (Cache.weighted_stats cache).Cache.cost_prefetched;
+  let cache = Cache.create ~weight_of:group_weight Cache.Lru ~capacity:10 in
+  ignore (Cache.access cache 4);
+  check_list "residents: admitted" [ 2 ] (into cache [ 4; 2; 3; 1 ]);
+  check_int "residents: cost" 20 (Cache.weighted_stats cache).Cache.cost_prefetched;
+  check_int "residents: used" 7 (Cache.used cache);
+  check_bool "slice out of bounds rejected" true
+    (try
+       ignore (Cache.insert_cold_into cache [| 1; 2 |] ~pos:1 ~len:2 admitted);
+       false
+     with Invalid_argument _ -> true)
 
 (* --- qcheck properties -------------------------------------------------- *)
 
@@ -957,6 +996,8 @@ let () =
             test_weighted_group_skipped_duplicate_stays_out;
           Alcotest.test_case "group resident members cost nothing" `Quick
             test_weighted_group_residents_cost_nothing;
+          Alcotest.test_case "group admission into dirty buffers" `Quick
+            test_weighted_group_into_dirty_buffers;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

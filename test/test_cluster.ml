@@ -153,6 +153,23 @@ let ring_qcheck =
             Ring.group r ~replicas:k f = naive ~replicas:k f
             && Ring.owner r f = List.hd (naive ~replicas:1 f))
           sample_files);
+    Test.make
+      ~name:"Ring: group_into a dirty buffer equals the naive clockwise walk, across joins and leaves"
+      ~count:100
+      (quad seed_gen (int_range 1 6) churn (int_range 1 7))
+      (fun (seed, nodes, ops, k) ->
+        let r = churned_ring ~seed ~nodes ops in
+        let naive = naive_group r in
+        let buf = Array.make 8 (-3) in
+        List.for_all
+          (fun f ->
+            (* a longer walk of another file leaves real node ids behind *)
+            ignore (Ring.group_into r ~replicas:8 (f + 1) buf);
+            let before = Array.copy buf in
+            let n = Ring.group_into r ~replicas:k f buf in
+            Array.to_list (Array.sub buf 0 n) = naive ~replicas:k f
+            && Array.sub buf n (8 - n) = Array.sub before n (8 - n))
+          sample_files);
     Test.make ~name:"Ring: in_group is membership of the group, across joins and leaves"
       ~count:100
       (quad seed_gen (int_range 1 6) churn (int_range 1 7))
@@ -450,6 +467,31 @@ let test_churn_rebalances () =
   let r2 = Cluster.run { config with Cluster.scope = None } trace in
   check_bool "noop-sink rerun identical" true (r2 = r)
 
+(* Node states are searched by id, never indexed by it: a joiner with an
+   id far beyond the initial range serves like any other node. *)
+let test_churn_huge_node_id () =
+  let trace = Lazy.force users_trace in
+  let huge = 1_000_000_000_000 in
+  let config =
+    {
+      Cluster.default_config with
+      Cluster.nodes = 3;
+      replicas = 2;
+      metadata = Cluster.Replicated_with_group;
+      faults = Agg_faults.Plan.default;
+      churn = [ (1000, Cluster.Join huge); (2500, Cluster.Leave 1) ];
+    }
+  in
+  let r = Cluster.run config trace in
+  check_int "both churn ops applied" 2 r.Cluster.rebalances;
+  check_bool "huge joiner served requests" true
+    (match List.assoc_opt huge r.Cluster.per_node_requests with Some n -> n > 0 | None -> false);
+  check_int "every request served"
+    r.Cluster.server_requests
+    (r.Cluster.routed_fetches + r.Cluster.faults.Agg_faults.Counters.degraded_fetches);
+  check_int "per-node loads sum to the requests" r.Cluster.server_requests
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 r.Cluster.per_node_requests)
+
 let test_churn_validation () =
   let trace = Lazy.force users_trace in
   let raises config =
@@ -618,6 +660,7 @@ let () =
       ( "churn",
         [
           Alcotest.test_case "rebalances" `Quick test_churn_rebalances;
+          Alcotest.test_case "huge node id" `Quick test_churn_huge_node_id;
           Alcotest.test_case "validation" `Quick test_churn_validation;
         ] );
       ("events", [ Alcotest.test_case "reconcile" `Quick test_reconcile_event_stream ]);

@@ -146,6 +146,41 @@ let qcheck_tests =
           (Entropy.per_file (Array.of_list files)));
   ]
 
+(* Each id replaced by its rank among the stream's distinct ids. *)
+let renumber_densely files =
+  let ids = List.sort_uniq Int.compare (Array.to_list files) in
+  let rank = Hashtbl.create 64 in
+  List.iteri (fun i f -> Hashtbl.replace rank f i) ids;
+  Array.map (Hashtbl.find rank) files
+
+(* File ids spread over 10^12 .. 10^12 + 10^9 · n: the CSR layout of
+   [of_files] cannot be sized by such ids, so they are relabelled by rank,
+   which must give the dense stream's value bit for bit. *)
+let test_sparse_ids_equal_dense () =
+  let sparse f = 1_000_000_000_000 + (f * 1_000_000_007) in
+  let dense =
+    Agg_workload.Generator.generate_files ~seed:3 ~events:4000 Agg_workload.Profile.server
+  in
+  let ranked = renumber_densely dense in
+  let spread = Array.map sparse dense in
+  List.iter
+    (fun length ->
+      let expected = Entropy.of_files ~length ranked in
+      Alcotest.(check int64)
+        (Printf.sprintf "L=%d bits" length)
+        (Int64.bits_of_float expected)
+        (Int64.bits_of_float (Entropy.of_files ~length spread));
+      Alcotest.(check int64)
+        (Printf.sprintf "L=%d bits, unranked dense ids" length)
+        (Int64.bits_of_float expected)
+        (Int64.bits_of_float (Entropy.of_files ~length dense)))
+    [ 1; 2; 3; 5 ];
+  (* the five-line trace of a single huge id pair *)
+  let huge = 1_000_000_000_000 in
+  check_float "five accesses, two huge ids"
+    (Entropy.of_files [| 0; 1; 0; 1; 0 |])
+    (Entropy.of_files [| huge; huge + 1; huge; huge + 1; huge |])
+
 let () =
   Alcotest.run "agg_entropy"
     [
@@ -168,6 +203,7 @@ let () =
           Alcotest.test_case "per-client single client" `Quick
             test_per_client_single_client_matches_global;
           Alcotest.test_case "filtered sweep shape" `Quick test_filtered_sweep_shape;
+          Alcotest.test_case "sparse ids equal dense" `Quick test_sparse_ids_equal_dense;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

@@ -34,7 +34,7 @@ let test_model_cold_insert () =
   ignore (unit_insert m ~pos:Policy.Hot 1);
   ignore (unit_insert m ~pos:Policy.Cold 2);
   (* the cold member is the first to go *)
-  Alcotest.(check (option int)) "cold evicted first" (Some 2) (Model_cache.evict m);
+  Alcotest.(check int) "cold evicted first" 2 (Model_cache.evict m);
   check_int "size" 1 (Model_cache.size m)
 
 let test_model_random_matches_seeded () =
@@ -297,6 +297,42 @@ let group_builder_property policy pname =
             (List.init 10 (fun i -> i + 1)))
         stream)
 
+(* The same law through [build_into] and one buffer reused by every call:
+   before each build, a group-size-10 build of another file leaves the
+   buffer dirty, and the build must write only its own prefix. *)
+let group_builder_into_property policy pname =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "group builder into a dirty buffer agrees with the reference builder (%s metadata)"
+         pname)
+    ~count:100
+    QCheck.(
+      triple (int_range 1 8) (int_range 2 24)
+        (list_of_size (QCheck.Gen.int_bound 120) (QCheck.map abs int)))
+    (fun (capacity, universe, stream) ->
+      let tracker = Agg_successor.Tracker.create ~capacity ~policy () in
+      let successors = Agg_successor.Tracker.successors tracker in
+      let buf = Array.make 12 (-7) in
+      List.for_all
+        (fun raw ->
+          Agg_successor.Tracker.observe tracker (raw mod universe);
+          List.for_all
+            (fun group_size ->
+              List.for_all
+                (fun file ->
+                  ignore
+                    (Agg_core.Group_builder.build_into tracker ~group_size:10
+                       ((file + 1) mod (universe + 1))
+                       buf);
+                  let before = Array.copy buf in
+                  let len = Agg_core.Group_builder.build_into tracker ~group_size file buf in
+                  Array.to_list (Array.sub buf 0 len)
+                  = Model_system.build_group ~successors ~group_size file
+                  && Array.sub buf len (12 - len) = Array.sub before len (12 - len))
+                (List.init (universe + 1) Fun.id))
+            (List.init 10 (fun i -> i + 1)))
+        stream)
+
 (* --- qcheck: the aggregating client vs its model ---------------------- *)
 
 let client_property =
@@ -369,6 +405,8 @@ let qcheck_tests =
       tracker_property Successor_list.Frequency ~per_client:true "frequency, per-client contexts";
       group_builder_property Successor_list.Recency "recency";
       group_builder_property Successor_list.Frequency "frequency";
+      group_builder_into_property Successor_list.Recency "recency";
+      group_builder_into_property Successor_list.Frequency "frequency";
       client_property;
     ]
 
