@@ -3,8 +3,9 @@
 # gate against the lib/oracle reference models, a one-second checked run
 # of each steady-benchmark workload, a quick smoke run of the
 # paper-vs-measured checks from the reproduction harness, and the entropy
-# commands on a sparse-id trace under a memory cap. The run fails if it
-# leaves the working tree different from how it found it.
+# commands and a client replay on sparse-id traces under a memory cap.
+# The run fails if it leaves the working tree different from how it found
+# it.
 #
 # The check thresholds are calibrated for full-size runs (60k events), so
 # the --quick pass only asserts the harness runs end to end; the full-size
@@ -229,14 +230,27 @@ done
 
 # Sparse file ids: a valid five-line trace whose ids are 10^12 must not
 # make the entropy commands size a table by the largest id (they died
-# with an uncaught Out_of_memory). The address-space cap turns such a
-# table into a failure here rather than a machine that swaps.
+# with an uncaught Out_of_memory). Ids near 10^9 must not either, in the
+# simulators: every Int_table (cache indexes, speculative sets, tracker
+# intern tables) allocates pages only where keys land, and the client
+# replay and the filtered entropy died there when a table spanned the id
+# space. The address-space cap turns such a table into a failure here
+# rather than a machine that swaps.
 dune build ./bin/aggsim.exe
 printf '#aggtrace v1\n0 r 0 1000000000000\n1 r 0 1000000000001\n2 r 0 1000000000000\n3 r 0 1000000000001\n4 r 0 1000000000000\n' \
   > "$scratch/sparse.trc"
 for cmd in stats entropy predictability; do
   if ! (ulimit -v 2000000 && "$root/_build/default/bin/aggsim.exe" "$cmd" -i "$scratch/sparse.trc" > /dev/null); then
     echo "ci.sh: aggsim $cmd failed on a trace with sparse file ids" >&2
+    exit 1
+  fi
+done
+printf '#aggtrace v1\n0 r 0 1000000000\n1 r 0 1000000001\n2 r 0 1000000000\n3 r 0 1000000001\n4 r 0 1000000000\n' \
+  > "$scratch/sparse9.trc"
+for cmd in "trace -o $scratch/sparse9.jsonl" "entropy --filter 100"; do
+  # shellcheck disable=SC2086
+  if ! (ulimit -v 2000000 && "$root/_build/default/bin/aggsim.exe" $cmd -i "$scratch/sparse9.trc" > /dev/null); then
+    echo "ci.sh: aggsim $cmd failed on a trace with file ids near 10^9" >&2
     exit 1
   fi
 done

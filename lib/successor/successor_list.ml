@@ -52,8 +52,8 @@ let mem t succ =
   | Recency -> find_recency t succ >= 0
   | Frequency -> Hashtbl.mem t.members succ
 
-(* Exposed for the flat per-file tracker, which stores many such lists
-   back to back in one array: move [succ] to the front of the region
+(* Exposed for the per-file tracker, which stores many such lists in
+   one array: move [succ] to the front of the region
    [slots.(off) .. slots.(off + len - 1)], evicting the last entry when a
    full region sees a newcomer. Returns the new live length. *)
 let observe_slots (slots : int array) ~off ~len ~capacity (succ : int) =

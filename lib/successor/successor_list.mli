@@ -37,5 +37,12 @@ val observe_slots :
     slots.(off + len - 1)] (most recent first): a resident successor moves
     to the front, a fresh one is pushed, evicting the least recent entry
     when the region already holds [capacity]. Returns the new live length.
-    This is the storage primitive behind {!observe} that [Tracker] uses to
-    keep every file's list in one flat array. *)
+    The region must have room for [min (len + 1) capacity] entries.
+
+    This is the storage primitive behind {!observe}, and [Tracker] uses it
+    to keep every file's list in one bump-allocated array. There a list
+    of [len] entries sits in a region of [min capacity (2^⌈log₂ len⌉)]
+    slots; when a successor that is not resident meets a full region
+    below [capacity], [Tracker] first moves the list to a region twice
+    the size, then calls this with its own [capacity], so every
+    move-to-front and eviction still happens here. *)

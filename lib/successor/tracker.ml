@@ -1,17 +1,20 @@
 open Agg_util
 
 (* The Recency tracker — the configuration every experiment runs — stores
-   all successor lists in one flat int array of [capacity]-sized regions,
-   most recent first. A file gets a region only when it first precedes
-   another file: [rows] interns its id to a dense row number, and row
-   [r]'s list occupies [slots.(r * capacity) .. slots.(r * capacity +
-   lens.(r) - 1)]. The intern table costs one word per id up to the
-   largest id seen, and the regions [capacity + 1] words per tracked file,
-   so a run pays for the files it keeps successors for, not for the width
-   of the id space. An observe is two array probes plus a few-word shift.
-   The region arrays are allocated by the first observe (a tracker that is
-   never fed costs two 16-entry tables) and grow by doubling from a first
-   block of [row_block] rows.
+   all successor lists in one bump-allocated int array, [slots]. A file
+   gets a region only when it first precedes another file: [regions]
+   interns its id to the offset of its region, which holds the list's
+   length and then the list itself, most recent first:
+   [slots.(off) = len], entries at [slots.(off + 1) .. slots.(off + len)].
+   A region holds its list rounded up to a power of two, at most
+   [capacity] slots, so a file with one successor (most files, in every
+   calibrated profile) costs two words there. Lists never shrink, so a
+   region is full exactly when its length is a power of two below
+   [capacity]; before a new successor enters a full region, the list
+   moves to a fresh region twice the size at the top of [slots], and the
+   old one is left unused. The global context is a field, so an observe
+   is one intern probe and a few-word shift in one region; per-client
+   contexts add a probe of [contexts].
 
    The idealised Frequency policy needs unbounded per-successor counters
    (see {!Successor_list}), so it keeps the boxed per-file lists. *)
@@ -20,17 +23,18 @@ type t = {
   capacity : int;
   policy : Successor_list.policy;
   per_client : bool;
-  (* Recency representation; every row holds a non-empty list, so the
-     row count is the tracked-file count *)
-  rows : Int_table.t; (* file id -> row *)
-  mutable slots : int array; (* row capacity * capacity *)
-  mutable lens : int array; (* row capacity *)
-  contexts : Int_table.t; (* client id (0 when global) -> previous file *)
+  (* Recency representation; every region holds a non-empty list, so the
+     interned-file count is the tracked-file count *)
+  regions : Int_table.t; (* file id -> offset of its region in [slots] *)
+  mutable slots : int array;
+  mutable top : int; (* first unallocated slot *)
+  mutable previous : int; (* the previous file of the global context, or -1 *)
+  contexts : Int_table.t; (* client id -> previous file, when [per_client] *)
   (* Frequency representation *)
   freq_lists : (int, Successor_list.t) Hashtbl.t;
 }
 
-let row_block = 256
+let first_block = 1024
 
 let create ?(capacity = 8) ?(policy = Successor_list.Recency) ?(per_client = false) () =
   if capacity <= 0 then invalid_arg "Tracker.create: capacity must be positive";
@@ -38,31 +42,66 @@ let create ?(capacity = 8) ?(policy = Successor_list.Recency) ?(per_client = fal
     capacity;
     policy;
     per_client;
-    rows = Int_table.create ~capacity:16 ();
+    regions = Int_table.create ();
     slots = [||];
-    lens = [||];
-    contexts = Int_table.create ~capacity:16 ();
+    top = 0;
+    previous = -1;
+    contexts = Int_table.create ();
     freq_lists = Hashtbl.create (if policy = Successor_list.Frequency then 4096 else 1);
   }
 
 let capacity t = t.capacity
 let policy t = t.policy
 
-(* The next free row, bound to [file]; its region starts empty. *)
-let add_row t file =
-  let row = Int_table.length t.rows in
-  let rows_cap = Array.length t.lens in
-  if row = rows_cap then begin
-    let cap = Int.max row_block (2 * rows_cap) in
-    let slots = Array.make (cap * t.capacity) 0 in
-    Array.blit t.slots 0 slots 0 (rows_cap * t.capacity);
-    let lens = Array.make cap 0 in
-    Array.blit t.lens 0 lens 0 rows_cap;
-    t.slots <- slots;
-    t.lens <- lens
+(* The offset of [n] fresh slots at the top of [slots], which grows by
+   doubling. The copy is a typed loop: [Array.blit] into an array on the
+   major heap would call [caml_modify] once per element. *)
+let reserve t n =
+  let off = t.top in
+  if off + n > Array.length t.slots then begin
+    let old = t.slots in
+    let slots = Array.make (Int.max first_block (Int.max (2 * Array.length old) (off + n))) 0 in
+    for i = 0 to off - 1 do
+      slots.(i) <- old.(i)
+    done;
+    t.slots <- slots
   end;
-  Int_table.set t.rows file row;
-  row
+  t.top <- off + n;
+  off
+
+(* [file]'s first successor, in a one-slot region. *)
+let add_region t file succ =
+  let off = reserve t 2 in
+  t.slots.(off) <- 1;
+  t.slots.(off + 1) <- succ;
+  Int_table.set t.regions file off
+
+(* Is [x] absent from [set.(i) .. set.(len - 1)]? *)
+let rec outside (set : int array) len (x : int) i =
+  i >= len || (set.(i) <> x && outside set len x (i + 1))
+
+(* Moves [file]'s full list of [len] entries at [off] to a region twice
+   the size (at most [capacity]) and returns the new offset. *)
+let relocate t file off len =
+  let off' = reserve t (1 + Int.min (2 * len) t.capacity) in
+  let slots = t.slots in
+  for i = 0 to len do
+    slots.(off' + i) <- slots.(off + i)
+  done;
+  Int_table.set t.regions file off';
+  off'
+
+(* Lists here are never empty, so [len land (len - 1) = 0] is exactly
+   "[len] is a power of two". *)
+let observe_region t prev off file =
+  let len = t.slots.(off) in
+  let full = len land (len - 1) = 0 && len < t.capacity in
+  let off =
+    if full && outside t.slots (off + 1 + len) file (off + 1) then relocate t prev off len
+    else off
+  in
+  let slots = t.slots in
+  slots.(off) <- Successor_list.observe_slots slots ~off:(off + 1) ~len ~capacity:t.capacity file
 
 let freq_list_for t file =
   match Hashtbl.find_opt t.freq_lists file with
@@ -75,18 +114,21 @@ let freq_list_for t file =
 let observe_successor t prev file =
   match t.policy with
   | Successor_list.Recency ->
-      let row = Int_table.get t.rows prev in
-      let row = if row >= 0 then row else add_row t prev in
-      t.lens.(row) <-
-        Successor_list.observe_slots t.slots ~off:(row * t.capacity) ~len:t.lens.(row)
-          ~capacity:t.capacity file
+      let off = Int_table.get t.regions prev in
+      if off < 0 then add_region t prev file else observe_region t prev off file
   | Successor_list.Frequency -> Successor_list.observe (freq_list_for t prev) file
 
 let observe_client t ~client file =
-  let context_key = if t.per_client then client else 0 in
-  let prev = Int_table.get t.contexts context_key in
-  if prev >= 0 then observe_successor t prev file;
-  Int_table.set t.contexts context_key file
+  if t.per_client then begin
+    let prev = Int_table.get t.contexts client in
+    if prev >= 0 then observe_successor t prev file;
+    Int_table.set t.contexts client file
+  end
+  else begin
+    let prev = t.previous in
+    if prev >= 0 then observe_successor t prev file;
+    t.previous <- file
+  end
 
 let observe t ?(client = 0) file = observe_client t ~client file
 
@@ -96,21 +138,16 @@ let observe_trace t trace = Agg_trace.Trace.iter (observe_event t) trace
 let successors t file =
   match t.policy with
   | Successor_list.Recency ->
-      let row = Int_table.get t.rows file in
-      if row < 0 then []
+      let off = Int_table.get t.regions file in
+      if off < 0 then []
       else begin
-        let off = row * t.capacity in
-        let rec build i acc = if i < off then acc else build (i - 1) (t.slots.(i) :: acc) in
-        build (off + t.lens.(row) - 1) []
+        let rec build i acc = if i = off then acc else build (i - 1) (t.slots.(i) :: acc) in
+        build (off + t.slots.(off)) []
       end
   | Successor_list.Frequency -> (
       match Hashtbl.find_opt t.freq_lists file with
       | Some l -> Successor_list.ranked l
       | None -> [])
-
-(* Is [x] absent from [set.(i) .. set.(len - 1)]? *)
-let rec outside (set : int array) len (x : int) i =
-  i >= len || (set.(i) <> x && outside set len x (i + 1))
 
 let rec first_slot_outside (slots : int array) set len i stop =
   if i >= stop then -1
@@ -120,11 +157,8 @@ let rec first_slot_outside (slots : int array) set len i stop =
 let first_successor_outside t file set ~len =
   match t.policy with
   | Successor_list.Recency ->
-      let row = Int_table.get t.rows file in
-      if row < 0 then -1
-      else
-        let off = row * t.capacity in
-        first_slot_outside t.slots set len off (off + t.lens.(row))
+      let off = Int_table.get t.regions file in
+      if off < 0 then -1 else first_slot_outside t.slots set len (off + 1) (off + 1 + t.slots.(off))
   | Successor_list.Frequency -> (
       match Hashtbl.find_opt t.freq_lists file with
       | Some l -> (
@@ -136,8 +170,8 @@ let first_successor_outside t file set ~len =
 let top_successor t file =
   match t.policy with
   | Successor_list.Recency ->
-      let row = Int_table.get t.rows file in
-      if row < 0 then None else Some t.slots.(row * t.capacity)
+      let off = Int_table.get t.regions file in
+      if off < 0 then None else Some t.slots.(off + 1)
   | Successor_list.Frequency -> (
       match Hashtbl.find_opt t.freq_lists file with
       | Some l -> Successor_list.top l
@@ -162,10 +196,12 @@ let transitive_successors t file ~length =
 
 let tracked_files t =
   match t.policy with
-  | Successor_list.Recency -> Int_table.length t.rows
+  | Successor_list.Recency -> Int_table.length t.regions
   | Successor_list.Frequency ->
       Hashtbl.fold
         (fun _ l acc -> if Successor_list.size l > 0 then acc + 1 else acc)
         t.freq_lists 0
 
-let reset_context t = Int_table.clear t.contexts
+let reset_context t =
+  t.previous <- -1;
+  Int_table.clear t.contexts

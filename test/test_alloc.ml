@@ -4,11 +4,11 @@
    where dune compiles with [-opaque] and no function is inlined across
    modules, so a pin holds without the optimiser's help: a float or
    [Int64] returned across a module boundary would be boxed and show up
-   here. The per-access pins
-   replay whole runs and also count major-heap words: the footprint of
-   the state a run builds (successor metadata above all), which a tracker
-   sized by the id space rather than by the files it tracks would
-   inflate. *)
+   here. The per-access pins replay whole runs and also count major-heap
+   words: the footprint of the state a run builds (successor regions and
+   the pages of every cache index, speculative set and intern table),
+   which a table sized by the id space rather than by the files a run
+   touches would inflate. *)
 
 module Prng = Agg_util.Prng
 module Dist = Agg_util.Dist
@@ -176,8 +176,8 @@ let test_cluster_words_per_access () =
 
 let test_cluster_major_words_per_access () =
   let _, words = Lazy.force cluster_faults_run in
-  if words > 45.0 then
-    Alcotest.failf "Cluster.run allocates %.1f major-heap words per access (pin: at most 45)"
+  if words > 22.0 then
+    Alcotest.failf "Cluster.run allocates %.1f major-heap words per access (pin: at most 22)"
       words
 
 (* The paper's two aggregating configurations on the write profile, the
@@ -197,9 +197,9 @@ let test_client_server_major_words_per_access () =
         in
         ignore (Agg_core.Server_cache.run_files path files))
   in
-  if words > 70.0 then
+  if words > 26.0 then
     Alcotest.failf
-      "Client_cache and Server_cache allocate %.1f major-heap words per access (pin: at most 70)"
+      "Client_cache and Server_cache allocate %.1f major-heap words per access (pin: at most 26)"
       words
 
 (* The paper-g5 shape: over a 6k-event stream of each paper profile, a
@@ -207,15 +207,17 @@ let test_client_server_major_words_per_access () =
    g = 5 server of 300, each built afresh. The group and admitted
    buffers are per cache; what is left is the set-up, the option that
    boxes each group build's [~obs], and the victim list of an evicting
-   insert. *)
-let test_client_server_words_per_access () =
+   insert. Each stream touches 1.2k-2.9k distinct files with ids up to
+   9.7k-23.5k, so the major-heap pin catches per-run state that grows
+   with the id space. *)
+let paper_g5_words () =
   let events = 6_000 in
   let streams =
     List.map
       (fun profile -> Agg_workload.Generator.generate_files ~seed:7 ~events profile)
       Agg_workload.Profile.all
   in
-  let _, words, _ =
+  let _, minor, major =
     words_per_access ~accesses:(2 * events * List.length streams) (fun () ->
         List.iter
           (fun files ->
@@ -229,9 +231,22 @@ let test_client_server_words_per_access () =
             ignore (Agg_core.Server_cache.run_files path files))
           streams)
   in
+  (minor, major)
+
+let paper_g5_run = lazy (paper_g5_words ())
+
+let test_client_server_words_per_access () =
+  let words, _ = Lazy.force paper_g5_run in
   if words > 6.0 then
     Alcotest.failf
       "Client_cache and Server_cache allocate %.1f words per access (pin: at most 6)" words
+
+let test_client_server_paper_major_words_per_access () =
+  let _, words = Lazy.force paper_g5_run in
+  if words > 16.0 then
+    Alcotest.failf
+      "Client_cache and Server_cache allocate %.1f major-heap words per access (pin: at most 16)"
+      words
 
 (* Generation, set-up included, over 60k events of each paper profile.
    The Zipf tables and the output array go straight to the major heap;
@@ -264,6 +279,8 @@ let () =
             test_client_server_major_words_per_access;
           Alcotest.test_case "Client_cache and Server_cache, paper-g5 shape" `Quick
             test_client_server_words_per_access;
+          Alcotest.test_case "Client_cache and Server_cache major heap, paper-g5 shape" `Quick
+            test_client_server_paper_major_words_per_access;
         ] );
       ( "per event",
         [

@@ -185,12 +185,13 @@ let oracle_property =
 
 (* --- qcheck: the interned tracker vs its model ------------------------- *)
 
-(* The Recency tracker interns each predecessor to a dense row the first
-   time it precedes another file. The stream draws 320-479 distinct ids
-   sparsely from [0, 2^17) and visits each once in shuffled order, so rows
-   are assigned out of id order and their count passes the first block of
-   256; 600 skewed draws from the same pool then reorder and evict list
-   entries. Events come from three clients. After every observation the
+(* The Recency tracker interns each predecessor to the offset of its
+   successor region the first time it precedes another file. The stream
+   draws 320-479 distinct ids sparsely from [0, 2^17), over many pages of
+   the intern table, and visits each once in shuffled order, so regions
+   are laid out out of id order; 600 skewed draws from the same pool then
+   grow, reorder and evict lists, relocating regions past the slot
+   array's first block. Events come from three clients. After every observation the
    tracker and its model must agree on [successors], [top_successor] and
    [first_successor_outside] (against a random set) of the client's
    previous file, the observed file, a random pool file and an id never
@@ -267,6 +268,63 @@ let tracker_property policy ~per_client name =
         stream;
       !ok
       && Tracker.tracked_files real >= 300)
+
+(* --- the tracker's region relocations ------------------------------------
+
+   A Recency list starts in a one-slot region and moves to a region twice
+   the size each time a new successor finds it full, up to [capacity].
+   File 0 is followed by 14 new successors, so at capacity 10 its list
+   passes through regions of 1, 2, 4, 8 and 10 slots and then evicts, and
+   at capacity 3 through 1, 2 and 3. Each step also re-observes a
+   resident successor (no relocation) and gives file 50 a new successor,
+   so regions interleave and a stale or overlapping copy would show. After
+   every observe, real and model must agree on every file seen and on
+   one never seen. *)
+let test_tracker_relocations () =
+  let module Tracker = Agg_successor.Tracker in
+  List.iter
+    (fun capacity ->
+      let real = Tracker.create ~capacity () in
+      let model = Model_system.Tracker.create ~capacity ~policy:Successor_list.Recency () in
+      let stream =
+        List.concat_map
+          (fun k -> [ 0; 100 + k; 0; 100 + ((k + 1) / 2); 50; 200 + k ])
+          (List.init 14 succ)
+      in
+      let files = List.sort_uniq Int.compare (999 :: stream) in
+      let agree step file =
+        let expected = Model_system.Tracker.successors model file in
+        let where = Printf.sprintf "capacity %d, step %d, file %d" capacity step file in
+        Alcotest.(check (list int))
+          (where ^ ": successors") expected (Tracker.successors real file);
+        Alcotest.(check (option int))
+          (where ^ ": top successor")
+          (match expected with [] -> None | s :: _ -> Some s)
+          (Tracker.top_successor real file);
+        (* sets of every prefix of the list, with an id outside it *)
+        List.iteri
+          (fun len _ ->
+            let set = Array.of_list (999 :: List.filteri (fun i _ -> i < len) expected) in
+            let first_outside =
+              match List.filteri (fun i _ -> i >= len) expected with s :: _ -> s | [] -> -1
+            in
+            Alcotest.(check int)
+              (Printf.sprintf "%s: first successor outside %d" where len)
+              first_outside
+              (Tracker.first_successor_outside real file set ~len:(len + 1)))
+          (0 :: expected)
+      in
+      List.iteri
+        (fun step file ->
+          Tracker.observe real file;
+          Model_system.Tracker.observe model file;
+          List.iter (agree step) files)
+        stream;
+      Alcotest.(check int)
+        (Printf.sprintf "capacity %d: file 0's list is full" capacity)
+        capacity
+        (List.length (Tracker.successors real 0)))
+    [ 3; 10 ]
 
 (* --- qcheck: group construction vs the reference builder -------------- *)
 
@@ -427,6 +485,11 @@ let () =
           Alcotest.test_case "shrinker on a plain predicate" `Quick test_shrink_ops_plain_predicate;
           Alcotest.test_case "gen_ops deterministic" `Quick test_gen_ops_deterministic;
           Alcotest.test_case "calibrated traces (small)" `Slow test_trace_checks_small;
+        ] );
+      ( "tracker",
+        [
+          Alcotest.test_case "relocation through every region size" `Quick
+            test_tracker_relocations;
         ] );
       ( "weighted",
         [

@@ -583,6 +583,36 @@ let test_int_table_basics () =
   check_int "cleared" 0 (Int_table.length t);
   check_int "cleared get" (-1) (Int_table.get t 0)
 
+(* Every directory entry no key has reached shares one page of absent
+   slots. A write that leaked into it would show up in every other table:
+   [fresh], created before key 700 is set elsewhere, and [later], created
+   after, both cover page 1 with the shared page. *)
+let test_int_table_shared_page () =
+  let fresh = Int_table.create ~capacity:2_048 () in
+  let written = Int_table.create () in
+  Int_table.set written 700 3;
+  Int_table.remove written 701;
+  Int_table.clear written;
+  Int_table.set written 700 4;
+  let later = Int_table.create ~capacity:2_048 () in
+  List.iter
+    (fun (name, t) ->
+      check_int (name ^ ": 700 absent") (-1) (Int_table.get t 700);
+      check_bool (name ^ ": 700 not a member") false (Int_table.mem t 700))
+    [ ("fresh table", fresh); ("table created later", later) ];
+  check_int "written table keeps its binding" 4 (Int_table.get written 700);
+  (* an unwritten page inside the directory, keys beyond it, negative keys *)
+  Int_table.set fresh 3 1;
+  List.iter
+    (fun k ->
+      check_int (Printf.sprintf "get %d" k) (-1) (Int_table.get fresh k);
+      check_bool (Printf.sprintf "mem %d" k) false (Int_table.mem fresh k);
+      Int_table.remove fresh k;
+      check_int (Printf.sprintf "length after remove %d" k) 1 (Int_table.length fresh))
+    [ 600; 1_023; 2_048; 1_000_000; max_int; -1; -512; -513; min_int ];
+  check_int "page 0 binding untouched" 1 (Int_table.get fresh 3);
+  check_int "fresh table still reads 700 as absent" (-1) (Int_table.get fresh 700)
+
 (* --- Pool ------------------------------------------------------------ *)
 
 let test_pool_map_order () =
@@ -912,14 +942,39 @@ let qcheck_tests =
          (int_range 0 1_000_000))
       (fun (n, s, seed) -> zipf_matches_reference ~n ~s ~seed ());
     Test.make ~name:"Int_table agrees with a Hashtbl model" ~count:300
-      (list (pair (int_range 0 40) (int_range (-1) 20)))
+      (list
+         (pair
+            (oneof
+               [
+                 int_range 0 40;
+                 int_range 510 514;
+                 int_range 1_022 1_026;
+                 int_range 0 10_000_000;
+               ])
+            (int_range (-2) 20)))
       (fun ops ->
-        (* value -1 encodes a removal of that key *)
+        (* value -1 encodes a removal of that key, -2 a [clear]; keys
+           straddle page boundaries and reach sparsely up to 10^7 *)
         let t = Int_table.create ~capacity:1 () in
         let model : (int, int) Hashtbl.t = Hashtbl.create 16 in
+        let agrees key =
+          Int_table.get t key = Option.value ~default:(-1) (Hashtbl.find_opt model key)
+        in
+        let dense =
+          List.init 41 Fun.id @ [ 510; 511; 512; 513; 514; 1_022; 1_023; 1_024; 1_025; 1_026 ]
+        in
+        let bindings () =
+          let acc = ref [] in
+          Int_table.iter t (fun key value -> acc := (key, value) :: !acc);
+          List.rev !acc
+        in
         List.for_all
           (fun (k, v) ->
-            if v < 0 then begin
+            if v = -2 then begin
+              Int_table.clear t;
+              Hashtbl.reset model
+            end
+            else if v < 0 then begin
               Int_table.remove t k;
               Hashtbl.remove model k
             end
@@ -927,12 +982,11 @@ let qcheck_tests =
               Int_table.set t k v;
               Hashtbl.replace model k v
             end;
-            Int_table.length t = Hashtbl.length model
-            && List.for_all
-                 (fun key ->
-                   Int_table.get t key = Option.value ~default:(-1) (Hashtbl.find_opt model key))
-                 (List.init 41 Fun.id))
-          ops);
+            Int_table.length t = Hashtbl.length model && agrees k && List.for_all agrees dense)
+          ops
+        && List.for_all (fun (k, _) -> agrees k) ops
+        && bindings ()
+           = List.sort (fun (a, _) (b, _) -> Int.compare a b) (List.of_seq (Hashtbl.to_seq model)));
     Test.make ~name:"Dlist_arena keeps live + free = slots and mirrors a list model" ~count:200
       (list (pair (int_range 0 3) (int_range 0 30)))
       (fun ops ->
@@ -1045,7 +1099,11 @@ let () =
           Alcotest.test_case "clear_list" `Quick test_arena_clear_list;
         ] );
       ( "int_table",
-        [ Alcotest.test_case "basics" `Quick test_int_table_basics ] );
+        [
+          Alcotest.test_case "basics" `Quick test_int_table_basics;
+          Alcotest.test_case "shared empty page is never written" `Quick
+            test_int_table_shared_page;
+        ] );
       ( "pool",
         [
           Alcotest.test_case "map preserves order" `Quick test_pool_map_order;
