@@ -79,6 +79,31 @@ let runner ~settings =
 
 (* --- figure sections -------------------------------------------------- *)
 
+(* A pass is one settings value. Each of fig3, fig4, fig5, fig7 and fig8 is
+   computed at most once per pass, by whichever section reads it first:
+   the figure sections print it, [summary] and [checks] are views of it.
+   --sweep starts a new pass, from a cold Trace_store, before each timing
+   it takes, so that no timing is a lookup. *)
+type pass = {
+  settings : Agg_sim.Experiment.settings;
+  fig3 : Agg_sim.Experiment.figure Lazy.t;
+  fig4 : Agg_sim.Experiment.figure Lazy.t;
+  fig5 : Agg_sim.Experiment.figure Lazy.t;
+  fig7 : Agg_sim.Experiment.figure Lazy.t;
+  fig8 : Agg_sim.Experiment.figure Lazy.t;
+}
+
+let pass ~settings =
+  let figure run = lazy (run (runner ~settings)) in
+  {
+    settings;
+    fig3 = figure Agg_sim.Fig3.run;
+    fig4 = figure Agg_sim.Fig4.run;
+    fig5 = figure Agg_sim.Fig5.run;
+    fig7 = figure Agg_sim.Fig7.run;
+    fig8 = figure Agg_sim.Fig8.run;
+  }
+
 let run_workloads ~settings =
   section "Workload characterisation (the §4.1 view of the four traces)";
   let table =
@@ -112,34 +137,41 @@ let run_workloads ~settings =
   |> List.iter (Agg_util.Table.add_row table);
   Agg_util.Table.print table
 
-let run_fig3 ~settings =
+let run_fig3 p =
   section "Fig. 3 — client demand fetches vs cache capacity (per group size)";
-  Agg_sim.Experiment.print_figure (Agg_sim.Fig3.run (runner ~settings))
+  Agg_sim.Experiment.print_figure (Lazy.force p.fig3)
 
-let run_fig4 ~settings =
+let run_fig4 p =
   section "Fig. 4 — server hit rate behind an intervening client cache";
-  Agg_sim.Experiment.print_figure (Agg_sim.Fig4.run (runner ~settings))
+  Agg_sim.Experiment.print_figure (Lazy.force p.fig4)
 
-let run_fig5 ~settings =
+let run_fig5 p =
   section "Fig. 5 — successor-list replacement quality (oracle / LRU / LFU)";
-  Agg_sim.Experiment.print_figure (Agg_sim.Fig5.run (runner ~settings))
+  Agg_sim.Experiment.print_figure (Lazy.force p.fig5)
 
-let run_fig7 ~settings =
+let run_fig7 p =
   section "Fig. 7 — successor entropy vs successor sequence length";
-  Agg_sim.Experiment.print_figure (Agg_sim.Fig7.run (runner ~settings))
+  Agg_sim.Experiment.print_figure (Lazy.force p.fig7)
 
-let run_fig8 ~settings =
+let run_fig8 p =
   section "Fig. 8 — successor entropy of LRU-filtered miss streams";
-  Agg_sim.Experiment.print_figure (Agg_sim.Fig8.run (runner ~settings))
+  Agg_sim.Experiment.print_figure (Lazy.force p.fig8)
 
-let run_summary ~settings =
+let run_summary p =
   section "Headline summary (abstract / conclusions numbers)";
-  Agg_util.Table.print (Agg_sim.Summary.client_table (Agg_sim.Summary.client_rows ~settings ()));
-  Agg_util.Table.print (Agg_sim.Summary.server_table (Agg_sim.Summary.server_rows ~settings ()))
+  Agg_util.Table.print
+    (Agg_sim.Summary.client_table (Agg_sim.Summary.client_rows ~settings:p.settings ()));
+  Agg_util.Table.print
+    (Agg_sim.Summary.server_table (Agg_sim.Summary.server_rows (Lazy.force p.fig4)))
 
-let run_checks ~settings =
+let run_checks p =
   section "Paper-vs-measured checks";
-  let checks = Agg_sim.Report.run_all ~settings () in
+  let fig3 = Lazy.force p.fig3 in
+  let fig4 = Lazy.force p.fig4 in
+  let fig5 = Lazy.force p.fig5 in
+  let fig7 = Lazy.force p.fig7 in
+  let fig8 = Lazy.force p.fig8 in
+  let checks = Agg_sim.Report.checks ~fig3 ~fig4 ~fig5 ~fig7 ~fig8 in
   Agg_util.Table.print (Agg_sim.Report.table checks);
   Printf.printf "%s\n"
     (if Agg_sim.Report.all_pass checks then "ALL CHECKS PASS" else "SOME CHECKS FAILED")
@@ -253,9 +285,11 @@ let faults_json_path = "BENCH_faults.json"
 
 let run_faults ~settings =
   section "Resilience — hit rate & latency vs message loss (lru vs g5)";
-  let runner = Agg_sim.Experiment.Runner.create ~settings () in
-  let points = Agg_sim.Resilience.sweep runner in
-  Agg_sim.Experiment.print_figure (Agg_sim.Resilience.run runner);
+  let profile = Agg_workload.Profile.server in
+  let points =
+    Agg_sim.Resilience.sweep ~profile (Agg_sim.Experiment.Runner.create ~settings ())
+  in
+  Agg_sim.Experiment.print_figure (Agg_sim.Resilience.figure ~profile points);
   (match Agg_sim.Resilience.hit_rate_advantage ~loss_rate:0.1 points with
   | Some d -> Printf.printf "g5 hit-rate advantage over lru at 10%% loss: %+.2f pts\n" d
   | None -> ());
@@ -269,9 +303,9 @@ let cluster_json_path = "BENCH_cluster.json"
 
 let run_cluster ~settings =
   section "Cluster — sharded ring under node loss (scheme x replicas x metadata placement)";
-  let runner = Agg_sim.Experiment.Runner.create ~settings () in
-  let points = Agg_sim.Cluster.sweep runner in
-  Agg_sim.Experiment.print_figure (Agg_sim.Cluster.run runner);
+  let profile = Agg_workload.Profile.server in
+  let points = Agg_sim.Cluster.sweep ~profile (Agg_sim.Experiment.Runner.create ~settings ()) in
+  Agg_sim.Experiment.print_figure (Agg_sim.Cluster.figure ~profile points);
   (match Agg_sim.Cluster.degraded_reduction points with
   | Some (k_min, k_max) ->
       Printf.printf "degraded fetches at max node loss (g5, replicated metadata): k_min=%d k_max=%d\n"
@@ -303,10 +337,9 @@ let weighted_json_path = "BENCH_weighted.json"
 
 let run_weighted ~settings =
   section "Weighted caching — size/cost-aware policies on the sized profiles";
-  let runner = Agg_sim.Experiment.Runner.create ~settings () in
-  let cells = Agg_sim.Weighted.sweep runner in
-  Agg_sim.Experiment.print_figure (Agg_sim.Weighted.run runner);
-  let verdicts = Agg_sim.Weighted.verdicts runner in
+  let cells = Agg_sim.Weighted.sweep (Agg_sim.Experiment.Runner.create ~settings ()) in
+  Agg_sim.Experiment.print_figure (Agg_sim.Weighted.figure cells);
+  let verdicts = Agg_sim.Weighted.verdicts cells in
   List.iter
     (fun (v : Agg_sim.Weighted.verdict) ->
       Printf.printf "%s: g5 total retrieval cost %d vs landlord %d — g5 %s\n"
@@ -931,19 +964,19 @@ let silently f =
 
 let sections =
   [
-    ("workloads", `Settings run_workloads);
-    ("fig3", `Settings run_fig3);
-    ("fig4", `Settings run_fig4);
-    ("fig5", `Settings run_fig5);
-    ("fig7", `Settings run_fig7);
-    ("fig8", `Settings run_fig8);
-    ("summary", `Settings run_summary);
-    ("checks", `Settings run_checks);
-    ("ablations", `Settings run_ablations);
-    ("latency", `Settings run_latency);
-    ("fleet", `Settings run_fleet);
-    ("scale", `Settings run_scale);
-    ("micro", `Plain run_micro);
+    ("workloads", fun p -> run_workloads ~settings:p.settings);
+    ("fig3", run_fig3);
+    ("fig4", run_fig4);
+    ("fig5", run_fig5);
+    ("fig7", run_fig7);
+    ("fig8", run_fig8);
+    ("summary", run_summary);
+    ("checks", run_checks);
+    ("ablations", fun p -> run_ablations ~settings:p.settings);
+    ("latency", fun p -> run_latency ~settings:p.settings);
+    ("fleet", fun p -> run_fleet ~settings:p.settings);
+    ("scale", fun p -> run_scale ~settings:p.settings);
+    ("micro", fun _ -> run_micro ());
   ]
 
 let usage () =
@@ -992,12 +1025,13 @@ let () =
     else wanted
   in
   let settings = settings ~quick ~jobs in
-  let run_section ~name ~settings body =
-    let go () = match body with `Settings f -> f ~settings | `Plain f -> f () in
+  let run_section ~name pass body =
+    let go () = body pass in
     match !profiler with
     | Some recorder -> Agg_obs.Span.record recorder ~cat:"section" name go
     | None -> go ()
   in
+  let shared = pass ~settings in
   let timings =
     List.map
       (fun name ->
@@ -1005,19 +1039,17 @@ let () =
         | None -> usage ()
         | Some body ->
             if sweep then begin
-              (* measure the sequential path first, from a cold trace
-                 store, then the parallel path, also from cold *)
+              (* measure the sequential path first, then the parallel
+                 path, each in a new pass from a cold trace store *)
               Agg_sim.Trace_store.reset ();
+              let sequential = pass ~settings:{ settings with Agg_sim.Experiment.jobs = 1 } in
               let baseline =
-                timed (fun () ->
-                    silently (fun () ->
-                        run_section ~name
-                          ~settings:{ settings with Agg_sim.Experiment.jobs = 1 }
-                          body))
+                timed (fun () -> silently (fun () -> run_section ~name sequential body))
               in
               Agg_sim.Trace_store.reset ();
+              let parallel = pass ~settings in
               let seconds =
-                timed (fun () -> silently (fun () -> run_section ~name ~settings body))
+                timed (fun () -> silently (fun () -> run_section ~name parallel body))
               in
               Printf.printf "%-10s  jobs=1  %7.2fs   jobs=%-3d %7.2fs   speedup %.2fx\n%!" name
                 baseline jobs seconds
@@ -1025,7 +1057,7 @@ let () =
               { name; seconds; baseline_seconds = Some baseline }
             end
             else begin
-              let seconds = timed (fun () -> run_section ~name ~settings body) in
+              let seconds = timed (fun () -> run_section ~name shared body) in
               { name; seconds; baseline_seconds = None }
             end)
       wanted

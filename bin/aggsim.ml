@@ -31,24 +31,30 @@ let profile_arg =
     & info [ "p"; "profile" ] ~docv:"PROFILE"
         ~doc:"Workload profile (workstation|users|write|server|scientific|streaming).")
 
+(* Counts that make no sense below a bound are rejected at parse time
+   with a one-line error instead of silently misbehaving downstream. *)
+let int_at_least ~min ~kind what =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when v >= min -> Ok v
+    | Some v -> Error (`Msg (Printf.sprintf "%s must be %s (got %d)" what kind v))
+    | None -> Error (`Msg (Printf.sprintf "%s must be a %s integer (got %S)" what kind s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_int what = int_at_least ~min:1 ~kind:"positive" what
+let non_negative_int what = int_at_least ~min:0 ~kind:"non-negative" what
+
 let events_arg =
-  Arg.(value & opt int 60_000 & info [ "n"; "events" ] ~docv:"N" ~doc:"Number of trace events.")
+  Arg.(
+    value
+    & opt (non_negative_int "--events") 60_000
+    & info [ "n"; "events" ] ~docv:"N" ~doc:"Number of trace events.")
 
 let seed_arg = Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
 let quick_arg =
   Arg.(value & flag & info [ "quick" ] ~doc:"Use a small event count for a fast run.")
-
-(* Counts that make no sense at zero or below are rejected at parse time
-   with a one-line error instead of silently misbehaving downstream. *)
-let positive_int what =
-  let parse s =
-    match int_of_string_opt s with
-    | Some v when v > 0 -> Ok v
-    | Some v -> Error (`Msg (Printf.sprintf "%s must be positive (got %d)" what v))
-    | None -> Error (`Msg (Printf.sprintf "%s must be a positive integer (got %S)" what s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
 
 let jobs_arg =
   Arg.(
@@ -177,7 +183,7 @@ let weighted_cmd =
   let run settings csv plot sweep =
     let runner = Agg_sim.Experiment.Runner.create ~settings () in
     if sweep then begin
-      let fig = Agg_sim.Weighted.run runner in
+      let fig = Agg_sim.Weighted.figure (Agg_sim.Weighted.sweep runner) in
       Agg_sim.Experiment.print_figure fig;
       if plot then List.iter Agg_sim.Plot.print fig.Agg_sim.Experiment.panels;
       match csv with
@@ -217,7 +223,7 @@ let weighted_cmd =
             v.Agg_sim.Weighted.v_profile v.Agg_sim.Weighted.g5_cost
             v.Agg_sim.Weighted.landlord_cost
             (if v.Agg_sim.Weighted.g5_wins then "wins" else "loses"))
-        (Agg_sim.Weighted.verdicts ~capacity runner);
+        (Agg_sim.Weighted.verdicts cells);
       exit_ok
     end
   in
@@ -230,17 +236,28 @@ let weighted_cmd =
 
 let summary_cmd =
   let run settings =
+    let fig4 = Agg_sim.Fig4.run (Agg_sim.Experiment.Runner.create ~settings ()) in
     Agg_util.Table.print (Agg_sim.Summary.client_table (Agg_sim.Summary.client_rows ~settings ()));
-    Agg_util.Table.print (Agg_sim.Summary.server_table (Agg_sim.Summary.server_rows ~settings ()));
+    Agg_util.Table.print (Agg_sim.Summary.server_table (Agg_sim.Summary.server_rows fig4));
     exit_ok
   in
   Cmd.v
     (Cmd.info "summary" ~doc:"Headline numbers (abstract / conclusions).")
     Term.(const run $ settings_term)
 
+(* The 24 paper checks over the five figures, each computed once. *)
+let paper_checks settings =
+  let runner = Agg_sim.Experiment.Runner.create ~settings () in
+  let fig3 = Agg_sim.Fig3.run runner in
+  let fig4 = Agg_sim.Fig4.run runner in
+  let fig5 = Agg_sim.Fig5.run runner in
+  let fig7 = Agg_sim.Fig7.run runner in
+  let fig8 = Agg_sim.Fig8.run runner in
+  Agg_sim.Report.checks ~fig3 ~fig4 ~fig5 ~fig7 ~fig8
+
 let checks_cmd =
   let run settings =
-    let checks = Agg_sim.Report.run_all ~settings () in
+    let checks = paper_checks settings in
     Agg_util.Table.print (Agg_sim.Report.table checks);
     if Agg_sim.Report.all_pass checks then exit_ok else 1
   in
@@ -272,7 +289,7 @@ let differential_cmd =
     let jobs_check =
       let quick = { Agg_sim.Experiment.quick_settings with seed } in
       let render jobs =
-        Agg_sim.Report.run_all ~settings:{ quick with Agg_sim.Experiment.jobs } ()
+        paper_checks { quick with Agg_sim.Experiment.jobs }
         |> List.map (fun (c : Agg_sim.Report.check) ->
                Printf.sprintf "%s|%s|%b" c.Agg_sim.Report.id c.Agg_sim.Report.measured
                  c.Agg_sim.Report.pass)
@@ -360,7 +377,10 @@ let latency_cmd =
 
 let fleet_cmd =
   let clients_arg =
-    Arg.(value & opt int 4 & info [ "clients" ] ~docv:"N" ~doc:"Number of client machines.")
+    Arg.(
+      value
+      & opt (positive_int "--clients") 4
+      & info [ "clients" ] ~docv:"N" ~doc:"Number of client machines.")
   in
   let run settings profile clients =
     let trace =
@@ -409,7 +429,8 @@ let faults_cmd =
   let run settings profile loss outage slow crash fault_seed sweep =
     if sweep then begin
       let runner = Agg_sim.Experiment.Runner.create ~settings () in
-      Agg_sim.Experiment.print_figure (Agg_sim.Resilience.run ~profile runner);
+      Agg_sim.Experiment.print_figure
+        (Agg_sim.Resilience.figure ~profile (Agg_sim.Resilience.sweep ~profile runner));
       exit_ok
     end
     else begin
@@ -513,7 +534,8 @@ let cluster_cmd =
   let run settings profile nodes replicas placement node_loss ring_seed sweep =
     if sweep then begin
       let runner = Agg_sim.Experiment.Runner.create ~settings () in
-      Agg_sim.Experiment.print_figure (Agg_sim.Cluster.run ~profile runner);
+      Agg_sim.Experiment.print_figure
+        (Agg_sim.Cluster.figure ~profile (Agg_sim.Cluster.sweep ~profile runner));
       exit_ok
     end
     else begin
@@ -568,12 +590,15 @@ let cluster_cmd =
 
 let entropy_cmd =
   let length_arg =
-    Arg.(value & opt int 1 & info [ "l"; "length" ] ~docv:"L" ~doc:"Successor sequence length.")
+    Arg.(
+      value
+      & opt (positive_int "--length") 1
+      & info [ "l"; "length" ] ~docv:"L" ~doc:"Successor sequence length.")
   in
   let filter_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (positive_int "--filter")) None
       & info [ "filter" ] ~docv:"CAP" ~doc:"Filter through an LRU cache of this capacity first.")
   in
   let run input profile events seed length filter =
@@ -591,7 +616,9 @@ let entropy_cmd =
     Term.(const run $ input_arg $ profile_arg $ events_arg $ seed_arg $ length_arg $ filter_arg)
 
 let groups_cmd =
-  let size_arg = Arg.(value & opt int 5 & info [ "g"; "size" ] ~docv:"G" ~doc:"Group size.") in
+  let size_arg =
+    Arg.(value & opt (positive_int "--size") 5 & info [ "g"; "size" ] ~docv:"G" ~doc:"Group size.")
+  in
   let top_arg =
     Arg.(
       value & opt (positive_int "--top") 10
@@ -728,10 +755,16 @@ let trace_cmd =
       & info [ "o"; "out" ] ~docv:"FILE" ~doc:"JSONL output path.")
   in
   let capacity_arg =
-    Arg.(value & opt int 300 & info [ "capacity" ] ~docv:"N" ~doc:"Client cache capacity (files).")
+    Arg.(
+      value
+      & opt (positive_int "--capacity") 300
+      & info [ "capacity" ] ~docv:"N" ~doc:"Client cache capacity (files).")
   in
   let group_arg =
-    Arg.(value & opt int 5 & info [ "g"; "group-size" ] ~docv:"G" ~doc:"Retrieval group size.")
+    Arg.(
+      value
+      & opt (positive_int "--group-size") 5
+      & info [ "g"; "group-size" ] ~docv:"G" ~doc:"Retrieval group size.")
   in
   let sample_arg =
     Arg.(

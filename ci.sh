@@ -2,10 +2,10 @@
 # CI entry point: full build, full test suite, the lockstep differential
 # gate against the lib/oracle reference models, a one-second checked run
 # of each steady-benchmark workload, a quick smoke run of the
-# paper-vs-measured checks from the reproduction harness, and the entropy
-# commands and a client replay on sparse-id traces under a memory cap.
-# The run fails if it leaves the working tree different from how it found
-# it.
+# paper-vs-measured checks from the reproduction harness, the entropy
+# commands and a client replay on sparse-id traces under a memory cap, and
+# the CLI's parse-time rejection of out-of-range counts. The run fails if
+# it leaves the working tree different from how it found it.
 #
 # The check thresholds are calibrated for full-size runs (60k events), so
 # the --quick pass only asserts the harness runs end to end; the full-size
@@ -253,6 +253,35 @@ for cmd in "trace -o $scratch/sparse9.jsonl" "entropy --filter 100"; do
     echo "ci.sh: aggsim $cmd failed on a trace with file ids near 10^9" >&2
     exit 1
   fi
+done
+
+# Out-of-range counts are rejected while the command line is parsed: each
+# case exits 124 with a one-line error naming the flag, and none may die
+# with an uncaught exception (exit 125) from inside a run. The commands
+# run from the scratch directory, so nothing they could write lands here.
+rejects() {
+  flag=$1
+  shift
+  status=0
+  (cd "$scratch" && "$root/_build/default/bin/aggsim.exe" "$@") \
+    > "$scratch/reject.out" 2> "$scratch/reject.err" || status=$?
+  if [ "$status" -ne 124 ] || grep -q 'uncaught exception' "$scratch/reject.err" \
+    || ! head -n 1 "$scratch/reject.err" | grep -q -- "$flag"; then
+    echo "ci.sh: aggsim $* exited $status instead of rejecting $flag at parse time:" >&2
+    cat "$scratch/reject.err" >&2
+    exit 1
+  fi
+}
+rejects --length entropy --length 0
+rejects --length entropy --length=-3
+rejects --filter entropy --filter 0
+rejects --size groups --size 0
+rejects --capacity trace --capacity 0
+rejects --group-size trace --group-size 0
+rejects --clients fleet --clients 0
+for cmd in generate stats fig3 fig4 fig5 fig7 fig8 weighted summary checks differential \
+  ablations latency fleet faults cluster entropy groups predictability trace profile telemetry; do
+  rejects --events "$cmd" --events=-5
 done
 
 status_on_exit=$(tree_status)

@@ -47,10 +47,6 @@ type weighted_stats = {
   cost_prefetched : int;
 }
 
-let pp_weighted_stats ppf s =
-  Format.fprintf ppf "bytes_accessed=%d bytes_hit=%d cost_fetched=%d cost_prefetched=%d"
-    s.bytes_accessed s.bytes_hit s.cost_fetched s.cost_prefetched
-
 type packed = Packed : (module Policy.S with type t = 'a) * 'a -> packed
 
 (* Counters live as mutable fields — the exposed [stats] record is only
@@ -112,7 +108,6 @@ let of_policy (type a) ?weight_of (module P : Policy.S with type t = a) state =
   make ~kind:None ~name:P.policy_name ~packed:(Packed ((module P), state)) ~weight_of
 
 let set_on_evict t f = t.on_evict <- Some f
-let clear_on_evict t = t.on_evict <- None
 
 let notify_evicted t victims =
   match t.on_evict with Some f -> List.iter f victims | None -> ()

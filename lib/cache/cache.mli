@@ -32,8 +32,6 @@ type weighted_stats = {
 (** With no [weight_of], these are the unit-weight counters:
     [bytes_accessed = accesses], [cost_fetched = misses], … *)
 
-val pp_weighted_stats : Format.formatter -> weighted_stats -> unit
-
 type t
 
 val create : ?weight_of:(int -> Policy.weight) -> kind -> capacity:int -> t
@@ -119,7 +117,6 @@ val set_on_evict : t -> (int -> unit) -> unit
     {!clear}). One observer at a time; used by the instrumentation layer
     to attribute evictions. Unset by default, at zero cost. *)
 
-val clear_on_evict : t -> unit
 val stats : t -> stats
 
 val weighted_stats : t -> weighted_stats

@@ -11,8 +11,6 @@ let check_weight ~who w =
   if w.cost <= 0 then
     invalid_arg (Printf.sprintf "%s: weight cost must be positive (got %d)" who w.cost)
 
-let pp_weight ppf w = Format.fprintf ppf "{size=%d; cost=%d}" w.size w.cost
-
 module type S = sig
   type t
 

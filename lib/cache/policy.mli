@@ -36,8 +36,6 @@ val check_weight : who:string -> weight -> unit
 (** @raise Invalid_argument when either component is non-positive,
     prefixed with [who]. *)
 
-val pp_weight : Format.formatter -> weight -> unit
-
 module type S = sig
   type t
 

@@ -44,12 +44,6 @@ type weighted = Agg_cache.Cache.weighted_stats = {
 let byte_weighted_hit_rate w = Agg_util.Stats.ratio w.bytes_hit w.bytes_accessed
 let total_retrieval_cost w = w.cost_fetched + w.cost_prefetched
 
-let pp_weighted ppf w =
-  Format.fprintf ppf "bytes=%d/%d (%.1f%%) cost: fetched=%d prefetched=%d total=%d" w.bytes_hit
-    w.bytes_accessed
-    (100.0 *. byte_weighted_hit_rate w)
-    w.cost_fetched w.cost_prefetched (total_retrieval_cost w)
-
 (* --- event-stream reconciliation ----------------------------------------- *)
 
 let check_all pairs =

@@ -52,8 +52,6 @@ val total_retrieval_cost : weighted -> int
 (** Everything paid to the next level: demand plus speculative fetch
     cost — the figure of merit for Landlord-style policies. *)
 
-val pp_weighted : Format.formatter -> weighted -> unit
-
 val reconcile_client : Agg_obs.Digest.t -> client -> (unit, string) result
 (** [reconcile_client digest c] checks that the per-event counts of a
     run's digest agree exactly with its aggregate metrics — hits, misses

@@ -1,43 +1,22 @@
-(* Symbols are the int-array slices of the next [length] accesses; the
-   per-file distribution is an empirical count table over those slices. *)
-
-let collect ~length files =
-  if length <= 0 then invalid_arg "Entropy.of_files: length must be positive";
-  let n = Array.length files in
-  let per_file : (int, (int array, int) Hashtbl.t) Hashtbl.t = Hashtbl.create 1024 in
-  (* Positions 0 .. n - length - 1 have a complete successor window. *)
-  for i = 0 to n - length - 1 do
-    let f = files.(i) in
-    let symbol = Array.sub files (i + 1) length in
-    let table =
-      match Hashtbl.find_opt per_file f with
-      | Some t -> t
-      | None ->
-          let t = Hashtbl.create 4 in
-          Hashtbl.replace per_file f t;
-          t
-    in
-    let c = Option.value ~default:0 (Hashtbl.find_opt table symbol) in
-    Hashtbl.replace table symbol (c + 1)
-  done;
-  per_file
-
-let conditional_entropy table =
-  let total = Hashtbl.fold (fun _ c acc -> acc + c) table 0 in
-  if total = 0 then 0.0
-  else
-    Hashtbl.fold
-      (fun _ c acc ->
-        let p = float_of_int c /. float_of_int total in
-        acc -. (p *. Agg_util.Stats.log2 p))
-      table 0.0
-
-let occurrences table = Hashtbl.fold (fun _ c acc -> acc + c) table 0
+(* One sort serves every symbol length. Window positions are bucketed by
+   file id into one CSR layout (counts / prefix starts / positions), and
+   each file's positions are sorted once, by an in-place comparison of
+   their successor windows of up to the longest requested length; a
+   window cut short by the end of the stream sorts before its extensions.
+   A length L's symbols are then the runs of adjacent complete windows
+   (at least L successors) whose common prefix with the previous window
+   is at least L. A window too short for L never sits inside such a run,
+   because its common prefix with the next window is shorter than L, and
+   runs and files come out in the order a sort by L alone gives, so each
+   entropy sums the same terms in the same order. The layout is sized by
+   the largest id, so a stream whose ids reach its length (a sparse id
+   space) is relabelled densely first. *)
 
 (* [files] with each id replaced by its rank among the distinct ids, so
-   the largest label is below the stream length. Ranks keep the ids'
-   order, so every window comparison and the increasing-id order of the
-   per-file sum below come out the same. *)
+   the largest label is below the stream length, and the distinct ids in
+   increasing order, so [ids.(label)] is the id a label stands for. Ranks
+   keep the ids' order, so every window comparison and the increasing-id
+   order of the per-file sum come out the same. *)
 let dense_labels files =
   let sorted = Array.copy files in
   Array.sort Int.compare sorted;
@@ -55,24 +34,46 @@ let dense_labels files =
     else if sorted.(mid) < f then rank f (mid + 1) hi
     else rank f lo mid
   in
-  Array.map (fun f -> rank f 0 !distinct) files
+  (Array.map (fun f -> rank f 0 !distinct) files, Array.sub sorted 0 !distinct)
 
-(* The sweep-facing entry point avoids the symbol tables entirely: window
-   positions are bucketed by file id into one CSR layout (counts / prefix
-   starts / positions), and each file's symbol distribution is recovered
-   by sorting its positions with an in-place window comparison. No symbol
-   arrays are materialised and nothing is hashed, which is what makes the
-   20-length Fig. 7 sweep cheap. The layout is sized by the largest id, so
-   a stream whose ids reach its length (a sparse id space) is relabelled
-   densely first. *)
-let of_files ?(length = 1) files =
-  if length <= 0 then invalid_arg "Entropy.of_files: length must be positive";
+(* the successor window of position [i], at most [width] long *)
+let window_length ~n ~width i = Int.min width (n - 1 - i)
+
+let compare_windows files ~n ~width a b =
+  let wa = window_length ~n ~width a and wb = window_length ~n ~width b in
+  let w = Int.min wa wb in
+  let rec go j =
+    if j = w then Int.compare wa wb
+    else
+      let c = Int.compare files.(a + 1 + j) files.(b + 1 + j) in
+      if c <> 0 then c else go (j + 1)
+  in
+  go 0
+
+let common_prefix files ~n ~width a b =
+  let w = Int.min (window_length ~n ~width a) (window_length ~n ~width b) in
+  let rec go j = if j < w && files.(a + 1 + j) = files.(b + 1 + j) then go (j + 1) else j in
+  go 0
+
+(* [walk ~lengths files emit] calls [emit k file occurrences h] for the
+   [k]-th of [lengths] and every file with at least two complete windows
+   at that length, files in increasing id order; [file] is the stream's
+   own id and [h] its conditional entropy in bits. *)
+let walk ~lengths files emit =
+  if Array.exists (fun l -> l <= 0) lengths then
+    invalid_arg "Entropy.of_files: length must be positive";
   let n = Array.length files in
-  let files = if Array.exists (fun f -> f >= n) files then dense_labels files else files in
-  (* positions 0 .. windows - 1 have a complete successor window *)
-  let windows = n - length in
-  if windows <= 0 then 0.0
-  else begin
+  let shortest = Array.fold_left Int.min max_int lengths in
+  let width = Array.fold_left Int.max 0 lengths in
+  (* positions 0 .. windows - 1 have a complete window at some length *)
+  let windows = n - shortest in
+  if windows > 0 then begin
+    let files, ids =
+      if Array.exists (fun f -> f >= n) files then
+        let labels, ids = dense_labels files in
+        (labels, Some ids)
+      else (files, None)
+    in
     let max_id = ref 0 in
     for i = 0 to windows - 1 do
       if files.(i) > !max_id then max_id := files.(i)
@@ -94,50 +95,64 @@ let of_files ?(length = 1) files =
       positions.(fill.(f)) <- i;
       fill.(f) <- fill.(f) + 1
     done;
-    let cmp_window a b =
-      let rec go j =
-        if j = length then 0
-        else
-          let c = compare files.(a + 1 + j) files.(b + 1 + j) in
-          if c <> 0 then c else go (j + 1)
-      in
-      go 0
-    in
-    let weighted = ref 0.0 in
-    let weight_total = ref 0 in
+    (* prefix.(k), for k >= 1: common prefix of the k-th sorted window
+       with the one before it *)
+    let prefix = Array.make windows 0 in
     for f = 0 to !max_id do
       let occ = counts.(f) in
       if occ >= 2 then begin
         let sub = Array.sub positions starts.(f) occ in
-        Array.sort cmp_window sub;
-        (* equal windows are now adjacent: fold run lengths into H *)
-        let total = float_of_int occ in
-        let h = ref 0.0 in
-        let run_start = ref 0 in
-        for k = 1 to occ do
-          if k = occ || cmp_window sub.(k) sub.(!run_start) <> 0 then begin
-            let p = float_of_int (k - !run_start) /. total in
-            h := !h -. (p *. Agg_util.Stats.log2 p);
-            run_start := k
-          end
+        Array.sort (compare_windows files ~n ~width) sub;
+        for k = 1 to occ - 1 do
+          prefix.(k) <- common_prefix files ~n ~width sub.(k - 1) sub.(k)
         done;
-        weighted := !weighted +. (total *. !h);
-        weight_total := !weight_total + occ
+        let file = match ids with Some ids -> ids.(f) | None -> f in
+        Array.iteri
+          (fun li length ->
+            (* complete at [length]: positions before n - length *)
+            let bound = n - length in
+            let total = ref 0 in
+            Array.iter (fun i -> if i < bound then incr total) sub;
+            if !total >= 2 then begin
+              let total_f = float_of_int !total in
+              let h = ref 0.0 in
+              let run = ref 0 in
+              let close_run () =
+                if !run > 0 then begin
+                  let p = float_of_int !run /. total_f in
+                  h := !h -. (p *. Agg_util.Stats.log2 p)
+                end
+              in
+              for k = 0 to occ - 1 do
+                if sub.(k) < bound then
+                  if k > 0 && prefix.(k) >= length then incr run
+                  else begin
+                    close_run ();
+                    run := 1
+                  end
+              done;
+              close_run ();
+              emit li file !total !h
+            end)
+          lengths
       end
-    done;
-    if !weight_total = 0 then 0.0 else !weighted /. float_of_int !weight_total
+    done
   end
 
+let sweep ~lengths files =
+  let lengths = Array.of_list lengths in
+  let weighted = Array.make (Array.length lengths) 0.0 in
+  let weight_total = Array.make (Array.length lengths) 0 in
+  walk ~lengths files (fun k _ occ h ->
+      weighted.(k) <- weighted.(k) +. (float_of_int occ *. h);
+      weight_total.(k) <- weight_total.(k) + occ);
+  List.init (Array.length lengths) (fun k ->
+      ( lengths.(k),
+        if weight_total.(k) = 0 then 0.0 else weighted.(k) /. float_of_int weight_total.(k) ))
+
+let of_files ?(length = 1) files = snd (List.hd (sweep ~lengths:[ length ] files))
+
 let of_trace ?length trace = of_files ?length (Agg_trace.Trace.files trace)
-
-let sweep ~lengths files = List.map (fun l -> (l, of_files ~length:l files)) lengths
-
-let filtered_sweep ~filter_capacities ~lengths trace =
-  List.map
-    (fun capacity ->
-      let missed = Agg_trace.Filter.miss_stream ~capacity trace in
-      (capacity, sweep ~lengths (Agg_trace.Trace.files missed)))
-    filter_capacities
 
 let per_client ?length trace =
   let streams : (int, int list ref) Hashtbl.t = Hashtbl.create 16 in
@@ -159,10 +174,6 @@ let per_client ?length trace =
   if !total = 0 then 0.0 else !weighted /. float_of_int !total
 
 let per_file ?(length = 1) files =
-  let tables = collect ~length files in
-  Hashtbl.fold
-    (fun file table acc ->
-      let occ = occurrences table in
-      if occ >= 2 then (file, occ, conditional_entropy table) :: acc else acc)
-    tables []
-  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+  let rows = ref [] in
+  walk ~lengths:[| length |] files (fun _ file occ h -> rows := (file, occ, h) :: !rows);
+  List.rev !rows

@@ -12,23 +12,18 @@
     occurrences are excluded so a non-repeating workload is not mistaken
     for a predictable one. *)
 
+val sweep : lengths:int list -> Agg_trace.File_id.t array -> (int * float) list
+(** [(l, H_S at l)] for each requested length, in the order given and
+    repeats included — one Fig. 7 line. Each file's window positions are
+    sorted once, and that one sort serves every length.
+    @raise Invalid_argument when a length is [<= 0]. *)
+
 val of_files : ?length:int -> Agg_trace.File_id.t array -> float
-(** [of_files files] is H_S with symbol [length] (default 1) in bits.
-    Returns [0.] when no file repeats.
+(** [of_files files] is H_S with symbol [length] (default 1) in bits, the
+    one-length case of {!sweep}. Returns [0.] when no file repeats.
     @raise Invalid_argument when [length <= 0]. *)
 
 val of_trace : ?length:int -> Agg_trace.Trace.t -> float
-
-val sweep : lengths:int list -> Agg_trace.File_id.t array -> (int * float) list
-(** [(l, H_S at l)] for each requested length — one Fig. 7 line. *)
-
-val filtered_sweep :
-  filter_capacities:int list ->
-  lengths:int list ->
-  Agg_trace.Trace.t ->
-  (int * (int * float) list) list
-(** For each intervening LRU client-cache capacity, the entropy sweep of
-    the resulting miss stream — one Fig. 8 panel. *)
 
 val per_client : ?length:int -> Agg_trace.Trace.t -> float
 (** H_S computed over each client's own subsequence (successions never
@@ -39,6 +34,8 @@ val per_client : ?length:int -> Agg_trace.Trace.t -> float
 
 val per_file : ?length:int -> Agg_trace.File_id.t array -> (Agg_trace.File_id.t * int * float) list
 (** [(file, occurrences, conditional entropy)] for every file occurring
-    more than once — the raw material of Eq. 2, exposed for inspection
+    more than once, in increasing id order — the raw material of Eq. 2,
+    read off the same sorted windows as {!sweep}, exposed for inspection
     and for the visualization-style tooling the paper mentions as future
-    work. *)
+    work.
+    @raise Invalid_argument when [length <= 0]. *)

@@ -240,9 +240,6 @@ let total_accesses t = fold_wins t (fun acc w -> acc + w.w_accesses) 0
 let total_hits t = fold_wins t (fun acc w -> acc + w.w_hits) 0
 let total_degraded t = fold_wins t (fun acc w -> acc + w.w_degraded) 0
 let total_speculative_evictions t = fold_wins t (fun acc w -> acc + w.w_spec_evictions) 0
-let total_bytes_accessed t = fold_wins t (fun acc w -> acc + w.w_bytes_accessed) 0
-let total_bytes_hit t = fold_wins t (fun acc w -> acc + w.w_bytes_hit) 0
-let total_cost_fetched t = fold_wins t (fun acc w -> acc + w.w_cost_fetched) 0
 
 let total_latency t = fold_wins t (fun acc w -> Histogram.merge acc w.w_latency) (Histogram.create ())
 

@@ -134,10 +134,6 @@ val total_hits : t -> int
 val total_degraded : t -> int
 val total_speculative_evictions : t -> int
 
-val total_bytes_accessed : t -> int
-val total_bytes_hit : t -> int
-val total_cost_fetched : t -> int
-
 val total_latency : t -> Histogram.t
 (** All windows' latency observations merged into one histogram. *)
 

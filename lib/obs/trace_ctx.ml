@@ -33,8 +33,6 @@ let create ?(sample = 1.0) ~seed () =
     sampled_count = 0;
   }
 
-let sample_rate t = t.sample
-
 let check_request request =
   if request < 0 then
     invalid_arg (Printf.sprintf "Trace_ctx: negative request index %d" request)

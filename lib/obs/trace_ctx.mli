@@ -26,8 +26,6 @@ val create : ?sample:float -> seed:int -> unit -> t
     (default [1.0]: every request is traced).
     @raise Invalid_argument when [sample] is outside [(0, 1]]. *)
 
-val sample_rate : t -> float
-
 val sampled : t -> request:int -> bool
 (** Is the request at access index [request] traced? Pure in
     [(seed, request)].

@@ -339,8 +339,6 @@ module Server = struct
       serve t file
     end
 
-  let server_contents t = Model_cache.contents t.server
-
   let metrics t =
     {
       Metrics.client_accesses = t.client_accesses;

@@ -70,7 +70,6 @@ module Server : sig
     t
 
   val access : t -> int -> Agg_core.Server_cache.outcome
-  val server_contents : t -> int list
   val metrics : t -> Agg_core.Metrics.server
   val run : t -> Agg_trace.Trace.t -> Agg_core.Metrics.server
 end

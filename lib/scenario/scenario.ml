@@ -510,8 +510,6 @@ let load_file path =
       | Ok t -> Ok t
       | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
 
-let save_file path t = Out_channel.with_open_text path (fun oc -> output_string oc (to_string t))
-
 (* --- validation ------------------------------------------------------------ *)
 
 let invalid fmt = Printf.ksprintf invalid_arg fmt
@@ -606,8 +604,3 @@ let validate t =
         invalid "Scenario.validate: slo on policy %s absent from the matrix"
           (policy_name s.slo_policy))
     t.slos
-
-let events_hint t =
-  match t.workload with
-  | Profile { events; _ } -> Some events
-  | Trace_file _ | Import_file _ -> None

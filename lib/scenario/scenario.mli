@@ -132,8 +132,6 @@ val load_file : string -> (t, string) result
 (** {!of_string} over a file's contents; IO and parse errors are prefixed
     with the offending path (and line, when known). *)
 
-val save_file : string -> t -> unit
-
 val validate : t -> unit
 (** @raise Invalid_argument on a non-positive count/capacity/event total,
     an empty or duplicated policy matrix, a duplicated invariant, an
@@ -144,9 +142,5 @@ val validate : t -> unit
     outside [0, 100], a negative latency bound, a policy absent from the
     matrix, or [p99_latency] on a fleet topology (whose cells report no
     latency). *)
-
-val events_hint : t -> int option
-(** The declared event count for profile workloads ([None] for traces) —
-    what the shrinker halves and fast runs cap. *)
 
 val pp : Format.formatter -> t -> unit

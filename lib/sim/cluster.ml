@@ -104,12 +104,8 @@ let degraded_reduction points =
       | k_min :: _, k_max :: _ when k_min <> k_max -> Some (sum k_min, sum k_max)
       | _ -> None)
 
-let run ?(node_counts = default_node_counts) ?node_loss_rates ?schemes ?replica_counts ?placements
-    ?(profile = Agg_workload.Profile.server) runner =
-  let points =
-    sweep ~node_counts ?node_loss_rates ?schemes ?replica_counts ?placements ~profile runner
-  in
-  let front_nodes = match node_counts with n :: _ -> n | [] -> 5 in
+let figure ~profile points =
+  let front_nodes = match points with p :: _ -> p.nodes | [] -> 5 in
   let group = Cluster_sim.placement_name Cluster_sim.Replicated_with_group in
   let shown =
     List.filter (fun p -> p.nodes = front_nodes && p.placement = group) points

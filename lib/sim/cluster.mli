@@ -64,18 +64,10 @@ val degraded_reduction : point list -> (int * int) option
     the smallest and largest replica count present. [kmax < k1] is the
     "replication keeps serving" verdict. *)
 
-val run :
-  ?node_counts:int list ->
-  ?node_loss_rates:float list ->
-  ?schemes:Agg_system.Scheme.t list ->
-  ?replica_counts:int list ->
-  ?placements:Agg_cluster.Cluster.metadata_placement list ->
-  ?profile:Agg_workload.Profile.t ->
-  Experiment.Runner.t ->
-  Experiment.figure
-(** The sweep as a two-panel figure (hit rate and latency vs node loss)
-    with one series per (scheme, k) under [Replicated_with_group] at the
-    first node count. *)
+val figure : profile:Agg_workload.Profile.t -> point list -> Experiment.figure
+(** The points of a {!sweep} over [profile] as a two-panel figure (hit
+    rate and latency vs node loss) with one series per (scheme, k) under
+    [Replicated_with_group] at the first point's node count. *)
 
 val json_of_points : point list -> string
 (** The [BENCH_cluster.json] document: every point, the served = routed

@@ -10,17 +10,20 @@ let run ?(lengths = default_lengths) (runner : Experiment.Runner.t) =
       Agg_workload.Profile.workstation;
     ]
   in
-  let span_label profile length =
-    Printf.sprintf "fig7/%s/l%d" profile.Agg_workload.Profile.name length
-  in
+  (* one cell per workload: a single sort of its windows serves every
+     length *)
+  let span_label profile _ = Printf.sprintf "fig7/%s" profile.Agg_workload.Profile.name in
   let series =
     Experiment.grid ?profiler:(Experiment.Runner.profiler runner) ~span_label ~settings
-      ~rows:profiles ~cols:lengths (fun profile length ->
-        Agg_entropy.Entropy.of_files ~length (Trace_store.files ~settings profile))
-    |> List.map (fun (profile, points) ->
+      ~rows:profiles ~cols:[ lengths ] (fun profile lengths ->
+        Agg_entropy.Entropy.sweep ~lengths (Trace_store.files ~settings profile))
+    |> List.map (fun (profile, cells) ->
            {
              Experiment.label = profile.Agg_workload.Profile.name;
-             points = List.map (fun (l, h) -> (float_of_int l, h)) points;
+             points =
+               List.concat_map
+                 (fun (_, sweep) -> List.map (fun (l, h) -> (float_of_int l, h)) sweep)
+                 cells;
            })
   in
   {

@@ -8,5 +8,6 @@ val default_lengths : int list
 
 val run : ?lengths:int list -> Experiment.Runner.t -> Experiment.figure
 (** A single panel with all four workload series, under the runner's
-    settings and scope (spans named ["fig7/<workload>/l<L>"]; this
-    figure emits no events, so the scope's sinks are unused). *)
+    settings and scope. Each workload is one cell covering every length
+    (spans named ["fig7/<workload>"]; this figure emits no events, so the
+    scope's sinks are unused). *)

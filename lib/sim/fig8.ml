@@ -4,25 +4,23 @@ let panel ?(filter_capacities = default_filter_capacities) ?(lengths = Fig7.defa
     ~(runner : Experiment.Runner.t) profile =
   let settings = runner.Experiment.Runner.settings in
   let trace = Trace_store.get ~settings profile in
-  (* two parallel stages: filter each capacity's miss stream, then sweep
-     every (capacity, length) entropy cell over the shared streams *)
-  let missed =
-    Agg_util.Pool.map ~jobs:settings.Experiment.jobs
-      (fun capacity ->
-        (capacity, Agg_trace.Trace.files (Agg_trace.Filter.miss_stream ~capacity trace)))
-      filter_capacities
-  in
-  let span_label (capacity, _) length =
-    Printf.sprintf "fig8/%s/f%d/l%d" profile.Agg_workload.Profile.name capacity length
+  (* one cell per filter capacity: filter the miss stream, then one sort
+     of its windows serves every length *)
+  let span_label capacity _ =
+    Printf.sprintf "fig8/%s/f%d" profile.Agg_workload.Profile.name capacity
   in
   let series =
     Experiment.grid ?profiler:(Experiment.Runner.profiler runner) ~span_label ~settings
-      ~rows:missed ~cols:lengths
-      (fun (_, files) length -> Agg_entropy.Entropy.of_files ~length files)
-    |> List.map (fun ((capacity, _), points) ->
+      ~rows:filter_capacities ~cols:[ lengths ] (fun capacity lengths ->
+        Agg_entropy.Entropy.sweep ~lengths
+          (Agg_trace.Trace.files (Agg_trace.Filter.miss_stream ~capacity trace)))
+    |> List.map (fun (capacity, cells) ->
            {
              Experiment.label = string_of_int capacity;
-             points = List.map (fun (l, h) -> (float_of_int l, h)) points;
+             points =
+               List.concat_map
+                 (fun (_, sweep) -> List.map (fun (l, h) -> (float_of_int l, h)) sweep)
+                 cells;
            })
   in
   {

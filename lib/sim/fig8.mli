@@ -13,8 +13,9 @@ val panel :
   runner:Experiment.Runner.t ->
   Agg_workload.Profile.t ->
   Experiment.panel
-(** The runner's scope profiles each entropy cell as a span named
-    ["fig8/<workload>/f<C>/l<L>"] (no events are emitted). *)
+(** One cell per filter capacity, covering every length: the runner's
+    scope profiles each as a span named ["fig8/<workload>/f<C>"] (no
+    events are emitted). *)
 
 val run : Experiment.Runner.t -> Experiment.figure
 (** The paper's panels — [write] (8a) and [users] (8b) — under the

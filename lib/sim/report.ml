@@ -188,13 +188,7 @@ let fig8_checks fig8 =
   in
   List.concat_map checks_for [ "write"; "users" ]
 
-let run_all ?(settings = Experiment.default_settings) () =
-  let runner = Experiment.Runner.create ~settings () in
-  let fig3 = Fig3.run runner in
-  let fig4 = Fig4.run runner in
-  let fig5 = Fig5.run runner in
-  let fig7 = Fig7.run runner in
-  let fig8 = Fig8.run runner in
+let checks ~fig3 ~fig4 ~fig5 ~fig7 ~fig8 =
   fig3_checks fig3 @ fig4_checks fig4 @ fig5_checks fig5 @ fig7_checks fig7 @ fig8_checks fig8
 
 let table checks =

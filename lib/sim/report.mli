@@ -1,7 +1,7 @@
 (** Automated paper-vs-measured comparison: each check encodes one of the
-    paper's qualitative claims and evaluates it against freshly simulated
-    results. The bench harness prints this table; EXPERIMENTS.md records
-    a run of it. *)
+    paper's qualitative claims and evaluates it against the figures a run
+    already computed. The bench harness prints this table; EXPERIMENTS.md
+    records a run of it. *)
 
 type check = {
   id : string;  (** e.g. "fig3.server.g5" *)
@@ -10,8 +10,17 @@ type check = {
   pass : bool;
 }
 
-val run_all : ?settings:Experiment.settings -> unit -> check list
-(** Executes every figure experiment once and evaluates all checks. *)
+val checks :
+  fig3:Experiment.figure ->
+  fig4:Experiment.figure ->
+  fig5:Experiment.figure ->
+  fig7:Experiment.figure ->
+  fig8:Experiment.figure ->
+  check list
+(** The 24 checks, read off the figures of {!Fig3.run}, {!Fig4.run},
+    {!Fig5.run}, {!Fig7.run} and {!Fig8.run}. Simulates nothing.
+    @raise Invalid_argument when a figure lacks a panel, series or point
+    a check reads. *)
 
 val table : check list -> Agg_util.Table.t
 val all_pass : check list -> bool

@@ -47,8 +47,7 @@ let hit_rate_advantage ~loss_rate points =
   in
   match (rate "g5", rate "lru") with Some g, Some l -> Some (g -. l) | _ -> None
 
-let run ?loss_rates ?schemes ?(profile = Agg_workload.Profile.server) runner =
-  let points = sweep ?loss_rates ?schemes ~profile runner in
+let figure ~profile points =
   let labels = List.sort_uniq compare (List.map (fun p -> p.scheme) points) in
   let series value =
     List.map

@@ -43,14 +43,9 @@ val hit_rate_advantage : loss_rate:float -> point list -> float option
 (** [g5 hit rate - lru hit rate] at exactly [loss_rate], when both
     schemes are present in the sweep. *)
 
-val run :
-  ?loss_rates:float list ->
-  ?schemes:Agg_system.Scheme.t list ->
-  ?profile:Agg_workload.Profile.t ->
-  Experiment.Runner.t ->
-  Experiment.figure
-(** The sweep as a two-panel figure (hit rate and latency vs loss rate),
-    rendered like every other figure. *)
+val figure : profile:Agg_workload.Profile.t -> point list -> Experiment.figure
+(** The points of a {!sweep} over [profile] as a two-panel figure (hit
+    rate and latency vs loss rate), rendered like every other figure. *)
 
 val json_of_points : point list -> string
 (** The [BENCH_faults.json] document: every point, plus the headline

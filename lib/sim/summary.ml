@@ -43,39 +43,31 @@ let client_rows ?(settings = Experiment.default_settings) ?(capacity = 300) () =
              }
          | _ -> assert false (* grid returns one point per column *))
 
-let server_hit_rate ~files ~filter_capacity ~scheme =
-  let sim =
-    Agg_core.Server_cache.create ~filter_kind:Agg_cache.Cache.Lru ~filter_capacity
-      ~server_capacity:Fig4.default_server_capacity ~scheme ()
-  in
-  100.0 *. Agg_core.Metrics.server_hit_rate (Agg_core.Server_cache.run_files sim files)
-
-let server_rows ?(settings = Experiment.default_settings)
-    ?(filter_capacities = Fig4.default_filter_capacities) () =
-  let rows =
-    List.concat_map
-      (fun profile -> List.map (fun filter_capacity -> (profile, filter_capacity)) filter_capacities)
-      [ Agg_workload.Profile.workstation; Agg_workload.Profile.users; Agg_workload.Profile.server ]
-  in
-  let schemes =
-    [
-      Agg_core.Server_cache.Plain Agg_cache.Cache.Lru;
-      Agg_core.Server_cache.Aggregating Agg_core.Config.default;
-    ]
-  in
-  Experiment.grid ~settings ~rows ~cols:schemes (fun (profile, filter_capacity) scheme ->
-      server_hit_rate ~files:(Trace_store.files ~settings profile) ~filter_capacity ~scheme)
-  |> List.map (fun ((profile, filter_capacity), points) ->
-         match points with
-         | [ (_, lru); (_, g5) ] ->
-             {
-               workload = profile.Agg_workload.Profile.name;
-               filter_capacity;
-               lru_hit_rate = lru;
-               g5_hit_rate = g5;
-               improvement_percent = improvement ~lru ~g5;
-             }
-         | _ -> assert false (* grid returns one point per column *))
+let server_rows (fig4 : Experiment.figure) =
+  List.concat_map
+    (fun (panel : Experiment.panel) ->
+      let series label =
+        match List.find_opt (fun s -> s.Experiment.label = label) panel.Experiment.series with
+        | Some s -> s
+        | None -> invalid_arg (Printf.sprintf "Summary.server_rows: no series %s" label)
+      in
+      let lru = series "lru" in
+      List.map
+        (fun (x, g5) ->
+          let lru =
+            match Experiment.series_value lru x with
+            | Some y -> y
+            | None -> invalid_arg (Printf.sprintf "Summary.server_rows: lru has no x=%g" x)
+          in
+          {
+            workload = panel.Experiment.name;
+            filter_capacity = int_of_float x;
+            lru_hit_rate = lru;
+            g5_hit_rate = g5;
+            improvement_percent = improvement ~lru ~g5;
+          })
+        (series "g5").Experiment.points)
+    fig4.Experiment.panels
 
 let client_table rows =
   let open Agg_util in

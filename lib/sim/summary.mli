@@ -1,7 +1,7 @@
 (** The headline numbers of the paper's abstract and conclusions,
     recomputed from the simulations: client demand-fetch reduction from
     grouping, and server hit-rate improvement over LRU under intervening
-    caches. *)
+    caches (a view of Fig. 4). *)
 
 type client_row = {
   workload : string;
@@ -27,9 +27,12 @@ val improvement : lru:float -> g5:float -> float
 val client_rows : ?settings:Experiment.settings -> ?capacity:int -> unit -> client_row list
 (** One row per workload at the given client cache capacity (default 300). *)
 
-val server_rows :
-  ?settings:Experiment.settings -> ?filter_capacities:int list -> unit -> server_row list
-(** Rows for every (workload, filter capacity) combination. *)
+val server_rows : Experiment.figure -> server_row list
+(** One row per (panel, filter capacity) of a {!Fig4.run} figure, read off
+    its ["g5"] and ["lru"] series: workstation, users and server, at every
+    filter capacity. Simulates nothing.
+    @raise Invalid_argument when a panel lacks either series or a
+    capacity. *)
 
 val client_table : client_row list -> Agg_util.Table.t
 val server_table : server_row list -> Agg_util.Table.t

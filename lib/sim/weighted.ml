@@ -108,23 +108,21 @@ let run_cell ~profile ~weight_of ~files ~cost_accessed policy capacity =
   cell_of_weighted ~policy ~profile:profile.Agg_workload.Profile.name ~capacity ~cost_accessed
     weighted
 
-let sweep_profile ?(capacities = default_capacities) ~(runner : Experiment.Runner.t) profile =
+let sweep ?(capacities = default_capacities) (runner : Experiment.Runner.t) =
   let settings = runner.Experiment.Runner.settings in
-  let files = Trace_store.files ~settings profile in
-  let weight_of file = Agg_workload.Profile.weight_of profile file in
-  let _, cost_accessed = totals ~weight_of files in
-  let span_label policy capacity =
-    Printf.sprintf "weighted/%s/%s/c%d" profile.Agg_workload.Profile.name policy capacity
-  in
-  Experiment.grid
-    ?profiler:(Experiment.Runner.profiler runner)
-    ~span_label ~settings ~rows:policies ~cols:capacities
-    (run_cell ~profile ~weight_of ~files ~cost_accessed)
-  |> List.concat_map (fun (_, cols) -> List.map snd cols)
-
-let sweep ?capacities (runner : Experiment.Runner.t) =
   List.concat_map
-    (fun profile -> sweep_profile ?capacities ~runner profile)
+    (fun profile ->
+      let files = Trace_store.files ~settings profile in
+      let weight_of file = Agg_workload.Profile.weight_of profile file in
+      let _, cost_accessed = totals ~weight_of files in
+      let span_label policy capacity =
+        Printf.sprintf "weighted/%s/%s/c%d" profile.Agg_workload.Profile.name policy capacity
+      in
+      Experiment.grid
+        ?profiler:(Experiment.Runner.profiler runner)
+        ~span_label ~settings ~rows:policies ~cols:capacities
+        (run_cell ~profile ~weight_of ~files ~cost_accessed)
+      |> List.concat_map (fun (_, cols) -> List.map snd cols))
     Agg_workload.Profile.sized
 
 let panel_pair ~profile cells =
@@ -158,8 +156,7 @@ let panel_pair ~profile cells =
     };
   ]
 
-let run ?capacities (runner : Experiment.Runner.t) =
-  let cells = sweep ?capacities runner in
+let figure cells =
   {
     Experiment.id = "weighted";
     title = "Weighted caching: size/cost-aware policies vs the aggregating cache";
@@ -177,21 +174,26 @@ type verdict = {
   g5_wins : bool;
 }
 
-let verdicts ?(capacity = default_verdict_capacity) (runner : Experiment.Runner.t) =
-  List.map
+let verdicts cells =
+  List.filter_map
     (fun profile ->
-      let cells = sweep_profile ~capacities:[ capacity ] ~runner profile in
+      let name = profile.Agg_workload.Profile.name in
       let cost policy =
-        match List.find_opt (fun c -> c.policy = policy) cells with
-        | Some c -> c.total_cost
-        | None -> assert false (* the sweep always evaluates every policy *)
+        List.find_opt
+          (fun c ->
+            c.profile = name && c.policy = policy && c.capacity = default_verdict_capacity)
+          cells
+        |> Option.map (fun c -> c.total_cost)
       in
-      let g5_cost = cost "g5" and landlord_cost = cost "landlord" in
-      {
-        v_profile = profile.Agg_workload.Profile.name;
-        v_capacity = capacity;
-        g5_cost;
-        landlord_cost;
-        g5_wins = g5_cost < landlord_cost;
-      })
+      match (cost "g5", cost "landlord") with
+      | Some g5_cost, Some landlord_cost ->
+          Some
+            {
+              v_profile = name;
+              v_capacity = default_verdict_capacity;
+              g5_cost;
+              landlord_cost;
+              g5_wins = g5_cost < landlord_cost;
+            }
+      | _ -> None)
     Agg_workload.Profile.sized

@@ -16,7 +16,7 @@ val default_capacities : int list
     unweighted figures' 100–800). *)
 
 val default_verdict_capacity : int
-(** 1000 size units — the mid-sweep point {!verdicts} compares at. *)
+(** 1000 size units — the mid-sweep point {!verdicts} reads. *)
 
 val policies : string list
 (** [["lru"; "landlord"; "bundle"; "g5"]], the row order of every sweep. *)
@@ -38,10 +38,10 @@ val sweep : ?capacities:int list -> Experiment.Runner.t -> cell list
     {!policies} order. Cells are evaluated through the runner's pool and
     scope under span labels ["weighted/<profile>/<policy>/c<C>"]. *)
 
-val run : ?capacities:int list -> Experiment.Runner.t -> Experiment.figure
-(** The sweep as a figure: per sized profile, one byte-weighted hit-rate
-    panel and one total-retrieval-cost panel (fig3-shaped — policy
-    series vs capacity). *)
+val figure : cell list -> Experiment.figure
+(** The cells of a {!sweep} as a figure: per sized profile, one
+    byte-weighted hit-rate panel and one total-retrieval-cost panel
+    (fig3-shaped — policy series vs capacity). *)
 
 type verdict = {
   v_profile : string;
@@ -51,8 +51,9 @@ type verdict = {
   g5_wins : bool;  (** [g5_cost < landlord_cost] *)
 }
 
-val verdicts : ?capacity:int -> Experiment.Runner.t -> verdict list
+val verdicts : cell list -> verdict list
 (** The headline question per sized profile — does the paper's g = 5
     aggregating cache still beat cost-aware Landlord on total retrieval
-    cost once sizes and costs are skewed? — at [capacity] (default
-    {!default_verdict_capacity}). *)
+    cost once sizes and costs are skewed? — read off the cells of a
+    {!sweep} at {!default_verdict_capacity}. A profile whose cells lack
+    that capacity has no verdict. *)

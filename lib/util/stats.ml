@@ -26,7 +26,6 @@ module Running = struct
   let count t = t.count
   let mean t = t.mean
   let variance t = if t.count < 2 then 0.0 else t.m2 /. float_of_int (t.count - 1)
-  let stddev t = sqrt (variance t)
   let min t = t.min
   let max t = t.max
 end

@@ -14,7 +14,6 @@ module Running : sig
   val variance : t -> float
   (** Unbiased sample variance; [0.] with fewer than two observations. *)
 
-  val stddev : t -> float
   val min : t -> float
   (** Smallest observation; [nan] when empty. *)
 

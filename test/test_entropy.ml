@@ -110,19 +110,6 @@ let test_per_client_single_client_matches_global () =
   in
   check_float "one client: identical" (Entropy.of_trace trace) (Entropy.per_client trace)
 
-let test_filtered_sweep_shape () =
-  let trace =
-    Agg_workload.Generator.generate ~seed:3 ~events:5000 Agg_workload.Profile.workstation
-  in
-  let sweeps = Entropy.filtered_sweep ~filter_capacities:[ 5; 50 ] ~lengths:[ 1; 2 ] trace in
-  Alcotest.(check int) "two capacities" 2 (List.length sweeps);
-  List.iter
-    (fun (capacity, sweep) ->
-      check_bool "capacity echoed" true (capacity = 5 || capacity = 50);
-      Alcotest.(check int) "two lengths" 2 (List.length sweep);
-      List.iter (fun (_, h) -> check_bool "entropy non-negative" true (h >= 0.0)) sweep)
-    sweeps
-
 (* --- qcheck properties ----------------------------------------------------- *)
 
 let qcheck_tests =
@@ -152,6 +139,130 @@ let renumber_densely files =
   let rank = Hashtbl.create 64 in
   List.iteri (fun i f -> Hashtbl.replace rank f i) ids;
   Array.map (Hashtbl.find rank) files
+
+(* The per-length computation [Entropy.sweep] replaced, kept as the
+   reference: bucket the complete-window positions by (densely relabelled)
+   file id, sort each file's positions by their length-L window alone, and
+   fold run lengths into H file by file in increasing id order. *)
+let reference_of_files ~length files =
+  let n = Array.length files in
+  let files = if Array.exists (fun f -> f >= n) files then renumber_densely files else files in
+  let windows = n - length in
+  if windows <= 0 then 0.0
+  else begin
+    let max_id = ref 0 in
+    for i = 0 to windows - 1 do
+      if files.(i) > !max_id then max_id := files.(i)
+    done;
+    let buckets = Array.make (!max_id + 1) [] in
+    for i = windows - 1 downto 0 do
+      buckets.(files.(i)) <- i :: buckets.(files.(i))
+    done;
+    let cmp_window a b =
+      let rec go j =
+        if j = length then 0
+        else
+          let c = Int.compare files.(a + 1 + j) files.(b + 1 + j) in
+          if c <> 0 then c else go (j + 1)
+      in
+      go 0
+    in
+    let weighted = ref 0.0 and weight_total = ref 0 in
+    Array.iter
+      (fun positions ->
+        let sub = Array.of_list positions in
+        let occ = Array.length sub in
+        if occ >= 2 then begin
+          Array.sort cmp_window sub;
+          let total = float_of_int occ in
+          let h = ref 0.0 and run_start = ref 0 in
+          for k = 1 to occ do
+            if k = occ || cmp_window sub.(k) sub.(!run_start) <> 0 then begin
+              let p = float_of_int (k - !run_start) /. total in
+              h := !h -. (p *. Agg_util.Stats.log2 p);
+              run_start := k
+            end
+          done;
+          weighted := !weighted +. (total *. !h);
+          weight_total := !weight_total + occ
+        end)
+      buckets;
+    if !weight_total = 0 then 0.0 else !weighted /. float_of_int !weight_total
+  end
+
+(* [per_file]'s reference: one hash table of symbol counts per file. *)
+let reference_per_file ~length files =
+  let n = Array.length files in
+  let per_file = Hashtbl.create 16 in
+  for i = 0 to n - length - 1 do
+    let table =
+      match Hashtbl.find_opt per_file files.(i) with
+      | Some t -> t
+      | None ->
+          let t = Hashtbl.create 4 in
+          Hashtbl.replace per_file files.(i) t;
+          t
+    in
+    let symbol = Array.sub files (i + 1) length in
+    Hashtbl.replace table symbol (1 + Option.value ~default:0 (Hashtbl.find_opt table symbol))
+  done;
+  Hashtbl.fold
+    (fun file table acc ->
+      let occ = Hashtbl.fold (fun _ c acc -> acc + c) table 0 in
+      let h =
+        Hashtbl.fold
+          (fun _ c acc ->
+            let p = float_of_int c /. float_of_int occ in
+            acc -. (p *. Agg_util.Stats.log2 p))
+          table 0.0
+      in
+      if occ >= 2 then (file, occ, h) :: acc else acc)
+    per_file []
+  |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
+
+(* Short streams over at most seven distinct ids: a third dense, a third
+   with gaps (so small streams still take the relabelling path), a third
+   spread over ids near 10^12. Length lists are unsorted, may repeat, and
+   their longest length is sometimes below and sometimes above the
+   stream's length. *)
+let stream_and_lengths =
+  let open QCheck.Gen in
+  let gen =
+    int_range 0 59 >>= fun n ->
+    int_range 1 7 >>= fun distinct ->
+    int_bound 2 >>= fun kind ->
+    array_size (return n) (int_bound (distinct - 1)) >>= fun ranks ->
+    list_size (int_range 1 6) (int_range 1 10) >>= fun lengths ->
+    let id r =
+      match kind with 0 -> r | 1 -> 3 * r | _ -> 1_000_000_000_000 + (r * 1_000_000_007)
+    in
+    return (Array.map id ranks, lengths)
+  in
+  QCheck.make gen ~print:(fun (files, lengths) ->
+      Printf.sprintf "files [%s] lengths [%s]"
+        (String.concat "; " (Array.to_list (Array.map string_of_int files)))
+        (String.concat "; " (List.map string_of_int lengths)))
+
+let entropy_laws =
+  [
+    QCheck.Test.make ~name:"sweep equals the per-length reference bit for bit" ~count:3000
+      stream_and_lengths (fun (files, lengths) ->
+        let bits = List.map (fun (l, h) -> (l, Int64.bits_of_float h)) in
+        bits (Entropy.sweep ~lengths files)
+        = bits (List.map (fun l -> (l, reference_of_files ~length:l files)) lengths));
+    QCheck.Test.make ~name:"per_file equals the hash-table reference" ~count:2000
+      stream_and_lengths (fun (files, lengths) ->
+        List.for_all
+          (fun length ->
+            let rows = Entropy.per_file ~length files in
+            let expected = reference_per_file ~length files in
+            List.length rows = List.length expected
+            && List.for_all2
+                 (fun (f, occ, h) (f', occ', h') ->
+                   f = f' && occ = occ' && Float.abs (h -. h') <= 1e-12)
+                 rows expected)
+          lengths);
+  ]
 
 (* File ids spread over 10^12 .. 10^12 + 10^9 · n: the CSR layout of
    [of_files] cannot be sized by such ids, so they are relabelled by rank,
@@ -202,8 +313,8 @@ let () =
             test_per_client_unscrambles_interleaving;
           Alcotest.test_case "per-client single client" `Quick
             test_per_client_single_client_matches_global;
-          Alcotest.test_case "filtered sweep shape" `Quick test_filtered_sweep_shape;
           Alcotest.test_case "sparse ids equal dense" `Quick test_sparse_ids_equal_dense;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+      ("one sort", List.map QCheck_alcotest.to_alcotest entropy_laws);
     ]

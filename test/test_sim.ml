@@ -109,6 +109,14 @@ let test_jobs_determinism () =
   in
   Alcotest.(check string) "fig3 at jobs=1 equals jobs=4" sequential parallel
 
+let test_entropy_figures_jobs_determinism () =
+  (* fig7 and fig8 evaluate one cell per stream, covering every length *)
+  let render jobs =
+    let runner = Experiment.Runner.create ~settings:{ tiny with jobs } () in
+    Experiment.render_figure (Fig7.run runner) ^ Experiment.render_figure (Fig8.run runner)
+  in
+  Alcotest.(check string) "fig7 and fig8 at jobs=1 equal jobs=2" (render 1) (render 2)
+
 (* --- Fig. 3 ---------------------------------------------------------------- *)
 
 let tiny_runner = Experiment.Runner.create ~settings:tiny ()
@@ -251,12 +259,25 @@ let test_weighted_sweep_shape () =
         (c.Weighted.cost_saved_rate >= 0.0 && c.Weighted.cost_saved_rate <= 1.0);
       check_bool (ctx ^ " paid something") true (c.Weighted.total_cost > 0))
     cells;
-  let vs = Weighted.verdicts ~capacity:400 tiny_runner in
+  check_int "no verdict without the verdict capacity" 0 (List.length (Weighted.verdicts cells));
+  let at_verdict =
+    Weighted.sweep ~capacities:[ Weighted.default_verdict_capacity ] tiny_runner
+  in
+  let vs = Weighted.verdicts at_verdict in
   check_int "one verdict per sized profile" 2 (List.length vs);
   List.iter
     (fun (v : Weighted.verdict) ->
       check_bool "verdict is the cost comparison" true
-        (v.Weighted.g5_wins = (v.Weighted.g5_cost < v.Weighted.landlord_cost)))
+        (v.Weighted.g5_wins = (v.Weighted.g5_cost < v.Weighted.landlord_cost));
+      let cost policy =
+        List.find
+          (fun (c : Weighted.cell) ->
+            c.Weighted.profile = v.Weighted.v_profile && c.Weighted.policy = policy)
+          at_verdict
+      in
+      check_int "g5 cost read off its cell" (cost "g5").Weighted.total_cost v.Weighted.g5_cost;
+      check_int "landlord cost read off its cell" (cost "landlord").Weighted.total_cost
+        v.Weighted.landlord_cost)
     vs
 
 (* --- Summary / Report -------------------------------------------------------------- *)
@@ -272,14 +293,28 @@ let test_summary_client_rows () =
   check_bool "table renders" true
     (String.length (Agg_util.Table.render (Summary.client_table rows)) > 0)
 
+let tiny_fig4 = lazy (Fig4.run tiny_runner)
+
 let test_summary_server_rows () =
-  let rows = Summary.server_rows ~settings:tiny ~filter_capacities:[ 100 ] () in
-  check_int "three workloads x one filter" 3 (List.length rows);
+  let fig4 = Lazy.force tiny_fig4 in
+  let rows = Summary.server_rows fig4 in
+  let filters = List.length Fig4.default_filter_capacities in
+  Alcotest.(check (list string))
+    "one row per panel and filter capacity, in panel order"
+    (List.concat_map (fun w -> List.init filters (fun _ -> w)) [ "workstation"; "users"; "server" ])
+    (List.map (fun (r : Summary.server_row) -> r.Summary.workload) rows);
+  (* every row is Fig. 4's g5 and lru cell at its filter capacity *)
   List.iter
     (fun (r : Summary.server_row) ->
-      check_bool "rates within range" true
-        (r.Summary.lru_hit_rate >= 0.0 && r.Summary.lru_hit_rate <= 100.0
-        && r.Summary.g5_hit_rate >= 0.0 && r.Summary.g5_hit_rate <= 100.0))
+      let panel =
+        List.find (fun p -> p.Experiment.name = r.Summary.workload) fig4.Experiment.panels
+      in
+      let at label =
+        Experiment.series_value (series_named panel label)
+          (float_of_int r.Summary.filter_capacity)
+      in
+      check_bool "g5 is fig4's g5 cell" true (at "g5" = Some r.Summary.g5_hit_rate);
+      check_bool "lru is fig4's lru cell" true (at "lru" = Some r.Summary.lru_hit_rate))
     rows;
   check_bool "table renders" true
     (String.length (Agg_util.Table.render (Summary.server_table rows)) > 0)
@@ -316,7 +351,11 @@ let test_summary_improvement_edge_cases () =
 let test_report_checks_structure () =
   (* tiny-scale runs need not pass the paper's quantitative bars, but the
      checks must all run and produce both fields *)
-  let checks = Report.run_all ~settings:tiny () in
+  let fig3 = Fig3.run tiny_runner in
+  let fig5 = Fig5.run tiny_runner in
+  let fig7 = Fig7.run tiny_runner in
+  let fig8 = Fig8.run tiny_runner in
+  let checks = Report.checks ~fig3 ~fig4:(Lazy.force tiny_fig4) ~fig5 ~fig7 ~fig8 in
   check_int "24 checks" 24 (List.length checks);
   List.iter
     (fun c ->
@@ -489,7 +528,10 @@ let test_resilience_g5_beats_lru () =
   (match Resilience.hit_rate_advantage ~loss_rate:0.1 points with
   | None -> Alcotest.fail "both schemes expected in the sweep"
   | Some d -> check_bool "g5 retains a higher hit rate under 10% loss" true (d > 0.0));
-  let fig = Resilience.run ~loss_rates:[ 0.0; 0.1 ] runner in
+  let fig =
+    Resilience.figure ~profile:Agg_workload.Profile.server
+      (Resilience.sweep ~loss_rates:[ 0.0; 0.1 ] runner)
+  in
   check_int "two panels (hit rate, latency)" 2 (List.length fig.Experiment.panels)
 
 let () =
@@ -509,6 +551,8 @@ let () =
       ( "determinism",
         [
           Alcotest.test_case "fig3 jobs=1 vs jobs=4" `Quick test_jobs_determinism;
+          Alcotest.test_case "fig7 and fig8 jobs=1 vs jobs=2" `Quick
+            test_entropy_figures_jobs_determinism;
         ] );
       ( "fig3",
         [
