@@ -30,8 +30,10 @@
    Output on stdout is deterministic (fixed seeds) apart from the
    micro-benchmark timings, and identical for every --jobs value. A run
    that executes a section records wall-clock per section in
-   BENCH_sweep.json; --sweep
-   additionally measures the speedup of --jobs N over --jobs 1; --obs
+   BENCH_sweep.json: when the ledger there was written for the same
+   jobs, events, seed and quick flag, only the sections that ran are
+   replaced and the rest are kept; otherwise it is rewritten, and the
+   run says so. --sweep additionally measures the speedup of --jobs N over --jobs 1; --obs
    additionally profiles every section and fig3/4/5 sweep cell as spans
    and writes them as Chrome trace_event JSON to BENCH_obs.json (open in
    chrome://tracing or Perfetto). *)
@@ -652,9 +654,10 @@ let policy_throughput ~reps files =
     Agg_cache.Cache.all_kinds
 
 (* The same throughput at sized-workstation weights (capacity 1000): the
-   ten facades, where weighted inserts evict by repeated [evict] calls,
-   then the rent-based baselines — Landlord per file, and Bundle served
-   as predicted groups the way the weighted sweep serves it. The groups
+   ten facades, where the weighted lift makes room by repeated core
+   evictions, then the rent-based baselines — Landlord per file, and
+   Bundle served as predicted groups the way the weighted sweep serves
+   it, a resident file through its fused hit. The groups
    are built once, outside the timing: the tracker observes every access
    whatever the cache holds, so the group of access [i] is fixed by the
    stream. *)
@@ -697,11 +700,8 @@ let weighted_throughput ~reps =
           for _ = 1 to reps do
             Array.iteri
               (fun i f ->
-                if B.mem b f then begin
-                  B.promote b f;
-                  B.charge b f ~cost:(weight_of f).Agg_cache.Policy.cost
-                end
-                else ignore (B.request_bundle b ~weight_of groups.(i)))
+                if not (B.hit b f ~cost:(weight_of f).Agg_cache.Policy.cost) then
+                  ignore (B.request_bundle b ~weight_of groups.(i)))
               files
           done)
     in
@@ -907,7 +907,83 @@ let bench_json_path = "BENCH_sweep.json"
    seconds at --jobs 1 when --sweep measured it) *)
 type timing = { name : string; seconds : float; baseline_seconds : float option }
 
+(* The ledger a run updates: its header — jobs, events, seed, quick — and
+   its sections, read back from the format [write_bench_json] writes.
+   [None] when there is no file or it does not parse. *)
+let read_bench_json () =
+  if not (Sys.file_exists bench_json_path) then None
+  else
+    let ic = open_in bench_json_path in
+    let lines =
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () ->
+          let rec read acc =
+            match input_line ic with
+            | line -> read (String.trim line :: acc)
+            | exception End_of_file -> List.rev acc
+          in
+          read [])
+    in
+    (* the value of a ["key": value,] header line *)
+    let value key =
+      let prefix = "\"" ^ key ^ "\": " in
+      List.find_map
+        (fun line ->
+          if String.starts_with ~prefix line then
+            let n = String.length prefix in
+            let v = String.sub line n (String.length line - n) in
+            Some
+              (if String.ends_with ~suffix:"," v then String.sub v 0 (String.length v - 1) else v)
+          else None)
+        lines
+    in
+    let section line =
+      Scanf.sscanf line "{\"name\": \"%s@\", \"seconds\": %f%s@}" (fun name seconds rest ->
+          let baseline_seconds =
+            if rest = "" then None
+            else Some (Scanf.sscanf rest ", \"jobs1_seconds\": %f" Fun.id)
+          in
+          { name; seconds; baseline_seconds })
+    in
+    match
+      ( int_of_string (Option.get (value "jobs")),
+        int_of_string (Option.get (value "events")),
+        int_of_string (Option.get (value "seed")),
+        bool_of_string (Option.get (value "quick")),
+        List.filter_map
+          (fun line ->
+            if String.starts_with ~prefix:"{\"name\"" line then Some (section line) else None)
+          lines )
+    with
+    | jobs, events, seed, quick, sections -> Some ((jobs, events, seed, quick), sections)
+    | exception (Invalid_argument _ | Failure _ | Scanf.Scan_failure _ | End_of_file) -> None
+
+(* A run adds to the ledger: when the committed header matches this run,
+   the sections that ran replace their entries and every other entry is
+   kept, in place; new sections go last. Otherwise the ledger is
+   rewritten from this run alone, and the run says so. *)
 let write_bench_json ~jobs ~quick ~(settings : Agg_sim.Experiment.settings) timings =
+  let header =
+    (jobs, settings.Agg_sim.Experiment.events, settings.Agg_sim.Experiment.seed, quick)
+  in
+  let timings =
+    match read_bench_json () with
+    | Some (h, kept) when h = header ->
+        let ran name = List.exists (fun t -> t.name = name) timings in
+        let fresh name = List.find (fun t -> t.name = name) timings in
+        List.map (fun t -> if ran t.name then fresh t.name else t) kept
+        @ List.filter (fun t -> not (List.exists (fun k -> k.name = t.name) kept)) timings
+    | Some _ ->
+        Printf.printf
+          "%s: its jobs, events, seed or quick flag differ from this run's; rewriting it\n"
+          bench_json_path;
+        timings
+    | None ->
+        if Sys.file_exists bench_json_path then
+          Printf.printf "%s: unreadable; rewriting it\n" bench_json_path;
+        timings
+  in
   let oc = open_out bench_json_path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
@@ -915,6 +991,8 @@ let write_bench_json ~jobs ~quick ~(settings : Agg_sim.Experiment.settings) timi
       let total sel = List.fold_left (fun acc t -> acc +. sel t) 0.0 timings in
       let total_n = total (fun t -> t.seconds) in
       let total_1 = total (fun t -> Option.value ~default:0.0 t.baseline_seconds) in
+      (* the speed-up compares only the sections that were swept *)
+      let total_swept = total (fun t -> if t.baseline_seconds = None then 0.0 else t.seconds) in
       let swept = List.exists (fun t -> t.baseline_seconds <> None) timings in
       Printf.fprintf oc "{\n";
       Printf.fprintf oc "  \"jobs\": %d,\n" jobs;
@@ -939,8 +1017,8 @@ let write_bench_json ~jobs ~quick ~(settings : Agg_sim.Experiment.settings) timi
       Printf.fprintf oc "  ],\n";
       if swept then begin
         Printf.fprintf oc "  \"total_jobs1_seconds\": %.3f,\n" total_1;
-        if total_n > 0.0 then
-          Printf.fprintf oc "  \"total_speedup_vs_jobs1\": %.2f,\n" (total_1 /. total_n)
+        if total_swept > 0.0 then
+          Printf.fprintf oc "  \"total_speedup_vs_jobs1\": %.2f,\n" (total_1 /. total_swept)
       end;
       Printf.fprintf oc "  \"total_seconds\": %.3f\n" total_n;
       Printf.fprintf oc "}\n")

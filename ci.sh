@@ -2,9 +2,10 @@
 # CI entry point: full build, full test suite, the lockstep differential
 # gate against the lib/oracle reference models, a one-second checked run
 # of each steady-benchmark workload, a quick smoke run of the
-# paper-vs-measured checks from the reproduction harness, the entropy
-# commands and a client replay on sparse-id traces under a memory cap, and
-# the CLI's parse-time rejection of out-of-range counts. The run fails if
+# paper-vs-measured checks from the reproduction harness, the sweep
+# ledger's merge of a partial run, the entropy commands and a client
+# replay on sparse-id traces and extreme capacities under a memory cap,
+# and the CLI's parse-time rejection of out-of-range counts. The run fails if
 # it leaves the working tree different from how it found it.
 #
 # The check thresholds are calibrated for full-size runs (60k events), so
@@ -132,7 +133,7 @@ lib/successor/tracker.ml lib/successor/successor_list.ml
 lib/core/group_builder.ml lib/core/client_cache.ml lib/core/server_cache.ml
 lib/cluster/ring.ml lib/cluster/cluster.ml
 lib/faults/plan.ml
-lib/util/int_table.ml lib/util/dlist_arena.ml lib/util/heap.ml lib/util/prng.ml
+lib/util/int_table.ml lib/util/dlist_arena.ml lib/util/heap.ml lib/util/prng.ml lib/util/int_fifo.ml
 lib/util/dist.ml lib/workload/generator.ml lib/workload/task.ml
 lib/baselines/landlord.ml lib/baselines/bundle.ml"
 # shellcheck disable=SC2086
@@ -216,10 +217,25 @@ scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
 (cd "$scratch" && "$root/_build/default/bench/main.exe" checks --quick)
 
+# A partial run adds to the sweep ledger: with a ledger whose header
+# (jobs, events, seed, quick) matches the run, running one section keeps
+# every other section's entry.
+merged=$(mktemp -d)
+trap 'rm -rf "$scratch" "$merged"' EXIT
+(cd "$merged" && "$root/_build/default/bench/main.exe" fig5 --quick --jobs 1 > /dev/null \
+  && "$root/_build/default/bench/main.exe" workloads --quick --jobs 1 > /dev/null)
+for name in fig5 workloads; do
+  if ! grep -q "\"name\": \"$name\"" "$merged/BENCH_sweep.json"; then
+    echo "ci.sh: a run of one section dropped $name from BENCH_sweep.json:" >&2
+    cat "$merged/BENCH_sweep.json" >&2
+    exit 1
+  fi
+done
+
 # A pass flag with no section named runs only that pass: no section runs,
 # so neither the micro ledger nor the sweep ledger may be written.
 passes=$(mktemp -d)
-trap 'rm -rf "$scratch" "$passes"' EXIT
+trap 'rm -rf "$scratch" "$merged" "$passes"' EXIT
 (cd "$passes" && "$root/_build/default/bench/main.exe" --telemetry --quick > /dev/null)
 for ledger in BENCH_sweep.json BENCH_micro.json; do
   if [ -e "$passes/$ledger" ]; then
@@ -251,6 +267,28 @@ for cmd in "trace -o $scratch/sparse9.jsonl" "entropy --filter 100"; do
   # shellcheck disable=SC2086
   if ! (ulimit -v 2000000 && "$root/_build/default/bin/aggsim.exe" $cmd -i "$scratch/sparse9.trc" > /dev/null); then
     echo "ci.sh: aggsim $cmd failed on a trace with file ids near 10^9" >&2
+    exit 1
+  fi
+done
+
+# Extreme capacities: every policy sizes its arrays by its residents, so a
+# capacity of 10^12 (or max_int, where capacity + 2 used to overflow) must
+# run in a few pages under the same cap, from the CLI and from a scenario
+# file, and never die with an uncaught exception (exit 125).
+printf '#scenario v1\nname huge-client\nworkload profile name=server events=200 seed=7\ntopology path client_capacity=1000000000000 server_capacity=300\npolicy lru\npolicy g5\n' \
+  > "$scratch/huge.scn"
+for cmd in "trace -p server --events 200 --capacity 1000000000000" \
+  "entropy -p server --events 200 --filter 1000000000000" \
+  "scenario run -f $scratch/huge.scn" \
+  "trace -p server --events 200 --capacity 4611686018427387903" \
+  "entropy -p server --events 200 --filter 4611686018427387903"; do
+  status=0
+  # shellcheck disable=SC2086
+  (cd "$scratch" && ulimit -v 2000000 && "$root/_build/default/bin/aggsim.exe" $cmd > /dev/null 2> "$scratch/huge.err") \
+    || status=$?
+  if [ "$status" -ne 0 ] && { [ "$status" -eq 125 ] || [ "$(wc -l < "$scratch/huge.err")" -ne 1 ]; }; then
+    echo "ci.sh: aggsim $cmd exited $status:" >&2
+    cat "$scratch/huge.err" >&2
     exit 1
   fi
 done

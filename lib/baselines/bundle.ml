@@ -12,30 +12,47 @@ let capacity = Landlord.capacity
 let size = Landlord.size
 let used = Landlord.used
 let mem = Landlord.mem
+let hit = Landlord.hit
 let promote = Landlord.promote
+let set_sink = Landlord.set_sink
 let charge = Landlord.charge
 let evict = Landlord.evict
 let remove = Landlord.remove
 let contents = Landlord.contents
 let clear = Landlord.clear
 
-let insert t ~pos ~weight:(w : Policy.weight) key =
-  Policy.check_weight ~who:policy_name w;
-  Landlord.insert t ~pos ~weight:w key
+let check_weight (w : Policy.weight) =
+  if w.size <= 0 || w.cost <= 0 then Policy.check_weight ~who:policy_name w
 
-let rec mem_int (x : int) = function [] -> false | y :: rest -> y = x || mem_int x rest
+let insert t ~pos ~weight key =
+  check_weight weight;
+  Landlord.insert t ~pos ~weight key
+
+let admit t ~pos ~weight key =
+  check_weight weight;
+  Landlord.admit t ~pos ~weight key
+
+(* Is [x] among the first [i] members of [keys]? Bundles are a handful of
+   keys, so a scan of the prefix beats a table. *)
+let rec seen_before (x : int) keys i =
+  match keys with [] -> false | y :: rest -> i > 0 && (y = x || seen_before x rest (i - 1))
 
 let request_bundle t ~weight_of keys =
-  (* first occurrence of each member wins, in request order *)
-  let members =
-    List.rev (List.fold_left (fun acc k -> if mem_int k acc then acc else k :: acc) [] keys)
-  in
-  List.concat_map
-    (fun k ->
-      if mem t k then begin
-        promote t k;
-        charge t k ~cost:(weight_of k).Policy.cost;
-        []
-      end
-      else insert t ~pos:Policy.Hot ~weight:(weight_of k) k)
-    members
+  (* first occurrence of each member wins, in request order; victims go
+     to the sink as well as into the returned list *)
+  let victims = ref [] in
+  let sink = Landlord.sink t in
+  Landlord.set_sink t (fun v ->
+      sink v;
+      victims := v :: !victims);
+  Fun.protect
+    ~finally:(fun () -> Landlord.set_sink t sink)
+    (fun () ->
+      List.iteri
+        (fun i k ->
+          if not (seen_before k keys i) then begin
+            let w : Policy.weight = weight_of k in
+            if not (hit t k ~cost:w.cost) then ignore (admit t ~pos:Policy.Hot ~weight:w k)
+          end)
+        keys);
+  List.rev !victims

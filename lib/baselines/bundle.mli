@@ -19,7 +19,7 @@ include Agg_cache.Policy.S
 val request_bundle : t -> weight_of:(int -> Agg_cache.Policy.weight) -> int list -> int list
 (** [request_bundle t ~weight_of keys] serves the bundle [keys]
     (duplicates served once, first occurrence order): promotes and
-    re-credits resident members, inserts missing ones hot with
-    [weight_of key]. Returns every victim evicted to make room, in
-    eviction order.
+    re-credits resident members (one fused {!val-hit} each), admits
+    missing ones hot with [weight_of key]. Returns every victim evicted
+    to make room, in eviction order; each also goes to the sink.
     @raise Invalid_argument when some [weight_of key] is non-positive. *)

@@ -17,10 +17,16 @@
     The priorities live in an indexed min-heap ({!Agg_util.Heap}) ordered
     by [(H, recency stamp)], so [promote], [charge], [insert] and [evict]
     are O(log n) and memory grows with the residents, not the capacity
-    (a byte-valued capacity such as [max_int] is fine).
+    (a byte-valued capacity such as [max_int] is fine). A demand hit
+    ({!val-hit}) is one re-key: the new priority and a fresh hot stamp
+    together, where [promote] then [charge] would re-key twice.
 
     Implements {!Agg_cache.Policy.S}; wrap with
     [Agg_cache.Cache.of_policy] for statistics. Deterministic: draws no
     randomness at all. *)
 
 include Agg_cache.Policy.S
+
+val sink : t -> int -> unit
+(** The sink installed by {!set_sink} ({!Agg_cache.Policy.drop_victim}
+    by default). *)

@@ -28,13 +28,13 @@ module Core = struct
 
   let create ~capacity =
     if capacity <= 0 then invalid_arg "Arc.create: capacity must be positive";
-    let arena = A.create ~capacity:((2 * capacity) + 5) () in
+    let arena = A.create ~capacity:((2 * Policy.presize capacity) + 5) () in
     {
       capacity;
       arena;
       lists = Array.init 4 (fun _ -> A.new_list arena);
       len = Array.make 4 0;
-      index = Int_table.create ~capacity:(2 * capacity) ();
+      index = Int_table.create ~capacity:(2 * Policy.presize capacity) ();
       p = 0;
     }
 
@@ -85,19 +85,26 @@ module Core = struct
     in
     victim
 
-  let promote t key =
-    let v = Int_table.get t.index key in
-    if v >= 0 && v land 3 <= t2 then relink t key v t2 ~front:true
-
-  let insert t ~pos key =
+  let hit t key =
     let v = Int_table.get t.index key in
     if v >= 0 && v land 3 <= t2 then begin
-      (match pos with
-      | Policy.Hot -> relink t key v t2 ~front:true
-      | Policy.Cold -> relink t key v t1 ~front:false);
-      -1
+      relink t key v t2 ~front:true;
+      true
     end
-    else if v >= 0 then begin
+    else false
+
+  let demote t key =
+    let v = Int_table.get t.index key in
+    if v >= 0 && v land 3 <= t2 then begin
+      relink t key v t1 ~front:false;
+      true
+    end
+    else false
+
+  (* The key is not resident; its index entry, if any, is a ghost. *)
+  let admit t ~pos key =
+    let v = Int_table.get t.index key in
+    if v >= 0 then begin
       (* ghost hit *)
       match pos with
       | Policy.Hot ->
@@ -135,7 +142,8 @@ module Core = struct
             v
           end
         else if total >= t.capacity then begin
-          if total >= 2 * t.capacity then drop_ghost_lru t b2;
+          (* total >= 2 * capacity, without overflowing near max_int *)
+          if total - t.capacity >= t.capacity then drop_ghost_lru t b2;
           if size t >= t.capacity then replace t ~hit_in_b2:false else -1
         end
         else -1
@@ -154,10 +162,12 @@ module Core = struct
 
   let remove t key =
     let v = Int_table.get t.index key in
-    if v >= 0 then begin
+    if v < 0 then false
+    else begin
       A.remove t.arena (v lsr 2);
       t.len.(v land 3) <- t.len.(v land 3) - 1;
-      Int_table.remove t.index key
+      Int_table.remove t.index key;
+      v land 3 <= t2
     end
 
   let contents t = A.to_list t.arena t.lists.(t2) @ A.to_list t.arena t.lists.(t1)
@@ -175,7 +185,12 @@ module Core = struct
     v >= 0 && v land 3 = t2
 end
 
-include Policy.Weighted_of_unit (Core)
+type t = Core.t Lift.t
 
-let target t = Core.target (core t)
-let in_t2 t key = Core.in_t2 (core t) key
+let policy_name = Core.policy_name
+let create ~capacity = Lift.make (module Core) (Core.create ~capacity)
+
+include (Lift : Lift.OPS with type 'c lifted := 'c Lift.t)
+
+let target t = Core.target (Lift.core t)
+let in_t2 t key = Core.in_t2 (Lift.core t) key

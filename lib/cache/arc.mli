@@ -7,7 +7,10 @@
     second-level cache whose recency signal was filtered away, which is
     the aggregating cache's territory. *)
 
-include Policy.S
+module Core : Policy.UNIT
+(** The unit-weight policy. *)
+
+include Policy.S with type t = Core.t Lift.t
 
 val target : t -> int
 (** The current adaptation target for T1's size (for tests). *)

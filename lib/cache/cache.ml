@@ -47,14 +47,22 @@ type weighted_stats = {
   cost_prefetched : int;
 }
 
-type packed = Packed : (module Policy.S with type t = 'a) * 'a -> packed
+(* The policy under the facade. The ten built-in kinds are lifted cores,
+   called through [Lift] directly; a natively weighted policy given to
+   [of_policy] is called through its first-class module. Either way an
+   operation crosses one indirect call: into the core, or into the
+   policy. *)
+type engine =
+  | Lifted : 'c Lift.t -> engine
+  | Native : (module Policy.S with type t = 'a) * 'a -> engine
 
 (* Counters live as mutable fields — the exposed [stats] record is only
    materialized on demand, so the access path allocates nothing. *)
 type t = {
   kind : kind option;
   name : string;
-  packed : packed;
+  engine : engine;
+  capacity : int;
   weight_of : (int -> Policy.weight) option;
   mutable accesses : int;
   mutable hits : int;
@@ -69,24 +77,25 @@ type t = {
   mutable on_evict : (int -> unit) option;
 }
 
-let make_packed kind ~capacity =
+let make_engine kind ~capacity =
   match kind with
-  | Lru -> Packed ((module Lru), Lru.create ~capacity)
-  | Lfu -> Packed ((module Lfu), Lfu.create ~capacity)
-  | Fifo -> Packed ((module Fifo), Fifo.create ~capacity)
-  | Mru -> Packed ((module Mru), Mru.create ~capacity)
-  | Clock -> Packed ((module Clock), Clock.create ~capacity)
-  | Random -> Packed ((module Random_policy), Random_policy.create ~capacity)
-  | Mq -> Packed ((module Mq), Mq.create ~capacity)
-  | Slru -> Packed ((module Slru), Slru.create ~capacity)
-  | Twoq -> Packed ((module Twoq), Twoq.create ~capacity)
-  | Arc -> Packed ((module Arc), Arc.create ~capacity)
+  | Lru -> Lifted (Lru.create ~capacity)
+  | Lfu -> Lifted (Lfu.create ~capacity)
+  | Fifo -> Lifted (Fifo.create ~capacity)
+  | Mru -> Lifted (Mru.create ~capacity)
+  | Clock -> Lifted (Clock.create ~capacity)
+  | Random -> Lifted (Random_policy.create ~capacity)
+  | Mq -> Lifted (Mq.create ~capacity)
+  | Slru -> Lifted (Slru.create ~capacity)
+  | Twoq -> Lifted (Twoq.create ~capacity)
+  | Arc -> Lifted (Arc.create ~capacity)
 
-let make ~kind ~name ~packed ~weight_of =
+let make ~kind ~name ~engine ~capacity ~weight_of =
   {
     kind;
     name;
-    packed;
+    engine;
+    capacity;
     weight_of;
     accesses = 0;
     hits = 0;
@@ -102,17 +111,21 @@ let make ~kind ~name ~packed ~weight_of =
   }
 
 let create ?weight_of kind ~capacity =
-  make ~kind:(Some kind) ~name:(kind_name kind) ~packed:(make_packed kind ~capacity) ~weight_of
+  make ~kind:(Some kind) ~name:(kind_name kind) ~engine:(make_engine kind ~capacity) ~capacity
+    ~weight_of
 
 let of_policy (type a) ?weight_of (module P : Policy.S with type t = a) state =
-  make ~kind:None ~name:P.policy_name ~packed:(Packed ((module P), state)) ~weight_of
+  make ~kind:None ~name:P.policy_name
+    ~engine:(Native ((module P), state))
+    ~capacity:(P.capacity state) ~weight_of
 
-let set_on_evict t f = t.on_evict <- Some f
-
-let notify_evicted t victims =
-  match t.on_evict with Some f -> List.iter f victims | None -> ()
-
-let notify_evict1 t victim = match t.on_evict with Some f -> f victim | None -> ()
+(* Victims of an insertion reach the observer through the policy's sink;
+   the room a group admission makes is reported here. *)
+let set_on_evict t f =
+  t.on_evict <- Some f;
+  match t.engine with
+  | Lifted l -> Lift.set_sink l f
+  | Native ((module P), state) -> P.set_sink state f
 
 let kind t = t.kind
 let name t = t.name
@@ -120,59 +133,68 @@ let name t = t.name
 let weight_for t key =
   match t.weight_of with None -> Policy.unit_weight | Some f -> f key
 
-let capacity t =
-  let (Packed ((module P), state)) = t.packed in
-  P.capacity state
+let capacity t = t.capacity
 
 let size t =
-  let (Packed ((module P), state)) = t.packed in
-  P.size state
+  match t.engine with Lifted l -> Lift.size l | Native ((module P), state) -> P.size state
 
 let used t =
-  let (Packed ((module P), state)) = t.packed in
-  P.used state
+  match t.engine with Lifted l -> Lift.used l | Native ((module P), state) -> P.used state
 
 let mem t key =
-  let (Packed ((module P), state)) = t.packed in
-  P.mem state key
+  match t.engine with
+  | Lifted l -> Lift.mem l key
+  | Native ((module P), state) -> P.mem state key
 
-let raw_insert t ~pos ~weight key =
-  let (Packed ((module P), state)) = t.packed in
-  let victims = P.insert state ~pos ~weight key in
-  notify_evicted t victims;
-  victims
+(* Admits a key known not to be resident; the number of victims. *)
+let admit t ~pos ~weight key =
+  match t.engine with
+  | Lifted l -> Lift.admit l ~pos ~weight key
+  | Native ((module P), state) -> P.admit state ~pos ~weight key
+
+let evict t =
+  match t.engine with Lifted l -> Lift.evict l | Native ((module P), state) -> P.evict state
+
+(* A non-resident key is admitted exactly when it fits the whole cache
+   (the oversize-bypass rule of [Policy.S.insert]). *)
+let admits t (w : Policy.weight) = w.size <= t.capacity
+
+(* The miss half of [access], kept out of its hit path. *)
+let miss t key (w : Policy.weight) =
+  let evicted = admit t ~pos:Policy.Hot ~weight:w key in
+  t.misses <- t.misses + 1;
+  t.cost_fetched <- t.cost_fetched + w.cost;
+  if admits t w then t.insertions <- t.insertions + 1;
+  t.evictions <- t.evictions + evicted;
+  false
 
 let access t key =
-  let (Packed ((module P), state)) = t.packed in
   t.accesses <- t.accesses + 1;
-  let w = weight_for t key in
-  t.bytes_accessed <- t.bytes_accessed + w.Policy.size;
-  if P.mem state key then begin
-    P.promote state key;
-    P.charge state key ~cost:w.Policy.cost;
+  (* [weight_for], spelled out: the compiler would call it *)
+  let w = match t.weight_of with None -> Policy.unit_weight | Some f -> f key in
+  t.bytes_accessed <- t.bytes_accessed + w.size;
+  let hit =
+    match t.engine with
+    | Lifted l -> Lift.hit l key ~cost:w.cost
+    | Native ((module P), state) -> P.hit state key ~cost:w.cost
+  in
+  if hit then begin
     t.hits <- t.hits + 1;
-    t.bytes_hit <- t.bytes_hit + w.Policy.size;
+    t.bytes_hit <- t.bytes_hit + w.size;
     true
   end
-  else begin
-    let evicted = raw_insert t ~pos:Policy.Hot ~weight:w key in
-    t.misses <- t.misses + 1;
-    t.cost_fetched <- t.cost_fetched + w.Policy.cost;
-    if P.mem state key then t.insertions <- t.insertions + 1;
-    t.evictions <- t.evictions + List.length evicted;
-    false
-  end
+  else miss t key w
 
 let insert_cold t key =
   if not (mem t key) then begin
     let w = weight_for t key in
-    let evicted = raw_insert t ~pos:Policy.Cold ~weight:w key in
-    if mem t key then begin
+    let evicted = admit t ~pos:Policy.Cold ~weight:w key in
+    if admits t w then begin
       t.insertions <- t.insertions + 1;
       t.speculative_insertions <- t.speculative_insertions + 1;
       t.cost_prefetched <- t.cost_prefetched + w.Policy.cost
     end;
-    t.evictions <- t.evictions + List.length evicted
+    t.evictions <- t.evictions + evicted
   end
 
 (* Is [x] among [a.(i) .. a.(n - 1)]? *)
@@ -183,7 +205,6 @@ let insert_cold_into t keys ~pos ~len admitted =
     invalid_arg "Cache.insert_cold_into: slice out of bounds";
   if len > Array.length admitted then
     invalid_arg "Cache.insert_cold_into: admitted buffer shorter than the slice";
-  let (Packed ((module P), state)) = t.packed in
   (* One pass admits the distinct, non-resident members while their
      cumulative size fits in [capacity - 1], so the block cannot fill the
      whole cache and displace the demanded file at the hot end. At unit
@@ -191,11 +212,11 @@ let insert_cold_into t keys ~pos ~len admitted =
      repeat of a skipped member stays out: the budget only shrinks.
      Groups are a handful of keys (g <= 10 in every experiment), so a
      linear scan of the admitted members beats a scratch table. *)
-  let budget = ref (P.capacity state - 1) in
+  let budget = ref (t.capacity - 1) in
   let n = ref 0 in
   for i = pos to pos + len - 1 do
     let k = keys.(i) in
-    if not (mem_prefix admitted !n k 0 || P.mem state k) then begin
+    if not (mem_prefix admitted !n k 0 || mem t k) then begin
       let s = (weight_for t k).Policy.size in
       if s <= !budget then begin
         budget := !budget - s;
@@ -205,24 +226,26 @@ let insert_cold_into t keys ~pos ~len admitted =
     end
   done;
   let n = !n in
-  let total = P.capacity state - 1 - !budget in
+  let total = t.capacity - 1 - !budget in
   (* Room for the whole block is made first, so members never evict one
      another — the semantics of a group arriving in one retrieval. *)
   let evicted = ref 0 in
   let room = ref true in
-  while !room && P.used state + total > P.capacity state do
-    let victim = P.evict state in
+  while !room && used t + total > t.capacity do
+    let victim = evict t in
     if victim < 0 then room := false
     else begin
       incr evicted;
-      notify_evict1 t victim
+      match t.on_evict with Some f -> f victim | None -> ()
     end
   done;
   for i = 0 to n - 1 do
     let k = admitted.(i) in
     let w = weight_for t k in
     t.cost_prefetched <- t.cost_prefetched + w.Policy.cost;
-    notify_evicted t (P.insert state ~pos:Policy.Cold ~weight:w k)
+    (* a member can still shed a resident (ARC under directory pressure);
+       the sink reports it, but only the room made above is counted *)
+    ignore (admit t ~pos:Policy.Cold ~weight:w k)
   done;
   t.insertions <- t.insertions + n;
   t.speculative_insertions <- t.speculative_insertions + n;
@@ -235,32 +258,47 @@ let insert_cold_group t keys =
   let n = insert_cold_into t keys ~pos:0 ~len:(Array.length keys) admitted in
   Array.to_list (Array.sub admitted 0 n)
 
+(* A resident key is repositioned hot: for a lifted core that is its hit;
+   a native policy's hit would also re-credit it, so it is promoted. *)
 let insert_hot t key =
-  let resident = mem t key in
-  let evicted = raw_insert t ~pos:Policy.Hot ~weight:(weight_for t key) key in
-  if not resident && mem t key then begin
-    t.insertions <- t.insertions + 1;
-    t.evictions <- t.evictions + List.length evicted
+  let resident =
+    match t.engine with
+    | Lifted l -> Lift.hit l key ~cost:1
+    | Native ((module P), state) ->
+        P.mem state key
+        && begin
+             P.promote state key;
+             true
+           end
+  in
+  if not resident then begin
+    let w = weight_for t key in
+    let evicted = admit t ~pos:Policy.Hot ~weight:w key in
+    if admits t w then begin
+      t.insertions <- t.insertions + 1;
+      t.evictions <- t.evictions + evicted
+    end
   end
 
 let remove t key =
-  let (Packed ((module P), state)) = t.packed in
-  P.remove state key
+  match t.engine with
+  | Lifted l -> Lift.remove l key
+  | Native ((module P), state) -> P.remove state key
+
+let contents t =
+  match t.engine with
+  | Lifted l -> Lift.contents l
+  | Native ((module P), state) -> P.contents state
 
 let depth t key =
-  let (Packed ((module P), state)) = t.packed in
-  if not (P.mem state key) then None
+  if not (mem t key) then None
   else
     let rec scan i = function
       | [] -> None
       | k :: _ when k = key -> Some i
       | _ :: rest -> scan (i + 1) rest
     in
-    scan 0 (P.contents state)
-
-let contents t =
-  let (Packed ((module P), state)) = t.packed in
-  P.contents state
+    scan 0 (contents t)
 
 let stats t =
   {
@@ -299,6 +337,7 @@ let reset_stats t =
   t.cost_prefetched <- 0
 
 let clear t =
-  let (Packed ((module P), state)) = t.packed in
-  P.clear state;
+  (match t.engine with
+  | Lifted l -> Lift.clear l
+  | Native ((module P), state) -> P.clear state);
   reset_stats t

@@ -1,6 +1,12 @@
 (** Statistics-keeping cache over any replacement policy, selectable at
     runtime. This is what the simulators and the experiment harness use.
 
+    The ten built-in kinds are unit-weight cores under the one weighted
+    lift ({!Lift}), which the cache calls directly; a natively weighted
+    policy enters through {!of_policy}. Either way each operation crosses
+    one indirect call — into the core, or into the policy — probes the
+    index once and builds no list.
+
     Weights: a cache optionally carries a [weight_of] function assigning
     each key a {!Policy.weight} (size and retrieval cost). Without it
     every key is {!Policy.unit_weight} and behaviour is byte-identical to
@@ -64,11 +70,12 @@ val mem : t -> int -> bool
 
 val access : t -> int -> bool
 (** [access t key] simulates a demand access: on a hit the key is
-    promoted, re-credited with its cost ({!Policy.S.charge}) and [true]
-    is returned; on a miss the key is inserted hot with its weight and
-    [false] is returned. Statistics are updated. A key whose size exceeds
-    the whole capacity is fetched ([cost_fetched] grows) but not
-    admitted. *)
+    promoted and re-credited with its cost ({!Policy.S.hit}) and [true]
+    is returned; on a miss the key is admitted hot with its weight
+    ({!Policy.S.admit}) and [false] is returned. Statistics are updated.
+    A key whose size exceeds the whole capacity is fetched
+    ([cost_fetched] grows) but not admitted. One index probe and one
+    policy call per outcome; nothing is allocated. *)
 
 val insert_cold : t -> int -> unit
 (** [insert_cold t key] inserts [key] at the cold (next-to-evict) end
@@ -93,9 +100,9 @@ val insert_cold_into : t -> int array -> pos:int -> len:int -> int array -> int
     caller owns: the members actually inserted are written, in order, to
     [admitted.(0) .. admitted.(n - 1)] and [n] is returned. Nothing else
     of [admitted] is read or written, so it may hold anything beforehand.
-    At unit weights, with no eviction observer, it allocates nothing
-    unless a member's insertion still evicts after room was made (ARC can
-    shed a resident under directory pressure).
+    It allocates nothing: room is made by forced evictions, and a victim
+    a member's insertion still causes (ARC can shed a resident under
+    directory pressure) goes to the eviction observer only.
     @raise Invalid_argument when the slice is out of bounds for [keys] or
     [admitted] is shorter than [len]. *)
 
@@ -115,7 +122,9 @@ val set_on_evict : t -> (int -> unit) -> unit
 (** [set_on_evict t f] calls [f victim] whenever an insertion or group
     admission physically evicts a resident key (not on {!remove} or
     {!clear}). One observer at a time; used by the instrumentation layer
-    to attribute evictions. Unset by default, at zero cost. *)
+    to attribute evictions. Unset by default, at zero cost. [f] becomes
+    the policy's sink ({!Policy.S.set_sink}), replacing any sink set on an
+    {!of_policy} state. *)
 
 val stats : t -> stats
 

@@ -14,12 +14,12 @@ module Core = struct
 
   let create ~capacity =
     if capacity <= 0 then invalid_arg "Fifo.create: capacity must be positive";
-    let arena = Dlist_arena.create ~capacity:(capacity + 2) () in
+    let arena = Dlist_arena.create ~capacity:(Policy.presize capacity + 2) () in
     {
       capacity;
       arena;
       order = Dlist_arena.new_list arena;
-      index = Int_table.create ~capacity:(2 * capacity) ();
+      index = Int_table.create ~capacity:(2 * Policy.presize capacity) ();
       size = 0;
     }
 
@@ -27,8 +27,19 @@ module Core = struct
   let size t = t.size
   let mem t key = Int_table.mem t.index key
 
-  (* FIFO ignores accesses by definition. *)
-  let promote _t _key = ()
+  (* FIFO ignores accesses by definition, and a [Hot] re-insert keeps
+     arrival order. *)
+  let hit t key = Int_table.mem t.index key
+
+  (* Only an explicit [Cold] reposition moves an entry to the front of the
+     eviction queue. *)
+  let demote t key =
+    let node = Int_table.get t.index key in
+    if node < 0 then false
+    else begin
+      Dlist_arena.move_to_back t.arena t.order node;
+      true
+    end
 
   let evict t =
     let victim = Dlist_arena.pop_back t.arena t.order in
@@ -38,34 +49,25 @@ module Core = struct
     end;
     victim
 
-  let insert t ~pos key =
-    let node = Int_table.get t.index key in
-    if node >= 0 then begin
-      (* Only an explicit [Cold] reposition moves an entry to the front of
-         the eviction queue; a [Hot] re-insert keeps arrival order. *)
-      (match pos with
-      | Policy.Hot -> ()
-      | Policy.Cold -> Dlist_arena.move_to_back t.arena t.order node);
-      -1
-    end
-    else begin
-      let victim = if t.size >= t.capacity then evict t else -1 in
-      let node =
-        match pos with
-        | Policy.Hot -> Dlist_arena.push_front t.arena t.order key
-        | Policy.Cold -> Dlist_arena.push_back t.arena t.order key
-      in
-      Int_table.set t.index key node;
-      t.size <- t.size + 1;
-      victim
-    end
+  let admit t ~pos key =
+    let victim = if t.size >= t.capacity then evict t else -1 in
+    let node =
+      match pos with
+      | Policy.Hot -> Dlist_arena.push_front t.arena t.order key
+      | Policy.Cold -> Dlist_arena.push_back t.arena t.order key
+    in
+    Int_table.set t.index key node;
+    t.size <- t.size + 1;
+    victim
 
   let remove t key =
     let node = Int_table.get t.index key in
-    if node >= 0 then begin
+    if node < 0 then false
+    else begin
       Dlist_arena.remove t.arena node;
       Int_table.remove t.index key;
-      t.size <- t.size - 1
+      t.size <- t.size - 1;
+      true
     end
 
   let contents t = Dlist_arena.to_list t.arena t.order
@@ -76,4 +78,9 @@ module Core = struct
     t.size <- 0
 end
 
-include Policy.Weighted_of_unit (Core)
+type t = Core.t Lift.t
+
+let policy_name = Core.policy_name
+let create ~capacity = Lift.make (module Core) (Core.create ~capacity)
+
+include (Lift : Lift.OPS with type 'c lifted := 'c Lift.t)

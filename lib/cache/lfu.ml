@@ -27,7 +27,7 @@ module Core = struct
 
   let create ~capacity =
     if capacity <= 0 then invalid_arg "Lfu.create: capacity must be positive";
-    let arena = A.create ~capacity:(capacity + 3) () in
+    let arena = A.create ~capacity:(Policy.presize capacity + 3) () in
     let items = A.new_list arena in
     let buckets = A.new_list arena in
     {
@@ -35,7 +35,7 @@ module Core = struct
       arena;
       items;
       buckets;
-      index = Int_table.create ~capacity:(2 * capacity) ();
+      index = Int_table.create ~capacity:(2 * Policy.presize capacity) ();
       bucket = Array.make (A.slots arena) A.nil;
       tail = Array.make (A.slots arena) A.nil;
       size = 0;
@@ -119,9 +119,22 @@ module Core = struct
       enter t x z
     end
 
-  let promote t key =
+  let hit t key =
     let x = Int_table.get t.index key in
-    if x >= 0 then bump t x
+    if x < 0 then false
+    else begin
+      bump t x;
+      true
+    end
+
+  (* A cold reposition demotes to frequency zero. *)
+  let demote t key =
+    let x = Int_table.get t.index key in
+    if x < 0 then false
+    else begin
+      reset t x;
+      true
+    end
 
   let drop t x =
     leave t x;
@@ -154,23 +167,18 @@ module Core = struct
     Int_table.set t.index key x;
     t.size <- t.size + 1
 
-  let insert t ~pos key =
-    let x = Int_table.get t.index key in
-    if x >= 0 then begin
-      (* Repositioning a resident key: [Cold] demotes it to frequency
-         zero, [Hot] counts as an access. *)
-      (match pos with Policy.Hot -> bump t x | Policy.Cold -> reset t x);
-      -1
-    end
-    else begin
-      let victim = if t.size >= t.capacity then evict t else -1 in
-      add t key (match pos with Policy.Hot -> 1 | Policy.Cold -> 0);
-      victim
-    end
+  let admit t ~pos key =
+    let victim = if t.size >= t.capacity then evict t else -1 in
+    add t key (match pos with Policy.Hot -> 1 | Policy.Cold -> 0);
+    victim
 
   let remove t key =
     let x = Int_table.get t.index key in
-    if x >= 0 then drop t x
+    if x < 0 then false
+    else begin
+      drop t x;
+      true
+    end
 
   (* Descending (count, tick): [items] read back to front. *)
   let contents t = List.rev (A.to_list t.arena t.items)
@@ -186,6 +194,11 @@ module Core = struct
     if x < 0 then None else Some (count t t.bucket.(x))
 end
 
-include Policy.Weighted_of_unit (Core)
+type t = Core.t Lift.t
 
-let frequency t key = Core.frequency (core t) key
+let policy_name = Core.policy_name
+let create ~capacity = Lift.make (module Core) (Core.create ~capacity)
+
+include (Lift : Lift.OPS with type 'c lifted := 'c Lift.t)
+
+let frequency t key = Core.frequency (Lift.core t) key

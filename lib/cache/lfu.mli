@@ -5,7 +5,10 @@
     sit in frequency-ordered buckets on one {!Agg_util.Dlist_arena}
     (Shah, Mitra & Matani, 2010). *)
 
-include Policy.S
+module Core : Policy.UNIT
+(** The unit-weight policy. *)
+
+include Policy.S with type t = Core.t Lift.t
 
 val frequency : t -> int -> int option
 (** [frequency t key] is the current in-cache access count of [key]. *)

@@ -19,38 +19,40 @@ module Core = struct
     mutable expire : int array; (* demote when current time passes this *)
     (* ghost buffer: reference counts of recently evicted keys, FIFO *)
     ghost : Int_table.t; (* key -> remembered count *)
-    ghost_ring : int array;
-    mutable ghost_head : int;
-    mutable ghost_len : int;
+    ghost_order : Int_fifo.t;
     mutable size : int;
     mutable time : int;
   }
 
   let policy_name = "mq"
 
+  (* [factor * capacity], saturating at [max_int / 2] so that a capacity
+     near [max_int] neither wraps nor overflows [time + lifetime]. *)
+  let scaled factor capacity =
+    if factor > 0 && capacity > max_int / 2 / factor then max_int / 2 else factor * capacity
+
   let create_tuned ~capacity ~queues ~lifetime ~ghost_factor =
     if capacity <= 0 then invalid_arg "Mq.create: capacity must be positive";
     if queues <= 0 then invalid_arg "Mq.create: queues must be positive";
-    let arena = Dlist_arena.create ~capacity:(capacity + queues + 2) () in
-    let ghost_capacity = ghost_factor * capacity in
+    let slots = Policy.presize capacity + queues + 2 in
+    let arena = Dlist_arena.create ~capacity:slots () in
     {
       capacity;
       lifetime;
       arena;
       queues = Array.init queues (fun _ -> Dlist_arena.new_list arena);
-      index = Int_table.create ~capacity:(2 * capacity) ();
-      count = Array.make (capacity + queues + 2) 0;
-      queue = Array.make (capacity + queues + 2) 0;
-      expire = Array.make (capacity + queues + 2) 0;
-      ghost = Int_table.create ~capacity:(2 * capacity) ();
-      ghost_ring = Array.make (ghost_capacity + 1) 0;
-      ghost_head = 0;
-      ghost_len = 0;
+      index = Int_table.create ~capacity:(2 * Policy.presize capacity) ();
+      count = Array.make slots 0;
+      queue = Array.make slots 0;
+      expire = Array.make slots 0;
+      ghost = Int_table.create ~capacity:(2 * Policy.presize capacity) ();
+      ghost_order = Int_fifo.create ~bound:(scaled ghost_factor capacity);
       size = 0;
       time = 0;
     }
 
-  let create ~capacity = create_tuned ~capacity ~queues:8 ~lifetime:(4 * capacity) ~ghost_factor:4
+  let create ~capacity =
+    create_tuned ~capacity ~queues:8 ~lifetime:(scaled 4 capacity) ~ghost_factor:4
 
   let capacity t = t.capacity
   let size t = t.size
@@ -101,26 +103,35 @@ module Core = struct
 
   let ghost_remember t key count =
     if not (Int_table.mem t.ghost key) then begin
-      let slot = (t.ghost_head + t.ghost_len) mod Array.length t.ghost_ring in
-      t.ghost_ring.(slot) <- key;
-      t.ghost_len <- t.ghost_len + 1;
-      if t.ghost_len > Array.length t.ghost_ring - 1 then begin
-        let victim = t.ghost_ring.(t.ghost_head) in
-        t.ghost_head <- (t.ghost_head + 1) mod Array.length t.ghost_ring;
-        t.ghost_len <- t.ghost_len - 1;
-        Int_table.remove t.ghost victim
-      end
+      let oldest = Int_fifo.push t.ghost_order key in
+      if oldest >= 0 then Int_table.remove t.ghost oldest
     end;
     Int_table.set t.ghost key count
 
-  let promote t key =
+  let bump t node =
+    tick t;
+    t.count.(node) <- t.count.(node) + 1;
+    t.queue.(node) <- queue_for t t.count.(node);
+    t.expire.(node) <- t.time + t.lifetime;
+    Dlist_arena.move_to_front t.arena t.queues.(t.queue.(node)) node
+
+  let hit t key =
     let node = Int_table.get t.index key in
-    if node >= 0 then begin
-      tick t;
-      t.count.(node) <- t.count.(node) + 1;
-      t.queue.(node) <- queue_for t t.count.(node);
-      t.expire.(node) <- t.time + t.lifetime;
-      Dlist_arena.move_to_front t.arena t.queues.(t.queue.(node)) node
+    if node < 0 then false
+    else begin
+      bump t node;
+      true
+    end
+
+  (* demote to the cold end of the bottom queue *)
+  let demote t key =
+    let node = Int_table.get t.index key in
+    if node < 0 then false
+    else begin
+      t.queue.(node) <- 0;
+      t.count.(node) <- 0;
+      Dlist_arena.move_to_back t.arena t.queues.(0) node;
+      true
     end
 
   (* victim: LRU end of the lowest non-empty queue from [q] up *)
@@ -141,44 +152,33 @@ module Core = struct
 
   let evict t = evict_from t 0
 
-  let insert t ~pos key =
-    let node = Int_table.get t.index key in
-    if node >= 0 then begin
-      (match pos with
-      | Policy.Hot -> promote t key
-      | Policy.Cold ->
-          (* demote to the cold end of the bottom queue *)
-          t.queue.(node) <- 0;
-          t.count.(node) <- 0;
-          Dlist_arena.move_to_back t.arena t.queues.(0) node);
-      -1
-    end
-    else begin
-      tick t;
-      let victim = if t.size >= t.capacity then evict t else -1 in
-      let count = match pos with Policy.Hot -> ghost_count t key + 1 | Policy.Cold -> 0 in
-      let queue = queue_for t count in
-      let dst = t.queues.(queue) in
-      let node =
-        match pos with
-        | Policy.Hot -> Dlist_arena.push_front t.arena dst key
-        | Policy.Cold -> Dlist_arena.push_back t.arena dst key
-      in
-      ensure_node t node;
-      t.count.(node) <- count;
-      t.queue.(node) <- queue;
-      t.expire.(node) <- t.time + t.lifetime;
-      Int_table.set t.index key node;
-      t.size <- t.size + 1;
-      victim
-    end
+  let admit t ~pos key =
+    tick t;
+    let victim = if t.size >= t.capacity then evict t else -1 in
+    let count = match pos with Policy.Hot -> ghost_count t key + 1 | Policy.Cold -> 0 in
+    let queue = queue_for t count in
+    let dst = t.queues.(queue) in
+    let node =
+      match pos with
+      | Policy.Hot -> Dlist_arena.push_front t.arena dst key
+      | Policy.Cold -> Dlist_arena.push_back t.arena dst key
+    in
+    ensure_node t node;
+    t.count.(node) <- count;
+    t.queue.(node) <- queue;
+    t.expire.(node) <- t.time + t.lifetime;
+    Int_table.set t.index key node;
+    t.size <- t.size + 1;
+    victim
 
   let remove t key =
     let node = Int_table.get t.index key in
-    if node >= 0 then begin
+    if node < 0 then false
+    else begin
       Dlist_arena.remove t.arena node;
       Int_table.remove t.index key;
-      t.size <- t.size - 1
+      t.size <- t.size - 1;
+      true
     end
 
   let contents t =
@@ -191,8 +191,7 @@ module Core = struct
     Array.iter (fun q -> Dlist_arena.clear_list t.arena q) t.queues;
     Int_table.clear t.index;
     Int_table.clear t.ghost;
-    t.ghost_head <- 0;
-    t.ghost_len <- 0;
+    Int_fifo.clear t.ghost_order;
     t.size <- 0;
     t.time <- 0
 
@@ -201,9 +200,14 @@ module Core = struct
     if node < 0 then None else Some t.queue.(node)
 end
 
-include Policy.Weighted_of_unit (Core)
+type t = Core.t Lift.t
+
+let policy_name = Core.policy_name
+let create ~capacity = Lift.make (module Core) (Core.create ~capacity)
 
 let create_tuned ~capacity ~queues ~lifetime ~ghost_factor =
-  of_core (Core.create_tuned ~capacity ~queues ~lifetime ~ghost_factor)
+  Lift.make (module Core) (Core.create_tuned ~capacity ~queues ~lifetime ~ghost_factor)
 
-let queue_of t key = Core.queue_of (core t) key
+include (Lift : Lift.OPS with type 'c lifted := 'c Lift.t)
+
+let queue_of t key = Core.queue_of (Lift.core t) key

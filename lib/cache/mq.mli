@@ -10,7 +10,10 @@
     the reference counts of recently evicted blocks, so a block that
     returns soon regains its old frequency standing. *)
 
-include Policy.S
+module Core : Policy.UNIT
+(** The unit-weight policy. *)
+
+include Policy.S with type t = Core.t Lift.t
 
 val create_tuned : capacity:int -> queues:int -> lifetime:int -> ghost_factor:int -> t
 (** [create_tuned] exposes MQ's parameters; {!create} uses the paper's

@@ -2,4 +2,7 @@
     Pathological for temporal locality but strong on cyclic scans; kept as
     a contrast baseline. *)
 
-include Policy.S
+module Core : Policy.UNIT
+(** The unit-weight policy. *)
+
+include Policy.S with type t = Core.t Lift.t

@@ -8,14 +8,19 @@
     {!Cache}. The interface is deliberately finer-grained than [access]:
     the aggregating cache inserts speculative group members at the cold
     end of the recency order without recording an access, which requires
-    separate [promote] and [insert] operations.
+    separate [hit] and [admit] operations.
 
     Every key carries a {!weight} — a [size] (how much capacity it
     occupies) and a retrieval [cost] (what fetching it again would cost).
-    The classical unit-weight policies implement the same signature via
-    {!Weighted_of_unit}; at [size = cost = 1] their behaviour is
-    observably identical to the historical unweighted interface
-    (exactly one victim per full insert, [used = size]). *)
+    The classical unit-weight policies implement {!UNIT} and reach the
+    weighted surface through the one lift, {!Lift}; at [size = cost = 1]
+    their behaviour is observably identical to the historical unweighted
+    interface (at most one victim per full insert, [used = size]).
+
+    No operation builds a list on the access path: an insert returns how
+    many residents it evicted and hands each victim to the policy's
+    {e sink} ({!S.set_sink}), so a caller that only counts evictions pays
+    for nothing else. *)
 
 type insert_position =
   | Hot  (** the position a freshly demanded item gets (MRU head for LRU) *)
@@ -35,6 +40,16 @@ val is_unit : weight -> bool
 val check_weight : who:string -> weight -> unit
 (** @raise Invalid_argument when either component is non-positive,
     prefixed with [who]. *)
+
+val drop_victim : int -> unit
+(** The default sink: ignores the victim. *)
+
+val presize : int -> int
+(** [presize capacity] is the number of entries a policy allocates up
+    front for [capacity]: [capacity] itself up to 65536, and 65536 above
+    that. Every policy grows its arrays by doubling as residents arrive,
+    so memory follows the residents, and a capacity near [max_int] costs
+    no more than a small one until it fills. *)
 
 module type S = sig
   type t
@@ -59,19 +74,38 @@ module type S = sig
 
   val mem : t -> int -> bool
 
+  val hit : t -> int -> cost:int -> bool
+  (** [hit t key ~cost] is the demand-hit entry point. When [key] is
+      resident it records the access and re-credits the key with [cost],
+      exactly as {!promote} then {!charge} would, and returns [true];
+      otherwise it changes nothing and returns [false]. It probes the
+      index once, and a rent-based policy re-keys its heap once. *)
+
   val promote : t -> int -> unit
   (** [promote t key] records an access to a resident [key] (e.g. moves it
       to the MRU position, bumps its frequency). No-op when absent. *)
 
-  val insert : t -> pos:insert_position -> weight:weight -> int -> int list
+  val insert : t -> pos:insert_position -> weight:weight -> int -> int
   (** [insert t ~pos ~weight key] makes [key] resident, evicting as many
-      victims as needed to fit [weight.size], and returns them in
-      eviction order. Inserting a resident key only repositions it (never
-      evicts, never changes its recorded weight) and returns [[]]. A key
-      with [weight.size > capacity t] is {e not} admitted: nothing is
-      evicted and [[]] is returned (the oversize-bypass rule, as in
-      Landlord).
+      victims as needed to fit [weight.size]. It returns the number of
+      victims and hands each one, in eviction order, to the sink.
+      Inserting a resident key only repositions it (never evicts, never
+      changes its recorded weight) and returns [0]. A key with
+      [weight.size > capacity t] is {e not} admitted: nothing is evicted
+      and [0] is returned (the oversize-bypass rule, as in Landlord).
       @raise Invalid_argument when [weight] has a non-positive component. *)
+
+  val admit : t -> pos:insert_position -> weight:weight -> int -> int
+  (** [admit] is {!insert} for a key the caller knows is not resident —
+      the miss path after {!hit} or {!mem} answered [false] — so it skips
+      the residency probe. Its result for a resident key is unspecified.
+      @raise Invalid_argument when [weight] has a non-positive component. *)
+
+  val set_sink : t -> (int -> unit) -> unit
+  (** [set_sink t f] makes [f] receive every victim that {!insert} and
+      {!admit} evict, in eviction order; it replaces the previous sink.
+      {!evict}, {!remove} and {!clear} do not call it. The default sink
+      is {!drop_victim}. *)
 
   val charge : t -> int -> cost:int -> unit
   (** [charge t key ~cost] re-credits a resident [key] after a demand hit
@@ -95,8 +129,8 @@ module type S = sig
   val clear : t -> unit
 end
 
-(** The historical unit-weight policy surface — what the ten classical
-    policies implement natively. *)
+(** The unit-weight policy surface — what the ten classical policies
+    implement natively. Each operation probes the policy's index once. *)
 module type UNIT = sig
   type t
 
@@ -105,35 +139,29 @@ module type UNIT = sig
   val capacity : t -> int
   val size : t -> int
   val mem : t -> int -> bool
-  val promote : t -> int -> unit
 
-  val insert : t -> pos:insert_position -> int -> int
-  (** Evicts at most one (unit-size) victim, chosen by the policy's own
-      full-cache insert path, and returns it; [-1] when nothing was
-      evicted. *)
+  val hit : t -> int -> bool
+  (** [hit t key] records an access to a resident [key] — the reposition a
+      [Hot] insert of a resident key makes — and returns [true]; [false]
+      when [key] is absent. *)
+
+  val demote : t -> int -> bool
+  (** [demote t key] repositions a resident [key] as a [Cold] insert of a
+      resident key does and returns [true]; [false] when absent. *)
+
+  val admit : t -> pos:insert_position -> int -> int
+  (** [admit t ~pos key] makes a non-resident [key] resident at [pos],
+      evicting at most one victim chosen by the policy's own full-cache
+      path, and returns it; [-1] when nothing was evicted. Unspecified for
+      a resident key. *)
 
   val evict : t -> int
   (** As {!S.evict}: the victim, or [-1] when empty. *)
 
-  val remove : t -> int -> unit
+  val remove : t -> int -> bool
+  (** Drops [key] if resident and returns whether it was; a policy with
+      ghost records may also forget one for [key] (ARC does). *)
+
   val contents : t -> int list
   val clear : t -> unit
-end
-
-(** [Weighted_of_unit (Core)] lifts a unit-weight policy to the weighted
-    interface. Sizes are tracked beside the core; while every resident is
-    unit-size, [insert] delegates to the core's native insert (identical
-    victims, access for access, to the unweighted policy). Once non-unit
-    sizes are resident, room is made by repeated [Core.evict] until
-    [used + size <= capacity]. [charge] is a no-op. *)
-module Weighted_of_unit (Core : UNIT) : sig
-  include S
-
-  val core : t -> Core.t
-  (** The wrapped unit policy — for policy-specific probes
-      ([Mq.queue_of], [Arc.target], …). *)
-
-  val of_core : Core.t -> t
-  (** Wraps an already-built core (for tuned/seeded constructors). The
-      core's current residents are assumed unit-size. *)
 end

@@ -15,7 +15,7 @@ module Core = struct
     {
       capacity;
       keys = Vec.create ();
-      index = Int_table.create ~capacity:(2 * capacity) ();
+      index = Int_table.create ~capacity:(2 * Policy.presize capacity) ();
       prng = Prng.create ~seed ();
     }
 
@@ -24,7 +24,10 @@ module Core = struct
   let capacity t = t.capacity
   let size t = Vec.length t.keys
   let mem t key = Int_table.mem t.index key
-  let promote _t _key = ()
+
+  (* Accesses and repositions change nothing. *)
+  let hit = mem
+  let demote = mem
 
   (* Swap-remove keeps the key array dense. *)
   let remove_at t i =
@@ -39,19 +42,19 @@ module Core = struct
 
   let evict t = if size t = 0 then -1 else remove_at t (Prng.int t.prng (size t))
 
-  let insert t ~pos key =
-    ignore pos;
-    if Int_table.mem t.index key then -1
-    else begin
-      let victim = if size t >= t.capacity then remove_at t (Prng.int t.prng (size t)) else -1 in
-      Int_table.set t.index key (Vec.length t.keys);
-      Vec.push t.keys key;
-      victim
-    end
+  let admit t ~pos:_ key =
+    let victim = if size t >= t.capacity then remove_at t (Prng.int t.prng (size t)) else -1 in
+    Int_table.set t.index key (Vec.length t.keys);
+    Vec.push t.keys key;
+    victim
 
   let remove t key =
     let i = Int_table.get t.index key in
-    if i >= 0 then ignore (remove_at t i)
+    if i < 0 then false
+    else begin
+      ignore (remove_at t i);
+      true
+    end
 
   let contents t = Vec.to_list t.keys
 
@@ -60,6 +63,10 @@ module Core = struct
     Int_table.clear t.index
 end
 
-include Policy.Weighted_of_unit (Core)
+type t = Core.t Lift.t
 
-let create_seeded ~capacity ~seed = of_core (Core.create_seeded ~capacity ~seed)
+let policy_name = Core.policy_name
+let create ~capacity = Lift.make (module Core) (Core.create ~capacity)
+let create_seeded ~capacity ~seed = Lift.make (module Core) (Core.create_seeded ~capacity ~seed)
+
+include (Lift : Lift.OPS with type 'c lifted := 'c Lift.t)

@@ -22,14 +22,15 @@ module Core = struct
 
   let create ~capacity =
     if capacity <= 0 then invalid_arg "Slru.create: capacity must be positive";
-    let arena = Dlist_arena.create ~capacity:(capacity + 4) () in
+    let arena = Dlist_arena.create ~capacity:(Policy.presize capacity + 4) () in
     {
       capacity;
-      protected_capacity = Int.max 1 (2 * capacity / 3);
+      (* 2 * capacity / 3, without overflowing near max_int *)
+      protected_capacity = Int.max 1 ((2 * (capacity / 3)) + (2 * (capacity mod 3) / 3));
       arena;
       probationary = Dlist_arena.new_list arena;
       protected_ = Dlist_arena.new_list arena;
-      index = Int_table.create ~capacity:(2 * capacity) ();
+      index = Int_table.create ~capacity:(2 * Policy.presize capacity) ();
       protected_len = 0;
     }
 
@@ -49,9 +50,10 @@ module Core = struct
       set_segment t key node probationary_bit
     end
 
-  let promote t key =
+  let hit t key =
     let packed = Int_table.get t.index key in
-    if packed >= 0 then begin
+    if packed < 0 then false
+    else begin
       let node = packed lsr 1 in
       if packed land 1 = protected_bit then Dlist_arena.move_to_front t.arena t.protected_ node
       else begin
@@ -59,7 +61,22 @@ module Core = struct
         t.protected_len <- t.protected_len + 1;
         set_segment t key node protected_bit;
         if t.protected_len > t.protected_capacity then demote_one t
-      end
+      end;
+      true
+    end
+
+  (* demote to the probationary cold end *)
+  let demote t key =
+    let packed = Int_table.get t.index key in
+    if packed < 0 then false
+    else begin
+      let node = packed lsr 1 in
+      Dlist_arena.move_to_back t.arena t.probationary node;
+      if packed land 1 = protected_bit then begin
+        t.protected_len <- t.protected_len - 1;
+        set_segment t key node probationary_bit
+      end;
+      true
     end
 
   let evict t =
@@ -77,38 +94,24 @@ module Core = struct
       victim
     end
 
-  let insert t ~pos key =
-    let packed = Int_table.get t.index key in
-    if packed >= 0 then begin
-      (match pos with
-      | Policy.Hot -> promote t key
-      | Policy.Cold ->
-          (* demote to the probationary cold end *)
-          let node = packed lsr 1 in
-          Dlist_arena.move_to_back t.arena t.probationary node;
-          if packed land 1 = protected_bit then begin
-            t.protected_len <- t.protected_len - 1;
-            set_segment t key node probationary_bit
-          end);
-      -1
-    end
-    else begin
-      let victim = if size t >= t.capacity then evict t else -1 in
-      let node =
-        match pos with
-        | Policy.Hot -> Dlist_arena.push_front t.arena t.probationary key
-        | Policy.Cold -> Dlist_arena.push_back t.arena t.probationary key
-      in
-      set_segment t key node probationary_bit;
-      victim
-    end
+  let admit t ~pos key =
+    let victim = if size t >= t.capacity then evict t else -1 in
+    let node =
+      match pos with
+      | Policy.Hot -> Dlist_arena.push_front t.arena t.probationary key
+      | Policy.Cold -> Dlist_arena.push_back t.arena t.probationary key
+    in
+    set_segment t key node probationary_bit;
+    victim
 
   let remove t key =
     let packed = Int_table.get t.index key in
-    if packed >= 0 then begin
+    if packed < 0 then false
+    else begin
       Dlist_arena.remove t.arena (packed lsr 1);
       if packed land 1 = protected_bit then t.protected_len <- t.protected_len - 1;
-      Int_table.remove t.index key
+      Int_table.remove t.index key;
+      true
     end
 
   let contents t =
@@ -125,6 +128,11 @@ module Core = struct
     packed >= 0 && packed land 1 = protected_bit
 end
 
-include Policy.Weighted_of_unit (Core)
+type t = Core.t Lift.t
 
-let protected_resident t key = Core.protected_resident (core t) key
+let policy_name = Core.policy_name
+let create ~capacity = Lift.make (module Core) (Core.create ~capacity)
+
+include (Lift : Lift.OPS with type 'c lifted := 'c Lift.t)
+
+let protected_resident t key = Core.protected_resident (Lift.core t) key

@@ -4,7 +4,10 @@
     probationary LRU end first, so scan traffic cannot flush the
     protected working set. The protected segment is 2/3 of capacity. *)
 
-include Policy.S
+module Core : Policy.UNIT
+(** The unit-weight policy. *)
+
+include Policy.S with type t = Core.t Lift.t
 
 val protected_resident : t -> int -> bool
 (** Whether a resident key currently sits in the protected segment. *)

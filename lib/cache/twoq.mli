@@ -5,7 +5,10 @@
     paper's tuning: A1in = 25 % of capacity, A1out = 50 % of capacity
     (ghost entries hold no data). *)
 
-include Policy.S
+module Core : Policy.UNIT
+(** The unit-weight policy. *)
+
+include Policy.S with type t = Core.t Lift.t
 
 val in_main : t -> int -> bool
 (** Whether a resident key has been promoted to the main (Am) queue. *)

@@ -10,6 +10,7 @@ module Generator = Agg_workload.Generator
 
 type op =
   | Insert of Policy.insert_position * Policy.weight * int
+  | Hit of int * int
   | Promote of int
   | Charge of int * int
   | Evict
@@ -22,6 +23,7 @@ let op_to_string = function
   | Insert (pos, w, k) when Policy.is_unit w -> Printf.sprintf "insert %s %d" (pos_name pos) k
   | Insert (pos, w, k) ->
       Printf.sprintf "insert %s %d s%dc%d" (pos_name pos) k w.Policy.size w.Policy.cost
+  | Hit (k, cost) -> Printf.sprintf "hit %d c%d" k cost
   | Promote k -> Printf.sprintf "promote %d" k
   | Charge (k, cost) -> Printf.sprintf "charge %d c%d" k cost
   | Evict -> "evict"
@@ -37,7 +39,8 @@ let gen_ops prng ~universe ~count =
       match Prng.int prng 16 with
       | 0 | 1 | 2 | 3 | 4 -> Insert (Policy.Hot, Policy.unit_weight, key ())
       | 5 | 6 | 7 -> Insert (Policy.Cold, Policy.unit_weight, key ())
-      | 8 | 9 | 10 -> Promote (key ())
+      | 8 | 9 -> Promote (key ())
+      | 10 -> Hit (key (), 1)
       | 11 | 12 -> Evict
       | 13 | 14 -> Mem (key ())
       | _ -> Clear)
@@ -54,7 +57,8 @@ let gen_weighted_ops prng ~universe ~max_size ~max_cost ~count =
       match Prng.int prng 16 with
       | 0 | 1 | 2 | 3 | 4 -> Insert (Policy.Hot, weight (), key ())
       | 5 | 6 -> Insert (Policy.Cold, weight (), key ())
-      | 7 | 8 | 9 -> Promote (key ())
+      | 7 | 8 -> Promote (key ())
+      | 9 -> Hit (key (), 1 + Prng.int prng max_cost)
       | 10 | 11 -> Charge (key (), 1 + Prng.int prng max_cost)
       | 12 -> Evict
       | 13 | 14 -> Mem (key ())
@@ -66,10 +70,12 @@ type divergence = { step : int; detail : string }
 
    A driver is the Policy.S surface reified as closures, so the same
    runner compares any optimized implementation — or a seeded mutant —
-   against the model. *)
+   against the model. An insert reports its victim count and the victims
+   its sink received, in order. *)
 
 type driver = {
-  d_insert : Policy.insert_position -> Policy.weight -> int -> int list;
+  d_insert : Policy.insert_position -> Policy.weight -> int -> int * int list;
+  d_hit : int -> int -> bool;
   d_promote : int -> unit;
   d_charge : int -> int -> unit;
   d_evict : unit -> int;
@@ -93,10 +99,18 @@ let module_of_kind : Cache.kind -> (module Policy.S) = function
   | Cache.Arc -> (module Agg_cache.Arc)
 
 (* Any Policy.S implementation reified as a driver — optimized policies,
-   weighted baselines and the list-based reference modules all qualify. *)
+   weighted baselines and the list-based reference modules all qualify.
+   The driver owns the state's sink. *)
 let driver_of (type a) (module P : Policy.S with type t = a) (state : a) =
+  let sunk = ref [] in
+  P.set_sink state (fun v -> sunk := v :: !sunk);
   {
-    d_insert = (fun pos w k -> P.insert state ~pos ~weight:w k);
+    d_insert =
+      (fun pos w k ->
+        sunk := [];
+        let n = P.insert state ~pos ~weight:w k in
+        (n, List.rev !sunk));
+    d_hit = (fun k cost -> P.hit state k ~cost);
     d_promote = (fun k -> P.promote state k);
     d_charge = (fun k cost -> P.charge state k ~cost);
     d_evict = (fun () -> P.evict state);
@@ -111,9 +125,22 @@ let policy_driver kind ~capacity =
   let (module P : Policy.S) = module_of_kind kind in
   driver_of (module P) (P.create ~capacity)
 
+(* The model's fused hit is spelled out: [mem], then [promote] and
+   [charge] on a resident key. *)
 let model_driver model =
   {
-    d_insert = (fun pos w k -> Model_cache.insert model ~pos ~weight:w k);
+    d_insert =
+      (fun pos w k ->
+        let victims = Model_cache.insert model ~pos ~weight:w k in
+        (List.length victims, victims));
+    d_hit =
+      (fun k cost ->
+        Model_cache.mem model k
+        && begin
+             Model_cache.promote model k;
+             Model_cache.charge model k ~cost;
+             true
+           end);
     d_promote = (fun k -> Model_cache.promote model k);
     d_charge = (fun k cost -> Model_cache.charge model k ~cost);
     d_evict = (fun () -> Model_cache.evict model);
@@ -149,6 +176,13 @@ let mutant_lru_driver ~capacity =
   {
     base with
     d_promote = (fun k -> if base.d_mem k then ignore (base.d_insert Policy.Cold Policy.unit_weight k));
+    d_hit =
+      (fun k _ ->
+        base.d_mem k
+        && begin
+             ignore (base.d_insert Policy.Cold Policy.unit_weight k);
+             true
+           end);
   }
 
 let str_opt = function None -> "None" | Some k -> Printf.sprintf "Some %d" k
@@ -192,8 +226,16 @@ let run_pair ~capacity subject reference ops =
     in
     match op with
     | Insert (pos, w, k) ->
-        let vs = subject.d_insert pos w k and vm = reference.d_insert pos w k in
-        if vs <> vm then mismatch "victims" (str_list vs) (str_list vm) else check_state step op
+        let ns, vs = subject.d_insert pos w k and nm, vm = reference.d_insert pos w k in
+        if ns <> List.length vs then
+          mismatch "victim count vs victims sunk" (string_of_int ns) (str_list vs)
+        else if vs <> vm then mismatch "victims" (str_list vs) (str_list vm)
+        else if ns <> nm then mismatch "victim count" (string_of_int ns) (string_of_int nm)
+        else check_state step op
+    | Hit (k, cost) ->
+        let rs = subject.d_hit k cost and rm = reference.d_hit k cost in
+        if rs <> rm then mismatch "hit" (string_of_bool rs) (string_of_bool rm)
+        else check_state step op
     | Promote k ->
         subject.d_promote k;
         reference.d_promote k;
@@ -311,7 +353,7 @@ let fuzz_policy ~seed ~ops kind =
     ~run:(fun ~capacity candidate -> diff_ops kind ~capacity candidate)
     ~seed ~ops ()
 
-(* The same ten policies under mixed weights: the Weighted_of_unit layer
+(* The same ten policies under mixed weights: the weighted lift
    vs the model's restatement of it. *)
 let fuzz_policy_weighted ~seed ~ops kind =
   let label = Cache.kind_name kind in
@@ -322,6 +364,13 @@ let fuzz_policy_weighted ~seed ~ops kind =
 let fuzz_weighted_policy ~seed ~ops wp =
   let label = weighted_policy_name wp in
   fuzz_driver ~name:("wops." ^ label) ~label ~weighted:true
+    ~run:(fun ~capacity candidate -> diff_weighted_ops wp ~capacity candidate)
+    ~seed ~ops ()
+
+(* The weighted baselines at unit weights, where they reduce to LRU. *)
+let fuzz_weighted_policy_unit ~seed ~ops wp =
+  let label = weighted_policy_name wp in
+  fuzz_driver ~name:("ops." ^ label) ~label ~weighted:false
     ~run:(fun ~capacity candidate -> diff_weighted_ops wp ~capacity candidate)
     ~seed ~ops ()
 
@@ -354,6 +403,7 @@ let landlord_witness ~seed ~ops =
 let fuzz_all ~seed ~ops =
   List.map (fuzz_policy ~seed ~ops) Cache.all_kinds
   @ List.map (fuzz_policy_weighted ~seed ~ops) Cache.all_kinds
+  @ List.map (fuzz_weighted_policy_unit ~seed ~ops) all_weighted_policies
   @ List.map (fuzz_weighted_policy ~seed ~ops) all_weighted_policies
   @ [ landlord_witness ~seed ~ops ]
 
@@ -383,19 +433,13 @@ let lru_equivalence ~capacity files wp =
   Array.iteri
     (fun i file ->
       if !divergence = None then begin
-        let hs = subject.d_mem file and hl = lru.d_mem file in
+        let hs = subject.d_hit file 1 and hl = lru.d_hit file 1 in
         if hs <> hl then
           divergence :=
             Some (Printf.sprintf "event %d (file %d): resident %b vs lru %b" i file hs hl)
-        else if hs then begin
-          subject.d_promote file;
-          subject.d_charge file 1;
-          lru.d_promote file;
-          lru.d_charge file 1
-        end
-        else begin
-          let vs = subject.d_insert Policy.Hot Policy.unit_weight file in
-          let vl = lru.d_insert Policy.Hot Policy.unit_weight file in
+        else if not hs then begin
+          let _, vs = subject.d_insert Policy.Hot Policy.unit_weight file in
+          let _, vl = lru.d_insert Policy.Hot Policy.unit_weight file in
           if vs <> vl then
             divergence :=
               Some

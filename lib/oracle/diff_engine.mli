@@ -3,9 +3,9 @@
     models in lockstep and reports the first divergence.
 
     Two generators feed it: random operation sequences over the full
-    {!Agg_cache.Policy.S} surface ([insert ~pos], [promote], [evict],
-    [mem], [clear]) with greedy shrinking to a minimal reproducing op
-    list, and calibrated-workload traces from every
+    {!Agg_cache.Policy.S} surface ([insert ~pos], the fused [hit],
+    [promote], [charge], [evict], [mem], [clear]) with greedy shrinking
+    to a minimal reproducing op list, and calibrated-workload traces from every
     {!Agg_workload.Profile} replayed end-to-end. Cross-cutting paper
     invariants (metrics conservation, Belady optimality, group size 1 ≡
     plain LRU) are checked on the same traces. All generation is driven
@@ -14,6 +14,9 @@
 
 type op =
   | Insert of Agg_cache.Policy.insert_position * Agg_cache.Policy.weight * int
+  | Hit of int * int
+      (** key, cost — the fused demand hit, checked against the model's
+          [mem], then [promote] and [charge] *)
   | Promote of int
   | Charge of int * int  (** key, cost — the demand-hit re-credit hook *)
   | Evict
@@ -32,7 +35,8 @@ val gen_ops : Agg_util.Prng.t -> universe:int -> count:int -> op list
 val gen_weighted_ops :
   Agg_util.Prng.t -> universe:int -> max_size:int -> max_cost:int -> count:int -> op list
 (** Like {!gen_ops} but inserts carry sizes in [\[1, max_size\]] and
-    costs in [\[1, max_cost\]], and the mix includes [Charge] ops.
+    costs in [\[1, max_cost\]], hits and [Charge] ops costs in
+    [\[1, max_cost\]].
     @raise Invalid_argument when [universe], [max_size] or [max_cost] is
     non-positive. *)
 
@@ -40,7 +44,9 @@ type divergence = { step : int  (** 0-based op index *); detail : string }
 
 val diff_ops : Agg_cache.Cache.kind -> capacity:int -> op list -> divergence option
 (** Runs the ops through the optimized policy and its model, comparing
-    insert victims, evict victims, [mem] answers, sizes, used totals and
+    insert victims (the count an insert returns must equal the victims
+    its sink received, and those must equal the model's, in order),
+    evict victims, [hit] and [mem] answers, sizes, used totals and
     resident sets after every operation — and that the conservation
     invariant [used <= capacity] holds. [None] means lockstep agreement
     throughout. @raise Invalid_argument when [capacity <= 0]. *)
@@ -92,8 +98,9 @@ val landlord_witness : seed:int -> ops:int -> check
 
 val fuzz_all : seed:int -> ops:int -> check list
 (** [fuzz_policy] and [fuzz_policy_weighted] for every kind in
-    {!Agg_cache.Cache.all_kinds}, [fuzz_weighted_policy] for every
-    weighted baseline, and the {!landlord_witness}. *)
+    {!Agg_cache.Cache.all_kinds}; for every weighted baseline a
+    unit-weight fuzz ([ops.landlord], [ops.bundle]) and
+    [fuzz_weighted_policy]; and the {!landlord_witness}. *)
 
 val lru_equivalence_checks : seed:int -> events:int -> check list
 (** Per profile and per weighted baseline: at unit size/cost the policy

@@ -87,7 +87,7 @@ type state =
   | Arc of arc_model
   | Random of random_model
 
-(* The weighted fields restate [Policy.Weighted_of_unit]'s side-car
+(* The weighted fields restate [Agg_cache.Lift]'s side-car
    bookkeeping as an assoc list: only non-unit sizes are recorded, so at
    unit weights the list stays empty and [wused] mirrors the count. *)
 type t = {
@@ -782,7 +782,7 @@ let unit_clear t =
   | Random m -> m.keys <- [] (* the PRNG stream continues, like the optimized cache *)
 
 (* --- the weighted surface ------------------------------------------------
-   Restates [Policy.Weighted_of_unit] over the unit models above: the
+   Restates [Agg_cache.Lift] over the unit models above: the
    all-unit fast path delegates to the model's native insert, the general
    path pre-evicts via [unit_evict], oversize keys bypass the cache. *)
 
@@ -875,6 +875,7 @@ module Landlord_drain = struct
     lcap : int;
     mutable lents : (int * entry) list; (* recency order, hot end first *)
     mutable lused : int;
+    mutable lsink : int -> unit;
   }
 
   let policy_name = "landlord-drain"
@@ -882,7 +883,7 @@ module Landlord_drain = struct
   let create ~capacity =
     if capacity <= 0 then
       invalid_arg "Model_cache.Landlord_drain.create: capacity must be positive";
-    { lcap = capacity; lents = []; lused = 0 }
+    { lcap = capacity; lents = []; lused = 0; lsink = Policy.drop_victim }
 
   let capacity t = t.lcap
   let size t = List.length t.lents
@@ -933,7 +934,7 @@ module Landlord_drain = struct
         t.lused <- t.lused - e.lsize;
         victim
 
-  let insert t ~pos ~weight:w key =
+  let victims_of_insert t ~pos ~weight:w key =
     Policy.check_weight ~who:"model.landlord-drain" w;
     if mem t key then begin
       reposition t ~pos key;
@@ -954,6 +955,25 @@ module Landlord_drain = struct
       t.lused <- t.lused + w.Policy.size;
       List.rev !victims
     end
+
+  let insert t ~pos ~weight key =
+    let victims = victims_of_insert t ~pos ~weight key in
+    List.iter t.lsink victims;
+    List.length victims
+
+  let admit t ~pos ~weight key =
+    assert (not (mem t key));
+    insert t ~pos ~weight key
+
+  let set_sink t f = t.lsink <- f
+
+  let hit t key ~cost =
+    mem t key
+    && begin
+         promote t key;
+         charge t key ~cost;
+         true
+       end
 
   let remove t key =
     match List.assoc_opt key t.lents with
@@ -978,13 +998,14 @@ module Landlord = struct
     mutable inflation : float; (* L, the non-decreasing eviction floor *)
     mutable gents : (int * entry) list; (* recency order, hot end first *)
     mutable gused : int;
+    mutable gsink : int -> unit;
   }
 
   let policy_name = "landlord"
 
   let create ~capacity =
     if capacity <= 0 then invalid_arg "Model_cache.Landlord.create: capacity must be positive";
-    { gcap = capacity; inflation = 0.0; gents = []; gused = 0 }
+    { gcap = capacity; inflation = 0.0; gents = []; gused = 0; gsink = Policy.drop_victim }
 
   let capacity t = t.gcap
   let size t = List.length t.gents
@@ -1026,7 +1047,7 @@ module Landlord = struct
         t.inflation <- victim_h;
         victim
 
-  let insert t ~pos ~weight:w key =
+  let victims_of_insert t ~pos ~weight:w key =
     Policy.check_weight ~who:"model.landlord" w;
     if mem t key then begin
       reposition t ~pos key;
@@ -1047,6 +1068,25 @@ module Landlord = struct
       t.gused <- t.gused + w.Policy.size;
       List.rev !victims
     end
+
+  let insert t ~pos ~weight key =
+    let victims = victims_of_insert t ~pos ~weight key in
+    List.iter t.gsink victims;
+    List.length victims
+
+  let admit t ~pos ~weight key =
+    assert (not (mem t key));
+    insert t ~pos ~weight key
+
+  let set_sink t f = t.gsink <- f
+
+  let hit t key ~cost =
+    mem t key
+    && begin
+         promote t key;
+         charge t key ~cost;
+         true
+       end
 
   let remove t key =
     match List.assoc_opt key t.gents with
@@ -1069,7 +1109,11 @@ module Landlord = struct
           charge t k ~cost:(weight_of k).Policy.cost;
           []
         end
-        else insert t ~pos:Policy.Hot ~weight:(weight_of k) k)
+        else begin
+          let victims = victims_of_insert t ~pos:Policy.Hot ~weight:(weight_of k) k in
+          List.iter t.gsink victims;
+          victims
+        end)
       (List.rev members)
 end
 
@@ -1081,4 +1125,8 @@ module Bundle = struct
   let insert t ~pos ~weight:w key =
     Policy.check_weight ~who:"model.bundle" w;
     insert t ~pos ~weight:w key
+
+  let admit t ~pos ~weight:w key =
+    Policy.check_weight ~who:"model.bundle" w;
+    admit t ~pos ~weight:w key
 end

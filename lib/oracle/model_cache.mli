@@ -9,7 +9,7 @@
     return values, for any operation sequence (the [Random] policy shares
     the optimized cache's PRNG seed so even its victims coincide).
 
-    The weighted surface restates {!Agg_cache.Policy.Weighted_of_unit}
+    The weighted surface restates {!Agg_cache.Lift}
     over the unit models: while every resident is unit-size, [insert]
     delegates to the model's native insert path; once non-unit sizes are
     resident, room is made by repeated evictions; oversize keys bypass
@@ -41,8 +41,9 @@ val promote : t -> int -> unit
 val insert :
   t -> pos:Agg_cache.Policy.insert_position -> weight:Agg_cache.Policy.weight -> int -> int list
 (** Mirrors [Policy.S.insert]: makes the key resident, evicting as many
-    victims as its size requires, and returns them in eviction order; a
-    resident key is only repositioned (returns [[]], never evicts); an
+    victims as its size requires, and returns them in eviction order — the
+    list an optimized insert's count and sunk victims are checked against;
+    a resident key is only repositioned (returns [[]], never evicts); an
     oversize key bypasses the cache. *)
 
 val charge : t -> int -> cost:int -> unit

@@ -57,11 +57,8 @@ let run_bundle ~weight_of ~capacity ~group_size files =
       Agg_successor.Tracker.observe tracker file;
       let w : Agg_cache.Policy.weight = weight_of file in
       bytes_accessed := !bytes_accessed + w.Agg_cache.Policy.size;
-      if Agg_baselines.Bundle.mem b file then begin
-        bytes_hit := !bytes_hit + w.Agg_cache.Policy.size;
-        Agg_baselines.Bundle.promote b file;
-        Agg_baselines.Bundle.charge b file ~cost:w.Agg_cache.Policy.cost
-      end
+      if Agg_baselines.Bundle.hit b file ~cost:w.Agg_cache.Policy.cost then
+        bytes_hit := !bytes_hit + w.Agg_cache.Policy.size
       else begin
         cost_fetched := !cost_fetched + w.Agg_cache.Policy.cost;
         let group = Agg_core.Group_builder.build tracker ~group_size file in

@@ -15,6 +15,7 @@ type t = {
   mutable stamps : int array; (* handle -> tie-break stamp *)
   mutable values : int array; (* handle -> payload *)
   mutable length : int;
+  floor : float array; (* the rent floor, one unboxed cell *)
 }
 
 let create ?(capacity = 16) () =
@@ -26,6 +27,7 @@ let create ?(capacity = 16) () =
     stamps = Array.make capacity 0;
     values = Array.make capacity 0;
     length = 0;
+    floor = [| 0.0 |];
   }
 
 let length t = t.length
@@ -86,21 +88,29 @@ let grow t =
   t.stamps <- extend t.stamps 0;
   t.values <- extend t.values 0
 
-let push t ~priority ~stamp v =
+let restamp t h ~stamp =
+  t.stamps.(h) <- stamp;
+  resift t h t.pos.(h)
+
+(* The priority is computed in place, from ints and the floor cell: no
+   float crosses a call, so none is boxed. *)
+let push t ~cost ~size ~stamp v =
   if t.length = Array.length t.order then grow t;
   let i = t.length in
   let h = t.order.(i) in
-  t.prio.(h) <- priority;
+  t.prio.(h) <- t.floor.(0) +. (float_of_int cost /. float_of_int size);
   t.stamps.(h) <- stamp;
   t.values.(h) <- v;
   t.length <- i + 1;
   sift_up t h i;
   h
 
-let update t h ~priority ~stamp =
-  t.prio.(h) <- priority;
+let update t h ~cost ~size ~stamp =
+  t.prio.(h) <- t.floor.(0) +. (float_of_int cost /. float_of_int size);
   t.stamps.(h) <- stamp;
   resift t h t.pos.(h)
+
+let raise_floor t h = t.floor.(0) <- t.prio.(h)
 
 let remove t h =
   let i = t.pos.(h) in
@@ -110,7 +120,9 @@ let remove t h =
   place t h last;
   if i < last then resift t moved i
 
-let clear t = t.length <- 0
+let clear t =
+  t.length <- 0;
+  t.floor.(0) <- 0.0
 
 let iter t f =
   for i = 0 to t.length - 1 do

@@ -68,11 +68,63 @@ let tracker =
   done;
   t
 
-(* holds the pin's whole key range: misses insert, nothing is evicted
-   (an evicting miss still returns its victim in a list, since
-   [Policy.S.insert] returns every victim; [evict] and the unit cores
-   return an immediate key) *)
+(* holds the pin's whole key range: misses insert, nothing is evicted *)
 let lru = Cache.create Cache.Lru ~capacity:2_048
+
+(* A cyclic scan over twice the capacity misses on every access, and
+   each miss evicts: a full unit LRU. Warmed up, so every key it touches
+   already has its index slot. *)
+let full_lru =
+  let c = Cache.create Cache.Lru ~capacity:1_024 in
+  for i = 0 to 4_095 do
+    ignore (Cache.access c (i land 2_047))
+  done;
+  c
+
+(* The same scan through Clock, whose hand sweeps the slot bitset for
+   each victim. *)
+let full_clock =
+  let c = Cache.create Cache.Clock ~capacity:1_024 in
+  for i = 0 to 4_095 do
+    ignore (Cache.access c (i land 2_047))
+  done;
+  c
+
+(* The same scan at sizes 1 and 4: a miss on a size-4 key evicts several
+   residents. The weights are built once; [weight_of] only reads them. *)
+let weights =
+  Array.init 2_048 (fun k ->
+      if k land 3 = 0 then { Agg_cache.Policy.size = 4; cost = 2 }
+      else Agg_cache.Policy.unit_weight)
+
+let full_weighted_lru =
+  let c = Cache.create ~weight_of:(fun k -> weights.(k)) Cache.Lru ~capacity:1_024 in
+  for i = 0 to 4_095 do
+    ignore (Cache.access c (i land 2_047))
+  done;
+  c
+
+(* Groups of four keys cycling through 4096: a full 1024-file LRU has
+   evicted every member since it last saw it, so each admission first
+   makes room for four. *)
+let full_roomy =
+  let c = Cache.create Cache.Lru ~capacity:1_024 in
+  for k = 0 to 4_095 do
+    ignore (Cache.access c k)
+  done;
+  c
+
+let evicting_group = Array.make 4 0
+
+(* The bundle baseline behind the facade, holding every key the pin
+   touches: each access is a hit, a single re-key of Landlord's heap. *)
+let bundle =
+  let module B = Agg_baselines.Bundle in
+  let c = Cache.of_policy (module B) (B.create ~capacity:2_048) in
+  for k = 0 to 1_023 do
+    ignore (Cache.access c k)
+  done;
+  c
 let event = Agg_obs.Event.Demand_miss { file = 1 }
 
 (* caller-owned buffers of the miss path *)
@@ -116,6 +168,19 @@ let per_call_pins =
     allocation_free "unit-weight LRU Cache.access" (fun i ->
         ignore (Cache.access lru (i * 13 mod 1_500)));
     allocation_free "Sink.emit Sink.noop" (fun _ -> Sink.emit Sink.noop event);
+    allocation_free "evicting miss on a full unit LRU" (fun i ->
+        ignore (Cache.access full_lru (i land 2_047)));
+    allocation_free "evicting miss on a full Clock" (fun i ->
+        ignore (Cache.access full_clock (i land 2_047)));
+    allocation_free "evicting miss on a weighted LRU, several victims" (fun i ->
+        ignore (Cache.access full_weighted_lru (i land 2_047)));
+    allocation_free "evicting Cache.insert_cold_into" (fun i ->
+        for j = 0 to 3 do
+          evicting_group.(j) <- ((4 * i) + j) land 4_095
+        done;
+        ignore (Cache.insert_cold_into full_roomy evicting_group ~pos:0 ~len:4 admitted));
+    allocation_free "hit through Cache.of_policy (module Bundle)" (fun i ->
+        ignore (Cache.access bundle (i land 1_023)));
   ]
 
 (* Minor and major-heap words per access of [run ()], which replays
@@ -134,9 +199,9 @@ let words_per_access ~accesses run =
 (* The cluster-faults shape: five nodes, three replicas, replicated
    metadata, g = 5 at both levels, loss, per-node outages, slow links,
    client crashes, and one node leaving and rejoining. Routes, groups and
-   admissions go through caller-owned buffers; what it still allocates
-   per access is mostly the victim list of an evicting
-   [Policy.S.insert] and the state rebuilt at churn. *)
+   admissions go through caller-owned buffers and evictions build no
+   list; what it still allocates per access is mostly the state rebuilt
+   at churn and the fault paths' per-fetch records. *)
 let cluster_faults_words () =
   let events = 20_000 in
   let seed = 101 in
@@ -171,8 +236,8 @@ let cluster_faults_run = lazy (cluster_faults_words ())
 
 let test_cluster_words_per_access () =
   let words, _ = Lazy.force cluster_faults_run in
-  if words > 16.0 then
-    Alcotest.failf "Cluster.run allocates %.1f words per access (pin: at most 16)" words
+  if words > 9.0 then
+    Alcotest.failf "Cluster.run allocates %.1f words per access (pin: at most 9)" words
 
 let test_cluster_major_words_per_access () =
   let _, words = Lazy.force cluster_faults_run in
@@ -205,9 +270,9 @@ let test_client_server_major_words_per_access () =
 (* The paper-g5 shape: over a 6k-event stream of each paper profile, a
    g = 5 client of 300 files, then an LRU filter of 100 in front of a
    g = 5 server of 300, each built afresh. The group and admitted
-   buffers are per cache; what is left is the set-up, the option that
-   boxes each group build's [~obs], and the victim list of an evicting
-   insert. Each stream touches 1.2k-2.9k distinct files with ids up to
+   buffers are per cache and evictions build no list; what is left is
+   the set-up and the option that boxes each group build's [~obs]. Each
+   stream touches 1.2k-2.9k distinct files with ids up to
    9.7k-23.5k, so the major-heap pin catches per-run state that grows
    with the id space. *)
 let paper_g5_words () =
@@ -237,9 +302,9 @@ let paper_g5_run = lazy (paper_g5_words ())
 
 let test_client_server_words_per_access () =
   let words, _ = Lazy.force paper_g5_run in
-  if words > 6.0 then
+  if words > 1.0 then
     Alcotest.failf
-      "Client_cache and Server_cache allocate %.1f words per access (pin: at most 6)" words
+      "Client_cache and Server_cache allocate %.1f words per access (pin: at most 1)" words
 
 let test_client_server_paper_major_words_per_access () =
   let _, words = Lazy.force paper_g5_run in

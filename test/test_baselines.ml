@@ -153,6 +153,20 @@ open Agg_cache.Policy
 let w ~size ~cost = { Agg_cache.Policy.size; cost }
 let check_victims = Alcotest.(check (list int))
 
+(* The victims of one [Policy.S.insert], in eviction order, read through
+   the policy's sink; the count the insert returns must agree. *)
+let insert_victims (type a) (module P : Agg_cache.Policy.S with type t = a) (t : a) ~pos ~weight
+    key =
+  let sunk = ref [] in
+  P.set_sink t (fun v -> sunk := v :: !sunk);
+  let n = P.insert t ~pos ~weight key in
+  P.set_sink t Agg_cache.Policy.drop_victim;
+  let victims = List.rev !sunk in
+  check_int "victim count" (List.length victims) n;
+  victims
+
+let landlord_insert t = insert_victims (module Landlord) t
+
 let test_landlord_multi_victim () =
   (* capacity 4: a(2,2) and b(2,4) resident; c(4,1) needs the whole
      cache. a has the lower credit/size ratio (1 vs 2) and goes first;
@@ -160,11 +174,11 @@ let test_landlord_multi_victim () =
      2, which the second round evicts. Exact victim order pins the rent
      accounting. *)
   let t = Landlord.create ~capacity:4 in
-  check_victims "a fits" [] (Landlord.insert t ~pos:Hot ~weight:(w ~size:2 ~cost:2) 1);
-  check_victims "b fits" [] (Landlord.insert t ~pos:Hot ~weight:(w ~size:2 ~cost:4) 2);
+  check_victims "a fits" [] (landlord_insert t ~pos:Hot ~weight:(w ~size:2 ~cost:2) 1);
+  check_victims "b fits" [] (landlord_insert t ~pos:Hot ~weight:(w ~size:2 ~cost:4) 2);
   check_victims "hot-first before" [ 2; 1 ] (Landlord.contents t);
   check_victims "c evicts a then b" [ 1; 2 ]
-    (Landlord.insert t ~pos:Hot ~weight:(w ~size:4 ~cost:1) 3);
+    (landlord_insert t ~pos:Hot ~weight:(w ~size:4 ~cost:1) 3);
   check_victims "only c resident" [ 3 ] (Landlord.contents t);
   check_int "used" 4 (Landlord.used t)
 
@@ -172,17 +186,18 @@ let test_landlord_charge_overrides_recency () =
   (* b is hotter than a, but a was re-credited to 10 on a hit; the
      rent-based victim is the cheap one, not the cold one. *)
   let t = Landlord.create ~capacity:2 in
-  ignore (Landlord.insert t ~pos:Hot ~weight:(w ~size:1 ~cost:1) 1);
-  ignore (Landlord.insert t ~pos:Hot ~weight:(w ~size:1 ~cost:5) 2);
+  ignore (landlord_insert t ~pos:Hot ~weight:(w ~size:1 ~cost:1) 1);
+  ignore (landlord_insert t ~pos:Hot ~weight:(w ~size:1 ~cost:5) 2);
   Landlord.charge t 1 ~cost:10;
   check_victims "cheap b evicted, not cold a" [ 2 ]
-    (Landlord.insert t ~pos:Hot ~weight:(w ~size:1 ~cost:1) 3);
+    (landlord_insert t ~pos:Hot ~weight:(w ~size:1 ~cost:1) 3);
   check_victims "contents" [ 3; 1 ] (Landlord.contents t)
 
 let test_landlord_oversize_bypass () =
   let t = Landlord.create ~capacity:4 in
-  ignore (Landlord.insert t ~pos:Hot ~weight:(w ~size:2 ~cost:3) 1);
-  check_victims "oversize evicts nothing" [] (Landlord.insert t ~pos:Hot ~weight:(w ~size:5 ~cost:9) 2);
+  ignore (landlord_insert t ~pos:Hot ~weight:(w ~size:2 ~cost:3) 1);
+  check_victims "oversize evicts nothing" []
+    (landlord_insert t ~pos:Hot ~weight:(w ~size:5 ~cost:9) 2);
   check_bool "oversize not admitted" false (Landlord.mem t 2);
   check_bool "resident untouched" true (Landlord.mem t 1)
 
@@ -198,7 +213,9 @@ let test_landlord_unit_is_lru () =
       P.charge t k ~cost:1;
       []
     end
-    else P.insert t ~pos:Agg_cache.Policy.Hot ~weight:Agg_cache.Policy.unit_weight k
+    else
+      insert_victims (module P) t ~pos:Agg_cache.Policy.Hot ~weight:Agg_cache.Policy.unit_weight
+        k
   in
   List.iter
     (fun k ->
@@ -214,14 +231,14 @@ let test_gds_cost_over_recency_and_inflation () =
      first; its H becomes the inflation floor, which is what lets the
      later cheap d displace the once-expensive a. *)
   let t = Landlord.create ~capacity:2 in
-  ignore (Landlord.insert t ~pos:Hot ~weight:(w ~size:1 ~cost:4) 1);
-  ignore (Landlord.insert t ~pos:Hot ~weight:(w ~size:1 ~cost:2) 2);
+  ignore (landlord_insert t ~pos:Hot ~weight:(w ~size:1 ~cost:4) 1);
+  ignore (landlord_insert t ~pos:Hot ~weight:(w ~size:1 ~cost:2) 2);
   check_victims "cheapest H evicted despite recency" [ 2 ]
-    (Landlord.insert t ~pos:Hot ~weight:(w ~size:1 ~cost:3) 3);
+    (landlord_insert t ~pos:Hot ~weight:(w ~size:1 ~cost:3) 3);
   (* inflation is now 2: H(a)=4, H(c)=2+3=5, so d(cost 1, H=4+1=5
      after the next round) evicts a *)
   check_victims "inflation unlocks the expensive file" [ 1 ]
-    (Landlord.insert t ~pos:Hot ~weight:(w ~size:1 ~cost:1) 4);
+    (landlord_insert t ~pos:Hot ~weight:(w ~size:1 ~cost:1) 4);
   check_bool "c survives" true (Landlord.mem t 3);
   check_bool "d resident" true (Landlord.mem t 4)
 
@@ -230,13 +247,15 @@ let test_landlord_ties_follow_recency () =
      recency order as the heap stamps record it, after a promote and
      after a cold reposition alike. *)
   let t = Landlord.create ~capacity:4 in
-  List.iter (fun k -> ignore (Landlord.insert t ~pos:Hot ~weight:(w ~size:1 ~cost:2) k)) [ 1; 2; 3; 4 ];
+  List.iter
+    (fun k -> ignore (landlord_insert t ~pos:Hot ~weight:(w ~size:1 ~cost:2) k))
+    [ 1; 2; 3; 4 ];
   Landlord.charge t 1 ~cost:2;
   check_victims "a re-credit keeps the recency order" [ 4; 3; 2; 1 ] (Landlord.contents t);
   Landlord.promote t 1;
   check_victims "promoted key leaves the cold end" [ 1; 4; 3; 2 ] (Landlord.contents t);
   Alcotest.(check int) "coldest of the tie" 2 (Landlord.evict t);
-  check_victims "cold reposition" [] (Landlord.insert t ~pos:Cold ~weight:(w ~size:1 ~cost:9) 4);
+  check_victims "cold reposition" [] (landlord_insert t ~pos:Cold ~weight:(w ~size:1 ~cost:9) 4);
   check_victims "repositioned key at the cold end" [ 1; 3; 4 ] (Landlord.contents t);
   Alcotest.(check int) "cold-repositioned key goes first" 4 (Landlord.evict t);
   Landlord.promote t 3;
@@ -249,15 +268,15 @@ let test_landlord_huge_capacity () =
      overflow however close [used] gets to the capacity. *)
   let t = Landlord.create ~capacity:max_int in
   let half = max_int / 2 and quarter = max_int / 4 in
-  check_victims "half fits" [] (Landlord.insert t ~pos:Hot ~weight:(w ~size:half ~cost:3) 1);
-  check_victims "quarter fits" [] (Landlord.insert t ~pos:Hot ~weight:(w ~size:quarter ~cost:1) 2);
-  check_victims "small fits" [] (Landlord.insert t ~pos:Hot ~weight:(w ~size:1 ~cost:5) 3);
+  check_victims "half fits" [] (landlord_insert t ~pos:Hot ~weight:(w ~size:half ~cost:3) 1);
+  check_victims "quarter fits" [] (landlord_insert t ~pos:Hot ~weight:(w ~size:quarter ~cost:1) 2);
+  check_victims "small fits" [] (landlord_insert t ~pos:Hot ~weight:(w ~size:1 ~cost:5) 3);
   check_int "used" (half + quarter + 1) (Landlord.used t);
   (* cost/size: 2 is cheapest per unit, and its eviction frees enough *)
-  check_victims "room by rent" [ 2 ] (Landlord.insert t ~pos:Cold ~weight:(w ~size:half ~cost:2) 4);
+  check_victims "room by rent" [ 2 ] (landlord_insert t ~pos:Cold ~weight:(w ~size:half ~cost:2) 4);
   check_int "used after" (half + half + 1) (Landlord.used t);
   check_victims "a full-capacity file evicts everyone, cheapest H first" [ 1; 4; 3 ]
-    (Landlord.insert t ~pos:Hot ~weight:(w ~size:max_int ~cost:1) 5);
+    (landlord_insert t ~pos:Hot ~weight:(w ~size:max_int ~cost:1) 5);
   check_int "exactly full" max_int (Landlord.used t);
   Alcotest.(check int) "evict" 5 (Landlord.evict t);
   check_int "empty" 0 (Landlord.used t)
@@ -294,7 +313,7 @@ let conserves (module P : Agg_cache.Policy.S) ~capacity ops =
         P.promote t key;
         P.charge t key ~cost
       end
-      else if P.insert t ~pos:(if key mod 3 = 0 then Cold else Hot) ~weight key <> [] || P.mem t key
+      else if P.insert t ~pos:(if key mod 3 = 0 then Cold else Hot) ~weight key > 0 || P.mem t key
       then Hashtbl.replace recorded key size;
       let sum =
         List.fold_left
@@ -344,7 +363,7 @@ let qcheck_tests =
                  Landlord.charge l k ~cost:weight.Agg_cache.Policy.cost;
                  []
                end
-               else Landlord.insert l ~pos:Hot ~weight k
+               else landlord_insert l ~pos:Hot ~weight k
              in
              let vb = Bundle.request_bundle b ~weight_of [ k ] in
              vb = vl && Bundle.contents b = Landlord.contents l && Bundle.used b = Landlord.used l)

@@ -12,6 +12,17 @@ let check_list = Alcotest.(check (list int))
 (* Drive a demand-access sequence through a Cache.t, returning hit flags. *)
 let drive cache keys = List.map (Cache.access cache) keys
 
+(* The victims of one [Policy.S.insert], in eviction order, read through
+   the policy's sink; the count the insert returns must agree. *)
+let insert_victims (type a) (module P : Policy.S with type t = a) (t : a) ~pos ~weight key =
+  let sunk = ref [] in
+  P.set_sink t (fun v -> sunk := v :: !sunk);
+  let n = P.insert t ~pos ~weight key in
+  P.set_sink t Policy.drop_victim;
+  let victims = List.rev !sunk in
+  check_int "victim count" (List.length victims) n;
+  victims
+
 (* --- generic policy laws, checked for every kind -------------------- *)
 
 let policy_kinds = Cache.all_kinds
@@ -112,7 +123,7 @@ let test_cold_reposition_never_evicts () =
       ignore (P.insert t ~pos:Policy.Hot ~weight:Policy.unit_weight 2);
       ignore (P.insert t ~pos:Policy.Hot ~weight:Policy.unit_weight 3);
       Alcotest.(check (list int)) (name ^ " reposition returns no victims") []
-        (P.insert t ~pos:Policy.Cold ~weight:Policy.unit_weight 2);
+        (insert_victims (module P) t ~pos:Policy.Cold ~weight:Policy.unit_weight 2);
       check_int (name ^ " size unchanged") 3 (P.size t);
       check_bool (name ^ " still resident") true (P.mem t 2))
     policy_modules
@@ -231,7 +242,7 @@ let test_lfu_cold_reposition_resets () =
   ignore (Lfu.insert lfu ~pos:Policy.Hot ~weight:Policy.unit_weight 3);
   Lfu.promote lfu 3;
   Alcotest.(check (list int)) "cold reposition never evicts" []
-    (Lfu.insert lfu ~pos:Policy.Cold ~weight:Policy.unit_weight 3);
+    (insert_victims (module Lfu) lfu ~pos:Policy.Cold ~weight:Policy.unit_weight 3);
   Alcotest.(check (option int)) "count reset" (Some 0) (Lfu.frequency lfu 3);
   (* a resident already at count 0 also moves to the back of bucket 0 *)
   ignore (Lfu.insert lfu ~pos:Policy.Cold ~weight:Policy.unit_weight 1);
@@ -292,7 +303,9 @@ let test_clock_slot_reuse_mixed_sizes () =
      free slot at or after the hand, wrapping. [contents] is slot
      order. *)
   let c = Clock.create ~capacity:6 in
-  let put k size = Clock.insert c ~pos:Policy.Hot ~weight:{ Policy.size; cost = 1 } k in
+  let put k size =
+    insert_victims (module Clock) c ~pos:Policy.Hot ~weight:{ Policy.size; cost = 1 } k
+  in
   List.iter (fun (k, size) -> check_list "fits" [] (put k size)) [ (1, 1); (2, 2); (3, 2); (4, 1) ];
   check_list "slots 0-3" [ 1; 2; 3; 4 ] (Clock.contents c);
   (* the sweep clears every bit, skips empty slots 4-5 and wraps *)
@@ -330,7 +343,9 @@ let test_random_deterministic_with_seed () =
     let p = Random_policy.create_seeded ~capacity:4 ~seed:11 in
     let evicted = ref [] in
     for i = 0 to 19 do
-      match Random_policy.insert p ~pos:Policy.Hot ~weight:Policy.unit_weight i with
+      match
+        insert_victims (module Random_policy) p ~pos:Policy.Hot ~weight:Policy.unit_weight i
+      with
       | [ v ] -> evicted := v :: !evicted
       | _ -> ()
     done;
@@ -649,10 +664,10 @@ let pointer_agreement name flavour (module P : Policy.S) =
                 Pointer.promote model key;
                 true
             | 1 ->
-                P.insert real ~pos:Policy.Hot ~weight:Policy.unit_weight key
+                insert_victims (module P) real ~pos:Policy.Hot ~weight:Policy.unit_weight key
                 = Option.to_list (Pointer.insert model ~pos:Policy.Hot key)
             | 2 ->
-                P.insert real ~pos:Policy.Cold ~weight:Policy.unit_weight key
+                insert_victims (module P) real ~pos:Policy.Cold ~weight:Policy.unit_weight key
                 = Option.to_list (Pointer.insert model ~pos:Policy.Cold key)
             | 3 -> P.evict real = Option.value ~default:(-1) (Pointer.evict model)
             | _ ->
@@ -678,7 +693,7 @@ let crafted_weight k =
   | _ -> Policy.unit_weight
 
 let test_weighted_multi_victim_contents () =
-  (* Weighted_of_unit makes room by repeated core evictions: the size-4
+  (* The weighted lift makes room by repeated core evictions: the size-4
      newcomer pushes out both residents in LRU order. *)
   let cache = Cache.create ~weight_of:crafted_weight Cache.Lru ~capacity:4 in
   check_bool "miss 1" false (Cache.access cache 1);
@@ -803,6 +818,62 @@ let test_weighted_group_into_dirty_buffers () =
        false
      with Invalid_argument _ -> true)
 
+(* --- extreme capacities --------------------------------------------------- *)
+
+(* Every policy sizes its arrays by its residents, not its capacity: a
+   capacity of 10^12 or [max_int] holds a few hundred keys in a few
+   pages, with no capacity arithmetic overflowing on the way. *)
+let test_extreme_capacities () =
+  List.iter
+    (fun capacity ->
+      List.iter
+        (fun kind ->
+          let name = Printf.sprintf "%s at capacity %d" (Cache.kind_name kind) capacity in
+          let cache = Cache.create kind ~capacity in
+          for i = 0 to 1_999 do
+            ignore (Cache.access cache (i * 7 mod 500))
+          done;
+          let admitted = Array.make 4 0 in
+          check_int (name ^ ": group admitted") 4
+            (Cache.insert_cold_into cache [| 900; 901; 902; 903 |] ~pos:0 ~len:4 admitted);
+          check_int (name ^ ": nothing evicted") 0 (Cache.stats cache).Cache.evictions;
+          check_int (name ^ ": every key resident") 504 (Cache.size cache);
+          check_int (name ^ ": used") 504 (Cache.used cache))
+        policy_kinds)
+    [ 1_000_000_000_000; max_int ]
+
+(* Clock allocates its slots lazily; a clock that starts with one word of
+   slots must behave exactly like one that starts with all of them:
+   same victims, same slot order. *)
+let clock_sparse_matches_eager =
+  QCheck.Test.make ~name:"clock with lazily grown slots matches a fully allocated one" ~count:200
+    QCheck.(
+      pair (int_range 1 300)
+        (list_of_size (Gen.int_range 0 600) (pair (int_range 0 5) (int_range 0 400))))
+    (fun (capacity, ops) ->
+      let eager = Clock.create_with_slots ~capacity ~slots:capacity in
+      let sparse = Clock.create_with_slots ~capacity ~slots:1 in
+      let weight k = { Policy.size = 1 + (k mod 3); cost = 1 } in
+      List.for_all
+        (fun (op, key) ->
+          let same =
+            match op with
+            | 0 | 1 ->
+                let pos = if op = 0 then Policy.Hot else Policy.Cold in
+                insert_victims (module Clock) eager ~pos ~weight:(weight key) key
+                = insert_victims (module Clock) sparse ~pos ~weight:(weight key) key
+            | 2 -> Clock.evict eager = Clock.evict sparse
+            | 3 ->
+                Clock.remove eager key;
+                Clock.remove sparse key;
+                true
+            | _ -> Clock.hit eager key ~cost:1 = Clock.hit sparse key ~cost:1
+          in
+          same
+          && Clock.contents eager = Clock.contents sparse
+          && Clock.used eager = Clock.used sparse)
+        ops)
+
 (* --- qcheck properties -------------------------------------------------- *)
 
 let qcheck_tests =
@@ -903,6 +974,7 @@ let qcheck_tests =
             List.length contents = Cache.size cache
             && List.for_all (fun k -> Cache.mem cache k) contents)
           policy_kinds);
+    clock_sparse_matches_eager;
   ]
 
 let () =
@@ -999,5 +1071,7 @@ let () =
           Alcotest.test_case "group admission into dirty buffers" `Quick
             test_weighted_group_into_dirty_buffers;
         ] );
+      ( "extreme capacities",
+        [ Alcotest.test_case "10^12 and max_int" `Quick test_extreme_capacities ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

@@ -46,11 +46,14 @@ let test_model_random_matches_seeded () =
     ignore (unit_insert m ~pos:Policy.Hot k);
     ignore (Agg_cache.Random_policy.insert r ~pos:Policy.Hot ~weight:Policy.unit_weight k)
   done;
+  let sunk = ref [] in
+  Agg_cache.Random_policy.set_sink r (fun v -> sunk := v :: !sunk);
   for k = 4 to 40 do
-    Alcotest.(check (list int))
-      "same victim"
-      (Agg_cache.Random_policy.insert r ~pos:Policy.Hot ~weight:Policy.unit_weight k)
-      (unit_insert m ~pos:Policy.Hot k)
+    sunk := [];
+    let n = Agg_cache.Random_policy.insert r ~pos:Policy.Hot ~weight:Policy.unit_weight k in
+    let victims = unit_insert m ~pos:Policy.Hot k in
+    Alcotest.(check (list int)) "same victim" victims (List.rev !sunk);
+    check_int "victim count" (List.length victims) n
   done
 
 (* --- the differential engine ------------------------------------------ *)
@@ -116,6 +119,7 @@ let op_gen =
       (5, map (fun k -> Diff_engine.Insert (Policy.Hot, Policy.unit_weight, k)) key);
       (3, map (fun k -> Diff_engine.Insert (Policy.Cold, Policy.unit_weight, k)) key);
       (3, map (fun k -> Diff_engine.Promote k) key);
+      (2, map (fun k -> Diff_engine.Hit (k, 1)) key);
       (2, return Diff_engine.Evict);
       (2, map (fun k -> Diff_engine.Mem k) key);
       (1, return Diff_engine.Clear);
@@ -142,6 +146,62 @@ let agreement_properties =
           | None -> true
           | Some d -> QCheck.Test.fail_reportf "step %d: %s" d.Diff_engine.step d.Diff_engine.detail))
     Cache.all_kinds
+
+(* --- qcheck: the fused hit and the victim sink -------------------------
+
+   One sequence is all unit-weight or mixed-weight. Every [Hit] must
+   equal the model's [mem], then [promote] and [charge]; every insert's
+   count must equal the victims its sink received, and those the
+   model's, in order ([Diff_engine.diff_ops] checks both laws). *)
+
+let surface_op_gen ~weighted =
+  let open QCheck.Gen in
+  let key = int_bound 20 in
+  let cost = if weighted then int_range 1 9 else return 1 in
+  let weight =
+    if weighted then map2 (fun size cost -> { Policy.size; cost }) (int_range 1 6) cost
+    else return Policy.unit_weight
+  in
+  frequency
+    [
+      (4, map2 (fun w k -> Diff_engine.Insert (Policy.Hot, w, k)) weight key);
+      (2, map2 (fun w k -> Diff_engine.Insert (Policy.Cold, w, k)) weight key);
+      (4, map2 (fun k c -> Diff_engine.Hit (k, c)) key cost);
+      (1, map (fun k -> Diff_engine.Promote k) key);
+      (1, map2 (fun k c -> Diff_engine.Charge (k, c)) key cost);
+      (2, return Diff_engine.Evict);
+      (1, map (fun k -> Diff_engine.Mem k) key);
+      (1, return Diff_engine.Clear);
+    ]
+
+let surface_arbitrary =
+  QCheck.make
+    ~print:(fun (weighted, capacity, ops) ->
+      Printf.sprintf "weighted=%b capacity=%d; %s" weighted capacity
+        (Diff_engine.ops_to_string ops))
+    QCheck.Gen.(
+      bool >>= fun weighted ->
+      map2
+        (fun capacity ops -> (weighted, capacity, ops))
+        (int_range 1 12)
+        (list_size (int_bound 150) (surface_op_gen ~weighted)))
+
+let surface_property name diff =
+  QCheck.Test.make
+    ~name:(name ^ ": fused hit and sunk victims match the model, unit and mixed weights")
+    ~count:100 surface_arbitrary
+    (fun (_, capacity, ops) ->
+      match diff ~capacity ops with
+      | None -> true
+      | Some d -> QCheck.Test.fail_reportf "step %d: %s" d.Diff_engine.step d.Diff_engine.detail)
+
+let surface_properties =
+  List.map (fun kind -> surface_property (Cache.kind_name kind) (Diff_engine.diff_ops kind))
+    Cache.all_kinds
+  @ List.map
+      (fun wp ->
+        surface_property (Diff_engine.weighted_policy_name wp) (Diff_engine.diff_weighted_ops wp))
+      Diff_engine.all_weighted_policies
 
 (* --- qcheck: successor models ----------------------------------------- *)
 
@@ -467,6 +527,7 @@ let qcheck_tests =
       group_builder_into_property Successor_list.Frequency "frequency";
       client_property;
     ]
+  @ surface_properties
 
 let () =
   Alcotest.run "agg_oracle"

@@ -670,7 +670,7 @@ let drain_heap h =
 let test_heap_sorts () =
   let h = Heap.create ~capacity:2 () in
   List.iteri
-    (fun i p -> ignore (Heap.push h ~priority:(float_of_int p) ~stamp:i p))
+    (fun i p -> ignore (Heap.push h ~cost:p ~size:1 ~stamp:i p))
     [ 5; 1; 4; 1; 3; 9; 2 ];
   Alcotest.(check (list int)) "sorted" [ 1; 1; 2; 3; 4; 5; 9 ]
     (List.map (fun (_, _, v) -> v) (drain_heap h));
@@ -680,8 +680,8 @@ let test_heap_peek_clear () =
   let h = Heap.create () in
   check_bool "empty" true (Heap.is_empty h);
   check_int "top of empty" Heap.nil (Heap.top h);
-  ignore (Heap.push h ~priority:3.0 ~stamp:0 30);
-  let a = Heap.push h ~priority:1.0 ~stamp:1 10 in
+  ignore (Heap.push h ~cost:3 ~size:1 ~stamp:0 30);
+  let a = Heap.push h ~cost:1 ~size:1 ~stamp:1 10 in
   check_int "top is smallest" a (Heap.top h);
   check_int "payload" 10 (Heap.value h (Heap.top h));
   check_int "length" 2 (Heap.length h);
@@ -691,20 +691,62 @@ let test_heap_peek_clear () =
 
 let test_heap_ties_and_updates () =
   let h = Heap.create () in
-  let a = Heap.push h ~priority:1.0 ~stamp:5 1 in
-  let b = Heap.push h ~priority:1.0 ~stamp:2 2 in
-  let c = Heap.push h ~priority:0.5 ~stamp:9 3 in
+  let a = Heap.push h ~cost:1 ~size:1 ~stamp:5 1 in
+  let b = Heap.push h ~cost:1 ~size:1 ~stamp:2 2 in
+  let c = Heap.push h ~cost:1 ~size:2 ~stamp:9 3 in
   check_int "lowest priority first" c (Heap.top h);
-  Heap.update h c ~priority:2.0 ~stamp:9;
+  Heap.update h c ~cost:2 ~size:1 ~stamp:9;
   check_int "equal priorities: smaller stamp wins" b (Heap.top h);
-  Heap.update h b ~priority:1.0 ~stamp:7;
+  Heap.update h b ~cost:1 ~size:1 ~stamp:7;
   check_int "re-stamped past a" a (Heap.top h);
   Heap.remove h a;
   check_int "after remove" b (Heap.top h);
-  let d = Heap.push h ~priority:0.0 ~stamp:0 4 in
+  let d = Heap.push h ~cost:0 ~size:1 ~stamp:0 4 in
   check_int "freed handle reused" a d;
   Alcotest.(check (list int)) "drain order" [ 4; 2; 3 ]
     (List.map (fun (_, _, v) -> v) (drain_heap h))
+
+let test_heap_rent () =
+  (* priorities are floor + cost / size, the floor moving only by
+     raise_floor and resetting on clear *)
+  let h = Heap.create () in
+  let a = Heap.push h ~cost:3 ~size:2 ~stamp:0 1 in
+  let b = Heap.push h ~cost:1 ~size:1 ~stamp:1 2 in
+  Alcotest.(check (float 0.0)) "cost / size" 1.5 (Heap.priority h a);
+  check_int "cheaper per unit first" b (Heap.top h);
+  Heap.raise_floor h b;
+  Heap.remove h b;
+  let c = Heap.push h ~cost:1 ~size:4 ~stamp:2 3 in
+  Alcotest.(check (float 0.0)) "floor added" 1.25 (Heap.priority h c);
+  Heap.update h a ~cost:1 ~size:1 ~stamp:3;
+  Alcotest.(check (float 0.0)) "re-keyed from the floor" 2.0 (Heap.priority h a);
+  Heap.restamp h c ~stamp:9;
+  Alcotest.(check (float 0.0)) "restamp keeps the priority" 1.25 (Heap.priority h c);
+  check_int "restamp keeps its place" c (Heap.top h);
+  Heap.clear h;
+  let d = Heap.push h ~cost:2 ~size:1 ~stamp:0 4 in
+  Alcotest.(check (float 0.0)) "clear resets the floor" 2.0 (Heap.priority h d)
+
+(* --- Int_fifo --------------------------------------------------------- *)
+
+let test_int_fifo_bounds () =
+  let q = Int_fifo.create ~bound:3 in
+  check_int "no drop" (-1) (Int_fifo.push q 10);
+  ignore (Int_fifo.push q 11);
+  ignore (Int_fifo.push q 12);
+  check_int "oldest dropped" 10 (Int_fifo.push q 13);
+  check_int "then the next" 11 (Int_fifo.push q 14);
+  check_int "length at the bound" 3 (Int_fifo.length q);
+  Int_fifo.clear q;
+  check_int "cleared" 0 (Int_fifo.length q);
+  check_int "empty again" (-1) (Int_fifo.push q 15);
+  let none = Int_fifo.create ~bound:0 in
+  check_int "bound 0 drops what it gets" 7 (Int_fifo.push none 7);
+  let huge = Int_fifo.create ~bound:max_int in
+  for i = 0 to 99 do
+    ignore (Int_fifo.push huge i)
+  done;
+  check_int "a bound near max_int holds what arrives" 100 (Int_fifo.length huge)
 
 (* --- Vec -------------------------------------------------------------- *)
 
@@ -848,7 +890,7 @@ let qcheck_tests =
       (fun l ->
         (* stamps are the push order, so the drain is a stable sort *)
         let h = Heap.create ~capacity:1 () in
-        List.iteri (fun i (p, v) -> ignore (Heap.push h ~priority:(float_of_int p) ~stamp:i v)) l;
+        List.iteri (fun i (p, v) -> ignore (Heap.push h ~cost:p ~size:1 ~stamp:i v)) l;
         List.map (fun (_, _, v) -> v) (drain_heap h)
         = List.map snd (List.stable_sort (fun (a, _) (b, _) -> compare a b) l));
     Test.make ~name:"Vec push/pop round-trips against a list model" ~count:200
@@ -906,11 +948,11 @@ let qcheck_tests =
         List.iteri
           (fun i (op, p, k) ->
             match (op, List.nth_opt !live (k mod max 1 (List.length !live))) with
-            | 1, Some handle -> Heap.update h handle ~priority:(float_of_int p) ~stamp:i
+            | 1, Some handle -> Heap.update h handle ~cost:p ~size:1 ~stamp:i
             | 2, Some handle ->
                 Heap.remove h handle;
                 live := List.filter (( <> ) handle) !live
-            | _ -> live := Heap.push h ~priority:(float_of_int p) ~stamp:i i :: !live)
+            | _ -> live := Heap.push h ~cost:p ~size:1 ~stamp:i i :: !live)
           ops;
         let keys = List.map (fun (p, s, _) -> (p, s)) (drain_heap h) in
         List.length keys = List.length !live && keys = List.sort compare keys);
@@ -1031,6 +1073,26 @@ let qcheck_tests =
             && Dlist_arena.live t + Dlist_arena.free t = Dlist_arena.slots t
             && Dlist_arena.to_list t l = !model)
           ops);
+    Test.make ~name:"Int_fifo drops exactly what a bounded list queue drops" ~count:200
+      (pair (int_range 0 40) (list_of_size (Gen.int_range 0 300) (int_range 0 1_000)))
+      (fun (bound, xs) ->
+        let q = Int_fifo.create ~bound in
+        (* the reference: a list, oldest first *)
+        let model = ref [] in
+        List.for_all
+          (fun x ->
+            let dropped = Int_fifo.push q x in
+            model := !model @ [ x ];
+            let expected =
+              if List.length !model > bound then begin
+                let oldest = List.hd !model in
+                model := List.tl !model;
+                oldest
+              end
+              else -1
+            in
+            dropped = expected && Int_fifo.length q = List.length !model)
+          xs);
   ]
 
 let () =
@@ -1119,7 +1181,9 @@ let () =
           Alcotest.test_case "peek and clear" `Quick test_heap_peek_clear;
           Alcotest.test_case "stamp ties, updates and handle reuse" `Quick
             test_heap_ties_and_updates;
+          Alcotest.test_case "rent priorities and the floor" `Quick test_heap_rent;
         ] );
+      ("int_fifo", [ Alcotest.test_case "bounds, drops and growth" `Quick test_int_fifo_bounds ]);
       ( "vec",
         [
           Alcotest.test_case "basics" `Quick test_vec_basics;
