@@ -34,7 +34,7 @@ module Core = struct
       arena;
       lists = Array.init 4 (fun _ -> A.new_list arena);
       len = Array.make 4 0;
-      index = Int_table.create ~capacity:(2 * Policy.presize capacity) ();
+      index = Int_table.create ();
       p = 0;
     }
 
@@ -190,7 +190,7 @@ type t = Core.t Lift.t
 let policy_name = Core.policy_name
 let create ~capacity = Lift.make (module Core) (Core.create ~capacity)
 
-include (Lift : Lift.OPS with type 'c lifted := 'c Lift.t)
+include (Lift : Policy.OPS with type 'c lifted := 'c Lift.t)
 
 let target t = Core.target (Lift.core t)
 let in_t2 t key = Core.in_t2 (Lift.core t) key

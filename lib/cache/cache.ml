@@ -231,7 +231,7 @@ let insert_cold_into t keys ~pos ~len admitted =
      another — the semantics of a group arriving in one retrieval. *)
   let evicted = ref 0 in
   let room = ref true in
-  while !room && used t + total > t.capacity do
+  while !room && total > t.capacity - used t do
     let victim = evict t in
     if victim < 0 then room := false
     else begin

@@ -75,7 +75,9 @@ val access : t -> int -> bool
     ({!Policy.S.admit}) and [false] is returned. Statistics are updated.
     A key whose size exceeds the whole capacity is fetched
     ([cost_fetched] grows) but not admitted. One index probe and one
-    policy call per outcome; nothing is allocated. *)
+    policy call per outcome. Nothing is allocated unless the policy's
+    arrays must grow: they hold {!Policy.presize} residents from the
+    start and double past that. *)
 
 val insert_cold : t -> int -> unit
 (** [insert_cold t key] inserts [key] at the cold (next-to-evict) end
@@ -100,7 +102,8 @@ val insert_cold_into : t -> int array -> pos:int -> len:int -> int array -> int
     caller owns: the members actually inserted are written, in order, to
     [admitted.(0) .. admitted.(n - 1)] and [n] is returned. Nothing else
     of [admitted] is read or written, so it may hold anything beforehand.
-    It allocates nothing: room is made by forced evictions, and a victim
+    Past the policy's growth (see {!access}) it allocates nothing: room
+    is made by forced evictions, and a victim
     a member's insertion still causes (ARC can shed a resident under
     directory pressure) goes to the eviction observer only.
     @raise Invalid_argument when the slice is out of bounds for [keys] or
@@ -123,7 +126,7 @@ val set_on_evict : t -> (int -> unit) -> unit
     admission physically evicts a resident key (not on {!remove} or
     {!clear}). One observer at a time; used by the instrumentation layer
     to attribute evictions. Unset by default, at zero cost. [f] becomes
-    the policy's sink ({!Policy.S.set_sink}), replacing any sink set on an
+    the policy's sink ({!Policy.OPS.set_sink}), replacing any sink set on an
     {!of_policy} state. *)
 
 val stats : t -> stats

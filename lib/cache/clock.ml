@@ -8,11 +8,12 @@ module Core = struct
      so a sparsely filled buffer (large weighted residents leave most
      slots empty) costs O(capacity / bits) per search, not O(capacity).
 
-     Only the first [slots] of the [capacity] slots are allocated; the
-     rest are free and unreferenced, and the arrays double when a free
-     slot is wanted past them. Slots fill from the hand and the hand
-     never passes the first unallocated slot, so a search over the
-     allocated slots gives the answer a search over all of them would. *)
+     Only the first [slots] of the [capacity] slots are allocated (the
+     words holding {!Policy.presize} slots at creation); the rest are
+     free and unreferenced, and the arrays double when a free slot is
+     wanted past them. Slots fill from the hand and the hand never
+     passes the first unallocated slot, so a search over the allocated
+     slots gives the answer a search over all of them would. *)
 
   let bits = 62 (* a full word stays a non-negative int *)
   let full = (1 lsl bits) - 1
@@ -42,10 +43,9 @@ module Core = struct
   (* The allocated slots of the last of [words] words. *)
   let last_mask_for ~slots words = full lsr (bits - (slots - ((words - 1) * bits)))
 
-  let create_with_slots ~capacity ~slots =
+  let create ~capacity =
     if capacity <= 0 then invalid_arg "Clock.create: capacity must be positive";
-    if slots <= 0 then invalid_arg "Clock.create_with_slots: slots must be positive";
-    let words = words_for (Int.min capacity slots) in
+    let words = words_for (Policy.presize capacity) in
     let slots = slots_in ~capacity words in
     {
       capacity;
@@ -54,12 +54,10 @@ module Core = struct
       referenced = Array.make slots false;
       occupied = Array.make words 0;
       last_mask = last_mask_for ~slots words;
-      index = Int_table.create ~capacity:(2 * Policy.presize capacity) ();
+      index = Int_table.create ();
       hand = 0;
       size = 0;
     }
-
-  let create ~capacity = create_with_slots ~capacity ~slots:(Policy.presize capacity)
 
   (* Doubles the allocated words, up to the capacity. *)
   let grow t =
@@ -253,7 +251,4 @@ type t = Core.t Lift.t
 let policy_name = Core.policy_name
 let create ~capacity = Lift.make (module Core) (Core.create ~capacity)
 
-let create_with_slots ~capacity ~slots =
-  Lift.make (module Core) (Core.create_with_slots ~capacity ~slots)
-
-include (Lift : Lift.OPS with type 'c lifted := 'c Lift.t)
+include (Lift : Policy.OPS with type 'c lifted := 'c Lift.t)

@@ -1,6 +1,6 @@
 (** CLOCK (second-chance) replacement: a one-bit approximation of LRU with
-    a rotating hand, as used by most virtual-memory systems. Slots are
-    allocated up to {!Policy.presize} at creation and doubled as
+    a rotating hand, as used by most virtual-memory systems. The slots
+    for {!Policy.presize} keys are allocated at creation and double as
     residents need them, so a capacity near [max_int] costs memory only
     for the keys it holds. *)
 
@@ -8,10 +8,3 @@ module Core : Policy.UNIT
 (** The unit-weight policy. *)
 
 include Policy.S with type t = Core.t Lift.t
-
-val create_with_slots : capacity:int -> slots:int -> t
-(** [create_with_slots ~capacity ~slots] is {!create} with only [slots]
-    slots allocated up front (rounded up to whole bitset words, at most
-    [capacity]). The allocation never changes what the policy does:
-    victims and slot order match {!create}'s, operation for operation.
-    @raise Invalid_argument when [capacity <= 0] or [slots <= 0]. *)

@@ -35,7 +35,7 @@ module Core = struct
       arena;
       items;
       buckets;
-      index = Int_table.create ~capacity:(2 * Policy.presize capacity) ();
+      index = Int_table.create ();
       bucket = Array.make (A.slots arena) A.nil;
       tail = Array.make (A.slots arena) A.nil;
       size = 0;
@@ -48,9 +48,11 @@ module Core = struct
   (* The arena grows by doubling; keep the side arrays covering it. *)
   let ensure t n =
     if n >= Array.length t.bucket then begin
-      let grow a =
+      let grow (a : int array) =
         let b = Array.make (A.slots t.arena) A.nil in
-        Array.blit a 0 b 0 (Array.length a);
+        for i = 0 to Array.length a - 1 do
+          b.(i) <- a.(i)
+        done;
         b
       in
       t.bucket <- grow t.bucket;
@@ -199,6 +201,6 @@ type t = Core.t Lift.t
 let policy_name = Core.policy_name
 let create ~capacity = Lift.make (module Core) (Core.create ~capacity)
 
-include (Lift : Lift.OPS with type 'c lifted := 'c Lift.t)
+include (Lift : Policy.OPS with type 'c lifted := 'c Lift.t)
 
 let frequency t key = Core.frequency (Lift.core t) key

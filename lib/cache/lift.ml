@@ -10,25 +10,6 @@ type 'c t = {
   mutable sink : int -> unit;
 }
 
-module type OPS = sig
-  type 'c lifted
-
-  val capacity : 'c lifted -> int
-  val size : 'c lifted -> int
-  val used : 'c lifted -> int
-  val mem : 'c lifted -> int -> bool
-  val hit : 'c lifted -> int -> cost:int -> bool
-  val promote : 'c lifted -> int -> unit
-  val insert : 'c lifted -> pos:Policy.insert_position -> weight:Policy.weight -> int -> int
-  val admit : 'c lifted -> pos:Policy.insert_position -> weight:Policy.weight -> int -> int
-  val set_sink : 'c lifted -> (int -> unit) -> unit
-  val charge : 'c lifted -> int -> cost:int -> unit
-  val evict : 'c lifted -> int
-  val remove : 'c lifted -> int -> unit
-  val contents : 'c lifted -> int list
-  val clear : 'c lifted -> unit
-end
-
 let make (type c) (module C : Policy.UNIT with type t = c) (core : c) =
   {
     core;
@@ -111,7 +92,7 @@ let admit_checked (type c) (t : c t) ~pos ~(weight : Policy.weight) key =
   end
   else begin
     let evicted = ref 0 in
-    while t.used + weight.size > t.capacity do
+    while weight.size > t.capacity - t.used do
       let victim = C.evict t.core in
       assert (victim >= 0) (* used > 0 implies a resident victim *);
       drop t victim;

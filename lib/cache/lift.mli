@@ -25,27 +25,5 @@ val core : 'c t -> 'c
 (** The wrapped core, for policy-specific probes ([Mq.queue_of],
     [Arc.target], …). *)
 
-(** Every {!Policy.S} operation except [policy_name] and [create], over
-    any lifted core. A policy module includes it with [lifted] replaced by
-    {!t}. *)
-module type OPS = sig
-  type 'c lifted
-
-  val capacity : 'c lifted -> int
-  val size : 'c lifted -> int
-  val used : 'c lifted -> int
-  val mem : 'c lifted -> int -> bool
-  val hit : 'c lifted -> int -> cost:int -> bool
-  val promote : 'c lifted -> int -> unit
-  val insert : 'c lifted -> pos:Policy.insert_position -> weight:Policy.weight -> int -> int
-  val admit : 'c lifted -> pos:Policy.insert_position -> weight:Policy.weight -> int -> int
-  val set_sink : 'c lifted -> (int -> unit) -> unit
-  val charge : 'c lifted -> int -> cost:int -> unit
-  val evict : 'c lifted -> int
-  val remove : 'c lifted -> int -> unit
-  val contents : 'c lifted -> int list
-  val clear : 'c lifted -> unit
-end
-
-include OPS with type 'c lifted := 'c t
+include Policy.OPS with type 'c lifted := 'c t
 (** As {!Policy.S}. *)

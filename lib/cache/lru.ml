@@ -21,7 +21,7 @@ module Core = struct
       capacity;
       arena;
       order = Dlist_arena.new_list arena;
-      index = Int_table.create ~capacity:(2 * Policy.presize capacity) ();
+      index = Int_table.create ();
       size = 0;
     }
 
@@ -87,4 +87,4 @@ type t = Core.t Lift.t
 let policy_name = Core.policy_name
 let create ~capacity = Lift.make (module Core) (Core.create ~capacity)
 
-include (Lift : Lift.OPS with type 'c lifted := 'c Lift.t)
+include (Lift : Policy.OPS with type 'c lifted := 'c Lift.t)

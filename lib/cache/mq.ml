@@ -41,11 +41,11 @@ module Core = struct
       lifetime;
       arena;
       queues = Array.init queues (fun _ -> Dlist_arena.new_list arena);
-      index = Int_table.create ~capacity:(2 * Policy.presize capacity) ();
+      index = Int_table.create ();
       count = Array.make slots 0;
       queue = Array.make slots 0;
       expire = Array.make slots 0;
-      ghost = Int_table.create ~capacity:(2 * Policy.presize capacity) ();
+      ghost = Int_table.create ();
       ghost_order = Int_fifo.create ~bound:(scaled ghost_factor capacity);
       size = 0;
       time = 0;
@@ -62,7 +62,14 @@ module Core = struct
      every slot it can hand out. *)
   let ensure_node t node =
     if node >= Array.length t.count then begin
-      let grow a = Array.append a (Array.make (Int.max (Array.length a) (node + 1)) 0) in
+      let n = Array.length t.count in
+      let grow (a : int array) =
+        let b = Array.make (n + Int.max n (node + 1)) 0 in
+        for i = 0 to n - 1 do
+          b.(i) <- a.(i)
+        done;
+        b
+      in
       t.count <- grow t.count;
       t.queue <- grow t.queue;
       t.expire <- grow t.expire
@@ -208,6 +215,6 @@ let create ~capacity = Lift.make (module Core) (Core.create ~capacity)
 let create_tuned ~capacity ~queues ~lifetime ~ghost_factor =
   Lift.make (module Core) (Core.create_tuned ~capacity ~queues ~lifetime ~ghost_factor)
 
-include (Lift : Lift.OPS with type 'c lifted := 'c Lift.t)
+include (Lift : Policy.OPS with type 'c lifted := 'c Lift.t)
 
 let queue_of t key = Core.queue_of (Lift.core t) key

@@ -19,7 +19,7 @@
 
     No operation builds a list on the access path: an insert returns how
     many residents it evicted and hands each victim to the policy's
-    {e sink} ({!S.set_sink}), so a caller that only counts evictions pays
+    {e sink} ({!OPS.set_sink}), so a caller that only counts evictions pays
     for nothing else. *)
 
 type insert_position =
@@ -45,11 +45,89 @@ val drop_victim : int -> unit
 (** The default sink: ignores the victim. *)
 
 val presize : int -> int
-(** [presize capacity] is the number of entries a policy allocates up
-    front for [capacity]: [capacity] itself up to 65536, and 65536 above
-    that. Every policy grows its arrays by doubling as residents arrive,
-    so memory follows the residents, and a capacity near [max_int] costs
-    no more than a small one until it fills. *)
+(** [presize capacity] is how many entries a policy allocates up front:
+    [capacity] itself up to 512, and 512 above it. Every policy doubles
+    its arrays from there as residents arrive, so memory follows the
+    residents and a capacity near [max_int] costs no more than a small
+    one until it fills. The paper's caches (100 to 500 files) are
+    allocated whole, at their own size: perfbench's paper-g5 ran 5–7%
+    slower per access when its 300-file LRUs kept their arena in arrays
+    of 512 entries, grown or allocated, than in arrays of 302. *)
+
+(** Every {!S} operation except [policy_name] and [create], over a
+    policy state of type ['c lifted]. {!S} includes it with [lifted]
+    replaced by its [t]; the weighted lift ({!Lift}) implements it once
+    for every classical policy, with ['c] the core's state. *)
+module type OPS = sig
+  type 'c lifted
+
+  val capacity : 'c lifted -> int
+
+  val size : 'c lifted -> int
+  (** Number of resident keys. *)
+
+  val used : 'c lifted -> int
+  (** Total resident size — [Σ weight.size] over residents. Equal to
+      {!size} while every resident was inserted at unit size. The
+      conservation invariant [used t <= capacity t] holds after every
+      operation. *)
+
+  val mem : 'c lifted -> int -> bool
+
+  val hit : 'c lifted -> int -> cost:int -> bool
+  (** [hit t key ~cost] is the demand-hit entry point. When [key] is
+      resident it records the access and re-credits the key with [cost],
+      exactly as {!promote} then {!charge} would, and returns [true];
+      otherwise it changes nothing and returns [false]. It probes the
+      index once, and a rent-based policy re-keys its heap once. *)
+
+  val promote : 'c lifted -> int -> unit
+  (** [promote t key] records an access to a resident [key] (e.g. moves it
+      to the MRU position, bumps its frequency). No-op when absent. *)
+
+  val insert : 'c lifted -> pos:insert_position -> weight:weight -> int -> int
+  (** [insert t ~pos ~weight key] makes [key] resident, evicting as many
+      victims as needed to fit [weight.size]. It returns the number of
+      victims and hands each one, in eviction order, to the sink.
+      Inserting a resident key only repositions it (never evicts, never
+      changes its recorded weight) and returns [0]. A key with
+      [weight.size > capacity t] is {e not} admitted: nothing is evicted
+      and [0] is returned (the oversize-bypass rule, as in Landlord).
+      @raise Invalid_argument when [weight] has a non-positive component. *)
+
+  val admit : 'c lifted -> pos:insert_position -> weight:weight -> int -> int
+  (** [admit] is {!insert} for a key the caller knows is not resident —
+      the miss path after {!hit} or {!mem} answered [false] — so it skips
+      the residency probe. Its result for a resident key is unspecified.
+      @raise Invalid_argument when [weight] has a non-positive component. *)
+
+  val set_sink : 'c lifted -> (int -> unit) -> unit
+  (** [set_sink t f] makes [f] receive every victim that {!insert} and
+      {!admit} evict, in eviction order; it replaces the previous sink.
+      {!evict}, {!remove} and {!clear} do not call it. The default sink
+      is {!drop_victim}. *)
+
+  val charge : 'c lifted -> int -> cost:int -> unit
+  (** [charge t key ~cost] re-credits a resident [key] after a demand hit
+      — the hook for rent-based policies: Landlord resets the key's
+      credit to [cost]. A no-op for the classical unit policies and when
+      [key] is absent. *)
+
+  val evict : 'c lifted -> int
+  (** [evict t] forces out the policy's current victim and returns it;
+      [-1] when empty (keys are non-negative, so the sentinel is never a
+      key and the call allocates nothing). Used to make room for a group
+      before appending its members, so members do not evict one
+      another. *)
+
+  val remove : 'c lifted -> int -> unit
+  (** Drops [key] if resident. *)
+
+  val contents : 'c lifted -> int list
+  (** Resident keys, hot end first where the policy has an order. *)
+
+  val clear : 'c lifted -> unit
+end
 
 module type S = sig
   type t
@@ -61,72 +139,7 @@ module type S = sig
       total resident {e size}.
       @raise Invalid_argument when [capacity <= 0]. *)
 
-  val capacity : t -> int
-
-  val size : t -> int
-  (** Number of resident keys. *)
-
-  val used : t -> int
-  (** Total resident size — [Σ weight.size] over residents. Equal to
-      {!size} while every resident was inserted at unit size. The
-      conservation invariant [used t <= capacity t] holds after every
-      operation. *)
-
-  val mem : t -> int -> bool
-
-  val hit : t -> int -> cost:int -> bool
-  (** [hit t key ~cost] is the demand-hit entry point. When [key] is
-      resident it records the access and re-credits the key with [cost],
-      exactly as {!promote} then {!charge} would, and returns [true];
-      otherwise it changes nothing and returns [false]. It probes the
-      index once, and a rent-based policy re-keys its heap once. *)
-
-  val promote : t -> int -> unit
-  (** [promote t key] records an access to a resident [key] (e.g. moves it
-      to the MRU position, bumps its frequency). No-op when absent. *)
-
-  val insert : t -> pos:insert_position -> weight:weight -> int -> int
-  (** [insert t ~pos ~weight key] makes [key] resident, evicting as many
-      victims as needed to fit [weight.size]. It returns the number of
-      victims and hands each one, in eviction order, to the sink.
-      Inserting a resident key only repositions it (never evicts, never
-      changes its recorded weight) and returns [0]. A key with
-      [weight.size > capacity t] is {e not} admitted: nothing is evicted
-      and [0] is returned (the oversize-bypass rule, as in Landlord).
-      @raise Invalid_argument when [weight] has a non-positive component. *)
-
-  val admit : t -> pos:insert_position -> weight:weight -> int -> int
-  (** [admit] is {!insert} for a key the caller knows is not resident —
-      the miss path after {!hit} or {!mem} answered [false] — so it skips
-      the residency probe. Its result for a resident key is unspecified.
-      @raise Invalid_argument when [weight] has a non-positive component. *)
-
-  val set_sink : t -> (int -> unit) -> unit
-  (** [set_sink t f] makes [f] receive every victim that {!insert} and
-      {!admit} evict, in eviction order; it replaces the previous sink.
-      {!evict}, {!remove} and {!clear} do not call it. The default sink
-      is {!drop_victim}. *)
-
-  val charge : t -> int -> cost:int -> unit
-  (** [charge t key ~cost] re-credits a resident [key] after a demand hit
-      — the hook for rent-based policies: Landlord resets the key's
-      credit to [cost]. A no-op for the classical unit policies and when
-      [key] is absent. *)
-
-  val evict : t -> int
-  (** [evict t] forces out the policy's current victim and returns it;
-      [-1] when empty (keys are non-negative, so the sentinel is never a
-      key and the call allocates nothing). Used to make room for a group
-      before appending its members, so members do not evict one
-      another. *)
-
-  val remove : t -> int -> unit
-  (** Drops [key] if resident. *)
-
-  val contents : t -> int list
-  (** Resident keys, hot end first where the policy has an order. *)
-
-  val clear : t -> unit
+  include OPS with type 'c lifted := t
 end
 
 (** The unit-weight policy surface — what the ten classical policies
@@ -156,7 +169,7 @@ module type UNIT = sig
       a resident key. *)
 
   val evict : t -> int
-  (** As {!S.evict}: the victim, or [-1] when empty. *)
+  (** As {!OPS.evict}: the victim, or [-1] when empty. *)
 
   val remove : t -> int -> bool
   (** Drops [key] if resident and returns whether it was; a policy with

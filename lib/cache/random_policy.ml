@@ -15,7 +15,7 @@ module Core = struct
     {
       capacity;
       keys = Vec.create ();
-      index = Int_table.create ~capacity:(2 * Policy.presize capacity) ();
+      index = Int_table.create ();
       prng = Prng.create ~seed ();
     }
 
@@ -35,7 +35,7 @@ module Core = struct
     let victim = Vec.get t.keys i in
     let moved = Vec.get t.keys last in
     Vec.set t.keys i moved;
-    ignore (Vec.pop t.keys);
+    Vec.drop_last t.keys;
     if i <> last then Int_table.set t.index moved i;
     Int_table.remove t.index victim;
     victim
@@ -69,4 +69,4 @@ let policy_name = Core.policy_name
 let create ~capacity = Lift.make (module Core) (Core.create ~capacity)
 let create_seeded ~capacity ~seed = Lift.make (module Core) (Core.create_seeded ~capacity ~seed)
 
-include (Lift : Lift.OPS with type 'c lifted := 'c Lift.t)
+include (Lift : Policy.OPS with type 'c lifted := 'c Lift.t)

@@ -30,7 +30,7 @@ module Core = struct
       arena;
       probationary = Dlist_arena.new_list arena;
       protected_ = Dlist_arena.new_list arena;
-      index = Int_table.create ~capacity:(2 * Policy.presize capacity) ();
+      index = Int_table.create ();
       protected_len = 0;
     }
 
@@ -133,6 +133,6 @@ type t = Core.t Lift.t
 let policy_name = Core.policy_name
 let create ~capacity = Lift.make (module Core) (Core.create ~capacity)
 
-include (Lift : Lift.OPS with type 'c lifted := 'c Lift.t)
+include (Lift : Policy.OPS with type 'c lifted := 'c Lift.t)
 
 let protected_resident t key = Core.protected_resident (Lift.core t) key

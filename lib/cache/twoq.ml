@@ -34,8 +34,8 @@ module Core = struct
       arena;
       a1in = Dlist_arena.new_list arena;
       am = Dlist_arena.new_list arena;
-      index = Int_table.create ~capacity:(2 * Policy.presize capacity) ();
-      ghost = Int_table.create ~capacity:(Policy.presize capacity) ();
+      index = Int_table.create ();
+      ghost = Int_table.create ();
       ghost_order = Int_fifo.create ~bound:(Int.max 1 (capacity / 2));
       a1in_len = 0;
     }
@@ -141,6 +141,6 @@ type t = Core.t Lift.t
 let policy_name = Core.policy_name
 let create ~capacity = Lift.make (module Core) (Core.create ~capacity)
 
-include (Lift : Lift.OPS with type 'c lifted := 'c Lift.t)
+include (Lift : Policy.OPS with type 'c lifted := 'c Lift.t)
 
 let in_main t key = Core.in_main (Lift.core t) key

@@ -822,7 +822,7 @@ let insert t ~pos ~weight:w key =
   end
   else begin
     let victims = ref [] in
-    while t.wused + w.Policy.size > t.capacity do
+    while w.Policy.size > t.capacity - t.wused do
       match unit_evict t with
       | Some v ->
           note_drop t v;

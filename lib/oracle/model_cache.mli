@@ -51,7 +51,7 @@ val charge : t -> int -> cost:int -> unit
 
 val evict : t -> int
 (** Forces out the model's current victim; [-1] when empty — mirrors
-    [Policy.S.evict]. *)
+    [Policy.OPS.evict]. *)
 
 val remove : t -> int -> unit
 val contents : t -> int list

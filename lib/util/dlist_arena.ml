@@ -40,10 +40,19 @@ let create ?(capacity = 16) () =
   thread_free t 0 capacity;
   t
 
+(* Doubles the backing arrays. The copy is a typed loop, which compiles
+   to plain stores: [Array.append] or [Array.blit] would also build a
+   temporary or call [caml_modify] per element of a major-heap array. *)
 let grow t =
   let old = Array.length t.prev in
   let cap = 2 * old in
-  let extend a = Array.append a (Array.make old 0) in
+  let extend (a : int array) =
+    let b = Array.make cap 0 in
+    for i = 0 to old - 1 do
+      b.(i) <- a.(i)
+    done;
+    b
+  in
   t.prev <- extend t.prev;
   t.next <- extend t.next;
   t.key <- extend t.key;

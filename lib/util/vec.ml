@@ -34,6 +34,10 @@ let pop t =
     Some t.data.(t.size)
   end
 
+let drop_last t =
+  if t.size = 0 then invalid_arg "Vec.drop_last: empty vector";
+  t.size <- t.size - 1
+
 let clear t =
   t.data <- [||];
   t.size <- 0

@@ -18,6 +18,11 @@ val set : 'a t -> int -> 'a -> unit
 
 val push : 'a t -> 'a -> unit
 val pop : 'a t -> 'a option
+
+val drop_last : 'a t -> unit
+(** Removes the last element without returning it, so the call allocates
+    nothing. @raise Invalid_argument when the vector is empty. *)
+
 val clear : 'a t -> unit
 val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit

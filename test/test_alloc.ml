@@ -68,8 +68,19 @@ let tracker =
   done;
   t
 
+(* A policy's arrays double once its residents outnumber
+   [Policy.presize]. [grown c ~keys] passes keys [0 .. keys - 1] through
+   [c] once and clears it, so a pin that inserts those keys measures
+   admission, not growth. *)
+let grown c ~keys =
+  for k = 0 to keys - 1 do
+    ignore (Cache.access c k)
+  done;
+  Cache.clear c;
+  c
+
 (* holds the pin's whole key range: misses insert, nothing is evicted *)
-let lru = Cache.create Cache.Lru ~capacity:2_048
+let lru = grown (Cache.create Cache.Lru ~capacity:2_048) ~keys:1_500
 
 (* A cyclic scan over twice the capacity misses on every access, and
    each miss evicts: a full unit LRU. Warmed up, so every key it touches
@@ -85,6 +96,15 @@ let full_lru =
    each victim. *)
 let full_clock =
   let c = Cache.create Cache.Clock ~capacity:1_024 in
+  for i = 0 to 4_095 do
+    ignore (Cache.access c (i land 2_047))
+  done;
+  c
+
+(* The same scan through Random, whose victim leaves the middle of its
+   dense key array: the last key moves into the hole. *)
+let full_random =
+  let c = Cache.create Cache.Random ~capacity:1_024 in
   for i = 0 to 4_095 do
     ignore (Cache.access c (i land 2_047))
   done;
@@ -134,7 +154,7 @@ let admitted = Array.make 5 0
 
 (* room for every member the admission pin offers: each call admits four
    new keys and evicts nothing *)
-let roomy = Cache.create Cache.Lru ~capacity:50_000
+let roomy = grown (Cache.create Cache.Lru ~capacity:50_000) ~keys:40_004
 
 let per_call_pins =
   [
@@ -172,6 +192,8 @@ let per_call_pins =
         ignore (Cache.access full_lru (i land 2_047)));
     allocation_free "evicting miss on a full Clock" (fun i ->
         ignore (Cache.access full_clock (i land 2_047)));
+    allocation_free "evicting miss on a full Random" (fun i ->
+        ignore (Cache.access full_random (i land 2_047)));
     allocation_free "evicting miss on a weighted LRU, several victims" (fun i ->
         ignore (Cache.access full_weighted_lru (i land 2_047)));
     allocation_free "evicting Cache.insert_cold_into" (fun i ->

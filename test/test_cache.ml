@@ -842,37 +842,89 @@ let test_extreme_capacities () =
         policy_kinds)
     [ 1_000_000_000_000; max_int ]
 
-(* Clock allocates its slots lazily; a clock that starts with one word of
-   slots must behave exactly like one that starts with all of them:
-   same victims, same slot order. *)
-let clock_sparse_matches_eager =
-  QCheck.Test.make ~name:"clock with lazily grown slots matches a fully allocated one" ~count:200
+(* Sizes near [max_int] at capacity [max_int]: [used + size] would wrap
+   negative, so every room test compares [size] with [capacity - used].
+   Two residents of [max_int / 2 + 1] cannot both fit, on the demand path
+   or through a group admission. *)
+let test_extreme_weights () =
+  let big = (max_int / 2) + 1 in
+  let weight_of _ = { Policy.size = big; cost = 1 } in
+  List.iter
+    (fun kind ->
+      let name = Cache.kind_name kind in
+      let cache = Cache.create ~weight_of kind ~capacity:max_int in
+      ignore (Cache.access cache 1);
+      ignore (Cache.access cache 2);
+      check_int (name ^ ": demand miss evicts") 1 (Cache.stats cache).Cache.evictions;
+      check_bool (name ^ ": first key gone") false (Cache.mem cache 1);
+      check_int (name ^ ": used") big (Cache.used cache);
+      let admitted = Array.make 1 0 in
+      check_int (name ^ ": member admitted") 1
+        (Cache.insert_cold_into cache [| 3 |] ~pos:0 ~len:1 admitted);
+      check_int (name ^ ": group made room") 2 (Cache.stats cache).Cache.evictions;
+      check_bool (name ^ ": resident gone") false (Cache.mem cache 2);
+      check_int (name ^ ": one resident") 1 (Cache.size cache);
+      check_int (name ^ ": used after the group") big (Cache.used cache))
+    policy_kinds
+
+(* Every policy allocates [Policy.presize capacity] entries up front and
+   doubles its arrays as residents arrive past that. Above the presize, a
+   fresh cache must behave exactly like one whose arrays have already
+   grown (filled to capacity with other keys, then cleared): same victims,
+   same contents and sizes, operation for operation. A few sizes of 2
+   make the lift evict several residents at once. *)
+let grows_like_grown (type a) (module P : Policy.S with type t = a) =
+  QCheck.Test.make
+    ~name:(P.policy_name ^ ": a cache growing past its presize matches a grown one")
+    ~count:20
+    (* a counterexample is thousands of operations long: shrinking one
+       would take minutes, so it is reported as drawn *)
     QCheck.(
-      pair (int_range 1 300)
-        (list_of_size (Gen.int_range 0 600) (pair (int_range 0 5) (int_range 0 400))))
-    (fun (capacity, ops) ->
-      let eager = Clock.create_with_slots ~capacity ~slots:capacity in
-      let sparse = Clock.create_with_slots ~capacity ~slots:1 in
-      let weight k = { Policy.size = 1 + (k mod 3); cost = 1 } in
+      set_shrink Shrink.nil
+        (pair (int_range 1 200)
+           (list_of_size (Gen.int_range 0 3_000) (pair (int_range 0 7) (int_range 0 1_500)))))
+    (fun (extra, ops) ->
+      let capacity = Policy.presize max_int + extra in
+      let fresh = P.create ~capacity and grown = P.create ~capacity in
+      for k = 1 to capacity do
+        ignore (P.insert grown ~pos:Policy.Hot ~weight:Policy.unit_weight (10_000 + k))
+      done;
+      P.clear grown;
+      let weight k = { Policy.size = (if k mod 11 = 0 then 2 else 1); cost = 1 } in
       List.for_all
         (fun (op, key) ->
           let same =
             match op with
-            | 0 | 1 ->
-                let pos = if op = 0 then Policy.Hot else Policy.Cold in
-                insert_victims (module Clock) eager ~pos ~weight:(weight key) key
-                = insert_victims (module Clock) sparse ~pos ~weight:(weight key) key
-            | 2 -> Clock.evict eager = Clock.evict sparse
-            | 3 ->
-                Clock.remove eager key;
-                Clock.remove sparse key;
+            | 0 | 1 | 2 | 3 ->
+                let pos = if op land 1 = 0 then Policy.Hot else Policy.Cold in
+                insert_victims (module P) fresh ~pos ~weight:(weight key) key
+                = insert_victims (module P) grown ~pos ~weight:(weight key) key
+            | 4 -> P.evict fresh = P.evict grown
+            | 5 ->
+                P.remove fresh key;
+                P.remove grown key;
                 true
-            | _ -> Clock.hit eager key ~cost:1 = Clock.hit sparse key ~cost:1
+            | _ -> P.hit fresh key ~cost:1 = P.hit grown key ~cost:1
           in
           same
-          && Clock.contents eager = Clock.contents sparse
-          && Clock.used eager = Clock.used sparse)
+          && P.size fresh = P.size grown
+          && P.used fresh = P.used grown
+          && P.contents fresh = P.contents grown)
         ops)
+
+let growth_properties =
+  [
+    grows_like_grown (module Lru);
+    grows_like_grown (module Lfu);
+    grows_like_grown (module Fifo);
+    grows_like_grown (module Mru);
+    grows_like_grown (module Clock);
+    grows_like_grown (module Random_policy);
+    grows_like_grown (module Mq);
+    grows_like_grown (module Slru);
+    grows_like_grown (module Twoq);
+    grows_like_grown (module Arc);
+  ]
 
 (* --- qcheck properties -------------------------------------------------- *)
 
@@ -974,7 +1026,6 @@ let qcheck_tests =
             List.length contents = Cache.size cache
             && List.for_all (fun k -> Cache.mem cache k) contents)
           policy_kinds);
-    clock_sparse_matches_eager;
   ]
 
 let () =
@@ -1072,6 +1123,9 @@ let () =
             test_weighted_group_into_dirty_buffers;
         ] );
       ( "extreme capacities",
-        [ Alcotest.test_case "10^12 and max_int" `Quick test_extreme_capacities ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+        [
+          Alcotest.test_case "10^12 and max_int" `Quick test_extreme_capacities;
+          Alcotest.test_case "sizes near max_int" `Quick test_extreme_weights;
+        ] );
+      ("properties", List.map QCheck_alcotest.to_alcotest (qcheck_tests @ growth_properties));
     ]
