@@ -726,8 +726,8 @@ let weighted_throughput ~reps =
    steady-benchmark set-up does; its ops are generated events.
    [zipf-sample-22k] samples the write profile's background table
    (22000 ranks, s = 0.55). The rest run on the same server stream: ring
-   routing (the group walk and the membership walk)
-   on a five-node ring at k = 3, one fault-plan decision under the
+   routing (the group walk, and the point lookup that picks a file's
+   routing row) on a five-node ring at k = 3, one fault-plan decision under the
    default plan, a tracker observe, a g = 5 group build over a tracker
    that has seen the whole stream, and the cold-end admission of each
    access's prebuilt g = 5 group into a 500-file LRU. Routing, building
@@ -797,8 +797,7 @@ let layer_throughput ~reps files =
     generate;
     time "zipf-sample-22k" (fun _ _ -> ignore (Agg_util.Dist.Zipf.sample zipf zipf_prng));
     time "ring-group" (fun _ f -> ignore (Ring.group_into ring ~replicas:3 f route));
-    time "ring-membership" (fun i f ->
-        ignore (Ring.in_group ring ~replicas:3 ~node:(i mod 5) f));
+    time "ring-point-of" (fun _ f -> ignore (Ring.point_of ring f));
     time "fault-plan-decision" (fun i _ ->
         ignore (Agg_faults.Plan.message_lost plan ~time:i ~attempt:0));
     time "tracker-observe" (fun _ f -> Tracker.observe grown f);

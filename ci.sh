@@ -1,8 +1,8 @@
 #!/bin/sh
 # CI entry point: full build, full test suite, the lockstep differential
-# gate against the lib/oracle reference models, a one-second checked run
-# of each steady-benchmark workload, a quick smoke run of the
-# paper-vs-measured checks from the reproduction harness, the sweep
+# gate against the lib/oracle reference models, one-second checked runs
+# of each steady-benchmark workload (plain and traced), a quick smoke run
+# of the paper-vs-measured checks from the reproduction harness, the sweep
 # ledger's merge of a partial run, the entropy commands and a client
 # replay on sparse-id traces and extreme capacities under a memory cap,
 # and the CLI's parse-time rejection of out-of-range counts. The run fails if
@@ -188,19 +188,24 @@ dune build @weighted
 # pass at reduced quota; exercises every online policy facade.
 dune build @micro
 
-# Steady-benchmark gate: one short end-to-end run per workload. While it
-# measures, perfbench checks every input against the lib/oracle reference
-# models and the accounting identities, and every replay against the
-# first; its result line must report "correct": true and "failed": 0.
+# Steady-benchmark gate: one short end-to-end run per workload, then one
+# traced run. While it measures, perfbench checks every input against the
+# lib/oracle reference models and the accounting identities, and every
+# replay against the first; the traced pass also checks its per-layer
+# client against Client_cache. Each result line must report
+# "correct": true and "failed": 0.
 for workload in paper-g5 policies cluster-faults; do
-  result=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
-  case "$result" in
-    *'"correct": true,'*'"failed": 0,'*) ;;
-    *)
-      echo "ci.sh: perfbench $workload failed its checks: $result" >&2
-      exit 1
-      ;;
-  esac
+  for trace in 0 1; do
+    result=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace "$trace" \
+      | tail -n 1)
+    case "$result" in
+      *'"correct": true,'*'"failed": 0,'*) ;;
+      *)
+        echo "ci.sh: perfbench $workload --trace $trace failed its checks: $result" >&2
+        exit 1
+        ;;
+    esac
+  done
 done
 
 # Optional larger fuzz budget for nightly-style runs.

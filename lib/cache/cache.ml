@@ -244,8 +244,8 @@ let insert_cold_into t keys ~pos ~len admitted =
     let w = weight_for t k in
     t.cost_prefetched <- t.cost_prefetched + w.Policy.cost;
     (* a member can still shed a resident (ARC under directory pressure);
-       the sink reports it, but only the room made above is counted *)
-    ignore (admit t ~pos:Policy.Cold ~weight:w k)
+       the policy's sink reports it *)
+    evicted := !evicted + admit t ~pos:Policy.Cold ~weight:w k
   done;
   t.insertions <- t.insertions + n;
   t.speculative_insertions <- t.speculative_insertions + n;

@@ -103,9 +103,10 @@ val insert_cold_into : t -> int array -> pos:int -> len:int -> int array -> int
     [admitted.(0) .. admitted.(n - 1)] and [n] is returned. Nothing else
     of [admitted] is read or written, so it may hold anything beforehand.
     Past the policy's growth (see {!access}) it allocates nothing: room
-    is made by forced evictions, and a victim
-    a member's insertion still causes (ARC can shed a resident under
-    directory pressure) goes to the eviction observer only.
+    is made by forced evictions. A victim a member's insertion still
+    causes (ARC can shed a resident under directory pressure) is counted
+    in [evictions] and reported to the eviction observer like any
+    other.
     @raise Invalid_argument when the slice is out of bounds for [keys] or
     [admitted] is shorter than [len]. *)
 

@@ -176,13 +176,18 @@ module Core = struct
       true
     end
 
-  let advance t = t.hand <- (t.hand + 1) mod t.capacity
+  (* The hand stays below [capacity], so one step wraps with a test for
+     equality, not a division. *)
+  let advance t =
+    let h = t.hand + 1 in
+    t.hand <- (if h = t.capacity then 0 else h)
 
   (* Sweep the hand, giving second chances, until an unreferenced occupied
-     slot is found; empty slots are skipped a word at a time. Terminates
-     within two revolutions (the caller guarantees a resident). *)
+     slot is found; empty slots are skipped a word at a time, and only a
+     hand on an unallocated or empty slot searches. Terminates within two
+     revolutions (the caller guarantees a resident). *)
   let rec find_victim t =
-    t.hand <- occupied_slot t;
+    if t.hand >= t.slots || not (is_occupied t t.hand) then t.hand <- occupied_slot t;
     if t.referenced.(t.hand) then begin
       t.referenced.(t.hand) <- false;
       advance t;

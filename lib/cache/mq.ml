@@ -22,6 +22,11 @@ module Core = struct
     ghost_order : Int_fifo.t;
     mutable size : int;
     mutable time : int;
+    (* At most the expiry of every tail of queues 1 and up. A block enters
+       such a queue at its front with [expire = time + lifetime], so each
+       tail holds its queue's earliest expiry, and [adjust] can move
+       nothing while [time <= horizon]. *)
+    mutable horizon : int;
   }
 
   let policy_name = "mq"
@@ -49,6 +54,7 @@ module Core = struct
       ghost_order = Int_fifo.create ~bound:(scaled ghost_factor capacity);
       size = 0;
       time = 0;
+      horizon = max_int;
     }
 
   let create ~capacity =
@@ -88,21 +94,28 @@ module Core = struct
       Int.min !q (Array.length t.queues - 1)
     end
 
-  (* MQ's Adjust(): demote expired LRU-end blocks one queue at a time. *)
+  (* A block entered queue [queue] with expiry [expire]. *)
+  let entered t ~queue ~expire = if queue >= 1 then t.horizon <- Int.min t.horizon expire
+
+  (* MQ's Adjust(): demote expired LRU-end blocks one queue at a time.
+     Once queue [q] is done only lower queues change, so its tail then is
+     final and the horizon is recomputed on the way down. *)
   let adjust t =
-    let m = Array.length t.queues in
-    for q = m - 1 downto 1 do
+    t.horizon <- max_int;
+    for q = Array.length t.queues - 1 downto 1 do
       let node = Dlist_arena.last t.arena t.queues.(q) in
       if node >= 0 && t.expire.(node) < t.time then begin
         t.queue.(node) <- q - 1;
         t.expire.(node) <- t.time + t.lifetime;
         Dlist_arena.move_to_front t.arena t.queues.(q - 1) node
-      end
+      end;
+      let tail = Dlist_arena.last t.arena t.queues.(q) in
+      if tail >= 0 then t.horizon <- Int.min t.horizon t.expire.(tail)
     done
 
   let tick t =
     t.time <- t.time + 1;
-    adjust t
+    if t.time > t.horizon then adjust t
 
   let ghost_count t key =
     let v = Int_table.get t.ghost key in
@@ -120,6 +133,7 @@ module Core = struct
     t.count.(node) <- t.count.(node) + 1;
     t.queue.(node) <- queue_for t t.count.(node);
     t.expire.(node) <- t.time + t.lifetime;
+    entered t ~queue:t.queue.(node) ~expire:t.expire.(node);
     Dlist_arena.move_to_front t.arena t.queues.(t.queue.(node)) node
 
   let hit t key =
@@ -174,6 +188,7 @@ module Core = struct
     t.count.(node) <- count;
     t.queue.(node) <- queue;
     t.expire.(node) <- t.time + t.lifetime;
+    entered t ~queue ~expire:t.expire.(node);
     Int_table.set t.index key node;
     t.size <- t.size + 1;
     victim
@@ -200,7 +215,8 @@ module Core = struct
     Int_table.clear t.ghost;
     Int_fifo.clear t.ghost_order;
     t.size <- 0;
-    t.time <- 0
+    t.time <- 0;
+    t.horizon <- max_int
 
   let queue_of t key =
     let node = Int_table.get t.index key in

@@ -114,8 +114,12 @@ type client_state = {
   mutable hits : int;
 }
 
-(* The miss path writes into per-run buffers instead of building lists:
-   [route] holds the file's replication group (primary first), [group]
+(* A request reads its replicas' states from the routing rows: every
+   file at ring point [p] has the group whose [j]-th member's state is
+   [rows.(p * k + j)], so routing is one [Ring.point_of] and [k] reads,
+   and the ring is walked only when churn rebuilds the rows. The miss
+   path writes into per-run buffers instead of building lists: [route]
+   holds the ids of the file's replication group (primary first), [group]
    the client's retrieval group, [staged] a node's own readahead group
    and [admitted] the members a cache just took. *)
 type state = {
@@ -127,8 +131,11 @@ type state = {
   client_states : client_state array;
   mutable ring : Ring.t;
   mutable node_states : node_state array;
-      (** sorted by [node_id], rebuilt at churn; searched, never indexed
-          by id, so node ids may be as sparse as a join makes them *)
+      (** sorted by [node_id], rebuilt at churn; searched only to build
+          the rows, never indexed by id, so node ids may be as sparse as
+          a join makes them *)
+  mutable k : int;  (** live replicas: [replicas], or fewer when the ring has fewer nodes *)
+  mutable rows : node_state array;  (** [Ring.point_count ring * k] states, rebuilt with [ring] *)
   mutable pending_churn : (int * churn_op) list;  (** sorted by time *)
   mutable retired : (int * int) list;  (** departed nodes' request counts *)
   counters : Counters.t;
@@ -201,6 +208,35 @@ let make_client_tracker metadata_config =
   Tracker.create ~capacity:metadata_config.Agg_core.Config.successor_capacity
     ~policy:metadata_config.Agg_core.Config.metadata_policy ()
 
+(* Binary search of [nodes.(lo) .. nodes.(hi - 1)], sorted by [node_id]. *)
+let rec find_node (nodes : node_state array) id lo hi =
+  if lo >= hi then invalid_arg (Printf.sprintf "Cluster: node %d has no state" id)
+  else
+    let mid = (lo + hi) lsr 1 in
+    let m = nodes.(mid).node_id in
+    if m = id then nodes.(mid)
+    else if m < id then find_node nodes id (mid + 1) hi
+    else find_node nodes id lo mid
+
+let node_state st id = find_node st.node_states id 0 (Array.length st.node_states)
+
+(* Builds the routing rows of [st.ring] and [st.node_states]:
+   [rows.(p * k + j)] is the state of the [j]-th distinct node met walking
+   clockwise from ring point [p]. One walk per point, [point_count * k]
+   words; run at set-up and after every churn op. *)
+let reroute st =
+  let k = Int.min st.config.replicas (Ring.node_count st.ring) in
+  let group = Array.make k 0 in
+  let rows = Array.make (Ring.point_count st.ring * k) st.node_states.(0) in
+  for p = 0 to Ring.point_count st.ring - 1 do
+    ignore (Ring.point_group_into st.ring ~replicas:k p group);
+    for j = 0 to k - 1 do
+      rows.((p * k) + j) <- node_state st group.(j)
+    done
+  done;
+  st.k <- k;
+  st.rows <- rows
+
 let make_state config ~accesses =
   validate config;
   let metadata_config =
@@ -214,58 +250,68 @@ let make_state config ~accesses =
     | Some c -> c.Agg_core.Config.group_size
     | None -> 0
   in
-  {
-    config;
-    metadata_config;
-    client_group_size;
-    node_group_size;
-    base_plan = Plan.make config.faults;
-    client_states =
-      Array.init config.clients (fun _ ->
-          {
-            cache =
-              Cache.create (Scheme.cache_kind config.client_scheme)
-                ~capacity:config.client_capacity;
-            tracker = make_client_tracker metadata_config;
-            accesses = 0;
-            hits = 0;
-          });
-    ring = Ring.create ~seed:config.ring_seed ~nodes:config.nodes ();
-    node_states = Array.init config.nodes (make_node config metadata_config);
-    pending_churn = List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) config.churn;
-    retired = [];
-    counters = Counters.create ();
-    latencies = Array.make accesses 0.0;
-    server_requests = 0;
-    server_hits = 0;
-    store_fetches = 0;
-    files_transferred = 0;
-    invalidations = 0;
-    routed_fetches = 0;
-    failovers = 0;
-    cross_shard_members = 0;
-    rebalances = 0;
-    moved_files = 0;
-    now = 0;
-    route = Array.make config.replicas 0;
-    group = Array.make client_group_size 0;
-    staged = Array.make (Int.max 1 node_group_size) 0;
-    admitted = Array.make (Int.max client_group_size node_group_size) 0;
-  }
+  let st =
+    {
+      config;
+      metadata_config;
+      client_group_size;
+      node_group_size;
+      base_plan = Plan.make config.faults;
+      client_states =
+        Array.init config.clients (fun _ ->
+            {
+              cache =
+                Cache.create (Scheme.cache_kind config.client_scheme)
+                  ~capacity:config.client_capacity;
+              tracker = make_client_tracker metadata_config;
+              accesses = 0;
+              hits = 0;
+            });
+      ring = Ring.create ~seed:config.ring_seed ~nodes:config.nodes ();
+      node_states = Array.init config.nodes (make_node config metadata_config);
+      k = 0;
+      rows = [||];
+      pending_churn = List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) config.churn;
+      retired = [];
+      counters = Counters.create ();
+      latencies = Array.make accesses 0.0;
+      server_requests = 0;
+      server_hits = 0;
+      store_fetches = 0;
+      files_transferred = 0;
+      invalidations = 0;
+      routed_fetches = 0;
+      failovers = 0;
+      cross_shard_members = 0;
+      rebalances = 0;
+      moved_files = 0;
+      now = 0;
+      route = Array.make config.replicas 0;
+      group = Array.make client_group_size 0;
+      staged = Array.make (Int.max 1 node_group_size) 0;
+      admitted = Array.make (Int.max client_group_size node_group_size) 0;
+    }
+  in
+  reroute st;
+  st
 
-(* Binary search of [nodes.(lo) .. nodes.(hi - 1)], sorted by [node_id]. *)
-let rec find_node (nodes : node_state array) id lo hi =
-  if lo >= hi then invalid_arg (Printf.sprintf "Cluster: node %d has no state" id)
-  else
-    let mid = (lo + hi) lsr 1 in
-    let m = nodes.(mid).node_id in
-    if m = id then nodes.(mid)
-    else if m < id then find_node nodes id (mid + 1) hi
-    else find_node nodes id lo mid
+(* Writes the ids of [file]'s replication group to [st.route], primary
+   first, and returns where the group's states start in [st.rows]. *)
+let route st file =
+  let row = Ring.point_of st.ring file * st.k in
+  for j = 0 to st.k - 1 do
+    st.route.(j) <- st.rows.(row + j).node_id
+  done;
+  row
 
-let node_state st id = find_node st.node_states id 0 (Array.length st.node_states)
+(* Is [ns] among [rows.(i) .. rows.(stop - 1)]? *)
+let rec row_holds (rows : node_state array) ns i stop =
+  i < stop && (rows.(i) == ns || row_holds rows ns (i + 1) stop)
 
-let live_replicas st = Int.min st.config.replicas (Ring.node_count st.ring)
+(* Does [ns] replicate [file]? A scan of [file]'s row. *)
+let replicates st ns file =
+  let row = Ring.point_of st.ring file * st.k in
+  row_holds st.rows ns row (row + st.k)
 
 (* --- churn ------------------------------------------------------------- *)
 
@@ -278,8 +324,11 @@ let apply_op st op =
   match op with
   | Join node ->
       let ring = Ring.add st.ring node in
-      let k = Int.min st.config.replicas (Ring.node_count ring) in
       let fresh = make_node st.config st.metadata_config node in
+      let before = st.node_states in
+      st.ring <- ring;
+      st.node_states <- insert_node_sorted before fresh;
+      reroute st;
       let moved = ref 0 in
       (* Every existing node drops the cached files the new ring takes out
          of its group; those now owned by the joiner are handed over cold.
@@ -289,16 +338,14 @@ let apply_op st op =
         (fun ns ->
           List.iter
             (fun f ->
-              if not (Ring.in_group ring ~replicas:k ~node:ns.node_id f) then begin
+              if not (replicates st ns f) then begin
                 Cache.remove ns.cache f;
-                if Ring.in_group ring ~replicas:k ~node f && not (Cache.mem fresh.cache f)
-                then Cache.insert_cold fresh.cache f;
+                if replicates st fresh f && not (Cache.mem fresh.cache f) then
+                  Cache.insert_cold fresh.cache f;
                 incr moved
               end)
             (Cache.contents ns.cache))
-        st.node_states;
-      st.ring <- ring;
-      st.node_states <- insert_node_sorted st.node_states fresh;
+        before;
       st.rebalances <- st.rebalances + 1;
       st.moved_files <- st.moved_files + !moved;
       if Sink.enabled (Agg_obs.Scope.sink st.config.scope) then
@@ -306,21 +353,23 @@ let apply_op st op =
   | Leave node ->
       let ring = Ring.remove st.ring node in
       let departing = node_state st node in
+      st.ring <- ring;
       st.node_states <-
         Array.of_list (List.filter (fun ns -> ns.node_id <> node) (Array.to_list st.node_states));
+      reroute st;
       let moved = ref 0 in
       (* The departing node hands each cached file to the file's new
-         primary; its successor metadata leaves with it (the Owner_node
-         placement pays for that, Replicated_with_group does not). *)
+         primary, the first state of its row; its successor metadata
+         leaves with it (the Owner_node placement pays for that,
+         Replicated_with_group does not). *)
       List.iter
         (fun f ->
-          let ts = node_state st (Ring.owner ring f) in
+          let ts = st.rows.(Ring.point_of ring f * st.k) in
           if not (Cache.mem ts.cache f) then begin
             Cache.insert_cold ts.cache f;
             incr moved
           end)
         (Cache.contents departing.cache);
-      st.ring <- ring;
       st.retired <- (node, departing.requests) :: st.retired;
       st.rebalances <- st.rebalances + 1;
       st.moved_files <- st.moved_files + !moved;
@@ -347,16 +396,18 @@ let invalidate_others st ~writer file =
       end)
     st.client_states
 
-(* The resilience loop over the [k] replicas in [st.route]: timed-out
-   attempts are retried up to the policy's budget, then the fetch
-   degrades. Attempt [a] targets group member [a mod k], so exhausting
-   one node's retry fails over to the next replica instead of re-asking
-   the dead one; at k = 1 every attempt goes to the primary. Returns the
-   attempt that got through, or -1 when the budget ran dry. *)
-let rec attempt_route st ~k ~time ~attempt ~file =
+(* The resilience loop over the [k] replicas in [st.route], whose states
+   start at [st.rows.(row)]: timed-out attempts are retried up to the
+   policy's budget, then the fetch degrades. Attempt [a] targets group
+   member [a mod k], so exhausting one node's retry fails over to the
+   next replica instead of re-asking the dead one; at k = 1 every attempt
+   goes to the primary. Returns the attempt that got through, or -1 when
+   the budget ran dry. *)
+let rec attempt_route st ~row ~time ~attempt ~file =
   let r = st.config.resilience in
+  let k = st.k in
   let target = st.route.(attempt mod k) in
-  let plan = (node_state st target).plan in
+  let plan = st.rows.(row + (attempt mod k)).plan in
   let down = Plan.server_down plan ~time in
   if not (down || Plan.message_lost plan ~time ~attempt) then attempt
   else begin
@@ -374,7 +425,7 @@ let rec attempt_route st ~k ~time ~attempt ~file =
           Sink.emit (Agg_obs.Scope.sink st.config.scope)
             (Agg_obs.Event.Replica_failover { file; failed = target; target = next })
       end;
-      attempt_route st ~k ~time ~attempt:(attempt + 1) ~file
+      attempt_route st ~row ~time ~attempt:(attempt + 1) ~file
     end
     else -1
   end
@@ -383,8 +434,9 @@ let rec attempt_route st ~k ~time ~attempt ~file =
    the trace context: per failed attempt, its timeout budget, the backoff
    before the retry, and a zero-width ["route"] marker when the retry
    fails over to another replica. *)
-let push_route_phases ctx st ~k ~failures =
+let push_route_phases ctx st ~failures =
   let r = st.config.resilience in
+  let k = st.k in
   for a = 0 to failures - 1 do
     let target = st.route.(a mod k) in
     Agg_obs.Trace_ctx.push ctx ~cat:"timeout"
@@ -403,13 +455,13 @@ let push_route_phases ctx st ~k ~failures =
   done
 
 (* §3: an access is piggy-backed to wherever the metadata lives; the
-   file's [k] replicas are in [st.route] *)
-let observe st ~client ~k file =
+   states of the file's [k] replicas start at [st.rows.(row)] *)
+let observe st ~client ~row file =
   match st.config.metadata with
-  | Owner_node -> Tracker.observe_client (node_state st st.route.(0)).tracker ~client file
+  | Owner_node -> Tracker.observe_client st.rows.(row).tracker ~client file
   | Replicated_with_group ->
-      for i = 0 to k - 1 do
-        Tracker.observe_client (node_state st st.route.(i)).tracker ~client file
+      for j = row to row + st.k - 1 do
+        Tracker.observe_client st.rows.(j).tracker ~client file
       done
   | Client_side -> Tracker.observe_client st.client_states.(client).tracker ~client:0 file
 
@@ -417,18 +469,18 @@ let observe st ~client ~k file =
    (a float returned from here would be boxed). *)
 let serve st ~client ~time ~tracing file =
   st.server_requests <- st.server_requests + 1;
-  let k = live_replicas st in
-  ignore (Ring.group_into st.ring ~replicas:k file st.route);
+  let k = st.k in
+  let row = route st file in
   let primary = st.route.(0) in
   let cs = st.client_states.(client) in
-  if not st.config.cooperative then observe st ~client ~k file;
+  if not st.config.cooperative then observe st ~client ~row file;
   let attempt =
-    if not (Plan.enabled st.base_plan) then 0 else attempt_route st ~k ~time ~attempt:0 ~file
+    if not (Plan.enabled st.base_plan) then 0 else attempt_route st ~row ~time ~attempt:0 ~file
   in
   let r = st.config.resilience in
   let failures = if attempt >= 0 then attempt else r.Resilience.max_retries + 1 in
   (match tracing with
-  | Some ctx -> push_route_phases ctx st ~k ~failures
+  | Some ctx -> push_route_phases ctx st ~failures
   | None -> ());
   (* what the failed attempts cost, summed in the order the loop met them *)
   let waited = ref 0.0 in
@@ -443,7 +495,7 @@ let serve st ~client ~time ~tracing file =
     st.counters.Counters.degraded_fetches <- st.counters.Counters.degraded_fetches + 1;
     if Sink.enabled (Agg_obs.Scope.sink st.config.scope) then
       Sink.emit (Agg_obs.Scope.sink st.config.scope) (Agg_obs.Event.Fetch_degraded { file; dropped = 0 });
-    let ns = node_state st primary in
+    let ns = st.rows.(row) in
     ns.requests <- ns.requests + 1;
     (match Agg_obs.Scope.series st.config.scope with
     | Some s ->
@@ -468,7 +520,7 @@ let serve st ~client ~time ~tracing file =
   end
   else begin
     let node = st.route.(attempt mod k) in
-    let ns = node_state st node in
+    let ns = st.rows.(row + (attempt mod k)) in
     st.routed_fetches <- st.routed_fetches + 1;
     ns.requests <- ns.requests + 1;
     if Sink.enabled (Agg_obs.Scope.sink st.config.scope) then
@@ -520,7 +572,7 @@ let serve st ~client ~time ~tracing file =
     st.files_transferred <- st.files_transferred + group_len;
     for i = 1 to group_len - 1 do
       let m = group.(i) in
-      if Ring.in_group st.ring ~replicas:k ~node m then begin
+      if replicates st ns m then begin
         if not (Cache.mem ns.cache m) then begin
           st.store_fetches <- st.store_fetches + 1;
           Cache.insert_cold ns.cache m
@@ -574,11 +626,7 @@ let access st (e : Agg_trace.Event.t) =
   end;
   cs.accesses <- cs.accesses + 1;
   let file = e.Agg_trace.Event.file in
-  if st.config.cooperative then begin
-    let k = live_replicas st in
-    ignore (Ring.group_into st.ring ~replicas:k file st.route);
-    observe st ~client ~k file
-  end;
+  if st.config.cooperative then observe st ~client ~row:(route st file) file;
   let tracing =
     match Agg_obs.Scope.trace_ctx st.config.scope with
     | Some ctx when Agg_obs.Trace_ctx.sampled ctx ~request:time -> Some ctx

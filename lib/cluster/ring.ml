@@ -109,21 +109,17 @@ let successor_index t position =
   done;
   if !lo = Array.length t.points then 0 else !lo
 
-let owner t file = t.owners.(successor_index t (file_position t file))
+let point_of t file = successor_index t (file_position t file)
+let point_count t = Array.length t.points
+let owner t file = t.owners.(point_of t file)
 
-(* The clockwise walk from ring point [start]. A node is new at step
-   [offset] unless an earlier step of the same walk met it: groups are a
-   few nodes long, so rescanning those steps (or the distinct nodes they
-   met) is cheaper than carrying a set, and the walk builds nothing. A
-   walk meets every member within one revolution, so [start + offset]
-   stays below twice the point count and one subtraction wraps it. *)
+(* The clockwise walk from ring point [start]. A walk meets every member
+   within one revolution, so [start + offset] stays below twice the point
+   count and one subtraction wraps it. *)
 let owner_at t ~start offset =
   let i = start + offset in
   let n = Array.length t.owners in
   t.owners.(if i >= n then i - n else i)
-
-let rec met_before t ~start ~offset node i =
-  i < offset && (owner_at t ~start i = node || met_before t ~start ~offset node (i + 1))
 
 (* Is [node] among [buf.(i) .. buf.(n - 1)]? *)
 let rec mem_prefix (buf : int array) n (node : int) i =
@@ -131,7 +127,9 @@ let rec mem_prefix (buf : int array) n (node : int) i =
 
 (* Appends owners from step [offset] on to the [n] distinct ones already
    in [buf] until it holds [want]. Every step before [offset] met a node
-   now in [buf], so a node is new exactly when [buf] lacks it. *)
+   now in [buf], so a node is new exactly when [buf] lacks it: groups are
+   a few nodes long, so rescanning them is cheaper than carrying a set,
+   and the walk builds nothing. *)
 let rec collect_into t ~start ~want buf n offset =
   if n = want then n
   else
@@ -142,30 +140,26 @@ let rec collect_into t ~start ~want buf n offset =
       collect_into t ~start ~want buf (n + 1) (offset + 1)
     end
 
+let point_group_into t ~replicas point buf =
+  if replicas <= 0 then invalid_arg "Ring.point_group_into: replicas must be positive";
+  if point < 0 || point >= Array.length t.points then
+    invalid_arg "Ring.point_group_into: point out of range";
+  let want = Int.min replicas t.count in
+  if Array.length buf < want then
+    invalid_arg "Ring.point_group_into: buffer shorter than the group";
+  collect_into t ~start:point ~want buf 0 0
+
 let group_into t ~replicas file buf =
   if replicas <= 0 then invalid_arg "Ring.group_into: replicas must be positive";
   let want = Int.min replicas t.count in
   if Array.length buf < want then invalid_arg "Ring.group_into: buffer shorter than the group";
-  collect_into t ~start:(successor_index t (file_position t file)) ~want buf 0 0
+  collect_into t ~start:(point_of t file) ~want buf 0 0
 
 let group t ~replicas file =
   if replicas <= 0 then invalid_arg "Ring.group: replicas must be positive";
   let buf = Array.make (Int.min replicas t.count) 0 in
   ignore (group_into t ~replicas file buf);
   Array.to_list buf
-
-(* Is [node] among the first [want] distinct owners from [offset] on? *)
-let rec reaches t ~start ~want ~node offset =
-  let o = owner_at t ~start offset in
-  o = node
-  || (if met_before t ~start ~offset o 0 then reaches t ~start ~want ~node (offset + 1)
-      else want > 1 && reaches t ~start ~want:(want - 1) ~node (offset + 1))
-
-let in_group t ~replicas ~node file =
-  if replicas <= 0 then invalid_arg "Ring.in_group: replicas must be positive";
-  reaches t
-    ~start:(successor_index t (file_position t file))
-    ~want:(Int.min replicas t.count) ~node 0
 
 let pp ppf t =
   Format.fprintf ppf "ring[seed=%d nodes=%a points=%d]" t.seed

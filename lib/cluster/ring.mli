@@ -45,10 +45,32 @@ val remove : t -> int -> t
     @raise Invalid_argument when [node] is not a member or is the last
     remaining member. *)
 
+val point_count : t -> int
+(** The number of points on the ring: [points_per_node t * node_count t].
+    Points are numbered [0 .. point_count t - 1] in ascending ring
+    position. *)
+
+val point_of : t -> int -> int
+(** [point_of t file] is the number of the first ring point at or after
+    [file]'s hash position, wrapping to 0 past the last: where [file]'s
+    clockwise walk starts. Every file at one point has the same owner and
+    group, so a table with one row per point answers both (the cluster's
+    routing rows). A hash and a guide-table search; allocates nothing. *)
+
 val owner : t -> int -> int
 (** [owner t file] is the primary owner of [file]: the node of the first
     ring point at or after [file]'s hash position (wrapping). A pure
     function of the ring's seed and membership. *)
+
+val point_group_into : t -> replicas:int -> int -> int array -> int
+(** [point_group_into t ~replicas point buf] writes the first
+    [min replicas (node_count t)] distinct nodes met walking clockwise
+    from ring point [point] (itself first) to [buf.(0) .. buf.(n - 1)]
+    and returns [n]. Only that prefix is read or written, so [buf] may
+    hold anything beforehand. Allocates nothing.
+    @raise Invalid_argument when [replicas] is not positive, [point] is
+    not in [0 .. point_count t - 1], or [buf] is shorter than the
+    group. *)
 
 val group : t -> replicas:int -> int -> int list
 (** [group t ~replicas file] is [file]'s replication group: the first
@@ -62,15 +84,11 @@ val group : t -> replicas:int -> int -> int list
 val group_into : t -> replicas:int -> int -> int array -> int
 (** [group_into t ~replicas file buf] writes [group t ~replicas file] to
     [buf.(0) .. buf.(n - 1)], primary first, and returns [n] (which is
-    [min replicas (node_count t)]). Only that prefix is read or written,
-    so [buf] may hold anything beforehand. Allocates nothing.
+    [min replicas (node_count t)]): it is
+    [point_group_into t ~replicas (point_of t file) buf]. Only that
+    prefix is read or written, so [buf] may hold anything beforehand.
+    Allocates nothing.
     @raise Invalid_argument when [replicas] is not positive or [buf] is
     shorter than the group. *)
-
-val in_group : t -> replicas:int -> node:int -> int -> bool
-(** [in_group t ~replicas ~node file] is
-    [List.mem node (group t ~replicas file)], answered by walking the ring
-    without building the group: it allocates nothing.
-    @raise Invalid_argument when [replicas] is not positive. *)
 
 val pp : Format.formatter -> t -> unit

@@ -173,8 +173,9 @@ let per_call_pins =
     allocation_free "Prng.int" (fun i -> ignore (Prng.int stream (1 + (i land 1_023))));
     allocation_free "Dist.Zipf.sample, 22k ranks" (fun _ -> ignore (Dist.Zipf.sample zipf stream));
     allocation_free "Ring.owner" (fun i -> ignore (Ring.owner ring i));
-    allocation_free "Ring.in_group" (fun i ->
-        ignore (Ring.in_group ring ~replicas:3 ~node:(i mod 5) i));
+    allocation_free "Ring.point_of" (fun i -> ignore (Ring.point_of ring i));
+    allocation_free "Ring.point_group_into" (fun i ->
+        ignore (Ring.point_group_into ring ~replicas:3 (i mod Ring.point_count ring) route));
     allocation_free "Ring.group_into" (fun i -> ignore (Ring.group_into ring ~replicas:3 i route));
     allocation_free "Group_builder.build_into on a grown tracker" (fun i ->
         ignore (Agg_core.Group_builder.build_into tracker ~group_size:5 (i * 7 mod 1_000) group));

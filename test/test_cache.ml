@@ -551,6 +551,29 @@ let test_insert_hot_no_access_count () =
   check_bool "resident" true (Cache.mem cache 1);
   check_int "no access recorded" 0 (Cache.stats cache).Cache.accesses
 
+(* A member's admission can still shed a resident (ARC does under
+   ghost-directory pressure): every victim the eviction observer sees is
+   counted in [evictions]. 200 seeded ARC caches of capacity 2-7, 300
+   accesses over 20 keys each, a four-member group admitted cold on every
+   miss. *)
+let test_group_sheds_are_evictions () =
+  let prng = Agg_util.Prng.create ~seed:23 () in
+  let group = Array.make 5 0 and admitted = Array.make 4 0 in
+  for _ = 1 to 200 do
+    let cache = Cache.create Cache.Arc ~capacity:(2 + Agg_util.Prng.int prng 6) in
+    let observed = ref 0 in
+    Cache.set_on_evict cache (fun _ -> incr observed);
+    for _ = 1 to 300 do
+      if not (Cache.access cache (Agg_util.Prng.int prng 20)) then begin
+        for j = 1 to 4 do
+          group.(j) <- Agg_util.Prng.int prng 20
+        done;
+        ignore (Cache.insert_cold_into cache group ~pos:1 ~len:4 admitted)
+      end
+    done;
+    check_int "evictions = observed victims" !observed (Cache.stats cache).Cache.evictions
+  done
+
 (* --- Belady ----------------------------------------------------------- *)
 
 let test_belady_crafted () =
@@ -1099,6 +1122,7 @@ let () =
           Alcotest.test_case "skips residents and duplicates" `Quick
             test_group_skips_residents_and_duplicates;
           Alcotest.test_case "insert_hot accounting" `Quick test_insert_hot_no_access_count;
+          Alcotest.test_case "arc sheds are evictions" `Quick test_group_sheds_are_evictions;
         ] );
       ( "belady",
         [

@@ -55,8 +55,12 @@ let test_ring_validation () =
   check_bool "remove last rejected" true
     (raises (fun () -> Ring.remove (Ring.remove r 0) 1));
   check_bool "replicas=0 rejected" true (raises (fun () -> Ring.group r ~replicas:0 3));
-  check_bool "in_group replicas=0 rejected" true
-    (raises (fun () -> Ring.in_group r ~replicas:0 ~node:0 3))
+  check_bool "point_group_into replicas=0 rejected" true
+    (raises (fun () -> Ring.point_group_into r ~replicas:0 (Ring.point_of r 3) (Array.make 2 0)));
+  check_bool "point_group_into point out of range rejected" true
+    (raises (fun () -> Ring.point_group_into r ~replicas:1 (Ring.point_count r) (Array.make 2 0)));
+  check_bool "point_group_into short buffer rejected" true
+    (raises (fun () -> Ring.point_group_into r ~replicas:2 0 (Array.make 1 0)))
 
 let test_ring_group_clamps () =
   let r = Ring.create ~seed:9 ~nodes:3 () in
@@ -96,18 +100,19 @@ let naive_group ring =
     in
     walk [] (after @ before)
 
-(* A ring of 1-1024 points per node (a function of the seed) after churn
-   ops (join?, node): a join of a member or a leave of a non-member (or of
-   the last member) is skipped. The range spans guide buckets that hold
-   several points, empty buckets, and files that wrap past the last
-   point. *)
-let churned_ring ~seed ~nodes ops =
+(* A ring of [points_per_node] points per node (by default 1-1024, a
+   function of the seed) after churn ops (join?, node): a join of a member
+   or a leave of a non-member (or of the last member) is skipped. The
+   range spans guide buckets that hold several points, empty buckets, and
+   files that wrap past the last point. *)
+let churned_ring ?points_per_node ~seed ~nodes ops =
+  let points_per_node = Option.value points_per_node ~default:(1 + (seed mod 1024)) in
   List.fold_left
     (fun r (join, node) ->
       if join then if Ring.contains r node then r else Ring.add r node
       else if Ring.contains r node && Ring.node_count r > 1 then Ring.remove r node
       else r)
-    (Ring.create ~points_per_node:(1 + (seed mod 1024)) ~seed ~nodes ())
+    (Ring.create ~points_per_node ~seed ~nodes ())
     ops
 
 let ring_qcheck =
@@ -170,18 +175,28 @@ let ring_qcheck =
             Array.to_list (Array.sub buf 0 n) = naive ~replicas:k f
             && Array.sub buf n (8 - n) = Array.sub before n (8 - n))
           sample_files);
-    Test.make ~name:"Ring: in_group is membership of the group, across joins and leaves"
-      ~count:100
-      (quad seed_gen (int_range 1 6) churn (int_range 1 7))
-      (fun (seed, nodes, ops, k) ->
-        let r = churned_ring ~seed ~nodes ops in
+    Test.make ~name:"Ring: a file's point group is its group, across joins and leaves"
+      ~count:200
+      (quad (pair seed_gen (int_range 1 64)) (int_range 1 8) churn (int_range 1 5))
+      (fun ((seed, points_per_node), nodes, ops, k) ->
+        let r = churned_ring ~points_per_node ~seed ~nodes ops in
+        let row = Array.make 8 (-1) and walk = Array.make 8 (-2) in
         List.for_all
           (fun f ->
+            let p = Ring.point_of r f in
+            let n = Ring.point_group_into r ~replicas:k p row in
+            let members = Array.to_list (Array.sub row 0 n) in
             let g = Ring.group r ~replicas:k f in
-            List.for_all
-              (fun node -> Ring.in_group r ~replicas:k ~node f = List.mem node g)
-              (List.init 11 Fun.id))
-          sample_files);
+            0 <= p
+            && p < Ring.point_count r
+            && n = Ring.group_into r ~replicas:k f walk
+            && Array.sub walk 0 n = Array.sub row 0 n
+            && n = min k (Ring.node_count r)
+            && List.length (List.sort_uniq compare members) = n
+            && List.for_all
+                 (fun node -> List.mem node members = List.mem node g)
+                 (List.init 11 Fun.id))
+          (0 :: 1_000_000_000_000 :: sample_files));
     Test.make ~name:"Ring: a leave never evicts surviving group members" ~count:100
       (quad seed_gen (int_range 2 10) (int_range 1 4) (int_range 0 9))
       (fun (seed, nodes, k, leaver) ->
