@@ -1,31 +1,25 @@
 (* The benchmark harness: regenerates the data series behind every figure
    of the paper's evaluation (Figs. 3, 4, 5, 7, 8), the headline summary
    numbers, the design-choice ablations, the automated paper-vs-measured
-   checks, and a set of Bechamel micro-benchmarks of the core operations.
+   checks, the extension passes (resilience, cluster, scenario corpus,
+   telemetry, weighted caching), and a set of Bechamel micro-benchmarks of
+   the core operations.
 
    Usage:
-     dune exec bench/main.exe                 # everything
+     dune exec bench/main.exe                 # every section
      dune exec bench/main.exe fig3 fig4       # a subset
      dune exec bench/main.exe micro           # only the micro-benchmarks
      dune exec bench/main.exe all --quick     # reduced event counts
      dune exec bench/main.exe -- --jobs 4     # evaluate sweeps on 4 domains
      dune exec bench/main.exe -- --sweep      # time --jobs 1 vs --jobs N
      dune exec bench/main.exe -- --obs        # also write BENCH_obs.json
-     dune exec bench/main.exe -- --weighted   # weighted-caching sweep
-                                              # and write BENCH_weighted.json
-     dune exec bench/main.exe -- --faults     # the resilience sweep
-                                              # and write BENCH_faults.json
-     dune exec bench/main.exe -- --cluster    # the sharded-cluster sweep
-                                              # and write BENCH_cluster.json
-     dune exec bench/main.exe -- --scenarios  # the scenario corpus
-                                              # and write BENCH_scenarios.json
-     dune exec bench/main.exe -- --telemetry  # the telemetry analysis
-                                              # and write BENCH_telemetry.json
-     dune exec bench/main.exe fig3 --faults   # a section, then a pass
 
-   A pass flag (--faults, --cluster, --scenarios, --telemetry, --weighted)
-   with no section named runs only that pass; --quick, --jobs, --sweep and
-   --obs alone still mean every section.
+   Sections that write a result ledger: faults (BENCH_faults.json),
+   cluster (BENCH_cluster.json), scenarios (BENCH_scenarios.json, reading
+   ./scenarios/*.scn), telemetry (BENCH_telemetry.json), weighted
+   (BENCH_weighted.json) and micro (BENCH_micro.json). Every ledger is
+   written by [write_ledger], all but BENCH_obs.json (Agg_obs.Span's Chrome
+   trace) as an Agg_util.Json value.
 
    Output on stdout is deterministic (fixed seeds) apart from the
    micro-benchmark timings, and identical for every --jobs value. A run
@@ -34,9 +28,11 @@
    jobs, events, seed and quick flag, only the sections that ran are
    replaced and the rest are kept; otherwise it is rewritten, and the
    run says so. --sweep additionally measures the speedup of --jobs N over --jobs 1; --obs
-   additionally profiles every section and fig3/4/5 sweep cell as spans
+   additionally profiles every section and sweep cell as spans
    and writes them as Chrome trace_event JSON to BENCH_obs.json (open in
    chrome://tracing or Perfetto). *)
+
+module Json = Agg_util.Json
 
 let settings ~quick ~jobs =
   let base =
@@ -57,23 +53,16 @@ let timed f =
   f ();
   Agg_obs.Span.seconds_since t0
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* The one place a ledger is written: [text] replaces the file at [path]. *)
+let write_ledger path text =
+  let oc = open_out path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc text)
 
-(* Set by --obs: fig3/4/5 then time each sweep cell, and every section
+(* Set by --obs: every sweep then times each cell, and every section
    becomes a span, all exported to BENCH_obs.json. *)
 let profiler : Agg_obs.Span.recorder option ref = ref None
 
-(* the runner every figure section shares: one scope holding the --obs
+(* the runner every sweep section shares: one scope holding the --obs
    profiler (if any), [None] otherwise *)
 let runner ~settings =
   let scope = Option.map (fun profiler -> Agg_obs.Scope.create ~profiler ()) !profiler in
@@ -178,36 +167,12 @@ let run_checks p =
   Printf.printf "%s\n"
     (if Agg_sim.Report.all_pass checks then "ALL CHECKS PASS" else "SOME CHECKS FAILED")
 
-let print_panel panel =
-  Agg_util.Table.print (Agg_sim.Experiment.panel_table ~figure_id:"ablation" panel)
-
 let run_ablations ~settings =
-  section "Ablation A1 — group-member insertion position (paper: 'little effect')";
-  print_panel (Agg_sim.Ablations.member_position ~settings Agg_workload.Profile.server);
-  section "Ablation A2 — metadata policy: recency vs frequency, end to end";
-  print_panel (Agg_sim.Ablations.metadata_policy ~settings Agg_workload.Profile.server);
-  section "Ablation A3 — successor-list capacity (metadata budget)";
-  print_panel (Agg_sim.Ablations.successor_capacity ~settings Agg_workload.Profile.server);
-  section "Ablation A4 — aggregating cache vs probability-graph prefetching";
-  print_panel (Agg_sim.Ablations.baselines ~settings Agg_workload.Profile.server);
-  section "Ablation A5 — server metadata: miss stream vs cooperative clients";
-  print_panel (Agg_sim.Ablations.cooperative ~settings Agg_workload.Profile.server);
-  section "Ablation A6 — grouping vs second-level replacement (MQ / SLRU / 2Q / ARC)";
-  print_panel (Agg_sim.Ablations.second_level_policies ~settings Agg_workload.Profile.server);
-  section "Ablation A7 — successor-sequence tracking (the Fig. 6 model)";
-  Agg_util.Table.print (Agg_sim.Ablations.sequence_model ~settings ());
-  section "Ablation A8 — grouping for data placement (linear device seeks)";
-  Agg_util.Table.print (Agg_sim.Ablations.placement ~settings Agg_workload.Profile.server);
-  section "Ablation A9 — adaptive group sizing";
-  Agg_util.Table.print (Agg_sim.Ablations.adaptive_group ~settings ());
-  section "Ablation A10 — overlapping groups vs disjoint partition (§2.1)";
-  Agg_util.Table.print (Agg_sim.Ablations.overlap_vs_partition ~settings Agg_workload.Profile.server);
-  Agg_util.Table.print
-    (Agg_sim.Ablations.overlap_vs_partition ~settings Agg_workload.Profile.workstation);
-  section "Ablation A11 — server-side group-size sweep";
-  print_panel (Agg_sim.Ablations.server_group_size ~settings Agg_workload.Profile.server);
-  section "Predictor accuracy — recency vs frequency vs context";
-  Agg_util.Table.print (Agg_sim.Ablations.predictor_accuracy ~settings ())
+  List.iter
+    (fun (title, tables) ->
+      section title;
+      List.iter Agg_util.Table.print (tables ()))
+    (Agg_sim.Ablations.all ~settings)
 
 let run_latency ~settings =
   section "End-to-end latency (Fig. 2 path: client / network / server / disk)";
@@ -283,103 +248,59 @@ let run_fleet ~settings =
          List.iter (fun (_, row) -> Agg_util.Table.add_row table row) rows);
   Agg_util.Table.print table
 
-let faults_json_path = "BENCH_faults.json"
-
-let run_faults ~settings =
+let run_faults p =
   section "Resilience — hit rate & latency vs message loss (lru vs g5)";
   let profile = Agg_workload.Profile.server in
-  let points =
-    Agg_sim.Resilience.sweep ~profile (Agg_sim.Experiment.Runner.create ~settings ())
-  in
+  let points = Agg_sim.Resilience.sweep ~profile (runner ~settings:p.settings) in
   Agg_sim.Experiment.print_figure (Agg_sim.Resilience.figure ~profile points);
   (match Agg_sim.Resilience.hit_rate_advantage ~loss_rate:0.1 points with
   | Some d -> Printf.printf "g5 hit-rate advantage over lru at 10%% loss: %+.2f pts\n" d
   | None -> ());
-  let oc = open_out faults_json_path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Agg_sim.Resilience.json_of_points points));
-  Printf.printf "wrote %d sweep points to %s\n" (List.length points) faults_json_path
+  let path = "BENCH_faults.json" in
+  write_ledger path (Json.to_string (Agg_sim.Resilience.json_of_points points));
+  Printf.printf "wrote %d sweep points to %s\n" (List.length points) path
 
-let cluster_json_path = "BENCH_cluster.json"
-
-let run_cluster ~settings =
+let run_cluster p =
   section "Cluster — sharded ring under node loss (scheme x replicas x metadata placement)";
   let profile = Agg_workload.Profile.server in
-  let points = Agg_sim.Cluster.sweep ~profile (Agg_sim.Experiment.Runner.create ~settings ()) in
+  let points = Agg_sim.Cluster.sweep ~profile (runner ~settings:p.settings) in
   Agg_sim.Experiment.print_figure (Agg_sim.Cluster.figure ~profile points);
   (match Agg_sim.Cluster.degraded_reduction points with
   | Some (k_min, k_max) ->
       Printf.printf "degraded fetches at max node loss (g5, replicated metadata): k_min=%d k_max=%d\n"
         k_min k_max
   | None -> ());
-  let oc = open_out cluster_json_path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Agg_sim.Cluster.json_of_points points));
-  Printf.printf "wrote %d sweep points to %s\n" (List.length points) cluster_json_path
+  let path = "BENCH_cluster.json" in
+  write_ledger path (Json.to_string (Agg_sim.Cluster.json_of_points points));
+  Printf.printf "wrote %d sweep points to %s\n" (List.length points) path
 
-let scenarios_json_path = "BENCH_scenarios.json"
-
-let run_scenarios ~settings =
+let run_scenarios p =
   section "Scenarios — declarative corpus with invariant checking (scenarios/*.scn)";
-  let runner = Agg_sim.Experiment.Runner.create ~settings () in
   let events_cap = if !quick_flag then Some 4_000 else None in
-  let entries = Agg_sim.Scenarios.run_corpus ?events_cap ~runner "scenarios" in
+  let entries =
+    Agg_sim.Scenarios.run_corpus ?events_cap ~runner:(runner ~settings:p.settings)
+      (Agg_sim.Scenarios.corpus_files "scenarios")
+  in
   print_string (Agg_sim.Scenarios.render entries);
   Printf.printf "corpus verdict: %s\n"
     (if Agg_sim.Scenarios.all_ok entries then "all ok" else "FAILURES");
-  let oc = open_out scenarios_json_path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Agg_sim.Scenarios.json_of_entries entries));
-  Printf.printf "wrote %d scenario results to %s\n" (List.length entries) scenarios_json_path
+  let path = "BENCH_scenarios.json" in
+  write_ledger path (Json.to_string (Agg_sim.Scenarios.json_of_entries entries));
+  Printf.printf "wrote %d scenario results to %s\n" (List.length entries) path
 
-let weighted_json_path = "BENCH_weighted.json"
-
-let run_weighted ~settings =
+let run_weighted p =
   section "Weighted caching — size/cost-aware policies on the sized profiles";
-  let cells = Agg_sim.Weighted.sweep (Agg_sim.Experiment.Runner.create ~settings ()) in
+  let cells = Agg_sim.Weighted.sweep (runner ~settings:p.settings) in
   Agg_sim.Experiment.print_figure (Agg_sim.Weighted.figure cells);
-  let verdicts = Agg_sim.Weighted.verdicts cells in
   List.iter
     (fun (v : Agg_sim.Weighted.verdict) ->
       Printf.printf "%s: g5 total retrieval cost %d vs landlord %d — g5 %s\n"
         v.Agg_sim.Weighted.v_profile v.Agg_sim.Weighted.g5_cost v.Agg_sim.Weighted.landlord_cost
         (if v.Agg_sim.Weighted.g5_wins then "wins" else "loses"))
-    verdicts;
-  let oc = open_out weighted_json_path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc "{\n  \"cells\": [\n";
-      List.iteri
-        (fun i (c : Agg_sim.Weighted.cell) ->
-          Printf.fprintf oc
-            "    {\"profile\": \"%s\", \"policy\": \"%s\", \"capacity\": %d, \
-             \"byte_hit_rate\": %.6f, \"cost_saved_rate\": %.6f, \"total_retrieval_cost\": \
-             %d}%s\n"
-            (json_escape c.Agg_sim.Weighted.profile)
-            (json_escape c.Agg_sim.Weighted.policy)
-            c.Agg_sim.Weighted.capacity c.Agg_sim.Weighted.byte_hit_rate
-            c.Agg_sim.Weighted.cost_saved_rate c.Agg_sim.Weighted.total_cost
-            (if i = List.length cells - 1 then "" else ","))
-        cells;
-      Printf.fprintf oc "  ],\n  \"verdict\": [\n";
-      List.iteri
-        (fun i (v : Agg_sim.Weighted.verdict) ->
-          Printf.fprintf oc
-            "    {\"profile\": \"%s\", \"capacity\": %d, \"g5_total_cost\": %d, \
-             \"landlord_total_cost\": %d, \"g5_beats_landlord\": %b}%s\n"
-            (json_escape v.Agg_sim.Weighted.v_profile)
-            v.Agg_sim.Weighted.v_capacity v.Agg_sim.Weighted.g5_cost
-            v.Agg_sim.Weighted.landlord_cost v.Agg_sim.Weighted.g5_wins
-            (if i = List.length verdicts - 1 then "" else ","))
-        verdicts;
-      Printf.fprintf oc "  ]\n}\n");
-  Printf.printf "wrote %d sweep cells to %s\n" (List.length cells) weighted_json_path
-
-let telemetry_json_path = "BENCH_telemetry.json"
+    (Agg_sim.Weighted.verdicts cells);
+  let path = "BENCH_weighted.json" in
+  write_ledger path (Json.to_string (Agg_sim.Weighted.json_of_cells cells));
+  Printf.printf "wrote %d sweep cells to %s\n" (List.length cells) path
 
 (* Two windowed-series measurements the end-of-run aggregates cannot
    express:
@@ -392,7 +313,8 @@ let telemetry_json_path = "BENCH_telemetry.json"
    - {e ring-churn load skew} — peak per-window load imbalance across a
      5-node ring while a node leaves and rejoins, versus the pre-churn
      baseline. *)
-let run_telemetry ~settings =
+let run_telemetry p =
+  let settings = p.settings in
   section "Telemetry — windowed series: crash recovery (lru vs g5) and ring-churn load skew";
   let events = settings.Agg_sim.Experiment.events in
   let window = max 250 (events / 40) in
@@ -444,8 +366,10 @@ let run_telemetry ~settings =
      with Exit -> ());
     (steady, hit !dip, !dip, !recovered - !dip)
   in
-  let lru_steady, lru_dip_rate, lru_dip, lru_rec = recover Agg_system.Scheme.plain_lru in
-  let g5_steady, g5_dip_rate, g5_dip, g5_rec = recover (Agg_system.Scheme.aggregating ()) in
+  let lru = recover Agg_system.Scheme.plain_lru in
+  let g5 = recover (Agg_system.Scheme.aggregating ()) in
+  let lru_steady, lru_dip_rate, lru_dip, lru_rec = lru in
+  let g5_steady, g5_dip_rate, g5_dip, g5_rec = g5 in
   Printf.printf
     "crash recovery (window %d accesses): lru steady %.1f%% dip %.1f%% @w%d, back in %d windows\n"
     window lru_steady lru_dip_rate lru_dip lru_rec;
@@ -494,25 +418,35 @@ let run_telemetry ~settings =
     "ring churn (5 nodes, k=2, leave+rejoin): baseline imbalance %.2f, peak %.2f @w%d, %d \
      rebalances moved %d files\n"
     baseline !peak !peak_w r.Agg_cluster.Cluster.rebalances r.Agg_cluster.Cluster.moved_files;
-  let oc = open_out telemetry_json_path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\n\
-        \  \"window\": %d,\n\
-        \  \"recovery\": {\n\
-        \    \"lru\": {\"steady_hit_rate\": %.4f, \"dip_hit_rate\": %.4f, \"dip_window\": %d, \
-         \"recovery_windows\": %d},\n\
-        \    \"g5\": {\"steady_hit_rate\": %.4f, \"dip_hit_rate\": %.4f, \"dip_window\": %d, \
-         \"recovery_windows\": %d}\n\
-        \  },\n\
-        \  \"churn_skew\": {\"nodes\": 5, \"replicas\": 2, \"baseline_imbalance\": %.4f, \
-         \"peak_imbalance\": %.4f, \"peak_window\": %d, \"rebalances\": %d, \"moved_files\": %d}\n\
-         }\n"
-        window lru_steady lru_dip_rate lru_dip lru_rec g5_steady g5_dip_rate g5_dip g5_rec
-        baseline !peak !peak_w r.Agg_cluster.Cluster.rebalances r.Agg_cluster.Cluster.moved_files);
-  Printf.printf "wrote telemetry report to %s\n" telemetry_json_path
+  let recovery (steady, dip_rate, dip, windows) =
+    Json.Obj
+      [
+        ("steady_hit_rate", Json.num "%.4f" steady);
+        ("dip_hit_rate", Json.num "%.4f" dip_rate);
+        ("dip_window", Json.int dip);
+        ("recovery_windows", Json.int windows);
+      ]
+  in
+  let path = "BENCH_telemetry.json" in
+  write_ledger path
+    (Json.to_string
+       (Json.Obj
+          [
+            ("window", Json.int window);
+            ("recovery", Json.Obj [ ("lru", recovery lru); ("g5", recovery g5) ]);
+            ( "churn_skew",
+              Json.Obj
+                [
+                  ("nodes", Json.int config.Agg_cluster.Cluster.nodes);
+                  ("replicas", Json.int config.Agg_cluster.Cluster.replicas);
+                  ("baseline_imbalance", Json.num "%.4f" baseline);
+                  ("peak_imbalance", Json.num "%.4f" !peak);
+                  ("peak_window", Json.int !peak_w);
+                  ("rebalances", Json.int r.Agg_cluster.Cluster.rebalances);
+                  ("moved_files", Json.int r.Agg_cluster.Cluster.moved_files);
+                ] );
+          ]));
+  Printf.printf "wrote telemetry report to %s\n" path
 
 (* --- scale: one fig3-shaped point at 10^5 clients ------------------------- *)
 
@@ -633,8 +567,6 @@ let micro_tests () =
              (Agg_workload.Generator.generate_files ~seed:1 ~events:5_000
                 Agg_workload.Profile.server)));
   ]
-
-let micro_json_path = "BENCH_micro.json"
 
 (* Per-policy op throughput: the same 20k-event server stream driven
    through every online policy facade. Wall-clock, so the numbers vary
@@ -810,32 +742,31 @@ let layer_throughput ~reps files =
           (Agg_cache.Cache.insert_cold_into cache g ~pos:1 ~len:(Array.length g - 1) admitted));
   ]
 
-let write_micro_json ~unit ~weighted ~layers =
-  let oc = open_out micro_json_path in
+let micro_json ~unit ~weighted ~layers =
   let rows ?(key = "policy") rows =
-    List.iteri
-      (fun i (name, ops, seconds) ->
-        let ns_per_op = if ops = 0 then 0.0 else seconds *. 1e9 /. float_of_int ops in
-        let mops = if seconds > 0.0 then float_of_int ops /. seconds /. 1e6 else 0.0 in
-        Printf.fprintf oc
-          "    {\"%s\": \"%s\", \"ops\": %d, \"seconds\": %.4f, \"ns_per_op\": %.1f, \
-           \"mops_per_sec\": %.2f}%s\n"
-          key (json_escape name) ops seconds ns_per_op mops
-          (if i = List.length rows - 1 then "" else ","))
-      rows
+    Json.Arr
+      (List.map
+         (fun (name, ops, seconds) ->
+           let ns_per_op = if ops = 0 then 0.0 else seconds *. 1e9 /. float_of_int ops in
+           let mops = if seconds > 0.0 then float_of_int ops /. seconds /. 1e6 else 0.0 in
+           Json.Obj
+             [
+               (key, Json.Str name);
+               ("ops", Json.int ops);
+               ("seconds", Json.num "%.4f" seconds);
+               ("ns_per_op", Json.num "%.1f" ns_per_op);
+               ("mops_per_sec", Json.num "%.2f" mops);
+             ])
+         rows)
   in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc "{\n  \"stream\": \"server seed=7 events=20000 capacity=500\",\n";
-      Printf.fprintf oc "  \"policies\": [\n";
-      rows unit;
-      Printf.fprintf oc "  ],\n  \"weighted_stream\": \"%s\",\n" weighted_stream;
-      Printf.fprintf oc "  \"weighted\": [\n";
-      rows weighted;
-      Printf.fprintf oc "  ],\n  \"layers\": [\n";
-      rows ~key:"layer" layers;
-      Printf.fprintf oc "  ]\n}\n")
+  Json.Obj
+    [
+      ("stream", Json.Str "server seed=7 events=20000 capacity=500");
+      ("policies", rows unit);
+      ("weighted_stream", Json.Str weighted_stream);
+      ("weighted", rows weighted);
+      ("layers", rows ~key:"layer" layers);
+    ]
 
 let run_micro () =
   section "Micro-benchmarks (Bechamel, monotonic clock)";
@@ -893,10 +824,11 @@ let run_micro () =
   let layers = layer_throughput ~reps files in
   print_throughput ~key:"layer"
     "per-layer call cost (generation; server stream, cluster miss path)" layers;
-  write_micro_json ~unit:throughput ~weighted ~layers;
+  let path = "BENCH_micro.json" in
+  write_ledger path (Json.to_string (micro_json ~unit:throughput ~weighted ~layers));
   Printf.printf "wrote %d policy rows and %d layer rows to %s\n"
     (List.length throughput + List.length weighted)
-    (List.length layers) micro_json_path
+    (List.length layers) path
 
 (* --- BENCH_sweep.json ------------------------------------------------------ *)
 
@@ -912,17 +844,8 @@ type timing = { name : string; seconds : float; baseline_seconds : float option 
 let read_bench_json () =
   if not (Sys.file_exists bench_json_path) then None
   else
-    let ic = open_in bench_json_path in
     let lines =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          let rec read acc =
-            match input_line ic with
-            | line -> read (String.trim line :: acc)
-            | exception End_of_file -> List.rev acc
-          in
-          read [])
+      List.map String.trim (In_channel.with_open_text bench_json_path In_channel.input_lines)
     in
     (* the value of a ["key": value,] header line *)
     let value key =
@@ -983,44 +906,43 @@ let write_bench_json ~jobs ~quick ~(settings : Agg_sim.Experiment.settings) timi
           Printf.printf "%s: unreadable; rewriting it\n" bench_json_path;
         timings
   in
-  let oc = open_out bench_json_path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      let total sel = List.fold_left (fun acc t -> acc +. sel t) 0.0 timings in
-      let total_n = total (fun t -> t.seconds) in
-      let total_1 = total (fun t -> Option.value ~default:0.0 t.baseline_seconds) in
-      (* the speed-up compares only the sections that were swept *)
-      let total_swept = total (fun t -> if t.baseline_seconds = None then 0.0 else t.seconds) in
-      let swept = List.exists (fun t -> t.baseline_seconds <> None) timings in
-      Printf.fprintf oc "{\n";
-      Printf.fprintf oc "  \"jobs\": %d,\n" jobs;
-      Printf.fprintf oc "  \"events\": %d,\n" settings.Agg_sim.Experiment.events;
-      Printf.fprintf oc "  \"seed\": %d,\n" settings.Agg_sim.Experiment.seed;
-      Printf.fprintf oc "  \"quick\": %b,\n" quick;
-      Printf.fprintf oc "  \"recommended_domains\": %d,\n" (Agg_util.Pool.default_jobs ());
-      Printf.fprintf oc "  \"sections\": [\n";
-      List.iteri
-        (fun i t ->
-          let speedup =
-            match t.baseline_seconds with
-            | Some b when t.seconds > 0.0 ->
-                Printf.sprintf ", \"jobs1_seconds\": %.3f, \"speedup_vs_jobs1\": %.2f" b
-                  (b /. t.seconds)
-            | _ -> ""
-          in
-          Printf.fprintf oc "    {\"name\": \"%s\", \"seconds\": %.3f%s}%s\n" (json_escape t.name)
-            t.seconds speedup
-            (if i = List.length timings - 1 then "" else ","))
-        timings;
-      Printf.fprintf oc "  ],\n";
-      if swept then begin
-        Printf.fprintf oc "  \"total_jobs1_seconds\": %.3f,\n" total_1;
-        if total_swept > 0.0 then
-          Printf.fprintf oc "  \"total_speedup_vs_jobs1\": %.2f,\n" (total_1 /. total_swept)
-      end;
-      Printf.fprintf oc "  \"total_seconds\": %.3f\n" total_n;
-      Printf.fprintf oc "}\n")
+  let total sel = List.fold_left (fun acc t -> acc +. sel t) 0.0 timings in
+  let total_1 = total (fun t -> Option.value ~default:0.0 t.baseline_seconds) in
+  (* the speed-up compares only the sections that were swept *)
+  let total_swept = total (fun t -> if t.baseline_seconds = None then 0.0 else t.seconds) in
+  let seconds key x = (key, Json.num "%.3f" x) in
+  let speedup key base over =
+    if over > 0.0 then [ (key, Json.num "%.2f" (base /. over)) ] else []
+  in
+  let section t =
+    Json.Obj
+      (("name", Json.Str t.name)
+      :: seconds "seconds" t.seconds
+      ::
+      (match t.baseline_seconds with
+      | Some b when t.seconds > 0.0 ->
+          seconds "jobs1_seconds" b :: speedup "speedup_vs_jobs1" b t.seconds
+      | _ -> []))
+  in
+  let totals =
+    if List.for_all (fun t -> t.baseline_seconds = None) timings then []
+    else
+      seconds "total_jobs1_seconds" total_1
+      :: speedup "total_speedup_vs_jobs1" total_1 total_swept
+  in
+  write_ledger bench_json_path
+    (Json.to_string
+       (Json.Obj
+          ([
+             ("jobs", Json.int jobs);
+             ("events", Json.int settings.Agg_sim.Experiment.events);
+             ("seed", Json.int settings.Agg_sim.Experiment.seed);
+             ("quick", Json.Bool quick);
+             ("recommended_domains", Json.int (Agg_util.Pool.default_jobs ()));
+             ("sections", Json.Arr (List.map section timings));
+           ]
+          @ totals
+          @ [ seconds "total_seconds" (total (fun t -> t.seconds)) ])))
 
 (* Run [f] with stdout redirected to /dev/null — the --sweep timing runs
    would otherwise print every section twice. *)
@@ -1053,17 +975,19 @@ let sections =
     ("latency", fun p -> run_latency ~settings:p.settings);
     ("fleet", fun p -> run_fleet ~settings:p.settings);
     ("scale", fun p -> run_scale ~settings:p.settings);
+    ("faults", run_faults);
+    ("cluster", run_cluster);
+    ("scenarios", run_scenarios);
+    ("telemetry", run_telemetry);
+    ("weighted", run_weighted);
     ("micro", fun _ -> run_micro ());
   ]
 
 let usage () =
   Printf.eprintf
-    "usage: main.exe [SECTION...] [--quick] [--jobs N] [--sweep] [--obs] [--faults] [--cluster] \
-     [--scenarios] [--telemetry] [--weighted]\nsections: %s | all\n"
+    "usage: main.exe [SECTION...] [--quick] [--jobs N] [--sweep] [--obs]\nsections: %s | all\n"
     (String.concat " | " (List.map fst sections));
   exit 2
-
-let obs_json_path = "BENCH_obs.json"
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -1071,11 +995,6 @@ let () =
   quick_flag := quick;
   let sweep = List.mem "--sweep" args in
   let obs = List.mem "--obs" args in
-  let faults = List.mem "--faults" args in
-  let cluster = List.mem "--cluster" args in
-  let scenarios = List.mem "--scenarios" args in
-  let telemetry = List.mem "--telemetry" args in
-  let weighted = List.mem "--weighted" args in
   if obs then profiler := Some (Agg_obs.Span.recorder ());
   let rec parse_jobs = function
     | "--jobs" :: n :: _ -> (
@@ -1086,21 +1005,14 @@ let () =
   let jobs = parse_jobs args in
   let rec strip = function
     | "--jobs" :: _ :: rest -> strip rest
-    | flag :: rest
-      when flag = "--quick" || flag = "--sweep" || flag = "--obs" || flag = "--faults"
-           || flag = "--cluster" || flag = "--scenarios" || flag = "--telemetry"
-           || flag = "--weighted" -> strip rest
+    | flag :: rest when flag = "--quick" || flag = "--sweep" || flag = "--obs" -> strip rest
     | arg :: rest -> arg :: strip rest
     | [] -> []
   in
   let wanted = strip args in
-  (* no section named means all of them, unless a pass flag asked for
-     just that pass *)
-  let passes = faults || cluster || scenarios || telemetry || weighted in
-  let wanted =
-    if List.mem "all" wanted || (wanted = [] && not passes) then List.map fst sections
-    else wanted
-  in
+  (* no section named means all of them *)
+  let wanted = if wanted = [] || List.mem "all" wanted then List.map fst sections else wanted in
+  if not (List.for_all (fun name -> List.mem_assoc name sections) wanted) then usage ();
   let settings = settings ~quick ~jobs in
   let run_section ~name pass body =
     let go () = body pass in
@@ -1112,45 +1024,32 @@ let () =
   let timings =
     List.map
       (fun name ->
-        match List.assoc_opt name sections with
-        | None -> usage ()
-        | Some body ->
-            if sweep then begin
-              (* measure the sequential path first, then the parallel
-                 path, each in a new pass from a cold trace store *)
-              Agg_sim.Trace_store.reset ();
-              let sequential = pass ~settings:{ settings with Agg_sim.Experiment.jobs = 1 } in
-              let baseline =
-                timed (fun () -> silently (fun () -> run_section ~name sequential body))
-              in
-              Agg_sim.Trace_store.reset ();
-              let parallel = pass ~settings in
-              let seconds =
-                timed (fun () -> silently (fun () -> run_section ~name parallel body))
-              in
-              Printf.printf "%-10s  jobs=1  %7.2fs   jobs=%-3d %7.2fs   speedup %.2fx\n%!" name
-                baseline jobs seconds
-                (if seconds > 0.0 then baseline /. seconds else 0.0);
-              { name; seconds; baseline_seconds = Some baseline }
-            end
-            else begin
-              let seconds = timed (fun () -> run_section ~name shared body) in
-              { name; seconds; baseline_seconds = None }
-            end)
+        let body = List.assoc name sections in
+        if sweep then begin
+          (* measure the sequential path first, then the parallel
+             path, each in a new pass from a cold trace store *)
+          Agg_sim.Trace_store.reset ();
+          let sequential = pass ~settings:{ settings with Agg_sim.Experiment.jobs = 1 } in
+          let baseline = timed (fun () -> silently (fun () -> run_section ~name sequential body)) in
+          Agg_sim.Trace_store.reset ();
+          let parallel = pass ~settings in
+          let seconds = timed (fun () -> silently (fun () -> run_section ~name parallel body)) in
+          Printf.printf "%-10s  jobs=1  %7.2fs   jobs=%-3d %7.2fs   speedup %.2fx\n%!" name
+            baseline jobs seconds
+            (if seconds > 0.0 then baseline /. seconds else 0.0);
+          { name; seconds; baseline_seconds = Some baseline }
+        end
+        else begin
+          let seconds = timed (fun () -> run_section ~name shared body) in
+          { name; seconds; baseline_seconds = None }
+        end)
       wanted
   in
-  if faults then run_faults ~settings;
-  if cluster then run_cluster ~settings;
-  if scenarios then run_scenarios ~settings;
-  if telemetry then run_telemetry ~settings;
-  if weighted then run_weighted ~settings;
-  if timings <> [] then write_bench_json ~jobs ~quick ~settings timings;
+  write_bench_json ~jobs ~quick ~settings timings;
   match !profiler with
   | None -> ()
   | Some recorder ->
-      let oc = open_out obs_json_path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> Agg_obs.Span.write_chrome oc recorder);
+      let path = "BENCH_obs.json" in
+      write_ledger path (Agg_obs.Span.chrome_json recorder);
       Printf.printf "\nwrote %d spans to %s (Chrome trace_event format)\n"
-        (Agg_obs.Span.count recorder) obs_json_path
+        (Agg_obs.Span.count recorder) path

@@ -69,7 +69,7 @@ let settings_term =
   let make events seed quick jobs =
     let jobs = match jobs with Some j -> j | None -> Agg_util.Pool.default_jobs () in
     if quick then { Agg_sim.Experiment.quick_settings with seed; jobs }
-    else { Agg_sim.Experiment.events; seed; warmup = 0; jobs }
+    else { Agg_sim.Experiment.events; seed; jobs }
   in
   Term.(const make $ events_arg $ seed_arg $ quick_arg $ jobs_arg)
 
@@ -337,19 +337,16 @@ let differential_cmd =
 
 let ablations_cmd =
   let run settings =
-    let print_panel panel =
-      Agg_util.Table.print (Agg_sim.Experiment.panel_table ~figure_id:"ablation" panel)
-    in
-    print_panel (Agg_sim.Ablations.member_position ~settings Agg_workload.Profile.server);
-    print_panel (Agg_sim.Ablations.metadata_policy ~settings Agg_workload.Profile.server);
-    print_panel (Agg_sim.Ablations.successor_capacity ~settings Agg_workload.Profile.server);
-    print_panel (Agg_sim.Ablations.baselines ~settings Agg_workload.Profile.server);
-    print_panel (Agg_sim.Ablations.cooperative ~settings Agg_workload.Profile.server);
-    print_panel (Agg_sim.Ablations.second_level_policies ~settings Agg_workload.Profile.server);
-    Agg_util.Table.print (Agg_sim.Ablations.predictor_accuracy ~settings ());
+    List.iter
+      (fun (title, tables) ->
+        Printf.printf "\n%s\n" title;
+        List.iter Agg_util.Table.print (tables ()))
+      (Agg_sim.Ablations.all ~settings);
     exit_ok
   in
-  Cmd.v (Cmd.info "ablations" ~doc:"Run the design-choice ablations (A1-A5).") Term.(const run $ settings_term)
+  Cmd.v
+    (Cmd.info "ablations" ~doc:"Run the design-choice ablations (A1-A11, predictor accuracy).")
+    Term.(const run $ settings_term)
 
 let latency_cmd =
   let run settings profile =
@@ -1052,17 +1049,8 @@ let scenario_cmd =
           Printf.eprintf "aggsim: %s\n" msg;
           Cmd.Exit.cli_error
       | files ->
-          let entries =
-            List.map
-              (fun file ->
-                let outcome =
-                  match Scenario.load_file file with
-                  | Error _ as e -> e
-                  | Ok s -> Exec.run ~jobs ?events_cap s
-                in
-                { Agg_sim.Scenarios.file; outcome })
-              files
-          in
+          let runner = Agg_sim.Experiment.Runner.create ~jobs () in
+          let entries = Agg_sim.Scenarios.run_corpus ?events_cap ~runner files in
           List.iter
             (fun (e : Agg_sim.Scenarios.entry) ->
               match e.Agg_sim.Scenarios.outcome with
@@ -1074,7 +1062,8 @@ let scenario_cmd =
           (match json with
           | Some path ->
               Out_channel.with_open_text path (fun oc ->
-                  output_string oc (Agg_sim.Scenarios.json_of_entries entries))
+                  output_string oc
+                    (Agg_util.Json.to_string (Agg_sim.Scenarios.json_of_entries entries)))
           | None -> ());
           if Agg_sim.Scenarios.all_ok entries then exit_ok else Cmd.Exit.some_error
     in

@@ -2,11 +2,13 @@
 # CI entry point: full build, full test suite, the lockstep differential
 # gate against the lib/oracle reference models, one-second checked runs
 # of each steady-benchmark workload (plain and traced), a quick smoke run
-# of the paper-vs-measured checks from the reproduction harness, the sweep
-# ledger's merge of a partial run, the entropy commands and a client
-# replay on sparse-id traces and extreme capacities under a memory cap,
-# and the CLI's parse-time rejection of out-of-range counts. The run fails if
-# it leaves the working tree different from how it found it.
+# of the paper-vs-measured checks from the reproduction harness, the
+# full-size harness golden, the sweep ledger's merge of a partial run,
+# the entropy commands and a client replay on sparse-id traces and extreme
+# capacities under a memory cap, the CLI's parse-time rejection of
+# out-of-range counts, and the list of exports nothing else references.
+# The run fails if it leaves the working tree different from how it found
+# it.
 #
 # The check thresholds are calibrated for full-size runs (60k events), so
 # the --quick pass only asserts the harness runs end to end; the full-size
@@ -143,6 +145,41 @@ if grep -nE "(^|[^.A-Za-z0-9_'])(min|max|compare)([^A-Za-z0-9_']|\$)|List\.(mem|
   exit 1
 fi
 
+# Every export earns its place: list each `val` of lib/*/*.mli that no
+# .ml or .mli under lib, bin, bench, examples, perfbench or test outside
+# its own module references, and compare the list with the committed
+# lib/unreferenced-exports.txt. A value counts as referenced from a file
+# that contains both its bare name and its module's name (qualified,
+# aliased or opened), so the list is a lower bound: a common name such as
+# `create` always looks referenced. A new entry fails the run, and so does
+# a stale one, so the committed list stays exact: delete an export, or
+# reference it, and update the list in the same change.
+exports=$(mktemp -d)
+trap 'rm -rf "$exports"' EXIT
+find lib bin bench examples perfbench test \( -name '*.ml' -o -name '*.mli' \) | sort \
+  | while read -r f; do
+    grep -oE "[A-Za-z_][A-Za-z0-9_']*" "$f" | sort -u | sed "s|^|$f |"
+  done > "$exports/tokens"
+for mli in lib/*/*.mli; do
+  sed -nE "s/^ *val ([a-z_][A-Za-z0-9_']*).*/\1/p" "$mli" | sed "s|^|$mli |"
+done > "$exports/vals"
+awk 'NR == FNR { has[$1 " " $2] = 1; seen[$2] = seen[$2] " " $1; next }
+  {
+    ml = substr($1, 1, length($1) - 1)
+    m = $1; sub(/.*\//, "", m); sub(/\.mli$/, "", m)
+    m = toupper(substr(m, 1, 1)) substr(m, 2)
+    n = split(seen[$2], files, " ")
+    outside = 0
+    for (i = 1; i <= n; i++)
+      if (files[i] != $1 && files[i] != ml && (files[i] " " m) in has) outside = 1
+    if (!outside) print $1, $2
+  }' "$exports/tokens" "$exports/vals" | LC_ALL=C sort > "$exports/unreferenced"
+if ! diff lib/unreferenced-exports.txt "$exports/unreferenced" >&2; then
+  echo "ci.sh: the exports nothing references changed (> new, < gone); delete or use a new" \
+    "one, and drop a gone one from lib/unreferenced-exports.txt" >&2
+  exit 1
+fi
+
 if [ "${1:-}" = "--fast" ]; then
   dune build @all
   dune build @runtest-fast
@@ -219,14 +256,38 @@ fi
 dune build ./bench/main.exe
 root=$(pwd)
 scratch=$(mktemp -d)
-trap 'rm -rf "$scratch"' EXIT
+trap 'rm -rf "$exports" "$scratch"' EXIT
 (cd "$scratch" && "$root/_build/default/bench/main.exe" checks --quick)
+
+# Full-size golden: every result section of the harness at full size, at
+# --jobs 1 and at --jobs 2, must print bench/golden/full.expected and write
+# the result ledgers committed at the repo root, byte for byte. run.sh is
+# the script behind the quick golden in `dune runtest`; it also parses
+# every ledger the run writes (BENCH_sweep.json included) with
+# `python3 -m json.tool`.
+{
+  cat bench/golden/full.expected
+  for ledger in faults cluster scenarios telemetry weighted; do
+    printf '\n==== BENCH_%s.json ====\n' "$ledger"
+    cat "BENCH_$ledger.json"
+  done
+} > "$scratch/full.expected"
+for jobs in 1 2; do
+  (cd "$scratch" && sh "$root/bench/golden/run.sh" "$root/_build/default/bench/main.exe" \
+    "$root/scenarios" "$jobs" full) > "$scratch/full.out"
+  if ! diff "$scratch/full.expected" "$scratch/full.out" > "$scratch/full.diff"; then
+    echo "ci.sh: the full-size harness run at --jobs $jobs differs from bench/golden/full.expected" \
+      "and the committed ledgers:" >&2
+    head -n 60 "$scratch/full.diff" >&2
+    exit 1
+  fi
+done
 
 # A partial run adds to the sweep ledger: with a ledger whose header
 # (jobs, events, seed, quick) matches the run, running one section keeps
 # every other section's entry.
 merged=$(mktemp -d)
-trap 'rm -rf "$scratch" "$merged"' EXIT
+trap 'rm -rf "$exports" "$scratch" "$merged"' EXIT
 (cd "$merged" && "$root/_build/default/bench/main.exe" fig5 --quick --jobs 1 > /dev/null \
   && "$root/_build/default/bench/main.exe" workloads --quick --jobs 1 > /dev/null)
 for name in fig5 workloads; do
@@ -237,17 +298,20 @@ for name in fig5 workloads; do
   fi
 done
 
-# A pass flag with no section named runs only that pass: no section runs,
-# so neither the micro ledger nor the sweep ledger may be written.
+# The extension passes are sections: naming one runs it alone, so it
+# writes its ledger and a sweep ledger whose only entry is itself, and no
+# micro ledger.
 passes=$(mktemp -d)
-trap 'rm -rf "$scratch" "$merged" "$passes"' EXIT
-(cd "$passes" && "$root/_build/default/bench/main.exe" --telemetry --quick > /dev/null)
-for ledger in BENCH_sweep.json BENCH_micro.json; do
-  if [ -e "$passes/$ledger" ]; then
-    echo "ci.sh: bench/main.exe --telemetry --quick ran sections (it wrote $ledger)" >&2
-    exit 1
-  fi
-done
+trap 'rm -rf "$exports" "$scratch" "$merged" "$passes"' EXIT
+(cd "$passes" && "$root/_build/default/bench/main.exe" telemetry --quick > /dev/null)
+if [ ! -e "$passes/BENCH_telemetry.json" ] || [ -e "$passes/BENCH_micro.json" ] \
+  || ! python3 -c 'import json, sys
+sys.exit([s["name"] for s in json.load(open(sys.argv[1]))["sections"]] != ["telemetry"])' \
+    "$passes/BENCH_sweep.json"; then
+  echo "ci.sh: bench/main.exe telemetry --quick did not run exactly the telemetry section:" >&2
+  ls "$passes" >&2
+  exit 1
+fi
 
 # Sparse file ids: a valid five-line trace whose ids are 10^12 must not
 # make the entropy commands size a table by the largest id (they died

@@ -465,12 +465,12 @@ let observe st ~client ~row file =
       done
   | Client_side -> Tracker.observe_client st.client_states.(client).tracker ~client:0 file
 
-(* Serves a client miss and records its latency in [st.latencies.(time)]
-   (a float returned from here would be boxed). *)
-let serve st ~client ~time ~tracing file =
+(* Serves a client miss of [file], already routed to [row] (its ids in
+   [st.route]), and records its latency in [st.latencies.(time)] (a float
+   returned from here would be boxed). *)
+let serve st ~client ~time ~tracing ~row file =
   st.server_requests <- st.server_requests + 1;
   let k = st.k in
-  let row = route st file in
   let primary = st.route.(0) in
   let cs = st.client_states.(client) in
   if not st.config.cooperative then observe st ~client ~row file;
@@ -626,7 +626,11 @@ let access st (e : Agg_trace.Event.t) =
   end;
   cs.accesses <- cs.accesses + 1;
   let file = e.Agg_trace.Event.file in
-  if st.config.cooperative then observe st ~client ~row:(route st file) file;
+  (* a cooperative access is routed here, once: the piggy-backed observe
+     and a miss share the row; otherwise only a miss is routed *)
+  let cooperative = st.config.cooperative in
+  let row = if cooperative then route st file else 0 in
+  if cooperative then observe st ~client ~row file;
   let tracing =
     match Agg_obs.Scope.trace_ctx st.config.scope with
     | Some ctx when Agg_obs.Trace_ctx.sampled ctx ~request:time -> Some ctx
@@ -641,7 +645,8 @@ let access st (e : Agg_trace.Event.t) =
     | None -> ());
     st.latencies.(time) <- served
   end
-  else serve st ~client ~time ~tracing file;
+  else
+    serve st ~client ~time ~tracing ~row:(if cooperative then row else route st file) file;
   let latency = st.latencies.(time) in
   (match Agg_obs.Scope.trace_ctx st.config.scope with
   | Some ctx -> Agg_obs.Trace_ctx.commit ctx ~request:time ~file ~latency_ms:latency

@@ -15,8 +15,8 @@ type cell = {
   series : Agg_obs.Series.t option;
       (** the cell's windowed telemetry, recorded only when the scenario
           declares slo rules (the window is the rules' shared window);
-          excluded from {!render_cell} so renders stay byte-identical to
-          an slo-free scenario's *)
+          excluded from {!render_outcome} so renders stay byte-identical
+          to an slo-free scenario's *)
 }
 
 val metric : cell -> string -> float option
@@ -56,10 +56,8 @@ val run :
     missing/corrupt trace file ({!Agg_trace.Codec.Parse_error} is
     reported as [path: line N: message]). *)
 
-val render_cell : cell -> string
-(** The cell as [cell policy=<name>] followed by indented
-    [<metric>=<value>] lines. Integers print without a decimal point. *)
-
 val render_outcome : outcome -> string
-(** Canonical report: scenario name, events, every cell, every check and
-    the final verdict. Byte-identical for any [jobs] value. *)
+(** Canonical report: scenario name, events, every cell (as [cell
+    policy=<name>] followed by indented [<metric>=<value>] lines;
+    integers print without a decimal point), every check and the final
+    verdict. Byte-identical for any [jobs] value. *)

@@ -172,8 +172,6 @@ let to_string t =
   in
   String.concat "\n" lines ^ "\n"
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 (* --- strict parsing -------------------------------------------------------- *)
 
 let ( let* ) = Result.bind

@@ -45,9 +45,6 @@ type policy =
 val policy_name : policy -> string
 (** ["lru"], ["arc"], ..., or ["g<N>"] — the codec's policy spelling. *)
 
-val policy_of_string : string -> policy option
-(** Inverse of {!policy_name}. *)
-
 type invariant =
   | Conservation
       (** per cell: counter identities hold (accesses = hits + server
@@ -65,8 +62,6 @@ type invariant =
           accesses − client hits, and routed + degraded = server
           requests *)
 
-val invariant_name : invariant -> string
-val invariant_of_string : string -> invariant option
 val all_invariants : invariant list
 
 type expectation =
@@ -86,7 +81,6 @@ type slo_metric =
 val slo_metric_name : slo_metric -> string
 (** ["hit_rate"], ["p99_latency"], ["degraded_rate"]. *)
 
-val slo_metric_of_string : string -> slo_metric option
 val all_slo_metrics : slo_metric list
 
 type slo = {
@@ -142,5 +136,3 @@ val validate : t -> unit
     outside [0, 100], a negative latency bound, a policy absent from the
     matrix, or [p99_latency] on a fleet topology (whose cells report no
     latency). *)
-
-val pp : Format.formatter -> t -> unit

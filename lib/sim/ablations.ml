@@ -270,8 +270,11 @@ let overlap_vs_partition ?(settings = Experiment.default_settings) ?(group_size 
     fetched;
   table
 
-let server_group_size ?(settings = Experiment.default_settings)
-    ?(group_sizes = [ 2; 3; 5; 7; 10 ]) profile =
+(* A11 — the Fig. 4 experiment swept over group sizes (the paper fixes
+   g = 5 server-side): server hit rate vs filter capacity, one series per
+   group size. Shows where the server-side saturation point sits. *)
+let server_group_size ~settings profile =
+  let group_sizes = [ 2; 3; 5; 7; 10 ] in
   let trace = Trace_store.get ~settings profile in
   let filter_capacities = [ 100; 200; 300; 400; 500 ] in
   let rows =
@@ -338,3 +341,36 @@ let predictor_accuracy ?(settings = Experiment.default_settings) () =
   |> List.iter (fun (profile, cells) ->
          Table.add_row table (profile.Agg_workload.Profile.name :: List.map snd cells));
   table
+
+let all ~settings =
+  let server = Agg_workload.Profile.server in
+  let panel p = [ Experiment.panel_table ~figure_id:"ablation" p ] in
+  [
+    ( "Ablation A1 — group-member insertion position (paper: 'little effect')",
+      fun () -> panel (member_position ~settings server) );
+    ( "Ablation A2 — metadata policy: recency vs frequency, end to end",
+      fun () -> panel (metadata_policy ~settings server) );
+    ( "Ablation A3 — successor-list capacity (metadata budget)",
+      fun () -> panel (successor_capacity ~settings server) );
+    ( "Ablation A4 — aggregating cache vs probability-graph prefetching",
+      fun () -> panel (baselines ~settings server) );
+    ( "Ablation A5 — server metadata: miss stream vs cooperative clients",
+      fun () -> panel (cooperative ~settings server) );
+    ( "Ablation A6 — grouping vs second-level replacement (MQ / SLRU / 2Q / ARC)",
+      fun () -> panel (second_level_policies ~settings server) );
+    ( "Ablation A7 — successor-sequence tracking (the Fig. 6 model)",
+      fun () -> [ sequence_model ~settings () ] );
+    ( "Ablation A8 — grouping for data placement (linear device seeks)",
+      fun () -> [ placement ~settings server ] );
+    ("Ablation A9 — adaptive group sizing", fun () -> [ adaptive_group ~settings () ]);
+    ( "Ablation A10 — overlapping groups vs disjoint partition (§2.1)",
+      fun () ->
+        [
+          overlap_vs_partition ~settings server;
+          overlap_vs_partition ~settings Agg_workload.Profile.workstation;
+        ] );
+    ( "Ablation A11 — server-side group-size sweep",
+      fun () -> panel (server_group_size ~settings server) );
+    ( "Predictor accuracy — recency vs frequency vs context",
+      fun () -> [ predictor_accuracy ~settings () ] );
+  ]

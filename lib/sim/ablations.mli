@@ -64,12 +64,6 @@ val overlap_vs_partition :
     into a single partition group mispredicts for every other working
     set that reads it. *)
 
-val server_group_size :
-  ?settings:Experiment.settings -> ?group_sizes:int list -> Agg_workload.Profile.t -> Experiment.panel
-(** A11 — the Fig. 4 experiment swept over group sizes (the paper fixes
-    g = 5 server-side): server hit rate vs filter capacity, one series per
-    group size. Shows where the server-side saturation point sits. *)
-
 val adaptive_group : ?settings:Experiment.settings -> unit -> Agg_util.Table.t
 (** A9 — adaptive group sizing (future work, "groups of arbitrary size"):
     per workload, demand fetches and speculative fetches issued for fixed
@@ -82,3 +76,10 @@ val predictor_accuracy : ?settings:Experiment.settings -> unit -> Agg_util.Table
 (** Last-successor vs first-order-Markov next-access accuracy on all four
     workloads — the §4.4 recency/frequency argument at the predictor
     level. *)
+
+val all : settings:Experiment.settings -> (string * (unit -> Agg_util.Table.t list)) list
+(** Every ablation, A1–A11 then predictor accuracy, each with its title
+    and its tables, computed when the thunk is called: the one list both
+    drivers print. A1–A6 and A11 run on the [server] workload, A10 on
+    [server] and [workstation]. A11, reached only through this list, is
+    the Fig. 4 experiment swept over server group sizes 2–10. *)

@@ -154,32 +154,38 @@ let figure ~profile points =
   }
 
 let json_of_points points =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n  \"sweep\": \"cluster\",\n  \"points\": [\n";
-  List.iteri
-    (fun i p ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"scheme\": \"%s\", \"nodes\": %d, \"replicas\": %d, \"placement\": \"%s\", \
-            \"node_loss\": %g, \"hit_rate_pct\": %.2f, \"mean_latency_ms\": %.3f, \"served\": %d, \
-            \"routed\": %d, \"failovers\": %d, \"degraded\": %d}%s\n"
-           p.scheme p.nodes p.replicas p.placement p.node_loss p.hit_rate p.mean_latency p.served
-           p.routed p.failovers p.degraded
-           (if i = List.length points - 1 then "" else ",")))
-    points;
-  Buffer.add_string buf "  ],\n";
-  let all_served =
-    List.for_all (fun p -> p.routed + p.degraded = p.served) points
+  let module Json = Agg_util.Json in
+  let point p =
+    Json.Obj
+      [
+        ("scheme", Json.Str p.scheme);
+        ("nodes", Json.int p.nodes);
+        ("replicas", Json.int p.replicas);
+        ("placement", Json.Str p.placement);
+        ("node_loss", Json.num "%g" p.node_loss);
+        ("hit_rate_pct", Json.num "%.2f" p.hit_rate);
+        ("mean_latency_ms", Json.num "%.3f" p.mean_latency);
+        ("served", Json.int p.served);
+        ("routed", Json.int p.routed);
+        ("failovers", Json.int p.failovers);
+        ("degraded", Json.int p.degraded);
+      ]
   in
-  Buffer.add_string buf (Printf.sprintf "  \"every_request_served\": %b,\n" all_served);
-  (match degraded_reduction points with
-  | Some (k1, kmax) ->
-      Buffer.add_string buf
-        (Printf.sprintf "  \"degraded_at_max_loss_k_min\": %d,\n" k1);
-      Buffer.add_string buf
-        (Printf.sprintf "  \"degraded_at_max_loss_k_max\": %d,\n" kmax);
-      Buffer.add_string buf
-        (Printf.sprintf "  \"replication_reduces_degradation\": %b\n" (kmax < k1))
-  | None -> Buffer.add_string buf "  \"replication_reduces_degradation\": null\n");
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  let verdict =
+    match degraded_reduction points with
+    | Some (k1, kmax) ->
+        [
+          ("degraded_at_max_loss_k_min", Json.int k1);
+          ("degraded_at_max_loss_k_max", Json.int kmax);
+          ("replication_reduces_degradation", Json.Bool (kmax < k1));
+        ]
+    | None -> [ ("replication_reduces_degradation", Json.Null) ]
+  in
+  Json.Obj
+    ([
+       ("sweep", Json.Str "cluster");
+       ("points", Json.Arr (List.map point points));
+       ( "every_request_served",
+         Json.Bool (List.for_all (fun p -> p.routed + p.degraded = p.served) points) );
+     ]
+    @ verdict)

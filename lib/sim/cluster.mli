@@ -11,18 +11,6 @@
     replication claim the bench section checks. Loss [0.0] is the
     healthy network and matches the fault-free build byte-for-byte. *)
 
-val default_node_counts : int list
-(** [[5]] — apothik's cluster size. *)
-
-val default_node_loss_rates : float list
-(** 0, 0.1, 0.2, 0.3. *)
-
-val default_schemes : Agg_system.Scheme.t list
-(** Plain LRU and aggregating g = 5, applied to client and node caches. *)
-
-val default_replica_counts : int list
-(** [[1; 3]]. *)
-
 val node_kill_plan : float -> Agg_faults.Plan.config
 (** The per-node outage plan the sweep builds from a loss rate: seed 23,
     1000-access epochs, 400 accesses dark when an epoch is faulty.
@@ -55,8 +43,10 @@ val sweep :
     {!Experiment.grid} (spans named
     ["cluster/<workload>/n<N>/k<K>/<placement>/<scheme>/p<loss>"]).
     Every cell builds its own fault plan from its coordinates, so the
-    results are deterministic for any [jobs] value. Default workload:
-    [server]. *)
+    results are deterministic for any [jobs] value. Defaults: 5 nodes
+    (apothik's cluster size), node loss 0, 0.1, 0.2 and 0.3, plain LRU
+    and aggregating g = 5 (on client and node caches), k = 1 and 3, every
+    placement, and the [server] workload. *)
 
 val degraded_reduction : point list -> (int * int) option
 (** [(k1, kmax)] — summed degraded fetches at the sweep's highest loss
@@ -69,6 +59,6 @@ val figure : profile:Agg_workload.Profile.t -> point list -> Experiment.figure
     rate and latency vs node loss) with one series per (scheme, k) under
     [Replicated_with_group] at the first point's node count. *)
 
-val json_of_points : point list -> string
+val json_of_points : point list -> Agg_util.Json.t
 (** The [BENCH_cluster.json] document: every point, the served = routed
     + degraded identity, and the {!degraded_reduction} headline. *)

@@ -4,10 +4,9 @@ type panel = { name : string; x_label : string; y_label : string; series : serie
 
 type figure = { id : string; title : string; panels : panel list }
 
-type settings = { events : int; seed : int; warmup : int; jobs : int }
+type settings = { events : int; seed : int; jobs : int }
 
-let default_settings =
-  { events = 60_000; seed = 7; warmup = 0; jobs = Agg_util.Pool.default_jobs () }
+let default_settings = { events = 60_000; seed = 7; jobs = Agg_util.Pool.default_jobs () }
 
 let quick_settings = { default_settings with events = 6_000 }
 
@@ -18,7 +17,6 @@ module Runner = struct
     let settings = match jobs with None -> settings | Some jobs -> { settings with jobs } in
     { settings; scope }
 
-  let default = create ()
   let profiler t = Agg_obs.Scope.profiler t.scope
   let sink t label = Agg_obs.Scope.sink_for t.scope label
 end

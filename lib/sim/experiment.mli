@@ -13,16 +13,15 @@ type panel = {
 
 type figure = { id : string; title : string; panels : panel list }
 
-type settings = { events : int; seed : int; warmup : int; jobs : int }
-(** [events]: trace length; [seed]: generator seed; [warmup]: events run
-    before counters are reset (0 = measure from cold, as the paper's
-    absolute fetch counts do); [jobs]: number of domains used to
-    evaluate independent sweep cells ([1] = fully sequential). Results
-    are independent of [jobs] — see {!Agg_util.Pool}. *)
+type settings = { events : int; seed : int; jobs : int }
+(** [events]: trace length; [seed]: generator seed; [jobs]: number of
+    domains used to evaluate independent sweep cells ([1] = fully
+    sequential). Every run measures from cold, as the paper's absolute
+    fetch counts do. Results are independent of [jobs] — see
+    {!Agg_util.Pool}. *)
 
 val default_settings : settings
-(** 60k events, seed 7, no warm-up,
-    [jobs = Agg_util.Pool.default_jobs ()]. *)
+(** 60k events, seed 7, [jobs = Agg_util.Pool.default_jobs ()]. *)
 
 val quick_settings : settings
 (** A small configuration for tests: 6k events. *)
@@ -47,8 +46,6 @@ module Runner : sig
   val create : ?jobs:int -> ?scope:Agg_obs.Scope.t -> ?settings:settings -> unit -> t
   (** [create ()] is {!default_settings} with no scope; [jobs], when
       given, overrides [settings.jobs]. *)
-
-  val default : t
 
   val profiler : t -> Agg_obs.Span.recorder option
   (** The scope's span recorder, if any — each sweep cell is timed as

@@ -7,10 +7,7 @@ val panel_csv : Experiment.panel -> string
     missing points are empty cells. Cells containing commas or quotes
     are quoted per RFC 4180. *)
 
-val figure_csv : Experiment.figure -> (string * string) list
-(** [(filename, csv)] per panel; filenames are derived from the figure id
-    and panel name ([fig4-workstation.csv]). *)
-
 val write_figure : dir:string -> Experiment.figure -> string list
-(** Writes each panel's CSV under [dir] (created if missing) and returns
-    the paths written. *)
+(** Writes each panel's CSV under [dir] (created if missing), one file
+    per panel named from the figure id and panel name
+    ([fig4-workstation.csv]), and returns the paths written. *)

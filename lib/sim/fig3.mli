@@ -1,12 +1,6 @@
 (** Fig. 3 — client-side aggregating cache: demand fetches as a function
     of cache capacity, one series per group size (g = 1 is plain LRU). *)
 
-val default_capacities : int list
-(** 100–800 step 100, as plotted in the paper. *)
-
-val default_group_sizes : int list
-(** 1, 2, 3, 5, 7, 10. *)
-
 val panel :
   ?capacities:int list ->
   ?group_sizes:int list ->
@@ -14,7 +8,9 @@ val panel :
   Agg_workload.Profile.t ->
   Experiment.panel
 (** Demand-fetch counts for one workload. The same generated trace is
-    replayed through every (capacity, group size) configuration. Each
+    replayed through every (capacity, group size) configuration; by
+    default capacities 100–800 step 100, as plotted in the paper, and
+    group sizes 1, 2, 3, 5, 7 and 10. Each
     sweep cell is profiled and sinked through the runner's scope under
     its span label ["fig3/<workload>/g<G>/c<C>"]. *)
 

@@ -5,15 +5,13 @@
     event; the average is over every access that has a predecessor, which
     weights each file by its access frequency exactly as Eq. 2 does. *)
 
-val default_capacities : int list
-(** 1–10. *)
-
 val panel :
   ?capacities:int list ->
   runner:Experiment.Runner.t ->
   Agg_workload.Profile.t ->
   Experiment.panel
-(** Miss probabilities for one workload. Each sweep cell is profiled
+(** Miss probabilities for one workload, by default at list capacities
+    1–10. Each sweep cell is profiled
     and sinked through the runner's scope under its span label
     ["fig5/<workload>/<policy>/k<C>"] (policy is "lru"/"lfu"). *)
 

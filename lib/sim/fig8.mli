@@ -4,16 +4,14 @@
     *increasing* predictability — the effect that keeps the aggregating
     server cache useful when plain LRU fails. *)
 
-val default_filter_capacities : int list
-(** 1, 10, 50, 100, 500, 1000 — the paper's filter sizes. *)
-
 val panel :
   ?filter_capacities:int list ->
   ?lengths:int list ->
   runner:Experiment.Runner.t ->
   Agg_workload.Profile.t ->
   Experiment.panel
-(** One cell per filter capacity, covering every length: the runner's
+(** One cell per filter capacity (by default the paper's 1, 10, 50,
+    100, 500 and 1000), covering every length: the runner's
     scope profiles each as a span named ["fig8/<workload>/f<C>"] (no
     events are emitted). *)
 

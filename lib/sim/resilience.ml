@@ -83,25 +83,27 @@ let figure ~profile points =
   }
 
 let json_of_points points =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"sweep\": \"resilience\",\n  \"points\": [\n";
-  List.iteri
-    (fun i p ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"scheme\": \"%s\", \"loss_rate\": %g, \"hit_rate_pct\": %.2f, \
-            \"mean_latency_ms\": %.3f, \"timeouts\": %d, \"retries\": %d, \
-            \"degraded_fetches\": %d}%s\n"
-           p.scheme p.loss_rate p.hit_rate p.mean_latency p.timeouts p.retries p.degraded_fetches
-           (if i = List.length points - 1 then "" else ",")))
-    points;
-  Buffer.add_string buf "  ],\n";
-  (match hit_rate_advantage ~loss_rate:0.1 points with
-  | Some d ->
-      Buffer.add_string buf
-        (Printf.sprintf "  \"g5_hit_rate_advantage_at_10pct_loss\": %.2f,\n" d);
-      Buffer.add_string buf
-        (Printf.sprintf "  \"g5_beats_lru_at_10pct_loss\": %b\n" (d > 0.0))
-  | None -> Buffer.add_string buf "  \"g5_beats_lru_at_10pct_loss\": null\n");
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  let module Json = Agg_util.Json in
+  let point p =
+    Json.Obj
+      [
+        ("scheme", Json.Str p.scheme);
+        ("loss_rate", Json.num "%g" p.loss_rate);
+        ("hit_rate_pct", Json.num "%.2f" p.hit_rate);
+        ("mean_latency_ms", Json.num "%.3f" p.mean_latency);
+        ("timeouts", Json.int p.timeouts);
+        ("retries", Json.int p.retries);
+        ("degraded_fetches", Json.int p.degraded_fetches);
+      ]
+  in
+  let verdict =
+    match hit_rate_advantage ~loss_rate:0.1 points with
+    | Some d ->
+        [
+          ("g5_hit_rate_advantage_at_10pct_loss", Json.num "%.2f" d);
+          ("g5_beats_lru_at_10pct_loss", Json.Bool (d > 0.0));
+        ]
+    | None -> [ ("g5_beats_lru_at_10pct_loss", Json.Null) ]
+  in
+  Json.Obj
+    ([ ("sweep", Json.Str "resilience"); ("points", Json.Arr (List.map point points)) ] @ verdict)

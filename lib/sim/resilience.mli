@@ -10,12 +10,6 @@
     slowly. Loss rate [0.0] is the healthy network and matches the
     fault-free path byte-for-byte. *)
 
-val default_loss_rates : float list
-(** 0, 0.05, 0.1, 0.15, 0.2, 0.3. *)
-
-val default_schemes : Agg_system.Scheme.t list
-(** Plain LRU and aggregating g = 5. *)
-
 type point = {
   scheme : string;  (** series label, e.g. ["lru"] / ["g5"] *)
   loss_rate : float;
@@ -34,7 +28,9 @@ val sweep :
   point list
 (** One point per (scheme, loss rate) cell, evaluated through
     {!Experiment.grid} under the runner's settings (and profiler, spans
-    named ["resilience/<workload>/<scheme>/p<loss>"]). Each cell builds
+    named ["resilience/<workload>/<scheme>/p<loss>"]). By default it
+    sweeps loss rates 0, 0.05, 0.1, 0.15, 0.2 and 0.3 for plain LRU and
+    aggregating g = 5. Each cell builds
     its own fault plan from the loss rate alone (no outages, slow links
     or crashes), so results are deterministic for any [jobs] value.
     Default workload: [server]. *)
@@ -47,6 +43,6 @@ val figure : profile:Agg_workload.Profile.t -> point list -> Experiment.figure
 (** The points of a {!sweep} over [profile] as a two-panel figure (hit
     rate and latency vs loss rate), rendered like every other figure. *)
 
-val json_of_points : point list -> string
+val json_of_points : point list -> Agg_util.Json.t
 (** The [BENCH_faults.json] document: every point, plus the headline
     ["g5_beats_lru_at_10pct_loss"] verdict. *)

@@ -9,7 +9,7 @@ let corpus_files dir =
   |> List.sort String.compare
   |> List.map (fun f -> Filename.concat dir f)
 
-let run_corpus ?events_cap ~(runner : Experiment.Runner.t) dir =
+let run_corpus ?events_cap ~(runner : Experiment.Runner.t) files =
   List.map
     (fun file ->
       let outcome =
@@ -20,7 +20,7 @@ let run_corpus ?events_cap ~(runner : Experiment.Runner.t) dir =
               ?scope:runner.Experiment.Runner.scope s
       in
       { file; outcome })
-    (corpus_files dir)
+    files
 
 let all_ok entries =
   List.for_all
@@ -50,56 +50,39 @@ let render entries =
     entries;
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_of_entries entries =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"scenarios\": [\n";
-  List.iteri
-    (fun idx e ->
-      let sep = if idx = List.length entries - 1 then "" else "," in
-      match e.outcome with
-      | Error msg ->
-          Buffer.add_string b
-            (Printf.sprintf "    {\"file\": \"%s\", \"error\": \"%s\"}%s\n" (json_escape e.file)
-               (json_escape msg) sep)
-      | Ok o ->
-          let cells =
-            o.Exec.cells
-            |> List.map (fun (c : Exec.cell) ->
-                   Printf.sprintf "{\"policy\": \"%s\", \"hit_rate_pct\": %.2f}"
-                     (Scenario.policy_name c.Exec.policy)
-                     (match Exec.metric c "hit_rate" with Some v -> v | None -> 0.0))
-            |> String.concat ", "
-          in
-          let checks =
-            o.Exec.checks
-            |> List.map (fun (c : Exec.check) ->
-                   Printf.sprintf "{\"name\": \"%s\", \"pass\": %b, \"detail\": \"%s\"}"
-                     (json_escape c.Exec.check_name) c.Exec.pass (json_escape c.Exec.detail))
-            |> String.concat ", "
-          in
-          Buffer.add_string b
-            (Printf.sprintf
-               "    {\"file\": \"%s\", \"name\": \"%s\", \"events\": %d, \"ok\": %b, \"pass\": \
-                %b, \"expect_violation\": %b,\n\
-               \     \"cells\": [%s],\n\
-               \     \"checks\": [%s]}%s\n"
-               (json_escape e.file)
-               (json_escape o.Exec.scenario.Scenario.name)
-               o.Exec.events o.Exec.ok o.Exec.pass o.Exec.scenario.Scenario.expect_violation cells
-               checks sep))
-    entries;
-  Buffer.add_string b (Printf.sprintf "  ],\n  \"all_ok\": %b\n}\n" (all_ok entries));
-  Buffer.contents b
+  let module Json = Agg_util.Json in
+  let entry e =
+    match e.outcome with
+    | Error msg -> Json.Obj [ ("file", Json.Str e.file); ("error", Json.Str msg) ]
+    | Ok o ->
+        let cell (c : Exec.cell) =
+          Json.Obj
+            [
+              ("policy", Json.Str (Scenario.policy_name c.Exec.policy));
+              ( "hit_rate_pct",
+                Json.num "%.2f" (Option.value ~default:0.0 (Exec.metric c "hit_rate")) );
+            ]
+        in
+        let check (c : Exec.check) =
+          Json.Obj
+            [
+              ("name", Json.Str c.Exec.check_name);
+              ("pass", Json.Bool c.Exec.pass);
+              ("detail", Json.Str c.Exec.detail);
+            ]
+        in
+        Json.Obj
+          [
+            ("file", Json.Str e.file);
+            ("name", Json.Str o.Exec.scenario.Scenario.name);
+            ("events", Json.int o.Exec.events);
+            ("ok", Json.Bool o.Exec.ok);
+            ("pass", Json.Bool o.Exec.pass);
+            ("expect_violation", Json.Bool o.Exec.scenario.Scenario.expect_violation);
+            ("cells", Json.Arr (List.map cell o.Exec.cells));
+            ("checks", Json.Arr (List.map check o.Exec.checks));
+          ]
+  in
+  Json.Obj
+    [ ("scenarios", Json.Arr (List.map entry entries)); ("all_ok", Json.Bool (all_ok entries)) ]

@@ -1,5 +1,5 @@
 (** Corpus driver for the declarative scenarios of {!Agg_scenario}: load
-    every [*.scn] file of a directory, execute each through an
+    [*.scn] files (a directory's, by {!corpus_files}), execute each through an
     {!Experiment.Runner} (its [jobs] sizes the pool, its profiler times
     each cell), and render the results as a table and as the
     [BENCH_scenarios.json] document. *)
@@ -15,11 +15,10 @@ val corpus_files : string -> string list
     @raise Sys_error when the directory cannot be read. *)
 
 val run_corpus :
-  ?events_cap:int -> runner:Experiment.Runner.t -> string -> entry list
-(** Loads and executes every corpus file. Scenario files that fail to
+  ?events_cap:int -> runner:Experiment.Runner.t -> string list -> entry list
+(** Loads and executes each scenario file, in order. Files that fail to
     parse or run become [Error] entries rather than exceptions, so one
-    corrupt file cannot hide the rest of the corpus.
-    @raise Sys_error when the directory cannot be read. *)
+    corrupt file cannot hide the rest of the corpus. *)
 
 val all_ok : entry list -> bool
 (** Every entry executed and met its verdict ([Exec.outcome.ok]):
@@ -29,6 +28,6 @@ val all_ok : entry list -> bool
 val render : entry list -> string
 (** One line per entry: verdict, name, events, check summary. *)
 
-val json_of_entries : entry list -> string
+val json_of_entries : entry list -> Agg_util.Json.t
 (** The [BENCH_scenarios.json] document: per scenario its verdict,
     per-cell hit rates and every check with its detail. *)

@@ -25,8 +25,7 @@ val get :
 (** [get ~settings profile] is the trace for
     [(profile, settings.seed, settings.events)], generated on first
     request via {!Agg_workload.Generator.generate} and memoized
-    thereafter. [settings.warmup] and [settings.jobs] are not part of
-    the key. *)
+    thereafter. [settings.jobs] is not part of the key. *)
 
 val files :
   settings:Experiment.settings -> Agg_workload.Profile.t -> Agg_trace.File_id.t array

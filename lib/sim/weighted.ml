@@ -194,3 +194,32 @@ let verdicts cells =
             }
       | _ -> None)
     Agg_workload.Profile.sized
+
+let json_of_cells cells =
+  let module Json = Agg_util.Json in
+  let cell c =
+    Json.Obj
+      [
+        ("profile", Json.Str c.profile);
+        ("policy", Json.Str c.policy);
+        ("capacity", Json.int c.capacity);
+        ("byte_hit_rate", Json.num "%.6f" c.byte_hit_rate);
+        ("cost_saved_rate", Json.num "%.6f" c.cost_saved_rate);
+        ("total_retrieval_cost", Json.int c.total_cost);
+      ]
+  in
+  let verdict v =
+    Json.Obj
+      [
+        ("profile", Json.Str v.v_profile);
+        ("capacity", Json.int v.v_capacity);
+        ("g5_total_cost", Json.int v.g5_cost);
+        ("landlord_total_cost", Json.int v.landlord_cost);
+        ("g5_beats_landlord", Json.Bool v.g5_wins);
+      ]
+  in
+  Json.Obj
+    [
+      ("cells", Json.Arr (List.map cell cells));
+      ("verdict", Json.Arr (List.map verdict (verdicts cells)));
+    ]

@@ -10,11 +10,6 @@
     total retrieval cost, the two metrics that only exist once files
     stop being unit-sized. *)
 
-val default_capacities : int list
-(** 250–4000 size units (sizes are Pareto up to 64/128 per file, so
-    these bracket roughly the same resident-file counts as the
-    unweighted figures' 100–800). *)
-
 val default_verdict_capacity : int
 (** 1000 size units — the mid-sweep point {!verdicts} reads. *)
 
@@ -35,8 +30,11 @@ type cell = {
 
 val sweep : ?capacities:int list -> Experiment.Runner.t -> cell list
 (** Every (policy, capacity) cell for both sized profiles, rows in
-    {!policies} order. Cells are evaluated through the runner's pool and
-    scope under span labels ["weighted/<profile>/<policy>/c<C>"]. *)
+    {!policies} order. The default capacities are 250–4000 size units
+    (sizes are Pareto up to 64/128 per file, so these bracket roughly the
+    same resident-file counts as the unweighted figures' 100–800). Cells
+    are evaluated through the runner's pool and scope under span labels
+    ["weighted/<profile>/<policy>/c<C>"]. *)
 
 val figure : cell list -> Experiment.figure
 (** The cells of a {!sweep} as a figure: per sized profile, one
@@ -57,3 +55,7 @@ val verdicts : cell list -> verdict list
     cost once sizes and costs are skewed? — read off the cells of a
     {!sweep} at {!default_verdict_capacity}. A profile whose cells lack
     that capacity has no verdict. *)
+
+val json_of_cells : cell list -> Agg_util.Json.t
+(** The [BENCH_weighted.json] document: every cell of a {!sweep} and
+    its {!verdicts}. *)

@@ -474,7 +474,10 @@ let test_corpus_green_fast_sized () =
   let runner =
     Agg_sim.Experiment.Runner.create ~jobs:2 ~settings:Agg_sim.Experiment.quick_settings ()
   in
-  let entries = Agg_sim.Scenarios.run_corpus ~events_cap:4000 ~runner corpus_dir in
+  let entries =
+    Agg_sim.Scenarios.run_corpus ~events_cap:4000 ~runner
+      (Agg_sim.Scenarios.corpus_files corpus_dir)
+  in
   check_int "every corpus file executed" (List.length (corpus ())) (List.length entries);
   List.iter
     (fun (e : Agg_sim.Scenarios.entry) ->
@@ -484,7 +487,7 @@ let test_corpus_green_fast_sized () =
           check_bool (e.Agg_sim.Scenarios.file ^ " meets its verdict") true o.Exec.ok)
     entries;
   check_bool "all_ok" true (Agg_sim.Scenarios.all_ok entries);
-  let json = Agg_sim.Scenarios.json_of_entries entries in
+  let json = Agg_util.Json.to_string (Agg_sim.Scenarios.json_of_entries entries) in
   check_bool "json records the verdict" true
     (contains ~needle:"\"all_ok\": true" json);
   let known_bad =

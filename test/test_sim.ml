@@ -10,7 +10,7 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 (* small but not degenerate: enough events for the orderings to show *)
-let tiny = { Experiment.events = 4000; seed = 7; warmup = 0; jobs = 2 }
+let tiny = { Experiment.events = 4000; seed = 7; jobs = 2 }
 
 let series_named panel label =
   match List.find_opt (fun s -> s.Experiment.label = label) panel.Experiment.series with

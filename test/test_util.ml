@@ -809,6 +809,43 @@ let test_table_float_row () =
   let rendered = Table.render t in
   check_bool "formats decimals" true (contains rendered "1.2")
 
+(* --- Json ------------------------------------------------------------- *)
+
+let check_string = Alcotest.(check string)
+
+let test_json_escape () =
+  check_string "quote, backslash, newline, control byte" "a\\\"b\\\\c\\nd\\u0001e\\u001f"
+    (Json.escape "a\"b\\c\nd\001e\031");
+  check_string "plain bytes copied" "caf\xc3\xa9 ~" (Json.escape "caf\xc3\xa9 ~")
+
+(* The ledger layout: the document's members one per line, a member that
+   holds containers one element per line, anything deeper inline. *)
+let test_json_layout () =
+  let deep = Json.Obj [ ("c", Json.Arr [ Json.int 1; Json.Obj [ ("d", Json.Null) ] ]) ] in
+  let v =
+    Json.Obj
+      [
+        ("name", Json.Str "x\ty");
+        ("rows", Json.Arr [ deep; Json.Arr []; Json.Bool true ]);
+        ("flat", Json.Obj [ ("a", Json.num "%.2f" 0.5); ("b", Json.Str "") ]);
+        ("empty", Json.Arr []);
+      ]
+  in
+  check_string "three deep"
+    "{\n\
+    \  \"name\": \"x\\u0009y\",\n\
+    \  \"rows\": [\n\
+    \    {\"c\": [1, {\"d\": null}]},\n\
+    \    [],\n\
+    \    true\n\
+    \  ],\n\
+    \  \"flat\": {\"a\": 0.50, \"b\": \"\"},\n\
+    \  \"empty\": []\n\
+     }\n"
+    (Json.to_string v);
+  check_string "scalar document" "\"s\"\n" (Json.to_string (Json.Str "s"));
+  check_string "empty document" "{}\n" (Json.to_string (Json.Obj []))
+
 (* --- qcheck properties ------------------------------------------------ *)
 
 exception Boom of int
@@ -1195,6 +1232,11 @@ let () =
           Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "too many cells" `Quick test_table_too_many_cells;
           Alcotest.test_case "float row" `Quick test_table_float_row;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "escape" `Quick test_json_escape;
+          Alcotest.test_case "layout" `Quick test_json_layout;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]
