@@ -839,8 +839,9 @@ let bench_json_path = "BENCH_sweep.json"
 type timing = { name : string; seconds : float; baseline_seconds : float option }
 
 (* The ledger a run updates: its header — jobs, events, seed, quick — and
-   its sections, read back from the format [write_bench_json] writes.
-   [None] when there is no file or it does not parse. *)
+   its sections, read back from the format [write_bench_json] writes,
+   each as its timing and the entry it was read from. [None] when there
+   is no file or it does not parse. *)
 let read_bench_json () =
   if not (Sys.file_exists bench_json_path) then None
   else
@@ -860,13 +861,19 @@ let read_bench_json () =
           else None)
         lines
     in
+    (* a one-line [{"name": "fig5", "seconds": 1.234, ...}] entry, its
+       numbers kept as the text they were written as *)
     let section line =
-      Scanf.sscanf line "{\"name\": \"%s@\", \"seconds\": %f%s@}" (fun name seconds rest ->
-          let baseline_seconds =
-            if rest = "" then None
-            else Some (Scanf.sscanf rest ", \"jobs1_seconds\": %f" Fun.id)
+      Scanf.sscanf line "{\"name\": \"%s@\", %s@}" (fun name rest ->
+          let numbers =
+            List.map
+              (fun member -> Scanf.sscanf member " \"%s@\": %s" (fun key v -> (key, v)))
+              (String.split_on_char ',' rest)
           in
-          { name; seconds; baseline_seconds })
+          let num key = Option.map float_of_string (List.assoc_opt key numbers) in
+          ( { name; seconds = Option.get (num "seconds"); baseline_seconds = num "jobs1_seconds" },
+            Json.Obj (("name", Json.Str name) :: List.map (fun (k, v) -> (k, Json.Num v)) numbers)
+          ))
     in
     match
       ( int_of_string (Option.get (value "jobs")),
@@ -883,33 +890,13 @@ let read_bench_json () =
 
 (* A run adds to the ledger: when the committed header matches this run,
    the sections that ran replace their entries and every other entry is
-   kept, in place; new sections go last. Otherwise the ledger is
-   rewritten from this run alone, and the run says so. *)
+   kept, in place and exactly as it was read; new sections go last.
+   Otherwise the ledger is rewritten from this run alone, and the run
+   says so. *)
 let write_bench_json ~jobs ~quick ~(settings : Agg_sim.Experiment.settings) timings =
   let header =
     (jobs, settings.Agg_sim.Experiment.events, settings.Agg_sim.Experiment.seed, quick)
   in
-  let timings =
-    match read_bench_json () with
-    | Some (h, kept) when h = header ->
-        let ran name = List.exists (fun t -> t.name = name) timings in
-        let fresh name = List.find (fun t -> t.name = name) timings in
-        List.map (fun t -> if ran t.name then fresh t.name else t) kept
-        @ List.filter (fun t -> not (List.exists (fun k -> k.name = t.name) kept)) timings
-    | Some _ ->
-        Printf.printf
-          "%s: its jobs, events, seed or quick flag differ from this run's; rewriting it\n"
-          bench_json_path;
-        timings
-    | None ->
-        if Sys.file_exists bench_json_path then
-          Printf.printf "%s: unreadable; rewriting it\n" bench_json_path;
-        timings
-  in
-  let total sel = List.fold_left (fun acc t -> acc +. sel t) 0.0 timings in
-  let total_1 = total (fun t -> Option.value ~default:0.0 t.baseline_seconds) in
-  (* the speed-up compares only the sections that were swept *)
-  let total_swept = total (fun t -> if t.baseline_seconds = None then 0.0 else t.seconds) in
   let seconds key x = (key, Json.num "%.3f" x) in
   let speedup key base over =
     if over > 0.0 then [ (key, Json.num "%.2f" (base /. over)) ] else []
@@ -924,6 +911,28 @@ let write_bench_json ~jobs ~quick ~(settings : Agg_sim.Experiment.settings) timi
           seconds "jobs1_seconds" b :: speedup "speedup_vs_jobs1" b t.seconds
       | _ -> []))
   in
+  let ran = List.map (fun t -> (t, section t)) timings in
+  let sections =
+    match read_bench_json () with
+    | Some (h, kept) when h = header ->
+        let fresh name = List.find_opt (fun (t, _) -> t.name = name) ran in
+        List.map (fun ((k, _) as kept) -> Option.value ~default:kept (fresh k.name)) kept
+        @ List.filter (fun (t, _) -> not (List.exists (fun (k, _) -> k.name = t.name) kept)) ran
+    | Some _ ->
+        Printf.printf
+          "%s: its jobs, events, seed or quick flag differ from this run's; rewriting it\n"
+          bench_json_path;
+        ran
+    | None ->
+        if Sys.file_exists bench_json_path then
+          Printf.printf "%s: unreadable; rewriting it\n" bench_json_path;
+        ran
+  in
+  let timings = List.map fst sections in
+  let total sel = List.fold_left (fun acc t -> acc +. sel t) 0.0 timings in
+  let total_1 = total (fun t -> Option.value ~default:0.0 t.baseline_seconds) in
+  (* the speed-up compares only the sections that were swept *)
+  let total_swept = total (fun t -> if t.baseline_seconds = None then 0.0 else t.seconds) in
   let totals =
     if List.for_all (fun t -> t.baseline_seconds = None) timings then []
     else
@@ -939,7 +948,7 @@ let write_bench_json ~jobs ~quick ~(settings : Agg_sim.Experiment.settings) timi
              ("seed", Json.int settings.Agg_sim.Experiment.seed);
              ("quick", Json.Bool quick);
              ("recommended_domains", Json.int (Agg_util.Pool.default_jobs ()));
-             ("sections", Json.Arr (List.map section timings));
+             ("sections", Json.Arr (List.map snd sections));
            ]
           @ totals
           @ [ seconds "total_seconds" (total (fun t -> t.seconds)) ])))

@@ -297,6 +297,16 @@ for name in fig5 workloads; do
     exit 1
   fi
 done
+# A kept entry is written back exactly as it was read: a later swept run
+# of another section leaves every figure of the fig5 entry, its rounded
+# speed-up included, byte for byte.
+(cd "$merged" && "$root/_build/default/bench/main.exe" fig5 --quick --sweep --jobs 2 > /dev/null \
+  && grep -o '{"name": "fig5"[^}]*}' BENCH_sweep.json > fig5.entry \
+  && "$root/_build/default/bench/main.exe" fig7 --quick --sweep --jobs 2 > /dev/null)
+if ! grep -o '{"name": "fig5"[^}]*}' "$merged/BENCH_sweep.json" | diff "$merged/fig5.entry" - >&2; then
+  echo "ci.sh: a swept run of fig7 rewrote the fig5 entry of BENCH_sweep.json" >&2
+  exit 1
+fi
 
 # The extension passes are sections: naming one runs it alone, so it
 # writes its ledger and a sweep ledger whose only entry is itself, and no

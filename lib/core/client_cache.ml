@@ -4,9 +4,13 @@ module Tracker = Agg_successor.Tracker
 module Sink = Agg_obs.Sink
 module Event = Agg_obs.Event
 
+type scheme = Plain of Cache.kind | Aggregating of Config.t
+
 type t = {
   config : Config.t;
+  aggregating : bool; (* [false] for a [Plain] level: no metadata, no groups *)
   obs : Sink.t;
+  traced : bool; (* [Sink.enabled obs], fixed at creation: a field read, not a call per check *)
   mutable group_size : int;
   (* a miss builds its group into [group] and the cache writes the
      members it takes to [admitted]; both hold at least [group_size] *)
@@ -35,12 +39,14 @@ let on_evict t victim =
   Int_table.remove t.inserted_at victim;
   Sink.emit t.obs (Event.Evicted { file = victim; speculative; age_accesses })
 
-let create ?(config = Config.default) ?(obs = Sink.noop) ?weight_of ~capacity () =
+let make ~aggregating ?(obs = Sink.noop) ?weight_of config ~capacity =
   Config.validate config;
   let t =
     {
       config;
+      aggregating;
       obs;
+      traced = Sink.enabled obs;
       group_size = config.group_size;
       group = Array.make config.group_size 0;
       admitted = Array.make config.group_size 0;
@@ -58,8 +64,18 @@ let create ?(config = Config.default) ?(obs = Sink.noop) ?weight_of ~capacity ()
       prefetch_evicted_unused = 0;
     }
   in
-  if Sink.enabled obs then Cache.set_on_evict t.cache (on_evict t);
+  if t.traced then Cache.set_on_evict t.cache (on_evict t);
   t
+
+let create ?(config = Config.default) ?obs ?weight_of ~capacity () =
+  make ~aggregating:true ?obs ?weight_of config ~capacity
+
+let of_scheme ?obs scheme ~capacity =
+  match scheme with
+  | Aggregating config -> make ~aggregating:true ?obs config ~capacity
+  | Plain kind ->
+      let config = { Config.default with group_size = 1; cache_kind = kind } in
+      make ~aggregating:false ?obs config ~capacity
 
 let config t = t.config
 let capacity t = Cache.capacity t.cache
@@ -76,7 +92,7 @@ let set_group_size t g =
 let mark_speculative t file =
   t.prefetch_issued <- t.prefetch_issued + 1;
   Int_table.set t.speculative file 1;
-  if Sink.enabled t.obs then begin
+  if t.traced then begin
     Int_table.set t.inserted_at file t.accesses;
     Sink.emit t.obs (Event.Prefetch_issued { file })
   end
@@ -99,14 +115,21 @@ let insert_members t len =
         end
       done
 
-let access t file =
-  (* Metadata first: the tracker sees the raw request sequence. *)
-  Tracker.observe t.tracker file;
+(* Inlined into [access] and [Server_cache.access]: it runs on every
+   access, and without flambda a call is not inlined unless asked. *)
+let[@inline] observe t file =
+  if t.aggregating then begin
+    Tracker.observe t.tracker file;
+    if t.traced then begin
+      if t.last_observed >= 0 then
+        Sink.emit t.obs (Event.Successor_update { prev = t.last_observed; next = file });
+      t.last_observed <- file
+    end
+  end
+
+let fetch t file =
   t.accesses <- t.accesses + 1;
-  if Sink.enabled t.obs then begin
-    if t.last_observed >= 0 then
-      Sink.emit t.obs (Event.Successor_update { prev = t.last_observed; next = file });
-    t.last_observed <- file;
+  if t.traced then begin
     (* Hit/miss is announced before the cache mutates so the eviction
        events a miss triggers follow their cause in the stream. *)
     match Cache.depth t.cache file with
@@ -119,7 +142,7 @@ let access t file =
       (* First demand hit on a prefetched file: the speculation paid off. *)
       t.prefetch_used <- t.prefetch_used + 1;
       Int_table.remove t.speculative file;
-      if Sink.enabled t.obs then begin
+      if t.traced then begin
         let lifetime =
           match Int_table.get t.inserted_at file with at when at >= 0 -> t.accesses - at | _ -> 0
         in
@@ -135,11 +158,17 @@ let access t file =
       Int_table.remove t.speculative file
     end;
     t.demand_fetches <- t.demand_fetches + 1;
-    if Sink.enabled t.obs then Int_table.set t.inserted_at file t.accesses;
-    insert_members t
-      (Group_builder.build_into ~obs:t.obs t.tracker ~group_size:t.group_size file t.group);
+    if t.traced then Int_table.set t.inserted_at file t.accesses;
+    if t.aggregating then
+      insert_members t
+        (Group_builder.build_into ~obs:t.obs t.tracker ~group_size:t.group_size file t.group);
     false
   end
+
+let access t file =
+  (* Metadata first: the tracker sees the raw request sequence. *)
+  observe t file;
+  fetch t file
 
 let metrics t =
   {

@@ -8,7 +8,19 @@
     stack. Relationship metadata is maintained from the full access
     sequence (statistics piggy-backed to the server). With
     [group_size = 1] this degenerates to a plain demand cache of the
-    configured kind — LRU by default — which is the paper's baseline. *)
+    configured kind — LRU by default — which is the paper's baseline.
+
+    The same engine is the server level of {!Server_cache} (§4.3), where
+    it also runs as a plain demand cache ({!of_scheme}). *)
+
+type scheme =
+  | Plain of Agg_cache.Cache.kind
+      (** demand caching only, with the given replacement policy *)
+  | Aggregating of Config.t
+      (** group retrieval per §3, with the given operating point (group
+          size, metadata budget, cache kind) *)
+(** How one cache level is managed; re-exported as
+    {!Server_cache.scheme} and [Agg_system.Scheme.t]. *)
 
 type t
 
@@ -26,7 +38,15 @@ val create :
     (announced before the cache mutates, so the eviction events a miss
     triggers follow their cause), [Prefetch_issued]/[Prefetch_promoted],
     [Group_built] per miss and [Evicted] per physical eviction. The default
-    no-op sink adds one branch per access and allocates nothing. *)
+    no-op sink adds a few branches per access and allocates nothing. *)
+
+val of_scheme : ?obs:Agg_obs.Sink.t -> scheme -> capacity:int -> t
+(** [of_scheme (Aggregating config)] is [create ~config].
+    [of_scheme (Plain kind)] is a demand cache of [kind] (its {!config}
+    is the default with [group_size = 1] and [cache_kind = kind]): its
+    {!observe} does nothing and its misses build no group, so it emits
+    no [Successor_update] or [Group_built] and never prefetches.
+    @raise Invalid_argument on invalid capacity or configuration. *)
 
 val config : t -> Config.t
 val capacity : t -> int
@@ -42,7 +62,18 @@ val set_group_size : t -> int -> unit
 val access : t -> Agg_trace.File_id.t -> bool
 (** [access t file] simulates one demand access; [true] on a cache hit.
     On a miss, the group for [file] is fetched from the (simulated)
-    server. *)
+    server. It is [observe t file] followed by [fetch t file]. *)
+
+val observe : t -> Agg_trace.File_id.t -> unit
+(** [observe t file] feeds [file] to the successor metadata (and reports
+    the adjacency as a [Successor_update]) without touching the data
+    cache or the counters; a no-op for a [Plain] level. *)
+
+val fetch : t -> Agg_trace.File_id.t -> bool
+(** [fetch t file] is {!access} without the metadata observation: one
+    demand access to the data cache, with the group fetch on a miss. A
+    cooperative {!Server_cache} observes every client access but fetches
+    only the client's misses. *)
 
 val run : t -> Agg_trace.Trace.t -> Metrics.client
 (** [run t trace] feeds every event of [trace] through {!access} and

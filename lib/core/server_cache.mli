@@ -8,12 +8,18 @@
     stream the server actually observes, with group fetches from backing
     store on server misses.
 
+    The server level is one {!Client_cache} engine at the server
+    capacity ({!Client_cache.of_scheme}): a client miss is one engine
+    access, and the server's hits, group fetches, prefetch accounting
+    and events are the engine's.
+
     By default no cooperation is assumed — the server learns from the
     *filtered* miss stream only. [cooperative:true] models clients that
-    piggy-back full access statistics (§3): metadata is then fed the
-    unfiltered sequence while data still moves only on client misses. *)
+    piggy-back full access statistics (§3): every client access is fed
+    to the engine's metadata ({!Client_cache.observe}) while data still
+    moves only on client misses ({!Client_cache.fetch}). *)
 
-type scheme =
+type scheme = Client_cache.scheme =
   | Plain of Agg_cache.Cache.kind  (** baseline server cache *)
   | Aggregating of Config.t  (** group retrieval per the paper *)
 
@@ -50,3 +56,6 @@ val run_files : t -> Agg_trace.File_id.t array -> Metrics.server
     array (see [Trace_store.files]) can skip materialising a trace. *)
 
 val metrics : t -> Metrics.server
+(** The engine's {!Metrics.client} seen from the server: its accesses
+    are [server_requests], its hits [server_hits], and [store_fetches]
+    is its demand fetches plus its issued prefetches. *)

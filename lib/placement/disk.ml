@@ -65,7 +65,3 @@ let replay t files =
     max_seek = !max_seek;
     allocated_on_the_fly = !allocated;
   }
-
-let pp_stats ppf s =
-  Format.fprintf ppf "accesses=%d mean_seek=%.1f max_seek=%d total=%.0f allocated=%d" s.accesses
-    s.mean_seek s.max_seek s.total_seek s.allocated_on_the_fly

@@ -37,5 +37,3 @@ val replay : t -> Agg_trace.File_id.t array -> replay_stats
     nearest replica of the file (allocating an end-of-device slot for
     unknown files) and the distances are accumulated. The device is
     mutated (on-the-fly allocations persist). *)
-
-val pp_stats : Format.formatter -> replay_stats -> unit

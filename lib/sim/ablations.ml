@@ -94,50 +94,27 @@ let baselines ?(settings = Experiment.default_settings) ?(capacities = default_c
     series = agg @ prob_graph;
   }
 
-let server_hit_rate ~trace ~scheme ~cooperative filter_capacity =
-  let sim =
-    Agg_core.Server_cache.create ~cooperative ~filter_kind:Agg_cache.Cache.Lru ~filter_capacity
-      ~server_capacity:Fig4.default_server_capacity ~scheme ()
-  in
-  100.0 *. Agg_core.Metrics.server_hit_rate (Agg_core.Server_cache.run sim trace)
+(* A5, A6 and A11 are Fig. 4 cells: the server hit rate (%) behind a
+   client LRU of each filter capacity, one series per
+   [(label, scheme, cooperative)] row. *)
+let server_panel ~settings ?filter_capacities ~name rows profile =
+  Fig4.panel ?filter_capacities ~runner:(Experiment.Runner.create ~settings ())
+    ~name:(profile.Agg_workload.Profile.name ^ name)
+    rows profile
 
-let hit_rate_panel ~settings ~name ~trace ~filter_capacities rows =
-  let series =
-    Experiment.grid ~settings ~rows ~cols:filter_capacities
-      (fun (_, scheme, cooperative) filter_capacity ->
-        server_hit_rate ~trace ~scheme ~cooperative filter_capacity)
-    |> List.map (fun ((label, _, _), points) ->
-           {
-             Experiment.label;
-             points = List.map (fun (capacity, y) -> (float_of_int capacity, y)) points;
-           })
-  in
-  { Experiment.name; x_label = "filter capacity (files)"; y_label = "server hit rate (%)"; series }
+let cooperative ?(settings = Experiment.default_settings) ?filter_capacities profile =
+  let g5 = Agg_system.Scheme.aggregating () in
+  server_panel ~settings ?filter_capacities ~name:" (A5 cooperation)"
+    [ ("g5-miss-stream", g5, false); ("g5-cooperative", g5, true) ]
+    profile
 
-let cooperative ?(settings = Experiment.default_settings)
-    ?(filter_capacities = Fig4.default_filter_capacities) profile =
-  let trace = Trace_store.get ~settings profile in
-  let scheme = Agg_core.Server_cache.Aggregating Agg_core.Config.default in
-  hit_rate_panel ~settings
-    ~name:(profile.Agg_workload.Profile.name ^ " (A5 cooperation)")
-    ~trace ~filter_capacities
-    [ ("g5-miss-stream", scheme, false); ("g5-cooperative", scheme, true) ]
-
-let second_level_policies ?(settings = Experiment.default_settings)
-    ?(filter_capacities = Fig4.default_filter_capacities) profile =
-  let trace = Trace_store.get ~settings profile in
-  hit_rate_panel ~settings
-    ~name:(profile.Agg_workload.Profile.name ^ " (A6 second-level policies)")
-    ~trace ~filter_capacities
-    [
-      ("agg-g5", Agg_core.Server_cache.Aggregating Agg_core.Config.default, false);
-      ("lru", Agg_core.Server_cache.Plain Agg_cache.Cache.Lru, false);
-      ("lfu", Agg_core.Server_cache.Plain Agg_cache.Cache.Lfu, false);
-      ("mq", Agg_core.Server_cache.Plain Agg_cache.Cache.Mq, false);
-      ("slru", Agg_core.Server_cache.Plain Agg_cache.Cache.Slru, false);
-      ("2q", Agg_core.Server_cache.Plain Agg_cache.Cache.Twoq, false);
-      ("arc", Agg_core.Server_cache.Plain Agg_cache.Cache.Arc, false);
-    ]
+let second_level_policies ?(settings = Experiment.default_settings) ?filter_capacities profile =
+  server_panel ~settings ?filter_capacities ~name:" (A6 second-level policies)"
+    (("agg-g5", Agg_system.Scheme.aggregating (), false)
+    :: List.map
+         (fun kind -> (Agg_cache.Cache.kind_name kind, Agg_system.Scheme.Plain kind, false))
+         Agg_cache.Cache.[ Lru; Lfu; Mq; Slru; Twoq; Arc ])
+    profile
 
 let placement ?(settings = Experiment.default_settings) profile =
   let open Agg_util in
@@ -274,22 +251,14 @@ let overlap_vs_partition ?(settings = Experiment.default_settings) ?(group_size 
    g = 5 server-side): server hit rate vs filter capacity, one series per
    group size. Shows where the server-side saturation point sits. *)
 let server_group_size ~settings profile =
-  let group_sizes = [ 2; 3; 5; 7; 10 ] in
-  let trace = Trace_store.get ~settings profile in
-  let filter_capacities = [ 100; 200; 300; 400; 500 ] in
-  let rows =
-    ("lru", Agg_core.Server_cache.Plain Agg_cache.Cache.Lru, false)
-    :: List.map
-         (fun g ->
-           ( Printf.sprintf "g%d" g,
-             Agg_core.Server_cache.Aggregating
-               (Agg_core.Config.with_group_size g Agg_core.Config.default),
-             false ))
-         group_sizes
+  let schemes =
+    Agg_system.Scheme.plain_lru
+    :: List.map (fun g -> Agg_system.Scheme.aggregating ~group_size:g ()) [ 2; 3; 5; 7; 10 ]
   in
-  hit_rate_panel ~settings
-    ~name:(profile.Agg_workload.Profile.name ^ " (A11 server group size)")
-    ~trace ~filter_capacities rows
+  server_panel ~settings ~filter_capacities:[ 100; 200; 300; 400; 500 ]
+    ~name:" (A11 server group size)"
+    (List.map (fun scheme -> (Agg_system.Scheme.name scheme, scheme, false)) schemes)
+    profile
 
 let adaptive_group ?(settings = Experiment.default_settings) () =
   let open Agg_util in

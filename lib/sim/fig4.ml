@@ -1,52 +1,45 @@
+module Scheme = Agg_system.Scheme
+
 let default_filter_capacities = [ 50; 100; 150; 200; 250; 300; 350; 400; 450; 500 ]
 let default_server_capacity = 300
 
-let schemes ~group_size =
-  [
-    ( Printf.sprintf "g%d" group_size,
-      Agg_core.Server_cache.Aggregating (Agg_core.Config.with_group_size group_size Agg_core.Config.default) );
-    ("lru", Agg_core.Server_cache.Plain Agg_cache.Cache.Lru);
-    ("lfu", Agg_core.Server_cache.Plain Agg_cache.Cache.Lfu);
-  ]
+let paper_rows =
+  List.map
+    (fun scheme -> (Scheme.name scheme, scheme, false))
+    [ Scheme.aggregating (); Scheme.plain_lru; Scheme.Plain Agg_cache.Cache.Lfu ]
 
-let panel ?(filter_capacities = default_filter_capacities)
-    ?(server_capacity = default_server_capacity) ?(group_size = 5) ?(cooperative = false)
-    ~(runner : Experiment.Runner.t) profile =
+let panel ?(filter_capacities = default_filter_capacities) ~(runner : Experiment.Runner.t) ~name
+    rows profile =
   let settings = runner.Experiment.Runner.settings in
   (* the simulation only consumes file ids: use the memoised id array *)
   let files = Trace_store.files ~settings profile in
-  let span_label (scheme_label, _) filter_capacity =
-    Printf.sprintf "fig4/%s/%s/f%d" profile.Agg_workload.Profile.name scheme_label
-      filter_capacity
-  in
-  let sink scheme_label filter_capacity =
-    Experiment.Runner.sink runner (span_label (scheme_label, ()) filter_capacity)
+  let span_label (label, _, _) filter_capacity =
+    Printf.sprintf "fig4/%s/%s/f%d" profile.Agg_workload.Profile.name label filter_capacity
   in
   let series =
-    Experiment.grid ?profiler:(Experiment.Runner.profiler runner) ~span_label ~settings
-      ~rows:(schemes ~group_size) ~cols:filter_capacities
-      (fun (scheme_label, scheme) filter_capacity ->
+    Experiment.grid ?profiler:(Experiment.Runner.profiler runner) ~span_label ~settings ~rows
+      ~cols:filter_capacities
+      (fun ((_, scheme, cooperative) as row) filter_capacity ->
         let sim =
-          Agg_core.Server_cache.create ~cooperative ~obs:(sink scheme_label filter_capacity)
-            ~filter_kind:Agg_cache.Cache.Lru ~filter_capacity ~server_capacity ~scheme ()
+          Agg_core.Server_cache.create ~cooperative
+            ~obs:(Experiment.Runner.sink runner (span_label row filter_capacity))
+            ~filter_kind:Agg_cache.Cache.Lru ~filter_capacity
+            ~server_capacity:default_server_capacity ~scheme ()
         in
         let m = Agg_core.Server_cache.run_files sim files in
         100.0 *. Agg_core.Metrics.server_hit_rate m)
-    |> List.map (fun ((label, _), points) ->
+    |> List.map (fun ((label, _, _), points) ->
            {
              Experiment.label;
              points = List.map (fun (capacity, y) -> (float_of_int capacity, y)) points;
            })
   in
-  {
-    Experiment.name = profile.Agg_workload.Profile.name;
-    x_label = "filter capacity (files)";
-    y_label = "server hit rate (%)";
-    series;
-  }
+  { Experiment.name; x_label = "filter capacity (files)"; y_label = "server hit rate (%)"; series }
 
 let run (runner : Experiment.Runner.t) =
-  let panel_for profile = panel ~runner profile in
+  let panel_for profile =
+    panel ~runner ~name:profile.Agg_workload.Profile.name paper_rows profile
+  in
   {
     Experiment.id = "fig4";
     title =
@@ -59,4 +52,3 @@ let run (runner : Experiment.Runner.t) =
         panel_for Agg_workload.Profile.server;
       ];
   }
-

@@ -1,4 +1,4 @@
-type t =
+type t = Agg_core.Client_cache.scheme =
   | Plain of Agg_cache.Cache.kind
   | Aggregating of Agg_core.Config.t
 

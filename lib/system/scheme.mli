@@ -4,14 +4,13 @@
     the paper's Fig. 2 path and fleet) and the sweeps built on it place
     either a plain demand cache or an aggregating (group-fetching) cache
     at each level. A single shared type keeps the configurations
-    identical everywhere and lets sweeps treat "scheme" as an axis. *)
+    identical everywhere and lets sweeps treat "scheme" as an axis. It
+    is the aggregating engine's own {!Agg_core.Client_cache.scheme}, so
+    [Server_cache] (Fig. 4) takes the same values. *)
 
-type t =
+type t = Agg_core.Client_cache.scheme =
   | Plain of Agg_cache.Cache.kind
-      (** demand caching only, with the given replacement policy *)
   | Aggregating of Agg_core.Config.t
-      (** group retrieval per the paper's §3, with the given operating
-          point (group size, metadata budget, cache kind) *)
 
 val plain_lru : t
 (** [Plain Lru] — the baseline everywhere. *)

@@ -280,6 +280,53 @@ let test_reconcile_server () =
       | Error msg -> Alcotest.failf "cooperative=%b: %s" cooperative msg)
     [ false; true ]
 
+(* MD5 of the memory-sink event stream (one [Event.to_json] line per
+   event, [seq] from 0) of every server scheme at both cooperation
+   settings and of one aggregating client, all on one seeded trace. The
+   reconcile tests compare counts; these pin the order of every event, so
+   a reordered or extra one (a [Group_built] or [Successor_update] from a
+   plain server, say) changes a hash. *)
+let event_stream_known_answers =
+  let open Agg_core in
+  let g5 = Server_cache.Aggregating Config.default in
+  let lru = Server_cache.Plain Agg_cache.Cache.Lru in
+  let head = Server_cache.Aggregating { Config.default with member_position = Config.Head } in
+  [
+    ("server lru", Some (lru, false), "8e0767d264b11075c3f28d53625b175d");
+    ("server lru cooperative", Some (lru, true), "8e0767d264b11075c3f28d53625b175d");
+    ("server g5", Some (g5, false), "475605d5407640ae893e5a5511fb3179");
+    ("server g5 cooperative", Some (g5, true), "7d5a0b3637a6ac42ef24e0e40034bf31");
+    ("server g5 head", Some (head, false), "9a45f021b4c525e39177b964d3950fa0");
+    ("server g5 head cooperative", Some (head, true), "56b8815b7e2188dec57441a4f9bc63d6");
+    ("client g5", None, "01d3b1aebcc7b8428b181519ca1e1775");
+  ]
+
+let test_event_stream_known_answers () =
+  let trace = Agg_workload.Generator.generate ~seed:11 ~events:6_000 (server_profile ()) in
+  List.iter
+    (fun (name, server, md5) ->
+      let sink = Sink.memory () in
+      (match server with
+      | Some (scheme, cooperative) ->
+          let sim =
+            Agg_core.Server_cache.create ~cooperative ~obs:sink ~filter_kind:Agg_cache.Cache.Lru
+              ~filter_capacity:100 ~server_capacity:150 ~scheme ()
+          in
+          ignore (Agg_core.Server_cache.run sim trace)
+      | None ->
+          let cache = Agg_core.Client_cache.create ~obs:sink ~capacity:150 () in
+          ignore (Agg_core.Client_cache.run cache trace));
+      let text = Buffer.create 65_536 in
+      List.iteri
+        (fun seq e ->
+          Buffer.add_string text (Event.to_json ~seq e);
+          Buffer.add_char text '\n')
+        (Sink.events sink);
+      Alcotest.(check string)
+        name md5
+        (Stdlib.Digest.to_hex (Stdlib.Digest.string (Buffer.contents text))))
+    event_stream_known_answers
+
 let test_noop_identical_metrics () =
   let plain = client_run ~obs:Sink.noop in
   let sink = Sink.memory () in
@@ -815,6 +862,7 @@ let () =
           Alcotest.test_case "reconciles server run" `Quick test_reconcile_server;
           Alcotest.test_case "noop leaves metrics identical" `Quick test_noop_identical_metrics;
           Alcotest.test_case "weighted counters" `Quick test_digest_weighted;
+          Alcotest.test_case "event stream known answers" `Quick test_event_stream_known_answers;
         ] );
       ( "determinism",
         [

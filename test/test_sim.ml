@@ -161,7 +161,7 @@ let test_fig3_fetches_decrease_with_capacity () =
 
 let fig4_panel =
   lazy
-    (Fig4.panel ~filter_capacities:[ 50; 400 ] ~server_capacity:300 ~runner:tiny_runner
+    (Fig4.panel ~filter_capacities:[ 50; 400 ] ~runner:tiny_runner ~name:"server" Fig4.paper_rows
        Agg_workload.Profile.server)
 
 let test_fig4_shape () =
