@@ -4,9 +4,10 @@
 # of each steady-benchmark workload (plain and traced), a quick smoke run
 # of the paper-vs-measured checks from the reproduction harness, the
 # full-size harness golden, the sweep ledger's merge of a partial run,
-# the entropy commands and a client replay on sparse-id traces and extreme
-# capacities under a memory cap, the CLI's parse-time rejection of
-# out-of-range counts, and the list of exports nothing else references.
+# the entropy commands, a client replay and a cluster scenario on
+# sparse-id traces and extreme capacities under a memory cap, the CLI's
+# parse-time rejection of out-of-range counts, and the list of exports
+# nothing else references.
 # The run fails if it leaves the working tree different from how it found
 # it.
 #
@@ -349,6 +350,20 @@ for cmd in "trace -o $scratch/sparse9.jsonl" "entropy --filter 100"; do
     exit 1
   fi
 done
+# A cluster run keys its caches and trackers by files renumbered densely
+# in order of first access, so the same ids replayed from a scenario
+# through a five-node ring with three-way groups, a node leaving and
+# rejoining, and message loss, outages and slow links stay within the cap
+# too.
+printf '#scenario v1\nname sparse-cluster\nworkload trace file=%s\ntopology cluster nodes=5 replicas=3 placement=group ring_seed=23 clients=2 client_capacity=150 node_capacity=300\nchurn time=1 op=leave node=4\nchurn time=3 op=join node=4\nfaults seed=11 loss=0.6 outage_period=2 outage_rate=0.5 outage_length=1 slow=0.5 slow_mult=4 crash=0.2\npolicy lru\npolicy g5\ninvariant conservation\ninvariant every_request_served\n' \
+  "$scratch/sparse9.trc" > "$scratch/sparse9.scn"
+if ! (ulimit -v 2000000 && "$root/_build/default/bin/aggsim.exe" scenario run -f "$scratch/sparse9.scn" \
+  > "$scratch/sparse9.out") || ! grep -q 'rebalances=2' "$scratch/sparse9.out" \
+  || ! grep -q 'faults.timeouts=[1-9]' "$scratch/sparse9.out"; then
+  echo "ci.sh: a cluster scenario failed on a trace with file ids near 10^9:" >&2
+  cat "$scratch/sparse9.out" >&2
+  exit 1
+fi
 
 # Extreme capacities: every policy sizes its arrays by its residents, so a
 # capacity of 10^12 (or max_int, where capacity + 2 used to overflow) must

@@ -114,16 +114,28 @@ type client_state = {
   mutable hits : int;
 }
 
-(* A request reads its replicas' states from the routing rows: every
+(* The latencies of a run so far: the last access's, and their sum in
+   access order. A record of floats only is stored flat, so neither
+   write allocates. *)
+type latency = { mutable last : float; mutable sum : float }
+
+(* A run renumbers the trace's files densely, in order of first access:
+   every per-file structure (caches, trackers, [points]) is keyed by the
+   dense id, and [ids] turns one back into the file id that ring hashing,
+   events and trace phases use.
+
+   A request reads its replicas' states from the routing rows: every
    file at ring point [p] has the group whose [j]-th member's state is
-   [rows.(p * k + j)], so routing is one [Ring.point_of] and [k] reads,
-   and the ring is walked only when churn rebuilds the rows. The miss
+   [rows.(p * k + j)], so routing is one ring point and [k] reads, and
+   the ring is walked only when churn rebuilds the rows. A file's point
+   is hashed once per ring, on first demand, into [points]. The miss
    path writes into per-run buffers instead of building lists: [route]
    holds the ids of the file's replication group (primary first), [group]
    the client's retrieval group, [staged] a node's own readahead group
    and [admitted] the members a cache just took. *)
 type state = {
   config : config;
+  sink : Sink.t;  (** [Agg_obs.Scope.sink config.scope], resolved once *)
   metadata_config : Agg_core.Config.t;
   client_group_size : int;  (** files per routed fetch: 1 for a plain client *)
   node_group_size : int;  (** readahead a node stages on a miss: 0 for a plain node *)
@@ -136,10 +148,16 @@ type state = {
           a join makes them *)
   mutable k : int;  (** live replicas: [replicas], or fewer when the ring has fewer nodes *)
   mutable rows : node_state array;  (** [Ring.point_count ring * k] states, rebuilt with [ring] *)
+  ids : int array;  (** dense id -> file id *)
+  files : int array;  (** access index -> dense id *)
+  points : int array;  (** dense id -> ring point, -1 until asked; reset with [rows] *)
   mutable pending_churn : (int * churn_op) list;  (** sorted by time *)
   mutable retired : (int * int) list;  (** departed nodes' request counts *)
   counters : Counters.t;
-  latencies : float array;  (** one slot per trace access, filled in order *)
+  latency : latency;
+  mutable values : float array;  (** the distinct latencies, in order of first occurrence *)
+  mutable counts : int array;  (** [counts.(i)] accesses took [values.(i)] *)
+  mutable distinct : int;  (** slots in use in [values] and [counts] *)
   mutable server_requests : int;
   mutable server_hits : int;
   mutable store_fetches : int;
@@ -235,9 +253,10 @@ let reroute st =
     done
   done;
   st.k <- k;
-  st.rows <- rows
+  st.rows <- rows;
+  Array.fill st.points 0 (Array.length st.points) (-1)
 
-let make_state config ~accesses =
+let make_state config ~ids ~files =
   validate config;
   let metadata_config =
     match (Scheme.group_config config.client_scheme, Scheme.group_config config.node_scheme) with
@@ -253,6 +272,7 @@ let make_state config ~accesses =
   let st =
     {
       config;
+      sink = Agg_obs.Scope.sink config.scope;
       metadata_config;
       client_group_size;
       node_group_size;
@@ -271,10 +291,16 @@ let make_state config ~accesses =
       node_states = Array.init config.nodes (make_node config metadata_config);
       k = 0;
       rows = [||];
+      ids;
+      files;
+      points = Array.make (Array.length ids) (-1);
       pending_churn = List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) config.churn;
       retired = [];
       counters = Counters.create ();
-      latencies = Array.make accesses 0.0;
+      latency = { last = 0.0; sum = 0.0 };
+      values = Array.make 16 0.0;
+      counts = Array.make 16 0;
+      distinct = 0;
       server_requests = 0;
       server_hits = 0;
       store_fetches = 0;
@@ -295,10 +321,21 @@ let make_state config ~accesses =
   reroute st;
   st
 
-(* Writes the ids of [file]'s replication group to [st.route], primary
-   first, and returns where the group's states start in [st.rows]. *)
-let route st file =
-  let row = Ring.point_of st.ring file * st.k in
+(* The ring point of dense file [d], hashed on first demand. *)
+let point st d =
+  let p = st.points.(d) in
+  if p >= 0 then p
+  else begin
+    let p = Ring.point_of st.ring st.ids.(d) in
+    st.points.(d) <- p;
+    p
+  end
+
+(* Writes the ids of dense file [d]'s replication group to [st.route],
+   primary first, and returns where the group's states start in
+   [st.rows]. *)
+let route st d =
+  let row = point st d * st.k in
   for j = 0 to st.k - 1 do
     st.route.(j) <- st.rows.(row + j).node_id
   done;
@@ -308,9 +345,9 @@ let route st file =
 let rec row_holds (rows : node_state array) ns i stop =
   i < stop && (rows.(i) == ns || row_holds rows ns (i + 1) stop)
 
-(* Does [ns] replicate [file]? A scan of [file]'s row. *)
-let replicates st ns file =
-  let row = Ring.point_of st.ring file * st.k in
+(* Does [ns] replicate dense file [d]? A scan of [d]'s row. *)
+let replicates st ns d =
+  let row = point st d * st.k in
   row_holds st.rows ns row (row + st.k)
 
 (* --- churn ------------------------------------------------------------- *)
@@ -348,8 +385,8 @@ let apply_op st op =
         before;
       st.rebalances <- st.rebalances + 1;
       st.moved_files <- st.moved_files + !moved;
-      if Sink.enabled (Agg_obs.Scope.sink st.config.scope) then
-        Sink.emit (Agg_obs.Scope.sink st.config.scope) (Agg_obs.Event.Ring_rebalance { node; joined = true; moved = !moved })
+      if Sink.enabled st.sink then
+        Sink.emit st.sink (Agg_obs.Event.Ring_rebalance { node; joined = true; moved = !moved })
   | Leave node ->
       let ring = Ring.remove st.ring node in
       let departing = node_state st node in
@@ -364,7 +401,7 @@ let apply_op st op =
          Replicated_with_group does not). *)
       List.iter
         (fun f ->
-          let ts = st.rows.(Ring.point_of ring f * st.k) in
+          let ts = st.rows.(point st f * st.k) in
           if not (Cache.mem ts.cache f) then begin
             Cache.insert_cold ts.cache f;
             incr moved
@@ -373,9 +410,8 @@ let apply_op st op =
       st.retired <- (node, departing.requests) :: st.retired;
       st.rebalances <- st.rebalances + 1;
       st.moved_files <- st.moved_files + !moved;
-      if Sink.enabled (Agg_obs.Scope.sink st.config.scope) then
-        Sink.emit (Agg_obs.Scope.sink st.config.scope)
-          (Agg_obs.Event.Ring_rebalance { node; joined = false; moved = !moved })
+      if Sink.enabled st.sink then
+        Sink.emit st.sink (Agg_obs.Event.Ring_rebalance { node; joined = false; moved = !moved })
 
 let rec apply_churn st ~time =
   match st.pending_churn with
@@ -414,16 +450,14 @@ let rec attempt_route st ~row ~time ~attempt ~file =
     if down then st.counters.Counters.outage_denials <- st.counters.Counters.outage_denials + 1
     else st.counters.Counters.lost_messages <- st.counters.Counters.lost_messages + 1;
     st.counters.Counters.timeouts <- st.counters.Counters.timeouts + 1;
-    if Sink.enabled (Agg_obs.Scope.sink st.config.scope) then
-      Sink.emit (Agg_obs.Scope.sink st.config.scope) (Agg_obs.Event.Fetch_timeout { file; attempt });
+    if Sink.enabled st.sink then Sink.emit st.sink (Agg_obs.Event.Fetch_timeout { file; attempt });
     if attempt < r.Resilience.max_retries then begin
       st.counters.Counters.retries <- st.counters.Counters.retries + 1;
       let next = st.route.((attempt + 1) mod k) in
       if next <> target then begin
         st.failovers <- st.failovers + 1;
-        if Sink.enabled (Agg_obs.Scope.sink st.config.scope) then
-          Sink.emit (Agg_obs.Scope.sink st.config.scope)
-            (Agg_obs.Event.Replica_failover { file; failed = target; target = next })
+        if Sink.enabled st.sink then
+          Sink.emit st.sink (Agg_obs.Event.Replica_failover { file; failed = target; target = next })
       end;
       attempt_route st ~row ~time ~attempt:(attempt + 1) ~file
     end
@@ -454,26 +488,28 @@ let push_route_phases ctx st ~failures =
     end
   done
 
-(* §3: an access is piggy-backed to wherever the metadata lives; the
-   states of the file's [k] replicas start at [st.rows.(row)] *)
-let observe st ~client ~row file =
+(* §3: an access to dense file [d] is piggy-backed to wherever the
+   metadata lives; the states of its [k] replicas start at
+   [st.rows.(row)] *)
+let observe st ~client ~row d =
   match st.config.metadata with
-  | Owner_node -> Tracker.observe_client st.rows.(row).tracker ~client file
+  | Owner_node -> Tracker.observe_client st.rows.(row).tracker ~client d
   | Replicated_with_group ->
       for j = row to row + st.k - 1 do
-        Tracker.observe_client st.rows.(j).tracker ~client file
+        Tracker.observe_client st.rows.(j).tracker ~client d
       done
-  | Client_side -> Tracker.observe_client st.client_states.(client).tracker ~client:0 file
+  | Client_side -> Tracker.observe_client st.client_states.(client).tracker ~client:0 d
 
-(* Serves a client miss of [file], already routed to [row] (its ids in
-   [st.route]), and records its latency in [st.latencies.(time)] (a float
-   returned from here would be boxed). *)
-let serve st ~client ~time ~tracing ~row file =
+(* Serves a client miss of [file], dense id [d], already routed to [row]
+   (its ids in [st.route]), and leaves its latency in [st.latency.last]
+   (a float returned from here would be boxed). Caches and trackers see
+   [d]; events and trace phases report [file]. *)
+let serve st ~client ~time ~tracing ~row ~file d =
   st.server_requests <- st.server_requests + 1;
   let k = st.k in
   let primary = st.route.(0) in
   let cs = st.client_states.(client) in
-  if not st.config.cooperative then observe st ~client ~row file;
+  if not st.config.cooperative then observe st ~client ~row d;
   let attempt =
     if not (Plan.enabled st.base_plan) then 0 else attempt_route st ~row ~time ~attempt:0 ~file
   in
@@ -493,8 +529,7 @@ let serve st ~client ~time ~tracing ~row file =
        (counted against the primary's cache as usual), but no group is
        built, no members travel, and nothing speculative is staged. *)
     st.counters.Counters.degraded_fetches <- st.counters.Counters.degraded_fetches + 1;
-    if Sink.enabled (Agg_obs.Scope.sink st.config.scope) then
-      Sink.emit (Agg_obs.Scope.sink st.config.scope) (Agg_obs.Event.Fetch_degraded { file; dropped = 0 });
+    if Sink.enabled st.sink then Sink.emit st.sink (Agg_obs.Event.Fetch_degraded { file; dropped = 0 });
     let ns = st.rows.(row) in
     ns.requests <- ns.requests + 1;
     (match Agg_obs.Scope.series st.config.scope with
@@ -503,7 +538,7 @@ let serve st ~client ~time ~tracing ~row file =
         (* the fallback is served by the primary: mirror [ns.requests] *)
         Agg_obs.Series.observe_node s ~index:time ~node:primary
     | None -> ());
-    let served_from_memory = Cache.access ns.cache file in
+    let served_from_memory = Cache.access ns.cache d in
     if served_from_memory then st.server_hits <- st.server_hits + 1
     else st.store_fetches <- st.store_fetches + 1;
     st.files_transferred <- st.files_transferred + 1;
@@ -516,15 +551,14 @@ let serve st ~client ~time ~tracing ~row file =
           (Printf.sprintf "degraded f%d@n%d" file primary)
           ~dur_ms:fallback
     | None -> ());
-    st.latencies.(time) <- !waited +. fallback
+    st.latency.last <- !waited +. fallback
   end
   else begin
     let node = st.route.(attempt mod k) in
     let ns = st.rows.(row + (attempt mod k)) in
     st.routed_fetches <- st.routed_fetches + 1;
     ns.requests <- ns.requests + 1;
-    if Sink.enabled (Agg_obs.Scope.sink st.config.scope) then
-      Sink.emit (Agg_obs.Scope.sink st.config.scope) (Agg_obs.Event.Node_routed { file; node });
+    if Sink.enabled st.sink then Sink.emit st.sink (Agg_obs.Event.Node_routed { file; node });
     (match Agg_obs.Scope.series st.config.scope with
     | Some s -> Agg_obs.Series.observe_node s ~index:time ~node
     | None -> ());
@@ -538,9 +572,9 @@ let serve st ~client ~time ~tracing ~row file =
     in
     let group = st.group in
     let group_len =
-      Agg_core.Group_builder.build_into source_tracker ~group_size:st.client_group_size file group
+      Agg_core.Group_builder.build_into source_tracker ~group_size:st.client_group_size d group
     in
-    let served_from_memory = Cache.access ns.cache file in
+    let served_from_memory = Cache.access ns.cache d in
     if served_from_memory then st.server_hits <- st.server_hits + 1
     else begin
       st.store_fetches <- st.store_fetches + 1;
@@ -559,7 +593,7 @@ let serve st ~client ~time ~tracing ~row file =
         let staged = if reuse then group else st.staged in
         let staged_len =
           if reuse then group_len
-          else Agg_core.Group_builder.build_into ns.tracker ~group_size:g file staged
+          else Agg_core.Group_builder.build_into ns.tracker ~group_size:g d staged
         in
         for i = 1 to staged_len - 1 do
           if not (Cache.mem ns.cache staged.(i)) then st.store_fetches <- st.store_fetches + 1
@@ -602,8 +636,33 @@ let serve st ~client ~time ~tracing ~row file =
           (Printf.sprintf "fetch f%d@n%d" file node)
           ~dur_ms:served_ms
     | None -> ());
-    st.latencies.(time) <- !waited +. served_ms
+    st.latency.last <- !waited +. served_ms
   end
+
+(* Adds the latency in [st.latency.last] to the running sum and to the
+   count of its value. The distinct values are few (hit, demand fetch,
+   slowed fetch, each retry ladder), so a scan from the first finds the
+   common ones at once. *)
+let record_latency st =
+  let l = st.latency.last in
+  st.latency.sum <- st.latency.sum +. l;
+  let n = st.distinct in
+  let i = ref 0 in
+  while !i < n && st.values.(!i) <> l do
+    incr i
+  done;
+  if !i = n then begin
+    if n = Array.length st.values then begin
+      let values = Array.make (2 * n) 0.0 and counts = Array.make (2 * n) 0 in
+      Array.blit st.values 0 values 0 n;
+      Array.blit st.counts 0 counts 0 n;
+      st.values <- values;
+      st.counts <- counts
+    end;
+    st.values.(n) <- l;
+    st.distinct <- n + 1
+  end;
+  st.counts.(!i) <- st.counts.(!i) + 1
 
 let access st (e : Agg_trace.Event.t) =
   let time = st.now in
@@ -621,33 +680,33 @@ let access st (e : Agg_trace.Event.t) =
         cs.tracker <- make_client_tracker st.metadata_config
     | Owner_node | Replicated_with_group -> ());
     st.counters.Counters.crashes <- st.counters.Counters.crashes + 1;
-    if Sink.enabled (Agg_obs.Scope.sink st.config.scope) then
-      Sink.emit (Agg_obs.Scope.sink st.config.scope) (Agg_obs.Event.Client_crashed { client; wiped })
+    if Sink.enabled st.sink then Sink.emit st.sink (Agg_obs.Event.Client_crashed { client; wiped })
   end;
   cs.accesses <- cs.accesses + 1;
   let file = e.Agg_trace.Event.file in
+  let d = st.files.(time) in
   (* a cooperative access is routed here, once: the piggy-backed observe
      and a miss share the row; otherwise only a miss is routed *)
   let cooperative = st.config.cooperative in
-  let row = if cooperative then route st file else 0 in
-  if cooperative then observe st ~client ~row file;
+  let row = if cooperative then route st d else 0 in
+  if cooperative then observe st ~client ~row d;
   let tracing =
     match Agg_obs.Scope.trace_ctx st.config.scope with
     | Some ctx when Agg_obs.Trace_ctx.sampled ctx ~request:time -> Some ctx
     | _ -> None
   in
-  let hit = Cache.access cs.cache file in
+  let hit = Cache.access cs.cache d in
   if hit then begin
     cs.hits <- cs.hits + 1;
     let served = st.config.cost.Cost_model.client_memory in
     (match tracing with
     | Some ctx -> Agg_obs.Trace_ctx.push ctx ~cat:"hit" "client hit" ~dur_ms:served
     | None -> ());
-    st.latencies.(time) <- served
+    st.latency.last <- served
   end
-  else
-    serve st ~client ~time ~tracing ~row:(if cooperative then row else route st file) file;
-  let latency = st.latencies.(time) in
+  else serve st ~client ~time ~tracing ~row:(if cooperative then row else route st d) ~file d;
+  record_latency st;
+  let latency = st.latency.last in
   (match Agg_obs.Scope.trace_ctx st.config.scope with
   | Some ctx -> Agg_obs.Trace_ctx.commit ctx ~request:time ~file ~latency_ms:latency
   | None -> ());
@@ -658,7 +717,7 @@ let access st (e : Agg_trace.Event.t) =
         ~us:(int_of_float ((latency *. 1000.0) +. 0.5))
   | None -> ());
   if st.config.write_invalidation && Agg_trace.Event.is_write e then
-    invalidate_others st ~writer:client file
+    invalidate_others st ~writer:client d
 
 let per_node_requests st =
   let all =
@@ -677,14 +736,36 @@ let per_node_requests st =
     [] sorted
   |> List.rev
 
+(* The trace's files renumbered densely in order of first access: the
+   file id of each dense id, and the dense id of each access. *)
+let renumber trace =
+  let n = Agg_trace.Trace.length trace in
+  let dense = Agg_util.Int_table.create () in
+  let files = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let file = (Agg_trace.Trace.get trace i).Agg_trace.Event.file in
+    let d = Agg_util.Int_table.get dense file in
+    if d >= 0 then files.(i) <- d
+    else begin
+      let d = Agg_util.Int_table.length dense in
+      Agg_util.Int_table.set dense file d;
+      files.(i) <- d
+    end
+  done;
+  let ids = Array.make (Agg_util.Int_table.length dense) 0 in
+  Agg_util.Int_table.iter dense (fun file d -> ids.(d) <- file);
+  (ids, files)
+
 let run config trace =
-  let st = make_state config ~accesses:(Agg_trace.Trace.length trace) in
+  let ids, files = renumber trace in
+  let st = make_state config ~ids ~files in
   Agg_trace.Trace.iter (access st) trace;
   let accesses = Array.fold_left (fun acc cs -> acc + cs.accesses) 0 st.client_states in
   let client_hits = Array.fold_left (fun acc cs -> acc + cs.hits) 0 st.client_states in
-  (* the mean reads the latencies in access order; the percentile
-     selections then reorder them *)
-  let mean_latency = Agg_util.Stats.mean st.latencies in
+  let percentile =
+    Agg_util.Stats.percentile_of_counts (Array.sub st.values 0 st.distinct)
+      (Array.sub st.counts 0 st.distinct)
+  in
   {
     accesses;
     client_hits;
@@ -701,9 +782,11 @@ let run config trace =
     cross_shard_members = st.cross_shard_members;
     rebalances = st.rebalances;
     moved_files = st.moved_files;
-    mean_latency;
-    p95_latency = Agg_util.Stats.percentile_in_place st.latencies 0.95;
-    p99_latency = Agg_util.Stats.percentile_in_place st.latencies 0.99;
+    (* summed in access order, as the mean of the latencies listed in
+       order would be *)
+    mean_latency = (if accesses = 0 then 0.0 else st.latency.sum /. float_of_int accesses);
+    p95_latency = percentile 0.95;
+    p99_latency = percentile 0.99;
     per_node_requests = per_node_requests st;
     faults = st.counters;
   }

@@ -156,7 +156,11 @@ type result = {
 val run : config -> Agg_trace.Trace.t -> result
 (** Replays the trace through the clients and the cluster. Deterministic:
     the fault plan is a pure function of its seed and the access index,
-    so results are identical run-to-run and for any [--jobs] value.
+    so results are identical run-to-run and for any [--jobs] value. The
+    run renumbers the trace's files densely, in order of first access,
+    and keys its caches and trackers by those numbers, so its per-file
+    memory follows the files it touches, not the span of their ids;
+    ring placement, events and trace phases use the trace's own ids.
     @raise Invalid_argument on an invalid config (non-positive counts or
     capacities, bad scheme/plan/resilience, negative churn time) or an
     inapplicable churn op (joining a present node, leaving an absent or

@@ -20,26 +20,31 @@ type t = {
   file_stream : Prng.t;
 }
 
-let mask62 bits = Int64.to_int (Int64.shift_right_logical bits 2)
-
-let point_position base ~node ~index =
-  mask62 (Prng.bits64 (Prng.derive (Prng.derive base node) index))
-
 let build ~seed ~points_per_node members =
   let base = Prng.create ~seed () in
-  let pairs =
-    List.concat_map
-      (fun node ->
-        List.init points_per_node (fun index -> (point_position base ~node ~index, node)))
-      members
-  in
-  let arr = Array.of_list pairs in
-  Array.sort
-    (fun (p, n) (p', n') -> match Int.compare p p' with 0 -> Int.compare n n' | c -> c)
-    arr;
   let members = List.sort_uniq Int.compare members in
-  let points = Array.map fst arr in
-  let n = Array.length points in
+  let count = List.length members in
+  let n = count * points_per_node in
+  (* Point [index] of [node] sits at the first draw of [derive (derive
+     base node) index]: one derived stream per node, then one
+     [derive_draw] per point. *)
+  let positions = Array.make n 0 and nodes = Array.make n 0 in
+  List.iteri
+    (fun m node ->
+      let stream = Prng.derive base node in
+      for index = 0 to points_per_node - 1 do
+        positions.((m * points_per_node) + index) <- Prng.derive_draw stream index;
+        nodes.((m * points_per_node) + index) <- node
+      done)
+    members;
+  let order = Array.init n Fun.id in
+  Array.stable_sort
+    (fun i j ->
+      match Int.compare positions.(i) positions.(j) with
+      | 0 -> Int.compare nodes.(i) nodes.(j)
+      | c -> c)
+    order;
+  let points = Array.map (fun i -> positions.(i)) order in
   (* the smallest power of two at or above the point count: under a
      uniform hash a bucket holds at most one point on average *)
   let bits = ref 0 in
@@ -61,9 +66,9 @@ let build ~seed ~points_per_node members =
     seed;
     points_per_node;
     members;
-    count = List.length members;
+    count;
     points;
-    owners = Array.map snd arr;
+    owners = Array.map (fun i -> nodes.(i)) order;
     guide;
     bucket_shift;
     file_stream = Prng.derive base (-1);
@@ -92,8 +97,8 @@ let remove t node =
   build ~seed:t.seed ~points_per_node:t.points_per_node
     (List.filter (fun m -> m <> node) t.members)
 
-(* [mask62 (Prng.bits64 (Prng.derive t.file_stream file))], without
-   building the derived generator. *)
+(* The first draw of [Prng.derive t.file_stream file], without building
+   the derived generator. *)
 let file_position t file = Prng.derive_draw t.file_stream file
 
 (* Index of the first point at or after [position], wrapping to 0. Every

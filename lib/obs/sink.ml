@@ -2,12 +2,22 @@ type t =
   | Noop
   | Memory of Event.t Agg_util.Vec.t
   | Jsonl of { oc : out_channel; buf : Buffer.t; mutable seq : int }
-  | Sampled of { inner : t; base : Agg_util.Prng.t; rate : float; mutable offered : int }
+  | Sampled of {
+      inner : t;
+      live : bool;  (** [enabled inner], fixed at construction *)
+      base : Agg_util.Prng.t;
+      rate : float;
+      mutable offered : int;
+    }
 
 (* Flush threshold for the buffered JSONL sink: one event line is ~60-120
    bytes, so this amortises the per-event write into ~500-1000-line
    batches without holding more than 64 KiB. *)
 let jsonl_buffer_bytes = 65_536
+
+(* Not recursive, so it inlines at every [if Sink.enabled obs] call site:
+   a sampled sink reads the verdict it recorded about its inner sink. *)
+let enabled = function Noop -> false | Memory _ | Jsonl _ -> true | Sampled s -> s.live
 
 let noop = Noop
 let memory () = Memory (Agg_util.Vec.create ())
@@ -16,12 +26,7 @@ let jsonl oc = Jsonl { oc; buf = Buffer.create jsonl_buffer_bytes; seq = 0 }
 let sampled ~seed ~rate inner =
   if not (rate > 0.0 && rate <= 1.0) then
     invalid_arg (Printf.sprintf "Sink.sampled: rate %g outside (0, 1]" rate);
-  Sampled { inner; base = Agg_util.Prng.create ~seed (); rate; offered = 0 }
-
-let rec enabled = function
-  | Noop -> false
-  | Memory _ | Jsonl _ -> true
-  | Sampled s -> enabled s.inner
+  Sampled { inner; live = enabled inner; base = Agg_util.Prng.create ~seed (); rate; offered = 0 }
 
 let rec emit t event =
   match t with

@@ -37,16 +37,18 @@ module Histogram : sig
       @raise Invalid_argument on an empty histogram. *)
 end
 
-val mean : float array -> float
-(** Arithmetic mean; [0.] for the empty array. *)
-
-val percentile_in_place : float array -> float -> float
-(** [percentile_in_place a p] is the [p]-quantile ([0 <= p <= 1]) of [a]
-    by rank, without interpolation: the element a sort would put at index
-    [floor ((n - 1) * p)]. [0.] for the empty array. Found by in-place
-    selection, which reorders [a]: O(n) expected, O(n log n) worst case.
-    [a] must not contain NaN.
-    @raise Invalid_argument when [p] is outside [\[0, 1\]] (or NaN). *)
+val percentile_of_counts : float array -> int array -> float -> float
+(** [percentile_of_counts values counts p] is the [p]-quantile
+    ([0 <= p <= 1]) by rank, without interpolation, of the multiset
+    holding each [values.(i)] [counts.(i)] times: the element a sort of
+    that multiset would put at index [floor ((n - 1) * p)], [n] the sum
+    of [counts]. [0.] when [n = 0]. The values need not be sorted or
+    distinct, and must not contain NaN; a recorder that keeps one count
+    per distinct value answers every percentile from its tallies without
+    storing a sample per observation. Sorts the value indices once:
+    O(d log d) for [d] values.
+    @raise Invalid_argument when [p] is outside [\[0, 1\]] (or NaN), the
+    arrays differ in length, or a count is negative. *)
 
 val ratio : int -> int -> float
 (** [ratio num den] is [num / den] as a float, and [0.] when [den = 0]. *)

@@ -222,9 +222,11 @@ let words_per_access ~accesses run =
 (* The cluster-faults shape: five nodes, three replicas, replicated
    metadata, g = 5 at both levels, loss, per-node outages, slow links,
    client crashes, and one node leaving and rejoining. Routes, groups and
-   admissions go through caller-owned buffers and evictions build no
-   list; what it still allocates per access is mostly the state rebuilt
-   at churn and the fault paths' per-fetch records. *)
+   admissions go through caller-owned buffers, evictions build no list,
+   latencies are tallied per distinct value and per-file state is keyed
+   by the run's dense file numbers. What it still allocates is set-up,
+   the state rebuilt at churn, and the floats the fault and cost models
+   return across module boundaries (boxed under [-opaque]). *)
 let cluster_faults_words () =
   let events = 20_000 in
   let seed = 101 in
@@ -259,13 +261,13 @@ let cluster_faults_run = lazy (cluster_faults_words ())
 
 let test_cluster_words_per_access () =
   let words, _ = Lazy.force cluster_faults_run in
-  if words > 9.0 then
-    Alcotest.failf "Cluster.run allocates %.1f words per access (pin: at most 9)" words
+  if words > 3.3 then
+    Alcotest.failf "Cluster.run allocates %.1f words per access (pin: at most 3.3)" words
 
 let test_cluster_major_words_per_access () =
   let _, words = Lazy.force cluster_faults_run in
-  if words > 22.0 then
-    Alcotest.failf "Cluster.run allocates %.1f major-heap words per access (pin: at most 22)"
+  if words > 15.5 then
+    Alcotest.failf "Cluster.run allocates %.1f major-heap words per access (pin: at most 15.5)"
       words
 
 (* The paper's two aggregating configurations on the write profile, the

@@ -623,6 +623,145 @@ let test_series_node_loads_reconcile () =
   in
   check_int "one route marker per failover" r.Cluster.failovers routes
 
+(* --- known answers ----------------------------------------------------------- *)
+
+(* Recorded against the ring that built two derived generators per point
+   and the cluster that kept its per-file state under the trace's own ids.
+   Each ring hash covers, for files 0 to 5000, every point, owner and
+   three-replica group on rings of 1, 2, 3, 5, 8 and 13 nodes, and on each
+   ring rebuilt after one membership change and its undo. *)
+let ring_known_answers =
+  [
+    (7, "e3b15e0de2ea5e066976b69e3019392c");
+    (17, "62c6400f60e33f9ddf3589cbba98caf0");
+    (42, "99f8c0308627332360ece5c725c8f14a");
+  ]
+
+let ring_text seed =
+  let text = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun nodes ->
+      let r = Ring.create ~seed ~nodes () in
+      let changed = nodes / 2 in
+      let rebuilt =
+        if nodes = 1 then Ring.remove (Ring.add r 1) 1
+        else Ring.add (Ring.remove r changed) changed
+      in
+      List.iter
+        (fun ring ->
+          for file = 0 to 5_000 do
+            Printf.bprintf text "%d %d %d" file (Ring.point_of ring file) (Ring.owner ring file);
+            List.iter (Printf.bprintf text " %d") (Ring.group ring ~replicas:3 file);
+            Buffer.add_char text '\n'
+          done)
+        [ r; rebuilt ])
+    [ 1; 2; 3; 5; 8; 13 ];
+  Buffer.contents text
+
+let test_ring_known_answers () =
+  List.iter
+    (fun (seed, md5) ->
+      check_string (Printf.sprintf "ring seed %d" seed) md5
+        (Digest.to_hex (Digest.string (ring_text seed))))
+    ring_known_answers
+
+(* The event stream (one [Event.to_json] line per event, [seq] from 0)
+   and the Chrome trace of every request of one cluster-faults-shaped run
+   on a server trace, whose files are a small part of its id span:
+   replicated metadata, loss, outages, crashes and a node leaving and
+   rejoining.
+   Both report file ids, so a renumbered id reaching either changes a
+   hash. *)
+let cluster_stream_md5 = "d6071a8c93fbc60a18b2c21f480c9f5b"
+let cluster_chrome_md5 = "c23bc467249857cc996407ef5497a10a"
+
+let test_cluster_known_answers () =
+  let events = 6_000 and seed = 13 in
+  let trace = Agg_workload.Generator.generate ~seed ~events Agg_workload.Profile.server in
+  let sink = Sink.memory () in
+  let ctx = Agg_obs.Trace_ctx.create ~sample:1.0 ~seed:7 () in
+  let config =
+    {
+      Cluster.default_config with
+      Cluster.nodes = 5;
+      replicas = 3;
+      ring_seed = seed;
+      metadata = Cluster.Replicated_with_group;
+      faults =
+        {
+          Plan.default with
+          Plan.seed;
+          loss_rate = 0.05;
+          outage_period = 1_000;
+          outage_rate = 0.2;
+          outage_length = 400;
+          crash_rate = 0.001;
+        };
+      churn = [ (events / 3, Cluster.Leave 4); (2 * events / 3, Cluster.Join 4) ];
+      scope = Some (Agg_obs.Scope.create ~sink ~trace_ctx:ctx ());
+    }
+  in
+  ignore (Cluster.run config trace);
+  let text = Buffer.create (1 lsl 20) in
+  List.iteri
+    (fun seq e ->
+      Buffer.add_string text (Agg_obs.Event.to_json ~seq e);
+      Buffer.add_char text '\n')
+    (Sink.events sink);
+  check_string "event stream" cluster_stream_md5 (Digest.to_hex (Digest.string (Buffer.contents text)));
+  check_string "chrome trace" cluster_chrome_md5
+    (Digest.to_hex (Digest.string (Agg_obs.Trace_ctx.chrome_json ctx)))
+
+(* --- label independence -------------------------------------------------- *)
+
+(* [trace] with every file id mapped through a random injection into
+   [0, 10^9), drawn from [seed]. *)
+let relabel ~seed trace =
+  let g = Agg_util.Prng.create ~seed () in
+  let image = Hashtbl.create 1024 and used = Hashtbl.create 1024 in
+  let rec fresh () =
+    let id = Agg_util.Prng.int g 1_000_000_000 in
+    if Hashtbl.mem used id then fresh ()
+    else begin
+      Hashtbl.add used id ();
+      id
+    end
+  in
+  let map file =
+    match Hashtbl.find_opt image file with
+    | Some id -> id
+    | None ->
+        let id = fresh () in
+        Hashtbl.add image file id;
+        id
+  in
+  Agg_trace.Trace.of_events
+    (List.map
+       (fun (e : Agg_trace.Event.t) -> { e with Agg_trace.Event.file = map e.Agg_trace.Event.file })
+       (Agg_trace.Trace.to_events trace))
+
+(* On one node the ring sends every file to the same place, so no
+   decision may depend on what a file's id is: a run on a trace and on
+   the same trace relabelled must agree in every field. *)
+let label_qcheck =
+  let open QCheck in
+  [
+    Test.make ~name:"Cluster: a one-node run never reads the value of a file id" ~count:24
+      (triple (int_range 0 100_000) (int_range 0 2) (int_range 0 3))
+      (fun (seed, which, profile) ->
+        let config =
+          match which with
+          | 0 -> Cluster.path_config
+          | 1 -> Cluster.default_config
+          | _ -> { Cluster.default_config with Cluster.cooperative = true }
+        in
+        let trace =
+          Agg_workload.Generator.generate ~seed ~events:1_500
+            (List.nth Agg_workload.Profile.all profile)
+        in
+        Cluster.run config trace = Cluster.run config (relabel ~seed trace));
+  ]
+
 let test_cluster_telemetry_off_identity () =
   let trace = Lazy.force users_trace in
   let plain = Cluster.run (telemetry_config ()) trace in
@@ -686,5 +825,10 @@ let () =
             test_cluster_telemetry_off_identity;
         ] );
       ("sweep", [ Alcotest.test_case "jobs identity" `Quick test_sweep_jobs_identity ]);
-      ("properties", List.map QCheck_alcotest.to_alcotest ring_qcheck);
+      ( "known answers",
+        [
+          Alcotest.test_case "ring points, owners and groups" `Quick test_ring_known_answers;
+          Alcotest.test_case "event stream and chrome trace" `Quick test_cluster_known_answers;
+        ] );
+      ("properties", List.map QCheck_alcotest.to_alcotest (ring_qcheck @ label_qcheck));
     ]

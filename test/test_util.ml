@@ -358,24 +358,53 @@ let test_histogram_invalid () =
     (Invalid_argument "Stats.Histogram.percentile: empty histogram") (fun () ->
       ignore (Stats.Histogram.percentile (Stats.Histogram.create ~lo:0. ~hi:1. ~buckets:2) 50.0))
 
+(* A multiset as its distinct values, in order of first appearance, and
+   how often each occurs. *)
+let tallies a =
+  let values = ref [] and counts = Hashtbl.create 16 in
+  Array.iter
+    (fun x ->
+      match Hashtbl.find_opt counts x with
+      | Some c -> Hashtbl.replace counts x (c + 1)
+      | None ->
+          values := x :: !values;
+          Hashtbl.add counts x 1)
+    a;
+  let values = Array.of_list (List.rev !values) in
+  (values, Array.map (Hashtbl.find counts) values)
+
 let test_stats_helpers () =
-  check_float "mean" 2.0 (Stats.mean [| 1.0; 2.0; 3.0 |]);
-  check_float "mean empty" 0.0 (Stats.mean [||]);
   check_float "ratio" 0.5 (Stats.ratio 1 2);
   check_float "ratio div0" 0.0 (Stats.ratio 1 0);
   check_float "percent change" 50.0 (Stats.percent_change ~baseline:2.0 ~value:3.0);
   check_float "log2" 3.0 (Stats.log2 8.0);
-  let sorted = Array.init 20 (fun i -> float_of_int (i + 1)) in
-  (* index floor (19 * p): 18 for p95, 9 for the median, no interpolation *)
-  check_float "p95 by rank" 19.0 (Stats.percentile_in_place sorted 0.95);
-  check_float "median by rank" 10.0 (Stats.percentile_in_place sorted 0.5);
-  check_float "p0 is the minimum" 1.0 (Stats.percentile_in_place sorted 0.0);
-  check_float "p100 is the maximum" 20.0 (Stats.percentile_in_place sorted 1.0);
-  check_float "percentile empty" 0.0 (Stats.percentile_in_place [||] 0.99)
+  (* 1 .. 20, listed descending, once each: index floor (19 * p) of the
+     sorted values, 18 for p95, 9 for the median, no interpolation *)
+  let values = Array.init 20 (fun i -> float_of_int (20 - i)) in
+  let once = Array.make 20 1 in
+  check_float "p95 by rank" 19.0 (Stats.percentile_of_counts values once 0.95);
+  check_float "median by rank" 10.0 (Stats.percentile_of_counts values once 0.5);
+  check_float "p0 is the minimum" 1.0 (Stats.percentile_of_counts values once 0.0);
+  check_float "p100 is the maximum" 20.0 (Stats.percentile_of_counts values once 1.0);
+  check_float "percentile empty" 0.0 (Stats.percentile_of_counts [||] [||] 0.99);
+  check_float "zero counts are absent" 0.0
+    (Stats.percentile_of_counts [| 3.0; 5.0 |] [| 0; 0 |] 0.5);
+  (* 9 copies of 1.0 and one 7.0: rank floor (9 p) is 8 up to p = 1 *)
+  check_float "duplicates by rank" 1.0 (Stats.percentile_of_counts [| 7.0; 1.0 |] [| 1; 9 |] 0.99);
+  check_float "the last rank" 7.0 (Stats.percentile_of_counts [| 7.0; 1.0 |] [| 1; 9 |] 1.0);
+  Alcotest.check_raises "p above 1"
+    (Invalid_argument "Stats.percentile_of_counts: p outside [0, 1]") (fun () ->
+      ignore (Stats.percentile_of_counts [| 1.0; 2.0 |] [| 1; 1 |] 1.5));
+  Alcotest.check_raises "lengths differ"
+    (Invalid_argument "Stats.percentile_of_counts: values and counts differ in length") (fun () ->
+      ignore (Stats.percentile_of_counts [| 1.0; 2.0 |] [| 1 |] 0.5));
+  Alcotest.check_raises "negative count"
+    (Invalid_argument "Stats.percentile_of_counts: negative count") (fun () ->
+      ignore (Stats.percentile_of_counts [| 1.0; 2.0 |] [| 1; -1 |] 0.5))
 
-(* Structured inputs that defeat naive pivot rules: sorted, reversed,
-   constant, organ pipe, sawtooth and two-valued arrays, at every rank
-   the latency summaries read. *)
+(* Sorted, reversed, constant, organ pipe, sawtooth and two-valued
+   samples, tallied per distinct value, at every rank the latency
+   summaries read. *)
 let test_percentile_patterns () =
   let n = 20_001 in
   let patterns =
@@ -390,20 +419,18 @@ let test_percentile_patterns () =
   in
   List.iter
     (fun (name, f) ->
+      let a = Array.init n f in
+      let sorted = Array.copy a in
+      Array.sort compare sorted;
+      let values, counts = tallies a in
       List.iter
         (fun p ->
-          let a = Array.init n f in
-          let sorted = Array.copy a in
-          Array.sort compare sorted;
           check_float
             (Printf.sprintf "%s p=%g" name p)
             sorted.(int_of_float (float_of_int (n - 1) *. p))
-            (Stats.percentile_in_place a p))
+            (Stats.percentile_of_counts values counts p))
         [ 0.0; 0.5; 0.95; 0.99; 1.0 ])
-    patterns;
-  Alcotest.check_raises "p above 1"
-    (Invalid_argument "Stats.percentile_in_place: p outside [0, 1]") (fun () ->
-      ignore (Stats.percentile_in_place [| 1.0; 2.0 |] 1.5))
+    patterns
 
 (* --- Dlist: one arena list, positional operations ---------------------- *)
 
@@ -891,19 +918,18 @@ let qcheck_tests =
               (Prng.float (Prng.derive parent index) 1.0)
          && Prng.draw_bernoulli (Prng.derive_draw parent index) ~p
             = (Prng.float (Prng.derive parent index) 1.0 < p)));
-    Test.make ~name:"Stats.percentile_in_place equals sort-then-rank" ~count:500
+    Test.make ~name:"Stats.percentile_of_counts equals sort-then-rank" ~count:500
       (pair
-         (array_of_size Gen.(int_range 1 400)
+         (array_of_size Gen.(int_range 0 400)
             (oneof [ map float_of_int (int_range 0 4); float_range (-1e3) 1e3 ]))
          (oneof [ float_range 0.0 1.0; oneofl [ 0.0; 0.5; 0.95; 0.99; 1.0 ] ]))
       (fun (a, p) ->
         let sorted = Array.copy a in
         Array.sort compare sorted;
-        let expected = sorted.(int_of_float (float_of_int (Array.length a - 1) *. p)) in
-        let b = Array.copy a in
-        let got = Stats.percentile_in_place b p in
-        Array.sort compare b;
-        got = expected && b = sorted);
+        let n = Array.length a in
+        let expected = if n = 0 then 0.0 else sorted.(int_of_float (float_of_int (n - 1) *. p)) in
+        let values, counts = tallies a in
+        Stats.percentile_of_counts values counts p = expected);
     Test.make ~name:"Prng.derive streams are reproducible and index-distinct" ~count:200
       (triple (int_range 0 1_000_000) (int_range 0 1000) (int_range 0 1000))
       (fun (seed, i, j) ->
