@@ -245,6 +245,14 @@ for workload in paper-g5 policies cluster-faults; do
     esac
   done
 done
+# Informational: perfbench scales its timings by a calibration loop whose
+# address follows the size of caml_startup, which grows 16 bytes per
+# linked compilation unit. A perf change states this address beside its
+# parent's.
+if command -v nm > /dev/null; then
+  nm -n .bench_build/default/perfbench/main.exe | sed -n 's/ T camlDune__exe__Main.code_begin$//p' \
+    | sed 's/^/ci.sh: perfbench calibration loop at camlDune__exe__Main.code_begin = 0x/'
+fi
 
 # Optional larger fuzz budget for nightly-style runs.
 if [ -n "${DIFFERENTIAL_OPS:-}" ]; then
@@ -350,6 +358,15 @@ for cmd in "trace -o $scratch/sparse9.jsonl" "entropy --filter 100"; do
     exit 1
   fi
 done
+# The engine keys its tables by dense keys, but its events must name the
+# trace's own ids: a leaked key would print 0 or 1.
+if ! grep -q '"file":1000000000[,}]' "$scratch/sparse9.jsonl" \
+  || ! grep -q '"file":1000000001[,}]' "$scratch/sparse9.jsonl" \
+  || grep -qE '"(file|anchor|prev|next)":[01][,}]' "$scratch/sparse9.jsonl"; then
+  echo "ci.sh: aggsim trace -o named a file of a trace with ids near 10^9 by another number:" >&2
+  cat "$scratch/sparse9.jsonl" >&2
+  exit 1
+fi
 # A cluster run keys its caches and trackers by files renumbered densely
 # in order of first access, so the same ids replayed from a scenario
 # through a five-node ring with three-way groups, a node leaving and

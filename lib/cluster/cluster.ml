@@ -739,22 +739,13 @@ let per_node_requests st =
 (* The trace's files renumbered densely in order of first access: the
    file id of each dense id, and the dense id of each access. *)
 let renumber trace =
-  let n = Agg_trace.Trace.length trace in
-  let dense = Agg_util.Int_table.create () in
-  let files = Array.make n 0 in
-  for i = 0 to n - 1 do
+  let dense = Agg_trace.File_id.Dense.create () in
+  let files = Array.make (Agg_trace.Trace.length trace) 0 in
+  for i = 0 to Array.length files - 1 do
     let file = (Agg_trace.Trace.get trace i).Agg_trace.Event.file in
-    let d = Agg_util.Int_table.get dense file in
-    if d >= 0 then files.(i) <- d
-    else begin
-      let d = Agg_util.Int_table.length dense in
-      Agg_util.Int_table.set dense file d;
-      files.(i) <- d
-    end
+    files.(i) <- (Agg_trace.File_id.Dense.intern dense file :> int)
   done;
-  let ids = Array.make (Agg_util.Int_table.length dense) 0 in
-  Agg_util.Int_table.iter dense (fun file d -> ids.(d) <- file);
-  (ids, files)
+  (Agg_trace.File_id.Dense.files dense, files)
 
 let run config trace =
   let ids, files = renumber trace in

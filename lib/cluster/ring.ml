@@ -37,14 +37,6 @@ let build ~seed ~points_per_node members =
         nodes.((m * points_per_node) + index) <- node
       done)
     members;
-  let order = Array.init n Fun.id in
-  Array.stable_sort
-    (fun i j ->
-      match Int.compare positions.(i) positions.(j) with
-      | 0 -> Int.compare nodes.(i) nodes.(j)
-      | c -> c)
-    order;
-  let points = Array.map (fun i -> positions.(i)) order in
   (* the smallest power of two at or above the point count: under a
      uniform hash a bucket holds at most one point on average *)
   let bits = ref 0 in
@@ -53,14 +45,41 @@ let build ~seed ~points_per_node members =
   done;
   let buckets = 1 lsl !bits in
   let bucket_shift = 62 - !bits in
-  let guide = Array.make (buckets + 1) n in
-  for i = n - 1 downto 0 do
-    guide.(points.(i) lsr bucket_shift) <- i
+  (* A counting sort by bucket: count each bucket's points, turn the
+     counts into each bucket's end, then place the points from the last
+     down, which leaves [guide.(b)] at bucket [b]'s start (the next
+     bucket's when [b] is empty) and each bucket in build order. *)
+  let guide = Array.make (buckets + 1) 0 in
+  for i = 0 to n - 1 do
+    let b = positions.(i) lsr bucket_shift in
+    guide.(b) <- guide.(b) + 1
   done;
-  (* an empty bucket's first point at or after its start is the next
-     bucket's *)
-  for b = buckets - 1 downto 0 do
-    guide.(b) <- Int.min guide.(b) guide.(b + 1)
+  for b = 1 to buckets - 1 do
+    guide.(b) <- guide.(b) + guide.(b - 1)
+  done;
+  guide.(buckets) <- n;
+  let points = Array.make n 0 and owners = Array.make n 0 in
+  for i = n - 1 downto 0 do
+    let b = positions.(i) lsr bucket_shift in
+    let j = guide.(b) - 1 in
+    guide.(b) <- j;
+    points.(j) <- positions.(i);
+    owners.(j) <- nodes.(i)
+  done;
+  (* Then a stable insertion sort of each bucket by (position, node). *)
+  for b = 0 to buckets - 1 do
+    let first = guide.(b) in
+    for j = first + 1 to guide.(b + 1) - 1 do
+      let p = points.(j) and o = owners.(j) in
+      let k = ref (j - 1) in
+      while !k >= first && (points.(!k) > p || (points.(!k) = p && owners.(!k) > o)) do
+        points.(!k + 1) <- points.(!k);
+        owners.(!k + 1) <- owners.(!k);
+        decr k
+      done;
+      points.(!k + 1) <- p;
+      owners.(!k + 1) <- o
+    done
   done;
   {
     seed;
@@ -68,7 +87,7 @@ let build ~seed ~points_per_node members =
     members;
     count;
     points;
-    owners = Array.map (fun i -> nodes.(i)) order;
+    owners;
     guide;
     bucket_shift;
     file_stream = Prng.derive base (-1);

@@ -1,16 +1,22 @@
 module Cache = Agg_cache.Cache
 module Int_table = Agg_util.Int_table
 module Tracker = Agg_successor.Tracker
+module Dense = Agg_trace.File_id.Dense
 module Sink = Agg_obs.Sink
 module Event = Agg_obs.Event
 
 type scheme = Plain of Cache.kind | Aggregating of Config.t
+type key = Dense.key
 
+(* Every per-file structure below is keyed by the file's dense key, so
+   none spans the id space; [ids] turns a key back into the file id that
+   events report. *)
 type t = {
   config : Config.t;
   aggregating : bool; (* [false] for a [Plain] level: no metadata, no groups *)
   obs : Sink.t;
   traced : bool; (* [Sink.enabled obs], fixed at creation: a field read, not a call per check *)
+  ids : Dense.t;
   mutable group_size : int;
   (* a miss builds its group into [group] and the cache writes the
      members it takes to [admitted]; both hold at least [group_size] *)
@@ -20,7 +26,7 @@ type t = {
   tracker : Tracker.t;
   speculative : Int_table.t; (* prefetched residents not yet demanded *)
   inserted_at : Int_table.t; (* instrumentation only: access count at insertion *)
-  mutable last_observed : int; (* instrumentation only: predecessor file, -1 at start *)
+  mutable last_observed : int; (* instrumentation only: predecessor file id, -1 at start *)
   mutable accesses : int;
   mutable hits : int;
   mutable demand_fetches : int;
@@ -37,16 +43,19 @@ let on_evict t victim =
     match Int_table.get t.inserted_at victim with at when at >= 0 -> t.accesses - at | _ -> 0
   in
   Int_table.remove t.inserted_at victim;
-  Sink.emit t.obs (Event.Evicted { file = victim; speculative; age_accesses })
+  Sink.emit t.obs (Event.Evicted { file = Dense.file t.ids victim; speculative; age_accesses })
 
 let make ~aggregating ?(obs = Sink.noop) ?weight_of config ~capacity =
   Config.validate config;
+  let ids = Dense.create () in
+  let weight_of = Option.map (fun weight_of k -> weight_of (Dense.file ids k)) weight_of in
   let t =
     {
       config;
       aggregating;
       obs;
       traced = Sink.enabled obs;
+      ids;
       group_size = config.group_size;
       group = Array.make config.group_size 0;
       admitted = Array.make config.group_size 0;
@@ -89,12 +98,12 @@ let set_group_size t g =
     t.admitted <- Array.make g 0
   end
 
-let mark_speculative t file =
+let mark_speculative t k =
   t.prefetch_issued <- t.prefetch_issued + 1;
-  Int_table.set t.speculative file 1;
+  Int_table.set t.speculative k 1;
   if t.traced then begin
-    Int_table.set t.inserted_at file t.accesses;
-    Sink.emit t.obs (Event.Prefetch_issued { file })
+    Int_table.set t.inserted_at k t.accesses;
+    Sink.emit t.obs (Event.Prefetch_issued { file = Dense.file t.ids k })
   end
 
 (* The members are [t.group.(1) .. t.group.(len - 1)]. *)
@@ -108,67 +117,80 @@ let insert_members t len =
       done
   | Config.Head ->
       for i = 1 to len - 1 do
-        let file = t.group.(i) in
-        if not (Cache.mem t.cache file) then begin
-          Cache.insert_hot t.cache file;
-          mark_speculative t file
+        let k = t.group.(i) in
+        if not (Cache.mem t.cache k) then begin
+          Cache.insert_hot t.cache k;
+          mark_speculative t k
         end
       done
 
-(* Inlined into [access] and [Server_cache.access]: it runs on every
-   access, and without flambda a call is not inlined unless asked. *)
-let[@inline] observe t file =
+(* The group for key [k]: built from the tracker, reported by file id. *)
+let build_group t k =
+  let len = Group_builder.build_into t.tracker ~group_size:t.group_size k t.group in
+  if t.traced then
+    Sink.emit t.obs (Event.Group_built { anchor = Dense.file t.ids k; size = len });
+  len
+
+(* [intern] and [observe] are inlined into [access] and
+   [Server_cache.access]: they run on every access, and without flambda a
+   call is not inlined unless asked. *)
+let[@inline] intern t file = Dense.intern t.ids file
+
+let[@inline] observe t (k : key) =
   if t.aggregating then begin
-    Tracker.observe t.tracker file;
+    let k = (k :> int) in
+    Tracker.observe t.tracker k;
     if t.traced then begin
+      let file = Dense.file t.ids k in
       if t.last_observed >= 0 then
         Sink.emit t.obs (Event.Successor_update { prev = t.last_observed; next = file });
       t.last_observed <- file
     end
   end
 
-let fetch t file =
+let fetch t (k : key) =
+  let k = (k :> int) in
   t.accesses <- t.accesses + 1;
   if t.traced then begin
     (* Hit/miss is announced before the cache mutates so the eviction
        events a miss triggers follow their cause in the stream. *)
-    match Cache.depth t.cache file with
+    let file = Dense.file t.ids k in
+    match Cache.depth t.cache k with
     | Some depth -> Sink.emit t.obs (Event.Demand_hit { file; depth })
     | None -> Sink.emit t.obs (Event.Demand_miss { file })
   end;
-  if Cache.access t.cache file then begin
+  if Cache.access t.cache k then begin
     t.hits <- t.hits + 1;
-    if Int_table.mem t.speculative file then begin
+    if Int_table.mem t.speculative k then begin
       (* First demand hit on a prefetched file: the speculation paid off. *)
       t.prefetch_used <- t.prefetch_used + 1;
-      Int_table.remove t.speculative file;
+      Int_table.remove t.speculative k;
       if t.traced then begin
         let lifetime =
-          match Int_table.get t.inserted_at file with at when at >= 0 -> t.accesses - at | _ -> 0
+          match Int_table.get t.inserted_at k with at when at >= 0 -> t.accesses - at | _ -> 0
         in
-        Sink.emit t.obs (Event.Prefetch_promoted { file; lifetime })
+        Sink.emit t.obs (Event.Prefetch_promoted { file = Dense.file t.ids k; lifetime })
       end
     end;
     true
   end
   else begin
-    if Int_table.mem t.speculative file then begin
+    if Int_table.mem t.speculative k then begin
       (* It was prefetched once but evicted before being used. *)
       t.prefetch_evicted_unused <- t.prefetch_evicted_unused + 1;
-      Int_table.remove t.speculative file
+      Int_table.remove t.speculative k
     end;
     t.demand_fetches <- t.demand_fetches + 1;
-    if t.traced then Int_table.set t.inserted_at file t.accesses;
-    if t.aggregating then
-      insert_members t
-        (Group_builder.build_into ~obs:t.obs t.tracker ~group_size:t.group_size file t.group);
+    if t.traced then Int_table.set t.inserted_at k t.accesses;
+    if t.aggregating then insert_members t (build_group t k);
     false
   end
 
 let access t file =
+  let k = intern t file in
   (* Metadata first: the tracker sees the raw request sequence. *)
-  observe t file;
-  fetch t file
+  observe t k;
+  fetch t k
 
 let metrics t =
   {
@@ -192,6 +214,8 @@ let run_files t files =
   metrics t
 
 let weighted_metrics t = Cache.weighted_stats t.cache
-let tracker t = t.tracker
-let resident t file = Cache.mem t.cache file
+
+let resident t file =
+  match Dense.find t.ids file with Some k -> Cache.mem t.cache (k :> int) | None -> false
+
 let obs t = t.obs

@@ -11,7 +11,13 @@
     configured kind — LRU by default — which is the paper's baseline.
 
     The same engine is the server level of {!Server_cache} (§4.3), where
-    it also runs as a plain demand cache ({!of_scheme}). *)
+    it also runs as a plain demand cache ({!of_scheme}).
+
+    The engine gives each file a dense {!key} in order of first sight
+    ({!intern}) and keys its cache, successor metadata and prefetch
+    bookkeeping by it, so a run's tables hold one slot per file it
+    touches however sparse the ids; every event still reports the file
+    id. *)
 
 type scheme =
   | Plain of Agg_cache.Cache.kind
@@ -23,6 +29,10 @@ type scheme =
     {!Server_cache.scheme} and [Agg_system.Scheme.t]. *)
 
 type t
+
+type key = Agg_trace.File_id.Dense.key
+(** A file's dense key in one engine (a private int): {!observe} and
+    {!fetch} take one, so a raw file id cannot reach a keyed table. *)
 
 val create :
   ?config:Config.t ->
@@ -38,7 +48,8 @@ val create :
     (announced before the cache mutates, so the eviction events a miss
     triggers follow their cause), [Prefetch_issued]/[Prefetch_promoted],
     [Group_built] per miss and [Evicted] per physical eviction. The default
-    no-op sink adds a few branches per access and allocates nothing. *)
+    no-op sink adds a few branches per access and allocates nothing.
+    [weight_of] is asked about file ids. *)
 
 val of_scheme : ?obs:Agg_obs.Sink.t -> scheme -> capacity:int -> t
 (** [of_scheme (Aggregating config)] is [create ~config].
@@ -62,15 +73,22 @@ val set_group_size : t -> int -> unit
 val access : t -> Agg_trace.File_id.t -> bool
 (** [access t file] simulates one demand access; [true] on a cache hit.
     On a miss, the group for [file] is fetched from the (simulated)
-    server. It is [observe t file] followed by [fetch t file]. *)
+    server. It is [observe t k] followed by [fetch t k], where [k] is
+    [intern t file].
+    @raise Invalid_argument when [file] is negative. *)
 
-val observe : t -> Agg_trace.File_id.t -> unit
-(** [observe t file] feeds [file] to the successor metadata (and reports
-    the adjacency as a [Successor_update]) without touching the data
-    cache or the counters; a no-op for a [Plain] level. *)
+val intern : t -> Agg_trace.File_id.t -> key
+(** [intern t file] is [file]'s key in [t], giving it the next key on
+    first sight. Interning alone changes no cache state, counter or
+    event. @raise Invalid_argument when [file] is negative. *)
 
-val fetch : t -> Agg_trace.File_id.t -> bool
-(** [fetch t file] is {!access} without the metadata observation: one
+val observe : t -> key -> unit
+(** [observe t k] feeds [k]'s file to the successor metadata (and
+    reports the adjacency as a [Successor_update]) without touching the
+    data cache or the counters; a no-op for a [Plain] level. *)
+
+val fetch : t -> key -> bool
+(** [fetch t k] is {!access} without the metadata observation: one
     demand access to the data cache, with the group fetch on a miss. A
     cooperative {!Server_cache} observes every client access but fetches
     only the client's misses. *)
@@ -91,8 +109,8 @@ val weighted_metrics : t -> Metrics.weighted
 (** The cache's size/cost counters (see {!Metrics.weighted}); unit-weight
     mirrors of the plain counters when no [weight_of] was given. *)
 
-val tracker : t -> Agg_successor.Tracker.t
 val resident : t -> Agg_trace.File_id.t -> bool
+(** Is [file] in the data cache? [false] for a file never accessed. *)
 
 val obs : t -> Agg_obs.Sink.t
 (** The sink given at {!create} (the no-op sink by default). *)

@@ -41,24 +41,19 @@ and fallback tracker group size len deepest =
         group.(len) <- next;
         extend tracker group size (len + 1) next
 
-let build_into ?(obs = Agg_obs.Sink.noop) tracker ~group_size file group =
+let build_into tracker ~group_size file group =
   if group_size <= 0 then invalid_arg "Group_builder.build_into: group_size must be positive";
   if Array.length group < group_size then
     invalid_arg "Group_builder.build_into: buffer shorter than group_size";
   group.(0) <- file;
-  let len =
-    if group_size = 1 then 1
-    else if group_size <= 3 then immediate tracker group group_size 1
-    else extend tracker group group_size 1 file
-  in
-  if Agg_obs.Sink.enabled obs then
-    Agg_obs.Sink.emit obs (Agg_obs.Event.Group_built { anchor = file; size = len });
-  len
+  if group_size = 1 then 1
+  else if group_size <= 3 then immediate tracker group group_size 1
+  else extend tracker group group_size 1 file
 
 let rec to_list group i acc = if i < 0 then acc else to_list group (i - 1) (group.(i) :: acc)
 
-let build ?obs tracker ~group_size file =
+let build tracker ~group_size file =
   if group_size <= 0 then invalid_arg "Group_builder.build: group_size must be positive";
   let group = Array.make group_size file in
-  let len = build_into ?obs tracker ~group_size file group in
+  let len = build_into tracker ~group_size file group in
   to_list group (len - 1) []

@@ -7,20 +7,16 @@
     best effort, never a guarantee. *)
 
 val build :
-  ?obs:Agg_obs.Sink.t ->
   Agg_successor.Tracker.t ->
   group_size:int ->
   Agg_trace.File_id.t ->
   Agg_trace.File_id.t list
 (** [build tracker ~group_size file] is the retrieval group for [file]:
     [file] first, then up to [group_size - 1] distinct predicted files
-    (never [file] itself, no duplicates). When [obs] is an enabled sink, a
-    [Group_built] event is emitted per call (the default no-op sink costs
-    one branch). A wrapper over {!build_into}.
+    (never [file] itself, no duplicates). A wrapper over {!build_into}.
     @raise Invalid_argument when [group_size <= 0]. *)
 
 val build_into :
-  ?obs:Agg_obs.Sink.t ->
   Agg_successor.Tracker.t ->
   group_size:int ->
   Agg_trace.File_id.t ->
@@ -30,8 +26,7 @@ val build_into :
     [build tracker ~group_size file] to [buf.(0) .. buf.(len - 1)] and
     returns [len] (at least 1: [buf.(0)] is [file]). Only that prefix is
     read or written, so [buf] may hold anything beforehand and may be
-    longer than [group_size]. Under the [Recency] metadata policy, with
-    no enabled [obs], it allocates nothing (a caller that passes [~obs]
-    boxes the option).
+    longer than [group_size]. Under the [Recency] metadata policy it
+    allocates nothing.
     @raise Invalid_argument when [group_size <= 0] or [buf] is shorter
     than [group_size]. *)

@@ -4,7 +4,7 @@ type scheme = Client_cache.scheme = Plain of Cache.kind | Aggregating of Config.
 
 type t = {
   cooperative : bool;
-  filter : Cache.t; (* the intervening client cache *)
+  filter : Cache.t; (* the intervening client cache, keyed by [server]'s keys *)
   server : Client_cache.t; (* its misses are the server's accesses *)
   mutable client_accesses : int;
 }
@@ -22,14 +22,17 @@ type outcome = Client_hit | Server_hit | Server_miss
 
 let access t file =
   t.client_accesses <- t.client_accesses + 1;
+  (* One interning serves both levels: the filter is keyed by the
+     engine's dense keys too. *)
+  let k = Client_cache.intern t.server file in
   (* Cooperative clients piggy-back every access to the server's metadata,
      even the ones their own cache absorbs; otherwise the server learns
      from what it can see, the misses. *)
-  if t.cooperative then Client_cache.observe t.server file;
-  if Cache.access t.filter file then Client_hit
+  if t.cooperative then Client_cache.observe t.server k;
+  if Cache.access t.filter (k :> int) then Client_hit
   else begin
-    if not t.cooperative then Client_cache.observe t.server file;
-    if Client_cache.fetch t.server file then Server_hit else Server_miss
+    if not t.cooperative then Client_cache.observe t.server k;
+    if Client_cache.fetch t.server k then Server_hit else Server_miss
   end
 
 let metrics t =

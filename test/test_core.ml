@@ -325,12 +325,98 @@ let test_server_cooperative_metadata () =
   in
   check_bool "cooperative at least as good" true (rate true >= rate false -. 1e-9)
 
+(* --- id renaming ------------------------------------------------------------ *)
+
+(* The engine keys its tables by the order in which files first appear,
+   never by their ids: renaming the ids through an injection must leave
+   every metric equal and rename every event's ids the same way. *)
+
+module Sink = Agg_obs.Sink
+module Event = Agg_obs.Event
+
+(* An injection of [0 .. span - 1] into [0, 10^9), drawn from [seed]. *)
+let injection ~seed span =
+  let prng = Agg_util.Prng.create ~seed () in
+  let taken = Hashtbl.create span in
+  Array.init span (fun _ ->
+      let rec draw () =
+        let id = Agg_util.Prng.int prng 1_000_000_000 in
+        if Hashtbl.mem taken id then draw ()
+        else begin
+          Hashtbl.replace taken id ();
+          id
+        end
+      in
+      draw ())
+
+let rename_event f : Event.t -> Event.t = function
+  | Demand_hit { file; depth } -> Demand_hit { file = f file; depth }
+  | Demand_miss { file } -> Demand_miss { file = f file }
+  | Prefetch_issued { file } -> Prefetch_issued { file = f file }
+  | Prefetch_promoted { file; lifetime } -> Prefetch_promoted { file = f file; lifetime }
+  | Evicted { file; speculative; age_accesses } ->
+      Evicted { file = f file; speculative; age_accesses }
+  | Group_built { anchor; size } -> Group_built { anchor = f anchor; size }
+  | Successor_update { prev; next } -> Successor_update { prev = f prev; next = f next }
+  (* cluster events, which the engine never emits: left as they are, a
+     file id in one would not match its renaming *)
+  | ( Fetch_timeout _ | Fetch_degraded _ | Node_routed _ | Replica_failover _ | Client_crashed _
+    | Ring_rebalance _ ) as e ->
+      e
+
+(* Each level under test, as a replay of a file array into a memory
+   sink: its metrics, printed, and the events it emitted. *)
+let renaming_levels =
+  let client scheme files =
+    let obs = Sink.memory () in
+    let m = Client_cache.run_files (Client_cache.of_scheme ~obs scheme ~capacity:100) files in
+    (Format.asprintf "%a" Metrics.pp_client m, Sink.events obs)
+  in
+  let server cooperative files =
+    let obs = Sink.memory () in
+    let path =
+      Server_cache.create ~cooperative ~obs ~filter_kind:Agg_cache.Cache.Lru ~filter_capacity:30
+        ~server_capacity:100 ~scheme:(Server_cache.Aggregating Config.default) ()
+    in
+    let m = Server_cache.run_files path files in
+    (Format.asprintf "%a" Metrics.pp_server m, Sink.events obs)
+  in
+  [
+    ("plain lru client", client (Client_cache.Plain Agg_cache.Cache.Lru));
+    ("g5 client", client (Client_cache.Aggregating Config.default));
+    ("g5 server", server false);
+    ("cooperative g5 server", server true);
+  ]
+
+let renaming_property =
+  QCheck.Test.make ~name:"renaming file ids renames events and keeps metrics" ~count:8
+    QCheck.(pair (int_bound 10_000) (int_bound (List.length Agg_workload.Profile.all - 1)))
+    (fun (seed, profile) ->
+      let files =
+        Agg_workload.Generator.generate_files ~seed ~events:1_500
+          (List.nth Agg_workload.Profile.all profile)
+      in
+      let map = injection ~seed (1 + Array.fold_left Int.max 0 files) in
+      let renamed = Array.map (fun f -> map.(f)) files in
+      List.for_all
+        (fun (name, replay) ->
+          let metrics, events = replay files in
+          let metrics', events' = replay renamed in
+          if metrics <> metrics' then
+            QCheck.Test.fail_reportf "%s: metrics %s, renamed %s" name metrics metrics';
+          if events' <> List.map (rename_event (fun f -> map.(f))) events then
+            QCheck.Test.fail_reportf "%s: the renamed run's events are not the renamed events"
+              name;
+          events <> [])
+        renaming_levels)
+
 (* --- qcheck properties ------------------------------------------------------------ *)
 
 let qcheck_tests =
   let open QCheck in
   let files_gen = list_of_size (Gen.int_range 20 400) (int_range 0 40) in
   [
+    renaming_property;
     Test.make ~name:"g=1 aggregating cache is exactly LRU" ~count:80
       (pair files_gen (int_range 1 20))
       (fun (files, capacity) ->

@@ -315,6 +315,25 @@ let test_namespace () =
   check_bool "unknown name" true (File_id.Namespace.name ns 99 = None);
   check_int "count" 2 (File_id.Namespace.count ns)
 
+(* --- Dense --------------------------------------------------------------- *)
+
+let test_dense () =
+  let d = File_id.Dense.create () in
+  let key file = (File_id.Dense.intern d file :> int) in
+  (* more files than the key array's first size, ids far apart *)
+  let ids = Array.init 200 (fun i -> 1_000_000 - (4_999 * i)) in
+  Array.iteri (fun i id -> check_int "keys in order of first sight" i (key id)) ids;
+  check_int "a file keeps its key" 3 (key ids.(3));
+  check_bool "find" true
+    (Option.map (fun (k : File_id.Dense.key) -> (k :> int)) (File_id.Dense.find d ids.(5)) = Some 5);
+  check_bool "find unknown" true (File_id.Dense.find d 7 = None);
+  check_int "file" ids.(150) (File_id.Dense.file d 150);
+  check_bool "files" true (File_id.Dense.files d = ids);
+  Alcotest.check_raises "negative file" (Invalid_argument "Int_table.set: negative key") (fun () ->
+      ignore (File_id.Dense.intern d (-1)));
+  Alcotest.check_raises "not a key" (Invalid_argument "File_id.Dense.file: not a key") (fun () ->
+      ignore (File_id.Dense.file d 200))
+
 (* --- qcheck properties ----------------------------------------------------- *)
 
 let qcheck_tests =
@@ -405,5 +424,6 @@ let () =
           Alcotest.test_case "top files" `Quick test_top_files;
         ] );
       ("namespace", [ Alcotest.test_case "intern" `Quick test_namespace ]);
+      ("dense", [ Alcotest.test_case "intern" `Quick test_dense ]);
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]
