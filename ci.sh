@@ -1,7 +1,9 @@
 #!/bin/sh
 # CI entry point: full build, full test suite, the lockstep differential
 # gate against the lib/oracle reference models, one-second checked runs
-# of each steady-benchmark workload (plain and traced), a quick smoke run
+# of each steady-benchmark workload (plain and traced), a gate on
+# out-of-line calls of the inlined table and list primitives in that
+# binary, the test suite again against the release build, a quick smoke run
 # of the paper-vs-measured checks from the reproduction harness, the
 # full-size harness golden, the sweep ledger's merge of a partial run,
 # the entropy commands, a client replay and a cluster scenario on
@@ -247,12 +249,37 @@ for workload in paper-g5 policies cluster-faults; do
 done
 # Informational: perfbench scales its timings by a calibration loop whose
 # address follows the size of caml_startup, which grows 16 bytes per
-# linked compilation unit. A perf change states this address beside its
-# parent's.
+# linked compilation unit. A perf change states this address and its
+# offset within its 4 KiB page beside its parent's.
 if command -v nm > /dev/null; then
-  nm -n .bench_build/default/perfbench/main.exe | sed -n 's/ T camlDune__exe__Main.code_begin$//p' \
-    | sed 's/^/ci.sh: perfbench calibration loop at camlDune__exe__Main.code_begin = 0x/'
+  addr=$(nm -n .bench_build/default/perfbench/main.exe \
+    | sed -n 's/ T camlDune__exe__Main.code_begin$//p')
+  if [ -n "$addr" ]; then
+    printf 'ci.sh: perfbench calibration loop at camlDune__exe__Main.code_begin = 0x%s (page offset 0x%x)\n' \
+      "$addr" $((0x$addr % 4096))
+  fi
 fi
+
+# The probes and relinks of Agg_util.Int_table and Agg_util.Dlist_arena
+# are [@inline]: without flambda anything else is a call on every access.
+# The release perfbench binary must call none of them out of line (their
+# rare paths, Int_table.set_slow and Dlist_arena.grow, are calls by
+# design).
+if command -v objdump > /dev/null; then
+  calls=$(objdump -d --no-show-raw-insn .bench_build/default/perfbench/main.exe \
+    | grep -E 'call.*<camlAgg_util__(Int_table\.(get|mem|remove|set)|Dlist_arena\.(link_after|unlink|alloc|release))_[0-9]+>' \
+    || true)
+  if [ -n "$calls" ]; then
+    echo "ci.sh: the release perfbench binary calls inlined primitives out of line:" >&2
+    printf '%s\n' "$calls" | sed -E 's/.*<(caml[^>]*)_[0-9]+>.*/\1/' | sort | uniq -c >&2
+    exit 1
+  fi
+fi
+
+# `dune runtest` builds with -opaque, so no test runs the inlined code
+# perfbench measures: run every suite and both goldens once more against
+# the release build.
+DUNE_CACHE=disabled dune build --root . --build-dir .bench_build --profile release @runtest
 
 # Optional larger fuzz budget for nightly-style runs.
 if [ -n "${DIFFERENTIAL_OPS:-}" ]; then
@@ -334,12 +361,14 @@ fi
 
 # Sparse file ids: a valid five-line trace whose ids are 10^12 must not
 # make the entropy commands size a table by the largest id (they died
-# with an uncaught Out_of_memory). Ids near 10^9 must not either, in the
-# simulators: every Int_table (cache indexes, speculative sets, tracker
-# intern tables) allocates pages only where keys land, and the client
-# replay and the filtered entropy died there when a table spanned the id
-# space. The address-space cap turns such a table into a failure here
-# rather than a machine that swaps.
+# with an uncaught Out_of_memory), nor the simulators: the client replay
+# and the cluster scenario below run on it too, as the interner keeps
+# ids past 2^30 in a side table. Ids near 10^9 must not either: every
+# Int_table (cache indexes, speculative sets, tracker intern tables)
+# allocates pages only where keys land, and the client replay and the
+# filtered entropy died there when a table spanned the id space. The
+# address-space cap turns such a table into a failure here rather than a
+# machine that swaps.
 dune build ./bin/aggsim.exe
 printf '#aggtrace v1\n0 r 0 1000000000000\n1 r 0 1000000000001\n2 r 0 1000000000000\n3 r 0 1000000000001\n4 r 0 1000000000000\n' \
   > "$scratch/sparse.trc"
@@ -351,36 +380,47 @@ for cmd in stats entropy predictability; do
 done
 printf '#aggtrace v1\n0 r 0 1000000000\n1 r 0 1000000001\n2 r 0 1000000000\n3 r 0 1000000001\n4 r 0 1000000000\n' \
   > "$scratch/sparse9.trc"
-for cmd in "trace -o $scratch/sparse9.jsonl" "entropy --filter 100"; do
-  # shellcheck disable=SC2086
-  if ! (ulimit -v 2000000 && "$root/_build/default/bin/aggsim.exe" $cmd -i "$scratch/sparse9.trc" > /dev/null); then
-    echo "ci.sh: aggsim $cmd failed on a trace with file ids near 10^9" >&2
+if ! (ulimit -v 2000000 && "$root/_build/default/bin/aggsim.exe" entropy --filter 100 \
+  -i "$scratch/sparse9.trc" > /dev/null); then
+  echo "ci.sh: aggsim entropy --filter 100 failed on a trace with file ids near 10^9" >&2
+  exit 1
+fi
+# The engine keys its tables by dense keys, but its events must name the
+# trace's own ids: a leaked key would print 0 or 1.
+for ids in sparse9:1000000000 sparse:1000000000000; do
+  name=${ids%%:*}
+  id=${ids#*:}
+  if ! (ulimit -v 2000000 && "$root/_build/default/bin/aggsim.exe" trace -o "$scratch/$name.jsonl" \
+    -i "$scratch/$name.trc" > /dev/null); then
+    echo "ci.sh: aggsim trace -o failed on a trace with file ids near $id" >&2
+    exit 1
+  fi
+  if ! grep -q "\"file\":$id[,}]" "$scratch/$name.jsonl" \
+    || ! grep -q "\"file\":$((id + 1))[,}]" "$scratch/$name.jsonl" \
+    || grep -qE '"(file|anchor|prev|next)":[01][,}]' "$scratch/$name.jsonl"; then
+    echo "ci.sh: aggsim trace -o named a file of a trace with ids near $id by another number:" >&2
+    cat "$scratch/$name.jsonl" >&2
     exit 1
   fi
 done
-# The engine keys its tables by dense keys, but its events must name the
-# trace's own ids: a leaked key would print 0 or 1.
-if ! grep -q '"file":1000000000[,}]' "$scratch/sparse9.jsonl" \
-  || ! grep -q '"file":1000000001[,}]' "$scratch/sparse9.jsonl" \
-  || grep -qE '"(file|anchor|prev|next)":[01][,}]' "$scratch/sparse9.jsonl"; then
-  echo "ci.sh: aggsim trace -o named a file of a trace with ids near 10^9 by another number:" >&2
-  cat "$scratch/sparse9.jsonl" >&2
-  exit 1
-fi
 # A cluster run keys its caches and trackers by files renumbered densely
 # in order of first access, so the same ids replayed from a scenario
 # through a five-node ring with three-way groups, a node leaving and
 # rejoining, and message loss, outages and slow links stay within the cap
-# too.
-printf '#scenario v1\nname sparse-cluster\nworkload trace file=%s\ntopology cluster nodes=5 replicas=3 placement=group ring_seed=23 clients=2 client_capacity=150 node_capacity=300\nchurn time=1 op=leave node=4\nchurn time=3 op=join node=4\nfaults seed=11 loss=0.6 outage_period=2 outage_rate=0.5 outage_length=1 slow=0.5 slow_mult=4 crash=0.2\npolicy lru\npolicy g5\ninvariant conservation\ninvariant every_request_served\n' \
-  "$scratch/sparse9.trc" > "$scratch/sparse9.scn"
-if ! (ulimit -v 2000000 && "$root/_build/default/bin/aggsim.exe" scenario run -f "$scratch/sparse9.scn" \
-  > "$scratch/sparse9.out") || ! grep -q 'rebalances=2' "$scratch/sparse9.out" \
-  || ! grep -q 'faults.timeouts=[1-9]' "$scratch/sparse9.out"; then
-  echo "ci.sh: a cluster scenario failed on a trace with file ids near 10^9:" >&2
-  cat "$scratch/sparse9.out" >&2
-  exit 1
-fi
+# too. The two fetches of the ids near 10^12 meet no fault, so only the
+# ids near 10^9 must see timeouts.
+for name in sparse9 sparse; do
+  printf '#scenario v1\nname sparse-cluster\nworkload trace file=%s\ntopology cluster nodes=5 replicas=3 placement=group ring_seed=23 clients=2 client_capacity=150 node_capacity=300\nchurn time=1 op=leave node=4\nchurn time=3 op=join node=4\nfaults seed=11 loss=0.6 outage_period=2 outage_rate=0.5 outage_length=1 slow=0.5 slow_mult=4 crash=0.2\npolicy lru\npolicy g5\ninvariant conservation\ninvariant every_request_served\n' \
+    "$scratch/$name.trc" > "$scratch/$name.scn"
+  if ! (ulimit -v 2000000 && "$root/_build/default/bin/aggsim.exe" scenario run -f "$scratch/$name.scn" \
+    > "$scratch/$name.out") || ! grep -q 'rebalances=2' "$scratch/$name.out" \
+    || ! grep -q 'check every_request_served pass' "$scratch/$name.out" \
+    || { [ "$name" = sparse9 ] && ! grep -q 'faults.timeouts=[1-9]' "$scratch/$name.out"; }; then
+    echo "ci.sh: a cluster scenario failed on the sparse-id trace $name.trc:" >&2
+    cat "$scratch/$name.out" >&2
+    exit 1
+  fi
+done
 
 # Extreme capacities: every policy sizes its arrays by its residents, so a
 # capacity of 10^12 (or max_int, where capacity + 2 used to overflow) must

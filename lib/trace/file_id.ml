@@ -36,12 +36,15 @@ module Dense = struct
   type file = t
   type key = int
 
-  (* [keys] maps a file to its key and is the one table keyed by raw id;
-     it holds every key given out, so its length is the next key.
-     [files.(k)] is key [k]'s file. *)
-  type t = { keys : Int_table.t; mutable files : file array }
+  (* [near] maps a file below [far_bound] to its key and [far] the rest,
+     so no directory spans ids near 10^12. Together they hold every key
+     given out, so their lengths add up to the next key. [files.(k)] is
+     key [k]'s file. *)
+  type t = { near : Int_table.t; far : (file, key) Hashtbl.t; mutable files : file array }
 
-  let create () = { keys = Int_table.create (); files = Array.make 64 0 }
+  let far_bound = 1 lsl 30
+  let create () = { near = Int_table.create (); far = Hashtbl.create 16; files = Array.make 64 0 }
+  let count t = Int_table.length t.near + Hashtbl.length t.far
 
   (* A typed copy: [Array.blit] into a major-heap array would call
      [caml_modify] per element. *)
@@ -53,21 +56,27 @@ module Dense = struct
     t.files <- files
 
   let add t file =
-    let k = Int_table.length t.keys in
-    Int_table.set t.keys file k;
+    let k = count t in
+    if file < far_bound then Int_table.set t.near file k else Hashtbl.replace t.far file k;
     if k = Array.length t.files then grow t;
     t.files.(k) <- file;
     k
 
+  (* [near] never holds a far file, so a far file's probe misses. *)
   let intern t file =
-    let k = Int_table.get t.keys file in
-    if k >= 0 then k else add t file
+    let k = Int_table.get t.near file in
+    if k >= 0 then k
+    else if file < far_bound then add t file
+    else match Hashtbl.find_opt t.far file with Some k -> k | None -> add t file
 
-  let find t file = match Int_table.get t.keys file with -1 -> None | k -> Some k
+  let find t file =
+    match Int_table.get t.near file with
+    | -1 -> if file < far_bound then None else Hashtbl.find_opt t.far file
+    | k -> Some k
 
   let file t k =
-    if k < 0 || k >= Int_table.length t.keys then invalid_arg "File_id.Dense.file: not a key";
+    if k < 0 || k >= count t then invalid_arg "File_id.Dense.file: not a key";
     Array.unsafe_get t.files k
 
-  let files t = Array.sub t.files 0 (Int_table.length t.keys)
+  let files t = Array.sub t.files 0 (count t)
 end

@@ -36,7 +36,9 @@ module Dense : sig
       (a 6k-event paper stream 8–20%), so tables keyed by the key hold
       one slot per file touched, while a table keyed by raw id pays a
       page for every 512-id stretch that any touched id lands in. The
-      interner's own map is the one table keyed by raw id. *)
+      interner's own map is the one table keyed by raw id; ids at or
+      above 2{^30} go to a side hash table instead, so ids near 10{^12}
+      cost a hash entry each rather than a directory spanning them. *)
 
   type file = t
 

@@ -1,7 +1,11 @@
 (* Flat-array intrusive doubly-linked lists. Slot [i] of the three
    parallel arrays holds one node; free slots are threaded through [next]
    with [prev.(i) = -2] marking them (a linked node always has a valid
-   prev, a sentinel points at itself). *)
+   prev, a sentinel points at itself).
+
+   The relinks, and the operations the policies call on every access,
+   are [@inline]: without flambda they would otherwise be calls. Only
+   [grow] stays out of line. *)
 
 type node = int
 type list_ = int
@@ -58,7 +62,7 @@ let grow t =
   t.key <- extend t.key;
   thread_free t old cap
 
-let alloc t k =
+let[@inline] alloc t k =
   if t.free_head = nil then grow t;
   let n = t.free_head in
   t.free_head <- t.next.(n);
@@ -66,7 +70,7 @@ let alloc t k =
   t.live <- t.live + 1;
   n
 
-let release t n =
+let[@inline] release t n =
   t.prev.(n) <- freed;
   t.next.(n) <- t.free_head;
   t.free_head <- n;
@@ -81,24 +85,24 @@ let new_list t =
 let key t n = t.key.(n)
 let is_empty t l = t.next.(l) = l
 
-let link_after t anchor n =
+let[@inline] link_after t anchor n =
   let after = t.next.(anchor) in
   t.prev.(n) <- anchor;
   t.next.(n) <- after;
   t.prev.(after) <- n;
   t.next.(anchor) <- n
 
-let unlink t n =
+let[@inline] unlink t n =
   let p = t.prev.(n) and q = t.next.(n) in
   t.next.(p) <- q;
   t.prev.(q) <- p
 
-let push_front t l k =
+let[@inline] push_front t l k =
   let n = alloc t k in
   link_after t l n;
   n
 
-let push_back t l k =
+let[@inline] push_back t l k =
   let n = alloc t k in
   link_after t t.prev.(l) n;
   n
@@ -108,15 +112,15 @@ let push_after t anchor k =
   link_after t anchor n;
   n
 
-let remove t n =
+let[@inline] remove t n =
   unlink t n;
   release t n
 
-let move_to_front t l n =
+let[@inline] move_to_front t l n =
   unlink t n;
   link_after t l n
 
-let move_to_back t l n =
+let[@inline] move_to_back t l n =
   unlink t n;
   link_after t t.prev.(l) n
 
@@ -139,7 +143,7 @@ let pop_front t l =
     k
   end
 
-let pop_back t l =
+let[@inline] pop_back t l =
   let n = t.prev.(l) in
   if n = l then -1
   else begin

@@ -715,12 +715,12 @@ let test_cluster_known_answers () =
 (* --- label independence -------------------------------------------------- *)
 
 (* [trace] with every file id mapped through a random injection into
-   [0, 10^9), drawn from [seed]. *)
-let relabel ~seed trace =
+   [base, base + 10^9), drawn from [seed]. *)
+let relabel ~base ~seed trace =
   let g = Agg_util.Prng.create ~seed () in
   let image = Hashtbl.create 1024 and used = Hashtbl.create 1024 in
   let rec fresh () =
-    let id = Agg_util.Prng.int g 1_000_000_000 in
+    let id = base + Agg_util.Prng.int g 1_000_000_000 in
     if Hashtbl.mem used id then fresh ()
     else begin
       Hashtbl.add used id ();
@@ -743,23 +743,28 @@ let relabel ~seed trace =
 (* On one node the ring sends every file to the same place, so no
    decision may depend on what a file's id is: a run on a trace and on
    the same trace relabelled must agree in every field. *)
+let label_property ~name ~base =
+  QCheck.Test.make ~name ~count:24
+    QCheck.(triple (int_range 0 100_000) (int_range 0 2) (int_range 0 3))
+    (fun (seed, which, profile) ->
+      let config =
+        match which with
+        | 0 -> Cluster.path_config
+        | 1 -> Cluster.default_config
+        | _ -> { Cluster.default_config with Cluster.cooperative = true }
+      in
+      let trace =
+        Agg_workload.Generator.generate ~seed ~events:1_500
+          (List.nth Agg_workload.Profile.all profile)
+      in
+      Cluster.run config trace = Cluster.run config (relabel ~base ~seed trace))
+
 let label_qcheck =
-  let open QCheck in
   [
-    Test.make ~name:"Cluster: a one-node run never reads the value of a file id" ~count:24
-      (triple (int_range 0 100_000) (int_range 0 2) (int_range 0 3))
-      (fun (seed, which, profile) ->
-        let config =
-          match which with
-          | 0 -> Cluster.path_config
-          | 1 -> Cluster.default_config
-          | _ -> { Cluster.default_config with Cluster.cooperative = true }
-        in
-        let trace =
-          Agg_workload.Generator.generate ~seed ~events:1_500
-            (List.nth Agg_workload.Profile.all profile)
-        in
-        Cluster.run config trace = Cluster.run config (relabel ~seed trace));
+    label_property ~name:"Cluster: a one-node run never reads the value of a file id" ~base:0;
+    (* ids past 2^30 take the interner's side table *)
+    label_property ~name:"Cluster: a one-node run on ids near 2^40 never reads their value"
+      ~base:(1 lsl 40);
   ]
 
 let test_cluster_telemetry_off_identity () =

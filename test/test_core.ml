@@ -334,13 +334,14 @@ let test_server_cooperative_metadata () =
 module Sink = Agg_obs.Sink
 module Event = Agg_obs.Event
 
-(* An injection of [0 .. span - 1] into [0, 10^9), drawn from [seed]. *)
-let injection ~seed span =
+(* An injection of [0 .. span - 1] into [base, base + 10^9), drawn from
+   [seed]. *)
+let injection ~base ~seed span =
   let prng = Agg_util.Prng.create ~seed () in
   let taken = Hashtbl.create span in
   Array.init span (fun _ ->
       let rec draw () =
-        let id = Agg_util.Prng.int prng 1_000_000_000 in
+        let id = base + Agg_util.Prng.int prng 1_000_000_000 in
         if Hashtbl.mem taken id then draw ()
         else begin
           Hashtbl.replace taken id ();
@@ -388,15 +389,15 @@ let renaming_levels =
     ("cooperative g5 server", server true);
   ]
 
-let renaming_property =
-  QCheck.Test.make ~name:"renaming file ids renames events and keeps metrics" ~count:8
+let renaming_property ~name ~base =
+  QCheck.Test.make ~name ~count:8
     QCheck.(pair (int_bound 10_000) (int_bound (List.length Agg_workload.Profile.all - 1)))
     (fun (seed, profile) ->
       let files =
         Agg_workload.Generator.generate_files ~seed ~events:1_500
           (List.nth Agg_workload.Profile.all profile)
       in
-      let map = injection ~seed (1 + Array.fold_left Int.max 0 files) in
+      let map = injection ~base ~seed (1 + Array.fold_left Int.max 0 files) in
       let renamed = Array.map (fun f -> map.(f)) files in
       List.for_all
         (fun (name, replay) ->
@@ -416,7 +417,10 @@ let qcheck_tests =
   let open QCheck in
   let files_gen = list_of_size (Gen.int_range 20 400) (int_range 0 40) in
   [
-    renaming_property;
+    renaming_property ~name:"renaming file ids renames events and keeps metrics" ~base:0;
+    (* ids past 2^30 take the interner's side table *)
+    renaming_property ~name:"renaming file ids to ids near 2^40 renames events and keeps metrics"
+      ~base:(1 lsl 40);
     Test.make ~name:"g=1 aggregating cache is exactly LRU" ~count:80
       (pair files_gen (int_range 1 20))
       (fun (files, capacity) ->

@@ -318,12 +318,12 @@ let test_namespace () =
 (* --- Dense --------------------------------------------------------------- *)
 
 let test_dense () =
+  let key d file = (File_id.Dense.intern d file :> int) in
   let d = File_id.Dense.create () in
-  let key file = (File_id.Dense.intern d file :> int) in
   (* more files than the key array's first size, ids far apart *)
   let ids = Array.init 200 (fun i -> 1_000_000 - (4_999 * i)) in
-  Array.iteri (fun i id -> check_int "keys in order of first sight" i (key id)) ids;
-  check_int "a file keeps its key" 3 (key ids.(3));
+  Array.iteri (fun i id -> check_int "keys in order of first sight" i (key d id)) ids;
+  check_int "a file keeps its key" 3 (key d ids.(3));
   check_bool "find" true
     (Option.map (fun (k : File_id.Dense.key) -> (k :> int)) (File_id.Dense.find d ids.(5)) = Some 5);
   check_bool "find unknown" true (File_id.Dense.find d 7 = None);
@@ -332,7 +332,24 @@ let test_dense () =
   Alcotest.check_raises "negative file" (Invalid_argument "Int_table.set: negative key") (fun () ->
       ignore (File_id.Dense.intern d (-1)));
   Alcotest.check_raises "not a key" (Invalid_argument "File_id.Dense.file: not a key") (fun () ->
-      ignore (File_id.Dense.file d 200))
+      ignore (File_id.Dense.file d 200));
+  (* ids at or past 2^30 live in the side table: interleaved with small
+     ids, every key still comes out in order of first sight *)
+  let far = [| 1_000_000_000_000; 3; 1_000_000_000_001; max_int; 1 lsl 30; 0; (1 lsl 30) - 1 |] in
+  let d = File_id.Dense.create () in
+  Array.iteri (fun i id -> check_int "far keys in order of first sight" i (key d id)) far;
+  Array.iteri (fun i id -> check_int "a far file keeps its key" i (key d id)) far;
+  Array.iteri
+    (fun i id ->
+      check_int "far file" id (File_id.Dense.file d i);
+      check_bool "far find" true
+        (Option.map (fun (k : File_id.Dense.key) -> (k :> int)) (File_id.Dense.find d id) = Some i))
+    far;
+  check_bool "far files" true (File_id.Dense.files d = far);
+  check_bool "find unseen far" true (File_id.Dense.find d (1_000_000_000_000 + 2) = None);
+  check_bool "find unseen far max_int - 1" true (File_id.Dense.find d (max_int - 1) = None);
+  Alcotest.check_raises "no key past the far ids" (Invalid_argument "File_id.Dense.file: not a key")
+    (fun () -> ignore (File_id.Dense.file d (Array.length far)))
 
 (* --- qcheck properties ----------------------------------------------------- *)
 

@@ -640,6 +640,37 @@ let test_int_table_shared_page () =
   check_int "page 0 binding untouched" 1 (Int_table.get fresh 3);
   check_int "fresh table still reads 700 as absent" (-1) (Int_table.get fresh 700)
 
+(* [set] writes into an allocated page inline and leaves argument checks,
+   directory growth and page allocation to an out-of-line path: pin both
+   sides of that boundary. *)
+let test_int_table_set_paths () =
+  let t = Int_table.create ~capacity:1 () in
+  Int_table.set t 5 7;
+  (* page 0 is allocated now; page 1 (keys 512..1023) is not *)
+  List.iter
+    (fun (where, k) ->
+      Alcotest.check_raises ("negative value, " ^ where)
+        (Invalid_argument "Int_table.set: negative value") (fun () -> Int_table.set t k (-1));
+      check_int ("length unchanged, " ^ where) 1 (Int_table.length t))
+    [ ("bound key on an allocated page", 5); ("free key on an allocated page", 6);
+      ("key on an unallocated page", 600) ];
+  check_int "binding unchanged" 7 (Int_table.get t 5);
+  check_int "free key still absent" (-1) (Int_table.get t 6);
+  check_int "unallocated key still absent" (-1) (Int_table.get t 600);
+  Int_table.set t 5 8;
+  check_int "overwrite on an allocated page" 8 (Int_table.get t 5);
+  check_int "overwrite keeps length" 1 (Int_table.length t);
+  Int_table.set t 6 0;
+  check_int "new key on an allocated page" 2 (Int_table.length t);
+  (* a key past the directory of a one-page table grows it *)
+  Int_table.set t 10_000 3;
+  check_int "key past the directory" 3 (Int_table.get t 10_000);
+  check_int "growth keeps earlier bindings" 8 (Int_table.get t 5);
+  check_int "length after growth" 3 (Int_table.length t);
+  Alcotest.check_raises "negative key past the directory"
+    (Invalid_argument "Int_table.set: negative key") (fun () -> Int_table.set t min_int 0);
+  check_int "length after a rejected key" 3 (Int_table.length t)
+
 (* --- Pool ------------------------------------------------------------ *)
 
 let test_pool_map_order () =
@@ -1228,6 +1259,7 @@ let () =
           Alcotest.test_case "basics" `Quick test_int_table_basics;
           Alcotest.test_case "shared empty page is never written" `Quick
             test_int_table_shared_page;
+          Alcotest.test_case "set's inline and out-of-line paths" `Quick test_int_table_set_paths;
         ] );
       ( "pool",
         [
