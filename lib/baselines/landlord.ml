@@ -24,7 +24,7 @@ let policy_name = "landlord"
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Landlord.create: capacity must be positive";
-  let heap = Heap.create () in
+  let heap = Heap.create ~capacity:(Policy.presize capacity) () in
   {
     cap = capacity;
     heap;

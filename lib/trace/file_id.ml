@@ -37,29 +37,21 @@ module Dense = struct
   type key = int
 
   (* [near] maps a file below [far_bound] to its key and [far] the rest,
-     so no directory spans ids near 10^12. Together they hold every key
-     given out, so their lengths add up to the next key. [files.(k)] is
-     key [k]'s file. *)
-  type t = { near : Int_table.t; far : (file, key) Hashtbl.t; mutable files : file array }
+     so no directory spans ids near 10^12. [files] maps each key to its
+     file; keys are dense, so its length is the next key. *)
+  type t = { near : Int_table.t; far : (file, key) Hashtbl.t; files : Int_table.t }
 
   let far_bound = 1 lsl 30
-  let create () = { near = Int_table.create (); far = Hashtbl.create 16; files = Array.make 64 0 }
-  let count t = Int_table.length t.near + Hashtbl.length t.far
 
-  (* A typed copy: [Array.blit] into a major-heap array would call
-     [caml_modify] per element. *)
-  let grow t =
-    let files = Array.make (2 * Array.length t.files) 0 in
-    for i = 0 to Array.length t.files - 1 do
-      files.(i) <- t.files.(i)
-    done;
-    t.files <- files
+  let create () =
+    { near = Int_table.create (); far = Hashtbl.create 16; files = Int_table.create () }
+
+  let count t = Int_table.length t.files
 
   let add t file =
     let k = count t in
     if file < far_bound then Int_table.set t.near file k else Hashtbl.replace t.far file k;
-    if k = Array.length t.files then grow t;
-    t.files.(k) <- file;
+    Int_table.set t.files k file;
     k
 
   (* [near] never holds a far file, so a far file's probe misses. *)
@@ -75,8 +67,9 @@ module Dense = struct
     | k -> Some k
 
   let file t k =
-    if k < 0 || k >= count t then invalid_arg "File_id.Dense.file: not a key";
-    Array.unsafe_get t.files k
+    let file = Int_table.get t.files k in
+    if file < 0 then invalid_arg "File_id.Dense.file: not a key";
+    file
 
-  let files t = Array.sub t.files 0 (count t)
+  let files t = Array.init (count t) (Int_table.get t.files)
 end

@@ -250,141 +250,217 @@ let oracle_property =
    draws 320-479 distinct ids sparsely from [0, 2^17), over many pages of
    the intern table, and visits each once in shuffled order, so regions
    are laid out out of id order; 600 skewed draws from the same pool then
-   grow, reorder and evict lists, relocating regions past the slot
-   array's first block. Events come from three clients. After every observation the
+   grow, reorder and evict lists, relocating regions across the
+   tracker's 512-int pages, of which the regions fill several. Events
+   come from three clients. After every observation the
    tracker and its model must agree on [successors], [top_successor] and
    [first_successor_outside] (against a random set) of the client's
    previous file, the observed file, a random pool file and an id never
    observed, and on [tracked_files]. The contexts are reset once,
-   midway. *)
+   midway. Each seed runs at a drawn capacity of 1-10 and at one of 511,
+   512 and 1000, at and past the page size, where no list of the stream
+   fills. *)
+let tracker_agrees policy ~per_client ~seed capacity =
+  let module Prng = Agg_util.Prng in
+  let module Tracker = Agg_successor.Tracker in
+  let g = Prng.create ~seed () in
+  let pool =
+    let seen = Hashtbl.create 512 in
+    let size = 320 + Prng.int g 160 in
+    while Hashtbl.length seen < size do
+      Hashtbl.replace seen (Prng.int g (1 lsl 17)) ()
+    done;
+    let ids = Array.of_seq (Hashtbl.to_seq_keys seen) in
+    Array.sort Int.compare ids;
+    Prng.shuffle g ids;
+    ids
+  in
+  let n = Array.length pool in
+  let stream =
+    Array.init (n + 600) (fun i ->
+        let file =
+          if i < n then pool.(i)
+          else if Prng.bool g then pool.(Prng.int g 16)
+          else pool.(Prng.int g n)
+        in
+        (Prng.int g 3, file))
+  in
+  let unseen = (1 lsl 17) + 5 in
+  let real = Tracker.create ~capacity ~policy ~per_client () in
+  let model = Model_system.Tracker.create ~per_client ~capacity ~policy () in
+  let last = Array.make 3 (-1) in
+  let agree file =
+    let expected = Model_system.Tracker.successors model file in
+    let candidates = Array.of_list (unseen :: expected) in
+    let set = Array.init (Prng.int g 4) (fun _ -> Prng.choose g candidates) in
+    let len = Prng.int g (Array.length set + 1) in
+    let in_set s = Array.exists (Int.equal s) (Array.sub set 0 len) in
+    let first_outside =
+      match List.find_opt (fun s -> not (in_set s)) expected with Some s -> s | None -> -1
+    in
+    Tracker.successors real file = expected
+    && Tracker.top_successor real file
+       = (match expected with [] -> None | s :: _ -> Some s)
+    && Tracker.first_successor_outside real file set ~len = first_outside
+  in
+  let ok = ref true in
+  Array.iteri
+    (fun i (client, file) ->
+      if i = n + 300 then begin
+        Tracker.reset_context real;
+        Model_system.Tracker.reset_context model;
+        Array.fill last 0 3 (-1)
+      end;
+      Tracker.observe real ~client file;
+      Model_system.Tracker.observe model ~client file;
+      let context = if per_client then client else 0 in
+      let prev = last.(context) in
+      last.(context) <- file;
+      if !ok then
+        ok :=
+          (prev < 0 || agree prev)
+          && agree file
+          && agree pool.(Prng.int g n)
+          && agree unseen
+          && Tracker.tracked_files real = Model_system.Tracker.tracked_files model)
+    stream;
+  !ok
+  && Tracker.tracked_files real >= 300
+
 let tracker_property policy ~per_client name =
   QCheck.Test.make
     ~name:(Printf.sprintf "tracker agrees with the reference tracker on sparse ids (%s)" name)
     ~count:10
-    QCheck.(pair (int_range 0 1_000_000) (int_range 1 10))
-    (fun (seed, capacity) ->
-      let module Prng = Agg_util.Prng in
-      let module Tracker = Agg_successor.Tracker in
-      let g = Prng.create ~seed () in
-      let pool =
-        let seen = Hashtbl.create 512 in
-        let size = 320 + Prng.int g 160 in
-        while Hashtbl.length seen < size do
-          Hashtbl.replace seen (Prng.int g (1 lsl 17)) ()
-        done;
-        let ids = Array.of_seq (Hashtbl.to_seq_keys seen) in
-        Array.sort Int.compare ids;
-        Prng.shuffle g ids;
-        ids
-      in
-      let n = Array.length pool in
-      let stream =
-        Array.init (n + 600) (fun i ->
-            let file =
-              if i < n then pool.(i)
-              else if Prng.bool g then pool.(Prng.int g 16)
-              else pool.(Prng.int g n)
-            in
-            (Prng.int g 3, file))
-      in
-      let unseen = (1 lsl 17) + 5 in
-      let real = Tracker.create ~capacity ~policy ~per_client () in
-      let model = Model_system.Tracker.create ~per_client ~capacity ~policy () in
-      let last = Array.make 3 (-1) in
-      let agree file =
-        let expected = Model_system.Tracker.successors model file in
-        let candidates = Array.of_list (unseen :: expected) in
-        let set = Array.init (Prng.int g 4) (fun _ -> Prng.choose g candidates) in
-        let len = Prng.int g (Array.length set + 1) in
-        let in_set s = Array.exists (Int.equal s) (Array.sub set 0 len) in
-        let first_outside =
-          match List.find_opt (fun s -> not (in_set s)) expected with Some s -> s | None -> -1
-        in
-        Tracker.successors real file = expected
-        && Tracker.top_successor real file
-           = (match expected with [] -> None | s :: _ -> Some s)
-        && Tracker.first_successor_outside real file set ~len = first_outside
-      in
-      let ok = ref true in
-      Array.iteri
-        (fun i (client, file) ->
-          if i = n + 300 then begin
-            Tracker.reset_context real;
-            Model_system.Tracker.reset_context model;
-            Array.fill last 0 3 (-1)
-          end;
-          Tracker.observe real ~client file;
-          Model_system.Tracker.observe model ~client file;
-          let context = if per_client then client else 0 in
-          let prev = last.(context) in
-          last.(context) <- file;
-          if !ok then
-            ok :=
-              (prev < 0 || agree prev)
-              && agree file
-              && agree pool.(Prng.int g n)
-              && agree unseen
-              && Tracker.tracked_files real = Model_system.Tracker.tracked_files model)
-        stream;
-      !ok
-      && Tracker.tracked_files real >= 300)
+    QCheck.(triple (int_range 0 1_000_000) (int_range 1 10) (oneofl [ 511; 512; 1_000 ]))
+    (fun (seed, capacity, large) ->
+      tracker_agrees policy ~per_client ~seed capacity
+      && tracker_agrees policy ~per_client ~seed large)
 
 (* --- the tracker's region relocations ------------------------------------
 
    A Recency list starts in a one-slot region and moves to a region twice
    the size each time a new successor finds it full, up to [capacity].
-   File 0 is followed by 14 new successors, so at capacity 10 its list
-   passes through regions of 1, 2, 4, 8 and 10 slots and then evicts, and
-   at capacity 3 through 1, 2 and 3. Each step also re-observes a
-   resident successor (no relocation) and gives file 50 a new successor,
-   so regions interleave and a stale or overlapping copy would show. After
-   every observe, real and model must agree on every file seen and on
-   one never seen. *)
-let test_tracker_relocations () =
+   File 0 is followed by [steps] new successors: in 14 steps, at capacity
+   10 its list passes through regions of 1, 2, 4, 8 and 10 slots and then
+   evicts, and at capacity 3 through 1, 2 and 3; in 700 steps at capacity
+   600 it passes 256, 512 and 600 slots: from 512 slots on, a region with
+   its length is larger than a 512-int page and gets a page of its own.
+   Each step also re-observes a resident successor (no relocation) and
+   gives file 50 a new successor, so regions interleave and a stale or
+   overlapping copy would show.
+   After every observe, real and model must agree on the files [watch]
+   names: every file seen and one never seen in 14 steps; in 700, the
+   file whose list the observe changed, and every 60 observes also files
+   0 and 50 and one never seen. *)
+let check_tracker ~where real model file =
   let module Tracker = Agg_successor.Tracker in
+  let expected = Model_system.Tracker.successors model file in
+  let where = Printf.sprintf "%s, file %d" where file in
+  Alcotest.(check (list int)) (where ^ ": successors") expected (Tracker.successors real file);
+  Alcotest.(check (option int))
+    (where ^ ": top successor")
+    (match expected with [] -> None | s :: _ -> Some s)
+    (Tracker.top_successor real file);
+  (* sets of prefixes of the list (every one of a short list), with an
+     id outside it *)
+  let n = List.length expected in
+  let lens = if n <= 16 then List.init (n + 1) Fun.id else [ 0; 1; n / 2; n - 1; n ] in
   List.iter
-    (fun capacity ->
-      let real = Tracker.create ~capacity () in
-      let model = Model_system.Tracker.create ~capacity ~policy:Successor_list.Recency () in
-      let stream =
-        List.concat_map
-          (fun k -> [ 0; 100 + k; 0; 100 + ((k + 1) / 2); 50; 200 + k ])
-          (List.init 14 succ)
+    (fun len ->
+      let set = Array.of_list (999 :: List.filteri (fun i _ -> i < len) expected) in
+      let first_outside =
+        match List.filteri (fun i _ -> i >= len) expected with s :: _ -> s | [] -> -1
       in
-      let files = List.sort_uniq Int.compare (999 :: stream) in
-      let agree step file =
-        let expected = Model_system.Tracker.successors model file in
-        let where = Printf.sprintf "capacity %d, step %d, file %d" capacity step file in
-        Alcotest.(check (list int))
-          (where ^ ": successors") expected (Tracker.successors real file);
-        Alcotest.(check (option int))
-          (where ^ ": top successor")
-          (match expected with [] -> None | s :: _ -> Some s)
-          (Tracker.top_successor real file);
-        (* sets of every prefix of the list, with an id outside it *)
-        List.iteri
-          (fun len _ ->
-            let set = Array.of_list (999 :: List.filteri (fun i _ -> i < len) expected) in
-            let first_outside =
-              match List.filteri (fun i _ -> i >= len) expected with s :: _ -> s | [] -> -1
-            in
-            Alcotest.(check int)
-              (Printf.sprintf "%s: first successor outside %d" where len)
-              first_outside
-              (Tracker.first_successor_outside real file set ~len:(len + 1)))
-          (0 :: expected)
-      in
-      List.iteri
-        (fun step file ->
-          Tracker.observe real file;
-          Model_system.Tracker.observe model file;
-          List.iter (agree step) files)
-        stream;
       Alcotest.(check int)
-        (Printf.sprintf "capacity %d: file 0's list is full" capacity)
-        capacity
-        (List.length (Tracker.successors real 0)))
-    [ 3; 10 ]
+        (Printf.sprintf "%s: first successor outside %d" where len)
+        first_outside
+        (Tracker.first_successor_outside real file set ~len:(len + 1)))
+    lens
+
+let relocations ~capacity ~steps ~watch =
+  let module Tracker = Agg_successor.Tracker in
+  let real = Tracker.create ~capacity () in
+  let model = Model_system.Tracker.create ~capacity ~policy:Successor_list.Recency () in
+  let stream =
+    List.concat_map
+      (fun k -> [ 0; 10_000 + k; 0; 10_000 + ((k + 1) / 2); 50; 20_000 + k ])
+      (List.init steps succ)
+  in
+  let files = List.sort_uniq Int.compare (999 :: stream) in
+  let prev = ref 999 in
+  List.iteri
+    (fun step file ->
+      Tracker.observe real file;
+      Model_system.Tracker.observe model file;
+      let where = Printf.sprintf "capacity %d, step %d" capacity step in
+      List.iter (check_tracker ~where real model) (watch files ~step ~prev:!prev);
+      prev := file)
+    stream;
+  Alcotest.(check int)
+    (Printf.sprintf "capacity %d: file 0's list is full" capacity)
+    capacity
+    (List.length (Tracker.successors real 0))
+
+let test_tracker_relocations () =
+  List.iter
+    (fun capacity -> relocations ~capacity ~steps:14 ~watch:(fun files ~step:_ ~prev:_ -> files))
+    [ 3; 10 ];
+  relocations ~capacity:600 ~steps:700 ~watch:(fun _ ~step ~prev ->
+      if step mod 60 = 59 then [ prev; 0; 50; 999 ] else [ prev ]);
+  (* No list reaches a capacity of [max_int]: pages follow the lists. *)
+  let module Tracker = Agg_successor.Tracker in
+  let t = Tracker.create ~capacity:max_int () in
+  for k = 0 to 599 do
+    Tracker.observe t 0;
+    Tracker.observe t (10_000 + k)
+  done;
+  Alcotest.(check (list int))
+    "capacity max_int: file 0 keeps all 600 successors"
+    (List.init 600 (fun k -> 10_599 - k))
+    (Tracker.successors t 0)
+
+(* Regions are cut from 512-int pages and none straddles two. At
+   capacity 3, files 0-255 each precede one new file, so their regions
+   (the length and one successor, two ints) fill the first page to its
+   last int; file 256's region starts the second. Files 0-127 then get a
+   second successor, each moving to a three-int region, and files
+   128-255 a second and a third, moving to three and then four ints: the
+   second page ends exactly full, and the third leaves one int unused
+   where a three-int region no longer fits. Real and model must agree on
+   the file just observed after every pair, and on every file after each
+   of the three phases and after the second page's first region. *)
+let test_tracker_page_boundaries () =
+  let module Tracker = Agg_successor.Tracker in
+  let real = Tracker.create ~capacity:3 () in
+  let model = Model_system.Tracker.create ~capacity:3 ~policy:Successor_list.Recency () in
+  let pairs =
+    List.init 257 (fun f -> (f, 1_000 + f))
+    @ List.init 128 (fun f -> (f, 2_000 + f))
+    @ List.concat_map (fun f -> [ (f, 2_000 + f); (f, 3_000 + f) ]) (List.init 128 (( + ) 128))
+  in
+  let files = List.init 258 Fun.id @ [ 999 ] in
+  List.iteri
+    (fun step (prev, next) ->
+      Tracker.reset_context real;
+      Model_system.Tracker.reset_context model;
+      List.iter
+        (fun f ->
+          Tracker.observe real f;
+          Model_system.Tracker.observe model f)
+        [ prev; next ];
+      let where = Printf.sprintf "step %d" step in
+      check_tracker ~where real model prev;
+      if List.mem step [ 255; 256; 384; List.length pairs - 1 ] then
+        List.iter (check_tracker ~where real model) files)
+    pairs;
+  Alcotest.(check int) "tracked files" 257 (Tracker.tracked_files real);
+  List.iter
+    (fun f ->
+      Alcotest.(check int)
+        (Printf.sprintf "file %d's list length" f)
+        (if f < 128 then 2 else if f < 256 then 3 else 1)
+        (List.length (Tracker.successors real f)))
+    (List.init 257 Fun.id)
 
 (* --- qcheck: group construction vs the reference builder -------------- *)
 
@@ -551,6 +627,8 @@ let () =
         [
           Alcotest.test_case "relocation through every region size" `Quick
             test_tracker_relocations;
+          Alcotest.test_case "regions fill a page to its last slot" `Quick
+            test_tracker_page_boundaries;
         ] );
       ( "weighted",
         [

@@ -236,6 +236,38 @@ let test_filter_preserves_metadata () =
   check_int "client kept" 3 e.Event.client;
   check_bool "op kept" true (Event.is_write e)
 
+(* The filters key their caches by dense keys, not by the trace's ids.
+   A 3-client trace over 60 files, relabelled into ids from 2^30 up (the
+   interner's side table), must lose exactly the events the original
+   loses, at every capacity and policy, and keep its own ids. *)
+let test_filter_far_ids () =
+  let g = Agg_util.Prng.create ~seed:17 () in
+  let t = Trace.create () in
+  for _ = 1 to 2_000 do
+    Trace.add_access t ~client:(Agg_util.Prng.int g 3) (Agg_util.Prng.int g 60)
+  done;
+  let relabel (e : Event.t) = { e with file = (1 lsl 30) + (e.file * 1_000_003) } in
+  let far = Trace.of_events (List.map relabel (Trace.to_events t)) in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun capacity ->
+          List.iter
+            (fun (name, filter) ->
+              let expected = List.map relabel (Trace.to_events (filter ~kind ~capacity t)) in
+              let missed = Trace.to_events (filter ~kind ~capacity far) in
+              check_bool
+                (Printf.sprintf "%s, %s, capacity %d" name (Agg_cache.Cache.kind_name kind) capacity)
+                true
+                (List.equal Event.equal expected missed))
+            [
+              ("miss_stream", fun ~kind ~capacity t -> Filter.miss_stream ~kind ~capacity t);
+              ( "miss_stream_per_client",
+                fun ~kind ~capacity t -> Filter.miss_stream_per_client ~kind ~capacity t );
+            ])
+        [ 1; 10; 40 ])
+    Agg_cache.Cache.all_kinds
+
 (* --- Import -------------------------------------------------------------- *)
 
 let test_import_paths () =
@@ -424,6 +456,7 @@ let () =
           Alcotest.test_case "infinite capacity" `Quick test_filter_infinite_capacity;
           Alcotest.test_case "capacity one" `Quick test_filter_capacity_one;
           Alcotest.test_case "miss count" `Quick test_filter_miss_count;
+          Alcotest.test_case "far ids" `Quick test_filter_far_ids;
           Alcotest.test_case "renumbers" `Quick test_filter_renumbers;
           Alcotest.test_case "per client" `Quick test_filter_per_client;
           Alcotest.test_case "preserves metadata" `Quick test_filter_preserves_metadata;
