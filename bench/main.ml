@@ -14,8 +14,10 @@
      dune exec bench/main.exe -- --sweep      # time --jobs 1 vs --jobs N
      dune exec bench/main.exe -- --obs        # also write BENCH_obs.json
 
-   Sections that write a result ledger: faults (BENCH_faults.json),
-   cluster (BENCH_cluster.json), scenarios (BENCH_scenarios.json, reading
+   The fleet, faults and cluster sections run the sweeps stated in
+   ./scenarios/sweeps/{fleet,resilience,cluster}.scn. Sections that write
+   a result ledger: faults (BENCH_faults.json), cluster
+   (BENCH_cluster.json), scenarios (BENCH_scenarios.json, reading
    ./scenarios/*.scn), telemetry (BENCH_telemetry.json), weighted
    (BENCH_weighted.json) and micro (BENCH_micro.json). Every ledger is
    written by [write_ledger], all but BENCH_obs.json (Agg_obs.Span's Chrome
@@ -214,65 +216,31 @@ let run_latency ~settings =
          List.iter (fun (_, row) -> Agg_util.Table.add_row table row) rows;
          Agg_util.Table.print table)
 
-let run_fleet ~settings =
-  section "Fleet — many clients, one server, write invalidation (users workload)";
-  let trace = Agg_sim.Trace_store.get ~settings Agg_workload.Profile.users in
-  let table =
-    Agg_util.Table.create ~title:"fleet size sweep (client caches 150 files, server 300)"
-      ~columns:
-        [ "clients"; "scheme"; "client hit %"; "server hit %"; "store fetches"; "invalidations" ]
-  in
-  let schemes =
-    [
-      ("plain", Agg_system.Scheme.plain_lru, Agg_system.Scheme.plain_lru);
-      ( "aggregating",
-        Agg_system.Scheme.Aggregating Agg_core.Config.default,
-        Agg_system.Scheme.Aggregating Agg_core.Config.default );
-    ]
-  in
-  Agg_sim.Experiment.grid ~settings ~rows:[ 1; 2; 4; 8; 16 ] ~cols:schemes
-    (fun clients (name, client_scheme, node_scheme) ->
-      let config =
-        { Agg_cluster.Cluster.default_config with clients; client_scheme; node_scheme }
-      in
-      let r = Agg_cluster.Cluster.run config trace in
-      [
-        string_of_int clients;
-        name;
-        Printf.sprintf "%.1f" (100.0 *. Agg_cluster.Cluster.client_hit_rate r);
-        Printf.sprintf "%.1f" (100.0 *. Agg_cluster.Cluster.server_hit_rate r);
-        string_of_int r.Agg_cluster.Cluster.store_fetches;
-        string_of_int r.Agg_cluster.Cluster.invalidations;
-      ])
-  |> List.iter (fun (_, rows) ->
-         List.iter (fun (_, row) -> Agg_util.Table.add_row table row) rows);
-  Agg_util.Table.print table
-
-let run_faults p =
-  section "Resilience — hit rate & latency vs message loss (lru vs g5)";
-  let profile = Agg_workload.Profile.server in
-  let points = Agg_sim.Resilience.sweep ~profile (runner ~settings:p.settings) in
-  Agg_sim.Experiment.print_figure (Agg_sim.Resilience.figure ~profile points);
-  (match Agg_sim.Resilience.hit_rate_advantage ~loss_rate:0.1 points with
-  | Some d -> Printf.printf "g5 hit-rate advantage over lru at 10%% loss: %+.2f pts\n" d
-  | None -> ());
-  let path = "BENCH_faults.json" in
-  write_ledger path (Json.to_string (Agg_sim.Resilience.json_of_points points));
-  Printf.printf "wrote %d sweep points to %s\n" (List.length points) path
-
-let run_cluster p =
-  section "Cluster — sharded ring under node loss (scheme x replicas x metadata placement)";
-  let profile = Agg_workload.Profile.server in
-  let points = Agg_sim.Cluster.sweep ~profile (runner ~settings:p.settings) in
-  Agg_sim.Experiment.print_figure (Agg_sim.Cluster.figure ~profile points);
-  (match Agg_sim.Cluster.degraded_reduction points with
-  | Some (k_min, k_max) ->
-      Printf.printf "degraded fetches at max node loss (g5, replicated metadata): k_min=%d k_max=%d\n"
-        k_min k_max
-  | None -> ());
-  let path = "BENCH_cluster.json" in
-  write_ledger path (Json.to_string (Agg_sim.Cluster.json_of_points points));
-  Printf.printf "wrote %d sweep points to %s\n" (List.length points) path
+(* A sweep section: one scenario file of scenarios/sweeps, run at the
+   pass's event count, printed as one table and its checks, and written
+   to [ledger] when the section keeps one. *)
+let run_sweep ?ledger file p =
+  let path = Filename.concat "scenarios/sweeps" file in
+  section ("Sweep — " ^ path);
+  let settings = p.settings in
+  match
+    Result.bind (Agg_scenario.Scenario.load_file path)
+      (Agg_scenario.Exec.run ~jobs:settings.Agg_sim.Experiment.jobs
+         ~events_cap:settings.Agg_sim.Experiment.events ?scope:(runner ~settings).scope)
+  with
+  | Error msg ->
+      Printf.eprintf "main.exe: %s\n" msg;
+      exit 1
+  | Ok o -> (
+      Agg_util.Table.print (Agg_sim.Scenarios.table o);
+      print_string (Agg_scenario.Exec.render_checks o);
+      match ledger with
+      | None -> ()
+      | Some ledger ->
+          write_ledger ledger (Json.to_string (Agg_sim.Scenarios.json_of_outcome o));
+          Printf.printf "wrote %d sweep cells to %s\n"
+            (List.length o.Agg_scenario.Exec.cells)
+            ledger)
 
 let run_scenarios p =
   section "Scenarios — declarative corpus with invariant checking (scenarios/*.scn)";
@@ -982,10 +950,10 @@ let sections =
     ("checks", run_checks);
     ("ablations", fun p -> run_ablations ~settings:p.settings);
     ("latency", fun p -> run_latency ~settings:p.settings);
-    ("fleet", fun p -> run_fleet ~settings:p.settings);
+    ("fleet", run_sweep "fleet.scn");
     ("scale", fun p -> run_scale ~settings:p.settings);
-    ("faults", run_faults);
-    ("cluster", run_cluster);
+    ("faults", run_sweep ~ledger:"BENCH_faults.json" "resilience.scn");
+    ("cluster", run_sweep ~ledger:"BENCH_cluster.json" "cluster.scn");
     ("scenarios", run_scenarios);
     ("telemetry", run_telemetry);
     ("weighted", run_weighted);

@@ -417,63 +417,64 @@ let faults_cmd =
       & opt int Agg_faults.Plan.default.Agg_faults.Plan.seed
       & info [ "fault-seed" ] ~docv:"SEED" ~doc:"Fault-plan seed (independent of the workload seed).")
   in
-  let sweep_arg =
-    Arg.(
-      value & flag
-      & info [ "sweep" ]
-          ~doc:"Print the resilience sweep (hit rate and latency vs loss rate, lru vs g5) instead.")
-  in
-  let run settings profile loss outage slow crash fault_seed sweep =
-    if sweep then begin
-      let runner = Agg_sim.Experiment.Runner.create ~settings () in
-      Agg_sim.Experiment.print_figure
-        (Agg_sim.Resilience.figure ~profile (Agg_sim.Resilience.sweep ~profile runner));
-      exit_ok
-    end
-    else begin
-      let d = Agg_faults.Plan.default in
-      let faults =
-        {
-          d with
-          Agg_faults.Plan.seed = fault_seed;
-          loss_rate = Option.value ~default:d.Agg_faults.Plan.loss_rate loss;
-          outage_rate = Option.value ~default:d.Agg_faults.Plan.outage_rate outage;
-          slow_rate = Option.value ~default:d.Agg_faults.Plan.slow_rate slow;
-          crash_rate = Option.value ~default:d.Agg_faults.Plan.crash_rate crash;
-        }
-      in
-      match Agg_faults.Plan.validate faults with
-      | exception Invalid_argument msg ->
-          Printf.eprintf "aggsim: %s\n" msg;
-          Cmd.Exit.cli_error
-      | () ->
-      let trace =
-        Agg_workload.Generator.generate ~seed:settings.Agg_sim.Experiment.seed
-          ~events:settings.Agg_sim.Experiment.events profile
-      in
-      Format.printf "plan: %a@.resilience: %a@." Agg_faults.Plan.pp_config faults
-        Agg_faults.Resilience.pp Agg_faults.Resilience.default;
-      List.iter
-        (fun (name, client_scheme) ->
-          let config = { Agg_cluster.Cluster.path_config with client_scheme; faults } in
-          let r = Agg_cluster.Cluster.run config trace in
-          Format.printf "%-4s %a@.     faults: %a@." name Agg_cluster.Cluster.pp_result r
-            Agg_faults.Counters.pp r.Agg_cluster.Cluster.faults)
-        [
-          ("lru", Agg_system.Scheme.plain_lru);
-          ("g5", Agg_system.Scheme.aggregating ());
-        ];
-      exit_ok
-    end
+  let run settings profile loss outage slow crash fault_seed =
+    let d = Agg_faults.Plan.default in
+    let faults =
+      {
+        d with
+        Agg_faults.Plan.seed = fault_seed;
+        loss_rate = Option.value ~default:d.Agg_faults.Plan.loss_rate loss;
+        outage_rate = Option.value ~default:d.Agg_faults.Plan.outage_rate outage;
+        slow_rate = Option.value ~default:d.Agg_faults.Plan.slow_rate slow;
+        crash_rate = Option.value ~default:d.Agg_faults.Plan.crash_rate crash;
+      }
+    in
+    match Agg_faults.Plan.validate faults with
+    | exception Invalid_argument msg ->
+        Printf.eprintf "aggsim: %s\n" msg;
+        Cmd.Exit.cli_error
+    | () ->
+    let trace =
+      Agg_workload.Generator.generate ~seed:settings.Agg_sim.Experiment.seed
+        ~events:settings.Agg_sim.Experiment.events profile
+    in
+    Format.printf "plan: %a@.resilience: %a@." Agg_faults.Plan.pp_config faults
+      Agg_faults.Resilience.pp Agg_faults.Resilience.default;
+    List.iter
+      (fun (name, client_scheme) ->
+        let config = { Agg_cluster.Cluster.path_config with client_scheme; faults } in
+        let r = Agg_cluster.Cluster.run config trace in
+        Format.printf "%-4s %a@.     faults: %a@." name Agg_cluster.Cluster.pp_result r
+          Agg_faults.Counters.pp r.Agg_cluster.Cluster.faults)
+      [
+        ("lru", Agg_system.Scheme.plain_lru);
+        ("g5", Agg_system.Scheme.aggregating ());
+      ];
+    exit_ok
   in
   Cmd.v
     (Cmd.info "faults"
        ~doc:
          "Fault injection on the Fig. 2 path: run lru vs g5 clients under a deterministic fault \
-          plan (message loss, outages, slow links, crashes), or --sweep the loss rate.")
+          plan (message loss, outages, slow links, crashes). The loss-rate sweep is \
+          $(b,scenario run -f scenarios/sweeps/resilience.scn).")
     Term.(
       const run $ settings_term $ profile_arg $ loss_arg $ outage_arg $ slow_arg $ crash_arg
-      $ fault_seed_arg $ sweep_arg)
+      $ fault_seed_arg)
+
+(* The per-node outage plan of --node-loss: seed 23, 1000-access epochs,
+   400 accesses dark when an epoch is faulty, drawn independently per
+   node; no loss at all is the healthy plan. *)
+let node_kill_plan node_loss =
+  if node_loss <= 0.0 then Agg_faults.Plan.none
+  else
+    {
+      Agg_faults.Plan.none with
+      Agg_faults.Plan.seed = 23;
+      outage_period = 1000;
+      outage_rate = node_loss;
+      outage_length = 400;
+    }
 
 let cluster_cmd =
   let nodes_arg =
@@ -520,68 +521,52 @@ let cluster_cmd =
       & opt int Agg_cluster.Cluster.default_config.Agg_cluster.Cluster.ring_seed
       & info [ "ring-seed" ] ~docv:"SEED" ~doc:"Consistent-hash ring seed.")
   in
-  let sweep_arg =
-    Arg.(
-      value & flag
-      & info [ "sweep" ]
-          ~doc:
-            "Print the cluster sweep (hit rate and latency vs node loss, across scheme x K x \
-             placement) instead.")
-  in
-  let run settings profile nodes replicas placement node_loss ring_seed sweep =
-    if sweep then begin
-      let runner = Agg_sim.Experiment.Runner.create ~settings () in
-      Agg_sim.Experiment.print_figure
-        (Agg_sim.Cluster.figure ~profile (Agg_sim.Cluster.sweep ~profile runner));
-      exit_ok
-    end
-    else begin
-      let faults = Agg_sim.Cluster.node_kill_plan node_loss in
-      match Agg_faults.Plan.validate faults with
-      | exception Invalid_argument msg ->
-          Printf.eprintf "aggsim: %s\n" msg;
-          Cmd.Exit.cli_error
-      | () ->
-          let trace =
-            Agg_workload.Generator.generate ~seed:settings.Agg_sim.Experiment.seed
-              ~events:settings.Agg_sim.Experiment.events profile
-          in
-          Printf.printf "cluster: %d nodes, k=%d, metadata=%s, node-loss %g\n" nodes replicas
-            (Agg_cluster.Cluster.placement_name placement)
-            node_loss;
-          List.iter
-            (fun (name, scheme) ->
-              let config =
-                {
-                  Agg_cluster.Cluster.default_config with
-                  Agg_cluster.Cluster.nodes;
-                  replicas;
-                  ring_seed;
-                  metadata = placement;
-                  client_scheme = scheme;
-                  node_scheme = scheme;
-                  faults;
-                }
-              in
-              let r = Agg_cluster.Cluster.run config trace in
-              Format.printf "%-4s %a@.     faults: %a@." name Agg_cluster.Cluster.pp_result r
-                Agg_faults.Counters.pp r.Agg_cluster.Cluster.faults)
-            [
-              ("lru", Agg_system.Scheme.plain_lru);
-              ("g5", Agg_system.Scheme.aggregating ());
-            ];
-          exit_ok
-    end
+  let run settings profile nodes replicas placement node_loss ring_seed =
+    let faults = node_kill_plan node_loss in
+    match Agg_faults.Plan.validate faults with
+    | exception Invalid_argument msg ->
+        Printf.eprintf "aggsim: %s\n" msg;
+        Cmd.Exit.cli_error
+    | () ->
+        let trace =
+          Agg_workload.Generator.generate ~seed:settings.Agg_sim.Experiment.seed
+            ~events:settings.Agg_sim.Experiment.events profile
+        in
+        Printf.printf "cluster: %d nodes, k=%d, metadata=%s, node-loss %g\n" nodes replicas
+          (Agg_cluster.Cluster.placement_name placement)
+          node_loss;
+        List.iter
+          (fun (name, scheme) ->
+            let config =
+              {
+                Agg_cluster.Cluster.default_config with
+                Agg_cluster.Cluster.nodes;
+                replicas;
+                ring_seed;
+                metadata = placement;
+                client_scheme = scheme;
+                node_scheme = scheme;
+                faults;
+              }
+            in
+            let r = Agg_cluster.Cluster.run config trace in
+            Format.printf "%-4s %a@.     faults: %a@." name Agg_cluster.Cluster.pp_result r
+              Agg_faults.Counters.pp r.Agg_cluster.Cluster.faults)
+          [
+            ("lru", Agg_system.Scheme.plain_lru);
+            ("g5", Agg_system.Scheme.aggregating ());
+          ];
+        exit_ok
   in
   Cmd.v
     (Cmd.info "cluster"
        ~doc:
          "Sharded multi-node cluster: route the fleet workload through a consistent-hash ring of \
-          replication groups, optionally killing nodes ($(b,--node-loss)), or $(b,--sweep) node \
-          count x K x metadata placement.")
+          replication groups, optionally killing nodes ($(b,--node-loss)). The sweep over K x \
+          metadata placement x node loss is $(b,scenario run -f scenarios/sweeps/cluster.scn).")
     Term.(
       const run $ settings_term $ profile_arg $ nodes_arg $ replicas_arg $ placement_arg
-      $ node_loss_arg $ ring_seed_arg $ sweep_arg)
+      $ node_loss_arg $ ring_seed_arg)
 
 (* --- entropy / groups ----------------------------------------------- *)
 
@@ -1124,7 +1109,7 @@ let scenario_cmd =
     (Cmd.info "scenario"
        ~doc:
          "Declarative experiments: validate, run or fuzz *.scn scenario files (workload, \
-          topology, faults, policy matrix, invariants).")
+          topology, faults, policy matrix, sweeps, invariants).")
     [ run_cmd; fuzz_cmd; validate_cmd ]
 
 (* --- telemetry ------------------------------------------------------- *)
@@ -1187,7 +1172,7 @@ let telemetry_cmd =
              (open in chrome://tracing or Perfetto).")
   in
   let run settings profile nodes replicas node_loss window sample format out trace_out =
-    let faults = Agg_sim.Cluster.node_kill_plan node_loss in
+    let faults = node_kill_plan node_loss in
     match Agg_faults.Plan.validate faults with
     | exception Invalid_argument msg ->
         Printf.eprintf "aggsim: %s\n" msg;

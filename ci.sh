@@ -200,18 +200,18 @@ dune build @differential
 # sweep-profiler / Chrome-trace smoke run.
 dune build @obs
 
-# Fault-injection gate: smoke-run `aggsim faults` (single hostile run and
-# the loss-rate resilience sweep) at quick size.
+# Fault-injection gate: smoke-run `aggsim faults` (single hostile run) and
+# the loss-rate sweep scenario at quick size.
 dune build @faults
 
 # Cluster gate: smoke-run `aggsim cluster` (replicated ring under node
-# kills and the node-loss sweep) and `aggsim fleet` (the one-node ring)
-# at quick size.
+# kills), the node-loss sweep scenario and `aggsim fleet` (the one-node
+# ring) at quick size.
 dune build @cluster
 
-# Scenario gate: validate the declarative corpus, run it fast-sized with
-# every invariant checked (the known-bad entries must fail), and smoke the
-# fuzz/shrink path.
+# Scenario gate: validate the declarative corpus and the sweeps, run them
+# fast-sized with every invariant checked (the known-bad entries must
+# fail), and smoke the fuzz/shrink path.
 dune build @scenario
 
 # Telemetry gate: windowed-series exports reconciled against run
@@ -472,6 +472,11 @@ rejects --size groups --size 0
 rejects --capacity trace --capacity 0
 rejects --group-size trace --group-size 0
 rejects --clients fleet --clients 0
+# The loss-rate and node-loss sweeps are scenario files
+# (scenarios/sweeps/*.scn); the commands that used to run them have no
+# --sweep flag.
+rejects --sweep faults --sweep
+rejects --sweep cluster --sweep
 for cmd in generate stats fig3 fig4 fig5 fig7 fig8 weighted summary checks differential \
   ablations latency fleet faults cluster entropy groups predictability trace profile telemetry; do
   rejects --events "$cmd" --events=-5

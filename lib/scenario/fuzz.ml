@@ -21,18 +21,10 @@ let policy_palette =
 
 let clamp_rate r = Float.max 0.0 (Float.min 1.0 r)
 
+(* Every candidate is checked by [validate] before it is kept, so a
+   perturbation that orphans an expectation or slo, or moves a swept
+   field off its axis's first value, leaves the scenario as it was. *)
 let perturb rng (t : Scenario.t) =
-  let absent policies policy =
-    not (List.exists (fun p -> Scenario.policy_name p = Scenario.policy_name policy) policies)
-  in
-  let orphaned policies =
-    List.exists
-      (fun e ->
-        let (Scenario.Hit_rate_min { policy; _ } | Scenario.Hit_rate_max { policy; _ }) = e in
-        absent policies policy)
-      t.Scenario.expectations
-    || List.exists (fun s -> absent policies s.Scenario.slo_policy) t.Scenario.slos
-  in
   let candidate =
     match Prng.int rng 8 with
     | 0 -> (
@@ -91,13 +83,12 @@ let perturb rng (t : Scenario.t) =
           let p = Prng.choose rng (Array.of_list missing) in
           { t with Scenario.policies = t.Scenario.policies @ [ p ] }
     | 5 ->
-        (* drop a random policy (keep >= 1, keep expectations satisfied) *)
+        (* drop a random policy (keep >= 1) *)
         let n = List.length t.Scenario.policies in
         if n <= 1 then t
         else
           let k = Prng.int rng n in
-          let policies = List.filteri (fun idx _ -> idx <> k) t.Scenario.policies in
-          if orphaned policies then t else { t with Scenario.policies = policies }
+          { t with Scenario.policies = List.filteri (fun idx _ -> idx <> k) t.Scenario.policies }
     | 6 -> (
         (* reseed the fault plan *)
         let f = t.Scenario.faults in
@@ -113,10 +104,48 @@ let perturb rng (t : Scenario.t) =
 
 (* --- shrinking -------------------------------------------------------------- *)
 
+(* The axis restricted to the values [keep] accepts, by index and label. *)
+let filter_values keep sweep =
+  let labels = Array.of_list (Scenario.sweep_labels sweep) in
+  let pick l = List.filteri (fun k _ -> keep k labels.(k)) l in
+  match sweep with
+  | Scenario.Loss l -> Scenario.Loss (pick l)
+  | Scenario.Outage_rate l -> Scenario.Outage_rate (pick l)
+  | Scenario.Replicas l -> Scenario.Replicas (pick l)
+  | Scenario.Placement l -> Scenario.Placement (pick l)
+  | Scenario.Clients l -> Scenario.Clients (pick l)
+
 (* Candidate reductions, in documented order. Only structurally smaller
    (or fault-free-er) scenarios are proposed; the caller keeps a
    candidate iff it is valid and still violates. *)
 let reductions (t : Scenario.t) =
+  let drop_each list rebuild =
+    List.mapi (fun k _ -> rebuild (List.filteri (fun idx _ -> idx <> k) list)) list
+  in
+  let axis_steps = drop_each t.Scenario.sweeps (fun sweeps -> { t with Scenario.sweeps }) in
+  (* halving keeps the first half, the base value first, and every value
+     an ordering expectation names *)
+  let halving_steps =
+    List.filter_map
+      (fun sweep ->
+        let field = Scenario.sweep_field sweep in
+        let named =
+          List.concat_map
+            (function
+              | Scenario.Ordered o when o.field = field -> [ o.lhs; o.rhs ]
+              | Scenario.Ordered _ | Scenario.Hit_rate_min _ | Scenario.Hit_rate_max _ -> [])
+            t.Scenario.expectations
+        in
+        let half = List.length (Scenario.sweep_labels sweep) / 2 in
+        let halved = filter_values (fun k label -> k < max 1 half || List.mem label named) sweep in
+        if Scenario.sweep_labels halved = Scenario.sweep_labels sweep then None
+        else
+          Some
+            { t with
+              Scenario.sweeps =
+                List.map (fun s -> if s == sweep then halved else s) t.Scenario.sweeps })
+      t.Scenario.sweeps
+  in
   let faults_steps =
     let f = t.Scenario.faults in
     (if f <> Plan.none then [ { t with Scenario.faults = Plan.none } ] else [])
@@ -166,9 +195,6 @@ let reductions (t : Scenario.t) =
         [ { t with Scenario.workload = Scenario.Profile { p with events = max 100 (p.events / 2) } } ]
     | _ -> []
   in
-  let drop_each list rebuild =
-    List.mapi (fun k _ -> rebuild (List.filteri (fun idx _ -> idx <> k) list)) list
-  in
   let policy_steps =
     if List.length t.Scenario.policies <= 1 then []
     else drop_each t.Scenario.policies (fun policies -> { t with Scenario.policies })
@@ -180,8 +206,8 @@ let reductions (t : Scenario.t) =
     drop_each t.Scenario.expectations (fun expectations -> { t with Scenario.expectations })
   in
   let slo_steps = drop_each t.Scenario.slos (fun slos -> { t with Scenario.slos }) in
-  faults_steps @ topology_steps @ events_steps @ policy_steps @ invariant_steps
-  @ expectation_steps @ slo_steps
+  axis_steps @ halving_steps @ faults_steps @ topology_steps @ events_steps @ policy_steps
+  @ invariant_steps @ expectation_steps @ slo_steps
 
 let shrink ?jobs ?events_cap t =
   if not (violates ?jobs ?events_cap t) then t

@@ -7,6 +7,9 @@
     Shrinking order — each transform is attempted in turn, and the whole
     pass repeats until no transform applies:
 
+    + drop sweep axes one at a time, then halve each axis's value list
+      (keeping its first value and every value an ordering expectation
+      names)
     + fault plan to {!Agg_faults.Plan.none}, then each rate to zero
     + drop the churn schedule
     + halve clients (floor 1), then nodes and replicas (cluster)
@@ -22,7 +25,10 @@ val perturb : Agg_util.Prng.t -> Scenario.t -> Scenario.t
 (** One random, validity-preserving mutation: reseed or resize a profile
     workload, scale a fault rate, resize the fleet, or grow/shrink the
     policy matrix. Expectation thresholds are never touched (loosening
-    or tightening them would manufacture trivial violations). *)
+    or tightening them would manufacture trivial violations), and no
+    sweep axis is added. A mutation that {!Scenario.validate} rejects
+    (it orphans an expectation, or moves a swept field off its axis's
+    first value) leaves the scenario unchanged. *)
 
 val violates : ?jobs:int -> ?events_cap:int -> Scenario.t -> bool
 (** [true] when the scenario runs and at least one invariant,

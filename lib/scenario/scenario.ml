@@ -38,6 +38,65 @@ let policy_of_string s =
         | _ -> None
       else None
 
+(* Floats must survive the round trip exactly: prefer the short %g form,
+   fall back to the always-exact %.17g when it loses precision. *)
+let float_str f =
+  let s = Printf.sprintf "%g" f in
+  if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+type sweep =
+  | Loss of float list
+  | Outage_rate of float list
+  | Replicas of int list
+  | Placement of Cluster.metadata_placement list
+  | Clients of int list
+
+let sweep_fields = [ "loss"; "outage_rate"; "replicas"; "placement"; "clients" ]
+
+let sweep_field = function
+  | Loss _ -> "loss"
+  | Outage_rate _ -> "outage_rate"
+  | Replicas _ -> "replicas"
+  | Placement _ -> "placement"
+  | Clients _ -> "clients"
+
+let sweep_labels = function
+  | Loss rates | Outage_rate rates -> List.map float_str rates
+  | Replicas counts | Clients counts -> List.map string_of_int counts
+  | Placement places -> List.map Cluster.placement_name places
+
+(* the first name that occurs twice in [l] *)
+let dup to_name l =
+  let names = List.map to_name l in
+  List.find_opt (fun n -> List.length (List.filter (( = ) n) names) > 1) names
+
+(* What is wrong with an axis's values, if anything: the parser reports
+   it against the sweep line, [validate] raises it. *)
+let sweep_value_error sweep =
+  let field = sweep_field sweep in
+  let out_of_range =
+    match sweep with
+    | Loss rates | Outage_rate rates ->
+        List.find_opt (fun r -> not (r >= 0.0 && r <= 1.0)) rates
+        |> Option.map (fun r -> Printf.sprintf "value %s is outside [0, 1]" (float_str r))
+    | Replicas counts | Clients counts ->
+        List.find_opt (fun n -> n <= 0) counts
+        |> Option.map (Printf.sprintf "value %d must be positive")
+    | Placement _ -> None
+  in
+  match (out_of_range, dup Fun.id (sweep_labels sweep)) with
+  | Some m, _ -> Some (Printf.sprintf "sweep %s %s" field m)
+  | None, Some v -> Some (Printf.sprintf "sweep %s repeats value %s" field v)
+  | None, None ->
+      if sweep_labels sweep = [] then Some (Printf.sprintf "sweep %s has no values" field) else None
+
+let sweep_topology_error topology sweep =
+  match (sweep, topology) with
+  | (Replicas _ | Placement _), (Path _ | Fleet _) ->
+      Some (Printf.sprintf "sweep %s needs a cluster topology" (sweep_field sweep))
+  | Clients _, Path _ -> Some "sweep clients needs a fleet or cluster topology"
+  | _ -> None
+
 type invariant =
   | Conservation
   | Belady_bound
@@ -58,9 +117,23 @@ let all_invariants =
 let invariant_of_string s =
   List.find_opt (fun i -> invariant_name i = s) all_invariants
 
+type order = Below | At_most
+
+let order_name = function Below -> "below" | At_most -> "at_most"
+
 type expectation =
   | Hit_rate_min of { policy : policy; percent : float }
   | Hit_rate_max of { policy : policy; percent : float }
+  | Ordered of { order : order; metric : string; field : string; lhs : string; rhs : string }
+
+let metric_names =
+  [
+    "accesses"; "client_hits"; "server_requests"; "server_hits"; "store_fetches";
+    "files_transferred"; "invalidations"; "routed_fetches"; "failovers"; "cross_shard_members";
+    "rebalances"; "moved_files"; "hit_rate"; "mean_latency"; "p95_latency"; "p99_latency";
+    "faults.lost_messages"; "faults.outage_denials"; "faults.timeouts"; "faults.retries";
+    "faults.degraded_fetches"; "faults.slowed_fetches"; "faults.crashes";
+  ]
 
 type slo_metric = Slo_hit_rate | Slo_p99_latency | Slo_degraded_rate
 
@@ -88,19 +161,77 @@ type t = {
   topology : topology;
   faults : Plan.config;
   policies : policy list;
+  sweeps : sweep list;
   invariants : invariant list;
   expectations : expectation list;
   slos : slo list;
   expect_violation : bool;
 }
 
-(* --- canonical printing --------------------------------------------------- *)
+(* --- sweep points ----------------------------------------------------------- *)
 
-(* Floats must survive the round trip exactly: prefer the short %g form,
-   fall back to the always-exact %.17g when it loses precision. *)
-let float_str f =
-  let s = Printf.sprintf "%g" f in
-  if float_of_string s = f then s else Printf.sprintf "%.17g" f
+type point = (string * string) list
+
+let point_name point = String.concat " " (List.map (fun (field, v) -> field ^ "=" ^ v) point)
+
+(* Each value of an axis, labelled, with the change it makes to a
+   scenario. A field the topology lacks is left alone; [validate]
+   rejects such a sweep. *)
+let settings sweep =
+  let faults f t = { t with faults = f t.faults } in
+  let topology f t = { t with topology = f t.topology } in
+  List.combine (sweep_labels sweep)
+    (match sweep with
+    | Loss rates -> List.map (fun r -> faults (fun f -> { f with Plan.loss_rate = r })) rates
+    | Outage_rate rates ->
+        List.map (fun r -> faults (fun f -> { f with Plan.outage_rate = r })) rates
+    | Replicas counts ->
+        List.map
+          (fun n -> topology (function Cluster c -> Cluster { c with replicas = n } | o -> o))
+          counts
+    | Placement places ->
+        List.map
+          (fun placement -> topology (function Cluster c -> Cluster { c with placement } | o -> o))
+          places
+    | Clients counts ->
+        List.map
+          (fun clients ->
+            topology (function
+              | Fleet f -> Fleet { f with clients }
+              | Cluster c -> Cluster { c with clients }
+              | o -> o))
+          counts)
+
+let points t =
+  List.fold_left
+    (fun acc sweep ->
+      List.concat_map
+        (fun (point, base) ->
+          List.map
+            (fun (label, set) -> (point @ [ (sweep_field sweep, label) ], set base))
+            (settings sweep))
+        acc)
+    [ ([], { t with sweeps = [] }) ]
+    t.sweeps
+
+(* Why an ordering expectation does not fit the scenario's axes, if it
+   does not: the parser reports it against the expect line, [validate]
+   raises it. *)
+let order_error t ~field ~lhs ~rhs =
+  let axis =
+    if field = "policy" then Some (List.map policy_name t.policies)
+    else
+      List.find_map
+        (fun s -> if sweep_field s = field then Some (sweep_labels s) else None)
+        t.sweeps
+  in
+  match axis with
+  | None -> Some (Printf.sprintf "field %s is not swept" field)
+  | Some labels ->
+      List.find_opt (fun v -> not (List.mem v labels)) [ lhs; rhs ]
+      |> Option.map (fun v -> Printf.sprintf "%s=%s is not on the %s axis" field v field)
+
+(* --- canonical printing --------------------------------------------------- *)
 
 let header = "#scenario v1"
 
@@ -148,6 +279,8 @@ let expectation_name = function
       Printf.sprintf "hit_rate policy=%s min=%s" (policy_name policy) (float_str percent)
   | Hit_rate_max { policy; percent } ->
       Printf.sprintf "hit_rate policy=%s max=%s" (policy_name policy) (float_str percent)
+  | Ordered { order; metric; field; lhs; rhs } ->
+      Printf.sprintf "%s metric=%s field=%s lhs=%s rhs=%s" (order_name order) metric field lhs rhs
 
 let expectation_line e = "expect " ^ expectation_name e
 
@@ -165,6 +298,9 @@ let to_string t =
     @ topology_lines t.topology
     @ [ faults_line t.faults ]
     @ List.map (fun p -> Printf.sprintf "policy %s" (policy_name p)) t.policies
+    @ List.map
+        (fun s -> Printf.sprintf "sweep %s=%s" (sweep_field s) (String.concat "," (sweep_labels s)))
+        t.sweeps
     @ List.map (fun i -> Printf.sprintf "invariant %s" (invariant_name i)) t.invariants
     @ List.map expectation_line t.expectations
     @ List.map slo_line t.slos
@@ -178,23 +314,26 @@ let ( let* ) = Result.bind
 
 let errf line fmt = Printf.ksprintf (fun m -> Error (Printf.sprintf "line %d: %s" line m)) fmt
 
-(* Every token after a line's keyword must be key=value; [keys] is the
-   exact expected set — unknown, duplicate and missing keys are errors. *)
+(* Every token after a line's keyword must be key=value with a key from
+   [keys]: unknown and duplicate keys are errors. Lines with optional
+   fields (expect hit_rate, slo) check presence themselves. *)
+let parse_optional_kvs ~line keys tokens =
+  List.fold_left
+    (fun acc token ->
+      let* acc = acc in
+      match String.index_opt token '=' with
+      | None -> errf line "malformed field %S (expected key=value)" token
+      | Some i ->
+          let key = String.sub token 0 i in
+          let value = String.sub token (i + 1) (String.length token - i - 1) in
+          if not (List.mem key keys) then errf line "unknown field %S" key
+          else if List.mem_assoc key acc then errf line "duplicate field %S" key
+          else Ok ((key, value) :: acc))
+    (Ok []) tokens
+
+(* ... and here every key of [keys] is required. *)
 let parse_kvs ~line keys tokens =
-  let* kvs =
-    List.fold_left
-      (fun acc token ->
-        let* acc = acc in
-        match String.index_opt token '=' with
-        | None -> errf line "malformed field %S (expected key=value)" token
-        | Some i ->
-            let key = String.sub token 0 i in
-            let value = String.sub token (i + 1) (String.length token - i - 1) in
-            if not (List.mem key keys) then errf line "unknown field %S" key
-            else if List.mem_assoc key acc then errf line "duplicate field %S" key
-            else Ok ((key, value) :: acc))
-      (Ok []) tokens
-  in
+  let* kvs = parse_optional_kvs ~line keys tokens in
   match List.find_opt (fun k -> not (List.mem_assoc k kvs)) keys with
   | Some missing -> errf line "missing field %S" missing
   | None -> Ok kvs
@@ -219,27 +358,57 @@ type partial = {
   mutable p_faults : Plan.config option;
   mutable p_policies : policy list;  (* reversed *)
   mutable p_invariants : invariant list;  (* reversed *)
-  mutable p_expectations : expectation list;  (* reversed *)
+  mutable p_sweeps : (int * sweep) list;  (* reversed, with their lines *)
+  mutable p_expectations : (int * expectation) list;  (* reversed, with their lines *)
   mutable p_slos : slo list;  (* reversed *)
   mutable p_expect_violation : bool;
 }
 
-(* key=value fold where only [keys] are admissible but none is required —
-   lines with optional fields (expect hit_rate, slo) check presence
-   themselves. *)
-let parse_optional_kvs ~line keys tokens =
-  List.fold_left
-    (fun acc token ->
-      let* acc = acc in
-      match String.index_opt token '=' with
-      | None -> errf line "malformed field %S (expected key=value)" token
-      | Some i ->
-          let key = String.sub token 0 i in
-          let value = String.sub token (i + 1) (String.length token - i - 1) in
-          if not (List.mem key keys) then errf line "unknown field %S" key
-          else if List.mem_assoc key acc then errf line "duplicate field %S" key
-          else Ok ((key, value) :: acc))
-    (Ok []) tokens
+let parse_policy ~line spec =
+  match policy_of_string spec with
+  | Some p -> Ok p
+  | None -> errf line "unknown policy %S (a cache kind or g<N>)" spec
+
+let required ~line kvs key parse =
+  if List.mem_assoc key kvs then parse ~line kvs key else errf line "missing field %S" key
+
+let policy_kv ~line kvs key = parse_policy ~line (List.assoc key kvs)
+
+(* A line's bound: exactly one of min= and max=; [what] names the line. *)
+let bound_kv ~line ~what kvs =
+  match (List.mem_assoc "min" kvs, List.mem_assoc "max" kvs) with
+  | true, false -> Result.map (fun f -> `Min f) (float_kv ~line kvs "min")
+  | false, true -> Result.map (fun f -> `Max f) (float_kv ~line kvs "max")
+  | true, true -> errf line "%s takes min or max, not both" what
+  | false, false -> errf line "%s needs min= or max=" what
+
+(* The values of a sweep field, typed; [what] names them in errors. *)
+let parse_values ~line ~what field values =
+  let typed of_string kind v =
+    match of_string v with Some x -> Ok x | None -> errf line "%s value %S is not %s" what v kind
+  in
+  let each parse wrap =
+    Result.map wrap
+      (List.fold_right
+         (fun v acc ->
+           let* acc = acc in
+           let* x = parse v in
+           Ok (x :: acc))
+         values (Ok []))
+  in
+  let number = typed float_of_string_opt "a number" and count = typed int_of_string_opt "an integer" in
+  let place = typed Cluster.placement_of_string "a placement (owner, group or client)" in
+  if List.mem "" values then errf line "%s has an empty value" what
+  else
+    match field with
+    | "loss" -> each number (fun l -> Loss l)
+    | "outage_rate" -> each number (fun l -> Outage_rate l)
+    | "replicas" -> each count (fun l -> Replicas l)
+    | "placement" -> each place (fun l -> Placement l)
+    | "clients" -> each count (fun l -> Clients l)
+    | _ ->
+        errf line "unknown sweep field %S (expected one of: %s)" field
+          (String.concat ", " sweep_fields)
 
 let parse_line p ~line tokens =
   let once what slot store =
@@ -346,10 +515,9 @@ let parse_line p ~line tokens =
             Some
               { Plan.seed; loss_rate; outage_period; outage_rate; outage_length; slow_rate;
                 slow_multiplier; crash_rate })
-  | [ "policy"; spec ] -> (
-      match policy_of_string spec with
-      | Some policy -> Ok (p.p_policies <- policy :: p.p_policies)
-      | None -> errf line "unknown policy %S (a cache kind or g<N>)" spec)
+  | [ "policy"; spec ] ->
+      let* policy = parse_policy ~line spec in
+      Ok (p.p_policies <- policy :: p.p_policies)
   | "policy" :: _ -> errf line "policy takes exactly one value"
   | [ "invariant"; spec ] -> (
       match invariant_of_string spec with
@@ -358,35 +526,54 @@ let parse_line p ~line tokens =
           errf line "unknown invariant %S (expected one of: %s)" spec
             (String.concat ", " (List.map invariant_name all_invariants)))
   | "invariant" :: _ -> errf line "invariant takes exactly one value"
+  | [ "sweep"; spec ] -> (
+      match String.index_opt spec '=' with
+      | None -> errf line "malformed sweep %S (expected field=v1,v2,...)" spec
+      | Some i ->
+          let field = String.sub spec 0 i in
+          let list = String.sub spec (i + 1) (String.length spec - i - 1) in
+          let values = String.split_on_char ',' list in
+          let* sweep = parse_values ~line ~what:("sweep " ^ field) field values in
+          if List.exists (fun (_, s) -> sweep_field s = field) p.p_sweeps then
+            errf line "duplicate sweep field %S" field
+          else (
+            match sweep_value_error sweep with
+            | Some m -> errf line "%s" m
+            | None -> Ok (p.p_sweeps <- (line, sweep) :: p.p_sweeps)))
+  | "sweep" :: _ -> errf line "sweep takes exactly one field=v1,v2,... list"
   | [ "expect"; "violation" ] ->
       if p.p_expect_violation then errf line "duplicate expect violation line"
       else Ok (p.p_expect_violation <- true)
   | "expect" :: "hit_rate" :: rest ->
       let* kvs = parse_optional_kvs ~line [ "policy"; "min"; "max" ] rest in
-      let* policy =
-        match List.assoc_opt "policy" kvs with
-        | None -> errf line "missing field \"policy\""
-        | Some spec -> (
-            match policy_of_string spec with
-            | Some p -> Ok p
-            | None -> errf line "unknown policy %S (a cache kind or g<N>)" spec)
+      let* policy = required ~line kvs "policy" policy_kv in
+      let* bound = bound_kv ~line ~what:"expect hit_rate" kvs in
+      let e =
+        match bound with
+        | `Min percent -> Hit_rate_min { policy; percent }
+        | `Max percent -> Hit_rate_max { policy; percent }
       in
-      let* e =
-        match (List.assoc_opt "min" kvs, List.assoc_opt "max" kvs) with
-        | Some v, None -> (
-            match float_of_string_opt v with
-            | Some percent -> Ok (Hit_rate_min { policy; percent })
-            | None -> errf line "field \"min\" is not a number: %S" v)
-        | None, Some v -> (
-            match float_of_string_opt v with
-            | Some percent -> Ok (Hit_rate_max { policy; percent })
-            | None -> errf line "field \"max\" is not a number: %S" v)
-        | Some _, Some _ -> errf line "expect hit_rate takes min or max, not both"
-        | None, None -> errf line "expect hit_rate needs min= or max="
+      Ok (p.p_expectations <- (line, e) :: p.p_expectations)
+  | "expect" :: (("below" | "at_most") as kind) :: rest ->
+      let* kvs = parse_kvs ~line [ "metric"; "field"; "lhs"; "rhs" ] rest in
+      let metric = List.assoc "metric" kvs and field = List.assoc "field" kvs in
+      let label side =
+        if field = "policy" then Result.map policy_name (policy_kv ~line kvs side)
+        else if List.mem field sweep_fields then
+          parse_values ~line ~what:side field [ List.assoc side kvs ]
+          |> Result.map (fun s -> List.hd (sweep_labels s))
+        else
+          errf line "unknown field %S (expected policy or one of: %s)" field
+            (String.concat ", " sweep_fields)
       in
-      Ok (p.p_expectations <- e :: p.p_expectations)
+      let* lhs = label "lhs" in
+      let* rhs = label "rhs" in
+      if not (List.mem metric metric_names) then errf line "unknown metric %S" metric
+      else
+        let order = if kind = "below" then Below else At_most in
+        Ok (p.p_expectations <- (line, Ordered { order; metric; field; lhs; rhs }) :: p.p_expectations)
   | "expect" :: kind :: _ -> errf line "unknown expectation %S" kind
-  | [ "expect" ] -> errf line "expect needs a kind (hit_rate or violation)"
+  | [ "expect" ] -> errf line "expect needs a kind (hit_rate, below, at_most or violation)"
   | "slo" :: metric :: rest ->
       let* slo_metric =
         match slo_metric_of_string metric with
@@ -396,43 +583,10 @@ let parse_line p ~line tokens =
               (String.concat ", " (List.map slo_metric_name all_slo_metrics))
       in
       let* kvs = parse_optional_kvs ~line [ "policy"; "min"; "max"; "window"; "after" ] rest in
-      let* slo_policy =
-        match List.assoc_opt "policy" kvs with
-        | None -> errf line "missing field \"policy\""
-        | Some spec -> (
-            match policy_of_string spec with
-            | Some p -> Ok p
-            | None -> errf line "unknown policy %S (a cache kind or g<N>)" spec)
-      in
-      let* slo_bound =
-        match (List.assoc_opt "min" kvs, List.assoc_opt "max" kvs) with
-        | Some v, None -> (
-            match float_of_string_opt v with
-            | Some f -> Ok (`Min f)
-            | None -> errf line "field \"min\" is not a number: %S" v)
-        | None, Some v -> (
-            match float_of_string_opt v with
-            | Some f -> Ok (`Max f)
-            | None -> errf line "field \"max\" is not a number: %S" v)
-        | Some _, Some _ -> errf line "slo takes min or max, not both"
-        | None, None -> errf line "slo needs min= or max="
-      in
-      let* slo_window =
-        match List.assoc_opt "window" kvs with
-        | None -> errf line "missing field \"window\""
-        | Some v -> (
-            match int_of_string_opt v with
-            | Some i -> Ok i
-            | None -> errf line "field \"window\" is not an integer: %S" v)
-      in
-      let* slo_after =
-        match List.assoc_opt "after" kvs with
-        | None -> Ok 0
-        | Some v -> (
-            match int_of_string_opt v with
-            | Some i -> Ok i
-            | None -> errf line "field \"after\" is not an integer: %S" v)
-      in
+      let* slo_policy = required ~line kvs "policy" policy_kv in
+      let* slo_bound = bound_kv ~line ~what:"slo" kvs in
+      let* slo_window = required ~line kvs "window" int_kv in
+      let* slo_after = if List.mem_assoc "after" kvs then int_kv ~line kvs "after" else Ok 0 in
       Ok
         (p.p_slos <-
            { slo_metric; slo_policy; slo_bound; slo_window; slo_after } :: p.p_slos)
@@ -452,6 +606,7 @@ let of_string text =
           p_churn = [];
           p_faults = None;
           p_policies = [];
+          p_sweeps = [];
           p_invariants = [];
           p_expectations = [];
           p_slos = [];
@@ -485,18 +640,35 @@ let of_string text =
       if p.p_policies = [] then
         Error (Printf.sprintf "line %d: missing policy line" (List.length lines))
       else
-        Ok
+        let t =
           {
             name;
             workload;
             topology;
             faults = Option.value ~default:Plan.none p.p_faults;
             policies = List.rev p.p_policies;
+            sweeps = List.rev_map snd p.p_sweeps;
             invariants = List.rev p.p_invariants;
-            expectations = List.rev p.p_expectations;
+            expectations = List.rev_map snd p.p_expectations;
             slos = List.rev p.p_slos;
             expect_violation = p.p_expect_violation;
           }
+        in
+        (* lines that refer to others are checked once every line is read *)
+        let errors =
+          List.filter_map
+            (fun (line, s) -> Option.map (fun m -> (line, m)) (sweep_topology_error topology s))
+            p.p_sweeps
+          @ List.filter_map
+              (function
+                | line, Ordered { field; lhs; rhs; _ } ->
+                    Option.map (fun m -> (line, "expect " ^ m)) (order_error t ~field ~lhs ~rhs)
+                | _, (Hit_rate_min _ | Hit_rate_max _) -> None)
+              p.p_expectations
+        in
+        (match List.sort compare errors with
+        | (line, m) :: _ -> Error (Printf.sprintf "line %d: %s" line m)
+        | [] -> Ok t)
   | first :: _ -> Error (Printf.sprintf "line 1: expected %S header, got %S" header (String.trim first))
   | [] -> Error "line 1: empty input"
 
@@ -547,28 +719,40 @@ let validate t =
   if t.policies = [] then invalid "Scenario.validate: empty policy matrix";
   List.iter (fun (p : policy) -> match p with Group g -> positive "group size" g | Plain _ -> ())
     t.policies;
-  let dup to_name l =
-    let names = List.map to_name l in
-    List.find_opt (fun n -> List.length (List.filter (( = ) n) names) > 1) names
-  in
-  (match dup policy_name t.policies with
-  | Some p -> invalid "Scenario.validate: duplicate policy %s" p
-  | None -> ());
-  (match dup invariant_name t.invariants with
-  | Some i -> invalid "Scenario.validate: duplicate invariant %s" i
-  | None -> ());
   List.iter
-    (fun e ->
-      let (Hit_rate_min { policy; percent } | Hit_rate_max { policy; percent }) = e in
-      if not (percent >= 0.0 && percent <= 100.0) then
-        invalid "Scenario.validate: hit-rate expectation %s outside [0, 100]" (float_str percent);
-      if not (List.exists (fun p -> policy_name p = policy_name policy) t.policies) then
-        invalid "Scenario.validate: expectation on policy %s absent from the matrix"
-          (policy_name policy))
+    (fun (what, d) -> Option.iter (invalid "Scenario.validate: duplicate %s %s" what) d)
+    [
+      ("policy", dup policy_name t.policies);
+      ("invariant", dup invariant_name t.invariants);
+      ("sweep field", dup sweep_field t.sweeps);
+      ("slo", dup slo_name t.slos);
+    ];
+  List.iter
+    (fun s ->
+      let fail = Option.iter (invalid "Scenario.validate: %s") in
+      fail (sweep_value_error s);
+      fail (sweep_topology_error t.topology s);
+      let first, set = List.hd (settings s) in
+      if set t <> t then
+        invalid "Scenario.validate: swept %s differs on its base line from its first value %s"
+          (sweep_field s) first)
+    t.sweeps;
+  List.iter
+    (function
+      | Hit_rate_min { policy; percent } | Hit_rate_max { policy; percent } ->
+          if not (percent >= 0.0 && percent <= 100.0) then
+            invalid "Scenario.validate: hit-rate expectation %s outside [0, 100]"
+              (float_str percent);
+          if not (List.exists (fun p -> policy_name p = policy_name policy) t.policies) then
+            invalid "Scenario.validate: expectation on policy %s absent from the matrix"
+              (policy_name policy)
+      | Ordered { metric; field; lhs; rhs; _ } ->
+          if not (List.mem metric metric_names) then
+            invalid "Scenario.validate: unknown metric %s" metric;
+          Option.iter (invalid "Scenario.validate: expectation %s") (order_error t ~field ~lhs ~rhs);
+          if lhs = rhs then
+            invalid "Scenario.validate: expectation compares %s=%s with itself" field lhs)
     t.expectations;
-  (match dup slo_name t.slos with
-  | Some s -> invalid "Scenario.validate: duplicate slo %s" s
-  | None -> ());
   (match t.slos with
   | [] -> ()
   | first :: rest ->

@@ -3,6 +3,8 @@
     serialised in a strict one-line-per-field text format so that a
     directory of [*.scn] files is itself an executable test corpus
     (CoreSim's TestBuilder discipline applied to the paper's harness).
+    [sweep] lines turn one scenario into a parameter sweep, and ordering
+    expectations compare its cells.
 
     The codec is strict in the style of {!Agg_obs.Event}: every field of
     a line must be present, recognised and well-typed; unknown fields,
@@ -45,6 +47,26 @@ type policy =
 val policy_name : policy -> string
 (** ["lru"], ["arc"], ..., or ["g<N>"] — the codec's policy spelling. *)
 
+type sweep =
+  | Loss of float list  (** the fault plan's message-loss rate *)
+  | Outage_rate of float list  (** the fault plan's outage rate *)
+  | Replicas of int list  (** a cluster topology's replication factor *)
+  | Placement of Agg_cluster.Cluster.metadata_placement list
+      (** a cluster topology's metadata placement *)
+  | Clients of int list  (** a fleet or cluster topology's client count *)
+(** One axis of a parameter sweep: a field of the scenario and the values
+    it takes, written [sweep <field>=<v1>,<v2>,...]. The cells of a
+    scenario are the cross product of its axes and its policy matrix.
+    The field's value on its base line (the faults or topology line) must
+    be the axis's first value, so the scenario without its sweep lines is
+    its first point. *)
+
+val sweep_field : sweep -> string
+(** ["loss"], ["outage_rate"], ["replicas"], ["placement"] or ["clients"]. *)
+
+val sweep_labels : sweep -> string list
+(** The axis's values as the codec prints them, in axis order. *)
+
 type invariant =
   | Conservation
       (** per cell: counter identities hold (accesses = hits + server
@@ -64,13 +86,26 @@ type invariant =
 
 val all_invariants : invariant list
 
+type order = Below  (** strictly less *) | At_most  (** less or equal *)
+
 type expectation =
   | Hit_rate_min of { policy : policy; percent : float }
-      (** the named cell's client hit rate is at least [percent] *)
+      (** the client hit rate of every cell of [policy] is at least
+          [percent] *)
   | Hit_rate_max of { policy : policy; percent : float }
+  | Ordered of { order : order; metric : string; field : string; lhs : string; rhs : string }
+      (** at every point of the other coordinates, [metric] of the cell
+          whose [field] is [lhs] is [order] that of the cell whose [field]
+          is [rhs]. [field] is ["policy"] or a swept field; [lhs] and
+          [rhs] are labels on its axis (policy names for ["policy"]) *)
+
+val metric_names : string list
+(** The metrics every cell reports, in render order; an ordering
+    expectation names one of them. *)
 
 val expectation_name : expectation -> string
-(** A check label, e.g. ["hit_rate policy=lru min=99.5"] — the codec
+(** A check label, e.g. ["hit_rate policy=lru min=99.5"] or
+    ["below metric=hit_rate field=policy lhs=lru rhs=g5"] — the codec
     line without its [expect ] keyword. *)
 
 type slo_metric =
@@ -106,7 +141,8 @@ type t = {
   workload : workload;
   topology : topology;
   faults : Agg_faults.Plan.config;
-  policies : policy list;  (** the policy/group-size matrix; one cell each *)
+  policies : policy list;  (** the policy/group-size matrix *)
+  sweeps : sweep list;  (** the sweep axes, at most one per field *)
   invariants : invariant list;
   expectations : expectation list;
   slos : slo list;  (** windowed service-level rules; all share one window *)
@@ -115,12 +151,28 @@ type t = {
           {e iff} some invariant, expectation or slo fails *)
 }
 
+type point = (string * string) list
+(** A cell's coordinates on the sweep axes: one [(field, value label)]
+    per axis, in axis order; [[]] for a scenario with no sweep. *)
+
+val point_name : point -> string
+(** ["loss=0.1 replicas=3"]; [""] for the empty point. *)
+
+val points : t -> (point * t) list
+(** Every point of the sweep, the last axis varying fastest, each with
+    the scenario it stands for: the base with the point's values in
+    place and no sweeps. [[([], t)]] when nothing is swept. *)
+
 val to_string : t -> string
 (** Canonical text form, starting with the [#scenario v1] header. *)
 
 val of_string : string -> (t, string) result
 (** Strict parse of {!to_string}'s format. [Error] messages are one line,
-    prefixed [line N:]. Round-trip law: [of_string (to_string s) = Ok s]. *)
+    prefixed [line N:]. Round-trip law: [of_string (to_string s) = Ok s].
+    Sweep and ordering lines are checked against the whole file: a sweep
+    of an unknown, repeated or (on this topology) absent field, or with
+    an empty, malformed, out-of-range or repeated value, and an ordering
+    on an unknown metric or field or a value off its axis are errors. *)
 
 val load_file : string -> (t, string) result
 (** {!of_string} over a file's contents; IO and parse errors are prefixed
@@ -135,4 +187,6 @@ val validate : t -> unit
     sizes, a non-positive window, a negative [after], a rate bound
     outside [0, 100], a negative latency bound, a policy absent from the
     matrix, or [p99_latency] on a fleet topology (whose cells report no
-    latency). *)
+    latency); and on a sweep {!of_string} would reject, a swept field
+    whose base value is not its axis's first value, or an ordering
+    expectation that compares a value with itself. *)

@@ -2,7 +2,8 @@
     [*.scn] files (a directory's, by {!corpus_files}), execute each through an
     {!Experiment.Runner} (its [jobs] sizes the pool, its profiler times
     each cell), and render the results as a table and as the
-    [BENCH_scenarios.json] document. *)
+    [BENCH_scenarios.json] document. A swept scenario renders as one
+    {!table} and one {!json_of_outcome} ledger. *)
 
 type entry = {
   file : string;  (** path of the [.scn] file *)
@@ -30,4 +31,17 @@ val render : entry list -> string
 
 val json_of_entries : entry list -> Agg_util.Json.t
 (** The [BENCH_scenarios.json] document: per scenario its verdict,
-    per-cell hit rates and every check with its detail. *)
+    per-cell hit rates (a swept cell with its point) and every check with
+    its detail. *)
+
+val json_of_outcome : Agg_scenario.Exec.outcome -> Agg_util.Json.t
+(** One scenario's ledger ([BENCH_faults.json], [BENCH_cluster.json]):
+    its name, events and verdict, every cell with its policy, point and
+    every metric as {!Agg_scenario.Exec.render_outcome} prints it, and
+    every check with its detail. *)
+
+val table : Agg_scenario.Exec.outcome -> Agg_util.Table.t
+(** One row per cell: its policy and point, then its hit rate (%),
+    mean latency (ms), server requests and hits, store fetches,
+    invalidations, routed fetches, failovers, timeouts, retries and
+    degraded fetches. *)

@@ -554,18 +554,29 @@ let test_reconcile_event_stream () =
 
 (* --- sweep: jobs-independence -------------------------------------------- *)
 
-let tiny = { Agg_sim.Experiment.events = 3000; seed = 7; jobs = 1 }
-
+(* The node-loss sweep is scenarios/sweeps/cluster.scn; narrowed to two
+   replication factors and two outage rates at owner placement, its cells
+   and its ledger are the same at jobs=1 and jobs=4. *)
 let test_sweep_jobs_identity () =
-  let sweep jobs =
-    Agg_sim.Cluster.sweep ~node_counts:[ 3 ] ~node_loss_rates:[ 0.0; 0.2 ]
-      ~replica_counts:[ 1; 2 ]
-      (Agg_sim.Experiment.Runner.create ~settings:{ tiny with Agg_sim.Experiment.jobs } ())
+  let module Scenario = Agg_scenario.Scenario in
+  let dir = if Sys.file_exists "../scenarios" then "../scenarios" else "scenarios" in
+  let s =
+    match Scenario.load_file (Filename.concat dir "sweeps/cluster.scn") with
+    | Ok s ->
+        { s with Scenario.sweeps = [ Scenario.Replicas [ 1; 3 ]; Scenario.Outage_rate [ 0.0; 0.2 ] ] }
+    | Error msg -> Alcotest.failf "%s" msg
   in
-  let a = sweep 1 in
-  let b = sweep 4 in
-  check_bool "points identical for jobs=1 and jobs=4" true (a = b);
-  let json points = Agg_util.Json.to_string (Agg_sim.Cluster.json_of_points points) in
+  let sweep jobs =
+    match Agg_scenario.Exec.run ~jobs ~events_cap:3000 s with
+    | Ok o -> o
+    | Error msg -> Alcotest.failf "cluster sweep: %s" msg
+  in
+  let a = sweep 1 and b = sweep 4 in
+  check_int "two policies at four points" 8 (List.length a.Agg_scenario.Exec.cells);
+  check_bool "every check passes" true a.Agg_scenario.Exec.pass;
+  check_string "cells identical for jobs=1 and jobs=4" (Agg_scenario.Exec.render_outcome a)
+    (Agg_scenario.Exec.render_outcome b);
+  let json o = Agg_util.Json.to_string (Agg_sim.Scenarios.json_of_outcome o) in
   check_string "json byte-identical for jobs=1 and jobs=4" (json a) (json b)
 
 (* --- telemetry ----------------------------------------------------------- *)

@@ -20,6 +20,7 @@ let contains ~needle haystack =
    `dune runtest` (_build/.../test), [scenarios] under `dune exec` from
    the project root. *)
 let corpus_dir = if Sys.file_exists "../scenarios" then "../scenarios" else "scenarios"
+let sweeps_dir = Filename.concat corpus_dir "sweeps"
 
 let base =
   {
@@ -28,6 +29,7 @@ let base =
     topology = Scenario.Fleet { clients = 2; client_capacity = 100; server_capacity = 200 };
     faults = Plan.none;
     policies = [ Scenario.Plain Cache.Lru; Scenario.Group 5 ];
+    sweeps = [];
     invariants = Scenario.all_invariants;
     expectations = [];
     slos = [];
@@ -76,9 +78,31 @@ let test_roundtrip_crafted () =
       expect_violation = true;
     }
   in
+  let swept =
+    {
+      cluster with
+      Scenario.name = "crafted-sweep";
+      sweeps =
+        [
+          Scenario.Replicas [ 3; 1 ];
+          Scenario.Placement [ Agg_cluster.Cluster.Replicated_with_group; Agg_cluster.Cluster.Owner_node ];
+          Scenario.Loss [ 0.1; 0.0; 1.0 /. 3.0 ];
+          Scenario.Clients [ 6; 12 ];
+        ];
+      expectations =
+        [
+          Scenario.Ordered
+            { order = Scenario.Below; metric = "hit_rate"; field = "policy"; lhs = "arc"; rhs = "g10" };
+          Scenario.Ordered
+            { order = Scenario.At_most; metric = "faults.degraded_fetches"; field = "replicas";
+              lhs = "3"; rhs = "1" };
+        ];
+    }
+  in
   List.iter
     (fun s -> check_bool "round-trips" true (roundtrip s = s))
-    [ base; cluster; { base with Scenario.topology = Scenario.Path { client_capacity = 10; server_capacity = 20 } } ]
+    [ base; cluster; swept;
+      { base with Scenario.topology = Scenario.Path { client_capacity = 10; server_capacity = 20 } } ]
 
 let test_roundtrip_comments_skipped () =
   let text = Scenario.to_string base in
@@ -126,6 +150,186 @@ let test_codec_missing_sections () =
   expect_error
     "#scenario v1\nname a\nworkload trace file=t.trc\ntopology path client_capacity=1 server_capacity=1\n"
     "missing policy line"
+
+(* Every malformed sweep or ordering line is a one-line error naming the
+   line it is on, even when what it contradicts comes later in the file. *)
+let test_sweep_rejections () =
+  let file ?(topology = "topology fleet clients=2 client_capacity=100 server_capacity=200") lines =
+    String.concat "\n"
+      ([ "#scenario v1"; "name s"; "workload profile name=server events=100 seed=1"; topology;
+         "policy lru"; "policy g5" ]
+      @ lines)
+    ^ "\n"
+  in
+  let path = "topology path client_capacity=10 server_capacity=20" in
+  let cluster =
+    "topology cluster nodes=3 replicas=1 placement=owner ring_seed=1 clients=2 client_capacity=10 \
+     node_capacity=20"
+  in
+  let cases =
+    [
+      (file [ "sweep speed=1,2" ], "line 7: unknown sweep field \"speed\"");
+      (file [ "sweep loss=0"; "sweep loss=0.1" ], "line 8: duplicate sweep field \"loss\"");
+      (file [ "sweep loss=" ], "line 7: sweep loss has an empty value");
+      (file [ "sweep loss=0,,1" ], "line 7: sweep loss has an empty value");
+      (file [ "sweep loss" ], "line 7: malformed sweep \"loss\"");
+      (file [ "sweep loss=0 clients=2" ], "line 7: sweep takes exactly one");
+      (file [ "sweep" ], "line 7: sweep takes exactly one");
+      (file [ "sweep loss=0,x" ], "line 7: sweep loss value \"x\" is not a number");
+      (file [ "sweep clients=1.5" ], "line 7: sweep clients value \"1.5\" is not an integer");
+      (file [ "sweep loss=0,1.5" ], "line 7: sweep loss value 1.5 is outside [0, 1]");
+      (file [ "sweep outage_rate=-0.1" ], "line 7: sweep outage_rate value -0.1 is outside [0, 1]");
+      (file ~topology:cluster [ "sweep replicas=0,1" ], "line 7: sweep replicas value 0 must be positive");
+      (file [ "sweep clients=2,0" ], "line 7: sweep clients value 0 must be positive");
+      (file [ "sweep loss=0.1,0.10" ], "line 7: sweep loss repeats value 0.1");
+      (file ~topology:cluster [ "sweep placement=owner,nowhere" ], "line 7: sweep placement value \"nowhere\" is not a placement");
+      (file [ "sweep replicas=1,2" ], "line 7: sweep replicas needs a cluster topology");
+      (file ~topology:path [ "sweep placement=owner" ], "line 7: sweep placement needs a cluster topology");
+      (file ~topology:path [ "sweep clients=1,2" ], "line 7: sweep clients needs a fleet or cluster");
+      ( file [ "expect below metric=speed field=policy lhs=lru rhs=g5" ],
+        "line 7: unknown metric \"speed\"" );
+      ( file [ "expect below metric=hit_rate field=color lhs=lru rhs=g5" ],
+        "line 7: unknown field \"color\"" );
+      ( file [ "expect at_most metric=hit_rate field=loss lhs=0 rhs=0.1" ],
+        "line 7: expect field loss is not swept" );
+      ( file [ "expect at_most metric=hit_rate field=clients lhs=2 rhs=8"; "sweep clients=2,4" ],
+        "line 7: expect clients=8 is not on the clients axis" );
+      ( file [ "expect below metric=hit_rate field=policy lhs=lru rhs=g9" ],
+        "line 7: expect policy=g9 is not on the policy axis" );
+      ( file [ "expect below metric=hit_rate field=policy lhs=lru" ],
+        "line 7: missing field \"rhs\"" );
+      ( file [ "expect below metric=hit_rate field=loss lhs=zero rhs=0"; "sweep loss=0,0.1" ],
+        "line 7: lhs value \"zero\" is not a number" );
+      (* a topology line after the sweep it rules out *)
+      ( String.concat "\n"
+          [ "#scenario v1"; "name s"; "sweep replicas=1,2"; "workload trace file=t.trc"; path;
+            "policy lru"; "" ],
+        "line 3: sweep replicas needs a cluster topology" );
+    ]
+  in
+  List.iter
+    (fun (text, fragment) ->
+      match Scenario.of_string text with
+      | Ok _ -> Alcotest.failf "expected an error containing %S" fragment
+      | Error msg ->
+          check_bool (Printf.sprintf "error %S starts with %S" msg fragment) true
+            (String.length msg >= String.length fragment
+            && String.sub msg 0 (String.length fragment) = fragment);
+          check_bool "one line" false (String.contains msg '\n'))
+    cases;
+  (* each field parses on the topology that has it *)
+  List.iter
+    (fun text ->
+      match Scenario.of_string text with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "rejected a valid sweep: %s" msg)
+    [
+      file [ "sweep loss=0,0.5"; "sweep outage_rate=0,1"; "sweep clients=2,4" ];
+      file ~topology:cluster
+        [ "sweep replicas=1,3"; "sweep placement=owner,group,client"; "sweep clients=2";
+          "expect at_most metric=faults.degraded_fetches field=replicas lhs=3 rhs=1";
+          "expect below metric=hit_rate field=policy lhs=lru rhs=g5" ];
+      file ~topology:path [ "sweep loss=0,0.1" ];
+    ]
+
+(* A swept field's value on its base line must be the axis's first value:
+   the scenario with its sweep lines removed is then exactly its first
+   point, which is what the shrinker falls back to when it drops an axis. *)
+let test_sweep_base_value () =
+  let swept = { base with Scenario.sweeps = [ Scenario.Clients [ 2; 4; 8 ]; Scenario.Loss [ 0.0; 0.2 ] ] } in
+  Scenario.validate swept;
+  (match Scenario.points swept with
+  | (point, first) :: rest ->
+      check_string "first point" "clients=2 loss=0" (Scenario.point_name point);
+      check_bool "the first point is the base without its sweep" true
+        (first = { swept with Scenario.sweeps = [] });
+      check_int "cross product" 5 (List.length rest);
+      Alcotest.(check (list string))
+        "last axis fastest"
+        [ "clients=2 loss=0.2"; "clients=4 loss=0"; "clients=4 loss=0.2"; "clients=8 loss=0";
+          "clients=8 loss=0.2" ]
+        (List.map (fun (p, _) -> Scenario.point_name p) rest);
+      List.iter
+        (fun (p, (t : Scenario.t)) ->
+          match t.Scenario.topology with
+          | Scenario.Fleet { clients; _ } ->
+              check_string "clients in place" (List.assoc "clients" p) (string_of_int clients);
+              check_string "loss in place" (List.assoc "loss" p)
+                (Printf.sprintf "%g" t.Scenario.faults.Plan.loss_rate)
+          | _ -> Alcotest.fail "topology changed kind")
+        rest
+  | [] -> Alcotest.fail "no points");
+  check_bool "no sweep, one empty point" true (Scenario.points base = [ ([], base) ]);
+  let raises what t =
+    match Scenario.validate t with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.failf "validate accepted %s" what
+  in
+  raises "a base value off the axis's first value"
+    { base with Scenario.sweeps = [ Scenario.Clients [ 4; 2 ] ] };
+  raises "a base loss off the axis's first value"
+    { base with Scenario.sweeps = [ Scenario.Loss [ 0.1; 0.0 ] ] };
+  raises "a duplicate sweep field"
+    { base with Scenario.sweeps = [ Scenario.Loss [ 0.0 ]; Scenario.Loss [ 0.0; 0.1 ] ] };
+  raises "an empty axis" { base with Scenario.sweeps = [ Scenario.Clients [] ] };
+  raises "replicas on a fleet" { base with Scenario.sweeps = [ Scenario.Replicas [ 1 ] ] };
+  raises "an ordering on an unswept field"
+    { base with
+      Scenario.expectations =
+        [ Scenario.Ordered
+            { order = Scenario.Below; metric = "hit_rate"; field = "loss"; lhs = "0"; rhs = "0.1" } ] };
+  raises "an ordering of a value with itself"
+    { base with
+      Scenario.expectations =
+        [ Scenario.Ordered
+            { order = Scenario.Below; metric = "hit_rate"; field = "policy"; lhs = "lru"; rhs = "lru" } ] }
+
+(* Prng-seeded byte mutations of every corpus and sweep file: the parser
+   answers each mutant with a scenario or a one-line error that starts
+   [line N:], and validate rejects a parsed one only with
+   Invalid_argument. *)
+let mutate rng text =
+  let structural = "=, \n#0123456789.-eginpx_" in
+  let byte () =
+    if Agg_util.Prng.bool rng then structural.[Agg_util.Prng.int rng (String.length structural)]
+    else Char.chr (Agg_util.Prng.int rng 256)
+  in
+  let n = String.length text in
+  let i = Agg_util.Prng.int rng (n + 1) in
+  match Agg_util.Prng.int rng 3 with
+  | 0 when i < n -> String.mapi (fun j c -> if j = i then byte () else c) text
+  | 1 when i < n -> String.sub text 0 i ^ String.sub text (i + 1) (n - i - 1)
+  | _ -> String.sub text 0 i ^ String.make 1 (byte ()) ^ String.sub text i (n - i)
+
+let test_byte_mutations () =
+  let rng = Agg_util.Prng.create ~seed:31 () in
+  let located msg =
+    match String.index_opt msg ':' with
+    | Some k when k > 5 && String.sub msg 0 5 = "line " ->
+        int_of_string_opt (String.sub msg 5 (k - 5)) <> None
+    | _ -> false
+  in
+  List.iter
+    (fun file ->
+      let text = In_channel.with_open_text file In_channel.input_all in
+      for _ = 1 to 400 do
+        let mutant = ref text in
+        for _ = 0 to Agg_util.Prng.int rng 3 do
+          mutant := mutate rng !mutant
+        done;
+        match Scenario.of_string !mutant with
+        | Error msg ->
+            if String.contains msg '\n' || not (located msg) then
+              Alcotest.failf "%s: mutant %S gave the error %S" file !mutant msg
+        | Ok s -> (
+            match Scenario.validate s with
+            | () | (exception Invalid_argument _) -> ()
+            | exception e ->
+                Alcotest.failf "%s: validate raised %s on %S" file (Printexc.to_string e) !mutant)
+        | exception e ->
+            Alcotest.failf "%s: of_string raised %s on %S" file (Printexc.to_string e) !mutant
+      done)
+    (Agg_sim.Scenarios.corpus_files corpus_dir @ Agg_sim.Scenarios.corpus_files sweeps_dir)
 
 let test_load_file_errors () =
   (match Scenario.load_file (Filename.concat corpus_dir "no-such.scn") with
@@ -279,14 +483,49 @@ let gen_scenario =
       (fun mask -> List.filteri (fun idx _ -> List.nth mask idx) Scenario.all_invariants)
       (list_size (return (List.length Scenario.all_invariants)) bool)
   in
+  (* any subset of the fields the topology has, in any order, each with
+     distinct values valid for it *)
+  let* sweeps =
+    let fields =
+      match topology with
+      | Scenario.Path _ -> [ `Loss; `Outage ]
+      | Scenario.Fleet _ -> [ `Loss; `Outage; `Clients ]
+      | Scenario.Cluster _ -> [ `Loss; `Outage; `Clients; `Replicas; `Placement ]
+    in
+    let* chosen = shuffle_l fields in
+    let* n = int_range 0 (List.length chosen) in
+    let distinct gen = map (List.sort_uniq compare) (list_size (int_range 1 4) gen) in
+    flatten_l
+      (List.map
+         (function
+           | `Loss -> map (fun l -> Scenario.Loss l) (distinct rate_gen)
+           | `Outage -> map (fun l -> Scenario.Outage_rate l) (distinct rate_gen)
+           | `Clients -> map (fun l -> Scenario.Clients l) (distinct (int_range 1 32))
+           | `Replicas -> map (fun l -> Scenario.Replicas l) (distinct (int_range 1 9))
+           | `Placement ->
+               map (fun l -> Scenario.Placement l) (distinct (oneofl Agg_cluster.Cluster.placements)))
+         (List.filteri (fun k _ -> k < n) chosen))
+  in
   let* expectations =
-    list_size (int_range 0 2)
-      (let* policy = oneofl (Array.of_list policies |> Array.to_list) in
-       let* percent = map (fun n -> float_of_int n /. 10.0) (int_range 0 1000) in
-       let* kind = bool in
-       return
-         (if kind then Scenario.Hit_rate_min { policy; percent }
-          else Scenario.Hit_rate_max { policy; percent }))
+    let axes =
+      ("policy", List.map Scenario.policy_name policies)
+      :: List.map (fun s -> (Scenario.sweep_field s, Scenario.sweep_labels s)) sweeps
+    in
+    list_size (int_range 0 3)
+      (oneof
+         [
+           (let* policy = oneofl (Array.of_list policies |> Array.to_list) in
+            let* percent = map (fun n -> float_of_int n /. 10.0) (int_range 0 1000) in
+            let* kind = bool in
+            return
+              (if kind then Scenario.Hit_rate_min { policy; percent }
+               else Scenario.Hit_rate_max { policy; percent }));
+           (let* field, labels = oneofl axes in
+            let* lhs = oneofl labels and* rhs = oneofl labels in
+            let* metric = oneofl Scenario.metric_names in
+            let* order = oneofl [ Scenario.Below; Scenario.At_most ] in
+            return (Scenario.Ordered { order; metric; field; lhs; rhs }));
+         ])
   in
   let* expect_violation = bool in
   let* slos =
@@ -311,7 +550,7 @@ let gen_scenario =
     List.sort_uniq (fun a b -> String.compare (Scenario.slo_name a) (Scenario.slo_name b)) slos
   in
   return
-    { Scenario.name; workload; topology; faults; policies; invariants; expectations; slos;
+    { Scenario.name; workload; topology; faults; policies; sweeps; invariants; expectations; slos;
       expect_violation }
 
 let qcheck_tests =
@@ -456,6 +695,189 @@ let test_exec_slo_after_skips_warmup () =
   check_int "after=0 checks every window" 4 (count all);
   check_int "after=1500 drops the first three windows" 1 (count late)
 
+(* --- sweeps ---------------------------------------------------------------- *)
+
+let find_check (o : Exec.outcome) prefix =
+  match
+    List.find_opt (fun (c : Exec.check) -> String.starts_with ~prefix c.Exec.check_name) o.Exec.checks
+  with
+  | Some c -> c
+  | None -> Alcotest.failf "no check named %s..." prefix
+
+let users = Scenario.Profile { profile = "users"; events = 2000; seed = 3 }
+
+let swept_fleet =
+  { base with
+    Scenario.workload = users;
+    topology = Scenario.Fleet { clients = 2; client_capacity = 100; server_capacity = 200 };
+    sweeps = [ Scenario.Clients [ 2; 8 ]; Scenario.Loss [ 0.0; 0.2 ] ];
+    invariants = [ Scenario.Conservation; Scenario.Every_request_served ] }
+
+(* Cells are the policy matrix crossed with the sweep, policy-major, then
+   in point order; the render and the ledger label each with its point. *)
+let test_exec_sweep_cells () =
+  let o = run_ok swept_fleet in
+  Alcotest.(check (list string))
+    "cell order"
+    [
+      "policy=lru clients=2 loss=0"; "policy=lru clients=2 loss=0.2"; "policy=lru clients=8 loss=0";
+      "policy=lru clients=8 loss=0.2"; "policy=g5 clients=2 loss=0"; "policy=g5 clients=2 loss=0.2";
+      "policy=g5 clients=8 loss=0"; "policy=g5 clients=8 loss=0.2";
+    ]
+    (List.map Exec.cell_label o.Exec.cells);
+  check_bool "render labels each cell" true
+    (contains ~needle:"cell policy=g5 clients=8 loss=0.2\n" (Exec.render_outcome o));
+  check_bool "conservation over every cell" true
+    (contains ~needle:"8 cells" (find_check o "conservation").Exec.detail);
+  let ledger = Agg_util.Json.to_string (Agg_sim.Scenarios.json_of_outcome o) in
+  check_bool "ledger labels each cell" true
+    (contains ~needle:"{\"policy\": \"g5\", \"clients\": \"8\", \"loss\": \"0.2\", \"accesses\": 2000," ledger);
+  (* the same point replayed alone gives the same cell *)
+  let alone =
+    run_ok
+      { swept_fleet with
+        Scenario.topology = Scenario.Fleet { clients = 8; client_capacity = 100; server_capacity = 200 };
+        faults = { Plan.none with Plan.loss_rate = 0.2 };
+        sweeps = [];
+        invariants = [] }
+  in
+  check_bool "a cell equals its point run alone" true
+    ((List.nth alone.Exec.cells 1).Exec.metrics = (List.nth o.Exec.cells 7).Exec.metrics)
+
+(* An expectation holds only if it holds at every point of its policy,
+   and its detail names the point that breaks it. *)
+let test_exec_sweep_expectations () =
+  let o = run_ok swept_fleet in
+  let rates =
+    List.filter_map
+      (fun (c : Exec.cell) ->
+        if c.Exec.policy = Scenario.Plain Cache.Lru then Some (Exec.metric c "hit_rate", c.Exec.point)
+        else None)
+      o.Exec.cells
+    |> List.map (fun (r, p) -> (Option.get r, p))
+  in
+  let lo, lo_point = List.fold_left (fun a b -> if fst b < fst a then b else a) (List.hd rates) rates in
+  let hi, hi_point = List.fold_left (fun a b -> if fst b > fst a then b else a) (List.hd rates) rates in
+  check_bool "the sweep moves lru's hit rate" true (lo < hi);
+  let mid = (lo +. hi) /. 2.0 in
+  let check e =
+    find_check (run_ok { swept_fleet with Scenario.expectations = [ e ] }) "hit_rate"
+  in
+  let low = check (Scenario.Hit_rate_min { policy = Scenario.Plain Cache.Lru; percent = mid }) in
+  check_bool "min fails at some point" false low.Exec.pass;
+  check_bool "names the lowest point" true
+    (contains ~needle:(" at " ^ Scenario.point_name lo_point) low.Exec.detail);
+  let high = check (Scenario.Hit_rate_max { policy = Scenario.Plain Cache.Lru; percent = mid }) in
+  check_bool "max fails at some point" false high.Exec.pass;
+  check_bool "names the highest point" true
+    (contains ~needle:(" at " ^ Scenario.point_name hi_point) high.Exec.detail);
+  check_bool "a bound every point meets passes" true
+    (check (Scenario.Hit_rate_min { policy = Scenario.Plain Cache.Lru; percent = lo })).Exec.pass;
+  (* an slo that holds without loss and breaks under it *)
+  let slo =
+    { Scenario.slo_metric = Scenario.Slo_degraded_rate; slo_policy = Scenario.Group 5;
+      slo_bound = `Max 0.0; slo_window = 500; slo_after = 0 }
+  in
+  let path = { base with Scenario.topology = Scenario.Path { client_capacity = 100; server_capacity = 200 } } in
+  let clean = run_ok { path with Scenario.slos = [ slo ]; invariants = [] } in
+  check_bool "no loss, no degraded window" true (find_check clean "slo").Exec.pass;
+  let lossy =
+    run_ok
+      { path with
+        Scenario.slos = [ slo ];
+        invariants = [];
+        sweeps = [ Scenario.Loss [ 0.0; 0.5 ] ] }
+  in
+  let c = find_check lossy "slo" in
+  check_bool "the lossy point breaks the slo" false c.Exec.pass;
+  check_bool "detail names the point and window" true
+    (contains ~needle:"loss=0.5: window " c.Exec.detail)
+
+(* Ordering expectations compare two values of one coordinate at every
+   point of the others. *)
+let test_exec_sweep_orderings () =
+  let order ?(o = Scenario.Below) metric field lhs rhs =
+    Scenario.Ordered { order = o; metric; field; lhs; rhs }
+  in
+  let run e = find_check (run_ok { swept_fleet with Scenario.expectations = [ e ] }) in
+  let c = run (order ~o:Scenario.At_most "faults.degraded_fetches" "loss" "0" "0.2") "at_most" in
+  check_bool "no loss never degrades more than loss" true c.Exec.pass;
+  check_bool "one comparison per other point" true (contains ~needle:"4 points; closest" c.Exec.detail);
+  let c = run (order "faults.timeouts" "loss" "0.2" "0") "below" in
+  check_bool "loss has more timeouts" false c.Exec.pass;
+  check_bool "names the failing point" true
+    (contains ~needle:"fails at policy=lru clients=2 (loss=0.2: " c.Exec.detail);
+  let c = run (order ~o:Scenario.At_most "accesses" "policy" "g5" "lru") "at_most" in
+  check_bool "equal accesses satisfy at_most" true c.Exec.pass;
+  check_bool "but not below" false (run (order "accesses" "policy" "g5" "lru") "below").Exec.pass
+
+(* belady_bound and g1_equals_lru run at every point: Belady bounds each
+   point at its own total client capacity. *)
+let test_exec_sweep_per_point_invariants () =
+  let t =
+    { base with
+      Scenario.workload = users;
+      topology = Scenario.Fleet { clients = 1; client_capacity = 10; server_capacity = 200 };
+      sweeps = [ Scenario.Clients [ 1; 8 ] ];
+      invariants = [ Scenario.Belady_bound; Scenario.G1_equals_lru; Scenario.Jobs_invariance ] }
+  in
+  let o = run_ok t in
+  check_bool "every invariant holds" true o.Exec.pass;
+  check_bool "g1 compared at each point" true
+    (contains ~needle:"at 2 points" (find_check o "g1_equals_lru").Exec.detail);
+  (* the 8-client cell beats the 1-client optimum: a single bound would fail *)
+  let trace =
+    Agg_workload.Generator.generate ~seed:3 ~events:2000
+      (Option.get (Agg_workload.Profile.by_name "users"))
+  in
+  let one = Agg_cache.Belady.simulate ~capacity:10 (Agg_trace.Trace.files trace) in
+  let eight =
+    List.find (fun (c : Exec.cell) -> Exec.cell_label c = "policy=lru clients=8") o.Exec.cells
+  in
+  check_bool "8 clients out-hit Belady at one client's capacity" true
+    (Option.get (Exec.metric eight "client_hits") > float_of_int one.Agg_cache.Belady.hits)
+
+let sweep_files () = Agg_sim.Scenarios.corpus_files sweeps_dir
+
+let load file =
+  match Scenario.load_file file with Ok s -> s | Error msg -> Alcotest.failf "%s" msg
+
+(* The sweeps stated in scenarios/sweeps at a small cap: every check
+   passes, the rendered cells are the same for any jobs value, and the
+   headline orderings hold. *)
+let test_sweep_files_jobs () =
+  Alcotest.(check (list string))
+    "the three sweeps" [ "cluster.scn"; "fleet.scn"; "resilience.scn" ]
+    (List.map Filename.basename (sweep_files ()));
+  List.iter
+    (fun file ->
+      let s = load file in
+      Scenario.validate s;
+      let render jobs = Exec.render_outcome (run_ok ~jobs ~events_cap:3000 s) in
+      let one = render 1 in
+      check_string (Filename.basename file ^ " jobs=1 vs jobs=4") one (render 4);
+      check_bool (Filename.basename file ^ " passes") true (contains ~needle:"verdict pass" one))
+    (sweep_files ());
+  let o =
+    run_ok ~jobs:2 ~events_cap:3000
+      { (load (Filename.concat sweeps_dir "fleet.scn")) with
+        Scenario.invariants = [ Scenario.Jobs_invariance ] }
+  in
+  check_bool "jobs_invariance holds on a sweep" true o.Exec.pass
+
+let test_sweep_files_orderings () =
+  let resilience = run_ok ~events_cap:4000 (load (Filename.concat sweeps_dir "resilience.scn")) in
+  check_int "12 resilience cells" 12 (List.length resilience.Exec.cells);
+  let below = find_check resilience "below metric=hit_rate field=policy lhs=lru rhs=g5" in
+  check_bool "g5 beats lru at every loss rate" true below.Exec.pass;
+  check_bool "at six loss rates" true (contains ~needle:"6 points" below.Exec.detail);
+  let cluster = run_ok ~events_cap:4000 (load (Filename.concat sweeps_dir "cluster.scn")) in
+  check_int "48 cluster cells" 48 (List.length cluster.Exec.cells);
+  let at_most = find_check cluster "at_most metric=faults.degraded_fetches field=replicas" in
+  check_bool "k = 3 degrades no more than k = 1" true at_most.Exec.pass;
+  check_bool "at 24 points" true (contains ~needle:"24 points" at_most.Exec.detail);
+  check_bool "every request served" true (find_check cluster "every_request_served").Exec.pass
+
 (* --- corpus --------------------------------------------------------------- *)
 
 let corpus () = Agg_sim.Scenarios.corpus_files corpus_dir
@@ -598,7 +1020,34 @@ let test_perturb_valid () =
   for _ = 1 to 50 do
     s := Fuzz.perturb rng !s;
     Scenario.validate !s
+  done;
+  let swept = load (Filename.concat sweeps_dir "cluster.scn") in
+  let s = ref swept in
+  for _ = 1 to 50 do
+    s := Fuzz.perturb rng !s;
+    Scenario.validate !s;
+    check_bool "perturb never adds or changes an axis" true
+      (!s.Scenario.sweeps = swept.Scenario.sweeps)
   done
+
+(* The shrinker drops axes, then halves them, before anything else, and
+   never leaves an ordering expectation without its axis: a swept
+   known-bad entry shrinks to the same minimal form as the plain one. *)
+let test_shrinker_sweeps () =
+  let bad = load_known_bad () in
+  let swept =
+    { bad with
+      Scenario.sweeps = [ Scenario.Clients [ 4; 1; 2; 8 ]; Scenario.Loss [ 0.1; 0.0; 0.3 ] ];
+      expectations =
+        bad.Scenario.expectations
+        @ [ Scenario.Ordered
+              { order = Scenario.At_most; metric = "accesses"; field = "clients"; lhs = "1";
+                rhs = "2" } ] }
+  in
+  Scenario.validate swept;
+  check_bool "the swept entry violates" true (Fuzz.violates ~events_cap:1000 swept);
+  let shrunk = Fuzz.shrink ~events_cap:1000 swept in
+  check_string "shrinks to the pinned minimal scenario" pinned_minimal (Scenario.to_string shrunk)
 
 (* --- profiles ------------------------------------------------------------- *)
 
@@ -638,6 +1087,9 @@ let () =
           Alcotest.test_case "missing sections" `Quick test_codec_missing_sections;
           Alcotest.test_case "load_file errors" `Quick test_load_file_errors;
           Alcotest.test_case "validate" `Quick test_validate;
+          Alcotest.test_case "sweep rejections" `Quick test_sweep_rejections;
+          Alcotest.test_case "sweep base value" `Quick test_sweep_base_value;
+          Alcotest.test_case "byte mutations" `Quick test_byte_mutations;
         ] );
       ( "exec",
         [
@@ -647,6 +1099,15 @@ let () =
           Alcotest.test_case "unknown profile" `Quick test_exec_unknown_profile;
           Alcotest.test_case "slo pass and fail" `Quick test_exec_slo_pass_and_fail;
           Alcotest.test_case "slo after skips warmup" `Quick test_exec_slo_after_skips_warmup;
+          Alcotest.test_case "sweep cells" `Quick test_exec_sweep_cells;
+          Alcotest.test_case "sweep expectations" `Quick test_exec_sweep_expectations;
+          Alcotest.test_case "sweep orderings" `Quick test_exec_sweep_orderings;
+          Alcotest.test_case "sweep per-point invariants" `Quick test_exec_sweep_per_point_invariants;
+        ] );
+      ( "sweeps",
+        [
+          Alcotest.test_case "jobs=1 vs jobs=4" `Quick test_sweep_files_jobs;
+          Alcotest.test_case "g5 beats lru under loss" `Quick test_sweep_files_orderings;
         ] );
       ( "corpus",
         [
@@ -661,6 +1122,7 @@ let () =
           Alcotest.test_case "fuzz reports known-bad" `Quick test_fuzz_reports_known_bad;
           Alcotest.test_case "healthy untouched" `Quick test_shrink_keeps_healthy_scenario;
           Alcotest.test_case "perturb preserves validity" `Quick test_perturb_valid;
+          Alcotest.test_case "sweep shrinker" `Quick test_shrinker_sweeps;
         ] );
       ( "profiles",
         [

@@ -515,24 +515,27 @@ let test_runner_scope_inert () =
   Alcotest.(check string) "scope leaves the figure unchanged" plain instrumented;
   check_bool "profiler timed the sweep cells" true (Agg_obs.Span.count recorder > 0)
 
+(* The loss sweep is scenarios/sweeps/resilience.scn; narrowed to two loss
+   rates, its cells and its ledger are the same at jobs=1 and jobs=4. *)
 let test_resilience_sweep_jobs_determinism () =
+  let dir = if Sys.file_exists "../scenarios" then "../scenarios" else "scenarios" in
+  let s =
+    match Agg_scenario.Scenario.load_file (Filename.concat dir "sweeps/resilience.scn") with
+    | Ok s -> { s with Agg_scenario.Scenario.sweeps = [ Agg_scenario.Scenario.Loss [ 0.0; 0.1 ] ] }
+    | Error msg -> Alcotest.failf "%s" msg
+  in
   let sweep jobs =
-    Resilience.sweep ~loss_rates:[ 0.0; 0.1 ]
-      (Experiment.Runner.create ~settings:{ tiny with Experiment.jobs } ())
+    match Agg_scenario.Exec.run ~jobs ~events_cap:tiny.Experiment.events s with
+    | Ok o -> o
+    | Error msg -> Alcotest.failf "resilience sweep: %s" msg
   in
-  check_bool "sweep points identical at jobs=1 and jobs=4" true (sweep 1 = sweep 4)
-
-let test_resilience_g5_beats_lru () =
-  let runner = Experiment.Runner.create ~settings:tiny () in
-  let points = Resilience.sweep ~loss_rates:[ 0.1 ] runner in
-  (match Resilience.hit_rate_advantage ~loss_rate:0.1 points with
-  | None -> Alcotest.fail "both schemes expected in the sweep"
-  | Some d -> check_bool "g5 retains a higher hit rate under 10% loss" true (d > 0.0));
-  let fig =
-    Resilience.figure ~profile:Agg_workload.Profile.server
-      (Resilience.sweep ~loss_rates:[ 0.0; 0.1 ] runner)
-  in
-  check_int "two panels (hit rate, latency)" 2 (List.length fig.Experiment.panels)
+  let a = sweep 1 and b = sweep 4 in
+  check_int "two policies at two loss rates" 4 (List.length a.Agg_scenario.Exec.cells);
+  check_bool "every check passes" true a.Agg_scenario.Exec.pass;
+  Alcotest.(check string) "cells identical at jobs=1 and jobs=4"
+    (Agg_scenario.Exec.render_outcome a) (Agg_scenario.Exec.render_outcome b);
+  let json o = Agg_util.Json.to_string (Scenarios.json_of_outcome o) in
+  Alcotest.(check string) "ledger identical at jobs=1 and jobs=4" (json a) (json b)
 
 let () =
   Alcotest.run "agg_sim"
@@ -582,7 +585,6 @@ let () =
           Alcotest.test_case "scope-carrying runner inert" `Quick test_runner_scope_inert;
           Alcotest.test_case "sweep jobs=1 vs jobs=4" `Quick
             test_resilience_sweep_jobs_determinism;
-          Alcotest.test_case "g5 beats lru under loss" `Quick test_resilience_g5_beats_lru;
         ] );
       ( "weighted",
         [ Alcotest.test_case "sweep cells and verdicts" `Quick test_weighted_sweep_shape ] );

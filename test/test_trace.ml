@@ -270,6 +270,63 @@ let test_filter_far_ids () =
 
 (* --- Import -------------------------------------------------------------- *)
 
+(* --- byte mutations ------------------------------------------------------ *)
+
+(* One Prng-seeded single-byte substitution, deletion or insertion; half
+   the new bytes come from the characters the formats are built of. *)
+let mutate rng text =
+  let structural = "0123456789 \n#-worw(),\"/=" in
+  let byte () =
+    if Agg_util.Prng.bool rng then structural.[Agg_util.Prng.int rng (String.length structural)]
+    else Char.chr (Agg_util.Prng.int rng 256)
+  in
+  let n = String.length text in
+  let i = Agg_util.Prng.int rng (n + 1) in
+  match Agg_util.Prng.int rng 3 with
+  | 0 when i < n -> String.mapi (fun j c -> if j = i then byte () else c) text
+  | 1 when i < n -> String.sub text 0 i ^ String.sub text (i + 1) (n - i - 1)
+  | _ -> String.sub text 0 i ^ String.make 1 (byte ()) ^ String.sub text i (n - i)
+
+let mutants rng text count =
+  List.init count (fun _ ->
+      let m = ref text in
+      for _ = 0 to Agg_util.Prng.int rng 3 do
+        m := mutate rng !m
+      done;
+      !m)
+
+(* The weighted reader answers every mutant of a trace with w lines with
+   a trace or a one-line Parse_error; the import formats read any mutant
+   of their inputs without raising. *)
+let test_byte_mutations () =
+  let rng = Agg_util.Prng.create ~seed:29 () in
+  let trc = "#aggtrace v1\n# weighted\n0 o 0 5\n1 r 1 7\nw 5 3 7\n2 w 0 5\nw 7 2 2\n3 o 2 6\n" in
+  List.iter
+    (fun m ->
+      match Codec.of_string_weighted m with
+      | _ -> ()
+      | exception Codec.Parse_error { line; message } ->
+          if line < 1 || String.contains message '\n' || message = "" then
+            Alcotest.failf "mutant %S: line %d: %S" m line message
+      | exception e -> Alcotest.failf "mutant %S raised %s" m (Printexc.to_string e))
+    (mutants rng trc 3000);
+  let strace =
+    {|openat(AT_FDCWD, "/etc/ld.so.cache", O_RDONLY) = 3
+1234 open("/a", O_RDONLY <unfinished ...>
+creat("/tmp/out", 0644) = 4
+open("/missing", O_RDONLY) = -1 ENOENT (No such file or directory)
+|}
+  in
+  List.iter
+    (fun m ->
+      List.iter
+        (fun format ->
+          match Import.of_string format m with
+          | _ -> ()
+          | exception e -> Alcotest.failf "import of %S raised %s" m (Printexc.to_string e))
+        [ Import.Paths; Import.Strace ])
+    (mutants rng strace 1500 @ mutants rng "/bin/sh\n# c\n\n  /usr/bin/make \n" 1500)
+
 let test_import_paths () =
   let input = "/bin/sh\n/usr/bin/make\n# a comment\n\n/bin/sh\n" in
   let trace, ns = Import.of_string Import.Paths input in
@@ -467,6 +524,7 @@ let () =
           Alcotest.test_case "strace" `Quick test_import_strace;
           Alcotest.test_case "parse_line" `Quick test_import_parse_line;
           Alcotest.test_case "shared namespace" `Quick test_import_shared_namespace;
+          Alcotest.test_case "byte mutations" `Quick test_byte_mutations;
         ] );
       ( "stats",
         [
