@@ -14,9 +14,9 @@
      dune exec bench/main.exe -- --sweep      # time --jobs 1 vs --jobs N
      dune exec bench/main.exe -- --obs        # also write BENCH_obs.json
 
-   The fleet, faults and cluster sections run the sweeps stated in
-   ./scenarios/sweeps/{fleet,resilience,cluster}.scn. Sections that write
-   a result ledger: faults (BENCH_faults.json), cluster
+   The latency, fleet, faults and cluster sections run the sweeps stated
+   in ./scenarios/sweeps/{latency,fleet,resilience,cluster}.scn. Sections
+   that write a result ledger: faults (BENCH_faults.json), cluster
    (BENCH_cluster.json), scenarios (BENCH_scenarios.json, reading
    ./scenarios/*.scn), telemetry (BENCH_telemetry.json), weighted
    (BENCH_weighted.json) and micro (BENCH_micro.json). Every ledger is
@@ -175,46 +175,6 @@ let run_ablations ~settings =
       section title;
       List.iter Agg_util.Table.print (tables ()))
     (Agg_sim.Ablations.all ~settings)
-
-let run_latency ~settings =
-  section "End-to-end latency (Fig. 2 path: client / network / server / disk)";
-  let trace = Agg_sim.Trace_store.get ~settings Agg_workload.Profile.server in
-  let costs = [ ("LAN", Agg_system.Cost_model.lan); ("WAN", Agg_system.Cost_model.wan) ] in
-  Agg_sim.Experiment.grid ~settings ~rows:costs ~cols:Agg_system.Scheme.deployments
-    (fun (_, cost) (name, client_scheme, node_scheme) ->
-      let r =
-        Agg_cluster.Cluster.run
-          { Agg_cluster.Cluster.path_config with client_scheme; node_scheme; cost }
-          trace
-      in
-      [
-        name;
-        Printf.sprintf "%.3f" r.Agg_cluster.Cluster.mean_latency;
-        Printf.sprintf "%.3f" r.Agg_cluster.Cluster.p95_latency;
-        string_of_int r.Agg_cluster.Cluster.server_requests;
-        string_of_int r.Agg_cluster.Cluster.files_transferred;
-        string_of_int r.Agg_cluster.Cluster.store_fetches;
-        Printf.sprintf "%.1f"
-          (100.0 *. float_of_int r.Agg_cluster.Cluster.client_hits
-          /. float_of_int r.Agg_cluster.Cluster.accesses);
-      ])
-  |> List.iter (fun ((cost_name, _), rows) ->
-         let table =
-           Agg_util.Table.create
-             ~title:(Printf.sprintf "server workload, %s costs" cost_name)
-             ~columns:
-               [
-                 "deployment";
-                 "mean ms";
-                 "p95 ms";
-                 "rtts";
-                 "files sent";
-                 "store fetches";
-                 "client hit %";
-               ]
-         in
-         List.iter (fun (_, row) -> Agg_util.Table.add_row table row) rows;
-         Agg_util.Table.print table)
 
 (* A sweep section: one scenario file of scenarios/sweeps, run at the
    pass's event count, printed as one table and its checks, and written
@@ -949,7 +909,7 @@ let sections =
     ("summary", run_summary);
     ("checks", run_checks);
     ("ablations", fun p -> run_ablations ~settings:p.settings);
-    ("latency", fun p -> run_latency ~settings:p.settings);
+    ("latency", run_sweep "latency.scn");
     ("fleet", run_sweep "fleet.scn");
     ("scale", fun p -> run_scale ~settings:p.settings);
     ("faults", run_sweep ~ledger:"BENCH_faults.json" "resilience.scn");

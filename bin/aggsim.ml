@@ -1,8 +1,9 @@
 (* aggsim — command-line front end for the aggregating-cache simulator.
 
    Subcommands cover trace generation and inspection, each figure
-   experiment of the paper, the headline summary, the ablations, and the
-   automated paper-vs-measured checks. *)
+   experiment of the paper, the headline summary, the ablations, the
+   automated paper-vs-measured checks, and scenario files: every cluster
+   run (the Fig. 2 path, a fleet, a sharded ring) is a `scenario run`. *)
 
 open Cmdliner
 
@@ -347,226 +348,6 @@ let ablations_cmd =
   Cmd.v
     (Cmd.info "ablations" ~doc:"Run the design-choice ablations (A1-A11, predictor accuracy).")
     Term.(const run $ settings_term)
-
-let latency_cmd =
-  let run settings profile =
-    let trace =
-      Agg_workload.Generator.generate ~seed:settings.Agg_sim.Experiment.seed
-        ~events:settings.Agg_sim.Experiment.events profile
-    in
-    List.iter
-      (fun (cost_name, cost) ->
-        Printf.printf "-- %s costs --\n" cost_name;
-        List.iter
-          (fun (name, client_scheme, node_scheme) ->
-            let config =
-              { Agg_cluster.Cluster.path_config with client_scheme; node_scheme; cost }
-            in
-            Format.printf "%-11s %a@." name Agg_cluster.Cluster.pp_result
-              (Agg_cluster.Cluster.run config trace))
-          Agg_system.Scheme.deployments)
-      [ ("LAN", Agg_system.Cost_model.lan); ("WAN", Agg_system.Cost_model.wan) ];
-    exit_ok
-  in
-  Cmd.v
-    (Cmd.info "latency" ~doc:"End-to-end latency of the Fig. 2 path, per deployment.")
-    Term.(const run $ settings_term $ profile_arg)
-
-let fleet_cmd =
-  let clients_arg =
-    Arg.(
-      value
-      & opt (positive_int "--clients") 4
-      & info [ "clients" ] ~docv:"N" ~doc:"Number of client machines.")
-  in
-  let run settings profile clients =
-    let trace =
-      Agg_workload.Generator.generate ~seed:settings.Agg_sim.Experiment.seed
-        ~events:settings.Agg_sim.Experiment.events profile
-    in
-    List.iter
-      (fun (name, client_scheme, node_scheme) ->
-        let config =
-          { Agg_cluster.Cluster.default_config with clients; client_scheme; node_scheme }
-        in
-        Format.printf "%-12s %a@." name Agg_cluster.Cluster.pp_result
-          (Agg_cluster.Cluster.run config trace))
-      [
-        ("plain", Agg_system.Scheme.plain_lru, Agg_system.Scheme.plain_lru);
-        ( "aggregating",
-          Agg_system.Scheme.Aggregating Agg_core.Config.default,
-          Agg_system.Scheme.Aggregating Agg_core.Config.default );
-      ];
-    exit_ok
-  in
-  Cmd.v
-    (Cmd.info "fleet" ~doc:"Many clients sharing one server, with write invalidation.")
-    Term.(const run $ settings_term $ profile_arg $ clients_arg)
-
-let faults_cmd =
-  let float_opt names doc =
-    Arg.(value & opt (some float) None & info names ~docv:"P" ~doc)
-  in
-  let loss_arg = float_opt [ "loss" ] "Message loss probability per fetch attempt (default 0.1)." in
-  let outage_arg = float_opt [ "outage-rate" ] "P(an epoch opens with a server outage)." in
-  let slow_arg = float_opt [ "slow-rate" ] "P(an attempt rides a degraded link)." in
-  let crash_arg = float_opt [ "crash-rate" ] "Per-access client crash probability." in
-  let fault_seed_arg =
-    Arg.(
-      value
-      & opt int Agg_faults.Plan.default.Agg_faults.Plan.seed
-      & info [ "fault-seed" ] ~docv:"SEED" ~doc:"Fault-plan seed (independent of the workload seed).")
-  in
-  let run settings profile loss outage slow crash fault_seed =
-    let d = Agg_faults.Plan.default in
-    let faults =
-      {
-        d with
-        Agg_faults.Plan.seed = fault_seed;
-        loss_rate = Option.value ~default:d.Agg_faults.Plan.loss_rate loss;
-        outage_rate = Option.value ~default:d.Agg_faults.Plan.outage_rate outage;
-        slow_rate = Option.value ~default:d.Agg_faults.Plan.slow_rate slow;
-        crash_rate = Option.value ~default:d.Agg_faults.Plan.crash_rate crash;
-      }
-    in
-    match Agg_faults.Plan.validate faults with
-    | exception Invalid_argument msg ->
-        Printf.eprintf "aggsim: %s\n" msg;
-        Cmd.Exit.cli_error
-    | () ->
-    let trace =
-      Agg_workload.Generator.generate ~seed:settings.Agg_sim.Experiment.seed
-        ~events:settings.Agg_sim.Experiment.events profile
-    in
-    Format.printf "plan: %a@.resilience: %a@." Agg_faults.Plan.pp_config faults
-      Agg_faults.Resilience.pp Agg_faults.Resilience.default;
-    List.iter
-      (fun (name, client_scheme) ->
-        let config = { Agg_cluster.Cluster.path_config with client_scheme; faults } in
-        let r = Agg_cluster.Cluster.run config trace in
-        Format.printf "%-4s %a@.     faults: %a@." name Agg_cluster.Cluster.pp_result r
-          Agg_faults.Counters.pp r.Agg_cluster.Cluster.faults)
-      [
-        ("lru", Agg_system.Scheme.plain_lru);
-        ("g5", Agg_system.Scheme.aggregating ());
-      ];
-    exit_ok
-  in
-  Cmd.v
-    (Cmd.info "faults"
-       ~doc:
-         "Fault injection on the Fig. 2 path: run lru vs g5 clients under a deterministic fault \
-          plan (message loss, outages, slow links, crashes). The loss-rate sweep is \
-          $(b,scenario run -f scenarios/sweeps/resilience.scn).")
-    Term.(
-      const run $ settings_term $ profile_arg $ loss_arg $ outage_arg $ slow_arg $ crash_arg
-      $ fault_seed_arg)
-
-(* The per-node outage plan of --node-loss: seed 23, 1000-access epochs,
-   400 accesses dark when an epoch is faulty, drawn independently per
-   node; no loss at all is the healthy plan. *)
-let node_kill_plan node_loss =
-  if node_loss <= 0.0 then Agg_faults.Plan.none
-  else
-    {
-      Agg_faults.Plan.none with
-      Agg_faults.Plan.seed = 23;
-      outage_period = 1000;
-      outage_rate = node_loss;
-      outage_length = 400;
-    }
-
-let cluster_cmd =
-  let nodes_arg =
-    Arg.(
-      value
-      & opt (positive_int "--nodes") 5
-      & info [ "nodes" ] ~docv:"N" ~doc:"Server nodes on the ring (default 5).")
-  in
-  let replicas_arg =
-    Arg.(
-      value
-      & opt (positive_int "--replicas") 3
-      & info [ "k"; "replicas" ] ~docv:"K"
-          ~doc:"Replication-group size: each file is owned by K ring successors (default 3).")
-  in
-  let placement_conv =
-    let parse s =
-      match Agg_cluster.Cluster.placement_of_string s with
-      | Some p -> Ok p
-      | None -> Error (`Msg (Printf.sprintf "unknown placement %S (expected owner, group or client)" s))
-    in
-    Arg.conv
-      (parse, fun ppf p -> Format.pp_print_string ppf (Agg_cluster.Cluster.placement_name p))
-  in
-  let placement_arg =
-    Arg.(
-      value
-      & opt placement_conv Agg_cluster.Cluster.Replicated_with_group
-      & info [ "placement" ] ~docv:"WHERE"
-          ~doc:
-            "Where successor metadata lives: $(b,owner) (primary node only), $(b,group) \
-             (replicated with the group) or $(b,client) (client-side trackers).")
-  in
-  let node_loss_arg =
-    Arg.(
-      value
-      & opt float 0.0
-      & info [ "node-loss" ] ~docv:"P"
-          ~doc:"Per-node outage probability per 1000-access epoch (default 0: healthy).")
-  in
-  let ring_seed_arg =
-    Arg.(
-      value
-      & opt int Agg_cluster.Cluster.default_config.Agg_cluster.Cluster.ring_seed
-      & info [ "ring-seed" ] ~docv:"SEED" ~doc:"Consistent-hash ring seed.")
-  in
-  let run settings profile nodes replicas placement node_loss ring_seed =
-    let faults = node_kill_plan node_loss in
-    match Agg_faults.Plan.validate faults with
-    | exception Invalid_argument msg ->
-        Printf.eprintf "aggsim: %s\n" msg;
-        Cmd.Exit.cli_error
-    | () ->
-        let trace =
-          Agg_workload.Generator.generate ~seed:settings.Agg_sim.Experiment.seed
-            ~events:settings.Agg_sim.Experiment.events profile
-        in
-        Printf.printf "cluster: %d nodes, k=%d, metadata=%s, node-loss %g\n" nodes replicas
-          (Agg_cluster.Cluster.placement_name placement)
-          node_loss;
-        List.iter
-          (fun (name, scheme) ->
-            let config =
-              {
-                Agg_cluster.Cluster.default_config with
-                Agg_cluster.Cluster.nodes;
-                replicas;
-                ring_seed;
-                metadata = placement;
-                client_scheme = scheme;
-                node_scheme = scheme;
-                faults;
-              }
-            in
-            let r = Agg_cluster.Cluster.run config trace in
-            Format.printf "%-4s %a@.     faults: %a@." name Agg_cluster.Cluster.pp_result r
-              Agg_faults.Counters.pp r.Agg_cluster.Cluster.faults)
-          [
-            ("lru", Agg_system.Scheme.plain_lru);
-            ("g5", Agg_system.Scheme.aggregating ());
-          ];
-        exit_ok
-  in
-  Cmd.v
-    (Cmd.info "cluster"
-       ~doc:
-         "Sharded multi-node cluster: route the fleet workload through a consistent-hash ring of \
-          replication groups, optionally killing nodes ($(b,--node-loss)). The sweep over K x \
-          metadata placement x node loss is $(b,scenario run -f scenarios/sweeps/cluster.scn).")
-    Term.(
-      const run $ settings_term $ profile_arg $ nodes_arg $ replicas_arg $ placement_arg
-      $ node_loss_arg $ ring_seed_arg)
 
 (* --- entropy / groups ----------------------------------------------- *)
 
@@ -1114,6 +895,20 @@ let scenario_cmd =
 
 (* --- telemetry ------------------------------------------------------- *)
 
+(* The per-node outage plan of telemetry's --node-loss: seed 23,
+   1000-access epochs, 400 accesses dark when an epoch is faulty, drawn
+   independently per node; no loss at all is the healthy plan. *)
+let node_kill_plan node_loss =
+  if node_loss <= 0.0 then Agg_faults.Plan.none
+  else
+    {
+      Agg_faults.Plan.none with
+      Agg_faults.Plan.seed = 23;
+      outage_period = 1000;
+      outage_rate = node_loss;
+      outage_length = 400;
+    }
+
 let telemetry_cmd =
   let nodes_arg =
     Arg.(
@@ -1342,10 +1137,6 @@ let () =
             checks_cmd;
             differential_cmd;
             ablations_cmd;
-            latency_cmd;
-            fleet_cmd;
-            faults_cmd;
-            cluster_cmd;
             scenario_cmd;
             entropy_cmd;
             groups_cmd;

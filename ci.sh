@@ -200,13 +200,12 @@ dune build @differential
 # sweep-profiler / Chrome-trace smoke run.
 dune build @obs
 
-# Fault-injection gate: smoke-run `aggsim faults` (single hostile run) and
-# the loss-rate sweep scenario at quick size.
+# Fault-injection gate: the hostile-path scenario and the loss-rate sweep
+# at quick size.
 dune build @faults
 
-# Cluster gate: smoke-run `aggsim cluster` (replicated ring under node
-# kills), the node-loss sweep scenario and `aggsim fleet` (the one-node
-# ring) at quick size.
+# Cluster gate: the node-loss sweep of a replicated ring and the fleet
+# sweep (the one-node ring) at quick size.
 dune build @cluster
 
 # Scenario gate: validate the declarative corpus and the sweeps, run them
@@ -471,14 +470,8 @@ rejects --filter entropy --filter 0
 rejects --size groups --size 0
 rejects --capacity trace --capacity 0
 rejects --group-size trace --group-size 0
-rejects --clients fleet --clients 0
-# The loss-rate and node-loss sweeps are scenario files
-# (scenarios/sweeps/*.scn); the commands that used to run them have no
-# --sweep flag.
-rejects --sweep faults --sweep
-rejects --sweep cluster --sweep
 for cmd in generate stats fig3 fig4 fig5 fig7 fig8 weighted summary checks differential \
-  ablations latency fleet faults cluster entropy groups predictability trace profile telemetry; do
+  ablations entropy groups predictability trace profile telemetry; do
   rejects --events "$cmd" --events=-5
 done
 

@@ -129,13 +129,14 @@ let run_cell (t : Scenario.t) trace policy point =
   in
   let config =
     match t.Scenario.topology with
-    | Scenario.Path { client_capacity; server_capacity } ->
-        (* the path's server is plain LRU whatever the client's policy *)
+    | Scenario.Path { client_capacity; server_capacity; server; cost } ->
         {
           Cluster.path_config with
           Cluster.client_capacity;
           node_capacity = server_capacity;
           client_scheme = scheme;
+          node_scheme = scheme_of_policy server;
+          cost = Scenario.cost_model cost;
           faults = t.Scenario.faults;
           scope;
         }

@@ -114,6 +114,8 @@ let filter_values keep sweep =
   | Scenario.Replicas l -> Scenario.Replicas (pick l)
   | Scenario.Placement l -> Scenario.Placement (pick l)
   | Scenario.Clients l -> Scenario.Clients (pick l)
+  | Scenario.Server l -> Scenario.Server (pick l)
+  | Scenario.Cost l -> Scenario.Cost (pick l)
 
 (* Candidate reductions, in documented order. Only structurally smaller
    (or fault-free-er) scenarios are proposed; the caller keeps a

@@ -7,8 +7,12 @@ type workload =
   | Trace_file of { file : string }
   | Import_file of { format : Agg_trace.Import.format; file : string }
 
+type policy = Plain of Cache.kind | Group of int
+
+type cost = Lan | Wan
+
 type topology =
-  | Path of { client_capacity : int; server_capacity : int }
+  | Path of { client_capacity : int; server_capacity : int; server : policy; cost : cost }
   | Fleet of { clients : int; client_capacity : int; server_capacity : int }
   | Cluster of {
       nodes : int;
@@ -20,8 +24,6 @@ type topology =
       node_capacity : int;
       churn : (int * Cluster.churn_op) list;
     }
-
-type policy = Plain of Cache.kind | Group of int
 
 let policy_name = function
   | Plain kind -> Cache.kind_name kind
@@ -38,6 +40,12 @@ let policy_of_string s =
         | _ -> None
       else None
 
+let cost_name = function Lan -> "lan" | Wan -> "wan"
+
+let cost_of_string = function "lan" -> Some Lan | "wan" -> Some Wan | _ -> None
+
+let cost_model = function Lan -> Agg_system.Cost_model.lan | Wan -> Agg_system.Cost_model.wan
+
 (* Floats must survive the round trip exactly: prefer the short %g form,
    fall back to the always-exact %.17g when it loses precision. *)
 let float_str f =
@@ -50,8 +58,11 @@ type sweep =
   | Replicas of int list
   | Placement of Cluster.metadata_placement list
   | Clients of int list
+  | Server of policy list
+  | Cost of cost list
 
-let sweep_fields = [ "loss"; "outage_rate"; "replicas"; "placement"; "clients" ]
+let sweep_fields =
+  [ "loss"; "outage_rate"; "replicas"; "placement"; "clients"; "server"; "cost" ]
 
 let sweep_field = function
   | Loss _ -> "loss"
@@ -59,11 +70,15 @@ let sweep_field = function
   | Replicas _ -> "replicas"
   | Placement _ -> "placement"
   | Clients _ -> "clients"
+  | Server _ -> "server"
+  | Cost _ -> "cost"
 
 let sweep_labels = function
   | Loss rates | Outage_rate rates -> List.map float_str rates
   | Replicas counts | Clients counts -> List.map string_of_int counts
   | Placement places -> List.map Cluster.placement_name places
+  | Server policies -> List.map policy_name policies
+  | Cost costs -> List.map cost_name costs
 
 (* the first name that occurs twice in [l] *)
 let dup to_name l =
@@ -82,20 +97,16 @@ let sweep_value_error sweep =
     | Replicas counts | Clients counts ->
         List.find_opt (fun n -> n <= 0) counts
         |> Option.map (Printf.sprintf "value %d must be positive")
-    | Placement _ -> None
+    | Server policies ->
+        List.find_map (function Group g when g <= 0 -> Some g | _ -> None) policies
+        |> Option.map (Printf.sprintf "group size %d must be positive")
+    | Placement _ | Cost _ -> None
   in
   match (out_of_range, dup Fun.id (sweep_labels sweep)) with
   | Some m, _ -> Some (Printf.sprintf "sweep %s %s" field m)
   | None, Some v -> Some (Printf.sprintf "sweep %s repeats value %s" field v)
   | None, None ->
       if sweep_labels sweep = [] then Some (Printf.sprintf "sweep %s has no values" field) else None
-
-let sweep_topology_error topology sweep =
-  match (sweep, topology) with
-  | (Replicas _ | Placement _), (Path _ | Fleet _) ->
-      Some (Printf.sprintf "sweep %s needs a cluster topology" (sweep_field sweep))
-  | Clients _, Path _ -> Some "sweep clients needs a fleet or cluster topology"
-  | _ -> None
 
 type invariant =
   | Conservation
@@ -200,7 +211,41 @@ let settings sweep =
               | Fleet f -> Fleet { f with clients }
               | Cluster c -> Cluster { c with clients }
               | o -> o))
-          counts)
+          counts
+    | Server policies ->
+        List.map
+          (fun server -> topology (function Path p -> Path { p with server } | o -> o))
+          policies
+    | Cost costs ->
+        List.map (fun cost -> topology (function Path p -> Path { p with cost } | o -> o)) costs)
+
+(* What is wrong with an axis in the scenario it sweeps, if anything: a
+   value error, a field the topology lacks, a value that cannot act (more
+   replicas than nodes, an outage rate with no outage windows), or a base
+   line that is not the axis's first value. The parser reports it against
+   the sweep line, [validate] raises it. *)
+let sweep_error t sweep =
+  let field = sweep_field sweep in
+  let needs what = Some (Printf.sprintf "sweep %s needs %s" field what) in
+  let inert =
+    match (sweep, t.topology) with
+    | (Replicas _ | Placement _), (Path _ | Fleet _) -> needs "a cluster topology"
+    | Clients _, Path _ -> needs "a fleet or cluster topology"
+    | (Server _ | Cost _), (Fleet _ | Cluster _) -> needs "a path topology"
+    | Replicas counts, Cluster { nodes; _ } ->
+        List.find_opt (fun n -> n > nodes) counts
+        |> Option.map (fun n -> Printf.sprintf "sweep replicas value %d exceeds nodes=%d" n nodes)
+    | Outage_rate _, _ when t.faults.Plan.outage_period = 0 || t.faults.Plan.outage_length = 0 ->
+        needs "outage_period and outage_length above 0 on the faults line"
+    | _ -> None
+  in
+  match (sweep_value_error sweep, inert) with
+  | (Some _ as e), _ | None, (Some _ as e) -> e
+  | None, None ->
+      let first, set = List.hd (settings sweep) in
+      if set t = t then None
+      else
+        Some (Printf.sprintf "swept %s differs on its base line from its first value %s" field first)
 
 let points t =
   List.fold_left
@@ -244,10 +289,14 @@ let workload_line = function
   | Import_file { format; file } ->
       Printf.sprintf "workload import format=%s file=%s" (format_name format) file
 
+(* A path's server and cost fields are printed only off their defaults
+   (plain LRU, LAN), so a file without them prints as it reads. *)
 let topology_lines = function
-  | Path { client_capacity; server_capacity } ->
-      [ Printf.sprintf "topology path client_capacity=%d server_capacity=%d" client_capacity
-          server_capacity ]
+  | Path { client_capacity; server_capacity; server; cost } ->
+      [ Printf.sprintf "topology path client_capacity=%d server_capacity=%d%s%s" client_capacity
+          server_capacity
+          (if server = Plain Cache.Lru then "" else " server=" ^ policy_name server)
+          (if cost = Lan then "" else " cost=" ^ cost_name cost) ]
   | Fleet { clients; client_capacity; server_capacity } ->
       [ Printf.sprintf "topology fleet clients=%d client_capacity=%d server_capacity=%d" clients
           client_capacity server_capacity ]
@@ -372,7 +421,16 @@ let parse_policy ~line spec =
 let required ~line kvs key parse =
   if List.mem_assoc key kvs then parse ~line kvs key else errf line "missing field %S" key
 
+let optional ~line kvs key parse default =
+  if List.mem_assoc key kvs then parse ~line kvs key else Ok default
+
 let policy_kv ~line kvs key = parse_policy ~line (List.assoc key kvs)
+
+let cost_kv ~line kvs key =
+  let v = List.assoc key kvs in
+  match cost_of_string v with
+  | Some c -> Ok c
+  | None -> errf line "unknown cost %S (expected lan or wan)" v
 
 (* A line's bound: exactly one of min= and max=; [what] names the line. *)
 let bound_kv ~line ~what kvs =
@@ -398,6 +456,8 @@ let parse_values ~line ~what field values =
   in
   let number = typed float_of_string_opt "a number" and count = typed int_of_string_opt "an integer" in
   let place = typed Cluster.placement_of_string "a placement (owner, group or client)" in
+  let policy = typed policy_of_string "a policy (a cache kind or g<N>)" in
+  let cost = typed cost_of_string "a cost (lan or wan)" in
   if List.mem "" values then errf line "%s has an empty value" what
   else
     match field with
@@ -406,6 +466,8 @@ let parse_values ~line ~what field values =
     | "replicas" -> each count (fun l -> Replicas l)
     | "placement" -> each place (fun l -> Placement l)
     | "clients" -> each count (fun l -> Clients l)
+    | "server" -> each policy (fun l -> Server l)
+    | "cost" -> each cost (fun l -> Cost l)
     | _ ->
         errf line "unknown sweep field %S (expected one of: %s)" field
           (String.concat ", " sweep_fields)
@@ -442,11 +504,15 @@ let parse_line p ~line tokens =
   | "workload" :: kind :: _ -> errf line "unknown workload kind %S" kind
   | [ "workload" ] -> errf line "workload needs a kind (profile, trace or import)"
   | "topology" :: "path" :: rest ->
-      let* kvs = parse_kvs ~line [ "client_capacity"; "server_capacity" ] rest in
-      let* client_capacity = int_kv ~line kvs "client_capacity" in
-      let* server_capacity = int_kv ~line kvs "server_capacity" in
+      let* kvs =
+        parse_optional_kvs ~line [ "client_capacity"; "server_capacity"; "server"; "cost" ] rest
+      in
+      let* client_capacity = required ~line kvs "client_capacity" int_kv in
+      let* server_capacity = required ~line kvs "server_capacity" int_kv in
+      let* server = optional ~line kvs "server" policy_kv (Plain Cache.Lru) in
+      let* cost = optional ~line kvs "cost" cost_kv Lan in
       once "topology" p.p_topology (fun () ->
-          p.p_topology <- Some (Path { client_capacity; server_capacity }))
+          p.p_topology <- Some (Path { client_capacity; server_capacity; server; cost }))
   | "topology" :: "fleet" :: rest ->
       let* kvs = parse_kvs ~line [ "clients"; "client_capacity"; "server_capacity" ] rest in
       let* clients = int_kv ~line kvs "clients" in
@@ -472,6 +538,9 @@ let parse_line p ~line tokens =
         match Cluster.placement_of_string pl with
         | Some p -> Ok p
         | None -> errf line "unknown placement %S (expected owner, group or client)" pl
+      in
+      let* () =
+        if replicas > nodes then errf line "replicas=%d exceeds nodes=%d" replicas nodes else Ok ()
       in
       once "topology" p.p_topology (fun () ->
           p.p_topology <-
@@ -586,7 +655,7 @@ let parse_line p ~line tokens =
       let* slo_policy = required ~line kvs "policy" policy_kv in
       let* slo_bound = bound_kv ~line ~what:"slo" kvs in
       let* slo_window = required ~line kvs "window" int_kv in
-      let* slo_after = if List.mem_assoc "after" kvs then int_kv ~line kvs "after" else Ok 0 in
+      let* slo_after = optional ~line kvs "after" int_kv 0 in
       Ok
         (p.p_slos <-
            { slo_metric; slo_policy; slo_bound; slo_window; slo_after } :: p.p_slos)
@@ -657,7 +726,7 @@ let of_string text =
         (* lines that refer to others are checked once every line is read *)
         let errors =
           List.filter_map
-            (fun (line, s) -> Option.map (fun m -> (line, m)) (sweep_topology_error topology s))
+            (fun (line, s) -> Option.map (fun m -> (line, m)) (sweep_error t s))
             p.p_sweeps
           @ List.filter_map
               (function
@@ -698,9 +767,10 @@ let validate t =
   | Profile { events; _ } -> positive "events" events
   | Trace_file _ | Import_file _ -> ());
   (match t.topology with
-  | Path { client_capacity; server_capacity } ->
+  | Path { client_capacity; server_capacity; server; cost = _ } ->
       positive "client_capacity" client_capacity;
-      positive "server_capacity" server_capacity
+      positive "server_capacity" server_capacity;
+      (match server with Group g -> positive "server group size" g | Plain _ -> ())
   | Fleet { clients; client_capacity; server_capacity } ->
       positive "clients" clients;
       positive "client_capacity" client_capacity;
@@ -708,6 +778,8 @@ let validate t =
   | Cluster { nodes; replicas; clients; client_capacity; node_capacity; churn; _ } ->
       positive "nodes" nodes;
       positive "replicas" replicas;
+      if replicas > nodes then
+        invalid "Scenario.validate: replicas=%d exceeds nodes=%d" replicas nodes;
       positive "clients" clients;
       positive "client_capacity" client_capacity;
       positive "node_capacity" node_capacity;
@@ -727,16 +799,7 @@ let validate t =
       ("sweep field", dup sweep_field t.sweeps);
       ("slo", dup slo_name t.slos);
     ];
-  List.iter
-    (fun s ->
-      let fail = Option.iter (invalid "Scenario.validate: %s") in
-      fail (sweep_value_error s);
-      fail (sweep_topology_error t.topology s);
-      let first, set = List.hd (settings s) in
-      if set t <> t then
-        invalid "Scenario.validate: swept %s differs on its base line from its first value %s"
-          (sweep_field s) first)
-    t.sweeps;
+  List.iter (fun s -> Option.iter (invalid "Scenario.validate: %s") (sweep_error t s)) t.sweeps;
   List.iter
     (function
       | Hit_rate_min { policy; percent } | Hit_rate_max { policy; percent } ->

@@ -22,11 +22,27 @@ type workload =
   | Import_file of { format : Agg_trace.Import.format; file : string }
       (** an external trace ([paths] or [strace]) via {!Agg_trace.Import} *)
 
+type policy =
+  | Plain of Agg_cache.Cache.kind  (** demand caching, e.g. [lru] *)
+  | Group of int  (** aggregating cache with this group size, e.g. [g5] *)
+
+val policy_name : policy -> string
+(** ["lru"], ["arc"], ..., or ["g<N>"] — the codec's policy spelling. *)
+
+type cost = Lan | Wan
+(** The path's cost model: {!Agg_system.Cost_model.lan} or
+    {!Agg_system.Cost_model.wan}, written [lan] and [wan]. *)
+
+val cost_model : cost -> Agg_system.Cost_model.t
+(** The cost model a path's [cost] names. *)
+
 type topology =
-  | Path of { client_capacity : int; server_capacity : int }
+  | Path of { client_capacity : int; server_capacity : int; server : policy; cost : cost }
       (** the single Fig. 2 client/server path: the one-client, one-node
-          cluster of {!Agg_cluster.Cluster.path_config}, whose server is
-          plain LRU whatever the client's policy *)
+          cluster of {!Agg_cluster.Cluster.path_config}, with [server] as
+          the node's policy whatever the client's, under the [cost] model.
+          The codec writes [server=] and [cost=] only off their defaults,
+          [lru] and [lan] *)
   | Fleet of { clients : int; client_capacity : int; server_capacity : int }
       (** many clients, one server: the one-node {!Agg_cluster.Cluster} *)
   | Cluster of {
@@ -40,13 +56,6 @@ type topology =
       churn : (int * Agg_cluster.Cluster.churn_op) list;
     }  (** a sharded ring of replication groups ({!Agg_cluster.Cluster}) *)
 
-type policy =
-  | Plain of Agg_cache.Cache.kind  (** demand caching, e.g. [lru] *)
-  | Group of int  (** aggregating cache with this group size, e.g. [g5] *)
-
-val policy_name : policy -> string
-(** ["lru"], ["arc"], ..., or ["g<N>"] — the codec's policy spelling. *)
-
 type sweep =
   | Loss of float list  (** the fault plan's message-loss rate *)
   | Outage_rate of float list  (** the fault plan's outage rate *)
@@ -54,6 +63,8 @@ type sweep =
   | Placement of Agg_cluster.Cluster.metadata_placement list
       (** a cluster topology's metadata placement *)
   | Clients of int list  (** a fleet or cluster topology's client count *)
+  | Server of policy list  (** a path topology's server policy *)
+  | Cost of cost list  (** a path topology's cost model *)
 (** One axis of a parameter sweep: a field of the scenario and the values
     it takes, written [sweep <field>=<v1>,<v2>,...]. The cells of a
     scenario are the cross product of its axes and its policy matrix.
@@ -62,7 +73,8 @@ type sweep =
     its first point. *)
 
 val sweep_field : sweep -> string
-(** ["loss"], ["outage_rate"], ["replicas"], ["placement"] or ["clients"]. *)
+(** ["loss"], ["outage_rate"], ["replicas"], ["placement"], ["clients"],
+    ["server"] or ["cost"]. *)
 
 val sweep_labels : sweep -> string list
 (** The axis's values as the codec prints them, in axis order. *)
@@ -169,10 +181,14 @@ val to_string : t -> string
 val of_string : string -> (t, string) result
 (** Strict parse of {!to_string}'s format. [Error] messages are one line,
     prefixed [line N:]. Round-trip law: [of_string (to_string s) = Ok s].
-    Sweep and ordering lines are checked against the whole file: a sweep
-    of an unknown, repeated or (on this topology) absent field, or with
-    an empty, malformed, out-of-range or repeated value, and an ordering
-    on an unknown metric or field or a value off its axis are errors. *)
+    A cluster line with more replicas than nodes is an error. Sweep and
+    ordering lines are checked against the whole file: a sweep of an
+    unknown, repeated or (on this topology) absent field; with an empty,
+    malformed, out-of-range or repeated value; with a value that cannot
+    act (a [replicas] value above [nodes], an [outage_rate] axis whose
+    faults line has no outage windows); or whose field's base-line value
+    is not the axis's first value; and an ordering on an unknown metric
+    or field or a value off its axis are errors. *)
 
 val load_file : string -> (t, string) result
 (** {!of_string} over a file's contents; IO and parse errors are prefixed
@@ -183,10 +199,9 @@ val validate : t -> unit
     an empty or duplicated policy matrix, a duplicated invariant, an
     expectation outside [0, 100] or naming a policy absent from the
     matrix, an invalid fault plan ({!Agg_faults.Plan.validate}), a
-    negative churn time, or an invalid slo: duplicated, mixed window
+    negative churn time, more replicas than nodes, or an invalid slo: duplicated, mixed window
     sizes, a non-positive window, a negative [after], a rate bound
     outside [0, 100], a negative latency bound, a policy absent from the
     matrix, or [p99_latency] on a fleet topology (whose cells report no
-    latency); and on a sweep {!of_string} would reject, a swept field
-    whose base value is not its axis's first value, or an ordering
+    latency); and on a sweep {!of_string} would reject, or an ordering
     expectation that compares a value with itself. *)

@@ -112,10 +112,12 @@ let json_of_outcome (o : Exec.outcome) =
 (* The table's metric columns: header, metric and how it prints. *)
 let table_metrics =
   let decimals n v = Printf.sprintf "%.*f" n v in
-  [ ("hit %", "hit_rate", decimals 2); ("mean ms", "mean_latency", decimals 3) ]
+  [ ("hit %", "hit_rate", decimals 2); ("mean ms", "mean_latency", decimals 3);
+    ("p95 ms", "p95_latency", decimals 3) ]
   @ List.map
       (fun (header, metric) -> (header, metric, Exec.value_str))
-      [ ("requests", "server_requests"); ("server hits", "server_hits"); ("store", "store_fetches");
+      [ ("requests", "server_requests"); ("files sent", "files_transferred");
+        ("server hits", "server_hits"); ("store", "store_fetches");
         ("invalidations", "invalidations"); ("routed", "routed_fetches"); ("failovers", "failovers");
         ("timeouts", "faults.timeouts"); ("retries", "faults.retries");
         ("degraded", "faults.degraded_fetches") ]

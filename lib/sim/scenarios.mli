@@ -42,6 +42,6 @@ val json_of_outcome : Agg_scenario.Exec.outcome -> Agg_util.Json.t
 
 val table : Agg_scenario.Exec.outcome -> Agg_util.Table.t
 (** One row per cell: its policy and point, then its hit rate (%),
-    mean latency (ms), server requests and hits, store fetches,
-    invalidations, routed fetches, failovers, timeouts, retries and
-    degraded fetches. *)
+    mean and p95 latency (ms), server requests, files sent, server hits,
+    store fetches, invalidations, routed fetches, failovers, timeouts,
+    retries and degraded fetches. *)

@@ -36,6 +36,12 @@ let base =
     expect_violation = false;
   }
 
+(* A path topology; its server is plain LRU and its costs LAN unless
+   given. *)
+let path ?(server = Scenario.Plain Cache.Lru) ?(cost = Scenario.Lan) client_capacity
+    server_capacity =
+  Scenario.Path { client_capacity; server_capacity; server; cost }
+
 (* --- codec --------------------------------------------------------------- *)
 
 let roundtrip s =
@@ -102,7 +108,17 @@ let test_roundtrip_crafted () =
   List.iter
     (fun s -> check_bool "round-trips" true (roundtrip s = s))
     [ base; cluster; swept;
-      { base with Scenario.topology = Scenario.Path { client_capacity = 10; server_capacity = 20 } } ]
+      { base with Scenario.topology = path 10 20 };
+      { base with Scenario.topology = path ~server:(Scenario.Group 10) ~cost:Scenario.Wan 10 20 };
+      { base with
+        Scenario.topology = path ~server:(Scenario.Plain Cache.Arc) 10 20;
+        sweeps =
+          [ Scenario.Cost [ Scenario.Lan; Scenario.Wan ];
+            Scenario.Server [ Scenario.Plain Cache.Arc; Scenario.Group 10 ] ];
+        expectations =
+          [ Scenario.Ordered
+              { order = Scenario.At_most; metric = "server_hits"; field = "server"; lhs = "arc";
+                rhs = "g10" } ] } ]
 
 let test_roundtrip_comments_skipped () =
   let text = Scenario.to_string base in
@@ -166,6 +182,10 @@ let test_sweep_rejections () =
     "topology cluster nodes=3 replicas=1 placement=owner ring_seed=1 clients=2 client_capacity=10 \
      node_capacity=20"
   in
+  let no_windows = "faults seed=1 loss=0 outage_period=0 outage_rate=0 outage_length=200 slow=0 \
+                    slow_mult=1 crash=0" in
+  let windows = "faults seed=1 loss=0 outage_period=1000 outage_rate=0 outage_length=200 slow=0 \
+                 slow_mult=1 crash=0" in
   let cases =
     [
       (file [ "sweep speed=1,2" ], "line 7: unknown sweep field \"speed\"");
@@ -200,6 +220,37 @@ let test_sweep_rejections () =
         "line 7: missing field \"rhs\"" );
       ( file [ "expect below metric=hit_rate field=loss lhs=zero rhs=0"; "sweep loss=0,0.1" ],
         "line 7: lhs value \"zero\" is not a number" );
+      (* the path's server and cost fields, and their axes *)
+      (file ~topology:(path ^ " cost=moon") [], "line 4: unknown cost \"moon\" (expected lan or wan)");
+      (file ~topology:(path ^ " server=g0") [], "line 4: unknown policy \"g0\"");
+      (file ~topology:(path ^ " server=lru server=g5") [], "line 4: duplicate field \"server\"");
+      ( file ~topology:"topology fleet clients=2 client_capacity=100 server_capacity=200 server=g10" [],
+        "line 4: unknown field \"server\"" );
+      (file ~topology:(cluster ^ " cost=wan") [], "line 4: unknown field \"cost\"");
+      (file [ "sweep server=lru,g10" ], "line 7: sweep server needs a path topology");
+      (file ~topology:cluster [ "sweep cost=lan,wan" ], "line 7: sweep cost needs a path topology");
+      (file ~topology:path [ "sweep cost=lan,moon" ], "line 7: sweep cost value \"moon\" is not a cost");
+      ( file ~topology:path [ "sweep server=lru,g" ],
+        "line 7: sweep server value \"g\" is not a policy" );
+      (file ~topology:path [ "sweep server=g5,g05" ], "line 7: sweep server repeats value g5");
+      ( file ~topology:(path ^ " server=g10") [ "sweep server=lru,g10" ],
+        "line 7: swept server differs on its base line from its first value lru" );
+      ( file ~topology:(path ^ " cost=wan") [ "sweep cost=lan,wan" ],
+        "line 7: swept cost differs on its base line from its first value lan" );
+      ( file [ "sweep clients=4,2" ],
+        "line 7: swept clients differs on its base line from its first value 4" );
+      (* values that cannot act *)
+      ( file
+          ~topology:
+            "topology cluster nodes=3 replicas=4 placement=owner ring_seed=1 clients=2 \
+             client_capacity=10 node_capacity=20"
+          [],
+        "line 4: replicas=4 exceeds nodes=3" );
+      (file ~topology:cluster [ "sweep replicas=1,3,9" ], "line 7: sweep replicas value 9 exceeds nodes=3");
+      ( file [ "sweep outage_rate=0,0.5"; no_windows ],
+        "line 7: sweep outage_rate needs outage_period and outage_length above 0 on the faults line" );
+      ( file [ "sweep outage_rate=0,0.5" ],
+        "line 7: sweep outage_rate needs outage_period and outage_length above 0" );
       (* a topology line after the sweep it rules out *)
       ( String.concat "\n"
           [ "#scenario v1"; "name s"; "sweep replicas=1,2"; "workload trace file=t.trc"; path;
@@ -224,12 +275,17 @@ let test_sweep_rejections () =
       | Ok _ -> ()
       | Error msg -> Alcotest.failf "rejected a valid sweep: %s" msg)
     [
-      file [ "sweep loss=0,0.5"; "sweep outage_rate=0,1"; "sweep clients=2,4" ];
+      file [ "sweep loss=0,0.5"; "sweep outage_rate=0,1"; "sweep clients=2,4"; windows ];
       file ~topology:cluster
         [ "sweep replicas=1,3"; "sweep placement=owner,group,client"; "sweep clients=2";
           "expect at_most metric=faults.degraded_fetches field=replicas lhs=3 rhs=1";
           "expect below metric=hit_rate field=policy lhs=lru rhs=g5" ];
       file ~topology:path [ "sweep loss=0,0.1" ];
+      file
+        ~topology:(path ^ " server=g5 cost=wan")
+        [ "sweep server=g5,lru,arc"; "sweep cost=wan,lan";
+          "expect at_most metric=server_hits field=server lhs=lru rhs=g5";
+          "expect below metric=mean_latency field=cost lhs=lan rhs=wan" ];
     ]
 
 (* A swept field's value on its base line must be the axis's first value:
@@ -273,6 +329,34 @@ let test_sweep_base_value () =
     { base with Scenario.sweeps = [ Scenario.Loss [ 0.0 ]; Scenario.Loss [ 0.0; 0.1 ] ] };
   raises "an empty axis" { base with Scenario.sweeps = [ Scenario.Clients [] ] };
   raises "replicas on a fleet" { base with Scenario.sweeps = [ Scenario.Replicas [ 1 ] ] };
+  raises "a server axis on a fleet"
+    { base with Scenario.sweeps = [ Scenario.Server [ Scenario.Plain Cache.Lru ] ] };
+  let on_path = { base with Scenario.topology = path ~server:(Scenario.Group 10) 100 200 } in
+  raises "a base server off the axis's first value"
+    { on_path with Scenario.sweeps = [ Scenario.Server [ Scenario.Plain Cache.Lru; Scenario.Group 10 ] ] };
+  raises "a base cost off the axis's first value"
+    { on_path with Scenario.sweeps = [ Scenario.Cost [ Scenario.Wan; Scenario.Lan ] ] };
+  raises "a non-positive server group" { base with Scenario.topology = path ~server:(Scenario.Group 0) 1 1 };
+  raises "a non-positive server group on an axis"
+    { on_path with Scenario.sweeps = [ Scenario.Server [ Scenario.Group 10; Scenario.Group 0 ] ] };
+  (* values that cannot act: more replicas than nodes, outage rates
+     without outage windows *)
+  let ring replicas =
+    Scenario.Cluster
+      { nodes = 3; replicas; placement = Agg_cluster.Cluster.Owner_node; ring_seed = 1; clients = 2;
+        client_capacity = 10; node_capacity = 20; churn = [] }
+  in
+  Scenario.validate { base with Scenario.topology = ring 3; sweeps = [ Scenario.Replicas [ 3; 1 ] ] };
+  raises "replicas above nodes" { base with Scenario.topology = ring 4 };
+  raises "a replicas value above nodes"
+    { base with Scenario.topology = ring 3; sweeps = [ Scenario.Replicas [ 3; 9 ] ] };
+  let outages f = { base with Scenario.faults = f; sweeps = [ Scenario.Outage_rate [ 0.0; 0.5 ] ] } in
+  let windows = { Plan.none with Plan.outage_period = 1000; outage_length = 400 } in
+  Scenario.validate (outages windows);
+  raises "an outage axis without an outage period"
+    (outages { windows with Plan.outage_period = 0 });
+  raises "an outage axis without an outage length"
+    (outages { windows with Plan.outage_length = 0 });
   raises "an ordering on an unswept field"
     { base with
       Scenario.expectations =
@@ -329,6 +413,22 @@ let test_byte_mutations () =
         | exception e ->
             Alcotest.failf "%s: of_string raised %s on %S" file (Printexc.to_string e) !mutant
       done)
+    (Agg_sim.Scenarios.corpus_files corpus_dir @ Agg_sim.Scenarios.corpus_files sweeps_dir)
+
+(* Every committed file is in canonical form: it prints exactly its own
+   lines, comments and blank lines left out, and reads back unchanged. *)
+let test_committed_files_print_as_read () =
+  List.iter
+    (fun file ->
+      let text = In_channel.with_open_text file In_channel.input_all in
+      let lines = List.filter (fun l -> l <> "" && l.[0] <> '#') (String.split_on_char '\n' text) in
+      match Scenario.load_file file with
+      | Error msg -> Alcotest.failf "%s" msg
+      | Ok s ->
+          check_string (Filename.basename file ^ " prints as it reads")
+            (String.concat "\n" ("#scenario v1" :: lines) ^ "\n")
+            (Scenario.to_string s);
+          check_bool (Filename.basename file ^ " round-trips") true (roundtrip s = s))
     (Agg_sim.Scenarios.corpus_files corpus_dir @ Agg_sim.Scenarios.corpus_files sweeps_dir)
 
 let test_load_file_errors () =
@@ -391,7 +491,7 @@ let test_validate () =
     { base with Scenario.slos = [ slo ~metric:Scenario.Slo_p99_latency ~bound:(`Max 50.0) () ] };
   Scenario.validate
     { base with
-      Scenario.topology = Scenario.Path { client_capacity = 100; server_capacity = 200 };
+      Scenario.topology = path 100 200;
       slos = [ slo ~metric:Scenario.Slo_p99_latency ~bound:(`Max 50.0) () ] }
 
 (* --- qcheck: codec round-trip over generated scenarios -------------------- *)
@@ -431,7 +531,8 @@ let gen_scenario =
     oneof
       [
         (let* c = int_range 1 500 and* s = int_range 1 2000 in
-         return (Scenario.Path { client_capacity = c; server_capacity = s }));
+         let* server = policy_gen and* cost = oneofl [ Scenario.Lan; Scenario.Wan ] in
+         return (path ~server ~cost c s));
         (let* n = int_range 1 32 and* c = int_range 1 500 and* s = int_range 1 2000 in
          return (Scenario.Fleet { clients = n; client_capacity = c; server_capacity = s }));
         (let* nodes = int_range 1 9 in
@@ -484,13 +585,17 @@ let gen_scenario =
       (list_size (return (List.length Scenario.all_invariants)) bool)
   in
   (* any subset of the fields the topology has, in any order, each with
-     distinct values valid for it *)
+     distinct values valid for it: replicas up to the node count, and an
+     outage rate only where the plan has outage windows *)
   let* sweeps =
-    let fields =
+    let outage =
+      if faults.Plan.outage_period > 0 && faults.Plan.outage_length > 0 then [ `Outage ] else []
+    in
+    let fields, nodes =
       match topology with
-      | Scenario.Path _ -> [ `Loss; `Outage ]
-      | Scenario.Fleet _ -> [ `Loss; `Outage; `Clients ]
-      | Scenario.Cluster _ -> [ `Loss; `Outage; `Clients; `Replicas; `Placement ]
+      | Scenario.Path _ -> ([ `Loss; `Server; `Cost ] @ outage, 1)
+      | Scenario.Fleet _ -> ([ `Loss; `Clients ] @ outage, 1)
+      | Scenario.Cluster { nodes; _ } -> ([ `Loss; `Clients; `Replicas; `Placement ] @ outage, nodes)
     in
     let* chosen = shuffle_l fields in
     let* n = int_range 0 (List.length chosen) in
@@ -501,11 +606,27 @@ let gen_scenario =
            | `Loss -> map (fun l -> Scenario.Loss l) (distinct rate_gen)
            | `Outage -> map (fun l -> Scenario.Outage_rate l) (distinct rate_gen)
            | `Clients -> map (fun l -> Scenario.Clients l) (distinct (int_range 1 32))
-           | `Replicas -> map (fun l -> Scenario.Replicas l) (distinct (int_range 1 9))
+           | `Replicas -> map (fun l -> Scenario.Replicas l) (distinct (int_range 1 nodes))
            | `Placement ->
-               map (fun l -> Scenario.Placement l) (distinct (oneofl Agg_cluster.Cluster.placements)))
+               map (fun l -> Scenario.Placement l) (distinct (oneofl Agg_cluster.Cluster.placements))
+           | `Server ->
+               map
+                 (fun l -> Scenario.Server l)
+                 (map
+                    (List.sort_uniq (fun a b ->
+                         String.compare (Scenario.policy_name a) (Scenario.policy_name b)))
+                    (list_size (int_range 1 4) policy_gen))
+           | `Cost -> map (fun l -> Scenario.Cost l) (distinct (oneofl [ Scenario.Lan; Scenario.Wan ])))
          (List.filteri (fun k _ -> k < n) chosen))
   in
+  (* each swept field's base-line value is its axis's first value: the
+     first point with the sweeps put back *)
+  let base_at_first sweeps =
+    let t = { base with Scenario.topology; faults; sweeps } in
+    let _, first = List.hd (Scenario.points t) in
+    (first.Scenario.topology, first.Scenario.faults)
+  in
+  let topology, faults = base_at_first sweeps in
   let* expectations =
     let axes =
       ("policy", List.map Scenario.policy_name policies)
@@ -778,7 +899,7 @@ let test_exec_sweep_expectations () =
     { Scenario.slo_metric = Scenario.Slo_degraded_rate; slo_policy = Scenario.Group 5;
       slo_bound = `Max 0.0; slo_window = 500; slo_after = 0 }
   in
-  let path = { base with Scenario.topology = Scenario.Path { client_capacity = 100; server_capacity = 200 } } in
+  let path = { base with Scenario.topology = path 100 200 } in
   let clean = run_ok { path with Scenario.slos = [ slo ]; invariants = [] } in
   check_bool "no loss, no degraded window" true (find_check clean "slo").Exec.pass;
   let lossy =
@@ -847,7 +968,7 @@ let load file =
    headline orderings hold. *)
 let test_sweep_files_jobs () =
   Alcotest.(check (list string))
-    "the three sweeps" [ "cluster.scn"; "fleet.scn"; "resilience.scn" ]
+    "the four sweeps" [ "cluster.scn"; "fleet.scn"; "latency.scn"; "resilience.scn" ]
     (List.map Filename.basename (sweep_files ()));
   List.iter
     (fun file ->
@@ -877,6 +998,52 @@ let test_sweep_files_orderings () =
   check_bool "k = 3 degrades no more than k = 1" true at_most.Exec.pass;
   check_bool "at 24 points" true (contains ~needle:"24 points" at_most.Exec.detail);
   check_bool "every request served" true (find_check cluster "every_request_served").Exec.pass
+
+(* The latency sweep is the Fig. 2 path run directly: each of its eight
+   cells equals Cluster.run on the path with the cell's client policy,
+   server policy and cost model, in every metric. *)
+let test_latency_sweep_equals_path_runs () =
+  let module Cluster = Agg_cluster.Cluster in
+  let module Scheme = Agg_system.Scheme in
+  let o = run_ok ~events_cap:3000 (load (Filename.concat sweeps_dir "latency.scn")) in
+  let trace = Agg_workload.Generator.generate ~seed:7 ~events:3000 Agg_workload.Profile.server in
+  let schemes = [ ("lru", Scheme.plain_lru); ("g5", Scheme.aggregating ());
+                  ("g10", Scheme.aggregating ~group_size:10 ()) ] in
+  let costs = [ ("lan", Agg_system.Cost_model.lan); ("wan", Agg_system.Cost_model.wan) ] in
+  Alcotest.(check (list string))
+    "the eight cells"
+    [ "policy=lru server=lru cost=lan"; "policy=lru server=lru cost=wan";
+      "policy=lru server=g10 cost=lan"; "policy=lru server=g10 cost=wan";
+      "policy=g5 server=lru cost=lan"; "policy=g5 server=lru cost=wan";
+      "policy=g5 server=g10 cost=lan"; "policy=g5 server=g10 cost=wan" ]
+    (List.map Exec.cell_label o.Exec.cells);
+  List.iter
+    (fun (c : Exec.cell) ->
+      let at field = List.assoc (List.assoc field c.Exec.point) in
+      let r =
+        Cluster.run
+          { Cluster.path_config with
+            Cluster.client_scheme = List.assoc (Scenario.policy_name c.Exec.policy) schemes;
+            node_scheme = at "server" schemes;
+            cost = at "cost" costs }
+          trace
+      in
+      let f = r.Cluster.faults and i = float_of_int in
+      let module C = Agg_faults.Counters in
+      let expected =
+        [ i r.Cluster.accesses; i r.Cluster.client_hits; i r.Cluster.server_requests;
+          i r.Cluster.server_hits; i r.Cluster.store_fetches; i r.Cluster.files_transferred;
+          i r.Cluster.invalidations; i r.Cluster.routed_fetches; i r.Cluster.failovers;
+          i r.Cluster.cross_shard_members; i r.Cluster.rebalances; i r.Cluster.moved_files;
+          100.0 *. i r.Cluster.client_hits /. i r.Cluster.accesses; r.Cluster.mean_latency;
+          r.Cluster.p95_latency; r.Cluster.p99_latency; i f.C.lost_messages; i f.C.outage_denials;
+          i f.C.timeouts; i f.C.retries; i f.C.degraded_fetches; i f.C.slowed_fetches;
+          i f.C.crashes ]
+      in
+      Alcotest.(check (list (pair string (float 0.0))))
+        (Exec.cell_label c) (List.combine Scenario.metric_names expected) c.Exec.metrics)
+    o.Exec.cells;
+  check_bool "every check passes" true o.Exec.pass
 
 (* --- corpus --------------------------------------------------------------- *)
 
@@ -1049,6 +1216,30 @@ let test_shrinker_sweeps () =
   let shrunk = Fuzz.shrink ~events_cap:1000 swept in
   check_string "shrinks to the pinned minimal scenario" pinned_minimal (Scenario.to_string shrunk)
 
+(* The shrinker proposes only files whose axes act: halving the nodes of
+   a ring whose replicas axis reaches 4 would leave a value above the
+   node count, so the shrunk form keeps all four nodes. *)
+let test_shrinker_keeps_axes_acting () =
+  let ring =
+    { base with
+      Scenario.topology =
+        Scenario.Cluster
+          { nodes = 4; replicas = 1; placement = Agg_cluster.Cluster.Owner_node; ring_seed = 1;
+            clients = 2; client_capacity = 50; node_capacity = 100; churn = [] };
+      sweeps = [ Scenario.Replicas [ 1; 4 ] ];
+      invariants = [];
+      (* equal access counts are never strictly below each other *)
+      expectations =
+        [ Scenario.Ordered
+            { order = Scenario.Below; metric = "accesses"; field = "replicas"; lhs = "1"; rhs = "4" } ] }
+  in
+  let shrunk = Fuzz.shrink ~events_cap:500 ring in
+  check_bool "shrunk still violates" true (Fuzz.violates ~events_cap:500 shrunk);
+  Scenario.validate shrunk;
+  match shrunk.Scenario.topology with
+  | Scenario.Cluster { nodes; _ } -> check_int "the nodes the replicas axis needs" 4 nodes
+  | _ -> Alcotest.fail "topology changed kind"
+
 (* --- profiles ------------------------------------------------------------- *)
 
 let test_paper_profiles_unchanged () =
@@ -1090,6 +1281,7 @@ let () =
           Alcotest.test_case "sweep rejections" `Quick test_sweep_rejections;
           Alcotest.test_case "sweep base value" `Quick test_sweep_base_value;
           Alcotest.test_case "byte mutations" `Quick test_byte_mutations;
+          Alcotest.test_case "committed files print as read" `Quick test_committed_files_print_as_read;
         ] );
       ( "exec",
         [
@@ -1108,6 +1300,7 @@ let () =
         [
           Alcotest.test_case "jobs=1 vs jobs=4" `Quick test_sweep_files_jobs;
           Alcotest.test_case "g5 beats lru under loss" `Quick test_sweep_files_orderings;
+          Alcotest.test_case "latency cells are path runs" `Quick test_latency_sweep_equals_path_runs;
         ] );
       ( "corpus",
         [
@@ -1123,6 +1316,7 @@ let () =
           Alcotest.test_case "healthy untouched" `Quick test_shrink_keeps_healthy_scenario;
           Alcotest.test_case "perturb preserves validity" `Quick test_perturb_valid;
           Alcotest.test_case "sweep shrinker" `Quick test_shrinker_sweeps;
+          Alcotest.test_case "shrunk axes still act" `Quick test_shrinker_keeps_axes_acting;
         ] );
       ( "profiles",
         [
