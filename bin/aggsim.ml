@@ -1010,11 +1010,10 @@ let telemetry_cmd =
           if got <> want then
             failures := Printf.sprintf "%s: series %d <> run %d" name got want :: !failures
         in
-        check "cluster accesses" (Agg_obs.Series.total_accesses series)
-          r.Agg_cluster.Cluster.accesses;
-        check "cluster client hits" (Agg_obs.Series.total_hits series)
-          r.Agg_cluster.Cluster.client_hits;
-        check "cluster degraded fetches" (Agg_obs.Series.total_degraded series)
+        let cluster = Agg_obs.Series.totals series in
+        check "cluster accesses" (Agg_obs.Counter.accesses cluster) r.Agg_cluster.Cluster.accesses;
+        check "cluster client hits" cluster.demand_hits r.Agg_cluster.Cluster.client_hits;
+        check "cluster degraded fetches" cluster.degraded_fetches
           (r.Agg_cluster.Cluster.accesses - r.Agg_cluster.Cluster.client_hits
          - r.Agg_cluster.Cluster.routed_fetches);
         check "cluster latency samples"
@@ -1035,12 +1034,10 @@ let telemetry_cmd =
             Hashtbl.remove loads n)
           r.Agg_cluster.Cluster.per_node_requests;
         Hashtbl.iter (fun n c -> check (Printf.sprintf "node %d load" n) c 0) loads;
-        check "client accesses" (Agg_obs.Series.total_accesses churn)
-          (Agg_obs.Digest.accesses digest);
-        check "client hits" (Agg_obs.Series.total_hits churn) (Agg_obs.Digest.demand_hits digest);
-        check "speculative evictions"
-          (Agg_obs.Series.total_speculative_evictions churn)
-          (Agg_obs.Digest.evicted_speculative digest);
+        let client = Agg_obs.Series.totals churn and run = Agg_obs.Digest.counts digest in
+        check "client accesses" (Agg_obs.Counter.accesses client) (Agg_obs.Counter.accesses run);
+        check "client hits" client.demand_hits run.demand_hits;
+        check "speculative evictions" client.evicted_speculative run.evicted_speculative;
         (* The series document: the cluster channel plus the client churn
            channel, both deterministic bytes. *)
         let body =

@@ -1,39 +1,27 @@
-module Cache = Agg_cache.Cache
+module Client_cache = Agg_core.Client_cache
 
+(* The graph is the model; the cache and its prefetch accounting are a
+   plain engine's, which admits the graph's candidates. *)
 type t = {
   lookahead : int;
   threshold : float;
-  cache : Cache.t;
+  engine : Client_cache.t;
   weights : (int, (int, int) Hashtbl.t) Hashtbl.t; (* src -> dst -> count *)
   accesses_of : (int, int) Hashtbl.t; (* src -> times accessed (chance denominator) *)
   window : int Queue.t; (* the last [lookahead] accesses *)
-  speculative : (int, unit) Hashtbl.t;
-  mutable accesses : int;
-  mutable hits : int;
-  mutable demand_fetches : int;
-  mutable prefetch_issued : int;
-  mutable prefetch_used : int;
-  mutable prefetch_evicted_unused : int;
 }
 
-let create ?(lookahead = 2) ?(threshold = 0.1) ?(cache_kind = Cache.Lru) ~capacity () =
+let create ?(lookahead = 2) ?(threshold = 0.1) ~capacity () =
   if lookahead <= 0 then invalid_arg "Prob_graph.create: lookahead must be positive";
   if threshold <= 0.0 || threshold > 1.0 then
     invalid_arg "Prob_graph.create: threshold must be in (0, 1]";
   {
     lookahead;
     threshold;
-    cache = Cache.create cache_kind ~capacity;
+    engine = Client_cache.of_scheme (Client_cache.Plain Agg_cache.Cache.Lru) ~capacity;
     weights = Hashtbl.create 4096;
     accesses_of = Hashtbl.create 4096;
     window = Queue.create ();
-    speculative = Hashtbl.create 64;
-    accesses = 0;
-    hits = 0;
-    demand_fetches = 0;
-    prefetch_issued = 0;
-    prefetch_used = 0;
-    prefetch_evicted_unused = 0;
   }
 
 let bump_edge t ~src ~dst =
@@ -86,48 +74,17 @@ let prefetch_candidates t file =
             if float_of_int w /. float_of_int n >= t.threshold then dst :: acc else acc)
           table []
 
-let prefetch t file =
-  if not (Cache.mem t.cache file) then begin
-    Cache.insert_cold t.cache file;
-    t.prefetch_issued <- t.prefetch_issued + 1;
-    Hashtbl.replace t.speculative file ()
-  end
-
 let access t file =
   learn t file;
-  t.accesses <- t.accesses + 1;
-  let hit = Cache.access t.cache file in
-  if hit then begin
-    t.hits <- t.hits + 1;
-    if Hashtbl.mem t.speculative file then begin
-      t.prefetch_used <- t.prefetch_used + 1;
-      Hashtbl.remove t.speculative file
-    end
-  end
-  else begin
-    if Hashtbl.mem t.speculative file then begin
-      t.prefetch_evicted_unused <- t.prefetch_evicted_unused + 1;
-      Hashtbl.remove t.speculative file
-    end;
-    t.demand_fetches <- t.demand_fetches + 1
-  end;
+  let hit = Client_cache.access t.engine file in
   (* Unlike the aggregating cache, the prefetcher acts on *every* access
      that clears the probability bar, hit or miss. *)
-  List.iter (prefetch t) (prefetch_candidates t file);
+  List.iter
+    (fun dst -> Client_cache.admit t.engine (Client_cache.intern t.engine dst))
+    (prefetch_candidates t file);
   hit
 
-let metrics t =
-  {
-    Agg_core.Metrics.accesses = t.accesses;
-    hits = t.hits;
-    demand_fetches = t.demand_fetches;
-    prefetch =
-      {
-        Agg_core.Metrics.issued = t.prefetch_issued;
-        used = t.prefetch_used;
-        evicted_unused = t.prefetch_evicted_unused;
-      };
-  }
+let metrics t = Client_cache.metrics t.engine
 
 let run t trace =
   Agg_trace.Trace.iter (fun (e : Agg_trace.Event.t) -> ignore (access t e.file)) trace;

@@ -8,15 +8,12 @@
 
 type t
 
-val create :
-  ?lookahead:int ->
-  ?threshold:float ->
-  ?cache_kind:Agg_cache.Cache.kind ->
-  capacity:int ->
-  unit ->
-  t
+val create : ?lookahead:int -> ?threshold:float -> capacity:int -> unit -> t
 (** [create ~capacity ()] uses the authors' canonical parameters by
-    default: lookahead window of 2 and minimum chance 0.1.
+    default: lookahead window of 2 and minimum chance 0.1. The cache is a
+    plain LRU {!Agg_core.Client_cache} engine that admits each candidate
+    ({!Agg_core.Client_cache.admit}), so the prefetch counters are the
+    engine's.
     @raise Invalid_argument on non-positive capacity/lookahead or a
     threshold outside (0, 1]. *)
 

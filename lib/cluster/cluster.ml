@@ -39,7 +39,6 @@ type config = {
   cooperative : bool;
   cost : Cost_model.t;
   faults : Plan.config;
-  resilience : Resilience.t;
   churn : (int * churn_op) list;
   scope : Agg_obs.Scope.t option;
 }
@@ -60,7 +59,6 @@ let default_config =
     cooperative = false;
     cost = Cost_model.lan;
     faults = Plan.none;
-    resilience = Resilience.default;
     churn = [];
     scope = None;
   }
@@ -192,7 +190,6 @@ let validate config =
   Scheme.validate config.client_scheme;
   Scheme.validate config.node_scheme;
   Plan.validate config.faults;
-  Resilience.validate config.resilience;
   List.iter
     (fun (time, _) ->
       if time < 0 then
@@ -440,7 +437,7 @@ let invalidate_others st ~writer file =
    goes to the primary. Returns the attempt that got through, or -1 when
    the budget ran dry. *)
 let rec attempt_route st ~row ~time ~attempt ~file =
-  let r = st.config.resilience in
+  let r = Resilience.default in
   let k = st.k in
   let target = st.route.(attempt mod k) in
   let plan = st.rows.(row + (attempt mod k)).plan in
@@ -469,7 +466,7 @@ let rec attempt_route st ~row ~time ~attempt ~file =
    before the retry, and a zero-width ["route"] marker when the retry
    fails over to another replica. *)
 let push_route_phases ctx st ~failures =
-  let r = st.config.resilience in
+  let r = Resilience.default in
   let k = st.k in
   for a = 0 to failures - 1 do
     let target = st.route.(a mod k) in
@@ -513,7 +510,7 @@ let serve st ~client ~time ~tracing ~row ~file d =
   let attempt =
     if not (Plan.enabled st.base_plan) then 0 else attempt_route st ~row ~time ~attempt:0 ~file
   in
-  let r = st.config.resilience in
+  let r = Resilience.default in
   let failures = if attempt >= 0 then attempt else r.Resilience.max_retries + 1 in
   (match tracing with
   | Some ctx -> push_route_phases ctx st ~failures
@@ -786,26 +783,25 @@ let client_hit_rate (r : result) = Agg_util.Stats.ratio r.client_hits r.accesses
 let server_hit_rate (r : result) = Agg_util.Stats.ratio r.server_hits r.server_requests
 
 let reconcile digest (r : result) =
-  let checks =
-    [
-      ("node_routes vs routed_fetches", Agg_obs.Digest.node_routes digest, r.routed_fetches);
-      ("replica_failovers vs failovers", Agg_obs.Digest.replica_failovers digest, r.failovers);
-      ("ring_rebalances vs rebalances", Agg_obs.Digest.ring_rebalances digest, r.rebalances);
-      ("fetch_timeouts vs timeouts", Agg_obs.Digest.fetch_timeouts digest, r.faults.Counters.timeouts);
-      ( "degraded_fetches vs degraded",
-        Agg_obs.Digest.degraded_fetches digest,
-        r.faults.Counters.degraded_fetches );
-      ("client_crashes vs crashes", Agg_obs.Digest.client_crashes digest, r.faults.Counters.crashes);
-      ( "routed + degraded vs server_requests",
-        r.routed_fetches + r.faults.Counters.degraded_fetches,
-        r.server_requests );
-    ]
+  let events = Agg_obs.Digest.counts digest and f = r.faults in
+  let expected =
+    {
+      events with
+      Agg_obs.Counter.node_routes = r.routed_fetches;
+      replica_failovers = r.failovers;
+      ring_rebalances = r.rebalances;
+      fetch_timeouts = f.Counters.timeouts;
+      degraded_fetches = f.Counters.degraded_fetches;
+      client_crashes = f.Counters.crashes;
+    }
   in
+  let field (name, result, stream) = Printf.sprintf "%s: result %d vs events %d" name result stream in
+  let served = r.routed_fetches + f.Counters.degraded_fetches in
   match
-    List.filter_map
-      (fun (label, a, b) ->
-        if a = b then None else Some (Printf.sprintf "%s: %d <> %d" label a b))
-      checks
+    List.map field (Agg_obs.Counter.diff expected events)
+    @
+    if served = r.server_requests then []
+    else [ Printf.sprintf "routed + degraded vs server_requests: %d <> %d" served r.server_requests ]
   with
   | [] -> Ok ()
   | mismatches -> Error (String.concat "; " mismatches)

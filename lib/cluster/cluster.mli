@@ -17,8 +17,8 @@
     and a choice of where the successor metadata lives.
 
     {b Resilience}: under an enabled fault plan, a fetch blocked by
-    message loss or an outage is retried up to [resilience.max_retries]
-    times, each retry aimed at the next group member, then degrades to a
+    message loss or an outage is retried up to
+    [Agg_faults.Resilience.default]'s [max_retries] times, each retry aimed at the next group member, then degrades to a
     single-file demand fetch through the primary (speculative members
     dropped). A client crash wipes that client's cache. Node 0 faults on
     the plan's own seed; nodes [> 0] on seeds drawn through
@@ -89,7 +89,6 @@ type config = {
   faults : Agg_faults.Plan.config;
       (** node 0 uses this seed verbatim; node [i > 0] uses a seed
           derived from it, so nodes fail independently *)
-  resilience : Agg_faults.Resilience.t;
   churn : (int * churn_op) list;
       (** (time, op) pairs; an op fires just before the first access at
           [now >= time]. Ops beyond the trace never fire. *)
@@ -162,7 +161,7 @@ val run : config -> Agg_trace.Trace.t -> result
     memory follows the files it touches, not the span of their ids;
     ring placement, events and trace phases use the trace's own ids.
     @raise Invalid_argument on an invalid config (non-positive counts or
-    capacities, bad scheme/plan/resilience, negative churn time) or an
+    capacities, bad scheme or plan, negative churn time) or an
     inapplicable churn op (joining a present node, leaving an absent or
     the last node). *)
 
@@ -170,9 +169,12 @@ val client_hit_rate : result -> float
 val server_hit_rate : result -> float
 
 val reconcile : Agg_obs.Digest.t -> result -> (unit, string) Stdlib.result
-(** Cross-checks an event-stream digest against the result counters:
-    routed fetches, failovers, rebalances, timeouts, degraded fetches,
-    crashes, and the served = routed + degraded identity. [Ok ()] when
-    every pair agrees, otherwise [Error] naming each mismatch. *)
+(** Cross-checks the record of an event-stream digest against the
+    result counters — routed fetches ([node_routes]), failovers,
+    rebalances, timeouts, degraded fetches and crashes — and the served =
+    routed + degraded identity. [Ok ()] when every pair agrees, otherwise
+    [Error] naming each mismatching field ({!Agg_obs.Counter.diff}).
+    Per-level demand and prefetch counts are not checked: the result has
+    no prefetch block. *)
 
 val pp_result : Format.formatter -> result -> unit

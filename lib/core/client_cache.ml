@@ -27,20 +27,24 @@ type t = {
   speculative : Int_table.t; (* prefetched residents not yet demanded *)
   inserted_at : Int_table.t; (* instrumentation only: access count at insertion *)
   mutable last_observed : int; (* instrumentation only: predecessor file id, -1 at start *)
-  mutable accesses : int;
-  mutable hits : int;
-  mutable demand_fetches : int;
+  (* [cache] counts accesses, hits and demand fetches; the engine counts
+     only what the cache cannot see, its prefetches *)
   mutable prefetch_issued : int;
   mutable prefetch_used : int;
   mutable prefetch_evicted_unused : int;
 }
+
+(* The instrumentation's clock. [Cache.access] counts an access before
+   it admits or evicts anything, so every age below reads the count
+   including the access under way. *)
+let accesses t = (Cache.stats t.cache).Cache.accesses
 
 (* Fired by the cache on every physical eviction — only installed when the
    sink is enabled, so the uninstrumented path is exactly the old one. *)
 let on_evict t victim =
   let speculative = Int_table.mem t.speculative victim in
   let age_accesses =
-    match Int_table.get t.inserted_at victim with at when at >= 0 -> t.accesses - at | _ -> 0
+    match Int_table.get t.inserted_at victim with at when at >= 0 -> accesses t - at | _ -> 0
   in
   Int_table.remove t.inserted_at victim;
   Sink.emit t.obs (Event.Evicted { file = Dense.file t.ids victim; speculative; age_accesses })
@@ -65,9 +69,6 @@ let make ~aggregating ?(obs = Sink.noop) ?weight_of config ~capacity =
       speculative = Int_table.create ~capacity:64 ();
       inserted_at = Int_table.create ~capacity:64 ();
       last_observed = -1;
-      accesses = 0;
-      hits = 0;
-      demand_fetches = 0;
       prefetch_issued = 0;
       prefetch_used = 0;
       prefetch_evicted_unused = 0;
@@ -102,7 +103,7 @@ let mark_speculative t k =
   t.prefetch_issued <- t.prefetch_issued + 1;
   Int_table.set t.speculative k 1;
   if t.traced then begin
-    Int_table.set t.inserted_at k t.accesses;
+    Int_table.set t.inserted_at k (accesses t);
     Sink.emit t.obs (Event.Prefetch_issued { file = Dense.file t.ids k })
   end
 
@@ -150,7 +151,6 @@ let[@inline] observe t (k : key) =
 
 let fetch t (k : key) =
   let k = (k :> int) in
-  t.accesses <- t.accesses + 1;
   if t.traced then begin
     (* Hit/miss is announced before the cache mutates so the eviction
        events a miss triggers follow their cause in the stream. *)
@@ -160,14 +160,13 @@ let fetch t (k : key) =
     | None -> Sink.emit t.obs (Event.Demand_miss { file })
   end;
   if Cache.access t.cache k then begin
-    t.hits <- t.hits + 1;
     if Int_table.mem t.speculative k then begin
       (* First demand hit on a prefetched file: the speculation paid off. *)
       t.prefetch_used <- t.prefetch_used + 1;
       Int_table.remove t.speculative k;
       if t.traced then begin
         let lifetime =
-          match Int_table.get t.inserted_at k with at when at >= 0 -> t.accesses - at | _ -> 0
+          match Int_table.get t.inserted_at k with at when at >= 0 -> accesses t - at | _ -> 0
         in
         Sink.emit t.obs (Event.Prefetch_promoted { file = Dense.file t.ids k; lifetime })
       end
@@ -180,8 +179,7 @@ let fetch t (k : key) =
       t.prefetch_evicted_unused <- t.prefetch_evicted_unused + 1;
       Int_table.remove t.speculative k
     end;
-    t.demand_fetches <- t.demand_fetches + 1;
-    if t.traced then Int_table.set t.inserted_at k t.accesses;
+    if t.traced then Int_table.set t.inserted_at k (accesses t);
     if t.aggregating then insert_members t (build_group t k);
     false
   end
@@ -192,11 +190,19 @@ let access t file =
   observe t k;
   fetch t k
 
+let admit t (k : key) =
+  let k = (k :> int) in
+  if not (Cache.mem t.cache k) then begin
+    Cache.insert_cold t.cache k;
+    mark_speculative t k
+  end
+
 let metrics t =
+  let s = Cache.stats t.cache in
   {
-    Metrics.accesses = t.accesses;
-    hits = t.hits;
-    demand_fetches = t.demand_fetches;
+    Metrics.accesses = s.accesses;
+    hits = s.hits;
+    demand_fetches = s.misses;
     prefetch =
       {
         Metrics.issued = t.prefetch_issued;

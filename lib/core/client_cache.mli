@@ -93,6 +93,12 @@ val fetch : t -> key -> bool
     cooperative {!Server_cache} observes every client access but fetches
     only the client's misses. *)
 
+val admit : t -> key -> unit
+(** [admit t k] inserts [k]'s file at the cold end of the data cache as a
+    prefetch chosen outside the engine, counted as issued and then, like
+    a group member, as used or evicted unused. A resident file is left
+    alone. No access is counted. *)
+
 val run : t -> Agg_trace.Trace.t -> Metrics.client
 (** [run t trace] feeds every event of [trace] through {!access} and
     returns the accumulated metrics. Can be called repeatedly; metrics
@@ -104,6 +110,8 @@ val run_files : t -> Agg_trace.File_id.t array -> Metrics.client
     array (see [Trace_store.files]) can skip materialising a trace. *)
 
 val metrics : t -> Metrics.client
+(** Accesses, hits and demand fetches are the data cache's own counts
+    ([Agg_cache.Cache.stats]); the prefetch block is the engine's. *)
 
 val weighted_metrics : t -> Metrics.weighted
 (** The cache's size/cost counters (see {!Metrics.weighted}); unit-weight

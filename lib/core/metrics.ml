@@ -46,41 +46,38 @@ let total_retrieval_cost w = w.cost_fetched + w.cost_prefetched
 
 (* --- event-stream reconciliation ----------------------------------------- *)
 
-let check_all pairs =
+(* [expected] is the digest's record with every field the metrics also
+   count replaced by the metrics' value, so a field they do not count
+   agrees by construction and the diff names exactly the drifted ones. *)
+let reconcile ~accesses digest expected =
+  let events = Agg_obs.Digest.counts digest in
   let mismatches =
-    List.filter_map
-      (fun (label, expected, actual) ->
-        if expected = actual then None
-        else Some (Printf.sprintf "%s: metrics %d vs events %d" label expected actual))
-      pairs
+    (if accesses = Agg_obs.Counter.accesses events then []
+     else [ ("accesses", accesses, Agg_obs.Counter.accesses events) ])
+    @ Agg_obs.Counter.diff (expected events) events
   in
-  match mismatches with [] -> Ok () | ms -> Error (String.concat "; " ms)
+  let line (field, m, e) = Printf.sprintf "%s: metrics %d vs events %d" field m e in
+  match mismatches with [] -> Ok () | ms -> Error (String.concat "; " (List.map line ms))
 
 let reconcile_client digest c =
-  check_all
-    [
-      ("accesses", c.accesses, Agg_obs.Digest.accesses digest);
-      ("hits", c.hits, Agg_obs.Digest.demand_hits digest);
-      ("demand_fetches", c.demand_fetches, Agg_obs.Digest.demand_misses digest);
-      ("prefetch.issued", c.prefetch.issued, Agg_obs.Digest.prefetch_issued digest);
-      ("prefetch.used", c.prefetch.used, Agg_obs.Digest.prefetch_promoted digest);
-      ( "prefetch.evicted_unused",
-        c.prefetch.evicted_unused,
-        Agg_obs.Digest.evicted_unused digest );
-      ("groups = demand_fetches", c.demand_fetches, Agg_obs.Digest.groups_built digest);
-    ]
+  reconcile ~accesses:c.accesses digest (fun events ->
+      {
+        events with
+        Agg_obs.Counter.demand_hits = c.hits;
+        demand_misses = c.demand_fetches;
+        prefetch_issued = c.prefetch.issued;
+        prefetch_promoted = c.prefetch.used;
+        evicted_unused = c.prefetch.evicted_unused;
+        groups_built = c.demand_fetches;
+      })
 
 let reconcile_server digest s =
-  check_all
-    [
-      ("server_requests", s.server_requests, Agg_obs.Digest.accesses digest);
-      ("server_hits", s.server_hits, Agg_obs.Digest.demand_hits digest);
-      ( "store_fetches",
-        s.store_fetches,
-        Agg_obs.Digest.demand_misses digest + Agg_obs.Digest.prefetch_issued digest );
-      ("prefetch.issued", s.prefetch.issued, Agg_obs.Digest.prefetch_issued digest);
-      ("prefetch.used", s.prefetch.used, Agg_obs.Digest.prefetch_promoted digest);
-      ( "prefetch.evicted_unused",
-        s.prefetch.evicted_unused,
-        Agg_obs.Digest.evicted_unused digest );
-    ]
+  reconcile ~accesses:s.server_requests digest (fun events ->
+      {
+        events with
+        Agg_obs.Counter.demand_hits = s.server_hits;
+        demand_misses = s.store_fetches - s.prefetch.issued;
+        prefetch_issued = s.prefetch.issued;
+        prefetch_promoted = s.prefetch.used;
+        evicted_unused = s.prefetch.evicted_unused;
+      })

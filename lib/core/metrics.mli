@@ -53,12 +53,15 @@ val total_retrieval_cost : weighted -> int
     cost — the figure of merit for Landlord-style policies. *)
 
 val reconcile_client : Agg_obs.Digest.t -> client -> (unit, string) result
-(** [reconcile_client digest c] checks that the per-event counts of a
-    run's digest agree exactly with its aggregate metrics — hits, misses
-    (= groups built), accesses, and all three prefetch counters — and
-    names every mismatching field otherwise. The [aggsim trace] verb and
-    the @obs CI gate fail on [Error]. *)
+(** [reconcile_client digest c] checks that the record of a run's digest
+    agrees exactly with its aggregate metrics — accesses, hits
+    ([demand_hits]), demand fetches ([demand_misses], and
+    [groups_built]: one group per miss), and the three prefetch counters
+    ([prefetch_issued], [prefetch_promoted], [evicted_unused]) — and
+    names every mismatching field otherwise ({!Agg_obs.Counter.diff}).
+    The [aggsim trace] verb and the @obs CI gate fail on [Error]. *)
 
 val reconcile_server : Agg_obs.Digest.t -> server -> (unit, string) result
-(** Server-side counterpart: server requests/hits, store fetches
-    (= misses + issued prefetches) and the prefetch counters. *)
+(** Server-side counterpart: server requests (accesses), server hits
+    ([demand_hits]), store fetches less issued prefetches
+    ([demand_misses]) and the prefetch counters. *)

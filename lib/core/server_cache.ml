@@ -6,22 +6,15 @@ type t = {
   cooperative : bool;
   filter : Cache.t; (* the intervening client cache, keyed by [server]'s keys *)
   server : Client_cache.t; (* its misses are the server's accesses *)
-  mutable client_accesses : int;
 }
 
 let create ?(cooperative = false) ?obs ~filter_kind ~filter_capacity ~server_capacity ~scheme () =
   let server = Client_cache.of_scheme ?obs scheme ~capacity:server_capacity in
-  {
-    cooperative;
-    filter = Cache.create filter_kind ~capacity:filter_capacity;
-    server;
-    client_accesses = 0;
-  }
+  { cooperative; filter = Cache.create filter_kind ~capacity:filter_capacity; server }
 
 type outcome = Client_hit | Server_hit | Server_miss
 
 let access t file =
-  t.client_accesses <- t.client_accesses + 1;
   (* One interning serves both levels: the filter is keyed by the
      engine's dense keys too. *)
   let k = Client_cache.intern t.server file in
@@ -38,7 +31,8 @@ let access t file =
 let metrics t =
   let m = Client_cache.metrics t.server in
   {
-    Metrics.client_accesses = t.client_accesses;
+    (* every access reaches the filter, which counts it *)
+    Metrics.client_accesses = (Cache.stats t.filter).Cache.accesses;
     server_requests = m.accesses;
     server_hits = m.hits;
     store_fetches = m.demand_fetches + m.prefetch.issued;

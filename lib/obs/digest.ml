@@ -1,28 +1,9 @@
 type t = {
-  demand_hits : Counter.t;
-  demand_misses : Counter.t;
-  prefetch_issued : Counter.t;
-  prefetch_promoted : Counter.t;
-  evicted_speculative : Counter.t;
-  evicted_demand : Counter.t;
-  evicted_unused : Counter.t;
-  groups_built : Counter.t;
-  successor_updates : Counter.t;
-  fetch_timeouts : Counter.t;
-  fetch_retries : Counter.t;
-  degraded_fetches : Counter.t;
-  client_crashes : Counter.t;
-  node_routes : Counter.t;
-  replica_failovers : Counter.t;
-  ring_rebalances : Counter.t;
+  counts : Counter.t;
   lifetime : Histogram.t;
   hit_depth : Histogram.t;
   group_size : Histogram.t;
   weight_of : (int -> int * int) option;
-  bytes_accessed : Counter.t;
-  bytes_hit : Counter.t;
-  cost_fetched : Counter.t;
-  cost_prefetched : Counter.t;
   (* Mirror of the simulator's speculative-resident table, rebuilt from
      the stream: a file is marked from Prefetch_issued until it is
      promoted or its eviction is discovered by the next demand miss. *)
@@ -31,83 +12,39 @@ type t = {
 
 let create ?weight_of () =
   {
-    weight_of;
-    bytes_accessed = Counter.create ();
-    bytes_hit = Counter.create ();
-    cost_fetched = Counter.create ();
-    cost_prefetched = Counter.create ();
-    demand_hits = Counter.create ();
-    demand_misses = Counter.create ();
-    prefetch_issued = Counter.create ();
-    prefetch_promoted = Counter.create ();
-    evicted_speculative = Counter.create ();
-    evicted_demand = Counter.create ();
-    evicted_unused = Counter.create ();
-    groups_built = Counter.create ();
-    successor_updates = Counter.create ();
-    fetch_timeouts = Counter.create ();
-    fetch_retries = Counter.create ();
-    degraded_fetches = Counter.create ();
-    client_crashes = Counter.create ();
-    node_routes = Counter.create ();
-    replica_failovers = Counter.create ();
-    ring_rebalances = Counter.create ();
+    counts = Counter.create ();
     lifetime = Histogram.create ();
     hit_depth = Histogram.create ();
     group_size = Histogram.create ();
+    weight_of;
     marked = Hashtbl.create 64;
   }
 
-let weight t file = match t.weight_of with None -> (1, 1) | Some f -> f file
-
 let observe t (event : Event.t) =
+  let size, cost =
+    match (event, t.weight_of) with
+    | (Demand_hit { file; _ } | Demand_miss { file } | Prefetch_issued { file }), Some f -> f file
+    | _ -> (1, 1)
+  in
+  Counter.observe t.counts ~size ~cost event;
   match event with
-  | Demand_hit { file; depth } ->
-      Counter.incr t.demand_hits;
-      let size, _ = weight t file in
-      Counter.add t.bytes_accessed size;
-      Counter.add t.bytes_hit size;
-      Histogram.add t.hit_depth depth
+  | Demand_hit { depth; _ } -> Histogram.add t.hit_depth depth
   | Demand_miss { file } ->
-      Counter.incr t.demand_misses;
-      let size, cost = weight t file in
-      Counter.add t.bytes_accessed size;
-      Counter.add t.cost_fetched cost;
       (* The simulator discovers a wasted prefetch lazily: the next demand
          miss on a still-marked file means it was evicted before use. *)
       if Hashtbl.mem t.marked file then begin
-        Counter.incr t.evicted_unused;
+        t.counts.evicted_unused <- t.counts.evicted_unused + 1;
         Hashtbl.remove t.marked file
       end
-  | Prefetch_issued { file } ->
-      Counter.incr t.prefetch_issued;
-      let _, cost = weight t file in
-      Counter.add t.cost_prefetched cost;
-      Hashtbl.replace t.marked file ()
+  | Prefetch_issued { file } -> Hashtbl.replace t.marked file ()
   | Prefetch_promoted { file; lifetime } ->
-      Counter.incr t.prefetch_promoted;
       Hashtbl.remove t.marked file;
       Histogram.add t.lifetime lifetime
-  | Evicted { speculative; age_accesses; _ } ->
-      if speculative then begin
-        Counter.incr t.evicted_speculative;
-        Histogram.add t.lifetime age_accesses
-      end
-      else Counter.incr t.evicted_demand
-  | Group_built { size; _ } ->
-      Counter.incr t.groups_built;
-      Histogram.add t.group_size size
-
-  | Successor_update _ -> Counter.incr t.successor_updates
-  | Fetch_timeout { attempt; _ } ->
-      Counter.incr t.fetch_timeouts;
-      (* attempt 1 and later exist only because a retry re-issued them *)
-      if attempt > 0 then Counter.incr t.fetch_retries
-  | Fetch_degraded _ -> Counter.incr t.degraded_fetches
-  | Client_crashed _ -> Counter.incr t.client_crashes
-  | Node_routed _ -> Counter.incr t.node_routes
-  | Replica_failover _ -> Counter.incr t.replica_failovers
-  | Ring_rebalance _ -> Counter.incr t.ring_rebalances
+  | Evicted { speculative = true; age_accesses; _ } -> Histogram.add t.lifetime age_accesses
+  | Group_built { size; _ } -> Histogram.add t.group_size size
+  | Evicted _ | Successor_update _ | Fetch_timeout _ | Fetch_degraded _ | Client_crashed _
+  | Node_routed _ | Replica_failover _ | Ring_rebalance _ ->
+      ()
 
 let of_events ?weight_of events =
   let t = create ?weight_of () in
@@ -116,62 +53,25 @@ let of_events ?weight_of events =
 
 let merge a b =
   {
-    weight_of = (match a.weight_of with Some _ as w -> w | None -> b.weight_of);
-    bytes_accessed = Counter.merge a.bytes_accessed b.bytes_accessed;
-    bytes_hit = Counter.merge a.bytes_hit b.bytes_hit;
-    cost_fetched = Counter.merge a.cost_fetched b.cost_fetched;
-    cost_prefetched = Counter.merge a.cost_prefetched b.cost_prefetched;
-    demand_hits = Counter.merge a.demand_hits b.demand_hits;
-    demand_misses = Counter.merge a.demand_misses b.demand_misses;
-    prefetch_issued = Counter.merge a.prefetch_issued b.prefetch_issued;
-    prefetch_promoted = Counter.merge a.prefetch_promoted b.prefetch_promoted;
-    evicted_speculative = Counter.merge a.evicted_speculative b.evicted_speculative;
-    evicted_demand = Counter.merge a.evicted_demand b.evicted_demand;
-    evicted_unused = Counter.merge a.evicted_unused b.evicted_unused;
-    groups_built = Counter.merge a.groups_built b.groups_built;
-    successor_updates = Counter.merge a.successor_updates b.successor_updates;
-    fetch_timeouts = Counter.merge a.fetch_timeouts b.fetch_timeouts;
-    fetch_retries = Counter.merge a.fetch_retries b.fetch_retries;
-    degraded_fetches = Counter.merge a.degraded_fetches b.degraded_fetches;
-    client_crashes = Counter.merge a.client_crashes b.client_crashes;
-    node_routes = Counter.merge a.node_routes b.node_routes;
-    replica_failovers = Counter.merge a.replica_failovers b.replica_failovers;
-    ring_rebalances = Counter.merge a.ring_rebalances b.ring_rebalances;
+    counts = Counter.merge a.counts b.counts;
     lifetime = Histogram.merge a.lifetime b.lifetime;
     hit_depth = Histogram.merge a.hit_depth b.hit_depth;
     group_size = Histogram.merge a.group_size b.group_size;
+    weight_of = (match a.weight_of with Some _ as w -> w | None -> b.weight_of);
     marked = Hashtbl.create 64;
   }
 
-let demand_hits t = Counter.value t.demand_hits
-let demand_misses t = Counter.value t.demand_misses
-let accesses t = demand_hits t + demand_misses t
-let prefetch_issued t = Counter.value t.prefetch_issued
-let prefetch_promoted t = Counter.value t.prefetch_promoted
-let evicted_speculative t = Counter.value t.evicted_speculative
-let evicted_demand t = Counter.value t.evicted_demand
-let evicted_unused t = Counter.value t.evicted_unused
-let groups_built t = Counter.value t.groups_built
-let successor_updates t = Counter.value t.successor_updates
-let fetch_timeouts t = Counter.value t.fetch_timeouts
-let fetch_retries t = Counter.value t.fetch_retries
-let degraded_fetches t = Counter.value t.degraded_fetches
-let client_crashes t = Counter.value t.client_crashes
-let node_routes t = Counter.value t.node_routes
-let replica_failovers t = Counter.value t.replica_failovers
-let ring_rebalances t = Counter.value t.ring_rebalances
-let bytes_accessed t = Counter.value t.bytes_accessed
-let bytes_hit t = Counter.value t.bytes_hit
-let cost_fetched t = Counter.value t.cost_fetched
-let cost_prefetched t = Counter.value t.cost_prefetched
-let byte_weighted_hit_rate t = Agg_util.Stats.ratio (bytes_hit t) (bytes_accessed t)
-let total_retrieval_cost t = cost_fetched t + cost_prefetched t
+let counts t = t.counts
+
+let byte_weighted_hit_rate t = Agg_util.Stats.ratio t.counts.bytes_hit t.counts.bytes_accessed
+let total_retrieval_cost t = t.counts.cost_fetched + t.counts.cost_prefetched
 let lifetime t = t.lifetime
 let hit_depth t = t.hit_depth
 let group_size t = t.group_size
 
 let pp ppf t =
+  let c = t.counts in
   Format.fprintf ppf
     "hits=%d misses=%d issued=%d promoted=%d evicted_unused=%d groups=%d succ_updates=%d"
-    (demand_hits t) (demand_misses t) (prefetch_issued t) (prefetch_promoted t) (evicted_unused t)
-    (groups_built t) (successor_updates t)
+    c.demand_hits c.demand_misses c.prefetch_issued c.prefetch_promoted c.evicted_unused
+    c.groups_built c.successor_updates

@@ -1,94 +1,44 @@
 (** Per-run observability products derived from an event stream.
 
-    A digest folds {!Event.t}s into counters and the three headline
-    histograms of the instrumentation layer — speculative-resident
+    A digest folds {!Event.t}s into one {!Counter.t} and the three
+    headline histograms of the instrumentation layer — speculative-resident
     lifetime, stack distance at demand hits, and built group size. It also
     replays the simulator's lazy wasted-prefetch detection (a demand miss
-    on a file whose prefetch was never promoted), so {!evicted_unused}
-    reconciles *exactly* with [Agg_core.Metrics] aggregates: see
-    [Agg_core.Metrics.reconcile_client]. *)
+    on a file whose prefetch was never promoted), so the record's
+    [evicted_unused] reconciles *exactly* with [Agg_core.Metrics]
+    aggregates: see [Agg_core.Metrics.reconcile_client]. *)
 
 type t
 
 val create : ?weight_of:(int -> int * int) -> unit -> t
-(** [weight_of file] is the file's [(size, cost)] pair for the weighted
-    counters below; every file is [(1, 1)] when omitted, making them
+(** [weight_of file] is the file's [(size, cost)] pair for the record's
+    byte and cost sums; every file is [(1, 1)] when omitted, making them
     mirrors of the unweighted counts. Kept as a bare pair so the util
     tier stays below [Agg_cache]. *)
 
 val observe : t -> Event.t -> unit
 (** Folds one event, in stream order — the replayed [evicted_unused]
-    counter is order-sensitive. *)
+    count is order-sensitive. *)
 
 val of_events : ?weight_of:(int -> int * int) -> Event.t list -> t
 
 val merge : t -> t -> t
-(** Combines counters and histograms of two *completed* runs (e.g. sweep
-    cells); the replay state is not merged, so do not [observe] further
-    events on the result. *)
+(** Combines the records and histograms of two *completed* runs (e.g.
+    sweep cells); the replay state is not merged, so do not [observe]
+    further events on the result. *)
 
-val demand_hits : t -> int
-val demand_misses : t -> int
-val accesses : t -> int
-(** [demand_hits + demand_misses]. *)
-
-val prefetch_issued : t -> int
-val prefetch_promoted : t -> int
-
-val evicted_speculative : t -> int
-(** Physical evictions of still-unpromoted prefetches (eager count). *)
-
-val evicted_demand : t -> int
-(** Physical evictions of demand-earned residents. *)
-
-val evicted_unused : t -> int
-(** Wasted prefetches as the simulator counts them: detected at the next
-    demand miss on the evicted file. Always [<= evicted_speculative]. *)
-
-val bytes_accessed : t -> int
-(** Σ size over demand accesses ([weight_of] sizes; access count when
-    unweighted). *)
-
-val bytes_hit : t -> int
-(** Σ size over demand hits. *)
-
-val cost_fetched : t -> int
-(** Σ cost over demand misses. *)
-
-val cost_prefetched : t -> int
-(** Σ cost over issued prefetches. *)
+val counts : t -> Counter.t
+(** Everything the stream counted so far: each event under its kind,
+    [evicted_unused] as the replay detects it (always
+    [<= evicted_speculative]), and the [weight_of] byte and cost sums.
+    This is the digest's own record, not a copy: it changes as the digest
+    observes, and is not to be mutated. *)
 
 val byte_weighted_hit_rate : t -> float
 (** [bytes_hit / bytes_accessed]; [0.] before any access. *)
 
 val total_retrieval_cost : t -> int
 (** [cost_fetched + cost_prefetched]. *)
-
-val groups_built : t -> int
-val successor_updates : t -> int
-
-val fetch_timeouts : t -> int
-(** Timed-out remote fetch attempts ({!Event.Fetch_timeout}). *)
-
-val fetch_retries : t -> int
-(** Timed-out attempts that were themselves re-issues (attempt > 0). *)
-
-val degraded_fetches : t -> int
-(** Group fetches that fell back to the single-file demand path. *)
-
-val client_crashes : t -> int
-(** Client crash/restart events. *)
-
-val node_routes : t -> int
-(** Server fetches routed to (and served by) a cluster node
-    ({!Event.Node_routed}). *)
-
-val replica_failovers : t -> int
-(** Fetch attempts re-issued against the next replication-group member
-    after a node failure ({!Event.Replica_failover}). *)
-
-val ring_rebalances : t -> int
-(** Node join/leave rebalance events ({!Event.Ring_rebalance}). *)
 
 val lifetime : t -> Histogram.t
 (** Accesses from prefetch issue to promotion or physical eviction. *)

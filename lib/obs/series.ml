@@ -5,16 +5,10 @@
    allocation-light. *)
 
 type win = {
-  mutable w_accesses : int;
-  mutable w_hits : int;
-  mutable w_degraded : int;
-  mutable w_spec_evictions : int;
-  w_latency : Histogram.t;
-  mutable w_node_loads : int array;
-  mutable w_nodes : int;  (* highest observed node + 1 *)
-  mutable w_bytes_accessed : int;
-  mutable w_bytes_hit : int;
-  mutable w_cost_fetched : int;
+  counts : Counter.t;
+  latency : Histogram.t;
+  mutable node_loads : int array;
+  mutable nodes : int;  (* highest observed node + 1 *)
 }
 
 (* [weighted] records whether any weighted observation was ever made; the
@@ -23,18 +17,7 @@ type win = {
 type t = { window : int; mutable wins : win array; mutable used : int; mutable weighted : bool }
 
 let fresh_win () =
-  {
-    w_accesses = 0;
-    w_hits = 0;
-    w_degraded = 0;
-    w_spec_evictions = 0;
-    w_latency = Histogram.create ();
-    w_node_loads = [||];
-    w_nodes = 0;
-    w_bytes_accessed = 0;
-    w_bytes_hit = 0;
-    w_cost_fetched = 0;
-  }
+  { counts = Counter.create (); latency = Histogram.create (); node_loads = [||]; nodes = 0 }
 
 let create ~window =
   if window <= 0 then
@@ -58,58 +41,58 @@ let win_at t ~index =
   t.wins.(w)
 
 let observe_access t ~index ~hit =
-  let win = win_at t ~index in
-  win.w_accesses <- win.w_accesses + 1;
-  if hit then win.w_hits <- win.w_hits + 1
+  let c = (win_at t ~index).counts in
+  if hit then c.demand_hits <- c.demand_hits + 1 else c.demand_misses <- c.demand_misses + 1
 
 let observe_latency t ~index ~us =
   if us < 0 then invalid_arg (Printf.sprintf "Series.observe_latency: negative latency %d" us);
-  Histogram.add (win_at t ~index).w_latency us
+  Histogram.add (win_at t ~index).latency us
 
 let observe_degraded t ~index =
-  let win = win_at t ~index in
-  win.w_degraded <- win.w_degraded + 1
+  let c = (win_at t ~index).counts in
+  c.degraded_fetches <- c.degraded_fetches + 1
 
 let observe_eviction t ~index ~speculative =
-  if speculative then begin
-    let win = win_at t ~index in
-    win.w_spec_evictions <- win.w_spec_evictions + 1
-  end
-  else ignore (win_at t ~index)
+  let c = (win_at t ~index).counts in
+  if speculative then c.evicted_speculative <- c.evicted_speculative + 1
+  else c.evicted_demand <- c.evicted_demand + 1
 
 let observe_weighted t ~index ~size ~cost ~hit =
   if size <= 0 then
     invalid_arg (Printf.sprintf "Series.observe_weighted: size must be positive (got %d)" size);
   if cost <= 0 then
     invalid_arg (Printf.sprintf "Series.observe_weighted: cost must be positive (got %d)" cost);
-  let win = win_at t ~index in
+  let c = (win_at t ~index).counts in
   t.weighted <- true;
-  win.w_bytes_accessed <- win.w_bytes_accessed + size;
-  if hit then win.w_bytes_hit <- win.w_bytes_hit + size
-  else win.w_cost_fetched <- win.w_cost_fetched + cost
+  c.bytes_accessed <- c.bytes_accessed + size;
+  if hit then c.bytes_hit <- c.bytes_hit + size else c.cost_fetched <- c.cost_fetched + cost
 
+(* The one place a node route is counted, whether it comes directly or
+   as an event. *)
 let observe_node t ~index ~node =
   if node < 0 then invalid_arg (Printf.sprintf "Series.observe_node: negative node %d" node);
   let win = win_at t ~index in
-  if node >= Array.length win.w_node_loads then begin
-    let cap = max 4 (max (node + 1) (2 * Array.length win.w_node_loads)) in
+  if node >= Array.length win.node_loads then begin
+    let cap = max 4 (max (node + 1) (2 * Array.length win.node_loads)) in
     let loads = Array.make cap 0 in
-    Array.blit win.w_node_loads 0 loads 0 win.w_nodes;
-    win.w_node_loads <- loads
+    Array.blit win.node_loads 0 loads 0 win.nodes;
+    win.node_loads <- loads
   end;
-  if node >= win.w_nodes then win.w_nodes <- node + 1;
-  win.w_node_loads.(node) <- win.w_node_loads.(node) + 1
+  if node >= win.nodes then win.nodes <- node + 1;
+  win.node_loads.(node) <- win.node_loads.(node) + 1;
+  win.counts.node_routes <- win.counts.node_routes + 1
 
+(* Only the kinds a window records open one: an event of another kind
+   (the prefetches a miss issues, say) can fall past the last access's
+   window and would open an empty one. Events carry no weights, so
+   event-fed windows keep zero byte and cost sums. *)
 let observe_event t ~index event =
   match (event : Event.t) with
-  | Event.Demand_hit _ -> observe_access t ~index ~hit:true
-  | Event.Demand_miss _ -> observe_access t ~index ~hit:false
-  | Event.Fetch_degraded _ -> observe_degraded t ~index
-  | Event.Evicted { speculative; _ } -> observe_eviction t ~index ~speculative
-  | Event.Node_routed { node; _ } -> observe_node t ~index ~node
-  | Event.Prefetch_issued _ | Event.Prefetch_promoted _ | Event.Group_built _
-  | Event.Successor_update _ | Event.Fetch_timeout _ | Event.Client_crashed _
-  | Event.Replica_failover _ | Event.Ring_rebalance _ ->
+  | Demand_hit _ | Demand_miss _ | Fetch_degraded _ | Evicted _ ->
+      Counter.observe (win_at t ~index).counts ~size:0 ~cost:0 event
+  | Node_routed { node; _ } -> observe_node t ~index ~node
+  | Prefetch_issued _ | Prefetch_promoted _ | Group_built _ | Successor_update _
+  | Fetch_timeout _ | Client_crashed _ | Replica_failover _ | Ring_rebalance _ ->
       ()
 
 let of_events ~window events =
@@ -129,43 +112,18 @@ let merge a b =
     invalid_arg
       (Printf.sprintf "Series.merge: window sizes differ (%d vs %d)" a.window b.window);
   let used = max a.used b.used in
+  let win s i = if i < s.used then s.wins.(i) else fresh_win () in
+  (* fresh records throughout: merge must not alias its inputs *)
   let merged_win i =
-    let pick s = if i < s.used then Some s.wins.(i) else None in
-    match (pick a, pick b) with
-    | Some x, None | None, Some x ->
-        (* fresh copy: merge must not alias its inputs *)
-        {
-          w_accesses = x.w_accesses;
-          w_hits = x.w_hits;
-          w_degraded = x.w_degraded;
-          w_spec_evictions = x.w_spec_evictions;
-          w_latency = Histogram.merge x.w_latency (Histogram.create ());
-          w_node_loads = Array.sub x.w_node_loads 0 x.w_nodes;
-          w_nodes = x.w_nodes;
-          w_bytes_accessed = x.w_bytes_accessed;
-          w_bytes_hit = x.w_bytes_hit;
-          w_cost_fetched = x.w_cost_fetched;
-        }
-    | Some x, Some y ->
-        let nodes = max x.w_nodes y.w_nodes in
-        let loads =
-          Array.init nodes (fun n ->
-              (if n < x.w_nodes then x.w_node_loads.(n) else 0)
-              + if n < y.w_nodes then y.w_node_loads.(n) else 0)
-        in
-        {
-          w_accesses = x.w_accesses + y.w_accesses;
-          w_hits = x.w_hits + y.w_hits;
-          w_degraded = x.w_degraded + y.w_degraded;
-          w_spec_evictions = x.w_spec_evictions + y.w_spec_evictions;
-          w_latency = Histogram.merge x.w_latency y.w_latency;
-          w_node_loads = loads;
-          w_nodes = nodes;
-          w_bytes_accessed = x.w_bytes_accessed + y.w_bytes_accessed;
-          w_bytes_hit = x.w_bytes_hit + y.w_bytes_hit;
-          w_cost_fetched = x.w_cost_fetched + y.w_cost_fetched;
-        }
-    | None, None -> fresh_win ()
+    let x = win a i and y = win b i in
+    let nodes = max x.nodes y.nodes in
+    let load w n = if n < w.nodes then w.node_loads.(n) else 0 in
+    {
+      counts = Counter.merge x.counts y.counts;
+      latency = Histogram.merge x.latency y.latency;
+      node_loads = Array.init nodes (fun n -> load x n + load y n);
+      nodes;
+    }
   in
   { window = a.window; wins = Array.init used merged_win; used; weighted = a.weighted || b.weighted }
 
@@ -176,34 +134,35 @@ let get t w =
     invalid_arg (Printf.sprintf "Series: window %d outside [0, %d)" w t.used);
   t.wins.(w)
 
-let accesses t w = (get t w).w_accesses
-let bytes_accessed t w = (get t w).w_bytes_accessed
-let bytes_hit t w = (get t w).w_bytes_hit
-let cost_fetched t w = (get t w).w_cost_fetched
-let hits t w = (get t w).w_hits
-let degraded t w = (get t w).w_degraded
-let speculative_evictions t w = (get t w).w_spec_evictions
+let counts t w = (get t w).counts
+
+let totals t =
+  let c = Counter.create () in
+  for w = 0 to t.used - 1 do
+    Counter.add c t.wins.(w).counts
+  done;
+  c
 
 let pct num den = if den = 0 then 0.0 else 100.0 *. float_of_int num /. float_of_int den
 let hit_rate t w =
-  let win = get t w in
-  pct win.w_hits win.w_accesses
+  let c = counts t w in
+  pct c.demand_hits (Counter.accesses c)
 
 let byte_hit_rate t w =
-  let win = get t w in
-  pct win.w_bytes_hit win.w_bytes_accessed
+  let c = counts t w in
+  pct c.bytes_hit c.bytes_accessed
 
 let degraded_rate t w =
-  let win = get t w in
-  pct win.w_degraded win.w_accesses
+  let c = counts t w in
+  pct c.degraded_fetches (Counter.accesses c)
 
-let latency_quantile t w q = Histogram.quantile (get t w).w_latency q
+let latency_quantile t w q = Histogram.quantile (get t w).latency q
 
 let node_loads t w =
   let win = get t w in
   let acc = ref [] in
-  for n = win.w_nodes - 1 downto 0 do
-    if win.w_node_loads.(n) > 0 then acc := (n, win.w_node_loads.(n)) :: !acc
+  for n = win.nodes - 1 downto 0 do
+    if win.node_loads.(n) > 0 then acc := (n, win.node_loads.(n)) :: !acc
   done;
   !acc
 
@@ -215,13 +174,13 @@ let load_imbalance ?nodes t w =
         if n <= 0 then
           invalid_arg (Printf.sprintf "Series.load_imbalance: nodes must be positive (got %d)" n);
         n
-    | None -> win.w_nodes
+    | None -> win.nodes
   in
   if nodes = 0 then 0.0
   else begin
     let total = ref 0 and max_load = ref 0 in
     for n = 0 to nodes - 1 do
-      let load = if n < win.w_nodes then win.w_node_loads.(n) else 0 in
+      let load = if n < win.nodes then win.node_loads.(n) else 0 in
       total := !total + load;
       if load > !max_load then max_load := load
     done;
@@ -229,19 +188,12 @@ let load_imbalance ?nodes t w =
     else float_of_int !max_load /. (float_of_int !total /. float_of_int nodes)
   end
 
-let fold_wins t f init =
-  let acc = ref init in
+let total_latency t =
+  let h = ref (Histogram.create ()) in
   for w = 0 to t.used - 1 do
-    acc := f !acc t.wins.(w)
+    h := Histogram.merge !h t.wins.(w).latency
   done;
-  !acc
-
-let total_accesses t = fold_wins t (fun acc w -> acc + w.w_accesses) 0
-let total_hits t = fold_wins t (fun acc w -> acc + w.w_hits) 0
-let total_degraded t = fold_wins t (fun acc w -> acc + w.w_degraded) 0
-let total_speculative_evictions t = fold_wins t (fun acc w -> acc + w.w_spec_evictions) 0
-
-let total_latency t = fold_wins t (fun acc w -> Histogram.merge acc w.w_latency) (Histogram.create ())
+  !h
 
 (* --- export -------------------------------------------------------------- *)
 
@@ -257,20 +209,21 @@ let to_json t =
   Buffer.add_string buf (Printf.sprintf "{\n  \"window_size\": %d,\n  \"windows\": [\n" t.window);
   for w = 0 to t.used - 1 do
     let win = t.wins.(w) in
+    let c = win.counts in
     Buffer.add_string buf
       (Printf.sprintf
          "    {\"index\": %d, \"accesses\": %d, \"hits\": %d, \"degraded\": %d, \
           \"speculative_evictions\": %d, \"latency_us\": {\"p50\": %s, \"p95\": %s, \"p99\": %s}, \
           \"node_loads\": [%s]%s}%s\n"
-         w win.w_accesses win.w_hits win.w_degraded win.w_spec_evictions
-         (quantile_field win.w_latency 0.5)
-         (quantile_field win.w_latency 0.95)
-         (quantile_field win.w_latency 0.99)
+         w (Counter.accesses c) c.demand_hits c.degraded_fetches c.evicted_speculative
+         (quantile_field win.latency 0.5)
+         (quantile_field win.latency 0.95)
+         (quantile_field win.latency 0.99)
          (String.concat ", "
             (List.map (fun (n, c) -> Printf.sprintf "[%d, %d]" n c) (node_loads t w)))
          (if t.weighted then
             Printf.sprintf ", \"bytes_accessed\": %d, \"bytes_hit\": %d, \"cost_fetched\": %d"
-              win.w_bytes_accessed win.w_bytes_hit win.w_cost_fetched
+              c.bytes_accessed c.bytes_hit c.cost_fetched
           else "")
          (if w = t.used - 1 then "" else ","))
   done;
@@ -288,18 +241,19 @@ let to_prometheus ?(prefix = "agg") t =
   let sample name w value =
     Buffer.add_string buf (Printf.sprintf "%s_%s{window=\"%d\"} %s\n" prefix name w value)
   in
-  gauge "accesses" (fun w -> sample "accesses" w (string_of_int (accesses t w)));
+  let count field w = string_of_int (field (counts t w)) in
+  gauge "accesses" (fun w -> sample "accesses" w (count Counter.accesses w));
   gauge "hit_rate" (fun w -> sample "hit_rate" w (float_str (hit_rate t w)));
   gauge "degraded_rate" (fun w -> sample "degraded_rate" w (float_str (degraded_rate t w)));
   gauge "speculative_evictions" (fun w ->
-      sample "speculative_evictions" w (string_of_int (speculative_evictions t w)));
+      sample "speculative_evictions" w (count (fun c -> c.evicted_speculative) w));
   gauge "p99_latency_us" (fun w ->
       match latency_quantile t w 0.99 with
       | Some us -> sample "p99_latency_us" w (string_of_int us)
       | None -> ());
   if t.weighted then begin
     gauge "byte_hit_rate" (fun w -> sample "byte_hit_rate" w (float_str (byte_hit_rate t w)));
-    gauge "cost_fetched" (fun w -> sample "cost_fetched" w (string_of_int (cost_fetched t w)))
+    gauge "cost_fetched" (fun w -> sample "cost_fetched" w (count (fun c -> c.cost_fetched) w))
   end;
   gauge "node_load" (fun w ->
       List.iter
@@ -312,7 +266,7 @@ let to_prometheus ?(prefix = "agg") t =
 let pp ppf t =
   Format.fprintf ppf "series window=%d windows=%d" t.window t.used;
   for w = 0 to t.used - 1 do
-    Format.fprintf ppf "@ [%d] n=%d hit=%.1f%% degraded=%d spec_evict=%d" w (accesses t w)
-      (hit_rate t w) (degraded t w)
-      (speculative_evictions t w)
+    let c = counts t w in
+    Format.fprintf ppf "@ [%d] n=%d hit=%.1f%% degraded=%d spec_evict=%d" w (Counter.accesses c)
+      (hit_rate t w) c.degraded_fetches c.evicted_speculative
   done

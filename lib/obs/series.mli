@@ -1,22 +1,23 @@
 (** Windowed time-series telemetry over the simulator's access clock.
 
     A series partitions a run into fixed windows of [window] accesses
-    (access index [i] lands in window [i / window]) and accumulates, per
-    window: access and hit counts, degraded-fetch counts, speculative
-    eviction churn, a latency histogram in integer microseconds, and
-    dense per-node load counts. Every observation is keyed by the access
-    {e index}, not by arrival order, so a series built from shards of a
-    run merges into exactly the series of the whole run.
+    (access index [i] lands in window [i / window]) and keeps, per
+    window, one {!Counter.t} — access and hit counts, degraded fetches,
+    evictions, node routes and, once weighted, byte and cost sums — plus
+    a latency histogram in integer microseconds and dense per-node load
+    counts. Every observation is keyed by the access {e index}, not by
+    arrival order, so a series built from shards of a run merges into
+    exactly the series of the whole run.
 
     {!merge} is associative and commutative with {!create} as identity
     (the qcheck properties in [test/test_obs.ml] pin this), which makes
     per-shard series reducible under [Agg_util.Pool] with byte-identical
     {!to_json}/{!to_prometheus} output for any [--jobs] value.
 
-    Window sums reconcile exactly with end-of-run aggregates:
-    [total_hits] against a result's hit counter, [total_degraded]
-    against {!Digest.degraded_fetches}, and so on — the telemetry layer
-    never invents counts the run did not produce. *)
+    Window sums reconcile exactly with end-of-run aggregates: {!totals}
+    of a series fed a run's events equals the run's {!Digest.counts} on
+    every field a window records — the telemetry layer never invents
+    counts the run did not produce. *)
 
 type t
 
@@ -51,12 +52,14 @@ val observe_degraded : t -> index:int -> unit
     single-file path. *)
 
 val observe_eviction : t -> index:int -> speculative:bool -> unit
-(** A physical eviction; only [speculative = true] (unpromoted prefetch)
-    evictions are counted — the series tracks prefetch churn. *)
+(** A physical eviction: [evicted_speculative] when it removed an
+    unpromoted prefetch (the churn the exporters report), else
+    [evicted_demand]. *)
 
 val observe_node : t -> index:int -> node:int -> unit
 (** A fetch was served by cluster [node] (degraded fallbacks count
-    against the primary, mirroring per-node request accounting). *)
+    against the primary, mirroring per-node request accounting): one
+    [node_routes] and one unit of the node's load. *)
 
 val observe_weighted : t -> index:int -> size:int -> cost:int -> hit:bool -> unit
 (** One demand access under per-file weights: [size] bytes were asked
@@ -68,10 +71,11 @@ val observe_weighted : t -> index:int -> size:int -> cost:int -> hit:bool -> uni
     @raise Invalid_argument when [size] or [cost] is not positive. *)
 
 val observe_event : t -> index:int -> Event.t -> unit
-(** Folds one {!Event.t} into the series at [index]: demand hits/misses
-    update the access counts, [Fetch_degraded] the degraded count,
-    speculative [Evicted] the churn count and [Node_routed] the node
-    loads; other events are ignored.
+(** Folds one {!Event.t} into the series at [index] through
+    {!Counter.observe}, with zero weights: demand hits and misses,
+    [Fetch_degraded] and [Evicted] count under their kinds, and
+    [Node_routed] is {!observe_node}. Other events are ignored and open
+    no window.
     @raise Invalid_argument when [index] is negative. *)
 
 val of_events : window:int -> Event.t list -> t
@@ -91,18 +95,13 @@ val merge : t -> t -> t
     All take a window index [w] and raise [Invalid_argument] when [w] is
     outside [0, windows t). *)
 
-val accesses : t -> int -> int
-val hits : t -> int -> int
-val degraded : t -> int -> int
-val speculative_evictions : t -> int -> int
+val counts : t -> int -> Counter.t
+(** The window's record: the series's own, not a copy, so it changes
+    as the series observes and is not to be mutated. *)
 
 val hit_rate : t -> int -> float
 (** Percent of the window's accesses served locally; [0.] on an empty
     window. *)
-
-val bytes_accessed : t -> int -> int
-val bytes_hit : t -> int -> int
-val cost_fetched : t -> int -> int
 
 val byte_hit_rate : t -> int -> float
 (** Percent of the window's bytes served locally; [0.] on an empty (or
@@ -129,10 +128,8 @@ val load_imbalance : ?nodes:int -> t -> int -> float
 
 (** {2 Whole-run totals (exact window sums)} *)
 
-val total_accesses : t -> int
-val total_hits : t -> int
-val total_degraded : t -> int
-val total_speculative_evictions : t -> int
+val totals : t -> Counter.t
+(** A fresh record holding the sum of every window's. *)
 
 val total_latency : t -> Histogram.t
 (** All windows' latency observations merged into one histogram. *)

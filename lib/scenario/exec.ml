@@ -398,7 +398,7 @@ let slo_cell (s : Scenario.slo) cell =
         if
           !violation = None
           && wi * w >= s.Scenario.slo_after
-          && Agg_obs.Series.accesses series wi > 0
+          && Agg_obs.Counter.accesses (Agg_obs.Series.counts series wi) > 0
         then begin
           let value =
             match s.Scenario.slo_metric with

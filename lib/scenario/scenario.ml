@@ -219,6 +219,18 @@ let settings sweep =
     | Cost costs ->
         List.map (fun cost -> topology (function Path p -> Path { p with cost } | o -> o)) costs)
 
+(* A fault rate that cannot act, if any: outages with no windows to fall
+   in, or slow links no slower than the rest. The parser reports it
+   against the faults line, [validate] raises it. *)
+let faults_error (f : Plan.config) =
+  if f.outage_rate > 0.0 && (f.outage_period = 0 || f.outage_length = 0) then
+    Some
+      (Printf.sprintf "faults outage_rate=%s needs outage_period and outage_length above 0"
+         (float_str f.outage_rate))
+  else if f.slow_rate > 0.0 && f.slow_multiplier = 1.0 then
+    Some (Printf.sprintf "faults slow=%s needs slow_mult above 1" (float_str f.slow_rate))
+  else None
+
 (* What is wrong with an axis in the scenario it sweeps, if anything: a
    value error, a field the topology lacks, a value that cannot act (more
    replicas than nodes, an outage rate with no outage windows), or a base
@@ -579,11 +591,13 @@ let parse_line p ~line tokens =
       let* slow_rate = float_kv ~line kvs "slow" in
       let* slow_multiplier = float_kv ~line kvs "slow_mult" in
       let* crash_rate = float_kv ~line kvs "crash" in
-      once "faults" p.p_faults (fun () ->
-          p.p_faults <-
-            Some
-              { Plan.seed; loss_rate; outage_period; outage_rate; outage_length; slow_rate;
-                slow_multiplier; crash_rate })
+      let faults =
+        { Plan.seed; loss_rate; outage_period; outage_rate; outage_length; slow_rate;
+          slow_multiplier; crash_rate }
+      in
+      (match faults_error faults with
+      | Some m -> errf line "%s" m
+      | None -> once "faults" p.p_faults (fun () -> p.p_faults <- Some faults))
   | [ "policy"; spec ] ->
       let* policy = parse_policy ~line spec in
       Ok (p.p_policies <- policy :: p.p_policies)
@@ -788,6 +802,7 @@ let validate t =
           if time < 0 then invalid "Scenario.validate: negative churn time %d" time)
         churn);
   Plan.validate t.faults;
+  Option.iter (invalid "Scenario.validate: %s") (faults_error t.faults);
   if t.policies = [] then invalid "Scenario.validate: empty policy matrix";
   List.iter (fun (p : policy) -> match p with Group g -> positive "group size" g | Plain _ -> ())
     t.policies;

@@ -477,7 +477,8 @@ let test_churn_rebalances () =
   check_bool "joiner served requests" true
     (match List.assoc_opt 3 r.Cluster.per_node_requests with Some n -> n > 0 | None -> false);
   check_bool "leaver's requests retained" true (List.mem_assoc 1 r.Cluster.per_node_requests);
-  check_int "rebalance events emitted" 2 (Obs_digest.ring_rebalances (Obs_digest.of_events (Sink.events sink)));
+  check_int "rebalance events emitted" 2
+    (Obs_digest.counts (Obs_digest.of_events (Sink.events sink))).ring_rebalances;
   (* the sink must not influence the simulation *)
   let r2 = Cluster.run { config with Cluster.scope = None } trace in
   check_bool "noop-sink rerun identical" true (r2 = r)
@@ -541,9 +542,10 @@ let test_reconcile_event_stream () =
   (match Cluster.reconcile digest r with
   | Ok () -> ()
   | Error e -> Alcotest.failf "stream does not reconcile: %s" e);
-  check_bool "routed events present" true (Obs_digest.node_routes digest > 0);
-  check_bool "failover events present" true (Obs_digest.replica_failovers digest > 0);
-  check_int "one rebalance event" 1 (Obs_digest.ring_rebalances digest);
+  let counts = Obs_digest.counts digest in
+  check_bool "routed events present" true (counts.node_routes > 0);
+  check_bool "failover events present" true (counts.replica_failovers > 0);
+  check_int "one rebalance event" 1 counts.ring_rebalances;
   (* dropping the routing events must be detected *)
   let tampered =
     List.filter (function Agg_obs.Event.Node_routed _ -> false | _ -> true) events
@@ -600,12 +602,11 @@ let test_series_node_loads_reconcile () =
         Cluster.scope = Some (Agg_obs.Scope.create ~series ~trace_ctx:ctx ()) }
       trace
   in
-  check_int "series accesses = run accesses" r.Cluster.accesses
-    (Agg_obs.Series.total_accesses series);
-  check_int "series hits = client hits" r.Cluster.client_hits
-    (Agg_obs.Series.total_hits series);
+  let totals = Agg_obs.Series.totals series in
+  check_int "series accesses = run accesses" r.Cluster.accesses (Agg_obs.Counter.accesses totals);
+  check_int "series hits = client hits" r.Cluster.client_hits totals.demand_hits;
   check_int "series degraded = fault counter" r.Cluster.faults.Counters.degraded_fetches
-    (Agg_obs.Series.total_degraded series);
+    totals.degraded_fetches;
   check_int "every access carries one latency sample" r.Cluster.accesses
     (Agg_obs.Histogram.count (Agg_obs.Series.total_latency series));
   (* the windowed per-node loads sum to per_node_requests, node by node

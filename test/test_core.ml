@@ -187,6 +187,38 @@ let test_client_resident_probe () =
   check_bool "resident" true (Client_cache.resident cache 1);
   check_bool "absent" false (Client_cache.resident cache 2)
 
+(* A prefetch chosen outside the engine: issued when admitted, used at its
+   first demand hit, evicted unused when a miss finds it gone; a resident
+   file is left alone. *)
+let test_client_admit () =
+  let cache = Client_cache.of_scheme (Client_cache.Plain Agg_cache.Cache.Lru) ~capacity:2 in
+  let admit file = Client_cache.admit cache (Client_cache.intern cache file) in
+  let prefetch () = (Client_cache.metrics cache).Metrics.prefetch in
+  ignore (Client_cache.access cache 1);
+  admit 1;
+  check_int "a resident file is not issued" 0 (prefetch ()).Metrics.issued;
+  admit 2;
+  check_bool "admitted" true (Client_cache.resident cache 2);
+  check_int "issued" 1 (prefetch ()).Metrics.issued;
+  check_int "admitting counts no access" 1 (Client_cache.metrics cache).Metrics.accesses;
+  check_bool "its demand access hits" true (Client_cache.access cache 2);
+  check_int "used" 1 (prefetch ()).Metrics.used;
+  admit 2;
+  check_int "a used file is resident, so not issued again" 1 (prefetch ()).Metrics.issued;
+  (* 3 enters at the cold end, evicting 1; the miss on 4 evicts 3 *)
+  admit 3;
+  check_bool "1 evicted to make room" false (Client_cache.resident cache 1);
+  check_bool "a miss" false (Client_cache.access cache 4);
+  check_bool "3 evicted before use" false (Client_cache.resident cache 3);
+  check_int "not unused until a miss finds it gone" 0 (prefetch ()).Metrics.evicted_unused;
+  check_bool "the miss on 3" false (Client_cache.access cache 3);
+  check_int "evicted unused" 1 (prefetch ()).Metrics.evicted_unused;
+  check_int "issued twice in all" 2 (prefetch ()).Metrics.issued;
+  let m = Client_cache.metrics cache in
+  check_int "accesses" 4 m.Metrics.accesses;
+  check_int "hits" 1 m.Metrics.hits;
+  check_int "demand fetches" 3 m.Metrics.demand_fetches
+
 (* --- Adaptive_client ---------------------------------------------------------- *)
 
 let test_adaptive_grows_on_predictable_workload () =
@@ -485,6 +517,7 @@ let () =
           Alcotest.test_case "head position" `Quick test_client_head_position_also_works;
           Alcotest.test_case "run accumulates" `Quick test_client_run_accumulates;
           Alcotest.test_case "resident probe" `Quick test_client_resident_probe;
+          Alcotest.test_case "admit" `Quick test_client_admit;
         ] );
       ( "adaptive_client",
         [

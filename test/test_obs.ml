@@ -10,28 +10,58 @@ open Agg_obs
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+let contains ~needle haystack =
+  let n = String.length needle and h = String.length haystack in
+  let rec loop i = i + n <= h && (String.sub haystack i n = needle || loop (i + 1)) in
+  n = 0 || loop 0
+
 (* --- Counter ----------------------------------------------------------- *)
 
 let test_counter_basics () =
   let c = Counter.create () in
-  check_int "fresh" 0 (Counter.value c);
-  Counter.incr c;
-  Counter.incr c;
-  Counter.add c 5;
-  check_int "incr+add" 7 (Counter.value c);
-  Counter.reset c;
-  check_int "reset" 0 (Counter.value c);
-  Alcotest.check_raises "negative add" (Invalid_argument "Counter.add: negative increment")
-    (fun () -> Counter.add c (-1))
+  check_bool "fresh record is all zeros" true (Counter.diff c (Counter.create ()) = []);
+  List.iter
+    (Counter.observe c ~size:3 ~cost:5)
+    [
+      Event.Demand_hit { file = 1; depth = 0 };
+      Event.Demand_miss { file = 2 };
+      Event.Prefetch_issued { file = 4 };
+      Event.Fetch_timeout { file = 2; attempt = 0 };
+      Event.Fetch_timeout { file = 2; attempt = 1 };
+      Event.Evicted { file = 4; speculative = true; age_accesses = 1 };
+      Event.Node_routed { file = 2; node = 1 };
+    ];
+  check_int "hits" 1 c.demand_hits;
+  check_int "misses" 1 c.demand_misses;
+  check_int "accesses" 2 (Counter.accesses c);
+  check_int "timeouts" 2 c.fetch_timeouts;
+  check_int "only a re-issued attempt is a retry" 1 c.fetch_retries;
+  check_int "speculative eviction" 1 c.evicted_speculative;
+  check_int "node route" 1 c.node_routes;
+  check_int "bytes accessed: hit and miss" 6 c.bytes_accessed;
+  check_int "bytes hit" 3 c.bytes_hit;
+  check_int "cost fetched: the miss" 5 c.cost_fetched;
+  check_int "cost prefetched: the prefetch" 5 c.cost_prefetched;
+  check_int "no event shows an unused eviction" 0 c.evicted_unused;
+  Alcotest.(check (list (triple string int int)))
+    "diff names each differing field, in order"
+    [ ("demand_hits", 1, 0); ("bytes_hit", 3, 0) ]
+    (Counter.diff c { c with demand_hits = 0; bytes_hit = 0 })
 
 let test_counter_merge () =
   let a = Counter.create () and b = Counter.create () in
-  Counter.add a 3;
-  Counter.add b 4;
-  check_int "merge sums" 7 (Counter.value (Counter.merge a b));
+  a.demand_hits <- 3;
+  b.demand_hits <- 4;
+  b.cost_prefetched <- 2;
+  let m = Counter.merge a b in
+  check_int "merge sums" 7 m.demand_hits;
+  check_int "merge sums every field" 2 m.cost_prefetched;
   (* merge is pure: the inputs are untouched *)
-  check_int "a untouched" 3 (Counter.value a);
-  check_int "b untouched" 4 (Counter.value b)
+  check_int "a untouched" 3 a.demand_hits;
+  check_int "b untouched" 4 b.demand_hits;
+  Counter.add a b;
+  check_int "add accumulates in place" 7 a.demand_hits;
+  check_int "add leaves its argument alone" 4 b.demand_hits
 
 (* --- Histogram --------------------------------------------------------- *)
 
@@ -209,14 +239,15 @@ let test_digest_replay () =
       Event.Demand_miss { file = 3 };
       Event.Group_built { anchor = 3; size = 1 };
     ];
-  check_int "hits" 1 (Digest.demand_hits d);
-  check_int "misses" 2 (Digest.demand_misses d);
-  check_int "accesses" 3 (Digest.accesses d);
-  check_int "issued" 2 (Digest.prefetch_issued d);
-  check_int "promoted" 1 (Digest.prefetch_promoted d);
-  check_int "evicted_speculative" 1 (Digest.evicted_speculative d);
-  check_int "evicted_unused (lazy)" 1 (Digest.evicted_unused d);
-  check_int "groups" 2 (Digest.groups_built d);
+  let c = Digest.counts d in
+  check_int "hits" 1 c.demand_hits;
+  check_int "misses" 2 c.demand_misses;
+  check_int "accesses" 3 (Counter.accesses c);
+  check_int "issued" 2 c.prefetch_issued;
+  check_int "promoted" 1 c.prefetch_promoted;
+  check_int "evicted_speculative" 1 c.evicted_speculative;
+  check_int "evicted_unused (lazy)" 1 c.evicted_unused;
+  check_int "groups" 2 c.groups_built;
   check_int "lifetime samples" 2 (Histogram.count (Digest.lifetime d));
   check_int "group size samples" 2 (Histogram.count (Digest.group_size d))
 
@@ -232,16 +263,20 @@ let test_digest_weighted () =
       Event.Demand_hit { file = 2; depth = 2 };
       Event.Evicted { file = 3; speculative = false; age_accesses = 1 };
     ];
-  check_int "bytes accessed = 3+5+2" 10 (Digest.bytes_accessed d);
-  check_int "bytes hit = 5+2" 7 (Digest.bytes_hit d);
-  check_int "cost fetched = 2*3" 6 (Digest.cost_fetched d);
-  check_int "cost prefetched = 2*5" 10 (Digest.cost_prefetched d);
+  let c = Digest.counts d in
+  check_int "bytes accessed = 3+5+2" 10 c.bytes_accessed;
+  check_int "bytes hit = 5+2" 7 c.bytes_hit;
+  check_int "cost fetched = 2*3" 6 c.cost_fetched;
+  check_int "cost prefetched = 2*5" 10 c.cost_prefetched;
   check_int "total retrieval cost" 16 (Digest.total_retrieval_cost d);
   Alcotest.(check (float 1e-9)) "byte-weighted hit rate" 0.7 (Digest.byte_weighted_hit_rate d);
   (* unweighted digests mirror the counts *)
-  let u = Digest.of_events [ Event.Demand_miss { file = 3 }; Event.Demand_hit { file = 4; depth = 1 } ] in
-  check_int "unit bytes = accesses" (Digest.accesses u) (Digest.bytes_accessed u);
-  check_int "unit cost = misses" (Digest.demand_misses u) (Digest.cost_fetched u)
+  let u =
+    Digest.counts
+      (Digest.of_events [ Event.Demand_miss { file = 3 }; Event.Demand_hit { file = 4; depth = 1 } ])
+  in
+  check_int "unit bytes = accesses" (Counter.accesses u) u.bytes_accessed;
+  check_int "unit cost = misses" u.demand_misses u.cost_fetched
 
 let server_profile () =
   match Agg_workload.Profile.by_name "server" with
@@ -279,6 +314,38 @@ let test_reconcile_server () =
       | Ok () -> ()
       | Error msg -> Alcotest.failf "cooperative=%b: %s" cooperative msg)
     [ false; true ]
+
+(* Dropping one event from a run's stream must fail its reconciliation
+   and name the field that event's kind counts. *)
+let test_reconcile_tampered () =
+  let drop_first p events =
+    let rec go = function [] -> [] | e :: rest -> if p e then rest else e :: go rest in
+    go events
+  in
+  let tampered ~what reconcile events =
+    List.iter
+      (fun (field, p) ->
+        match reconcile (Digest.of_events (drop_first p events)) with
+        | Ok () -> Alcotest.failf "%s without one %s event reconciled" what field
+        | Error msg ->
+            check_bool (Printf.sprintf "%s error names %s" what field) true
+              (contains ~needle:(field ^ ":") msg))
+      [
+        ("prefetch_promoted", function Event.Prefetch_promoted _ -> true | _ -> false);
+        ("demand_misses", function Event.Demand_miss _ -> true | _ -> false);
+      ]
+  in
+  let sink = Sink.memory () in
+  let m = client_run ~obs:sink in
+  tampered ~what:"client" (fun d -> Agg_core.Metrics.reconcile_client d m) (Sink.events sink);
+  let trace = Agg_workload.Generator.generate ~seed:11 ~events:6_000 (server_profile ()) in
+  let sink = Sink.memory () in
+  let sim =
+    Agg_core.Server_cache.create ~obs:sink ~filter_kind:Agg_cache.Cache.Lru ~filter_capacity:150
+      ~server_capacity:300 ~scheme:(Agg_core.Server_cache.Aggregating Agg_core.Config.default) ()
+  in
+  let m = Agg_core.Server_cache.run sim trace in
+  tampered ~what:"server" (fun d -> Agg_core.Metrics.reconcile_server d m) (Sink.events sink)
 
 (* MD5 of the memory-sink event stream (one [Event.to_json] line per
    event, [seq] from 0) of every server scheme at both cooperation
@@ -402,11 +469,6 @@ let test_span_record () =
     (fun (s : Span.span) -> check_bool (s.Span.name ^ " duration >= 0") true (Span.seconds_of s >= 0.0))
     (Span.spans r);
   check_bool "total >= 0" true (Span.total_seconds r >= 0.0)
-
-let contains ~needle haystack =
-  let n = String.length needle and h = String.length haystack in
-  let rec loop i = i + n <= h && (String.sub haystack i n = needle || loop (i + 1)) in
-  n = 0 || loop 0
 
 let test_span_chrome_json () =
   let r = Span.recorder () in
@@ -595,29 +657,34 @@ let test_series_crafted () =
   Series.observe_eviction s ~index:9 ~speculative:true;
   Series.observe_eviction s ~index:9 ~speculative:false;
   check_int "windows reach the highest observed index" 3 (Series.windows s);
-  check_int "w0 accesses" 2 (Series.accesses s 0);
-  check_int "w0 hits" 1 (Series.hits s 0);
-  check_int "w0 degraded" 1 (Series.degraded s 0);
+  let w0 = Series.counts s 0 in
+  check_int "w0 accesses" 2 (Counter.accesses w0);
+  check_int "w0 hits" 1 w0.demand_hits;
+  check_int "w0 degraded" 1 w0.degraded_fetches;
+  check_int "w0 node route" 1 w0.node_routes;
   Alcotest.(check (float 1e-9)) "w0 hit rate (percent)" 50.0 (Series.hit_rate s 0);
   Alcotest.(check (float 1e-9)) "w0 degraded rate (percent)" 50.0 (Series.degraded_rate s 0);
   check_opt_int "w0 latency quantile clamps to the observed max" (Some 900)
     (Series.latency_quantile s 0 0.99);
-  check_int "skipped window exists and is empty" 0 (Series.accesses s 1);
+  check_bool "skipped window exists and is empty" true
+    (Counter.diff (Series.counts s 1) (Counter.create ()) = []);
   Alcotest.(check (float 1e-9)) "empty window rates are 0" 0.0 (Series.hit_rate s 1);
   check_opt_int "empty window has no latency" None (Series.latency_quantile s 1 0.5);
-  check_int "only speculative evictions count" 1 (Series.speculative_evictions s 2);
+  check_int "speculative evictions count apart" 1 (Series.counts s 2).evicted_speculative;
+  check_int "demand evictions count apart" 1 (Series.counts s 2).evicted_demand;
   Alcotest.(check (list (pair int int))) "w0 node loads" [ (2, 1) ] (Series.node_loads s 0);
   Alcotest.(check (float 1e-9))
     "imbalance over nodes 0..2: loads [0;0;1], max/mean = 3" 3.0
     (Series.load_imbalance ~nodes:3 s 0);
   Alcotest.(check (float 1e-9)) "no load means imbalance 0" 0.0 (Series.load_imbalance s 2);
-  check_int "total accesses" 3 (Series.total_accesses s);
-  check_int "total hits" 1 (Series.total_hits s);
-  check_int "total degraded" 1 (Series.total_degraded s);
-  check_int "total speculative evictions" 1 (Series.total_speculative_evictions s);
+  let totals = Series.totals s in
+  check_int "total accesses" 3 (Counter.accesses totals);
+  check_int "total hits" 1 totals.demand_hits;
+  check_int "total degraded" 1 totals.degraded_fetches;
+  check_int "total speculative evictions" 1 totals.evicted_speculative;
   check_int "total latency gathers every sample" 1 (Histogram.count (Series.total_latency s));
   check_bool "accessor out of range raises" true
-    (match Series.accesses s 3 with exception Invalid_argument _ -> true | _ -> false);
+    (match Series.counts s 3 with exception Invalid_argument _ -> true | _ -> false);
   check_bool "negative index raises" true
     (match Series.observe_access s ~index:(-1) ~hit:true with
      | exception Invalid_argument _ -> true
@@ -650,11 +717,6 @@ let test_series_shard_merge_bytes () =
      | exception Invalid_argument _ -> true
      | _ -> false)
 
-let contains ~needle haystack =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  go 0
-
 let test_series_weighted () =
   let s = Series.create ~window:4 in
   Series.observe_access s ~index:0 ~hit:true;
@@ -666,10 +728,11 @@ let test_series_weighted () =
     (contains ~needle:"byte_hit_rate" (Series.to_prometheus s));
   Series.observe_weighted s ~index:0 ~size:3 ~cost:5 ~hit:true;
   Series.observe_weighted s ~index:5 ~size:2 ~cost:7 ~hit:false;
-  check_int "w0 bytes accessed" 3 (Series.bytes_accessed s 0);
-  check_int "w0 bytes hit" 3 (Series.bytes_hit s 0);
-  check_int "w0 cost fetched (hits fetch nothing)" 0 (Series.cost_fetched s 0);
-  check_int "w1 cost fetched" 7 (Series.cost_fetched s 1);
+  let w0 = Series.counts s 0 in
+  check_int "w0 bytes accessed" 3 w0.bytes_accessed;
+  check_int "w0 bytes hit" 3 w0.bytes_hit;
+  check_int "w0 cost fetched (hits fetch nothing)" 0 w0.cost_fetched;
+  check_int "w1 cost fetched" 7 (Series.counts s 1).cost_fetched;
   Alcotest.(check (float 1e-9)) "w0 byte hit rate (percent)" 100.0 (Series.byte_hit_rate s 0);
   Alcotest.(check (float 1e-9)) "w1 byte hit rate (percent)" 0.0 (Series.byte_hit_rate s 1);
   check_bool "json gains weighted fields" true
@@ -684,30 +747,41 @@ let test_series_weighted () =
      | exception Invalid_argument _ -> true
      | _ -> false)
 
+(* The fields a series window fed by events records; the others stay
+   zero. *)
+let window_fields (c : Counter.t) =
+  {
+    (Counter.create ()) with
+    demand_hits = c.demand_hits;
+    demand_misses = c.demand_misses;
+    degraded_fetches = c.degraded_fetches;
+    evicted_speculative = c.evicted_speculative;
+    evicted_demand = c.evicted_demand;
+    node_routes = c.node_routes;
+  }
+
 let test_series_reconciles_digest () =
   let sink = Sink.memory () in
   let m = client_run ~obs:sink in
   let events = Sink.events sink in
   let digest = Digest.of_events events in
   let series = Series.of_events ~window:500 events in
-  check_int "accesses" (Digest.accesses digest) (Series.total_accesses series);
-  check_int "run accesses" m.Agg_core.Metrics.accesses (Series.total_accesses series);
-  check_int "hits" (Digest.demand_hits digest) (Series.total_hits series);
-  check_int "degraded" (Digest.degraded_fetches digest) (Series.total_degraded series);
-  check_int "speculative evictions" (Digest.evicted_speculative digest)
-    (Series.total_speculative_evictions series);
+  let totals = Series.totals series in
+  Alcotest.(check (list (triple string int int)))
+    "totals are the digest's record on the window fields" []
+    (Counter.diff (window_fields (Digest.counts digest)) totals);
+  check_int "run accesses" m.Agg_core.Metrics.accesses (Counter.accesses totals);
+  check_int "one window per 500 accesses" 12 (Series.windows series);
   let sum f =
     let t = ref 0 in
     for w = 0 to Series.windows series - 1 do
-      t := !t + f w
+      t := !t + f (Series.counts series w)
     done;
     !t
   in
-  check_int "window accesses sum to the total" (Series.total_accesses series)
-    (sum (Series.accesses series));
-  check_int "window hits sum to the total" (Series.total_hits series) (sum (Series.hits series));
-  check_int "window churn sums to the total" (Series.total_speculative_evictions series)
-    (sum (Series.speculative_evictions series))
+  check_int "window accesses sum to the total" (Counter.accesses totals) (sum Counter.accesses);
+  check_int "window churn sums to the total" totals.evicted_speculative
+    (sum (fun c -> c.evicted_speculative))
 
 (* --- qcheck properties ---------------------------------------------------- *)
 
@@ -743,17 +817,23 @@ let qcheck_tests =
   in
   let event_arb = make ~print:(Format.asprintf "%a" Event.pp) event_gen in
   [
-    Test.make ~name:"counter merge is commutative and associative" ~count:200
-      (triple (list small_nat) (list small_nat) (list small_nat))
-      (fun (xs, ys, zs) ->
-        let counter values =
-          let c = Counter.create () in
-          List.iter (Counter.add c) values;
-          c
-        in
-        let a = counter xs and b = counter ys and c = counter zs in
-        Counter.(value (merge a b)) = Counter.(value (merge b a))
-        && Counter.(value (merge (merge a b) c)) = Counter.(value (merge a (merge b c))));
+    (* records from weighted event streams, so every field (the replayed
+       evicted_unused and the byte and cost sums included) can be non-zero *)
+    (let counts events =
+       Digest.counts (Digest.of_events ~weight_of:(fun f -> ((f mod 7) + 1, (f mod 5) + 1)) events)
+     in
+     Test.make ~name:"counter merge is commutative and associative" ~count:200
+       (triple (list event_arb) (list event_arb) (list event_arb))
+       (fun (xs, ys, zs) ->
+         let a = counts xs and b = counts ys and c = counts zs in
+         Counter.merge a b = Counter.merge b a
+         && Counter.merge (Counter.merge a b) c = Counter.merge a (Counter.merge b c)
+         && Counter.merge a (Counter.create ()) = a));
+    Test.make ~name:"digest counts equal series totals on the window fields" ~count:200
+      (pair (int_range 1 20) (list event_arb))
+      (fun (window, events) ->
+        window_fields (Digest.counts (Digest.of_events events))
+        = Series.totals (Series.of_events ~window events));
     Test.make ~name:"histogram merge is commutative with create identity" ~count:100
       (pair values_gen values_gen)
       (fun (xs, ys) ->
@@ -817,14 +897,16 @@ let qcheck_tests =
         let sum f =
           let t = ref 0 in
           for w = 0 to Series.windows s - 1 do
-            t := !t + f w
+            t := !t + f (Series.counts s w)
           done;
           !t
         in
-        sum (Series.accesses s) = Series.total_accesses s
-        && sum (Series.hits s) = Series.total_hits s
-        && sum (Series.degraded s) = Series.total_degraded s
-        && sum (Series.speculative_evictions s) = Series.total_speculative_evictions s);
+        let totals = Series.totals s in
+        sum Counter.accesses = Counter.accesses totals
+        && sum (fun c -> c.demand_hits) = totals.demand_hits
+        && sum (fun c -> c.degraded_fetches) = totals.degraded_fetches
+        && sum (fun c -> c.evicted_speculative) = totals.evicted_speculative
+        && sum (fun c -> c.node_routes) = totals.node_routes);
   ]
 
 let () =
@@ -860,6 +942,7 @@ let () =
           Alcotest.test_case "crafted replay" `Quick test_digest_replay;
           Alcotest.test_case "reconciles client run" `Quick test_reconcile_client;
           Alcotest.test_case "reconciles server run" `Quick test_reconcile_server;
+          Alcotest.test_case "tampered streams name the field" `Quick test_reconcile_tampered;
           Alcotest.test_case "noop leaves metrics identical" `Quick test_noop_identical_metrics;
           Alcotest.test_case "weighted counters" `Quick test_digest_weighted;
           Alcotest.test_case "event stream known answers" `Quick test_event_stream_known_answers;

@@ -198,6 +198,19 @@ let test_sweep_rejections () =
       (file [ "sweep loss=0,x" ], "line 7: sweep loss value \"x\" is not a number");
       (file [ "sweep clients=1.5" ], "line 7: sweep clients value \"1.5\" is not an integer");
       (file [ "sweep loss=0,1.5" ], "line 7: sweep loss value 1.5 is outside [0, 1]");
+      (* fault rates that cannot act *)
+      ( file
+          [ "faults seed=1 loss=0 outage_period=0 outage_rate=0.9 outage_length=200 slow=0 \
+             slow_mult=1 crash=0" ],
+        "line 7: faults outage_rate=0.9 needs outage_period and outage_length above 0" );
+      ( file
+          [ "faults seed=1 loss=0 outage_period=1000 outage_rate=0.9 outage_length=0 slow=0 \
+             slow_mult=1 crash=0" ],
+        "line 7: faults outage_rate=0.9 needs outage_period and outage_length above 0" );
+      ( file
+          [ "faults seed=1 loss=0 outage_period=0 outage_rate=0 outage_length=0 slow=0.5 \
+             slow_mult=1 crash=0" ],
+        "line 7: faults slow=0.5 needs slow_mult above 1" );
       (file [ "sweep outage_rate=-0.1" ], "line 7: sweep outage_rate value -0.1 is outside [0, 1]");
       (file ~topology:cluster [ "sweep replicas=0,1" ], "line 7: sweep replicas value 0 must be positive");
       (file [ "sweep clients=2,0" ], "line 7: sweep clients value 0 must be positive");
@@ -281,6 +294,9 @@ let test_sweep_rejections () =
           "expect at_most metric=faults.degraded_fetches field=replicas lhs=3 rhs=1";
           "expect below metric=hit_rate field=policy lhs=lru rhs=g5" ];
       file ~topology:path [ "sweep loss=0,0.1" ];
+      file
+        [ "faults seed=1 loss=0 outage_period=1000 outage_rate=0.9 outage_length=200 slow=0.5 \
+           slow_mult=2 crash=0" ];
       file
         ~topology:(path ^ " server=g5 cost=wan")
         [ "sweep server=g5,lru,arc"; "sweep cost=wan,lan";
@@ -457,6 +473,16 @@ let test_validate () =
   in
   Scenario.validate base;
   raises "empty policies" { base with Scenario.policies = [] };
+  let outages = { Plan.none with Plan.outage_rate = 0.9; outage_period = 1000; outage_length = 200 } in
+  Scenario.validate { base with Scenario.faults = outages };
+  raises "an outage rate without an outage period"
+    { base with Scenario.faults = { outages with Plan.outage_period = 0 } };
+  raises "an outage rate without an outage length"
+    { base with Scenario.faults = { outages with Plan.outage_length = 0 } };
+  Scenario.validate
+    { base with Scenario.faults = { Plan.none with Plan.slow_rate = 0.5; slow_multiplier = 2.0 } };
+  raises "a slow rate at slow_mult 1"
+    { base with Scenario.faults = { Plan.none with Plan.slow_rate = 0.5 } };
   raises "duplicate policy"
     { base with Scenario.policies = [ Scenario.Group 5; Scenario.Group 5 ] };
   raises "duplicate invariant"
@@ -560,10 +586,14 @@ let gen_scenario =
     let* seed = int_range 0 1_000_000 in
     let* loss_rate = rate_gen in
     let* outage_period = oneofl [ 0; 500; 2000 ] in
-    let* outage_rate = rate_gen in
     let* outage_length = int_range 0 500 in
-    let* slow_rate = rate_gen in
+    (* only rates that can act: outages need windows, slow links a
+       multiplier above 1 *)
+    let* outage_rate =
+      if outage_period > 0 && outage_length > 0 then rate_gen else return 0.0
+    in
     let* slow_multiplier = map (fun n -> 1.0 +. (float_of_int n /. 10.0)) (int_range 0 40) in
+    let* slow_rate = if slow_multiplier > 1.0 then rate_gen else return 0.0 in
     let* crash_rate = rate_gen in
     return
       { Plan.seed; loss_rate; outage_period; outage_rate; outage_length; slow_rate;

@@ -129,12 +129,11 @@ let test_path_series_reconciles () =
       scope = Some (Agg_obs.Scope.create ~series ~trace_ctx:ctx ()) }
   in
   let r = Cluster.run config trace in
-  check_int "series accesses = run accesses" r.Cluster.accesses
-    (Agg_obs.Series.total_accesses series);
-  check_int "series hits = client hits" r.Cluster.client_hits (Agg_obs.Series.total_hits series);
+  let totals = Agg_obs.Series.totals series in
+  check_int "series accesses = run accesses" r.Cluster.accesses (Agg_obs.Counter.accesses totals);
+  check_int "series hits = client hits" r.Cluster.client_hits totals.demand_hits;
   check_int "series degraded = fault counter"
-    r.Cluster.faults.Agg_faults.Counters.degraded_fetches
-    (Agg_obs.Series.total_degraded series);
+    r.Cluster.faults.Agg_faults.Counters.degraded_fetches totals.degraded_fetches;
   check_int "every access carries one latency sample" r.Cluster.accesses
     (Agg_obs.Histogram.count (Agg_obs.Series.total_latency series));
   (* the series' latency mass equals the run's mean within the per-access
