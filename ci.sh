@@ -248,14 +248,19 @@ for workload in paper-g5 policies cluster-faults; do
 done
 # Informational: perfbench scales its timings by a calibration loop whose
 # address follows the size of caml_startup, which grows 16 bytes per
-# linked compilation unit. A perf change states this address and its
-# offset within its 4 KiB page beside its parent's.
+# linked compilation unit. The count moves both ways: a library module
+# is linked only while some linked code references one of its values,
+# so a unit also leaves the link when its last reference goes (a caller
+# that stops calling Agg_trace.Event.is_write can drop Event). A perf
+# change states this address, its offset within its 4 KiB page and the
+# number of linked units (their .code_begin symbols) beside its parent's.
 if command -v nm > /dev/null; then
-  addr=$(nm -n .bench_build/default/perfbench/main.exe \
-    | sed -n 's/ T camlDune__exe__Main.code_begin$//p')
+  symbols=$(nm -n .bench_build/default/perfbench/main.exe)
+  addr=$(printf '%s\n' "$symbols" | sed -n 's/ T camlDune__exe__Main.code_begin$//p')
+  units=$(printf '%s\n' "$symbols" | grep -c '\.code_begin$' || true)
   if [ -n "$addr" ]; then
-    printf 'ci.sh: perfbench calibration loop at camlDune__exe__Main.code_begin = 0x%s (page offset 0x%x)\n' \
-      "$addr" $((0x$addr % 4096))
+    printf 'ci.sh: perfbench calibration loop at camlDune__exe__Main.code_begin = 0x%s (page offset 0x%x), %d linked units\n' \
+      "$addr" $((0x$addr % 4096)) "$units"
   fi
 fi
 

@@ -109,8 +109,11 @@ let admit_checked t ~pos ~(weight : Policy.weight) key =
       Heap.push t.heap ~cost:weight.cost ~size:weight.size ~stamp:(next_stamp t pos) key
     in
     if h >= Array.length t.sizes then begin
+      (* a typed copy: plain stores, no [caml_modify] per element *)
       let sizes = Array.make (Heap.slots t.heap) 1 in
-      Array.blit t.sizes 0 sizes 0 (Array.length t.sizes);
+      for i = 0 to Array.length t.sizes - 1 do
+        sizes.(i) <- t.sizes.(i)
+      done;
       t.sizes <- sizes
     end;
     t.sizes.(h) <- weight.size;

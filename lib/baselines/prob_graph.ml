@@ -8,7 +8,8 @@ type t = {
   engine : Client_cache.t;
   weights : (int, (int, int) Hashtbl.t) Hashtbl.t; (* src -> dst -> count *)
   accesses_of : (int, int) Hashtbl.t; (* src -> times accessed (chance denominator) *)
-  window : int Queue.t; (* the last [lookahead] accesses *)
+  mutable window : int array; (* the last [lookahead] accesses, oldest first *)
+  mutable filled : int; (* members in [window], at its front *)
 }
 
 let create ?(lookahead = 2) ?(threshold = 0.1) ~capacity () =
@@ -21,7 +22,9 @@ let create ?(lookahead = 2) ?(threshold = 0.1) ~capacity () =
     engine = Client_cache.of_scheme (Client_cache.Plain Agg_cache.Cache.Lru) ~capacity;
     weights = Hashtbl.create 4096;
     accesses_of = Hashtbl.create 4096;
-    window = Queue.create ();
+    (* grown by doubling up to [lookahead] as the first accesses fill it *)
+    window = Array.make (Int.min lookahead 16) 0;
+    filled = 0;
   }
 
 let bump_edge t ~src ~dst =
@@ -36,21 +39,45 @@ let bump_edge t ~src ~dst =
   let c = Option.value ~default:0 (Hashtbl.find_opt table dst) in
   Hashtbl.replace table dst (c + 1)
 
+(* [true] when [file] is among the first [n] members of [window]. *)
+let rec in_window window file n = n > 0 && (window.(n - 1) = file || in_window window file (n - 1))
+
+(* Appends [file] to the window, dropping the oldest member once the
+   window holds [lookahead]. *)
+let slide t file =
+  let n = t.filled in
+  if n < t.lookahead then begin
+    if n = Array.length t.window then begin
+      let w = Array.make (Int.min t.lookahead (2 * n)) 0 in
+      for i = 0 to n - 1 do
+        w.(i) <- t.window.(i)
+      done;
+      t.window <- w
+    end;
+    t.window.(n) <- file;
+    t.filled <- n + 1
+  end
+  else begin
+    let w = t.window in
+    for i = 1 to n - 1 do
+      w.(i - 1) <- w.(i)
+    done;
+    w.(n - 1) <- file
+  end
+
 let learn t file =
   (* Every file currently in the lookahead window gains an edge to the new
-     access (each distinct window member once); then the window slides. *)
-  let seen = Hashtbl.create 4 in
-  Queue.iter
-    (fun src ->
-      if src <> file && not (Hashtbl.mem seen src) then begin
-        Hashtbl.replace seen src ();
-        bump_edge t ~src ~dst:file
-      end)
-    t.window;
+     access, oldest first; a member that also occurs earlier in the window
+     was counted there, so each distinct member counts once. Then the
+     window slides. *)
+  let w = t.window in
+  for j = 0 to t.filled - 1 do
+    let src = w.(j) in
+    if src <> file && not (in_window w src j) then bump_edge t ~src ~dst:file
+  done;
   let c = Option.value ~default:0 (Hashtbl.find_opt t.accesses_of file) in
   Hashtbl.replace t.accesses_of file (c + 1);
-  Queue.push file t.window;
-  if Queue.length t.window > t.lookahead then ignore (Queue.pop t.window)
+  slide t file
 
 let chance t ~src ~dst =
   match Hashtbl.find_opt t.weights src with
@@ -87,5 +114,7 @@ let access t file =
 let metrics t = Client_cache.metrics t.engine
 
 let run t trace =
-  Agg_trace.Trace.iter (fun (e : Agg_trace.Event.t) -> ignore (access t e.file)) trace;
+  for i = 0 to Agg_trace.Trace.length trace - 1 do
+    ignore (access t (Agg_trace.Trace.file trace i))
+  done;
   metrics t

@@ -661,11 +661,12 @@ let record_latency st =
   end;
   st.counts.(!i) <- st.counts.(!i) + 1
 
-let access st (e : Agg_trace.Event.t) =
+(* Replays event [i] of [trace], reading its columns in place. *)
+let access st trace i =
   let time = st.now in
   st.now <- time + 1;
   apply_churn st ~time;
-  let client = e.Agg_trace.Event.client mod st.config.clients in
+  let client = Agg_trace.Trace.client trace i mod st.config.clients in
   let cs = st.client_states.(client) in
   if Plan.enabled st.base_plan && Plan.client_crashes st.base_plan ~time ~client then begin
     let wiped = Cache.size cs.cache in
@@ -680,7 +681,7 @@ let access st (e : Agg_trace.Event.t) =
     if Sink.enabled st.sink then Sink.emit st.sink (Agg_obs.Event.Client_crashed { client; wiped })
   end;
   cs.accesses <- cs.accesses + 1;
-  let file = e.Agg_trace.Event.file in
+  let file = Agg_trace.Trace.file trace i in
   let d = st.files.(time) in
   (* a cooperative access is routed here, once: the piggy-backed observe
      and a miss share the row; otherwise only a miss is routed *)
@@ -713,7 +714,7 @@ let access st (e : Agg_trace.Event.t) =
       Agg_obs.Series.observe_latency s ~index:time
         ~us:(int_of_float ((latency *. 1000.0) +. 0.5))
   | None -> ());
-  if st.config.write_invalidation && Agg_trace.Event.is_write e then
+  if st.config.write_invalidation && Agg_trace.Trace.is_write trace i then
     invalidate_others st ~writer:client d
 
 let per_node_requests st =
@@ -739,15 +740,16 @@ let renumber trace =
   let dense = Agg_trace.File_id.Dense.create () in
   let files = Array.make (Agg_trace.Trace.length trace) 0 in
   for i = 0 to Array.length files - 1 do
-    let file = (Agg_trace.Trace.get trace i).Agg_trace.Event.file in
-    files.(i) <- (Agg_trace.File_id.Dense.intern dense file :> int)
+    files.(i) <- (Agg_trace.File_id.Dense.intern dense (Agg_trace.Trace.file trace i) :> int)
   done;
   (Agg_trace.File_id.Dense.files dense, files)
 
 let run config trace =
   let ids, files = renumber trace in
   let st = make_state config ~ids ~files in
-  Agg_trace.Trace.iter (access st) trace;
+  for i = 0 to Agg_trace.Trace.length trace - 1 do
+    access st trace i
+  done;
   let accesses = Array.fold_left (fun acc cs -> acc + cs.accesses) 0 st.client_states in
   let client_hits = Array.fold_left (fun acc cs -> acc + cs.hits) 0 st.client_states in
   let percentile =

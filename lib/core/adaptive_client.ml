@@ -68,7 +68,9 @@ let access t file =
 let metrics t = Client_cache.metrics t.cache
 
 let run t trace =
-  Agg_trace.Trace.iter (fun (e : Agg_trace.Event.t) -> ignore (access t e.Agg_trace.Event.file)) trace;
+  for i = 0 to Agg_trace.Trace.length trace - 1 do
+    ignore (access t (Agg_trace.Trace.file trace i))
+  done;
   metrics t
 
 let trajectory t = List.rev t.trajectory

@@ -40,7 +40,9 @@ let metrics t =
   }
 
 let run t trace =
-  Agg_trace.Trace.iter (fun (e : Agg_trace.Event.t) -> ignore (access t e.file)) trace;
+  for i = 0 to Agg_trace.Trace.length trace - 1 do
+    ignore (access t (Agg_trace.Trace.file trace i))
+  done;
   metrics t
 
 let run_files t files =

@@ -150,7 +150,10 @@ let observe_client t ~client file =
 let observe t ?(client = 0) file = observe_client t ~client file
 
 let observe_event t (e : Agg_trace.Event.t) = observe_client t ~client:e.client e.file
-let observe_trace t trace = Agg_trace.Trace.iter (observe_event t) trace
+let observe_trace t trace =
+  for i = 0 to Agg_trace.Trace.length trace - 1 do
+    observe_client t ~client:(Agg_trace.Trace.client trace i) (Agg_trace.Trace.file trace i)
+  done
 
 let successors t file =
   match t.policy with

@@ -28,7 +28,6 @@ val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val map : ('a -> 'b) -> 'a t -> 'b t
-val to_array : 'a t -> 'a array
 val to_list : 'a t -> 'a list
 val of_array : 'a array -> 'a t
 val of_list : 'a list -> 'a t

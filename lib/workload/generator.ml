@@ -191,10 +191,10 @@ let iter ?seed ~events profile ~f =
 let generate ?seed ~events profile =
   if events < 0 then invalid_arg "Generator.generate: events must be non-negative";
   let st = make_state ?seed profile in
-  let trace = Agg_trace.Trace.create () in
+  let trace = Agg_trace.Trace.create ~capacity:events () in
   for seq = 0 to events - 1 do
     let file = step st in
-    Agg_trace.Trace.append trace { Agg_trace.Event.seq; client = st.client; op = st.op; file }
+    Agg_trace.Trace.push trace ~seq ~client:st.client ~op:st.op file
   done;
   trace
 

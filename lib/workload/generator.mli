@@ -8,7 +8,8 @@
 
 val generate : ?seed:int -> events:int -> Profile.t -> Agg_trace.Trace.t
 (** [generate ~events profile] produces a trace of exactly [events]
-    accesses. @raise Invalid_argument when [events < 0]. *)
+    accesses, written straight into the trace's presized columns.
+    @raise Invalid_argument when [events < 0]. *)
 
 val generate_files : ?seed:int -> events:int -> Profile.t -> Agg_trace.File_id.t array
 (** The bare file-id sequence of {!generate} (same stream, cheaper). *)
@@ -22,8 +23,8 @@ val fold :
   'acc
 (** [fold ~events profile ~init ~f] streams the exact event sequence of
     {!generate} through [f] without materialising a trace — consumers that
-    fold over the stream hold O(1) generator state instead of O(events)
-    boxed events. @raise Invalid_argument when [events < 0]. *)
+    fold over the stream hold O(1) generator state instead of an
+    O(events) trace. @raise Invalid_argument when [events < 0]. *)
 
 val iter :
   ?seed:int ->

@@ -347,10 +347,12 @@ let test_client_server_paper_major_words_per_access () =
 (* Landlord presizes its heap like every policy presizes its arrays:
    filling a 300-file cache allocates its five heap arrays and its size
    table once, at 300 entries. Grown by doubling from 16 they end at 512
-   entries, and the copies of 256 or more go to the major heap too. *)
-let test_landlord_major_words_per_resident () =
+   entries, and the copies of 256 or more go to the major heap too. A
+   1000-file fill passes [Policy.presize]'s 512, so the heap and the
+   size table double once; each doubled array is one allocation filled
+   by a typed copy, with no temporary half to append. *)
+let landlord_fill ~residents ~pin () =
   let module L = Agg_baselines.Landlord in
-  let residents = 300 in
   let _, _, words =
     words_per_access ~accesses:residents (fun () ->
         let t = L.create ~capacity:residents in
@@ -358,10 +360,10 @@ let test_landlord_major_words_per_resident () =
           ignore (L.insert t ~pos:Agg_cache.Policy.Hot ~weight:Agg_cache.Policy.unit_weight k)
         done)
   in
-  if words > 9.0 then
+  if words > pin then
     Alcotest.failf
-      "filling a 300-file Landlord allocates %.1f major-heap words per resident (pin: at most 9)"
-      words
+      "filling a %d-file Landlord allocates %.1f major-heap words per resident (pin: at most %g)"
+      residents words pin
 
 (* Generation, set-up included, over 60k events of each paper profile.
    The Zipf tables and the output array go straight to the major heap;
@@ -378,6 +380,28 @@ let test_generate_words_per_event () =
       if words > 4.0 then
         Alcotest.failf "Generator.generate_files (%s) allocates %.1f words per event (pin: at most 4)"
           profile.name words)
+    Agg_workload.Profile.all
+
+(* The whole trace, set-up included: [generate] writes each event into
+   the trace's presized columns (three 60k-word arrays and a 60k-byte
+   string, all on the major heap), so no event is a block of its own.
+   A boxed event was five minor words, each promoted with its trace. *)
+let test_generate_trace_words_per_event () =
+  let events = 60_000 in
+  List.iter
+    (fun (profile : Agg_workload.Profile.t) ->
+      let trace, minor, major =
+        words_per_access ~accesses:events (fun () ->
+            Agg_workload.Generator.generate ~seed:7 ~events profile)
+      in
+      Alcotest.(check int) "every event generated" events (Agg_trace.Trace.length trace);
+      if minor > 2.5 then
+        Alcotest.failf "Generator.generate (%s) allocates %.1f words per event (pin: at most 2.5)"
+          profile.name minor;
+      if major > 4.5 then
+        Alcotest.failf
+          "Generator.generate (%s) allocates %.1f major-heap words per event (pin: at most 4.5)"
+          profile.name major)
     Agg_workload.Profile.all
 
 let () =
@@ -397,11 +421,15 @@ let () =
           Alcotest.test_case "Client_cache and Server_cache major heap, paper-g5 shape" `Quick
             test_client_server_paper_major_words_per_access;
           Alcotest.test_case "Landlord major heap, 300 residents" `Quick
-            test_landlord_major_words_per_resident;
+            (landlord_fill ~residents:300 ~pin:9.0);
+          Alcotest.test_case "Landlord major heap, 1000 residents" `Quick
+            (landlord_fill ~residents:1_000 ~pin:11.0);
         ] );
       ( "per event",
         [
           Alcotest.test_case "Generator.generate_files, paper profiles" `Quick
             test_generate_words_per_event;
+          Alcotest.test_case "Generator.generate, paper profiles" `Quick
+            test_generate_trace_words_per_event;
         ] );
     ]

@@ -50,7 +50,7 @@ let test_trace_sub_concat () =
   let c = Trace.concat s (Trace.of_files [ 9 ]) in
   Alcotest.(check (array int)) "concat" [| 2; 3; 4; 9 |] (Trace.files c);
   check_int "concat renumbered" 3 (Trace.get c 3).Event.seq;
-  Alcotest.check_raises "sub out of bounds" (Invalid_argument "Vec.sub: slice out of bounds")
+  Alcotest.check_raises "sub out of bounds" (Invalid_argument "Trace.sub: slice out of bounds")
     (fun () -> ignore (Trace.sub t ~pos:4 ~len:3))
 
 (* --- Codec ------------------------------------------------------------ *)
@@ -191,6 +191,26 @@ let test_codec_streaming_matches_read () =
       List.iter2
         (fun a b -> check_bool "same events" true (Event.equal a b))
         materialised streamed)
+
+(* Sequence numbers are kept as given: a file whose seqs are sparse and
+   out of order, with ids near 10^12 and at [max_int], prints back byte
+   for byte, through a string and through a file. *)
+let test_codec_sparse_seqs_bytes () =
+  let text =
+    Printf.sprintf "#aggtrace v1\n7 o 3 1000000000000\n2 w 0 %d\n90 r 12 5\n90 o 1 0\n" max_int
+  in
+  Alcotest.(check string) "string round trip" text (Codec.to_string (Codec.of_string text));
+  let path = Filename.temp_file "aggtrace" ".trc" in
+  let copy = Filename.temp_file "aggtrace" ".trc" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove path;
+      Sys.remove copy)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      Codec.write_file copy (Codec.read_file path);
+      Alcotest.(check string) "file round trip" text
+        (In_channel.with_open_bin copy In_channel.input_all))
 
 (* --- Filter ------------------------------------------------------------ *)
 
@@ -442,6 +462,52 @@ let test_dense () =
 
 (* --- qcheck properties ----------------------------------------------------- *)
 
+(* Events with sparse, unordered seqs, every op, and files from a small
+   range, near 10^12 and at [max_int]. *)
+let event_gen =
+  let open QCheck.Gen in
+  let file =
+    frequency
+      [
+        (4, int_range 0 50);
+        (2, map (fun k -> 1_000_000_000_000 + k) (int_range 0 50));
+        (1, pure max_int);
+      ]
+  in
+  let op = oneofl [ Event.Open; Event.Read; Event.Write ] in
+  map
+    (fun (seq, client, op, file) -> { Event.seq; client; op; file })
+    (quad (int_range 0 1_000_000) (int_range 0 7) op file)
+
+let events_arb =
+  QCheck.make
+    ~print:(Format.asprintf "%a" (Format.pp_print_list ~pp_sep:Format.pp_print_space Event.pp))
+    QCheck.Gen.(list_size (int_range 0 70) event_gen)
+
+(* The list model of [sub] and [concat]: events renumbered by position. *)
+let renumbered ~from es = List.mapi (fun i (e : Event.t) -> { e with seq = from + i }) es
+
+let columns_agree t es =
+  let indexed = List.mapi (fun i e -> (i, e)) es in
+  Trace.length t = List.length es
+  && Trace.to_events t = es
+  && List.for_all
+       (fun (i, (e : Event.t)) ->
+         Trace.get t i = e
+         && Trace.file t i = e.file
+         && Trace.client t i = e.client
+         && Trace.op t i = e.op
+         && Trace.is_write t i = Event.is_write e)
+       indexed
+  && List.rev (Trace.fold (fun acc e -> e :: acc) [] t) = es
+  && (let seen = ref [] in
+      Trace.iter (fun e -> seen := e :: !seen) t;
+      List.rev !seen = es)
+  && Trace.files t = Array.of_list (List.map (fun (e : Event.t) -> e.file) es)
+
+let out_of_bounds f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
 let qcheck_tests =
   let open QCheck in
   let files_gen = list_of_size (Gen.int_range 0 200) (int_range 0 50) in
@@ -475,6 +541,40 @@ let qcheck_tests =
       (fun (files, capacity) ->
         let t = Trace.of_files files in
         Filter.miss_count ~capacity t >= Trace.distinct_files t);
+    Test.make ~name:"columns hold what of_events was given" ~count:200 events_arb (fun es ->
+        let t = Trace.of_events es in
+        (* appended one by one, the columns grow from empty *)
+        let grown = Trace.create ~capacity:0 () in
+        List.iter (Trace.append grown) es;
+        let n = List.length es in
+        columns_agree t es && columns_agree grown es
+        && List.for_all
+             (fun i ->
+               out_of_bounds (fun () -> Trace.get t i)
+               && out_of_bounds (fun () -> Trace.file t i)
+               && out_of_bounds (fun () -> Trace.client t i)
+               && out_of_bounds (fun () -> Trace.op t i)
+               && out_of_bounds (fun () -> Trace.is_write grown i))
+             [ -1; n; n + 20 ]);
+    Test.make ~name:"sub and concat renumber as the list model" ~count:200
+      (triple events_arb events_arb (pair small_nat small_nat))
+      (fun (a, b, (pos, len)) ->
+        let ta = Trace.of_events a and tb = Trace.of_events b in
+        let n = List.length a in
+        let sub_ok =
+          if pos + len <= n then
+            Trace.to_events (Trace.sub ta ~pos ~len)
+            = renumbered ~from:0 (List.filteri (fun i _ -> i >= pos && i < pos + len) a)
+          else out_of_bounds (fun () -> Trace.sub ta ~pos ~len)
+        in
+        sub_ok
+        && out_of_bounds (fun () -> Trace.sub ta ~pos:(-1) ~len:0)
+        && out_of_bounds (fun () -> Trace.sub ta ~pos:0 ~len:(-1))
+        && Trace.to_events (Trace.concat ta tb) = a @ renumbered ~from:n b);
+    Test.make ~name:"codec keeps every field of every event" ~count:200 events_arb (fun es ->
+        let text = Codec.to_string (Trace.of_events es) in
+        let t = Codec.of_string text in
+        Trace.to_events t = es && Codec.to_string t = text);
   ]
 
 let () =
@@ -500,6 +600,8 @@ let () =
           Alcotest.test_case "error position" `Quick test_codec_error_position;
           Alcotest.test_case "streaming fold/iter" `Quick test_codec_streaming;
           Alcotest.test_case "streaming matches read" `Quick test_codec_streaming_matches_read;
+          Alcotest.test_case "sparse seqs print back byte for byte" `Quick
+            test_codec_sparse_seqs_bytes;
         ] );
       ( "weights",
         [
