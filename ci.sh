@@ -151,32 +151,63 @@ fi
 # Every export earns its place: list each `val` of lib/*/*.mli that no
 # .ml or .mli under lib, bin, bench, examples, perfbench or test outside
 # its own module references, and compare the list with the committed
-# lib/unreferenced-exports.txt. A value counts as referenced from a file
-# that contains both its bare name and its module's name (qualified,
-# aliased or opened), so the list is a lower bound: a common name such as
-# `create` always looks referenced. A new entry fails the run, and so does
-# a stale one, so the committed list stays exact: delete an export, or
-# reference it, and update the list in the same change.
+# lib/unreferenced-exports.txt. A file references `M.name` (a `val name`
+# of M's .mli, or of its `module M : sig` when M is a submodule; vals of
+# a `module type` are requirements, not exports, and are skipped) when it
+# writes `M.name`, through any prefix (`Lib.M.name`) or an alias of M
+# (`module A = Lib.M`, then `A.name`), or when it opens M (`open M`,
+# `include M`, `let open M in`, `M.(...)`, `(module M`) and holds the bare
+# name. Comments count as text, so the list is a lower bound. A new entry
+# fails the run, and so does a stale one, so the committed list stays
+# exact: delete an export, or reference it, and update the list in the
+# same change.
 exports=$(mktemp -d)
 trap 'rm -rf "$exports"' EXIT
-find lib bin bench examples perfbench test \( -name '*.ml' -o -name '*.mli' \) | sort \
-  | while read -r f; do
-    grep -oE "[A-Za-z_][A-Za-z0-9_']*" "$f" | sort -u | sed "s|^|$f |"
-  done > "$exports/tokens"
-for mli in lib/*/*.mli; do
-  sed -nE "s/^ *val ([a-z_][A-Za-z0-9_']*).*/\1/p" "$mli" | sed "s|^|$mli |"
-done > "$exports/vals"
-awk 'NR == FNR { has[$1 " " $2] = 1; seen[$2] = seen[$2] " " $1; next }
-  {
-    ml = substr($1, 1, length($1) - 1)
-    m = $1; sub(/.*\//, "", m); sub(/\.mli$/, "", m)
-    m = toupper(substr(m, 1, 1)) substr(m, 2)
-    n = split(seen[$2], files, " ")
-    outside = 0
-    for (i = 1; i <= n; i++)
-      if (files[i] != $1 && files[i] != ml && (files[i] " " m) in has) outside = 1
-    if (!outside) print $1, $2
-  }' "$exports/tokens" "$exports/vals" | LC_ALL=C sort > "$exports/unreferenced"
+python3 - > "$exports/unreferenced" <<'PY'
+import glob, os, re
+
+name_re = r"[A-Za-z_][A-Za-z0-9_']*"
+mod_re = r"[A-Z][A-Za-z0-9_']*"
+qualified = re.compile(rf"(?<![A-Za-z0-9_'])({mod_re})\.([a-z_][A-Za-z0-9_']*)")
+local_open = re.compile(rf"(?<![A-Za-z0-9_'])({mod_re})\.[({{\[]")
+opens = re.compile(rf"\b(?:open!?|include|\(module)\s+(?:{mod_re}\.)*({mod_re})")
+aliases = re.compile(rf"\bmodule\s+({mod_re})\s*=\s*(?:{mod_re}\.)*({mod_re})\b")
+
+# per file: the (module, name) pairs it writes, the modules it opens, and
+# its bare names; an alias stands for its module too
+refs = {}
+for d in ("lib", "bin", "bench", "examples", "perfbench", "test"):
+    for f in glob.glob(d + "/**/*.ml*", recursive=True):
+        if not f.endswith((".ml", ".mli")):
+            continue
+        text = open(f, encoding="latin-1").read()
+        alias = dict(aliases.findall(text))
+        qual, opened = set(), set()
+        for m, v in qualified.findall(text):
+            qual |= {(m, v), (alias.get(m, m), v)}
+        for m in local_open.findall(text) + opens.findall(text):
+            opened |= {m, alias.get(m, m)}
+        refs[f] = (qual, opened, set(re.findall(name_re, text)))
+
+out = []
+for mli in glob.glob("lib/*/*.mli"):
+    base = os.path.basename(mli)[:-4]
+    stack = [base[0].upper() + base[1:]]  # enclosing modules; None: a module type
+    own = (mli, mli[:-1])
+    for line in open(mli, encoding="latin-1"):
+        if re.match(r"\s*module\s+type\b.*\bsig\s*$", line):
+            stack.append(None)
+        elif m := re.match(rf"\s*module\s+({mod_re})\s*:\s*sig\s*$", line):
+            stack.append(m.group(1))
+        elif re.match(r"\s*end\b", line) and len(stack) > 1:
+            stack.pop()
+        elif (m := re.match(rf"\s*val\s+([a-z_][A-Za-z0-9_']*)", line)) and None not in stack:
+            mod, name = stack[-1], m.group(1)
+            if not any((mod, name) in q or (mod in o and name in t)
+                       for f, (q, o, t) in refs.items() if f not in own):
+                out.append(f"{mli} {name}")
+print("\n".join(sorted(out, key=lambda s: s.encode())))
+PY
 if ! diff lib/unreferenced-exports.txt "$exports/unreferenced" >&2; then
   echo "ci.sh: the exports nothing references changed (> new, < gone); delete or use a new" \
     "one, and drop a gone one from lib/unreferenced-exports.txt" >&2

@@ -117,9 +117,10 @@ type client_state = {
    write allocates. *)
 type latency = { mutable last : float; mutable sum : float }
 
-(* A run renumbers the trace's files densely, in order of first access:
-   every per-file structure (caches, trackers, [points]) is keyed by the
-   dense id, and [ids] turns one back into the file id that ring hashing,
+(* A run reads the trace's dense keys ([Agg_trace.Trace.keys]: its files
+   numbered in order of first access, built once per trace): every
+   per-file structure (caches, trackers, [points]) is keyed by the dense
+   id, and [ids] turns one back into the file id that ring hashing,
    events and trace phases use.
 
    A request reads its replicas' states from the routing rows: every
@@ -147,7 +148,7 @@ type state = {
   mutable k : int;  (** live replicas: [replicas], or fewer when the ring has fewer nodes *)
   mutable rows : node_state array;  (** [Ring.point_count ring * k] states, rebuilt with [ring] *)
   ids : int array;  (** dense id -> file id *)
-  files : int array;  (** access index -> dense id *)
+  files : Agg_trace.File_id.Dense.key array;  (** access index -> dense id *)
   points : int array;  (** dense id -> ring point, -1 until asked; reset with [rows] *)
   mutable pending_churn : (int * churn_op) list;  (** sorted by time *)
   mutable retired : (int * int) list;  (** departed nodes' request counts *)
@@ -253,7 +254,7 @@ let reroute st =
   st.rows <- rows;
   Array.fill st.points 0 (Array.length st.points) (-1)
 
-let make_state config ~ids ~files =
+let make_state config (keys : Agg_trace.Trace.keys) =
   validate config;
   let metadata_config =
     match (Scheme.group_config config.client_scheme, Scheme.group_config config.node_scheme) with
@@ -288,9 +289,9 @@ let make_state config ~ids ~files =
       node_states = Array.init config.nodes (make_node config metadata_config);
       k = 0;
       rows = [||];
-      ids;
-      files;
-      points = Array.make (Array.length ids) (-1);
+      ids = keys.file;
+      files = keys.key;
+      points = Array.make (Array.length keys.file) (-1);
       pending_churn = List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) config.churn;
       retired = [];
       counters = Counters.create ();
@@ -682,7 +683,7 @@ let access st trace i =
   end;
   cs.accesses <- cs.accesses + 1;
   let file = Agg_trace.Trace.file trace i in
-  let d = st.files.(time) in
+  let d = (st.files.(time) :> int) in
   (* a cooperative access is routed here, once: the piggy-backed observe
      and a miss share the row; otherwise only a miss is routed *)
   let cooperative = st.config.cooperative in
@@ -734,19 +735,8 @@ let per_node_requests st =
     [] sorted
   |> List.rev
 
-(* The trace's files renumbered densely in order of first access: the
-   file id of each dense id, and the dense id of each access. *)
-let renumber trace =
-  let dense = Agg_trace.File_id.Dense.create () in
-  let files = Array.make (Agg_trace.Trace.length trace) 0 in
-  for i = 0 to Array.length files - 1 do
-    files.(i) <- (Agg_trace.File_id.Dense.intern dense (Agg_trace.Trace.file trace i) :> int)
-  done;
-  (Agg_trace.File_id.Dense.files dense, files)
-
 let run config trace =
-  let ids, files = renumber trace in
-  let st = make_state config ~ids ~files in
+  let st = make_state config (Agg_trace.Trace.keys trace) in
   for i = 0 to Agg_trace.Trace.length trace - 1 do
     access st trace i
   done;

@@ -1,10 +1,12 @@
 open Agg_cache
 
-(* The caches see each file's dense key, so no index spans the trace's
-   id range (ids near 10^12 would otherwise size a directory by the
-   largest id); the events keep the trace's own ids. Each loop reads the
-   trace's columns by index and copies a missed event's columns into the
-   output, so no event is built. *)
+(* The caches see each file's dense key, read from the trace's key
+   snapshot ([Trace.keys], built once per trace however many capacities
+   filter it), so no index spans the trace's id range (ids near 10^12
+   would otherwise size a directory by the largest id); the events keep
+   the trace's own ids. Each loop reads the trace's columns by index and
+   copies a missed event's columns into the output, so no event is
+   built. *)
 let keep_miss out trace i =
   Trace.push out ~seq:(Trace.length out) ~client:(Trace.client trace i) ~op:(Trace.op trace i)
     (Trace.file trace i)
@@ -12,9 +14,9 @@ let keep_miss out trace i =
 (* Calls [f i] for each event [i] that misses in one cache. *)
 let iter_misses ~kind ~capacity trace f =
   let cache = Cache.create kind ~capacity in
-  let ids = File_id.Dense.create () in
-  for i = 0 to Trace.length trace - 1 do
-    if not (Cache.access cache (File_id.Dense.intern ids (Trace.file trace i) :> int)) then f i
+  let keys = (Trace.keys trace).key in
+  for i = 0 to Array.length keys - 1 do
+    if not (Cache.access cache (keys.(i) :> int)) then f i
   done
 
 let miss_stream ?(kind = Cache.Lru) ~capacity trace =
@@ -22,7 +24,7 @@ let miss_stream ?(kind = Cache.Lru) ~capacity trace =
   iter_misses ~kind ~capacity trace (keep_miss out trace);
   out
 
-(* One interner for every client: a file has one key in all caches. *)
+(* A file has one key in all the clients' caches. *)
 let miss_stream_per_client ?(kind = Cache.Lru) ~capacity trace =
   let caches : (int, Cache.t) Hashtbl.t = Hashtbl.create 16 in
   let cache_for client =
@@ -33,12 +35,11 @@ let miss_stream_per_client ?(kind = Cache.Lru) ~capacity trace =
         Hashtbl.replace caches client c;
         c
   in
-  let ids = File_id.Dense.create () in
+  let keys = (Trace.keys trace).key in
   let out = Trace.create () in
-  for i = 0 to Trace.length trace - 1 do
+  for i = 0 to Array.length keys - 1 do
     let cache = cache_for (Trace.client trace i) in
-    if not (Cache.access cache (File_id.Dense.intern ids (Trace.file trace i) :> int)) then
-      keep_miss out trace i
+    if not (Cache.access cache (keys.(i) :> int)) then keep_miss out trace i
   done;
   out
 

@@ -3,13 +3,20 @@
    its operation. No event is a heap block of its own, so a trace of n
    events is three n-word arrays and an n-byte string, and the GC never
    scans or promotes it one record at a time. Slots from [length] on are
-   spare capacity, shared by all four columns. *)
+   spare capacity, shared by all four columns.
+
+   [keys] is the last snapshot {!keys} built, stamped with the length it
+   covers (the length of its [key] column). It starts as the empty
+   snapshot, which is already current for an empty trace. *)
+type keys = { key : File_id.Dense.key array; file : File_id.t array }
+
 type t = {
   mutable seq : int array;
   mutable client : int array;
   mutable file : int array;
   mutable op : Bytes.t;
   mutable length : int;
+  keys : keys Atomic.t;
 }
 
 let write_byte = Event.op_to_char Event.Write
@@ -22,6 +29,7 @@ let create ?(capacity = 16) () =
     file = Array.make capacity 0;
     op = Bytes.create capacity;
     length = 0;
+    keys = Atomic.make { key = [||]; file = [||] };
   }
 
 let length t = t.length
@@ -61,6 +69,10 @@ let append t (e : Event.t) = push t ~seq:e.seq ~client:e.client ~op:e.op e.file
 let add_access t ?(client = 0) ?(op = Event.Open) file = push t ~seq:t.length ~client ~op file
 
 let[@inline] check t i name = if i < 0 || i >= t.length then invalid_arg name
+
+let seq t i =
+  check t i "Trace.seq: index out of bounds";
+  Array.unsafe_get t.seq i
 
 let[@inline] file t i =
   check t i "Trace.file: index out of bounds";
@@ -102,6 +114,31 @@ let fold f acc t =
   !acc
 
 let files t = Array.sub t.file 0 t.length
+
+(* One interner over the file column; it is dropped once the snapshot is
+   built, so a trace keeps n + d words of keys and none of the interner's
+   raw-id pages. The key column is a typed copy, filled in place. *)
+let build_keys t =
+  let dense = File_id.Dense.create () in
+  let n = t.length in
+  let key = if n = 0 then [||] else Array.make n (File_id.Dense.intern dense t.file.(0)) in
+  for i = 1 to n - 1 do
+    key.(i) <- File_id.Dense.intern dense t.file.(i)
+  done;
+  { key; file = File_id.Dense.files dense }
+
+(* A trace only grows, so a snapshot of its current length is current.
+   Domains that race on a stale snapshot each build one; the first to
+   publish wins and the others return its snapshot instead of their own. *)
+let keys t =
+  let s = Atomic.get t.keys in
+  if Array.length s.key = t.length then s
+  else
+    let s' = build_keys t in
+    if Atomic.compare_and_set t.keys s s' then s'
+    else
+      let s = Atomic.get t.keys in
+      if Array.length s.key = t.length then s else s'
 
 let of_files ?client fs =
   let t = create ~capacity:(List.length fs) () in

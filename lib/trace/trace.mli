@@ -32,6 +32,9 @@ val file : t -> int -> File_id.t
     @raise Invalid_argument unless [0 <= i < length t]; so do {!client},
     {!op}, {!is_write} and {!get}. *)
 
+val seq : t -> int -> int
+(** [seq t i] is [(get t i).seq]. *)
+
 val client : t -> int -> int
 (** [client t i] is [(get t i).client]. *)
 
@@ -50,6 +53,28 @@ val fold : ('acc -> Event.t -> 'acc) -> 'acc -> t -> 'acc
 val files : t -> File_id.t array
 (** The bare file-id sequence, in order — what the cache simulators and
     entropy calculations consume. A fresh copy of the file column. *)
+
+(** {2 Dense keys} *)
+
+type keys = {
+  key : File_id.Dense.key array;  (** [key.(i)] is the key of event [i]'s file *)
+  file : File_id.t array;  (** [file.(k)] is the file given key [k] *)
+}
+(** The trace's files numbered densely in order of first access, as a
+    fresh {!File_id.Dense} interning [file t 0], [file t 1], … would
+    number them: [key] has one entry per event, and [file] one per
+    distinct file. Tables keyed by a key hold one slot per file the trace
+    touches, however sparse or large its ids. *)
+
+val keys : t -> keys
+(** [keys t] is [t]'s key snapshot. The first call builds it and stores
+    it in [t]; later calls return the stored snapshot until [t] grows,
+    when the next call builds one over the new length (the keys of the
+    old prefix are unchanged, as numbering follows first access). The
+    snapshot is published atomically, so domains calling [keys] on one
+    trace at once each get a complete snapshot, and all get the same one
+    when no push intervenes. The arrays are shared with every later
+    caller: read them, never write them. *)
 
 val of_files : ?client:int -> File_id.t list -> t
 (** A trace of [Open] events over the given file sequence. *)

@@ -224,12 +224,13 @@ let words_per_access ~accesses run =
    client crashes, and one node leaving and rejoining. Routes, groups and
    admissions go through caller-owned buffers, evictions build no list,
    latencies are tallied per distinct value and per-file state is keyed
-   by the run's dense file numbers. Successor regions fill fixed pages
-   and the interner's key map is paged, so no per-run array doubles.
-   What it still allocates is set-up (the interner's raw-id pages are the
-   largest part), the state rebuilt at churn, and the floats the fault
-   and cost models return across module boundaries (boxed under
-   [-opaque]). *)
+   by the trace's dense keys. Successor regions fill fixed pages, so no
+   per-run array doubles. What the first run allocates is set-up (the
+   trace's key snapshot, with the raw-id pages of the interner that
+   builds it, is the largest part), the state rebuilt at churn, and the
+   floats the fault and cost models return across module boundaries
+   (boxed under [-opaque]). A second run on the same trace reads the
+   snapshot the first one left in it. *)
 let cluster_faults_words () =
   let events = 20_000 in
   let seed = 101 in
@@ -256,22 +257,33 @@ let cluster_faults_words () =
       churn = [ (events / 3, Cluster.Leave 4); (2 * events / 3, Cluster.Join 4) ];
     }
   in
-  let r, minor, major = words_per_access ~accesses:events (fun () -> Cluster.run config trace) in
+  let run () = words_per_access ~accesses:events (fun () -> Cluster.run config trace) in
+  let r, minor, major = run () in
   Alcotest.(check int) "every access replayed" events r.Cluster.accesses;
-  (minor, major)
+  let r', _, warm = run () in
+  Alcotest.(check bool) "the second run agrees" true (r' = r);
+  (minor, major, warm)
 
 let cluster_faults_run = lazy (cluster_faults_words ())
 
 let test_cluster_words_per_access () =
-  let words, _ = Lazy.force cluster_faults_run in
+  let words, _, _ = Lazy.force cluster_faults_run in
   if words > 3.3 then
     Alcotest.failf "Cluster.run allocates %.1f words per access (pin: at most 3.3)" words
 
 let test_cluster_major_words_per_access () =
-  let _, words = Lazy.force cluster_faults_run in
+  let _, words, _ = Lazy.force cluster_faults_run in
   if words > 10.0 then
     Alcotest.failf "Cluster.run allocates %.1f major-heap words per access (pin: at most 10)"
       words
+
+let test_cluster_warm_major_words_per_access () =
+  let _, cold, warm = Lazy.force cluster_faults_run in
+  if warm > cold -. 1.5 then
+    Alcotest.failf
+      "a second Cluster.run on the same trace allocates %.2f major-heap words per access, %.2f \
+       below the first run's %.2f (pin: at least 1.5 below)"
+      warm (cold -. warm) cold
 
 (* The paper's two aggregating configurations on the write profile, the
    one with the widest id space per event: a g = 5 client of 300 files,
@@ -404,6 +416,53 @@ let test_generate_trace_words_per_event () =
           profile.name major)
     Agg_workload.Profile.all
 
+(* The codec over a 60k-event trace. A reader scans each line where it
+   lies and pushes the event into the columns, so reading a string costs
+   no word per line, and reading a channel only what [input_line] costs
+   (the line and the closure of its scan loop, 9 words). A writer appends
+   digits to a buffer. Splitting each line into a list and boxing an
+   event cost 64 words per line, and [Printf] 94 per event. *)
+let codec_trace =
+  lazy (Agg_workload.Generator.generate ~seed:7 ~events:60_000 Agg_workload.Profile.server)
+
+(* Minor words per event of [f input], where [input] is built from the
+   trace before counting starts. *)
+let codec_pin name ~per ~pin ~input f =
+  Alcotest.test_case name `Quick (fun () ->
+      let trace = Lazy.force codec_trace in
+      input trace (fun x ->
+          let _, words, _ =
+            words_per_access ~accesses:(Agg_trace.Trace.length trace) (fun () -> f trace x)
+          in
+          if words > pin then
+            Alcotest.failf "%s allocates %.2f minor words per %s (pin: at most %g)" name words per
+              pin))
+
+let temp_path k =
+  let path = Filename.temp_file "alloc" ".trc" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> k path)
+
+let codec_pins =
+  let module Codec = Agg_trace.Codec in
+  let module Trace = Agg_trace.Trace in
+  let same_length trace (read, _) = assert (Trace.length read = Trace.length trace) in
+  [
+    codec_pin "Codec.of_string_weighted" ~per:"line" ~pin:0.1
+      ~input:(fun trace k -> k (Codec.to_string trace))
+      (fun trace text -> same_length trace (Codec.of_string_weighted text));
+    codec_pin "Codec.read_file_weighted" ~per:"line" ~pin:10.0
+      ~input:(fun trace k ->
+        temp_path (fun path ->
+            Codec.write_file path trace;
+            k path))
+      (fun trace path -> same_length trace (Codec.read_file_weighted path));
+    codec_pin "Codec.to_string" ~per:"event" ~pin:0.1
+      ~input:(fun _ k -> k ())
+      (fun trace () -> ignore (Sys.opaque_identity (Codec.to_string trace)));
+    codec_pin "Codec.write_file" ~per:"event" ~pin:0.1 ~input:(fun _ k -> temp_path k)
+      (fun trace path -> Codec.write_file path trace);
+  ]
+
 let () =
   Alcotest.run "alloc"
     [
@@ -414,6 +473,8 @@ let () =
             test_cluster_words_per_access;
           Alcotest.test_case "Cluster.run major heap, cluster-faults shape" `Quick
             test_cluster_major_words_per_access;
+          Alcotest.test_case "Cluster.run major heap, second run on one trace" `Quick
+            test_cluster_warm_major_words_per_access;
           Alcotest.test_case "Client_cache and Server_cache major heap, write profile" `Quick
             test_client_server_major_words_per_access;
           Alcotest.test_case "Client_cache and Server_cache, paper-g5 shape" `Quick
@@ -425,6 +486,7 @@ let () =
           Alcotest.test_case "Landlord major heap, 1000 residents" `Quick
             (landlord_fill ~residents:1_000 ~pin:11.0);
         ] );
+      ("codec", codec_pins);
       ( "per event",
         [
           Alcotest.test_case "Generator.generate_files, paper profiles" `Quick

@@ -394,6 +394,47 @@ let test_fleet_aggregation_reduces_requests () =
   check_bool "fewer server requests with grouping" true
     (agg.Cluster.server_requests < plain.Cluster.server_requests)
 
+(* A run reads the trace's key snapshot, built by the first run (or any
+   caller) and kept in the trace: on a fresh trace, on one whose keys were
+   built first, and on the same trace again, a faulty, churning
+   five-node run gives one result, with plain and far ids. *)
+let test_keys_built_once () =
+  let config =
+    {
+      Cluster.default_config with
+      Cluster.nodes = 5;
+      replicas = 3;
+      metadata = Cluster.Replicated_with_group;
+      faults =
+        {
+          Plan.default with
+          Plan.seed = 3;
+          loss_rate = 0.05;
+          outage_period = 500;
+          outage_rate = 0.2;
+          outage_length = 200;
+          crash_rate = 0.002;
+        };
+      churn = [ (1_000, Cluster.Leave 4); (2_000, Cluster.Join 4) ];
+    }
+  in
+  let events =
+    Agg_trace.Trace.to_events
+      (Agg_workload.Generator.generate ~seed:11 ~events:3000 Agg_workload.Profile.server)
+  in
+  List.iter
+    (fun (name, relabel) ->
+      let trace () =
+        Agg_trace.Trace.of_events
+          (List.map (fun (e : Agg_trace.Event.t) -> { e with file = relabel e.file }) events)
+      in
+      let fresh = Cluster.run config (trace ()) in
+      let keyed = trace () in
+      ignore (Agg_trace.Trace.keys keyed);
+      check_bool (name ^ ": keys built first") true (Cluster.run config keyed = fresh);
+      check_bool (name ^ ": second run") true (Cluster.run config keyed = fresh))
+    [ ("plain ids", Fun.id); ("far ids", fun f -> 1_000_000_000_000 + (f * 7_919)) ]
+
 let test_fleet_invalid_clients () =
   Alcotest.check_raises "0 clients"
     (Invalid_argument "Cluster.run: clients must be positive (got 0)") (fun () ->
@@ -821,6 +862,7 @@ let () =
           Alcotest.test_case "aggregation reduces requests" `Quick
             test_fleet_aggregation_reduces_requests;
           Alcotest.test_case "invalid clients" `Quick test_fleet_invalid_clients;
+          Alcotest.test_case "keys built once per trace" `Quick test_keys_built_once;
         ] );
       ( "failover",
         [

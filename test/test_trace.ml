@@ -315,6 +315,148 @@ let mutants rng text count =
       done;
       !m)
 
+(* The line reader as it was written before it scanned lines in place:
+   trim a copy, split it on spaces, drop the empty fields, match the list.
+   The in-place reader must accept the same language and raise the same
+   errors, at the same lines. *)
+module Split_reader = struct
+  let parse_error line message = raise (Codec.Parse_error { line; message })
+
+  type line = Event of Event.t | Weight of File_id.t * Agg_cache.Policy.weight | Blank
+
+  let parse_line ~lineno line =
+    let line = String.trim line in
+    if line = "" then Blank
+    else if line.[0] = '#' then begin
+      if lineno = 1 && line <> Codec.header then
+        parse_error lineno (Printf.sprintf "unknown header %S (expected %S)" line Codec.header);
+      Blank
+    end
+    else
+      let int_field name s =
+        match int_of_string_opt s with
+        | Some v when v >= 0 -> v
+        | Some _ -> parse_error lineno (name ^ " must be non-negative")
+        | None -> parse_error lineno (Printf.sprintf "bad %s %S" name s)
+      in
+      let positive_field name s =
+        match int_of_string_opt s with
+        | Some v when v > 0 -> v
+        | Some v -> parse_error lineno (Printf.sprintf "%s must be positive (got %d)" name v)
+        | None -> parse_error lineno (Printf.sprintf "bad %s %S" name s)
+      in
+      match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
+      | [ "w"; file_s; size_s; cost_s ] ->
+          let file = int_field "file" file_s in
+          let size = positive_field "size" size_s in
+          let cost = positive_field "cost" cost_s in
+          Weight (file, { Agg_cache.Policy.size; cost })
+      | [ seq_s; op_s; client_s; file_s ] ->
+          let op =
+            if String.length op_s <> 1 then parse_error lineno (Printf.sprintf "bad op %S" op_s)
+            else
+              match Event.op_of_char op_s.[0] with
+              | Some op -> op
+              | None -> parse_error lineno (Printf.sprintf "bad op %S" op_s)
+          in
+          let seq = int_field "seq" seq_s in
+          let client = int_field "client" client_s in
+          let file = int_field "file" file_s in
+          Event { Event.seq; op; client; file }
+      | _ ->
+          parse_error lineno
+            (Printf.sprintf "expected 'seq op client file' or 'w file size cost', got %S" line)
+
+  let of_string_weighted s =
+    let trace = Trace.create () in
+    let weights = Weights.create () in
+    List.iteri
+      (fun i line ->
+        match parse_line ~lineno:(i + 1) line with
+        | Event event -> Trace.append trace event
+        | Weight (file, w) -> Weights.set weights file w
+        | Blank -> ())
+      (String.split_on_char '\n' s);
+    (trace, weights)
+end
+
+(* What a reader made of a text: its events and weights, or its error. *)
+let outcome read text =
+  match read text with
+  | trace, weights -> Ok (Trace.to_events trace, Weights.to_alist weights)
+  | exception Codec.Parse_error { line; message } -> Error (line, message)
+
+let read_via_file text =
+  let path = Filename.temp_file "codec" ".trc" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
+      Codec.read_file_weighted path)
+
+(* Numerals [int_of_string] reads besides plain digits, blanks at either
+   end and inside fields, and every kind of wrong field count. *)
+let codec_edge_cases =
+  [
+    "";
+    "\n\n";
+    "#aggtrace v1";
+    " \t#aggtrace v1 \r\n0 o 0 5";
+    "#aggtrace v2\n0 o 0 5";
+    "  #x\n";
+    "# comment first\n0 o 0 5";
+    "0 o 0 5\n#aggtrace v1";
+    "#aggtrace v1\n0\to 0 5";
+    "#aggtrace v1\n\t0 o 0 5\t\r\n\x0c1 r 1 6\x0c";
+    "#aggtrace v1\n0x1F o 0 5\n0b11 r 1 0o17\n1_000 w 2 0u5";
+    "#aggtrace v1\n+5 o 0 5";
+    "#aggtrace v1\n-0 o 0 5";
+    "#aggtrace v1\n-1 o 0 5";
+    "#aggtrace v1\n0 o -3 5";
+    "#aggtrace v1\n99999999999999999999 o 0 5";
+    "#aggtrace v1\n9999999999999999999 o 0 5";
+    "#aggtrace v1\n4611686018427387903 o 0 4611686018427387903";
+    "#aggtrace v1\n4611686018427387904 o 0 5";
+    "#aggtrace v1\n999999999999999999 o 0 1000000000000";
+    "#aggtrace v1\n0000000000000000000000000012 o 0 5";
+    "#aggtrace v1\n0 oo 0 5";
+    "#aggtrace v1\n0 x 0 5";
+    "#aggtrace v1\n0 O 0 5";
+    "#aggtrace v1\n0 o 0";
+    "#aggtrace v1\n0 o 0 5 6";
+    "#aggtrace v1\n0    o  0     5   ";
+    "#aggtrace v1\nw 5 3 7\nw 5 1 1\nw 6 2 2";
+    "#aggtrace v1\nw 5 0 1";
+    "#aggtrace v1\nw 5 1 0";
+    "#aggtrace v1\nw 5 -1 1";
+    "#aggtrace v1\nw 5 1 x";
+    "#aggtrace v1\nw -5 1 1";
+    "#aggtrace v1\nw x 1 1";
+    "#aggtrace v1\nw 5 1";
+    "#aggtrace v1\nw 5 1 1 1";
+    "#aggtrace v1\nW 5 1 1";
+    "#aggtrace v1\nww 5 1 1";
+    "#aggtrace v1\nw w 1 1";
+    "#aggtrace v1\nw 5 0x10 1_0";
+    "#aggtrace v1\nw 5 99999999999999999999 1";
+  ]
+
+(* The in-place reader, from a string and from a file, against the split
+   reader: on every edge case and on 3,000 mutants of a trace with w
+   lines, the same events and weights or the same error at the same
+   line. *)
+let test_codec_matches_split_reader () =
+  let rng = Agg_util.Prng.create ~seed:31 () in
+  let trc = "#aggtrace v1\n# weighted\n0 o 0 5\n1 r 1 7\nw 5 3 7\n2 w 0 5\nw 7 2 2\n3 o 2 6\n" in
+  List.iteri
+    (fun i text ->
+      let expected = outcome Split_reader.of_string_weighted text in
+      if outcome Codec.of_string_weighted text <> expected then
+        Alcotest.failf "of_string_weighted differs from the split reader on %S" text;
+      if i mod 10 = 0 && outcome read_via_file text <> expected then
+        Alcotest.failf "read_file_weighted differs from the split reader on %S" text)
+    (codec_edge_cases @ mutants rng trc 3000)
+
 (* The weighted reader answers every mutant of a trace with w lines with
    a trace or a one-line Parse_error; the import formats read any mutant
    of their inputs without raising. *)
@@ -460,6 +602,82 @@ let test_dense () =
   Alcotest.check_raises "no key past the far ids" (Invalid_argument "File_id.Dense.file: not a key")
     (fun () -> ignore (File_id.Dense.file d (Array.length far)))
 
+(* --- key snapshots ---------------------------------------------------------- *)
+
+(* The keys a fresh interner gives [files] in order, and its key -> file
+   map: what [Trace.keys] must hold. *)
+let fresh_keys files =
+  let d = File_id.Dense.create () in
+  let key = Array.map (fun f -> (File_id.Dense.intern d f :> int)) files in
+  (key, File_id.Dense.files d)
+
+let key_ints (s : Trace.keys) = Array.map (fun (k : File_id.Dense.key) -> (k :> int)) s.key
+
+let keys_agree t =
+  let s = Trace.keys t in
+  let key, file = fresh_keys (Trace.files t) in
+  key_ints s = key && s.file = file
+
+let test_keys_empty () =
+  let t = Trace.create () in
+  check_bool "empty trace, empty snapshot" true (keys_agree t && Trace.keys t == Trace.keys t);
+  check_int "no keys" 0 (Array.length (Trace.keys t).key);
+  Trace.add_access t 1_000_000_000_000;
+  check_bool "one event" true (keys_agree t);
+  check_int "one key" 1 (Array.length (Trace.keys t).key)
+
+(* Two domains ask a fresh trace for its keys at once, five times over:
+   each gets a complete snapshot, and both get the same one. *)
+let test_keys_two_domains () =
+  for round = 1 to 5 do
+    let t = Trace.create ~capacity:100_000 () in
+    for i = 0 to 99_999 do
+      Trace.add_access t ((((i * 7_919) + round) mod 30_011 * 3) + (i land 1 * (1 lsl 40)))
+    done;
+    let ready = Atomic.make 0 in
+    let race () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do
+        Domain.cpu_relax ()
+      done;
+      Trace.keys t
+    in
+    let a = Domain.spawn race and b = Domain.spawn race in
+    let ka = Domain.join a and kb = Domain.join b in
+    check_bool "equal snapshots" true (ka = kb);
+    check_bool "one snapshot" true (ka == kb);
+    check_bool "as a fresh interner" true (keys_agree t)
+  done
+
+(* The filters read the key snapshot: a trace whose keys were built
+   before, by a call or by an earlier filter, filters as a fresh one. *)
+let test_filter_prekeyed () =
+  let g = Agg_util.Prng.create ~seed:23 () in
+  let make () =
+    let t = Trace.create () in
+    for _ = 1 to 3_000 do
+      Trace.add_access t ~client:(Agg_util.Prng.int g 3)
+        (if Agg_util.Prng.bool g then Agg_util.Prng.int g 80
+         else 1_000_000_000_000 + Agg_util.Prng.int g 80)
+    done;
+    t
+  in
+  let t = make () in
+  let fresh () = Trace.of_events (Trace.to_events t) in
+  let keyed = fresh () in
+  ignore (Trace.keys keyed);
+  List.iter
+    (fun capacity ->
+      let expect name f =
+        let a = Trace.to_events (f (fresh ())) in
+        check_bool (Printf.sprintf "%s, capacity %d, keys built" name capacity) true
+          (Trace.to_events (f keyed) = a)
+      in
+      expect "miss_stream" (Filter.miss_stream ~capacity);
+      expect "miss_stream_per_client" (Filter.miss_stream_per_client ~capacity);
+      check_int "miss_count" (Filter.miss_count ~capacity (fresh ())) (Filter.miss_count ~capacity keyed))
+    [ 1; 10; 40; 200 ]
+
 (* --- qcheck properties ----------------------------------------------------- *)
 
 (* Events with sparse, unordered seqs, every op, and files from a small
@@ -571,6 +789,29 @@ let qcheck_tests =
         && out_of_bounds (fun () -> Trace.sub ta ~pos:(-1) ~len:0)
         && out_of_bounds (fun () -> Trace.sub ta ~pos:0 ~len:(-1))
         && Trace.to_events (Trace.concat ta tb) = a @ renumbered ~from:n b);
+    (let file =
+       Gen.frequency
+         [
+           (4, Gen.int_range 0 50);
+           (2, Gen.int_range 0 (1 lsl 22));
+           (1, Gen.map (fun k -> (1 lsl 30) + k) (Gen.int_range 0 50));
+           (2, Gen.map (fun k -> 1_000_000_000_000 + k) (Gen.int_range 0 50));
+           (1, Gen.map (fun k -> max_int - k) (Gen.int_range 0 2));
+         ]
+     in
+     let files = make ~print:Print.(list int) Gen.(list_size (int_range 0 80) file) in
+     Test.make ~name:"keys number files as a fresh interner does, and follow growth" ~count:300
+       (pair files files) (fun (prefix, more) ->
+         let t = Trace.of_files prefix in
+         let before = Trace.keys t in
+         let old_keys = key_ints before in
+         let built = keys_agree t && Trace.keys t == before in
+         List.iter (Trace.add_access t) more;
+         let after = Trace.keys t in
+         built && keys_agree t
+         && Array.length after.key = Trace.length t
+         && Array.sub (key_ints after) 0 (List.length prefix) = old_keys
+         && key_ints before = old_keys));
     Test.make ~name:"codec keeps every field of every event" ~count:200 events_arb (fun es ->
         let text = Codec.to_string (Trace.of_events es) in
         let t = Codec.of_string text in
@@ -602,6 +843,7 @@ let () =
           Alcotest.test_case "streaming matches read" `Quick test_codec_streaming_matches_read;
           Alcotest.test_case "sparse seqs print back byte for byte" `Quick
             test_codec_sparse_seqs_bytes;
+          Alcotest.test_case "reads as the split reader" `Quick test_codec_matches_split_reader;
         ] );
       ( "weights",
         [
@@ -635,5 +877,11 @@ let () =
         ] );
       ("namespace", [ Alcotest.test_case "intern" `Quick test_namespace ]);
       ("dense", [ Alcotest.test_case "intern" `Quick test_dense ]);
+      ( "keys",
+        [
+          Alcotest.test_case "empty trace" `Quick test_keys_empty;
+          Alcotest.test_case "two domains" `Quick test_keys_two_domains;
+          Alcotest.test_case "filters on a keyed trace" `Quick test_filter_prekeyed;
+        ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]
