@@ -473,8 +473,6 @@ let () =
             test_cluster_words_per_access;
           Alcotest.test_case "Cluster.run major heap, cluster-faults shape" `Quick
             test_cluster_major_words_per_access;
-          Alcotest.test_case "Cluster.run major heap, second run on one trace" `Quick
-            test_cluster_warm_major_words_per_access;
           Alcotest.test_case "Client_cache and Server_cache major heap, write profile" `Quick
             test_client_server_major_words_per_access;
           Alcotest.test_case "Client_cache and Server_cache, paper-g5 shape" `Quick
@@ -485,6 +483,8 @@ let () =
             (landlord_fill ~residents:300 ~pin:9.0);
           Alcotest.test_case "Landlord major heap, 1000 residents" `Quick
             (landlord_fill ~residents:1_000 ~pin:11.0);
+          Alcotest.test_case "Cluster.run major heap, second run on one trace" `Quick
+            test_cluster_warm_major_words_per_access;
         ] );
       ("codec", codec_pins);
       ( "per event",
