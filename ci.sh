@@ -156,11 +156,12 @@ fi
 # a `module type` are requirements, not exports, and are skipped) when it
 # writes `M.name`, through any prefix (`Lib.M.name`) or an alias of M
 # (`module A = Lib.M`, then `A.name`), or when it opens M (`open M`,
-# `include M`, `let open M in`, `M.(...)`, `(module M`) and holds the bare
-# name. Comments count as text, so the list is a lower bound. A new entry
-# fails the run, and so does a stale one, so the committed list stays
-# exact: delete an export, or reference it, and update the list in the
-# same change.
+# `include M`, `let open M in`, `M.(...)`) and holds the bare name;
+# packing M (`(module M)`) brings none of its names into scope. Comments
+# count as text, so the list is a lower bound. A new entry fails the
+# run, and so does a stale one, so the committed list stays exact:
+# delete an export, or reference it, and update the list in the same
+# change.
 exports=$(mktemp -d)
 trap 'rm -rf "$exports"' EXIT
 python3 - > "$exports/unreferenced" <<'PY'
@@ -170,7 +171,7 @@ name_re = r"[A-Za-z_][A-Za-z0-9_']*"
 mod_re = r"[A-Z][A-Za-z0-9_']*"
 qualified = re.compile(rf"(?<![A-Za-z0-9_'])({mod_re})\.([a-z_][A-Za-z0-9_']*)")
 local_open = re.compile(rf"(?<![A-Za-z0-9_'])({mod_re})\.[({{\[]")
-opens = re.compile(rf"\b(?:open!?|include|\(module)\s+(?:{mod_re}\.)*({mod_re})")
+opens = re.compile(rf"\b(?:open!?|include)\s+(?:{mod_re}\.)*({mod_re})")
 aliases = re.compile(rf"\bmodule\s+({mod_re})\s*=\s*(?:{mod_re}\.)*({mod_re})\b")
 
 # per file: the (module, name) pairs it writes, the modules it opens, and

@@ -421,6 +421,10 @@ let rec apply_churn st ~time =
 
 (* --- serving ----------------------------------------------------------- *)
 
+(* [a mod k], with no division when [0 <= a < k]: a first attempt, or a
+   client id the config already covers. *)
+let[@inline] wrap a k = if 0 <= a && a < k then a else a mod k
+
 let invalidate_others st ~writer file =
   Array.iteri
     (fun i cs ->
@@ -440,8 +444,9 @@ let invalidate_others st ~writer file =
 let rec attempt_route st ~row ~time ~attempt ~file =
   let r = Resilience.default in
   let k = st.k in
-  let target = st.route.(attempt mod k) in
-  let plan = st.rows.(row + (attempt mod k)).plan in
+  let j = wrap attempt k in
+  let target = st.route.(j) in
+  let plan = st.rows.(row + j).plan in
   let down = Plan.server_down plan ~time in
   if not (down || Plan.message_lost plan ~time ~attempt) then attempt
   else begin
@@ -451,7 +456,7 @@ let rec attempt_route st ~row ~time ~attempt ~file =
     if Sink.enabled st.sink then Sink.emit st.sink (Agg_obs.Event.Fetch_timeout { file; attempt });
     if attempt < r.Resilience.max_retries then begin
       st.counters.Counters.retries <- st.counters.Counters.retries + 1;
-      let next = st.route.((attempt + 1) mod k) in
+      let next = st.route.(wrap (attempt + 1) k) in
       if next <> target then begin
         st.failovers <- st.failovers + 1;
         if Sink.enabled st.sink then
@@ -552,8 +557,9 @@ let serve st ~client ~time ~tracing ~row ~file d =
     st.latency.last <- !waited +. fallback
   end
   else begin
-    let node = st.route.(attempt mod k) in
-    let ns = st.rows.(row + (attempt mod k)) in
+    let j = wrap attempt k in
+    let node = st.route.(j) in
+    let ns = st.rows.(row + j) in
     st.routed_fetches <- st.routed_fetches + 1;
     ns.requests <- ns.requests + 1;
     if Sink.enabled st.sink then Sink.emit st.sink (Agg_obs.Event.Node_routed { file; node });
@@ -667,7 +673,7 @@ let access st trace i =
   let time = st.now in
   st.now <- time + 1;
   apply_churn st ~time;
-  let client = Agg_trace.Trace.client trace i mod st.config.clients in
+  let client = wrap (Agg_trace.Trace.client trace i) st.config.clients in
   let cs = st.client_states.(client) in
   if Plan.enabled st.base_plan && Plan.client_crashes st.base_plan ~time ~client then begin
     let wiped = Cache.size cs.cache in

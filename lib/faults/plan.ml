@@ -56,22 +56,7 @@ let pp_config ppf c =
     "seed=%d loss=%.3f outage=%.3f@%d/%d slow=%.3f x%.1f crash=%.5f" c.seed c.loss_rate
     c.outage_rate c.outage_length c.outage_period c.slow_rate c.slow_multiplier c.crash_rate
 
-type t = { config : config; enabled : bool }
-
 let outages_on c = c.outage_period > 0 && c.outage_rate > 0.0 && c.outage_length > 0
-
-let disabled = { config = none; enabled = false }
-
-let make config =
-  validate config;
-  let enabled =
-    config.loss_rate > 0.0 || outages_on config || config.slow_rate > 0.0
-    || config.crash_rate > 0.0
-  in
-  { config; enabled }
-
-let enabled t = t.enabled
-let config t = t.config
 
 (* Stream tags keep the four fault classes statistically independent even
    when they are queried at the same coordinates. *)
@@ -85,32 +70,66 @@ let tag_crash = 4
    decision is the first draw of that generator, so it is a pure function
    of (seed, tag, a, b) — independent of query order and of how sweep
    cells are scheduled across domains — and [Prng.first_draw] computes it
-   without building the generator. *)
+   without building the generator. A fault class's stream is the fold of
+   the seed and its tag, which a plan computes once. *)
 let mix acc v = (acc * 0x100000001b3) lxor (v land max_int)
+let stream seed tag = mix (mix 0x2545F4914F6CDD1D seed) tag
 
-let bernoulli t ~tag ~a ~b ~p =
+(* A plan keeps, beside its config, what every query would otherwise
+   recompute: each fault class's stream, and [window], the accesses an
+   outage lasts at the start of a faulty epoch (0 when outages are off). *)
+type t = {
+  config : config;
+  enabled : bool;
+  window : int;
+  loss : int;
+  outage : int;
+  slow : int;
+  crash : int;
+}
+
+let make config =
+  validate config;
+  let enabled =
+    config.loss_rate > 0.0 || outages_on config || config.slow_rate > 0.0
+    || config.crash_rate > 0.0
+  in
+  {
+    config;
+    enabled;
+    window = (if outages_on config then Int.min config.outage_length config.outage_period else 0);
+    loss = stream config.seed tag_loss;
+    outage = stream config.seed tag_outage;
+    slow = stream config.seed tag_slow;
+    crash = stream config.seed tag_crash;
+  }
+
+let disabled = make none
+let enabled t = t.enabled
+let config t = t.config
+
+let bernoulli ~stream ~a ~b ~p =
   p > 0.0
   &&
-  let key = mix (mix (mix (mix 0x2545F4914F6CDD1D t.config.seed) tag) a) b in
+  let key = mix (mix stream a) b in
   Agg_util.Prng.draw_bernoulli (Agg_util.Prng.first_draw ~seed:(key land max_int)) ~p
 
 let message_lost t ~time ~attempt =
-  t.enabled && bernoulli t ~tag:tag_loss ~a:time ~b:attempt ~p:t.config.loss_rate
+  t.enabled && bernoulli ~stream:t.loss ~a:time ~b:attempt ~p:t.config.loss_rate
 
+(* One division: the offset into the epoch is what the epoch leaves. *)
 let server_down t ~time =
-  t.enabled && outages_on t.config
-  && time >= 0
+  t.window > 0 && time >= 0
   &&
-  let c = t.config in
-  let epoch = time / c.outage_period in
-  let offset = time mod c.outage_period in
-  offset < Int.min c.outage_length c.outage_period
-  && bernoulli t ~tag:tag_outage ~a:epoch ~b:0 ~p:c.outage_rate
+  let period = t.config.outage_period in
+  let epoch = time / period in
+  time - (epoch * period) < t.window
+  && bernoulli ~stream:t.outage ~a:epoch ~b:0 ~p:t.config.outage_rate
 
 let latency_multiplier t ~time ~attempt =
-  if t.enabled && bernoulli t ~tag:tag_slow ~a:time ~b:attempt ~p:t.config.slow_rate then
+  if t.enabled && bernoulli ~stream:t.slow ~a:time ~b:attempt ~p:t.config.slow_rate then
     t.config.slow_multiplier
   else 1.0
 
 let client_crashes t ~time ~client =
-  t.enabled && bernoulli t ~tag:tag_crash ~a:time ~b:client ~p:t.config.crash_rate
+  t.enabled && bernoulli ~stream:t.crash ~a:time ~b:client ~p:t.config.crash_rate

@@ -128,17 +128,15 @@ let build_keys t =
   { key; file = File_id.Dense.files dense }
 
 (* A trace only grows, so a snapshot of its current length is current.
-   Domains that race on a stale snapshot each build one; the first to
-   publish wins and the others return its snapshot instead of their own. *)
+   Domains that race on a stale snapshot each build an equal one and
+   publish it whole. *)
 let keys t =
   let s = Atomic.get t.keys in
   if Array.length s.key = t.length then s
   else
-    let s' = build_keys t in
-    if Atomic.compare_and_set t.keys s s' then s'
-    else
-      let s = Atomic.get t.keys in
-      if Array.length s.key = t.length then s else s'
+    let s = build_keys t in
+    Atomic.set t.keys s;
+    s
 
 let of_files ?client fs =
   let t = create ~capacity:(List.length fs) () in

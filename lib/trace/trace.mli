@@ -72,9 +72,9 @@ val keys : t -> keys
     when the next call builds one over the new length (the keys of the
     old prefix are unchanged, as numbering follows first access). The
     snapshot is published atomically, so domains calling [keys] on one
-    trace at once each get a complete snapshot, and all get the same one
-    when no push intervenes. The arrays are shared with every later
-    caller: read them, never write them. *)
+    trace at once each get a complete snapshot, all equal when no push
+    intervenes. The arrays are shared with every later caller: read
+    them, never write them. *)
 
 val of_files : ?client:int -> File_id.t list -> t
 (** A trace of [Open] events over the given file sequence. *)

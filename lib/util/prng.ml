@@ -83,8 +83,10 @@ let first_draw ~seed = first_of_seed (Int64.of_int seed)
 let derive_draw t index = first_of_seed (derive_seed t index)
 
 (* 53 random bits mapped to [0, 1), the standard double-precision trick:
-   the top 53 of the 64 bits over 2^53. *)
-let[@inline] draw_float d = Stdlib.float_of_int (d lsr 9) /. 9007199254740992.0
+   the top 53 of the 64 bits over 2^53. Scaling by a power of two is
+   exact, so multiplying by 2^-53 gives the quotient bit for bit without
+   a division. *)
+let[@inline] draw_float d = Stdlib.float_of_int (d lsr 9) *. 0x1p-53
 let[@inline] draw_bernoulli d ~p = draw_float d < p
 
 let int t bound =

@@ -306,6 +306,58 @@ let qcheck_tests =
         r.Cluster.client_hits + r.Cluster.server_requests = r.Cluster.accesses
         && r.Cluster.faults.Counters.timeouts
            <= (Resilience.default.Resilience.max_retries + 1) * r.Cluster.server_requests);
+    (* A plan folds its seed into each fault class's stream once, at
+       [make]; every answer must still be the one that folds seed, tag and
+       coordinates into one key per query and maps the draw by division. *)
+    (let rate = Gen.(oneof [ float_range 0.0 1.0; oneofl [ 0.0; 0.05; 1.0 ] ]) in
+     let coordinate = Gen.(oneof [ int; int_range (-3) 3_000; oneofl [ max_int; min_int ] ]) in
+     let gen =
+       Gen.(
+         pair
+           (pair
+              (quad (oneof [ int; oneofl [ 0; -1; max_int; min_int ] ]) rate rate rate)
+              (quad rate (int_range 0 40) (int_range 0 50) (float_range 1.0 8.0)))
+           (triple coordinate (int_range 0 5) (int_range 0 20)))
+     in
+     Test.make ~name:"plan answers fold seed, tag and coordinates into one key" ~count:3000
+       (make gen)
+       (fun ( ( (seed, loss_rate, outage_rate, crash_rate),
+                (slow_rate, outage_period, outage_length, slow_multiplier) ),
+              (time, attempt, client) ) ->
+         let plan =
+           Plan.make
+             {
+               Plan.seed;
+               loss_rate;
+               outage_period;
+               outage_rate;
+               outage_length;
+               slow_rate;
+               slow_multiplier;
+               crash_rate;
+             }
+         in
+         let mix acc v = (acc * 0x100000001b3) lxor (v land max_int) in
+         let fires ~tag ~a ~b ~p =
+           p > 0.0
+           &&
+           let key = mix (mix (mix (mix 0x2545F4914F6CDD1D seed) tag) a) b in
+           float_of_int (Agg_util.Prng.first_draw ~seed:(key land max_int) lsr 9)
+           /. 9007199254740992.0
+           < p
+         in
+         let on = Plan.enabled plan in
+         let down =
+           on && outage_period > 0 && outage_rate > 0.0 && outage_length > 0 && time >= 0
+           && time mod outage_period < Int.min outage_length outage_period
+           && fires ~tag:2 ~a:(time / outage_period) ~b:0 ~p:outage_rate
+         in
+         Plan.message_lost plan ~time ~attempt = (on && fires ~tag:1 ~a:time ~b:attempt ~p:loss_rate)
+         && Plan.server_down plan ~time = down
+         && Plan.latency_multiplier plan ~time ~attempt
+            = (if on && fires ~tag:3 ~a:time ~b:attempt ~p:slow_rate then slow_multiplier else 1.0)
+         && Plan.client_crashes plan ~time ~client
+            = (on && fires ~tag:4 ~a:time ~b:client ~p:crash_rate)));
     Test.make ~name:"backoff is monotone in attempt" ~count:100
       (pair (int_range 1 20) (int_range 1 19))
       (fun (a, b) ->

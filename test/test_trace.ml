@@ -627,7 +627,7 @@ let test_keys_empty () =
   check_int "one key" 1 (Array.length (Trace.keys t).key)
 
 (* Two domains ask a fresh trace for its keys at once, five times over:
-   each gets a complete snapshot, and both get the same one. *)
+   each gets a complete snapshot, and both get equal ones. *)
 let test_keys_two_domains () =
   for round = 1 to 5 do
     let t = Trace.create ~capacity:100_000 () in
@@ -645,7 +645,6 @@ let test_keys_two_domains () =
     let a = Domain.spawn race and b = Domain.spawn race in
     let ka = Domain.join a and kb = Domain.join b in
     check_bool "equal snapshots" true (ka = kb);
-    check_bool "one snapshot" true (ka == kb);
     check_bool "as a fresh interner" true (keys_agree t)
   done
 

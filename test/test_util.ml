@@ -949,6 +949,14 @@ let qcheck_tests =
               (Prng.float (Prng.derive parent index) 1.0)
          && Prng.draw_bernoulli (Prng.derive_draw parent index) ~p
             = (Prng.float (Prng.derive parent index) 1.0 < p)));
+    (* draw_float multiplies by 2^-53; the quotient by 2^53 is the
+       definition, and both are exact scalings of one rounded int *)
+    Test.make ~name:"Prng.draw_float is the top 53 bits over 2^53" ~count:2000
+      (oneof [ int; map (fun d -> d land ((1 lsl 62) - 1)) int; oneofl [ 0; 1; 511; 512; (1 lsl 62) - 1; max_int; min_int; -1 ] ])
+      (fun d ->
+        Int64.equal
+          (Int64.bits_of_float (Prng.draw_float d))
+          (Int64.bits_of_float (float_of_int (d lsr 9) /. 9007199254740992.0)));
     Test.make ~name:"Stats.percentile_of_counts equals sort-then-rank" ~count:500
       (pair
          (array_of_size Gen.(int_range 0 400)
