@@ -1,9 +1,10 @@
 #!/bin/sh
 # CI entry point: full build, full test suite, the lockstep differential
 # gate against the lib/oracle reference models, one-second checked runs
-# of each steady-benchmark workload (plain and traced), a gate on
-# out-of-line calls of the inlined table and list primitives in that
-# binary, the test suite again against the release build, a quick smoke run
+# of each steady-benchmark workload (plain and traced), gates on that
+# binary's linked units and calibration-loop page offset and on its
+# out-of-line calls of the inlined table and list primitives, the test
+# suite again against the release build, a quick smoke run
 # of the paper-vs-measured checks from the reproduction harness, the
 # full-size harness golden, the sweep ledger's merge of a partial run,
 # the entropy commands, a client replay and a cluster scenario on
@@ -278,21 +279,34 @@ for workload in paper-g5 policies cluster-faults; do
     esac
   done
 done
-# Informational: perfbench scales its timings by a calibration loop whose
-# address follows the size of caml_startup, which grows 16 bytes per
-# linked compilation unit. The count moves both ways: a library module
-# is linked only while some linked code references one of its values,
-# so a unit also leaves the link when its last reference goes (a caller
-# that stops calling Agg_trace.Event.is_write can drop Event). A perf
-# change states this address, its offset within its 4 KiB page and the
-# number of linked units (their .code_begin symbols) beside its parent's.
+# Layout gate: perfbench scales its timings by a calibration loop in
+# camlDune__exe__Main, linked right after caml_startup's generated code,
+# and its offset within its 4 KiB page moved a workload's reading by
+# 6-17% with no executed instruction changed. Library code size moves it
+# by whole pages only; the offset follows the set of linked compilation
+# units (caml_startup makes one call per unit, and a library module is
+# linked only while some linked code references one of its values) and
+# the caml_applyN/caml_curryN functions the startup file generates for
+# the arities the linked code uses. The run fails when the page offset
+# or the sorted unit set (the .code_begin symbols) differs from the
+# committed lib/perfbench-link.txt: a change that must move either
+# updates that file and says why. The address itself is printed.
 if command -v nm > /dev/null; then
   symbols=$(nm -n .bench_build/default/perfbench/main.exe)
   addr=$(printf '%s\n' "$symbols" | sed -n 's/ T camlDune__exe__Main.code_begin$//p')
-  units=$(printf '%s\n' "$symbols" | grep -c '\.code_begin$' || true)
-  if [ -n "$addr" ]; then
-    printf 'ci.sh: perfbench calibration loop at camlDune__exe__Main.code_begin = 0x%s (page offset 0x%x), %d linked units\n' \
-      "$addr" $((0x$addr % 4096)) "$units"
+  if [ -z "$addr" ]; then
+    echo "ci.sh: no camlDune__exe__Main.code_begin in the release perfbench binary" >&2
+    exit 1
+  fi
+  printf 'ci.sh: perfbench calibration loop at camlDune__exe__Main.code_begin = 0x%s\n' "$addr"
+  {
+    printf 'camlDune__exe__Main.code_begin page offset 0x%x\n' $((0x$addr % 4096))
+    printf '%s\n' "$symbols" | sed -n 's/^[0-9a-f]* T \(.*\)\.code_begin$/\1/p' | LC_ALL=C sort
+  } > "$exports/perfbench-link"
+  if ! diff lib/perfbench-link.txt "$exports/perfbench-link" >&2; then
+    echo "ci.sh: the release perfbench binary's calibration-loop page offset or linked units" \
+      "changed (> new, < committed); keep them, or update lib/perfbench-link.txt and say why" >&2
+    exit 1
   fi
 fi
 

@@ -46,5 +46,3 @@ let simulate ~capacity trace =
     order := Next_use.add (upcoming, key) !order
   done;
   { accesses = n; hits = !hits; misses = !misses }
-
-let hit_rate r = if r.accesses = 0 then 0.0 else float_of_int r.hits /. float_of_int r.accesses

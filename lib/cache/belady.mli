@@ -9,5 +9,3 @@ val simulate : capacity:int -> int array -> result
 (** [simulate ~capacity trace] replays [trace] through an optimal cache of
     [capacity] keys.
     @raise Invalid_argument when [capacity <= 0]. *)
-
-val hit_rate : result -> float

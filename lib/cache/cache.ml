@@ -36,10 +36,6 @@ type stats = {
   evictions : int;
 }
 
-let pp_stats ppf s =
-  Format.fprintf ppf "accesses=%d hits=%d misses=%d insertions=%d speculative=%d evictions=%d"
-    s.accesses s.hits s.misses s.insertions s.speculative_insertions s.evictions
-
 type weighted_stats = {
   bytes_accessed : int;
   bytes_hit : int;
@@ -317,12 +313,6 @@ let weighted_stats t =
     cost_fetched = t.cost_fetched;
     cost_prefetched = t.cost_prefetched;
   }
-
-let hit_rate t = if t.accesses = 0 then 0.0 else float_of_int t.hits /. float_of_int t.accesses
-
-let byte_hit_rate t =
-  if t.bytes_accessed = 0 then 0.0
-  else float_of_int t.bytes_hit /. float_of_int t.bytes_accessed
 
 let reset_stats t =
   t.accesses <- 0;

@@ -27,8 +27,6 @@ type stats = {
   evictions : int;
 }
 
-val pp_stats : Format.formatter -> stats -> unit
-
 type weighted_stats = {
   bytes_accessed : int;  (** Σ size over demand accesses *)
   bytes_hit : int;  (** Σ size over demand hits *)
@@ -135,17 +133,6 @@ val stats : t -> stats
 val weighted_stats : t -> weighted_stats
 (** Always maintained; at unit weights the byte counters mirror the
     unweighted ones. *)
-
-val hit_rate : t -> float
-(** Hits over accesses; [0.] before any access. *)
-
-val byte_hit_rate : t -> float
-(** Bytes hit over bytes accessed; [0.] before any access. Equal to
-    {!hit_rate} at unit weights. *)
-
-val reset_stats : t -> unit
-(** Zeroes the counters (weighted included), keeping the resident set —
-    used to exclude cache warm-up from measurements. *)
 
 val clear : t -> unit
 (** Empties the cache and zeroes the counters. *)

@@ -166,7 +166,6 @@ val run : config -> Agg_trace.Trace.t -> result
     the last node). *)
 
 val client_hit_rate : result -> float
-val server_hit_rate : result -> float
 
 val reconcile : Agg_obs.Digest.t -> result -> (unit, string) Stdlib.result
 (** Cross-checks the record of an event-stream digest against the

@@ -184,10 +184,3 @@ let group t ~replicas file =
   let buf = Array.make (Int.min replicas t.count) 0 in
   ignore (group_into t ~replicas file buf);
   Array.to_list buf
-
-let pp ppf t =
-  Format.fprintf ppf "ring[seed=%d nodes=%a points=%d]" t.seed
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ',')
-       Format.pp_print_int)
-    t.members (Array.length t.points)

@@ -90,5 +90,3 @@ val group_into : t -> replicas:int -> int -> int array -> int
     Allocates nothing.
     @raise Invalid_argument when [replicas] is not positive or [buf] is
     shorter than the group. *)
-
-val pp : Format.formatter -> t -> unit

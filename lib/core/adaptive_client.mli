@@ -29,7 +29,6 @@ val create :
 
 val access : t -> Agg_trace.File_id.t -> bool
 val run : t -> Agg_trace.Trace.t -> Metrics.client
-val metrics : t -> Metrics.client
 
 val current_group_size : t -> int
 

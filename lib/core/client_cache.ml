@@ -87,8 +87,6 @@ let of_scheme ?obs scheme ~capacity =
       let config = { Config.default with group_size = 1; cache_kind = kind } in
       make ~aggregating:false ?obs config ~capacity
 
-let config t = t.config
-let capacity t = Cache.capacity t.cache
 let group_size t = t.group_size
 
 let set_group_size t g =
@@ -226,4 +224,3 @@ let weighted_metrics t = Cache.weighted_stats t.cache
 let resident t file =
   match Dense.find t.ids file with Some k -> Cache.mem t.cache (k :> int) | None -> false
 
-let obs t = t.obs

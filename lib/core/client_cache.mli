@@ -53,14 +53,11 @@ val create :
 
 val of_scheme : ?obs:Agg_obs.Sink.t -> scheme -> capacity:int -> t
 (** [of_scheme (Aggregating config)] is [create ~config].
-    [of_scheme (Plain kind)] is a demand cache of [kind] (its {!config}
+    [of_scheme (Plain kind)] is a demand cache of [kind] (its config
     is the default with [group_size = 1] and [cache_kind = kind]): its
     {!observe} does nothing and its misses build no group, so it emits
     no [Successor_update] or [Group_built] and never prefetches.
     @raise Invalid_argument on invalid capacity or configuration. *)
-
-val config : t -> Config.t
-val capacity : t -> int
 
 val group_size : t -> int
 (** The group size currently in force (initially [config.group_size]). *)
@@ -119,6 +116,3 @@ val weighted_metrics : t -> Metrics.weighted
 
 val resident : t -> Agg_trace.File_id.t -> bool
 (** Is [file] in the data cache? [false] for a file never accessed. *)
-
-val obs : t -> Agg_obs.Sink.t
-(** The sink given at {!create} (the no-op sink by default). *)

@@ -25,10 +25,3 @@ let with_group_size group_size t =
   let t = { t with group_size } in
   validate t;
   t
-
-let pp ppf t =
-  Format.fprintf ppf "g=%d succ_cap=%d meta=%s members=%s cache=%s" t.group_size
-    t.successor_capacity
-    (Agg_successor.Successor_list.policy_name t.metadata_policy)
-    (match t.member_position with Tail -> "tail" | Head -> "head")
-    (Agg_cache.Cache.kind_name t.cache_kind)

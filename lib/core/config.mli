@@ -23,5 +23,3 @@ val with_group_size : int -> t -> t
 
 val validate : t -> unit
 (** @raise Invalid_argument on non-positive sizes/capacities. *)
-
-val pp : Format.formatter -> t -> unit

@@ -41,9 +41,6 @@ type weighted = Agg_cache.Cache.weighted_stats = {
   cost_prefetched : int;
 }
 
-let byte_weighted_hit_rate w = Agg_util.Stats.ratio w.bytes_hit w.bytes_accessed
-let total_retrieval_cost w = w.cost_fetched + w.cost_prefetched
-
 (* --- event-stream reconciliation ----------------------------------------- *)
 
 (* [expected] is the digest's record with every field the metrics also

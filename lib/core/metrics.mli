@@ -44,14 +44,6 @@ type weighted = Agg_cache.Cache.weighted_stats = {
     the oracle compares structurally): at unit weights these mirror the
     unweighted counters and add no information. *)
 
-val byte_weighted_hit_rate : weighted -> float
-(** Bytes hit over bytes accessed — the size-aware hit rate; [0.] before
-    any access. Equals the plain hit rate at unit weights. *)
-
-val total_retrieval_cost : weighted -> int
-(** Everything paid to the next level: demand plus speculative fetch
-    cost — the figure of merit for Landlord-style policies. *)
-
 val reconcile_client : Agg_obs.Digest.t -> client -> (unit, string) result
 (** [reconcile_client digest c] checks that the record of a run's digest
     agrees exactly with its aggregate metrics — accesses, hits

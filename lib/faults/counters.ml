@@ -30,8 +30,3 @@ let equal a b =
   && a.degraded_fetches = b.degraded_fetches
   && a.slowed_fetches = b.slowed_fetches
   && a.crashes = b.crashes
-
-let pp ppf t =
-  Format.fprintf ppf
-    "timeouts=%d (lost=%d outage=%d) retries=%d degraded=%d slowed=%d crashes=%d" t.timeouts
-    t.lost_messages t.outage_denials t.retries t.degraded_fetches t.slowed_fetches t.crashes

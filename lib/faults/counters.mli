@@ -24,4 +24,3 @@ val total_faults : t -> int
     the simulation, for quick "did anything fire?" assertions. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -51,11 +51,6 @@ let validate c =
     invalid_arg
       (Printf.sprintf "Fault plan: slow_multiplier must be >= 1 (got %g)" c.slow_multiplier)
 
-let pp_config ppf c =
-  Format.fprintf ppf
-    "seed=%d loss=%.3f outage=%.3f@%d/%d slow=%.3f x%.1f crash=%.5f" c.seed c.loss_rate
-    c.outage_rate c.outage_length c.outage_period c.slow_rate c.slow_multiplier c.crash_rate
-
 let outages_on c = c.outage_period > 0 && c.outage_rate > 0.0 && c.outage_length > 0
 
 (* Stream tags keep the four fault classes statistically independent even
@@ -104,7 +99,6 @@ let make config =
     crash = stream config.seed tag_crash;
   }
 
-let disabled = make none
 let enabled t = t.enabled
 let config t = t.config
 

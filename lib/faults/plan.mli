@@ -50,18 +50,12 @@ val validate : config -> unit
 (** @raise Invalid_argument on rates outside [0,1], a negative
     [outage_period]/[outage_length], or [slow_multiplier < 1]. *)
 
-val pp_config : Format.formatter -> config -> unit
-
 type t
-
-val disabled : t
-(** The canonical no-faults plan: {!enabled} is [false] and every query
-    answers "no fault" without drawing any randomness. *)
 
 val make : config -> t
 (** [make config] validates [config] and builds a plan. A config whose
     rates are all zero yields a plan with [enabled = false], so the
-    simulators' fast path is taken exactly as with {!disabled}. *)
+    simulators take their no-faults fast path. *)
 
 val enabled : t -> bool
 (** [false] iff the plan can never inject a fault. Simulators must guard

@@ -28,7 +28,3 @@ let backoff_ms t ~attempt =
 let failure_cost_ms t ~attempt =
   if attempt < t.max_retries then t.timeout_ms +. backoff_ms t ~attempt:(attempt + 1)
   else t.timeout_ms
-
-let pp ppf t =
-  Format.fprintf ppf "timeout=%.1fms retries=%d backoff=%.1fms x%.1f" t.timeout_ms t.max_retries
-    t.backoff_base_ms t.backoff_multiplier

@@ -33,5 +33,3 @@ val failure_cost_ms : t -> attempt:int -> float
 (** Wall-clock cost of attempt number [attempt] (0-based) ending in a
     timeout: the timeout budget itself, plus the backoff delay before the
     next attempt when one remains. *)
-
-val pp : Format.formatter -> t -> unit

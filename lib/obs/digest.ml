@@ -51,16 +51,6 @@ let of_events ?weight_of events =
   List.iter (observe t) events;
   t
 
-let merge a b =
-  {
-    counts = Counter.merge a.counts b.counts;
-    lifetime = Histogram.merge a.lifetime b.lifetime;
-    hit_depth = Histogram.merge a.hit_depth b.hit_depth;
-    group_size = Histogram.merge a.group_size b.group_size;
-    weight_of = (match a.weight_of with Some _ as w -> w | None -> b.weight_of);
-    marked = Hashtbl.create 64;
-  }
-
 let counts t = t.counts
 
 let byte_weighted_hit_rate t = Agg_util.Stats.ratio t.counts.bytes_hit t.counts.bytes_accessed

@@ -22,11 +22,6 @@ val observe : t -> Event.t -> unit
 
 val of_events : ?weight_of:(int -> int * int) -> Event.t list -> t
 
-val merge : t -> t -> t
-(** Combines the records and histograms of two *completed* runs (e.g.
-    sweep cells); the replay state is not merged, so do not [observe]
-    further events on the result. *)
-
 val counts : t -> Counter.t
 (** Everything the stream counted so far: each event under its kind,
     [evicted_unused] as the replay detects it (always

@@ -80,10 +80,3 @@ let buckets t =
       acc := (lo, hi, t.counts.(i)) :: !acc
   done;
   !acc
-
-let pp ppf t =
-  if t.total = 0 then Format.pp_print_string ppf "(empty)"
-  else begin
-    Format.fprintf ppf "n=%d mean=%.1f min=%d max=%d" t.total (mean t) t.min_v t.max_v;
-    List.iter (fun (lo, hi, c) -> Format.fprintf ppf " [%d..%d]:%d" lo hi c) (buckets t)
-  end

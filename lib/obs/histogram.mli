@@ -40,5 +40,3 @@ val quantile : t -> float -> int option
 
 val buckets : t -> (int * int * int) list
 (** Non-empty buckets as [(lo, hi, count)], in increasing value order. *)
-
-val pp : Format.formatter -> t -> unit

@@ -6,8 +6,6 @@ type t = {
   trace_ctx : Trace_ctx.t option;
 }
 
-let off = { sink = Sink.noop; sink_for = None; profiler = None; series = None; trace_ctx = None }
-
 let create ?(sink = Sink.noop) ?sink_for ?profiler ?series ?trace_ctx () =
   { sink; sink_for; profiler; series; trace_ctx }
 

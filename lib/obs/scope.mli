@@ -4,8 +4,8 @@
 
     A scope is threaded as a single [t option] parameter defaulting to
     [None] — telemetry off — and every accessor here takes that option
-    directly, so call sites never match on it. With [None] (or {!off})
-    each accessor returns the no-op/absent value and the instrumented
+    directly, so call sites never match on it. With [None] (or
+    [create ()]) each accessor returns the no-op/absent value and the instrumented
     code paths are never entered: outputs stay byte-identical to a run
     with no telemetry at all. *)
 
@@ -22,9 +22,6 @@ type t = {
   trace_ctx : Trace_ctx.t option;  (** sampled request-trace spans *)
 }
 
-val off : t
-(** Everything disabled — equivalent to passing [None] as the scope. *)
-
 val create :
   ?sink:Sink.t ->
   ?sink_for:(label:string -> Sink.t) ->
@@ -33,7 +30,8 @@ val create :
   ?trace_ctx:Trace_ctx.t ->
   unit ->
   t
-(** [create ()] is {!off}; each argument switches one instrument on. *)
+(** [create ()] has everything off, as [None] does; each argument
+    switches one instrument on. *)
 
 val sink : t option -> Sink.t
 (** The single-run sink; {!Sink.noop} when the scope is [None]. *)

@@ -262,11 +262,3 @@ let to_prometheus ?(prefix = "agg") t =
             (Printf.sprintf "%s_node_load{window=\"%d\",node=\"%d\"} %d\n" prefix w n c))
         (node_loads t w));
   Buffer.contents buf
-
-let pp ppf t =
-  Format.fprintf ppf "series window=%d windows=%d" t.window t.used;
-  for w = 0 to t.used - 1 do
-    let c = counts t w in
-    Format.fprintf ppf "@ [%d] n=%d hit=%.1f%% degraded=%d spec_evict=%d" w (Counter.accesses c)
-      (hit_rate t w) c.degraded_fetches c.evicted_speculative
-  done

@@ -70,14 +70,6 @@ val observe_weighted : t -> index:int -> size:int -> cost:int -> hit:bool -> uni
     to the unweighted world.
     @raise Invalid_argument when [size] or [cost] is not positive. *)
 
-val observe_event : t -> index:int -> Event.t -> unit
-(** Folds one {!Event.t} into the series at [index] through
-    {!Counter.observe}, with zero weights: demand hits and misses,
-    [Fetch_degraded] and [Evicted] count under their kinds, and
-    [Node_routed] is {!observe_node}. Other events are ignored and open
-    no window.
-    @raise Invalid_argument when [index] is negative. *)
-
 val of_events : window:int -> Event.t list -> t
 (** A series from a decision-event stream, indexing each event by the
     number of demand accesses ([Demand_hit]/[Demand_miss]) seen {e
@@ -146,5 +138,3 @@ val to_prometheus : ?prefix:string -> t -> string
 (** Prometheus text exposition: one gauge sample per window per metric,
     labelled [{window="w"}] (and [{window="w",node="n"}] for node
     loads). [prefix] defaults to ["agg"]. Deterministic bytes. *)
-
-val pp : Format.formatter -> t -> unit

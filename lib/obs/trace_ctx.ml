@@ -144,9 +144,3 @@ let chrome_json t =
     t.spans;
   Buffer.add_string buf "  ]\n}\n";
   Buffer.contents buf
-
-let pp ppf t =
-  Format.fprintf ppf "trace_ctx sample=%g sampled=%d spans=%d clock=%.3fms" t.sample
-    t.sampled_count (Vec.length t.spans)
-    (float_of_int t.clock_us /. 1000.0);
-  List.iter (fun (cat, ms) -> Format.fprintf ppf "@ %s=%.3fms" cat ms) (attribution t)

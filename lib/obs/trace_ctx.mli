@@ -80,5 +80,3 @@ val chrome_json : t -> string
 (** The spans as a Chrome [trace_event] document ([ph = "X"], simulated
     microsecond timestamps, the trace id and file in [args]), loadable
     in [chrome://tracing] or Perfetto. Deterministic bytes. *)
-
-val pp : Format.formatter -> t -> unit

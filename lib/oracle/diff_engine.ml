@@ -14,6 +14,7 @@ type op =
   | Promote of int
   | Charge of int * int
   | Evict
+  | Remove of int
   | Mem of int
   | Clear
 
@@ -27,6 +28,7 @@ let op_to_string = function
   | Promote k -> Printf.sprintf "promote %d" k
   | Charge (k, cost) -> Printf.sprintf "charge %d c%d" k cost
   | Evict -> "evict"
+  | Remove k -> Printf.sprintf "remove %d" k
   | Mem k -> Printf.sprintf "mem %d" k
   | Clear -> "clear"
 
@@ -42,7 +44,8 @@ let gen_ops prng ~universe ~count =
       | 8 | 9 -> Promote (key ())
       | 10 -> Hit (key (), 1)
       | 11 | 12 -> Evict
-      | 13 | 14 -> Mem (key ())
+      | 13 -> Mem (key ())
+      | 14 -> Remove (key ())
       | _ -> Clear)
 
 let gen_weighted_ops prng ~universe ~max_size ~max_cost ~count =
@@ -61,7 +64,8 @@ let gen_weighted_ops prng ~universe ~max_size ~max_cost ~count =
       | 9 -> Hit (key (), 1 + Prng.int prng max_cost)
       | 10 | 11 -> Charge (key (), 1 + Prng.int prng max_cost)
       | 12 -> Evict
-      | 13 | 14 -> Mem (key ())
+      | 13 -> Mem (key ())
+      | 14 -> Remove (key ())
       | _ -> Clear)
 
 type divergence = { step : int; detail : string }
@@ -79,6 +83,7 @@ type driver = {
   d_promote : int -> unit;
   d_charge : int -> int -> unit;
   d_evict : unit -> int;
+  d_remove : int -> unit;
   d_mem : int -> bool;
   d_size : unit -> int;
   d_used : unit -> int;
@@ -114,6 +119,7 @@ let driver_of (type a) (module P : Policy.S with type t = a) (state : a) =
     d_promote = (fun k -> P.promote state k);
     d_charge = (fun k cost -> P.charge state k ~cost);
     d_evict = (fun () -> P.evict state);
+    d_remove = (fun k -> P.remove state k);
     d_mem = (fun k -> P.mem state k);
     d_size = (fun () -> P.size state);
     d_used = (fun () -> P.used state);
@@ -144,6 +150,7 @@ let model_driver model =
     d_promote = (fun k -> Model_cache.promote model k);
     d_charge = (fun k cost -> Model_cache.charge model k ~cost);
     d_evict = (fun () -> Model_cache.evict model);
+    d_remove = (fun k -> Model_cache.remove model k);
     d_mem = (fun k -> Model_cache.mem model k);
     d_size = (fun () -> Model_cache.size model);
     d_used = (fun () -> Model_cache.used model);
@@ -247,6 +254,10 @@ let run_pair ~capacity subject reference ops =
     | Evict ->
         let vs = subject.d_evict () and vm = reference.d_evict () in
         if vs <> vm then mismatch "victim" (str_victim vs) (str_victim vm) else check_state step op
+    | Remove k ->
+        subject.d_remove k;
+        reference.d_remove k;
+        check_state step op
     | Mem k ->
         let rs = subject.d_mem k and rm = reference.d_mem k in
         if rs <> rm then mismatch "answer" (string_of_bool rs) (string_of_bool rm)
@@ -306,8 +317,6 @@ let shrink_ops fails ops =
 (* --- checks -------------------------------------------------------------- *)
 
 type check = { name : string; cases : int; pass : bool; detail : string }
-
-let all_pass checks = List.for_all (fun c -> c.pass) checks
 
 let ok name cases = { name; cases; pass = true; detail = "" }
 let fail name cases detail = { name; cases; pass = false; detail }

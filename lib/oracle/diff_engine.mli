@@ -4,11 +4,12 @@
 
     Two generators feed it: random operation sequences over the full
     {!Agg_cache.Policy.S} surface ([insert ~pos], the fused [hit],
-    [promote], [charge], [evict], [mem], [clear]) with greedy shrinking
-    to a minimal reproducing op list, and calibrated-workload traces from every
-    {!Agg_workload.Profile} replayed end-to-end. Cross-cutting paper
-    invariants (metrics conservation, Belady optimality, group size 1 ≡
-    plain LRU) are checked on the same traces. All generation is driven
+    [promote], [charge], [evict], [remove], [mem], [clear]) with greedy
+    shrinking to a minimal reproducing op list, and calibrated-workload
+    traces from every {!Agg_workload.Profile} replayed end-to-end.
+    Cross-cutting paper invariants (metrics conservation, Belady
+    optimality, group size 1 ≡ plain LRU) are checked on the same
+    traces. All generation is driven
     by {!Agg_util.Prng} from an explicit seed, so every failure is
     reproducible from the (seed, ops) pair printed in its detail. *)
 
@@ -20,10 +21,9 @@ type op =
   | Promote of int
   | Charge of int * int  (** key, cost — the demand-hit re-credit hook *)
   | Evict
+  | Remove of int
   | Mem of int
   | Clear
-
-val op_to_string : op -> string
 
 val ops_to_string : op list -> string
 (** Semicolon-separated, suitable for a one-line counterexample report. *)
@@ -32,14 +32,6 @@ val gen_ops : Agg_util.Prng.t -> universe:int -> count:int -> op list
 (** [count] unit-weight operations over keys in [\[0, universe)],
     weighted towards insertions so caches actually fill. *)
 
-val gen_weighted_ops :
-  Agg_util.Prng.t -> universe:int -> max_size:int -> max_cost:int -> count:int -> op list
-(** Like {!gen_ops} but inserts carry sizes in [\[1, max_size\]] and
-    costs in [\[1, max_cost\]], hits and [Charge] ops costs in
-    [\[1, max_cost\]].
-    @raise Invalid_argument when [universe], [max_size] or [max_cost] is
-    non-positive. *)
-
 type divergence = { step : int  (** 0-based op index *); detail : string }
 
 val diff_ops : Agg_cache.Cache.kind -> capacity:int -> op list -> divergence option
@@ -47,9 +39,9 @@ val diff_ops : Agg_cache.Cache.kind -> capacity:int -> op list -> divergence opt
     insert victims (the count an insert returns must equal the victims
     its sink received, and those must equal the model's, in order),
     evict victims, [hit] and [mem] answers, sizes, used totals and
-    resident sets after every operation — and that the conservation
-    invariant [used <= capacity] holds. [None] means lockstep agreement
-    throughout. @raise Invalid_argument when [capacity <= 0]. *)
+    resident sets after every operation ([remove] included) — and that
+    the conservation invariant [used <= capacity] holds. [None] means
+    lockstep agreement throughout. @raise Invalid_argument when [capacity <= 0]. *)
 
 type weighted_policy = Landlord | Bundle
 (** The weighted baselines of [Agg_baselines], paired with their
@@ -75,15 +67,12 @@ val shrink_ops : (op list -> bool) -> op list -> op list
 
 type check = { name : string; cases : int  (** operations / events compared *); pass : bool; detail : string }
 
-val fuzz_policy : seed:int -> ops:int -> Agg_cache.Cache.kind -> check
-(** At least [ops] generated unit-weight operations against the policy's
-    model, in rounds of fresh caches with varying capacities. On
-    divergence the detail carries the capacity and the shrunk op list. *)
-
 val fuzz_policy_weighted : seed:int -> ops:int -> Agg_cache.Cache.kind -> check
-(** Like {!fuzz_policy} but with mixed-weight op sequences (sizes up to
-    one past the round's capacity, so the oversize bypass and the
-    multi-victim path are both exercised). *)
+(** At least [ops] generated mixed-weight operations against the
+    policy's model, in rounds of fresh caches with varying capacities
+    (sizes up to one past the round's capacity, so the oversize bypass
+    and the multi-victim path are both exercised). On divergence the
+    detail carries the capacity and the shrunk op list. *)
 
 val fuzz_weighted_policy : seed:int -> ops:int -> weighted_policy -> check
 (** Mixed-weight fuzz of a weighted baseline against its reference
@@ -97,9 +86,9 @@ val landlord_witness : seed:int -> ops:int -> check
     with zero divergences. *)
 
 val fuzz_all : seed:int -> ops:int -> check list
-(** [fuzz_policy] and [fuzz_policy_weighted] for every kind in
-    {!Agg_cache.Cache.all_kinds}; for every weighted baseline a
-    unit-weight fuzz ([ops.landlord], [ops.bundle]) and
+(** A unit-weight fuzz ([ops.<kind>]) and {!fuzz_policy_weighted} for
+    every kind in {!Agg_cache.Cache.all_kinds}; for every weighted
+    baseline a unit-weight fuzz ([ops.landlord], [ops.bundle]) and
     [fuzz_weighted_policy]; and the {!landlord_witness}. *)
 
 val lru_equivalence_checks : seed:int -> events:int -> check list
@@ -126,4 +115,3 @@ val trace_checks : seed:int -> events:int -> check list
     (metrics conservation, no policy beats Belady, group size 1 ≡ plain
     LRU). *)
 
-val all_pass : check list -> bool

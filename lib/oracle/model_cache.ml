@@ -145,7 +145,6 @@ let create ?(seed = default_random_seed) kind ~capacity =
   in
   { kind; capacity; state; wsizes = []; wnonunit = 0; wused = 0 }
 
-let kind t = t.kind
 let capacity t = t.capacity
 
 (* --- sizes and membership --------------------------------------------- *)

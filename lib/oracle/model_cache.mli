@@ -25,7 +25,6 @@ val create : ?seed:int -> Agg_cache.Cache.kind -> capacity:int -> t
     the seed used by {!Agg_cache.Cache.create}) only affects the [Random]
     kind. @raise Invalid_argument when [capacity <= 0]. *)
 
-val kind : t -> Agg_cache.Cache.kind
 val capacity : t -> int
 val size : t -> int
 
@@ -66,15 +65,7 @@ val clear : t -> unit
     [charge]; the victim is the minimal-[H] resident (ties towards the
     cold end of the recency order) and the inflation floor [L] rises to
     the victim's priority. *)
-module Landlord : sig
-  include Agg_cache.Policy.S
-
-  val request_bundle : t -> weight_of:(int -> Agg_cache.Policy.weight) -> int list -> int list
-  (** [request_bundle t ~weight_of keys] serves one bundle request:
-      resident members are promoted and re-credited, missing members are
-      inserted hot with their weights. Returns all victims in eviction
-      order. Duplicate members are served once. *)
-end
+module Landlord : Agg_cache.Policy.S
 
 (** Reference bundle-caching policy — Landlord mechanics with the
     bundle entry point as the primary interface (Qin & Etesami's
@@ -84,7 +75,10 @@ module Bundle : sig
   include Agg_cache.Policy.S
 
   val request_bundle : t -> weight_of:(int -> Agg_cache.Policy.weight) -> int list -> int list
-  (** See {!Landlord.request_bundle}. *)
+  (** [request_bundle t ~weight_of keys] serves one bundle request:
+      resident members are promoted and re-credited, missing members are
+      inserted hot with their weights. Returns all victims in eviction
+      order. Duplicate members are served once. *)
 end
 
 (** Landlord as Young states it: each resident holds credit, initially

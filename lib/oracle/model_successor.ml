@@ -22,7 +22,6 @@ let create ~capacity ~policy =
   if capacity <= 0 then invalid_arg "Model_successor.create: capacity must be positive";
   { capacity; policy; recency = []; counts = []; members = []; clock = 0 }
 
-let capacity t = t.capacity
 
 let size t =
   match t.policy with

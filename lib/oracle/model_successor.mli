@@ -9,7 +9,6 @@ type t
 val create : capacity:int -> policy:Agg_successor.Successor_list.policy -> t
 (** @raise Invalid_argument when [capacity <= 0]. *)
 
-val capacity : t -> int
 val size : t -> int
 
 val observe : t -> int -> unit

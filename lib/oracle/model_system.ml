@@ -203,7 +203,6 @@ module Client = struct
       false
     end
 
-  let resident t file = Model_cache.mem t.cache file
   let contents t = Model_cache.contents t.cache
 
   let metrics t =
@@ -218,10 +217,6 @@ module Client = struct
           evicted_unused = t.prefetch_evicted_unused;
         };
     }
-
-  let run t trace =
-    Agg_trace.Trace.iter (fun (e : Agg_trace.Event.t) -> ignore (access t e.file)) trace;
-    metrics t
 end
 
 (* --- the two-level system ------------------------------------------------ *)

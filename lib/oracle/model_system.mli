@@ -49,10 +49,8 @@ module Client : sig
   val access : t -> int -> bool
   (** [true] on a cache hit, mirroring {!Agg_core.Client_cache.access}. *)
 
-  val resident : t -> int -> bool
   val contents : t -> int list
   val metrics : t -> Agg_core.Metrics.client
-  val run : t -> Agg_trace.Trace.t -> Agg_core.Metrics.client
 end
 
 (** Reference two-level system (Fig. 4): an intervening client cache in

@@ -853,13 +853,6 @@ let validate t =
       | Slo_p99_latency, (`Min v | `Max v) ->
           if not (v >= 0.0) then
             invalid "Scenario.validate: negative slo latency bound %s" (float_str v));
-      (* fleet cells report no latency metrics, so a latency rule on one
-         would bound a figure the scenario output never shows *)
-      (match (s.slo_metric, t.topology) with
-      | Slo_p99_latency, Fleet _ ->
-          invalid
-            "Scenario.validate: p99_latency slo on a fleet topology (fleet cells report no latency)"
-      | _ -> ());
       if not (List.exists (fun p -> policy_name p = policy_name s.slo_policy) t.policies) then
         invalid "Scenario.validate: slo on policy %s absent from the matrix"
           (policy_name s.slo_policy))

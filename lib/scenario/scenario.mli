@@ -201,7 +201,6 @@ val validate : t -> unit
     matrix, an invalid fault plan ({!Agg_faults.Plan.validate}), a
     negative churn time, more replicas than nodes, or an invalid slo: duplicated, mixed window
     sizes, a non-positive window, a negative [after], a rate bound
-    outside [0, 100], a negative latency bound, a policy absent from the
-    matrix, or [p99_latency] on a fleet topology (whose cells report no
-    latency); and on a sweep {!of_string} would reject, or an ordering
+    outside [0, 100], a negative latency bound, or a policy absent from
+    the matrix; and on a sweep {!of_string} would reject, or an ordering
     expectation that compares a value with itself. *)

@@ -23,18 +23,19 @@ let entry_of key =
 let key_of ~(settings : Experiment.settings) profile =
   { profile; seed = settings.seed; events = settings.events }
 
+(* The entry's trace, generated on first use; the caller holds [e.lock]. *)
+let trace_of e key =
+  match e.trace with
+  | Some trace -> trace
+  | None ->
+      let trace = Agg_workload.Generator.generate ~seed:key.seed ~events:key.events key.profile in
+      e.trace <- Some trace;
+      trace
+
 let get ~settings profile =
   let key = key_of ~settings profile in
   let e = entry_of key in
-  Mutex.protect e.lock (fun () ->
-      match e.trace with
-      | Some trace -> trace
-      | None ->
-          let trace =
-            Agg_workload.Generator.generate ~seed:key.seed ~events:key.events key.profile
-          in
-          e.trace <- Some trace;
-          trace)
+  Mutex.protect e.lock (fun () -> trace_of e key)
 
 let files ~settings profile =
   let key = key_of ~settings profile in
@@ -43,15 +44,7 @@ let files ~settings profile =
       match e.files with
       | Some files -> files
       | None ->
-          let files =
-            match e.trace with
-            | Some trace -> Agg_trace.Trace.files trace
-            | None ->
-                (* same deterministic stream as [get], without boxing an
-                   event list we would only project file ids out of *)
-                Agg_workload.Generator.generate_files ~seed:key.seed ~events:key.events
-                  key.profile
-          in
+          let files = Agg_trace.Trace.files (trace_of e key) in
           e.files <- Some files;
           files)
 

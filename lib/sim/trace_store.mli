@@ -29,8 +29,9 @@ val get :
 
 val files :
   settings:Experiment.settings -> Agg_workload.Profile.t -> Agg_trace.File_id.t array
-(** The bare file-id sequence of {!get}, memoized alongside it (one
-    shared array per key — do not mutate). *)
+(** The file column of {!get}'s trace (generating the trace if no
+    caller has yet), memoized alongside it (one shared array per key —
+    do not mutate). *)
 
 val size : unit -> int
 (** Number of distinct traces currently memoized. *)

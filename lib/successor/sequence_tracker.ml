@@ -34,7 +34,6 @@ let create ?(capacity = 8) ~length () =
     ring_len = 0;
   }
 
-let length t = t.length
 
 let ensure_file t file =
   if file >= t.files_cap then begin

@@ -14,8 +14,6 @@ val create : ?capacity:int -> length:int -> unit -> t
     most [capacity] (default 8) distinct recent symbols per file.
     @raise Invalid_argument when [length <= 0] or [capacity <= 0]. *)
 
-val length : t -> int
-
 val observe : t -> Agg_trace.File_id.t -> unit
 (** Feed the next file of the access sequence. Symbols complete
     [length] observations after the file they belong to. *)

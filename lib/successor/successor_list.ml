@@ -1,7 +1,5 @@
 type policy = Recency | Frequency
 
-let policy_name = function Recency -> "lru" | Frequency -> "lfu"
-
 (* [Recency] is an LRU list over successor ids. The capacity is a small
    constant (the paper explores k ≤ 10), so the list lives in a fixed int
    array, MRU first, and "move to front" is a few-word shift — no nodes,
@@ -39,7 +37,6 @@ let create ~capacity ~policy =
     clock = 0;
   }
 
-let capacity t = t.capacity
 
 let size t = match t.policy with Recency -> t.len | Frequency -> Hashtbl.length t.members
 

@@ -7,14 +7,11 @@ type policy =
   | Recency  (** keep the most recently observed successors (LRU) *)
   | Frequency  (** keep the most frequently observed successors (LFU) *)
 
-val policy_name : policy -> string
-
 type t
 
 val create : capacity:int -> policy:policy -> t
 (** @raise Invalid_argument when [capacity <= 0]. *)
 
-val capacity : t -> int
 val size : t -> int
 
 val observe : t -> Agg_trace.File_id.t -> unit

@@ -66,8 +66,6 @@ let create ?(capacity = 8) ?(policy = Successor_list.Recency) ?(per_client = fal
     freq_lists = Hashtbl.create (if policy = Successor_list.Frequency then 4096 else 1);
   }
 
-let capacity t = t.capacity
-let policy t = t.policy
 
 (* The offset of [n] fresh slots, in one page. A fresh page holds
    [page_size] slots, or [n] when more; the directory holds one pointer
@@ -149,7 +147,6 @@ let observe_client t ~client file =
 
 let observe t ?(client = 0) file = observe_client t ~client file
 
-let observe_event t (e : Agg_trace.Event.t) = observe_client t ~client:e.client e.file
 let observe_trace t trace =
   for i = 0 to Agg_trace.Trace.length trace - 1 do
     observe_client t ~client:(Agg_trace.Trace.client trace i) (Agg_trace.Trace.file trace i)

@@ -15,9 +15,6 @@ val create :
     choices discussed in §2.2 (default [false]: the raw global sequence,
     as in the paper's evaluation). *)
 
-val capacity : t -> int
-val policy : t -> Successor_list.policy
-
 val observe : t -> ?client:int -> Agg_trace.File_id.t -> unit
 (** Feed the next file of the access sequence. Updates the successor list
     of the previously observed file (for this client's context when
@@ -28,7 +25,6 @@ val observe_client : t -> client:int -> Agg_trace.File_id.t -> unit
     callers that always know the client: an optional argument is boxed
     at every call that passes it, this one is not. *)
 
-val observe_event : t -> Agg_trace.Event.t -> unit
 val observe_trace : t -> Agg_trace.Trace.t -> unit
 
 val successors : t -> Agg_trace.File_id.t -> Agg_trace.File_id.t list

@@ -20,7 +20,3 @@ let wan = { lan with network_rtt = 40.0 }
 let demand_fetch_latency t ~served_from_disk =
   t.network_rtt +. (if served_from_disk then t.server_disk else t.server_memory)
   +. t.transfer_per_file
-
-let pp ppf t =
-  Format.fprintf ppf "client=%.2fms rtt=%.2fms xfer=%.2fms/file server=%.2fms disk=%.2fms"
-    t.client_memory t.network_rtt t.transfer_per_file t.server_memory t.server_disk

@@ -23,5 +23,3 @@ val demand_fetch_latency : t -> served_from_disk:bool -> float
 (** Latency of the *demanded* file of a remote fetch: one RTT, the
     server-side service time, and one file transfer. Group members are
     pipelined behind it and do not add to this latency. *)
-
-val pp : Format.formatter -> t -> unit

@@ -27,8 +27,3 @@ let cache_kind = function
 let group_config = function Plain _ -> None | Aggregating c -> Some c
 let group_size = function Plain _ -> 1 | Aggregating c -> c.Agg_core.Config.group_size
 let validate = function Plain _ -> () | Aggregating c -> Agg_core.Config.validate c
-
-let pp ppf t =
-  match t with
-  | Plain _ -> Format.fprintf ppf "plain(%s)" (name t)
-  | Aggregating c -> Format.fprintf ppf "aggregating(%a)" Agg_core.Config.pp c

@@ -44,5 +44,3 @@ val group_size : t -> int
 val validate : t -> unit
 (** @raise Invalid_argument when an [Aggregating] config is invalid
     (see {!Agg_core.Config.validate}). *)
-
-val pp : Format.formatter -> t -> unit

@@ -185,44 +185,6 @@ let parse_line f ~lineno s start stop =
       Event_line
     end
 
-(* Applies one parsed line to the trace and weights being read. *)
-let take f trace weights = function
-  | Event_line -> Trace.push trace ~seq:f.seq ~client:f.client ~op:f.op f.file
-  | Weight_line -> Weights.set weights f.file { Agg_cache.Policy.size = f.size; cost = f.cost }
-  | Blank -> ()
-
-let fold_channel ic ~init ~f:step =
-  let f = fields () in
-  let lineno = ref 0 in
-  let acc = ref init in
-  (try
-     while true do
-       let line = input_line ic in
-       incr lineno;
-       match parse_line f ~lineno:!lineno line 0 (String.length line) with
-       | Event_line ->
-           acc := step !acc { Event.seq = f.seq; op = f.op; client = f.client; file = f.file }
-       | Weight_line | Blank -> ()
-     done
-   with End_of_file -> ());
-  !acc
-
-let read_channel_weighted ic =
-  let trace = Trace.create () in
-  let weights = Weights.create () in
-  let f = fields () in
-  let lineno = ref 0 in
-  (try
-     while true do
-       let line = input_line ic in
-       incr lineno;
-       take f trace weights (parse_line f ~lineno:!lineno line 0 (String.length line))
-     done
-   with End_of_file -> ());
-  (trace, weights)
-
-let read_channel ic = fst (read_channel_weighted ic)
-
 let rec line_end s i =
   if i = String.length s || String.unsafe_get s i = '\n' then i else line_end s (i + 1)
 
@@ -230,7 +192,10 @@ let rec line_end s i =
    the text after the last newline is one more (possibly empty) line. *)
 let rec read_lines s start lineno f trace weights =
   let stop = line_end s start in
-  take f trace weights (parse_line f ~lineno s start stop);
+  (match parse_line f ~lineno s start stop with
+  | Event_line -> Trace.push trace ~seq:f.seq ~client:f.client ~op:f.op f.file
+  | Weight_line -> Weights.set weights f.file { Agg_cache.Policy.size = f.size; cost = f.cost }
+  | Blank -> ());
   if stop < String.length s then read_lines s (stop + 1) (lineno + 1) f trace weights
 
 let of_string_weighted s =
@@ -245,16 +210,5 @@ let write_file ?weights path trace =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write_channel ?weights oc trace)
 
-let read_file path =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read_channel ic)
-
-let read_file_weighted path =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read_channel_weighted ic)
-
-let fold_file path ~init ~f =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> fold_channel ic ~init ~f)
-
-let iter_file path f = fold_file path ~init:() ~f:(fun () event -> f event)
+let read_file_weighted path = of_string_weighted (In_channel.with_open_bin path In_channel.input_all)
+let read_file path = fst (read_file_weighted path)

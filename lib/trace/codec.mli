@@ -17,36 +17,25 @@ val write_channel : ?weights:Weights.t -> out_channel -> Trace.t -> unit
 (** Weight declarations (sorted by file id) are written between the
     header and the event lines. *)
 
-val read_channel : in_channel -> Trace.t
-(** Weight lines are validated but discarded; use
-    {!read_channel_weighted} to keep them.
+val to_string : ?weights:Weights.t -> Trace.t -> string
+
+val of_string : string -> Trace.t
+(** Weight lines are validated but discarded; use {!of_string_weighted}
+    to keep them.
     @raise Parse_error on malformed input. *)
 
-val read_channel_weighted : in_channel -> Trace.t * Weights.t
+val of_string_weighted : string -> Trace.t * Weights.t
 (** @raise Parse_error on malformed input, including non-positive
     sizes or costs in weight lines. *)
 
-val to_string : ?weights:Weights.t -> Trace.t -> string
-val of_string : string -> Trace.t
-(** @raise Parse_error on malformed input. *)
-
-val of_string_weighted : string -> Trace.t * Weights.t
-(** @raise Parse_error on malformed input. *)
-
 val write_file : ?weights:Weights.t -> string -> Trace.t -> unit
+
 val read_file : string -> Trace.t
-(** @raise Parse_error on malformed input.
+(** {!of_string} of the file's whole text.
+    @raise Parse_error on malformed input.
     @raise Sys_error when the file cannot be read. *)
 
 val read_file_weighted : string -> Trace.t * Weights.t
-(** @raise Parse_error on malformed input.
+(** {!of_string_weighted} of the file's whole text.
+    @raise Parse_error on malformed input.
     @raise Sys_error when the file cannot be read. *)
-
-val fold_channel : in_channel -> init:'a -> f:('a -> Event.t -> 'a) -> 'a
-(** Streaming reader: folds over events one line at a time without
-    materialising a {!Trace.t} — for traces larger than memory. Weight
-    lines are validated and skipped.
-    @raise Parse_error on malformed input. *)
-
-val fold_file : string -> init:'a -> f:('a -> Event.t -> 'a) -> 'a
-val iter_file : string -> (Event.t -> unit) -> unit

@@ -1,8 +1,6 @@
 type t = int
 
 let equal = Int.equal
-let compare = Int.compare
-let hash = Hashtbl.hash
 let pp ppf id = Format.fprintf ppf "f%d" id
 
 module Namespace = struct

@@ -7,8 +7,6 @@ type t = int
     [Hashtbl]s without boxing. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
 module Namespace : sig

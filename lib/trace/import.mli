@@ -18,11 +18,10 @@ val format_of_string : string -> format option
 val parse_line : format -> string -> string option
 (** The path named by one input line, if any. Exposed for testing. *)
 
-val of_channel : ?namespace:File_id.Namespace.t -> format -> in_channel -> Trace.t * File_id.Namespace.t
-(** Reads a whole channel, producing an [Open]-event trace and the
-    namespace mapping ids back to path names (a fresh one unless given). *)
-
 val of_string : ?namespace:File_id.Namespace.t -> format -> string -> Trace.t * File_id.Namespace.t
+(** Reads every line of the text, producing an [Open]-event trace and
+    the namespace mapping ids back to path names (a fresh one unless
+    given). *)
 
 val of_file : ?namespace:File_id.Namespace.t -> format -> string -> Trace.t * File_id.Namespace.t
 (** @raise Sys_error when the file cannot be read. *)

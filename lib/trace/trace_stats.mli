@@ -14,8 +14,5 @@ type t = {
 val compute : Trace.t -> t
 val pp : Format.formatter -> t -> unit
 
-val access_counts : Trace.t -> (File_id.t, int) Hashtbl.t
-(** Per-file access counts. *)
-
 val top_files : Trace.t -> k:int -> (File_id.t * int) list
 (** The [k] most-accessed files with their counts, most popular first. *)

@@ -16,7 +16,6 @@ let find t file = Hashtbl.find_opt t file
 let get t file = match find t file with Some w -> w | None -> Policy.unit_weight
 let count = Hashtbl.length
 let is_unit t = Hashtbl.length t = 0
-let iter f t = Hashtbl.iter f t
 
 let to_alist t =
   Hashtbl.fold (fun file w acc -> (file, w) :: acc) t []
@@ -26,6 +25,3 @@ let of_alist entries =
   let t = create () in
   List.iter (fun (file, w) -> set t file w) entries;
   t
-
-let total_size t trace =
-  Trace.fold (fun acc (e : Event.t) -> acc + (get t e.file).Policy.size) 0 trace

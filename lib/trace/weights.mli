@@ -20,9 +20,6 @@ val set : t -> File_id.t -> Agg_cache.Policy.weight -> unit
 val get : t -> File_id.t -> Agg_cache.Policy.weight
 (** The declared weight, or {!Agg_cache.Policy.unit_weight} when none. *)
 
-val find : t -> File_id.t -> Agg_cache.Policy.weight option
-(** [Some] only for explicitly declared (non-unit) weights. *)
-
 val count : t -> int
 (** Number of non-unit declarations. *)
 
@@ -30,14 +27,8 @@ val is_unit : t -> bool
 (** [true] iff no file carries a non-unit weight — replay is then
     byte-identical to the unweighted world. *)
 
-val iter : (File_id.t -> Agg_cache.Policy.weight -> unit) -> t -> unit
-
 val to_alist : t -> (File_id.t * Agg_cache.Policy.weight) list
 (** Declared entries sorted by file id — the codec's emission order. *)
 
 val of_alist : (File_id.t * Agg_cache.Policy.weight) list -> t
 (** @raise Invalid_argument as {!set}. *)
-
-val total_size : t -> Trace.t -> int
-(** Total bytes moved if every event in the trace were a miss — the
-    denominator of a byte-weighted hit rate. *)

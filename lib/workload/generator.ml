@@ -170,24 +170,6 @@ let step st =
      else Agg_trace.Event.Open);
   file
 
-let fold ?seed ~events profile ~init ~f =
-  if events < 0 then invalid_arg "Generator.fold: events must be non-negative";
-  let st = make_state ?seed profile in
-  let acc = ref init in
-  for _ = 1 to events do
-    let file = step st in
-    acc := f !acc ~client:st.client ~op:st.op ~file
-  done;
-  !acc
-
-let iter ?seed ~events profile ~f =
-  if events < 0 then invalid_arg "Generator.iter: events must be non-negative";
-  let st = make_state ?seed profile in
-  for _ = 1 to events do
-    let file = step st in
-    f ~client:st.client ~op:st.op ~file
-  done
-
 let generate ?seed ~events profile =
   if events < 0 then invalid_arg "Generator.generate: events must be non-negative";
   let st = make_state ?seed profile in

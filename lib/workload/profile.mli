@@ -70,25 +70,10 @@ val users : t
 val write : t
 val server : t
 
-val scientific : t
-(** Beyond the paper: an XRootD-style scientific data-lifecycle cache —
-    long analysis campaigns over large shared datasets with a huge
-    read-once cold population (30k background files at heavy background
-    share) and few writes. *)
-
-val streaming : t
-(** Beyond the paper: streaming/video delivery — long, highly sequential
-    playback runs over a strongly skewed catalogue with almost no
-    writes; the most predictable succession structure. *)
-
 val sized_workstation : t
 (** [workstation] with heavy-tailed Pareto file sizes and transfer-bound
     cost (cost = size): the "does one big file really cost five small
     ones" regime. *)
-
-val sized_server : t
-(** [server] with a heavier tail and latency-bound cost
-    (cost = 8 + size): small-file misses are comparatively expensive. *)
 
 val all : t list
 (** The four paper workloads, in the paper's naming order. The

@@ -418,10 +418,10 @@ let test_generate_trace_words_per_event () =
 
 (* The codec over a 60k-event trace. A reader scans each line where it
    lies and pushes the event into the columns, so reading a string costs
-   no word per line, and reading a channel only what [input_line] costs
-   (the line and the closure of its scan loop, 9 words). A writer appends
-   digits to a buffer. Splitting each line into a list and boxing an
-   event cost 64 words per line, and [Printf] 94 per event. *)
+   no word per line, and neither does reading a file, which scans its
+   whole text the same way ([input_line] cost 9 words per line). A writer
+   appends digits to a buffer. Splitting each line into a list and boxing
+   an event cost 64 words per line, and [Printf] 94 per event. *)
 let codec_trace =
   lazy (Agg_workload.Generator.generate ~seed:7 ~events:60_000 Agg_workload.Profile.server)
 
@@ -450,7 +450,7 @@ let codec_pins =
     codec_pin "Codec.of_string_weighted" ~per:"line" ~pin:0.1
       ~input:(fun trace k -> k (Codec.to_string trace))
       (fun trace text -> same_length trace (Codec.of_string_weighted text));
-    codec_pin "Codec.read_file_weighted" ~per:"line" ~pin:10.0
+    codec_pin "Codec.read_file_weighted" ~per:"line" ~pin:0.1
       ~input:(fun trace k ->
         temp_path (fun path ->
             Codec.write_file path trace;

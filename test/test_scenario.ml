@@ -513,7 +513,7 @@ let test_validate () =
   raises "slo rate bound out of range"
     { base with Scenario.slos = [ slo ~bound:(`Min 150.0) () ] };
   raises "orphan slo policy" { base with Scenario.slos = [ slo ~policy:(Scenario.Group 9) () ] };
-  raises "p99 latency slo on a fleet"
+  Scenario.validate
     { base with Scenario.slos = [ slo ~metric:Scenario.Slo_p99_latency ~bound:(`Max 50.0) () ] };
   Scenario.validate
     { base with
@@ -817,7 +817,15 @@ let test_exec_slo_pass_and_fail () =
   let expected =
     run_ok { base with Scenario.slos = [ slo (`Min 99.9) ]; expect_violation = true }
   in
-  check_bool "ok when the violation is expected" true expected.Exec.ok
+  check_bool "ok when the violation is expected" true expected.Exec.ok;
+  (* [base] is a fleet, a one-node cluster whose cells report latency *)
+  let p99 bound = { (slo bound) with Scenario.slo_metric = Scenario.Slo_p99_latency } in
+  let c = find_check (run_ok { base with Scenario.slos = [ p99 (`Max 1000.0) ] }) "slo p99" in
+  check_bool "fleet p99 slo passes" true c.Exec.pass;
+  check_bool "every fleet window has a p99" true (contains ~needle:"4 windows checked" c.Exec.detail);
+  let c = find_check (run_ok { base with Scenario.slos = [ p99 (`Max 0.0) ] }) "slo p99" in
+  check_bool "fleet p99 slo fails" false c.Exec.pass;
+  check_bool "detail names the p99" true (contains ~needle:"p99_latency=" c.Exec.detail)
 
 (* after= skips the cold-start windows: a bound that fails from a cold
    cache can still hold once only warm windows are checked *)

@@ -65,20 +65,17 @@ let test_trace_store_sharing () =
     (Agg_trace.Trace.files a = Agg_trace.Trace.files c)
 
 let test_trace_store_files_fast_path () =
-  (* [files] on a cold store takes the generate_files fast path (no trace
-     is boxed); the stream must equal the projection of [get]'s trace *)
+  (* [files] on a cold store generates and keeps the trace: the stream
+     equals the projection of [get]'s trace *)
   Trace_store.reset ();
-  let fast = Trace_store.files ~settings:tiny Agg_workload.Profile.users in
-  Trace_store.reset ();
+  let cold = Trace_store.files ~settings:tiny Agg_workload.Profile.users in
   let via_trace =
     Agg_trace.Trace.files (Trace_store.get ~settings:tiny Agg_workload.Profile.users)
   in
-  Alcotest.(check (array int)) "fast path equals trace projection" via_trace fast;
+  Alcotest.(check (array int)) "files equals trace projection" via_trace cold;
   (* and the memoized entry keeps serving the same array *)
-  Trace_store.reset ();
-  let a = Trace_store.files ~settings:tiny Agg_workload.Profile.users in
-  let b = Trace_store.files ~settings:tiny Agg_workload.Profile.users in
-  check_bool "fast-path array memoized" true (a == b);
+  let again = Trace_store.files ~settings:tiny Agg_workload.Profile.users in
+  check_bool "files array memoized" true (cold == again);
   Trace_store.reset ()
 
 let test_trace_store_concurrent () =

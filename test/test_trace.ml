@@ -141,9 +141,7 @@ let test_codec_weights_roundtrip_file () =
       Alcotest.(check (array int)) "files" (Trace.files t) (Trace.files t');
       check_bool "weights survive" true
         (Weights.get ws' 5 = { Agg_cache.Policy.size = 3; cost = 7 }
-        && Weights.get ws' 7 = { Agg_cache.Policy.size = 2; cost = 2 });
-      (* streaming folds also skip weight lines *)
-      check_int "fold skips w lines" 3 (Codec.fold_file path ~init:0 ~f:(fun acc _ -> acc + 1)))
+        && Weights.get ws' 7 = { Agg_cache.Policy.size = 2; cost = 2 }))
 
 let test_codec_weight_line_errors () =
   expect_parse_error "#aggtrace v1\nw 1 0 2\n";
@@ -159,38 +157,6 @@ let test_codec_weight_line_errors () =
       check_int "line number" 3 line;
       check_bool "message names the field" true (message = "size must be positive (got 0)")
   | _ -> Alcotest.fail "expected Parse_error"
-
-let test_codec_streaming () =
-  let t = Trace.create () in
-  Trace.add_access t ~client:1 ~op:Event.Write 5;
-  Trace.add_access t 7;
-  Trace.add_access t 5;
-  let path = Filename.temp_file "aggtrace" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Codec.write_file path t;
-      let count = Codec.fold_file path ~init:0 ~f:(fun acc _ -> acc + 1) in
-      check_int "streamed count" 3 count;
-      let writes = Codec.fold_file path ~init:0 ~f:(fun acc e -> if Event.is_write e then acc + 1 else acc) in
-      check_int "streamed writes" 1 writes;
-      let seen = ref [] in
-      Codec.iter_file path (fun e -> seen := e.Event.file :: !seen);
-      Alcotest.(check (list int)) "iter order" [ 5; 7; 5 ] (List.rev !seen))
-
-let test_codec_streaming_matches_read () =
-  let t = Trace.of_files [ 3; 1; 4; 1; 5; 9; 2; 6 ] in
-  let path = Filename.temp_file "aggtrace" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Codec.write_file path t;
-      let streamed = List.rev (Codec.fold_file path ~init:[] ~f:(fun acc e -> e :: acc)) in
-      let materialised = Trace.to_events (Codec.read_file path) in
-      check_int "same length" (List.length materialised) (List.length streamed);
-      List.iter2
-        (fun a b -> check_bool "same events" true (Event.equal a b))
-        materialised streamed)
 
 (* Sequence numbers are kept as given: a file whose seqs are sparse and
    out of order, with ids near 10^12 and at [max_int], prints back byte
@@ -386,13 +352,15 @@ let outcome read text =
   | trace, weights -> Ok (Trace.to_events trace, Weights.to_alist weights)
   | exception Codec.Parse_error { line; message } -> Error (line, message)
 
-let read_via_file text =
+let via_file read text =
   let path = Filename.temp_file "codec" ".trc" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
-      Codec.read_file_weighted path)
+      read path)
+
+let read_via_file = via_file Codec.read_file_weighted
 
 (* Numerals [int_of_string] reads besides plain digits, blanks at either
    end and inside fields, and every kind of wrong field count. *)
@@ -456,6 +424,40 @@ let test_codec_matches_split_reader () =
       if i mod 10 = 0 && outcome read_via_file text <> expected then
         Alcotest.failf "read_file_weighted differs from the split reader on %S" text)
     (codec_edge_cases @ mutants rng trc 3000)
+
+(* A file reads as its text does: both file readers give the string
+   readers' trace and weights, or the same error at the same line. *)
+let test_codec_file_reads_as_string () =
+  let unweighted read text = (read text, Weights.create ()) in
+  List.iter
+    (fun text ->
+      let expected = outcome Codec.of_string_weighted text in
+      if outcome read_via_file text <> expected then
+        Alcotest.failf "read_file_weighted differs from of_string_weighted on %S" text;
+      if
+        outcome (unweighted (via_file Codec.read_file)) text
+        <> outcome (unweighted Codec.of_string) text
+      then Alcotest.failf "read_file differs from of_string on %S" text)
+    [
+      "";
+      "#aggtrace v1\r\n0 o 0 5\r\nw 5 3 7\r\n1 r 1 7\r\n";
+      "#aggtrace v1\n0 o 0 5\nw 5 3 7\n1 w 2 3";
+      "#aggtrace v1\n0 o 0 5\n\n";
+      "#aggtrace v1\r\n0 o 0 1\r\nbogus line\r\n";
+      "#aggtrace v2\r\n0 o 0 1\r\n";
+      "#aggtrace v1\n0 o 0 1\nw 1 0 2\n";
+      "#aggtrace v1\r\nw 1 2\r\n";
+      "#aggtrace v1\n0 o 0 1\nw 1 2 x";
+      "#aggtrace v1\n0 o 0 1\n\nw -1 2 3\n\n";
+    ];
+  (match outcome read_via_file "#aggtrace v1\r\n0 o 0 5\r\nw 5 3 7\r\n1 r 1 7\r\n" with
+  | Ok (events, weights) ->
+      check_int "CRLF events" 2 (List.length events);
+      check_int "CRLF weights" 1 (List.length weights)
+  | Error (line, message) -> Alcotest.failf "CRLF text: line %d: %s" line message);
+  match outcome read_via_file "#aggtrace v1\n0 o 0 1\n\nw -1 2 3\n\n" with
+  | Error (line, _) -> check_int "w-line error line" 4 line
+  | Ok _ -> Alcotest.fail "expected a Parse_error"
 
 (* The weighted reader answers every mutant of a trace with w lines with
    a trace or a one-line Parse_error; the import formats read any mutant
@@ -838,11 +840,10 @@ let () =
           Alcotest.test_case "comments and blanks" `Quick test_codec_ignores_comments_and_blanks;
           Alcotest.test_case "errors" `Quick test_codec_errors;
           Alcotest.test_case "error position" `Quick test_codec_error_position;
-          Alcotest.test_case "streaming fold/iter" `Quick test_codec_streaming;
-          Alcotest.test_case "streaming matches read" `Quick test_codec_streaming_matches_read;
           Alcotest.test_case "sparse seqs print back byte for byte" `Quick
             test_codec_sparse_seqs_bytes;
           Alcotest.test_case "reads as the split reader" `Quick test_codec_matches_split_reader;
+          Alcotest.test_case "file reads as its text" `Quick test_codec_file_reads_as_string;
         ] );
       ( "weights",
         [

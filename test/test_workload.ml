@@ -76,42 +76,6 @@ let test_generator_files_matches_generate () =
   let b = Agg_trace.Trace.files (Generator.generate ~seed:9 ~events:800 Profile.workstation) in
   Alcotest.(check (array int)) "same stream" a b
 
-let test_generator_fold_matches_generate () =
-  (* fold must stream the exact (client, op, file) sequence generate
-     materialises — same PRNG consumption, same task mutation order *)
-  let profile = Profile.users in
-  let trace = Generator.generate ~seed:13 ~events:1_000 profile in
-  let expected = ref [] in
-  Agg_trace.Trace.iter
-    (fun (e : Agg_trace.Event.t) ->
-      expected := (e.Agg_trace.Event.client, e.Agg_trace.Event.op, e.Agg_trace.Event.file) :: !expected)
-    trace;
-  let folded =
-    Generator.fold ~seed:13 ~events:1_000 profile ~init:[] ~f:(fun acc ~client ~op ~file ->
-        (client, op, file) :: acc)
-  in
-  check_bool "fold streams the generate sequence" true (folded = !expected);
-  check_int "fold event count" 1_000 (List.length folded)
-
-let test_generator_iter_matches_files () =
-  List.iter
-    (fun profile ->
-      let buf = ref [] in
-      Generator.iter ~seed:21 ~events:700 profile ~f:(fun ~client:_ ~op:_ ~file ->
-          buf := file :: !buf);
-      Alcotest.(check (array int))
-        (profile.Profile.name ^ " iter files")
-        (Generator.generate_files ~seed:21 ~events:700 profile)
-        (Array.of_list (List.rev !buf)))
-    Profile.all
-
-let test_generator_fold_zero_and_negative () =
-  check_int "zero events folds init" 7
-    (Generator.fold ~events:0 Profile.server ~init:7 ~f:(fun _ ~client:_ ~op:_ ~file:_ -> 0));
-  Alcotest.check_raises "negative" (Invalid_argument "Generator.fold: events must be non-negative")
-    (fun () ->
-      ignore (Generator.fold ~events:(-1) Profile.server ~init:() ~f:(fun () ~client:_ ~op:_ ~file:_ -> ())))
-
 let test_generator_zero_events () =
   check_int "empty trace" 0 (Agg_trace.Trace.length (Generator.generate ~events:0 Profile.server));
   Alcotest.check_raises "negative"
@@ -252,9 +216,6 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_generator_deterministic;
           Alcotest.test_case "seed sensitivity" `Quick test_generator_seed_sensitivity;
           Alcotest.test_case "files matches generate" `Quick test_generator_files_matches_generate;
-          Alcotest.test_case "fold matches generate" `Quick test_generator_fold_matches_generate;
-          Alcotest.test_case "iter matches files" `Quick test_generator_iter_matches_files;
-          Alcotest.test_case "fold zero and negative" `Quick test_generator_fold_zero_and_negative;
           Alcotest.test_case "zero events" `Quick test_generator_zero_events;
           Alcotest.test_case "client ids in range" `Quick test_generator_client_ids_in_range;
           Alcotest.test_case "write fraction" `Quick test_generator_write_fraction;
